@@ -55,7 +55,6 @@ from .qtheta import (
 )
 from .special import (
     HermitianFormContext,
-    ThetaEvalParams,
     gaussian_factor,
     gaussian_quadrature_oracle,
     gaussian_quadrature_oracle_2d,

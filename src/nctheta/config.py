@@ -8,11 +8,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 
 from .embedding import EmbeddingKind, EmbeddingMap, FinitePart, build_embedding
 from .errors import ConfigInvalid, ConfigSyntax, NCThetaError
-from .structures import ComplexStructure, make_complex_structure
+from .structures import ComplexStructure, structure_from_tau
 
 DEFAULT_RADIUS = 4
 DEFAULT_TOLERANCES = {
@@ -127,15 +126,8 @@ class RunConfig:
             allow_invalid=self.allow_invalid)
 
     def build_structure(self, emb: EmbeddingMap) -> ComplexStructure:
-        s = self.structure
-        tau = s["tau"]
-        if emb.kind is EmbeddingKind.LATTICE:
-            return make_complex_structure(
-                emb.kind, complex(tau[0], tau[1]), emb.theta1, emb.theta34,
-                lattice_decay=s.get("lattice_decay"))
-        tau_mat = np.array([[complex(*tau[0][0]), complex(*tau[0][1])],
-                            [complex(*tau[1][0]), complex(*tau[1][1])]])
-        return make_complex_structure(emb.kind, tau_mat, emb.theta1, emb.theta2)
+        return structure_from_tau(emb, self.structure["tau"],
+                                  self.structure.get("lattice_decay"))
 
 
 def _structure_shape_ok(kind: str, tau) -> bool:
@@ -184,9 +176,12 @@ def parse_config(data: dict, allow_invalid: bool = False,
     )
     try:
         emb = cfg.build_embedding()
-        cfg.build_structure(emb)
     except NCThetaError as err:
         raise ConfigInvalid(f"{type(err).__name__}: {err}", "$.embedding") from err
+    try:
+        cfg.build_structure(emb)
+    except NCThetaError as err:
+        raise ConfigInvalid(f"{type(err).__name__}: {err}", "$.structure.tau") from err
     return cfg
 
 

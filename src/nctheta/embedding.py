@@ -16,7 +16,6 @@ corrupt the cocycle.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -252,10 +251,10 @@ def enumerate_indices(radius: int) -> np.ndarray:
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    rng = range(-radius, radius + 1)
-    ks = sorted(itertools.product(rng, rng, rng, rng),
-                key=lambda k: (max(abs(c) for c in k), k))
-    return np.array(ks, dtype=np.int64).reshape(len(ks), 4)
+    rng = np.arange(-radius, radius + 1, dtype=np.int64)
+    ks = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 4)
+    order = np.lexsort((ks[:, 3], ks[:, 2], ks[:, 1], ks[:, 0], np.abs(ks).max(axis=1)))
+    return ks[order]
 
 
 def enumerate_lattice(emb: EmbeddingMap, radius: int) -> list[LatticeElement]:
@@ -299,11 +298,11 @@ def cocycle_identity_max_residual(emb: EmbeddingMap, radius: int = 2) -> float:
     """
     ks = enumerate_indices(radius)
     ks2 = enumerate_indices(2 * radius)
-    flat = {tuple(k): i for i, k in enumerate(ks2)}
-    pair_sum = np.empty((len(ks), len(ks)), dtype=np.int64)
-    for a, ka in enumerate(ks):
-        for b, kb in enumerate(ks):
-            pair_sum[a, b] = flat[tuple(ka + kb)]
+    # Mixed-radix code of an index of sup norm <= 2 radius -> its row in ks2.
+    place = (4 * radius + 1) ** np.arange(4)
+    row_of = np.empty((4 * radius + 1) ** 4, dtype=np.int64)
+    row_of[(ks2 + 2 * radius) @ place] = np.arange(len(ks2))
+    pair_sum = row_of[(ks[:, None, :] + ks[None, :, :] + 2 * radius) @ place]
     e_small = _pairing_exponent_table(emb, ks, ks)
     e_wide = _pairing_exponent_table(emb, ks2, ks)
     e_tall = _pairing_exponent_table(emb, ks, ks2)

@@ -29,11 +29,10 @@ from .embedding import (
     EmbeddingKind,
     EmbeddingMap,
     LatticeElement,
+    _pairing_exponent_table,
     cocycle_phase,
-    element_add,
     enumerate_indices,
     lattice_element,
-    pairing,
 )
 from .errors import (
     InternalIdentityViolated,
@@ -47,7 +46,7 @@ from .special import (
     gaussian_factor,
     gaussian_quadrature_oracle,
     gaussian_quadrature_oracle_2d,
-    hermitian_form,
+    jacobi_theta,
     mode_factor,
 )
 from .structures import ComplexStructure, MixedStructure, theta_vector
@@ -80,12 +79,6 @@ def structure_context(structure: ComplexStructure) -> HermitianFormContext:
     if isinstance(structure, MixedStructure):
         return HermitianFormContext(structure.T)
     return HermitianFormContext(structure.omega)
-
-
-def _continuous_pair(h: LatticeElement):
-    if h.kind is EmbeddingKind.LATTICE:
-        return (h.w1, h.w2)
-    return (h.m_part, h.dual_part)
 
 
 def _label(k) -> str:
@@ -199,22 +192,100 @@ class QuantumThetaSeries:
         return lattice_element(self.embedding, k)
 
 
-def _site_mode_product(structure: MixedStructure, h: LatticeElement,
-                       cache: dict | None = None) -> complex:
-    theta2_eff = 1.0 / structure.lattice_decay
-    m1, m2 = h.m_shift
-    t1, t2 = h.t_lift
-    out = 1.0 + 0.0j
-    for t, m in ((t1, m1), (t2, m2)):
-        key = (t, m)
-        if cache is not None and key in cache:
-            out *= cache[key]
-            continue
-        val = mode_factor(t, m, theta2_eff)
-        if cache is not None:
-            cache[key] = val
-        out *= val
+def _cmul(a, b) -> np.ndarray:
+    """Elementwise complex product in the operation order of Python's complex
+    type; numpy's own loop may fuse multiply-adds, and the coefficients must
+    equal the scalar products bit for bit."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
     return out
+
+
+def _ambient(emb: EmbeddingMap, ks) -> np.ndarray:
+    """Ambient coordinates of each row of an index array, laid out as ``entries``."""
+    return np.asarray(ks, dtype=np.int64).astype(float) @ emb.entries.T
+
+
+def _hermitian_rows(ctx: HermitianFormContext, amb_g, amb_h) -> np.ndarray:
+    """H(g_, h_) over broadcast rows of ambient coordinates.
+
+    g_ = T g1 + g2 for the continuous pair (g1, g2): (w1, w2) in the
+    lattice kind, the M and dual blocks in the vector-space kind.
+    """
+    def embed(amb):
+        if ctx.is_scalar:
+            return ctx.T * amb[..., 0] + amb[..., 3]
+        return amb[..., :2] @ ctx.T.T + amb[..., 2:]
+
+    gbar, hstar = embed(amb_g), np.conj(embed(amb_h))
+    if ctx.is_scalar:
+        return gbar * hstar * ctx.im_inverse
+    return np.einsum("...i,ij,...j->...", gbar, ctx.im_inverse, hstar)
+
+
+def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
+    """Gaussian exponent and mode product of the series coefficient C(k).
+
+    For each row k of an (N, 4) index array: the real exponent
+    -(pi/2) H(k_, k_) and the product of the two discrete mode factors
+    (all ones for the vector-space kind), so that C(k) = site e^{expo}.
+    The mode factors depend on (k3, k4) only, and :func:`mode_factor` runs
+    once per distinct (t, m) pair per axis.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    amb = _ambient(emb, ks)
+    expo = -0.5 * math.pi * _hermitian_rows(structure_context(structure), amb, amb).real
+    site = np.ones(len(ks), dtype=complex)
+    if emb.kind is EmbeddingKind.LATTICE:
+        theta2_eff = 1.0 / structure.lattice_decay
+        m_parts = ks[:, 2:] @ emb.m.T
+        for axis in range(2):
+            pairs = np.stack([amb[:, 4 + axis], m_parts[:, axis]], axis=1)
+            _, first, inverse = np.unique(pairs, axis=0, return_index=True,
+                                          return_inverse=True)
+            factors = np.array([mode_factor(t, int(m), theta2_eff)
+                                for t, m in pairs[first]], dtype=complex)
+            site = _cmul(site, factors[inverse.reshape(-1)])
+    return expo, site
+
+
+def _log_translation(series: QuantumThetaSeries, kg, kh):
+    """Row-wise log C(g), log C(h), log C(g+h) and log T_g(h).
+
+    ``kg`` and ``kh`` are index arrays of which at least one has a single
+    row. Plane case: log T_g(h) = -pi H(g_, h_), independent of the
+    coefficients. Lattice case: the quotient
+    log C(g+h) - log C(g) - log C(h) - log alpha(g, h), with the unreduced
+    cocycle logarithm i pi (<g1, h2> - <h1, g2>).
+    """
+    kg = np.asarray(kg, dtype=np.int64)
+    kh = np.asarray(kh, dtype=np.int64)
+    emb = series.embedding
+    expo, site = _coefficient_parts(emb, series.structure,
+                                    np.concatenate([*np.broadcast_arrays(kg, kh), kg + kh]))
+    if np.any(np.abs(site) < COEFFICIENT_FLOOR):
+        raise InternalIdentityViolated(
+            "vanishing mode product; translation quotient undefined")
+    lg, lh, lgh = np.split(expo + np.log(site), 3)
+    if series.kind is EmbeddingKind.VECTOR_SPACE:
+        lt = -math.pi * _hermitian_rows(series.context(), _ambient(emb, kg),
+                                        _ambient(emb, kh))
+    else:
+        lt = lgh - lg - lh - 1j * math.pi * _pairing_exponent_table(emb, kg, kh).ravel()
+    return lg, lh, lgh, lt
+
+
+def _index_tuples(ks):
+    """The rows of an (N, 4) index array as tuples of ints, one at a time."""
+    return zip(*np.asarray(ks).T.tolist())
+
+
+def _stored_values(series: QuantumThetaSeries, ks) -> np.ndarray:
+    """Stored coefficients at the rows of an (N, 4) index array."""
+    return np.array([series.coefficients[k] for k in _index_tuples(ks)], dtype=complex)
 
 
 def c_factor(series: QuantumThetaSeries, g: LatticeElement) -> complex:
@@ -224,31 +295,8 @@ def c_factor(series: QuantumThetaSeries, g: LatticeElement) -> complex:
     product times the continuous Gaussian exponential, identical to the
     series coefficient at g.
     """
-    ctx = series.context()
-    hh = hermitian_form(ctx, _continuous_pair(g), _continuous_pair(g))
-    val = cmath.exp(-0.5 * math.pi * hh)
-    if series.kind is EmbeddingKind.LATTICE:
-        val *= _site_mode_product(series.structure, g)
-    return val
-
-
-def _log_c(series: QuantumThetaSeries, g: LatticeElement) -> complex:
-    """log of the translation coefficient; safe for strongly decayed g."""
-    ctx = series.context()
-    out = -0.5 * math.pi * complex(hermitian_form(ctx, _continuous_pair(g), _continuous_pair(g)))
-    if series.kind is EmbeddingKind.LATTICE:
-        site = _site_mode_product(series.structure, g)
-        if abs(site) < COEFFICIENT_FLOOR:
-            raise InternalIdentityViolated(
-                "vanishing mode product; translation quotient undefined")
-        out += cmath.log(site)
-    return out
-
-
-def _log_alpha(x: LatticeElement, y: LatticeElement) -> complex:
-    """Unreduced logarithm i pi (<x1,y2> - <y1,x2>) of the cocycle."""
-    return 1j * math.pi * (pairing(x.m_part, y.dual_part)
-                           - pairing(y.m_part, x.dual_part))
+    expo, site = _coefficient_parts(series.embedding, series.structure, [g.k])
+    return complex(_cmul(site, np.exp(expo))[0])
 
 
 def translation_factor(series: QuantumThetaSeries, g: LatticeElement,
@@ -258,13 +306,7 @@ def translation_factor(series: QuantumThetaSeries, g: LatticeElement,
     Plane case: the independent exponential e^{-pi H(g_, h_)}. Lattice
     case: the coefficient quotient C(g+h) / (C(g) C(h) alpha(g, h)).
     """
-    ctx = series.context()
-    if series.kind is EmbeddingKind.VECTOR_SPACE:
-        return cmath.exp(-math.pi * hermitian_form(ctx, _continuous_pair(g),
-                                                   _continuous_pair(h)))
-    gh = element_add(series.embedding, g, h)
-    expo = _log_c(series, gh) - _log_c(series, g) - _log_c(series, h) - _log_alpha(g, h)
-    return cmath.exp(expo)
+    return complex(np.exp(_log_translation(series, [g.k], [h.k])[3][0]))
 
 
 def basis_multiply(k1, k2, emb: EmbeddingMap):
@@ -273,6 +315,22 @@ def basis_multiply(k1, k2, emb: EmbeddingMap):
     k2 = np.asarray(k2, dtype=np.int64)
     phase = cocycle_phase(lattice_element(emb, k1), lattice_element(emb, k2))
     return phase, tuple(int(c) for c in (k1 + k2))
+
+
+def _reassembly_failure(series: QuantumThetaSeries) -> str | None:
+    """Label of the first index where the series misses its defining relation.
+
+    For every index with sup norm <= min(radius, 2), normalization times
+    the stored coefficient must reproduce the closed-form inner product;
+    None when it does everywhere.
+    """
+    f = theta_vector(series.structure)
+    for k in enumerate_indices(min(series.radius, 2)):
+        closed = inner_product_closed(f, lattice_element(series.embedding, k))
+        assembled = series.normalization * series.coefficient(k)
+        if abs(assembled - closed) > REASSEMBLY_REL_TOL * max(abs(closed), 1e-30):
+            return _label(k)
+    return None
 
 
 def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
@@ -287,49 +345,15 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
         raise ValueError("radius must be at least 1")
     if emb.kind is not structure.kind:
         raise KindMismatch("embedding and structure kinds differ")
-    ctx = structure_context(structure)
     ks = enumerate_indices(radius)
-    ambient = ks.astype(float) @ emb.entries.T
-
-    if emb.kind is EmbeddingKind.LATTICE:
-        w1 = ambient[:, 0]
-        w2 = ambient[:, 3]
-        hbar = ctx.T * w1 + w2
-        h_vals = (hbar * np.conj(hbar)).real * ctx.im_inverse
-        gauss = np.exp(-0.5 * math.pi * h_vals)
-        cache: dict = {}
-        m_parts = ks[:, 2:] @ emb.m.T
-        coeffs = {}
-        theta2_eff = 1.0 / structure.lattice_decay
-        for row, k in enumerate(ks):
-            t1, t2 = ambient[row, 4], ambient[row, 5]
-            m1, m2 = int(m_parts[row, 0]), int(m_parts[row, 1])
-            site = 1.0 + 0.0j
-            for t, m in ((t1, m1), (t2, m2)):
-                key = (t, m)
-                if key not in cache:
-                    cache[key] = mode_factor(t, m, theta2_eff)
-                site *= cache[key]
-            coeffs[tuple(int(c) for c in k)] = complex(site * gauss[row])
-    else:
-        x1 = ambient[:, :2]
-        x2 = ambient[:, 2:]
-        hbar = x1 @ np.asarray(ctx.T).T + x2
-        h_vals = np.einsum("ni,ij,nj->n", hbar, ctx.im_inverse, np.conj(hbar)).real
-        gauss = np.exp(-0.5 * math.pi * h_vals)
-        coeffs = {tuple(int(c) for c in k): complex(g) for k, g in zip(ks, gauss)}
-
-    series = QuantumThetaSeries(emb, structure, radius, ctx.normalization(), coeffs)
-
-    f = theta_vector(structure)
-    check_radius = min(radius, 2)
-    for k in enumerate_indices(check_radius):
-        key = tuple(int(c) for c in k)
-        closed = inner_product_closed(f, lattice_element(emb, k))
-        assembled = series.normalization * coeffs[key]
-        if abs(assembled - closed) > REASSEMBLY_REL_TOL * max(abs(closed), 1e-30):
-            raise InternalIdentityViolated(
-                f"series coefficient at {key} does not reassemble the inner product")
+    expo, site = _coefficient_parts(emb, structure, ks)
+    coeffs = dict(zip(_index_tuples(ks), _cmul(site, np.exp(expo)).tolist()))
+    series = QuantumThetaSeries(emb, structure, radius,
+                                structure_context(structure).normalization(), coeffs)
+    bad = _reassembly_failure(series)
+    if bad is not None:
+        raise InternalIdentityViolated(
+            f"series coefficient at {bad} does not reassemble the inner product")
     return series
 
 
@@ -353,7 +377,6 @@ def series_tail_bound(series: QuantumThetaSeries, radius: int | None = None) -> 
         disc = 0.5 * math.pi * c * mtm
         lam = min(np.linalg.eigvalsh(cont).min(), np.linalg.eigvalsh(disc).min())
         # mode-factor surplus: sum over one axis of e^{-2 pi c (n + phi)^2} <= theta(2ci)
-        from .special import jacobi_theta
         k_const = float(jacobi_theta(2j * c, 0.0).real) ** 2
     else:
         om = np.asarray(ctx.T)
@@ -386,17 +409,9 @@ def phase_identity_max_residual(emb: EmbeddingMap, structure: ComplexStructure,
     kind, where the pairing sees the discrete coordinates but the
     Hermitian form does not.
     """
-    from .embedding import _pairing_exponent_table
-
-    ctx = structure_context(structure)
     ks = enumerate_indices(radius)
-    amb = ks.astype(float) @ emb.entries.T
-    if emb.kind is EmbeddingKind.VECTOR_SPACE:
-        hbar = amb[:, :2] @ np.asarray(ctx.T).T + amb[:, 2:]
-        h_mat = np.einsum("ai,ij,bj->ab", hbar, ctx.im_inverse, np.conj(hbar))
-    else:
-        hbar = ctx.T * amb[:, 0] + amb[:, 3]
-        h_mat = np.outer(hbar, np.conj(hbar)) * ctx.im_inverse
+    amb = _ambient(emb, ks)
+    h_mat = _hermitian_rows(structure_context(structure), amb[:, None], amb[None, :])
     expo = _pairing_exponent_table(emb, ks, ks)
     return float(np.max(np.abs(np.exp(1j * math.pi * h_mat.imag) - np.exp(1j * math.pi * expo))))
 
@@ -410,36 +425,22 @@ def verify_functional_equation(series: QuantumThetaSeries, g: LatticeElement,
     truncation never masquerades as failure.
     """
     radius = series.radius
-    kg = np.asarray(g.k)
+    kg = np.asarray(g.k, dtype=np.int64)
     g_norm = int(np.max(np.abs(kg)))
     if g_norm > radius // 2:
         raise TruncationTooSmall(
             f"translation index norm {g_norm} exceeds radius/2 = {radius // 2}")
     if tolerance is None:
         tolerance = 1e-9 if series.kind is EmbeddingKind.VECTOR_SPACE else 1e-12
-    ctx = series.context()
-    emb = series.embedding
     interior = radius - g_norm
 
-    residuals = []
-    if series.kind is EmbeddingKind.VECTOR_SPACE:
-        h_gg = complex(hermitian_form(ctx, _continuous_pair(g), _continuous_pair(g)))
-    for kh in enumerate_indices(radius):
-        ksum = kg + kh
-        if np.max(np.abs(ksum)) > interior:
-            continue
-        h = lattice_element(emb, kh)
-        alpha, _ = basis_multiply(kg, kh, emb)
-        if series.kind is EmbeddingKind.VECTOR_SPACE:
-            h_hh = complex(hermitian_form(ctx, _continuous_pair(h), _continuous_pair(h)))
-            h_gh = complex(hermitian_form(ctx, _continuous_pair(g), _continuous_pair(h)))
-            lhs = cmath.exp(-0.5 * math.pi * (h_gg + h_hh) - math.pi * h_gh) * alpha
-        else:
-            lt = (_log_c(series, element_add(emb, g, h))
-                  - _log_c(series, g) - _log_c(series, h) - _log_alpha(g, h))
-            lhs = cmath.exp(_log_c(series, g) + _log_c(series, h) + lt) * alpha
-        rhs = series.coefficient(ksum)
-        residuals.append((_label(ksum), abs(lhs - rhs)))
+    ks = enumerate_indices(radius)
+    kh = ks[np.max(np.abs(kg + ks), axis=1) <= interior]
+    lg, lh, _, lt = _log_translation(series, kg[None], kh)
+    alpha = np.exp(1j * math.pi * _pairing_exponent_table(series.embedding, kg[None], kh)[0])
+    lhs = np.exp(lg + lh + lt) * alpha
+    ksum = kg + kh
+    residuals = zip(map(_label, ksum.tolist()), np.abs(lhs - _stored_values(series, ksum)))
     return VerificationReport.build(
         f"functional-equation g={_label(kg)}", residuals, tolerance,
         radius=radius, interior=interior, kind=series.kind.value)
@@ -456,24 +457,15 @@ def verify_consistency_condition(series: QuantumThetaSeries, g: LatticeElement,
     """
     if tolerance is None:
         tolerance = 1e-10 if series.kind is EmbeddingKind.VECTOR_SPACE else 1e-12
-    emb = series.embedding
-    gh = element_add(emb, g, h)
     alpha = cocycle_phase(g, h)
-    residuals = []
+    lg, lh, lgh, lt = _log_translation(series, [g.k], [h.k])
+    residuals = [("quotient", abs(cmath.exp(lg[0] + lh[0] + lt[0]) * alpha
+                                  - cmath.exp(lgh[0])))]
     if series.kind is EmbeddingKind.VECTOR_SPACE:
-        ctx = series.context()
-        h_gh = complex(hermitian_form(ctx, _continuous_pair(g), _continuous_pair(h)))
-        lhs = c_factor(series, g) * c_factor(series, h) * cmath.exp(-math.pi * h_gh) * alpha
-        rhs = c_factor(series, gh)
-        residuals.append(("quotient", abs(lhs - rhs)))
+        emb = series.embedding
+        h_gh = _hermitian_rows(series.context(), _ambient(emb, g.k), _ambient(emb, h.k))
         residuals.append(("phase-identity",
                           abs(cmath.exp(1j * math.pi * h_gh.imag) - alpha)))
-    else:
-        lt = (_log_c(series, gh) - _log_c(series, g) - _log_c(series, h)
-              - _log_alpha(g, h))
-        lhs = cmath.exp(_log_c(series, g) + _log_c(series, h) + lt) * alpha
-        rhs = cmath.exp(_log_c(series, gh))
-        residuals.append(("quotient", abs(lhs - rhs)))
     return VerificationReport.build(
         f"consistency g={_label(g.k)} h={_label(h.k)}", residuals, tolerance,
         kind=series.kind.value)
@@ -487,19 +479,6 @@ def additivity_gap(series: QuantumThetaSeries, g1: LatticeElement,
     in its first slot; lattice translations are not, because the mode
     factors do not multiply exponentially.
     """
-    emb = series.embedding
-    if series.kind is EmbeddingKind.VECTOR_SPACE:
-        ctx = series.context()
-        g12 = element_add(emb, g1, g2)
-        expo = -math.pi * (
-            complex(hermitian_form(ctx, _continuous_pair(g1), _continuous_pair(h)))
-            + complex(hermitian_form(ctx, _continuous_pair(g2), _continuous_pair(h)))
-            - complex(hermitian_form(ctx, _continuous_pair(g12), _continuous_pair(h))))
-        return abs(cmath.exp(expo) - 1.0)
-
-    def log_t(g):
-        return (_log_c(series, element_add(emb, g, h)) - _log_c(series, g)
-                - _log_c(series, h) - _log_alpha(g, h))
-
-    g12 = element_add(emb, g1, g2)
-    return abs(cmath.exp(log_t(g1) + log_t(g2) - log_t(g12)) - 1.0)
+    kgs = [g1.k, g2.k, np.add(g1.k, g2.k)]
+    lt = _log_translation(series, kgs, [h.k])[3]
+    return abs(cmath.exp(lt[0] + lt[1] - lt[2]) - 1.0)

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -43,6 +41,7 @@ from .heisenberg import (
 )
 from .qtheta import (
     VerificationReport,
+    _stored_values,
     additivity_gap,
     inner_product_closed,
     inner_product_oracle,
@@ -68,15 +67,6 @@ SUITE_NAMES = (
     "inner-product", "quantum-theta", "functional-equation", "consistency",
     "additivity", "oracle-compare",
 )
-
-
-def max_workers() -> int:
-    """Parallelism cap from NCTHETA_THREADS; defaults to serial execution."""
-    raw = os.environ.get("NCTHETA_THREADS", "")
-    try:
-        return max(1, min(int(raw), 64)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def _rng_streams(seed: int) -> dict:
@@ -296,13 +286,15 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
         expected0 = 1.0 + 0.0j
     zero_defect = abs(series.coefficient([0, 0, 0, 0]) - expected0)
 
-    sym = 0.0
-    decay_min = math.inf
-    for k, c in series.coefficients.items():
-        sym = max(sym, abs(series.coefficient([-v for v in k]) - np.conj(c)))
-        norm_sq = sum(v * v for v in k)
-        if norm_sq:
-            decay_min = min(decay_min, -math.log(abs(c)) / norm_sq)
+    ks = enumerate_indices(series.radius)
+    values = _stored_values(series, ks)
+    sym = float(np.max(np.abs(_stored_values(series, -ks) - np.conj(values))))
+    # Row 0 is k = 0. A coefficient that underflowed to 0 decays without
+    # bound: its rate is +inf.
+    norm_sq = np.sum(ks * ks, axis=1)
+    with np.errstate(divide="ignore"):
+        rates = -np.log(np.abs(values[1:])) / norm_sq[1:]
+    decay_min = float(rates.min())
 
     doc_radius = series.radius
     while series_tail_bound(series, doc_radius) >= 1e-12:
@@ -415,16 +407,10 @@ def _suite_oracle_compare(ctx: RunContext) -> list[VerificationReport]:
         oracle = inner_product_oracle(f, h, rel_tol / 100.0)
         return abs(closed - oracle) / max(abs(oracle), abs_floor / rel_tol)
 
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rels = list(pool.map(one, ks))
-    else:
-        rels = [one(k) for k in ks]
-    entries = [(",".join(map(str, k)), r) for k, r in zip(ks, rels)]
+    entries = [(",".join(map(str, k)), one(k)) for k in ks]
     return [VerificationReport.build(
         "oracle-equivalence", entries, rel_tol,
-        indices=len(ks), workers=workers, abs_floor=abs_floor)]
+        indices=len(ks), abs_floor=abs_floor)]
 
 
 _SUITE_FUNCS = {

@@ -43,21 +43,6 @@ def _compensated_sum(terms) -> complex:
     return s + c
 
 
-@dataclass(frozen=True)
-class ThetaEvalParams:
-    """Arguments for a classical theta evaluation."""
-
-    tau: complex
-    z: complex
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if complex(self.tau).imag <= 0:
-            raise DivergentSeries("Im tau must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-
-
 def theta_truncation(tau: complex, z: complex, tol: float) -> int:
     """Smallest symmetric cutoff N whose geometric tail bound is below tol.
 
@@ -105,10 +90,6 @@ def jacobi_theta(tau: complex, z: complex = 0.0, tol: float = 1e-12,
     if with_meta:
         return value, n_max
     return value
-
-
-def evaluate_theta(params: ThetaEvalParams) -> complex:
-    return jacobi_theta(params.tau, params.z, params.tol)
 
 
 @dataclass(frozen=True)

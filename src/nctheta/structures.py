@@ -108,6 +108,20 @@ def make_complex_structure(kind: EmbeddingKind, tau, theta1: float, theta2: floa
     return PlaneStructure(omega, float(theta1), float(theta2))
 
 
+def structure_from_tau(emb: EmbeddingMap, tau,
+                       lattice_decay: float | None = None) -> ComplexStructure:
+    """Complex structure from its JSON form, for the given embedding.
+
+    ``tau`` is a [re, im] pair for the lattice kind and a 2x2 matrix of
+    [re, im] pairs for the vector-space kind.
+    """
+    if emb.kind is EmbeddingKind.LATTICE:
+        return make_complex_structure(emb.kind, complex(*tau), emb.theta1, emb.theta34,
+                                      lattice_decay=lattice_decay)
+    tau_mat = np.array([[complex(*z) for z in row] for row in tau])
+    return make_complex_structure(emb.kind, tau_mat, emb.theta1, emb.theta2)
+
+
 def theta_vector(structure: ComplexStructure) -> ClosedFormVector:
     """Canonical Gaussian annihilated by the antiholomorphic connections.
 

@@ -64,6 +64,14 @@ class TestLoadConfig:
             parse_config(raw)
         assert "column 3" in str(err.value)
 
+    def test_structure_violation_carries_path(self):
+        raw = minimal_lattice()
+        raw["structure"] = {"tau": [0.0, -1.0]}
+        with pytest.raises(ConfigInvalid) as err:
+            parse_config(raw)
+        assert err.value.json_path == "$.structure.tau"
+        assert "NotPositive" in str(err.value)
+
     def test_structure_kind_shape(self):
         raw = minimal_lattice()
         raw["structure"] = {"tau": [[[0.0, 0.5], [0.0, 0.0]],
@@ -112,6 +120,16 @@ class TestExport:
         c1 = export_coefficients(series, "csv", tmp_path / "a.csv")
         c2 = export_coefficients(reloaded, "csv", tmp_path / "b.csv")
         assert c1.read_bytes() == c2.read_bytes()
+
+    def test_reload_rejects_table_that_misses_its_parameters(
+            self, lattice_emb, lattice_structure, tmp_path):
+        series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
+        path = export_coefficients(series, "json", tmp_path / "a.json")
+        data = json.loads(path.read_text())
+        data["coefficients"][1]["re"] *= 2.0
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="coefficient at -1,-1,-1,-1"):
+            load_series(path)
 
     def test_vector_export(self, vector_emb, vector_structure, tmp_path):
         series = quantum_theta_series(vector_emb, vector_structure, radius=1)
@@ -164,6 +182,26 @@ class TestSuiteCoverage:
             report = run_suite(cfg, suite)
             assert report.checks, suite
             assert report.passed, (suite, report.summary())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("raw", [
+        minimal_lattice(embedding={"kind": "lattice", "theta1": 0.5,
+                                   "m": [[2, 1], [1, 1]],
+                                   "delta_hat": [[0.25, 0.25], [-0.5, -0.25]]},
+                        structure={"tau": [0.3, 0.2]}),
+        minimal_lattice(structure={"tau": [0.0, 1.0], "lattice_decay": 20}),
+        {"embedding": {"kind": "vector_space", "theta1": 5, "theta2": 4},
+         "structure": {"tau": [[[0.0, 5.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 4.0]]]},
+         "seed": 7},
+    ], ids=["lattice-m2111", "lattice-decay20", "vector-theta54"])
+    def test_quantum_theta_with_underflowed_coefficients(self, raw):
+        # coefficients that underflow to 0 count as infinite decay: no crash,
+        # no numpy warning
+        report = run_suite(parse_config(raw), "quantum-theta")
+        assert [c.name for c in report.checks] == [
+            "coefficient-at-zero", "coefficient-symmetry", "coefficient-decay",
+            "series-tail-bound"]
+        assert report.passed, report.summary()
 
     def test_vector_additivity_suite(self, vector_config):
         report = run_suite(vector_config, "additivity")

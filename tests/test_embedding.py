@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,13 @@ def test_enumerate_counts_and_order(lattice_emb):
     assert els[0].k == (0, 0, 0, 0)
     norms = [max(abs(c) for c in e.k) for e in els]
     assert norms == sorted(norms)
+    # reference definition of the canonical order: sup norm, then lexicographic
+    rng = range(-3, 4)
+    reference = sorted(itertools.product(rng, rng, rng, rng),
+                       key=lambda k: (max(abs(c) for c in k), k))
+    ks = enumerate_indices(3)
+    assert ks.dtype == np.int64
+    assert [tuple(k) for k in ks.tolist()] == reference
 
 
 def test_enumerate_indices_rejects_negative():

@@ -13,9 +13,7 @@ from nctheta.errors import (
 )
 from nctheta.special import (
     HermitianFormContext,
-    ThetaEvalParams,
     completed_square_defect,
-    evaluate_theta,
     gaussian_factor,
     gaussian_quadrature_oracle,
     gaussian_quadrature_oracle_2d,
@@ -91,8 +89,6 @@ class TestJacobiTheta:
     def test_divergent_series(self):
         with pytest.raises(DivergentSeries):
             jacobi_theta(1.0, 0.0)
-        with pytest.raises(DivergentSeries):
-            ThetaEvalParams(tau=-1j, z=0.0)
 
     def test_truncation_bound_is_honest(self):
         # enlarging the cutoff beyond the chosen N never moves the value by tol
@@ -100,10 +96,6 @@ class TestJacobiTheta:
                             (0.7 + 0.6j, 1.1 - 0.9j, 1e-10)]:
             n = theta_truncation(tau, z, tol)
             assert abs(jacobi_theta(tau, z, tol) - brute_theta(tau, z, n + 40)) <= tol
-
-    def test_params_object(self):
-        p = ThetaEvalParams(tau=1j, z=0.25)
-        assert evaluate_theta(p) == jacobi_theta(1j, 0.25)
 
 
 class TestHermitianForm:
