@@ -247,14 +247,15 @@ def enumerate_indices(radius: int) -> np.ndarray:
     """Integer 4-vectors with sup norm <= radius in the canonical order.
 
     Sorted by sup norm first, then lexicographically; this fixes the
-    summation order of every truncated series in the package.
+    summation order of every truncated series in the package. The "ij"
+    grid is already lexicographic, so a stable sort on the sup norm alone
+    gives that order.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     rng = np.arange(-radius, radius + 1, dtype=np.int64)
     ks = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 4)
-    order = np.lexsort((ks[:, 3], ks[:, 2], ks[:, 1], ks[:, 0], np.abs(ks).max(axis=1)))
-    return ks[order]
+    return ks[np.argsort(np.abs(ks).max(axis=1), kind="stable")]
 
 
 def enumerate_lattice(emb: EmbeddingMap, radius: int) -> list[LatticeElement]:

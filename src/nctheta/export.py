@@ -9,12 +9,13 @@ reloaded and re-exported byte-identically.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .embedding import EmbeddingKind, build_embedding, enumerate_indices
-from .qtheta import QuantumThetaSeries, _ambient, _reassembly_failure, _stored_values
+from .qtheta import QuantumThetaSeries, _ambient, _label, _reassembly_failure, _rows
 from .structures import MixedStructure, structure_from_tau
 
 CSV_HEADER = "k1,k2,k3,k4,w1,w2,m1,m2,t1,t2,re,im"
@@ -30,6 +31,8 @@ _JSON_ROW = ("\n".join("    " + line for line in json.dumps(
     {"ambient": ["%r"] * 6, "im": "%r", "k": ["%d"] * 4, "re": "%r"},
     indent=2, sort_keys=True).replace('"%r"', "%r").replace('"%d"', "%d").splitlines()),
     [4, 5, 6, 7, 8, 9, 11, 0, 1, 2, 3, 10])
+# One conversion of a row template: %d, %r or a %g with its precision.
+_CONVERSION = re.compile(r"%[.0-9]*[dgr]")
 
 
 def _blocks(series: QuantumThetaSeries):
@@ -39,11 +42,10 @@ def _blocks(series: QuantumThetaSeries):
     Vector-space kind: the M part fills (w1, w2), the dual part (t1, t2),
     and the integer slots are zero.
     """
-    ks = enumerate_indices(series.radius)
-    for lo in range(0, len(ks), CHUNK_ROWS):
-        k = ks[lo:lo + CHUNK_ROWS]
+    for lo in range(0, len(series.indices), CHUNK_ROWS):
+        k = series.indices[lo:lo + CHUNK_ROWS]
+        values = series.values[lo:lo + CHUNK_ROWS]
         amb = _ambient(series.embedding, k)
-        values = _stored_values(series, k)
         block = np.zeros((len(k), 12))
         block[:, :4] = k
         if series.kind is EmbeddingKind.LATTICE:
@@ -56,12 +58,28 @@ def _blocks(series: QuantumThetaSeries):
         yield block
 
 
-def _write_rows(fh, row, separator: str, series: QuantumThetaSeries) -> None:
-    """Write the table through a (template, columns) row format."""
+def _write_rows(fh, row, separator: str, blocks) -> None:
+    """Write blocks of rows through a (template, columns) row format.
+
+    A float cell is formatted once per distinct bit pattern of its column
+    in a block (a block repeats few distinct values; -0.0 and 0.0 stay
+    apart), and the row template then takes the text through %s.
+    """
     template, columns = row
-    for i, block in enumerate(_blocks(series)):
-        cells = tuple(block[:, columns].ravel().tolist())
-        fh.write((separator if i else "") + separator.join([template] * len(block)) % cells)
+    specs = _CONVERSION.findall(template)
+    text_template = _CONVERSION.sub(lambda c: "%d" if c[0] == "%d" else "%s", template)
+    for i, block in enumerate(blocks):
+        cells = block[:, columns]
+        text = np.empty(cells.shape, dtype=object)
+        for j, spec in enumerate(specs):
+            if spec == "%d":
+                text[:, j] = cells[:, j]
+                continue
+            bits, inverse = np.unique(cells[:, j].view(np.uint64), return_inverse=True)
+            text[:, j] = np.array([spec % v for v in bits.view(np.float64).tolist()],
+                                  dtype=object)[inverse]
+        fh.write((separator if i else "")
+                 + separator.join([text_template] * len(block)) % tuple(text.ravel().tolist()))
 
 
 def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
@@ -74,7 +92,7 @@ def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
     if fmt == "csv":
         with path.open("w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            _write_rows(fh, _CSV_ROW, "", series)
+            _write_rows(fh, _CSV_ROW, "", _blocks(series))
         return path
     emb = series.embedding
     emb_params = {"kind": emb.kind.value, "theta1": emb.theta1}
@@ -104,7 +122,7 @@ def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
         '"coefficients": []', 1)
     with path.open("w", newline="\n") as fh:
         fh.write(head + '"coefficients": [\n')
-        _write_rows(fh, _JSON_ROW, ",\n", series)
+        _write_rows(fh, _JSON_ROW, ",\n", _blocks(series))
         fh.write("\n  ]" + tail + "\n")
     return path
 
@@ -112,9 +130,10 @@ def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
 def load_series(path) -> QuantumThetaSeries:
     """Reload a JSON coefficient export; values are taken as stored.
 
-    The stored coefficients must reproduce the closed-form inner product
-    at sup norm <= 2, as a computed series does; a table that does not
-    match its own parameters raises ValueError.
+    The table must hold exactly one row for every index with sup norm
+    <= radius, and its coefficients must reproduce the closed-form inner
+    product at sup norm <= 2, as a computed series does; otherwise
+    ValueError, naming the path.
     """
     data = json.loads(Path(path).read_text())
     e = data["embedding"]
@@ -122,10 +141,27 @@ def load_series(path) -> QuantumThetaSeries:
                           m=e.get("m"), delta_hat=e.get("delta_hat"))
     structure = structure_from_tau(emb, data["structure"]["tau"],
                                    data["structure"].get("lattice_decay"))
-    coeffs = {tuple(row["k"]): complex(row["re"], row["im"])
-              for row in data["coefficients"]}
-    series = QuantumThetaSeries(emb, structure, data["radius"],
-                                data["normalization"], coeffs)
+    radius, rows = data["radius"], data["coefficients"]
+    ks = np.array([row["k"] for row in rows] or np.empty((0, 4)), dtype=np.int64)
+    if ks.ndim != 2 or ks.shape[1] != 4:
+        raise ValueError(f"{path}: every row needs an index of four integers")
+    indices = enumerate_indices(radius)
+    values = np.empty(len(indices), dtype=complex)
+    series = QuantumThetaSeries(emb, structure, radius, data["normalization"],
+                                indices, values)
+    try:
+        at = _rows(series, ks)
+    except KeyError as err:
+        raise ValueError(f"{path}: the row for index {_label(err.args[0])}"
+                         f" lies outside radius {radius}") from None
+    counts = np.bincount(at, minlength=len(indices))
+    if np.any(counts != 1):
+        repeated = np.any(counts > 1)
+        k = indices[np.argmax(counts > 1 if repeated else counts == 0)]
+        raise ValueError(f"{path}: the row for index {_label(k)} is"
+                         f" {'repeated' if repeated else 'missing'}")
+    values.real[at] = np.fromiter((row["re"] for row in rows), float, len(rows))
+    values.imag[at] = np.fromiter((row["im"] for row in rows), float, len(rows))
     bad = _reassembly_failure(series)
     if bad is not None:
         raise ValueError(f"{path}: stored coefficient at {bad} does not"

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -163,33 +165,92 @@ def inner_product_oracle(f: ClosedFormVector, h: LatticeElement,
     return complex(amp * gaussian_quadrature_oracle_2d(quad, lin, 0.0, tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumThetaSeries:
     """Truncation of the quantum theta series for one embedding.
 
-    ``coefficients`` maps integer indices to the algebra coefficients;
-    ``normalization`` is the constant relating the self-pairing of the
-    theta vector to the series.
+    ``indices`` holds every integer index with sup norm <= radius, an
+    (N, 4) array in the canonical order of :func:`enumerate_indices`, and
+    ``values`` the algebra coefficient of each row; ``coefficients`` is a
+    read-only mapping view over the two. ``normalization`` is the constant relating the
+    self-pairing of the theta vector to the series. Series compare by
+    identity.
     """
 
     embedding: EmbeddingMap
     structure: ComplexStructure
     radius: int
     normalization: float
-    coefficients: dict[tuple[int, int, int, int], complex]
+    indices: np.ndarray
+    values: np.ndarray
 
     @property
     def kind(self) -> EmbeddingKind:
         return self.embedding.kind
 
+    @property
+    def coefficients(self) -> Mapping[tuple[int, int, int, int], complex]:
+        return _CoefficientView(self)
+
+    @cached_property
+    def _row_table(self) -> np.ndarray:
+        """Row of each index, at [k1 + r, k2 + r, k3 + r, k4 + r] for radius r."""
+        table = np.empty((2 * self.radius + 1,) * 4, dtype=np.intp)
+        table[tuple((self.indices + self.radius).T)] = np.arange(len(self.indices))
+        return table
+
     def context(self) -> HermitianFormContext:
         return structure_context(self.structure)
 
     def coefficient(self, k) -> complex:
-        return self.coefficients[tuple(int(c) for c in k)]
+        """C(k); KeyError when k has not four entries or lies outside the radius."""
+        k = tuple(int(c) for c in k)
+        r = self.radius
+        if len(k) != 4 or max(map(abs, k)) > r:
+            raise KeyError(k)
+        return complex(self.values[self._row_table[tuple(c + r for c in k)]])
 
     def element(self, k) -> LatticeElement:
         return lattice_element(self.embedding, k)
+
+
+class _CoefficientView(Mapping):
+    """Index tuple -> coefficient, over the arrays of a series, in canonical order."""
+
+    def __init__(self, series: QuantumThetaSeries):
+        self._series = series
+
+    def __getitem__(self, k) -> complex:
+        return self._series.coefficient(k)
+
+    def __len__(self) -> int:
+        return len(self._series.values)
+
+    def __iter__(self):
+        return _index_tuples(self._series.indices)
+
+
+def _index_tuples(ks):
+    """The rows of an (N, 4) index array as tuples of ints, one at a time."""
+    return zip(*np.asarray(ks).T.tolist())
+
+
+def _rows(series: QuantumThetaSeries, ks) -> np.ndarray:
+    """Row of the series at each index of an (N, 4) index array.
+
+    The range check comes first: an index outside the radius raises
+    KeyError rather than wrapping round to another row of the table.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    outside = np.abs(ks).max(axis=1, initial=0) > series.radius
+    if np.any(outside):
+        raise KeyError(tuple(ks[np.argmax(outside)].tolist()))
+    return series._row_table[tuple((ks + series.radius).T)]
+
+
+def _stored_values(series: QuantumThetaSeries, ks) -> np.ndarray:
+    """Stored coefficients at the rows of an (N, 4) index array."""
+    return series.values[_rows(series, ks)]
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -243,12 +304,17 @@ def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
         theta2_eff = 1.0 / structure.lattice_decay
         m_parts = ks[:, 2:] @ emb.m.T
         for axis in range(2):
-            pairs = np.stack([amb[:, 4 + axis], m_parts[:, axis]], axis=1)
-            _, first, inverse = np.unique(pairs, axis=0, return_index=True,
-                                          return_inverse=True)
-            factors = np.array([mode_factor(t, int(m), theta2_eff)
-                                for t, m in pairs[first]], dtype=complex)
-            site = _cmul(site, factors[inverse.reshape(-1)])
+            # Distinct (t, m) pairs under float equality, sorted by t then m,
+            # each represented by its first row: 1-D uniques of the rank of t
+            # and then of the code (rank, m).
+            t, m = amb[:, 4 + axis], m_parts[:, axis]
+            _, t_rank = np.unique(t, return_inverse=True)
+            m_low = m.min(initial=0)
+            code = t_rank * (m.max(initial=0) - m_low + 1) + (m - m_low)
+            _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+            factors = np.array([mode_factor(t[i], int(m[i]), theta2_eff)
+                                for i in first.tolist()], dtype=complex)
+            site = _cmul(site, factors[inverse])
     return expo, site
 
 
@@ -276,16 +342,6 @@ def _log_translation(series: QuantumThetaSeries, kg, kh):
     else:
         lt = lgh - lg - lh - 1j * math.pi * _pairing_exponent_table(emb, kg, kh).ravel()
     return lg, lh, lgh, lt
-
-
-def _index_tuples(ks):
-    """The rows of an (N, 4) index array as tuples of ints, one at a time."""
-    return zip(*np.asarray(ks).T.tolist())
-
-
-def _stored_values(series: QuantumThetaSeries, ks) -> np.ndarray:
-    """Stored coefficients at the rows of an (N, 4) index array."""
-    return np.array([series.coefficients[k] for k in _index_tuples(ks)], dtype=complex)
 
 
 def c_factor(series: QuantumThetaSeries, g: LatticeElement) -> complex:
@@ -347,9 +403,9 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
         raise KindMismatch("embedding and structure kinds differ")
     ks = enumerate_indices(radius)
     expo, site = _coefficient_parts(emb, structure, ks)
-    coeffs = dict(zip(_index_tuples(ks), _cmul(site, np.exp(expo)).tolist()))
     series = QuantumThetaSeries(emb, structure, radius,
-                                structure_context(structure).normalization(), coeffs)
+                                structure_context(structure).normalization(),
+                                ks, _cmul(site, np.exp(expo)))
     bad = _reassembly_failure(series)
     if bad is not None:
         raise InternalIdentityViolated(
@@ -434,7 +490,7 @@ def verify_functional_equation(series: QuantumThetaSeries, g: LatticeElement,
         tolerance = 1e-9 if series.kind is EmbeddingKind.VECTOR_SPACE else 1e-12
     interior = radius - g_norm
 
-    ks = enumerate_indices(radius)
+    ks = series.indices
     kh = ks[np.max(np.abs(kg + ks), axis=1) <= interior]
     lg, lh, _, lt = _log_translation(series, kg[None], kh)
     alpha = np.exp(1j * math.pi * _pairing_exponent_table(series.embedding, kg[None], kh)[0])

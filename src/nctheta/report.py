@@ -286,8 +286,7 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
         expected0 = 1.0 + 0.0j
     zero_defect = abs(series.coefficient([0, 0, 0, 0]) - expected0)
 
-    ks = enumerate_indices(series.radius)
-    values = _stored_values(series, ks)
+    ks, values = series.indices, series.values
     sym = float(np.max(np.abs(_stored_values(series, -ks) - np.conj(values))))
     # Row 0 is k = 0. A coefficient that underflowed to 0 decays without
     # bound: its rate is +inf.

@@ -1,15 +1,17 @@
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nctheta
 from nctheta.cli import main
 from nctheta.config import load_config, parse_config, require_seed
 from nctheta.errors import ConfigInvalid, ConfigSyntax
-from nctheta.export import export_coefficients, load_series
+from nctheta.export import _CSV_ROW, _JSON_ROW, _write_rows, export_coefficients, load_series
 from nctheta.qtheta import quantum_theta_series
 from nctheta.report import run_suite, write_report
 
@@ -130,6 +132,53 @@ class TestExport:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="coefficient at -1,-1,-1,-1"):
             load_series(path)
+
+    @pytest.mark.parametrize("fault", ["missing", "repeated", "repeated-for-another",
+                                       "outside"])
+    def test_reload_rejects_malformed_rows(self, lattice_emb, lattice_structure,
+                                           tmp_path, fault):
+        series = quantum_theta_series(lattice_emb, lattice_structure, radius=3)
+        path = export_coefficients(series, "json", tmp_path / "a.json")
+        data = json.loads(path.read_text())
+        rows = data["coefficients"]
+        twin = dict(rows[-5], re=9.0)  # a row at sup norm 3
+        if fault == "missing":
+            rows.remove(next(r for r in rows if r["k"] == [3, 3, 3, 3]))
+        elif fault == "repeated":
+            rows.append(twin)
+        elif fault == "repeated-for-another":
+            # a row is missing as well; the repeated one is named
+            rows[0] = twin
+        else:
+            rows.append(dict(rows[-1], k=[4, 0, 0, 0]))
+        path.write_text(json.dumps(data))
+        repeated = ",".join(map(str, twin["k"])) + " is repeated"
+        message = {"missing": "3,3,3,3 is missing", "repeated": repeated,
+                   "repeated-for-another": repeated,
+                   "outside": "4,0,0,0 lies outside radius 3"}[fault]
+        with pytest.raises(ValueError, match=f"a.json: .*{message}"):
+            load_series(path)
+
+    @pytest.mark.parametrize("row, separator", [(_CSV_ROW, ""), (_JSON_ROW, ",\n")])
+    def test_write_rows_matches_per_row_format(self, row, separator):
+        # each block holds signed zeros, subnormal and tiny values, integer
+        # valued and negative floats; column 11 is distinct in every row
+        rng = np.random.default_rng(3)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 3.0, -7.0,
+                            -2.5, 0.1, 1e16, -1e-300])
+        blocks = []
+        for n in (37, 5):
+            block = special[rng.integers(0, len(special), size=(n, 12))]
+            block[:, :4] = rng.integers(-9, 10, size=(n, 4))
+            block[:, 11] = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+            blocks.append(block)
+        template, columns = row
+        expected = separator.join(template % tuple(r[columns].tolist())
+                                  for block in blocks for r in block)
+        out = io.StringIO()
+        _write_rows(out, row, separator, blocks)
+        assert out.getvalue() == expected
+        assert len(np.unique(blocks[0][:, 11])) == 37
 
     def test_vector_export(self, vector_emb, vector_structure, tmp_path):
         series = quantum_theta_series(vector_emb, vector_structure, radius=1)

@@ -12,6 +12,7 @@ from nctheta.embedding import (
 )
 from nctheta.errors import TruncationTooSmall, UnsupportedVector
 from nctheta.qtheta import (
+    _stored_values,
     additivity_gap,
     basis_multiply,
     c_factor,
@@ -117,6 +118,25 @@ class TestSeries:
         got = lattice_series.coefficient([0, 1, 0, 0])
         expected = jacobi_theta(5j, 0.0) ** 2 * cmath.exp(-math.pi / 4)
         assert got == pytest.approx(expected, abs=1e-15)
+
+    def test_lookup_stays_inside_the_radius(self, lattice_series):
+        series = lattice_series
+        assert series.radius == 4
+        # the row table would alias these to rows of the series without
+        # the range check
+        with pytest.raises(KeyError):
+            series.coefficient([5, 0, 0, 0])
+        with pytest.raises(KeyError):
+            _stored_values(series, [[0, 0, 0, 0], [0, 0, 0, -5]])
+        assert series.coefficients.get((0, 0, 0, -5), "absent") == "absent"
+        assert (0, 0, 0, -4) in series.coefficients
+        keys = [tuple(k) for k in enumerate_indices(4).tolist()]
+        assert len(series.coefficients) == len(keys) == 9 ** 4
+        assert list(series.coefficients) == keys
+        items = list(series.coefficients.items())
+        assert [k for k, _ in items] == keys
+        assert [c for _, c in items] == series.values.tolist()
+        assert series.coefficients[(1, -2, 3, -4)] == series.coefficient([1, -2, 3, -4])
 
     def test_normalizations(self, lattice_series, vector_series):
         assert lattice_series.normalization == pytest.approx(0.5)
