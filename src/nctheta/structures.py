@@ -11,11 +11,12 @@ holomorphy is provably infeasible there (see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import sympy
 
 from .embedding import EmbeddingKind, EmbeddingMap
 from .errors import (
@@ -30,6 +31,9 @@ from .heisenberg import (
     _require_closed,
     build_connections,
 )
+
+if TYPE_CHECKING:
+    import sympy
 
 SYMMETRY_TOL = 1e-12
 DEFAULT_HOLOMORPHY_STEP = 5e-4
@@ -228,24 +232,14 @@ class InfeasibilityCertificate:
         return bool(self.forced_det.is_zero) and self.actual_det_b != 0.0
 
 
-def holomorphic_feasibility(emb: EmbeddingMap, tau) -> InfeasibilityCertificate:
-    """Derive the lattice-kind holomorphy obstruction for a generic tau.
+@functools.cache
+def _symbolic_obstruction():
+    """Relation strings and forced det(b) of the lattice-kind obstruction.
 
-    Requiring both antiholomorphy equations to annihilate one function
-    forces, by matching coefficients of s, n1, n2, a consistency relation
-    on tau and two substitutions for the off-diagonal entries of b. Their
-    determinant then cancels exactly, which contradicts b being the
-    inverse of the integer block. The cancellation is carried out over the
-    rational function field, never in floating point, and is independent
-    of the integer block.
+    Only fresh symbols enter the derivation, so it is carried out once per
+    process; sympy is imported here and nowhere else.
     """
-    if emb.kind is not EmbeddingKind.LATTICE:
-        raise DegenerateTau("the obstruction concerns the lattice kind")
-    tau = np.asarray(tau, dtype=complex)
-    if tau.shape != (2, 2):
-        raise ValueError("tau must be 2x2")
-    if np.any(tau == 0):
-        raise DegenerateTau("the derivation divides by every tau entry")
+    import sympy
 
     t11, t12, t21, t22 = sympy.symbols("tau11 tau12 tau21 tau22", nonzero=True)
     b11, b12, b21, b22 = sympy.symbols("b11 b12 b21 b22")
@@ -260,16 +254,43 @@ def holomorphic_feasibility(emb: EmbeddingMap, tau) -> InfeasibilityCertificate:
     sol = sympy.solve([diff.coeff(n1), diff.coeff(n2)], [b21, b12], dict=True)[0]
     forced_det = sympy.cancel((b11 * b22 - b12 * b21).subs(sol))
 
-    m = emb.m
-    det_m = int(m[0, 0]) * int(m[1, 1]) - int(m[0, 1]) * int(m[1, 0])
-    actual_b = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=float) / det_m
-
     relations = (
         f"coefficient of s: {sympy.sstr(cond_s)} = 0"
         "  (i.e. tau11/tau12 = tau21/tau22)",
         f"coefficient of n2: b12 = {sympy.sstr(sympy.cancel(sol[b12]))}",
         f"coefficient of n1: b21 = {sympy.sstr(sympy.cancel(sol[b21]))}",
     )
+    return relations, forced_det
+
+
+def holomorphic_feasibility(emb: EmbeddingMap, tau) -> InfeasibilityCertificate:
+    """Derive the lattice-kind holomorphy obstruction for a generic tau.
+
+    Requiring both antiholomorphy equations to annihilate one function
+    forces, by matching coefficients of s, n1, n2, a consistency relation
+    on tau and two substitutions for the off-diagonal entries of b. Their
+    determinant then cancels exactly, which contradicts b being the
+    inverse of the integer block. The cancellation is carried out over the
+    rational function field, never in floating point. It depends on
+    neither tau nor the integer block m, so sympy runs it once per process
+    (the first call imports sympy) and later calls reuse the result; the
+    checks on ``emb`` and ``tau`` and the numeric b = m^-1 run on every
+    call.
+    """
+    if emb.kind is not EmbeddingKind.LATTICE:
+        raise DegenerateTau("the obstruction concerns the lattice kind")
+    tau = np.asarray(tau, dtype=complex)
+    if tau.shape != (2, 2):
+        raise ValueError("tau must be 2x2")
+    if np.any(tau == 0):
+        raise DegenerateTau("the derivation divides by every tau entry")
+
+    relations, forced_det = _symbolic_obstruction()
+
+    m = emb.m
+    det_m = int(m[0, 0]) * int(m[1, 1]) - int(m[0, 1]) * int(m[1, 0])
+    actual_b = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=float) / det_m
+
     return InfeasibilityCertificate(
         tau=tuple(map(tuple, tau.tolist())),
         relations=relations,

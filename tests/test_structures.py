@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +15,11 @@ from nctheta.errors import (
     DegenerateTau,
     NotPositive,
 )
+from nctheta.report import _random_lattice_embedding
 from nctheta.structures import (
     MixedStructure,
     PlaneStructure,
+    _symbolic_obstruction,
     connection_combo_residual,
     holomorphic_feasibility,
     holomorphy_residual,
@@ -178,3 +183,70 @@ class TestNoGo:
                    + 1j * rng.uniform(0.3, 2.0, size=(2, 2)) * signs[..., 1])
             cert = holomorphic_feasibility(lattice_emb, tau)
             assert cert.forced_det.is_zero and cert.infeasible
+
+
+# Recorded from the certificate as it was derived on every call, before the
+# derivation was cached; the cached derivation must reproduce it exactly.
+PINNED_RELATIONS = (
+    "coefficient of s: (tau11*tau22 - tau12*tau21)/(tau12*tau22) = 0"
+    "  (i.e. tau11/tau12 = tau21/tau22)",
+    "coefficient of n2: b12 = b22*tau12/tau22",
+    "coefficient of n1: b21 = b11*tau22/tau12",
+)
+PINNED_TAUS = [
+    np.array([[1 + 1j, 2.0 + 0.5j], [3.0 - 1j, 6 / (1 + 1j)]]),
+    np.array([[0.3 - 0.7j, -1.2 + 0.4j], [0.9 + 0.9j, 2.0 - 0.1j]]),
+    np.array([[-1.5j, 0.4], [-0.8 + 2j, 1.1 + 0.2j]]),
+]
+
+
+class TestCertificateCache:
+    def test_sympy_loads_only_for_the_certificate(self, cli_env, lattice_config_path):
+        script = textwrap.dedent(f"""
+            import sys
+            import nctheta, nctheta.cli, nctheta.export
+            assert "sympy" not in sys.modules, "sympy loaded at import"
+            from nctheta.config import load_config
+            from nctheta.structures import holomorphic_feasibility
+            emb = load_config({str(lattice_config_path)!r}).build_embedding()
+            cert = holomorphic_feasibility(emb, [[1 + 1j, 2.0], [3.0, 1j]])
+            assert cert.infeasible
+            assert "sympy" in sys.modules, "certificate derived without sympy"
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=cli_env)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+
+    @pytest.mark.parametrize("tau", PINNED_TAUS, ids=["t0", "t1", "t2"])
+    @pytest.mark.parametrize("which", ["canonical", "random"])
+    def test_certificate_content_is_pinned(self, lattice_config, which, tau):
+        if which == "canonical":
+            emb = lattice_config.build_embedding()
+            b, det_b = [[1.0, 0.0], [0.0, 1.0]], 1.0
+        else:
+            emb = _random_lattice_embedding(np.random.default_rng(5))
+            assert emb.m.tolist() == [[1, 2], [-3, 2]]
+            b, det_b = [[0.25, -0.25], [0.375, 0.125]], 0.125
+        cert = holomorphic_feasibility(emb, tau)
+        assert cert.relations == PINNED_RELATIONS
+        assert str(cert.forced_det) == "0"
+        assert cert.infeasible is True
+        assert cert.actual_b.tolist() == b
+        assert cert.actual_det_b == det_b
+        assert cert.tau == tuple(map(tuple, tau.tolist()))
+
+    def test_per_call_checks_survive_a_warm_cache(self, lattice_emb, vector_emb):
+        holomorphic_feasibility(lattice_emb, PINNED_TAUS[0])
+        warm = _symbolic_obstruction.cache_info()
+        assert warm.currsize == 1
+        with pytest.raises(DegenerateTau):
+            holomorphic_feasibility(lattice_emb, np.array([[1 + 1j, 0], [3.0, 2.0]]))
+        with pytest.raises(DegenerateTau):
+            holomorphic_feasibility(vector_emb, PINNED_TAUS[0])
+        with pytest.raises(ValueError):
+            holomorphic_feasibility(lattice_emb, np.ones((3, 3), dtype=complex))
+        with pytest.raises(ValueError):
+            holomorphic_feasibility(lattice_emb, 1 + 1j)
+        holomorphic_feasibility(lattice_emb, PINNED_TAUS[1])
+        after = _symbolic_obstruction.cache_info()
+        assert (after.misses, after.hits) == (warm.misses, warm.hits + 1)
