@@ -13,6 +13,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,6 +77,10 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO_ERROR
+    except Exception as err:
+        # A defect of the program, not a failed check: one line, own code.
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
     summary = report.summary()
     for check in report.checks:

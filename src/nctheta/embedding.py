@@ -290,28 +290,114 @@ def _pairing_exponent_table(emb: EmbeddingMap, left: np.ndarray,
     return m_l @ d_r.T - (m_r @ d_l.T).T
 
 
-def cocycle_identity_max_residual(emb: EmbeddingMap, radius: int = 2) -> float:
-    """Worst 2-cocycle defect over all ordered triples within the radius.
+# Unit roundoff of IEEE double precision (Higham, *Accuracy and Stability
+# of Numerical Algorithms*, ch. 2-3).
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Rows and columns per exponent-table block: the identity certificate holds
+# a few arrays of this side at once, whatever the radius.
+_TABLE_BLOCK = 625
 
-    Checks alpha(g,h) alpha(g+h,k) = alpha(h,k) alpha(g,h+k) through the
-    phase exponents; sums like g+h are looked up in the doubled-radius
-    enumeration, so the check covers every triple exactly once.
+
+def _split_form(form: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """form = hi + lo exactly, with k^T hi l exact in floating point.
+
+    hi is form rounded to a power-of-two grid with |hi| <= 2^bits grid, so
+    for integer vectors of sup norm <= reach every partial sum of k^T hi l,
+    in any order, is an integer multiple of the grid below
+    16 reach^2 2^bits grid <= 2^53 grid.
     """
+    bits = 49 - 2 * math.ceil(math.log2(max(reach, 1)))
+    _, exponent = np.frexp(np.max(np.abs(form)))
+    grid = np.ldexp(1.0, int(exponent) - bits)
+    hi = np.round(form / grid) * grid
+    return hi, form - hi
+
+
+def _block_deviation(emb: EmbeddingMap, ks: np.ndarray, ls: np.ndarray,
+                     hi: np.ndarray, lo: np.ndarray) -> tuple[float, float]:
+    """(max |table|, max of |fl(d - P_lo)| + u |d|) over one table block.
+
+    d = fl(table - P_hi) with P_hi = k^T hi l exact; P_lo = fl(k^T lo l).
+    """
+    kf, lf = ks.astype(float), ls.astype(float)
+    table = _pairing_exponent_table(emb, ks, ls)
+    size = np.max(np.abs(table))
+    table -= (kf @ hi) @ lf.T
+    rest = (kf @ lo) @ lf.T
+    np.subtract(table, rest, out=rest)
+    np.abs(rest, out=rest)
+    np.abs(table, out=table)
+    rest += _UNIT_ROUNDOFF * table
+    return size, np.max(rest)
+
+
+def _bilinear_deviation(emb: EmbeddingMap, left: np.ndarray, right: np.ndarray,
+                        hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """``_block_deviation`` over the left x right table, block by block."""
+    n = _TABLE_BLOCK
+    return np.max([_block_deviation(emb, left[i:i + n], right[j:j + n], hi, lo)
+                   for i in range(0, len(left), n)
+                   for j in range(0, len(right), n)], axis=0)
+
+
+def cocycle_identity_max_residual(emb: EmbeddingMap, radius: int = 2) -> float:
+    """Certified bound on the worst 2-cocycle defect over all ordered triples.
+
+    The identity alpha(g,h) alpha(g+h,k) = alpha(h,k) alpha(g,h+k) holds when
+    the phase exponent E(g,h) = <x1, y2> - <y1, x2> is bilinear. A triple
+    sweep over g, h, k of sup norm <= radius evaluates
+
+        combo = ((a + w) - s) - t,   a = A(g,h), w = W(g+h,k),
+                                     s = A(h,k), t = T(g,h+k),
+
+    from three float tables of ``_pairing_exponent_table``: A over ks x ks,
+    W over ks2 x ks and T over ks x ks2 (ks2: sup norm <= 2 radius), and
+    reports |e^{i pi max|combo|} - 1|. This function bounds every such
+    fl(combo) from the 2 (4 radius + 1)^4 (2 radius + 1)^4 table entries
+    instead of the (2 radius + 1)^12 triples, in blocks of bounded memory.
+
+    B, the table of the basis vectors, is read off the table function itself.
+    D(k,l) = table(k,l) - k^T B l is the exact deviation of an entry from that
+    bilinear form, and b(k,l) = k^T B l. In exact arithmetic the b-terms of a
+    combo cancel for any B, so with Delta = 2 max|D_A| + max|D_W| + max|D_T|
+
+        |combo| <= Delta,
+        |a + w| = |b(g,h+k) + b(h,k) + D's| <= max|T| + max|A| + Delta,
+        |a + w - s| = |b(g,h+k) + D's| <= max|T| + Delta.
+
+    Each of the sweep's three roundings is relative and at most u (the unit
+    roundoff), which gives |fl(combo) - combo| <= u (1 + u)^2 (|a + w| +
+    |a + w - s| + |combo|), hence
+
+        |fl(combo)| <= Delta + u (1 + u)^2 (2 max|T| + max|A| + 3 Delta).
+
+    |D| is bounded entry by entry (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3). B = hi + lo (``_split_form``), where
+    P_hi = k^T hi l is exact. P_lo = fl(fl(k^T lo) l) is two 4-term inner
+    products, so |P_lo - k^T lo l| <= gamma_8 |k|^T |lo| |l| <=
+    gamma_8 16 (2 radius)^2 max|lo|, gamma_n = n u / (1 - n u). With d =
+    fl(table - P_hi) and round to nearest, |table - P_hi - P_lo| <= (1 + u)
+    |fl(d - P_lo)| + u |d|. The bound is evaluated in floating point on
+    nonnegative numbers: its roundings and the factors 1 + u above make
+    fewer than 16 factors of (1 - u)^-1, which the final factor 1 + 64 u
+    covers.
+
+    |e^{i pi x} - 1| rises on 0 <= x <= 1 to its maximum 2, so a bound of
+    1 or more (or not a number) reports 2. The result is therefore never
+    below what the triple sweep reports on the same tables.
+    """
+    u = _UNIT_ROUNDOFF
     ks = enumerate_indices(radius)
     ks2 = enumerate_indices(2 * radius)
-    # Mixed-radix code of an index of sup norm <= 2 radius -> its row in ks2.
-    place = (4 * radius + 1) ** np.arange(4)
-    row_of = np.empty((4 * radius + 1) ** 4, dtype=np.int64)
-    row_of[(ks2 + 2 * radius) @ place] = np.arange(len(ks2))
-    pair_sum = row_of[(ks[:, None, :] + ks[None, :, :] + 2 * radius) @ place]
-    e_small = _pairing_exponent_table(emb, ks, ks)
-    e_wide = _pairing_exponent_table(emb, ks2, ks)
-    e_tall = _pairing_exponent_table(emb, ks, ks2)
-    worst = 0.0
-    for g in range(len(ks)):
-        combo = (e_small[g][:, None] + e_wide[pair_sum[g], :]
-                 - e_small - e_tall[g][pair_sum])
-        worst = max(worst, float(np.max(np.abs(combo))))
+    basis = np.eye(4, dtype=np.int64)
+    hi, lo = _split_form(_pairing_exponent_table(emb, basis, basis), 2 * radius)
+    lo_error = 8 * u / (1 - 8 * u) * 16 * (2 * radius) ** 2 * np.max(np.abs(lo))
+    a_size, a_dev = _bilinear_deviation(emb, ks, ks, hi, lo)
+    _, w_dev = _bilinear_deviation(emb, ks2, ks, hi, lo)
+    t_size, t_dev = _bilinear_deviation(emb, ks, ks2, hi, lo)
+    delta = 2 * a_dev + w_dev + t_dev + 4 * lo_error
+    worst = (delta + u * (2 * t_size + a_size + 3 * delta)) * (1 + 64 * u)
+    worst = float(worst) if worst < 1.0 else 1.0
     return abs(cmath.exp(1j * math.pi * worst) - 1.0)
 
 

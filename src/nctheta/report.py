@@ -83,10 +83,17 @@ class RunContext:
     structure: object
     rngs: dict
     artifacts: dict = field(default_factory=dict)
+    _series: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def tol(self) -> dict:
         return self.config.tolerances
+
+    def series(self, radius: int):
+        """The quantum theta series at RADIUS, built (and reassembled) once per run."""
+        if radius not in self._series:
+            self._series[radius] = quantum_theta_series(self.emb, self.structure, radius)
+        return self._series[radius]
 
 
 def _lower_bound_entry(label: str, actual: float, threshold: float):
@@ -276,7 +283,7 @@ def _suite_inner_product(ctx: RunContext) -> list[VerificationReport]:
 def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
     emb, structure = ctx.emb, ctx.structure
     tol = ctx.tol["identity_abs"]
-    series = quantum_theta_series(emb, structure, ctx.config.radius)
+    series = ctx.series(ctx.config.radius)
     cutoff = None
     if emb.kind is EmbeddingKind.LATTICE:
         theta2_eff = 1.0 / structure.lattice_decay
@@ -331,8 +338,8 @@ def _random_elements(emb, rng, count, radius):
 
 
 def _suite_functional_equation(ctx: RunContext) -> list[VerificationReport]:
-    emb, structure = ctx.emb, ctx.structure
-    series = quantum_theta_series(emb, structure, ctx.config.radius)
+    emb = ctx.emb
+    series = ctx.series(ctx.config.radius)
     rng = ctx.rngs["functional-equation"]
     half = max(1, ctx.config.radius // 2)
     kgs = [np.eye(4, dtype=np.int64)[i] for i in range(4)]
@@ -343,7 +350,7 @@ def _suite_functional_equation(ctx: RunContext) -> list[VerificationReport]:
 
 def _suite_consistency(ctx: RunContext) -> list[VerificationReport]:
     emb, structure = ctx.emb, ctx.structure
-    series = quantum_theta_series(emb, structure, max(2, min(ctx.config.radius, 4)))
+    series = ctx.series(max(2, min(ctx.config.radius, 4)))
     rng = ctx.rngs["consistency"]
     reports = []
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
@@ -363,8 +370,8 @@ def _suite_consistency(ctx: RunContext) -> list[VerificationReport]:
 
 
 def _suite_additivity(ctx: RunContext) -> list[VerificationReport]:
-    emb, structure = ctx.emb, ctx.structure
-    series = quantum_theta_series(emb, structure, max(2, min(ctx.config.radius, 4)))
+    emb = ctx.emb
+    series = ctx.series(max(2, min(ctx.config.radius, 4)))
     rng = ctx.rngs["additivity"]
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
         entries = []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nctheta
-from nctheta.cli import main
+from nctheta.cli import EXIT_INTERNAL_ERROR, main
 from nctheta.config import load_config, parse_config, require_seed
 from nctheta.errors import ConfigInvalid, ConfigSyntax
 from nctheta.export import _CSV_ROW, _JSON_ROW, _write_rows, export_coefficients, load_series
@@ -252,6 +252,25 @@ class TestSuiteCoverage:
             "series-tail-bound"]
         assert report.passed, report.summary()
 
+    def test_series_built_once_per_radius(self, lattice_config, monkeypatch):
+        # quantum-theta, functional-equation, consistency and additivity share
+        # the radius-4 series of one run
+        import nctheta.report as report_mod
+
+        built = []
+
+        def counted(emb, structure, radius):
+            built.append(radius)
+            return quantum_theta_series(emb, structure, radius)
+
+        monkeypatch.setattr(report_mod, "quantum_theta_series", counted)
+        report = run_suite(lattice_config, "all")
+        assert report.passed, report.summary()
+        assert built == [4]
+        for suite in ("quantum-theta", "additivity"):
+            run_suite(lattice_config, suite)
+        assert built == [4, 4, 4]
+
     def test_vector_additivity_suite(self, vector_config):
         report = run_suite(vector_config, "additivity")
         assert report.passed
@@ -308,6 +327,18 @@ class TestCli:
         code = main(["commutation", "--config", str(lattice_config_path),
                      "--output", str(target)])
         assert code == 3
+
+    def test_internal_error_exit_four(self, lattice_config_path, monkeypatch, capsys):
+        # an exception that escapes the suites is a program defect: one line
+        # on stderr, no traceback, and a code apart from "a check failed"
+        def broken(cfg, suite):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr("nctheta.cli.run_suite", broken)
+        code = main(["quantum-theta", "--config", str(lattice_config_path)])
+        assert code == EXIT_INTERNAL_ERROR == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: OverflowError: math range error\n"
 
     def test_module_entry_point(self, lattice_config_path, tmp_path, cli_env):
         which = subprocess.run(

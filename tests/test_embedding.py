@@ -1,12 +1,17 @@
+import cmath
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nctheta import embedding
 from nctheta.embedding import (
     EmbeddingKind,
+    FinitePart,
     bicharacter_max_residual,
     build_embedding,
     cocycle_identity_max_residual,
@@ -25,6 +30,7 @@ from nctheta.errors import (
     NonPositiveDeformation,
     SingularIntegerMatrix,
 )
+from nctheta.report import _random_lattice_embedding
 
 IDENTITY = [[1, 0], [0, 1]]
 CANON_DELTA = [[0.0, 0.7], [0.3, 0.0]]
@@ -194,6 +200,160 @@ def test_cocycle_bicharacter_property(a1, a2, a3, a4, b1, b2, b3, b4):
 def test_cocycle_identity_all_triples(lattice_emb, vector_emb):
     assert cocycle_identity_max_residual(lattice_emb, 2) <= 1e-12
     assert cocycle_identity_max_residual(vector_emb, 2) <= 1e-12
+
+
+IDENTITY_ABS = 1e-12  # default tolerances.identity_abs of the validate suite
+
+
+def triple_sweep_residual(emb, radius):
+    """Reference: the cocycle defect swept over every triple of the radius.
+
+    alpha(g,h) alpha(g+h,k) = alpha(h,k) alpha(g,h+k) through the phase
+    exponents, one g at a time, with sums looked up in the doubled-radius
+    enumeration. The exponent tables come from the module attribute, so a
+    patched table function reaches this sweep and the certificate alike.
+    """
+    ks = enumerate_indices(radius)
+    ks2 = enumerate_indices(2 * radius)
+    place = (4 * radius + 1) ** np.arange(4)
+    row_of = np.empty((4 * radius + 1) ** 4, dtype=np.int64)
+    row_of[(ks2 + 2 * radius) @ place] = np.arange(len(ks2))
+    pair_sum = row_of[(ks[:, None, :] + ks[None, :, :] + 2 * radius) @ place]
+    e_small = embedding._pairing_exponent_table(emb, ks, ks)
+    e_wide = embedding._pairing_exponent_table(emb, ks2, ks)
+    e_tall = embedding._pairing_exponent_table(emb, ks, ks2)
+    worst = 0.0
+    for g in range(len(ks)):
+        combo = (e_small[g][:, None] + e_wide[pair_sum[g], :]
+                 - e_small - e_tall[g][pair_sum])
+        worst = max(worst, float(np.max(np.abs(combo))))
+    return abs(cmath.exp(1j * math.pi * worst) - 1.0)
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+@pytest.mark.parametrize("which", ["lattice", "vector"])
+def test_cocycle_certificate_bounds_the_sweep(which, radius, lattice_emb, vector_emb):
+    emb = lattice_emb if which == "lattice" else vector_emb
+    reference = triple_sweep_residual(emb, radius)
+    certified = cocycle_identity_max_residual(emb, radius)
+    assert reference <= certified <= IDENTITY_ABS
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_cocycle_certificate_random_lattice(seed):
+    emb = _random_lattice_embedding(np.random.default_rng(seed))
+    reference = triple_sweep_residual(emb, 1)
+    certified = cocycle_identity_max_residual(emb, 1)
+    assert reference <= certified <= IDENTITY_ABS
+
+
+@given(theta1=st.floats(0.01, 50.0), theta2=st.floats(0.01, 50.0),
+       m1=st.integers(1, 6), m2=st.integers(1, 6))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_cocycle_certificate_random_vector(theta1, theta2, m1, m2):
+    finite = FinitePart(m1, 1, m2, 1)
+    emb = build_embedding(EmbeddingKind.VECTOR_SPACE, theta1, theta2,
+                          finite_part=finite)
+    reference = triple_sweep_residual(emb, 1)
+    certified = cocycle_identity_max_residual(emb, 1)
+    assert reference <= certified <= IDENTITY_ABS
+
+
+@pytest.mark.parametrize("reach", [1, 4, 8])
+def test_split_form_is_exact(reach):
+    # form = hi + lo exactly, and k^T hi l is exact in floating point for
+    # integer vectors of sup norm <= reach, checked against integer
+    # arithmetic on the extreme vectors and random ones
+    rng = np.random.default_rng(reach)
+    corners = np.array(list(itertools.product([-reach, reach], repeat=4)))
+    ks = np.concatenate([corners, rng.integers(-reach, reach + 1, size=(64, 4))])
+    for scale in (1e-9, 0.4, 21.0, 3e5):
+        form = rng.normal(size=(4, 4)) * scale
+        hi, lo = embedding._split_form(form, reach)
+        assert np.array_equal(hi + lo, form)
+        grid = np.min(np.abs(hi[hi != 0])) if np.any(hi) else 1.0
+        grid = 2.0 ** np.floor(np.log2(grid))
+        while not np.all(np.round(hi / grid) == hi / grid):
+            grid /= 2
+        steps = np.round(hi / grid).astype(np.int64)
+        exact = ks @ steps @ ks.T
+        assert np.array_equal((ks.astype(float) @ hi) @ ks.T.astype(float),
+                              exact.astype(float) * grid)
+        assert np.all(np.abs(exact) < 2**53)
+
+
+def _marks(ks, k):
+    return np.all(ks == np.asarray(k), axis=1)
+
+
+def _quadratic(scale):
+    def term(left, right):
+        return scale * np.outer(left[:, 0], right[:, 0]).astype(float) ** 2
+    return term
+
+
+def _bump(size, at=([1, 0, 0, 0], [0, 1, 0, 0])):
+    def term(left, right):
+        return size * np.outer(_marks(left, at[0]), _marks(right, at[1])).astype(float)
+    return term
+
+
+def _sign_flip(left, right):
+    # the term that negates the (generator 1, generator 2) entry, 0.5 on
+    # both fixtures
+    return -1.0 * np.outer(_marks(left, [1, 0, 0, 0]),
+                           _marks(right, [0, 1, 0, 0])).astype(float)
+
+
+MUTATIONS = {
+    "quadratic-1e-15": _quadratic(1e-15),
+    "quadratic-1e-13": _quadratic(1e-13),
+    "quadratic-1e-3": _quadratic(1e-3),
+    "bump-1e-14": _bump(1e-14),
+    "bump-1e-12": _bump(1e-12),
+    "bump-1e-6": _bump(1e-6),
+    "bump-0.5": _bump(0.5),
+    "bump-2": _bump(2.0),
+    # entries that only the sum-row table (left of sup norm 2) or only the
+    # sum-column table (right of sup norm 2) holds at radius 1
+    "bump-wide-1e-12": _bump(1e-12, ([2, 0, 0, 0], [0, 1, 0, 0])),
+    "bump-tall-1e-12": _bump(1e-12, ([1, 0, 0, 0], [0, 2, 0, 0])),
+    "sign-flip": _sign_flip,
+}
+
+
+@pytest.mark.parametrize("name", list(MUTATIONS))
+@pytest.mark.parametrize("which", ["lattice", "vector"])
+def test_cocycle_certificate_catches_broken_tables(which, name, lattice_emb,
+                                                   vector_emb, monkeypatch):
+    # a table that is not bilinear: wherever the triple sweep fails the
+    # tolerance, the certificate fails it too (and never reports less)
+    emb = lattice_emb if which == "lattice" else vector_emb
+    original = embedding._pairing_exponent_table
+    extra = MUTATIONS[name]
+
+    def mutated(emb, left, right):
+        return original(emb, left, right) + extra(left, right)
+
+    monkeypatch.setattr(embedding, "_pairing_exponent_table", mutated)
+    reference = triple_sweep_residual(emb, 1)
+    certified = cocycle_identity_max_residual(emb, 1)
+    assert certified >= reference
+    if reference > IDENTITY_ABS:
+        assert certified > IDENTITY_ABS
+
+
+def test_cocycle_certificate_memory(lattice_emb):
+    # the radius-2 tables in full take 66 MB; the blocks stay a few MiB
+    cocycle_identity_max_residual(lattice_emb, 1)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        cocycle_identity_max_residual(lattice_emb, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_bicharacter_and_linearity(lattice_emb, vector_emb):
