@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config
+from .config import load_config, parse_config
 from .errors import ConfigInvalid, ConfigSyntax, NCThetaError
 from .report import SUITE_NAMES, run_suite, write_report
 
@@ -38,17 +38,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg, args):
-    from dataclasses import replace
-
+    """Merge the flags into the config data and validate it like a file."""
+    data = dict(cfg.raw)
     if args.radius is not None:
-        cfg = replace(cfg, radius=args.radius)
+        data["radius"] = args.radius
     if args.tol_oracle is not None:
-        tol = dict(cfg.tolerances)
-        tol["oracle_rel"] = args.tol_oracle
-        cfg = replace(cfg, tolerances=tol)
+        data["tolerances"] = {**data.get("tolerances", {}), "oracle_rel": args.tol_oracle}
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    output = dict(cfg.output) if cfg.output else {}
+        data["seed"] = args.seed
+    output = dict(data.get("output") or {})
     if args.output is not None:
         output["path"] = args.output
     if args.format is not None:
@@ -58,8 +56,8 @@ def _apply_overrides(cfg, args):
         if "path" not in output:
             raise ConfigInvalid("an output path is required (config output.path"
                                 " or --output)", "$.output.path")
-        cfg = replace(cfg, output=output)
-    return cfg
+        data["output"] = output
+    return parse_config(data, allow_invalid=cfg.allow_invalid)
 
 
 def main(argv=None) -> int:

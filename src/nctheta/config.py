@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,6 +84,26 @@ CONFIG_SCHEMA = {
     },
 }
 
+
+@functools.cache
+def _config_validator():
+    """Schema validator, built once per process.
+
+    A "number" is finite here: Python's JSON parser and ``float`` accept
+    NaN and infinities, which no tolerance or deformation can take.
+    """
+    base = jsonschema.Draft202012Validator
+
+    def finite_number(checker, x) -> bool:
+        return (base.TYPE_CHECKER.is_type(x, "number")
+                and (isinstance(x, int) or math.isfinite(x)))
+
+    finite = base.TYPE_CHECKER.redefine("number", finite_number)
+    cls = jsonschema.validators.extend(base, type_checker=finite)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 # Suites that draw random samples; these refuse to run without a seed.
 RANDOMIZED_SUITES = frozenset(
     {"validate", "holomorphy", "nogo", "consistency", "additivity",
@@ -143,9 +165,8 @@ def parse_config(data: dict, allow_invalid: bool = False,
     embedding and structure invariant failures surface through the same
     error with the underlying cause chained.
     """
-    try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
+    err = jsonschema.exceptions.best_match(_config_validator().iter_errors(data))
+    if err is not None:
         raise ConfigInvalid(err.message, err.json_path) from err
 
     emb_cfg = data["embedding"]

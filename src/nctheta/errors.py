@@ -32,10 +32,6 @@ class KindMismatch(NCThetaError):
     """Objects from the vector-space and lattice embeddings were mixed."""
 
 
-class GridIncompatibleShift(NCThetaError):
-    """A translation does not land on the sample grid of a raw vector."""
-
-
 class DegenerateTestVector(NCThetaError):
     """Every grid value fell below the magnitude threshold of a measurement."""
 

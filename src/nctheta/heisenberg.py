@@ -1,12 +1,12 @@
 """Module vectors and the Heisenberg operators acting on them.
 
-Vectors come in two flavors. A :class:`ClosedFormVector` is a Gaussian
-descriptor (quadratic, linear and constant exponent data plus discrete
-decay), closed under every operator in this module, and evaluable exactly
-at arbitrary points. A :class:`SampledVector` holds grid samples and
-optionally remembers the closed form it was sampled from; operator
-application prefers exact re-evaluation of the transformed closed form
-over interpolation.
+Every module vector is a :class:`ClosedFormVector`: a Gaussian descriptor
+(quadratic, linear and constant exponent data plus discrete decay), closed
+under every operator in this module, and evaluable exactly at arbitrary
+points. A :class:`SampledVector` is a closed form together with a sample
+grid; its values are that closed form evaluated on the grid. Operators act
+on the closed form and leave the grid alone, so the samples of a result
+are exact.
 
 Operator word order: products are written as acting on the right, so in
 the word U_j U_i the factor U_j acts first. The measured commutation phase
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .embedding import (
 )
 from .errors import (
     DegenerateTestVector,
-    GridIncompatibleShift,
     KindMismatch,
     NotPositive,
     SingularIntegerMatrix,
@@ -37,7 +37,8 @@ from .errors import (
 )
 
 PHASE_MASK_THRESHOLD = 1e-8
-GRID_SNAP_TOL = 1e-9
+# Sample grids extend until the Gaussian tails fall below this magnitude.
+SAMPLE_TAIL = 1e-45
 
 
 def _min_im_eig(quadratic) -> float:
@@ -58,9 +59,6 @@ class ClosedFormVector:
                        * exp(2 pi i n_phase . n)
     Vector-space kind (no discrete factors):
         f(s1, s2) = amplitude * exp(pi i (S^t quadratic S + 2 linear . S))
-
-    ``finite_vector`` optionally carries a function on the finite group
-    factor; only the generator layer touches it.
     """
 
     kind: EmbeddingKind
@@ -70,7 +68,6 @@ class ClosedFormVector:
     decay: float | None = None
     n_shift: tuple[int, int] = (0, 0)
     n_phase: tuple[float, float] = (0.0, 0.0)
-    finite_vector: np.ndarray | None = None
 
     def __post_init__(self):
         if _min_im_eig(self.quadratic) <= 0:
@@ -93,42 +90,37 @@ class ClosedFormVector:
         quad = q[0, 0] * s1 * s1 + (q[0, 1] + q[1, 0]) * s1 * s2 + q[1, 1] * s2 * s2
         return self.amplitude * np.exp(1j * math.pi * (quad + 2.0 * (l[0] * s1 + l[1] * s2)))
 
-    def sup_extent(self, floor: float = 1e-45) -> float:
-        """Continuous half-width beyond which |f| drops under ``floor``."""
+    def sup_extent(self) -> float:
+        """Continuous half-width beyond which |f| drops under SAMPLE_TAIL."""
         rate = math.pi * _min_im_eig(self.quadratic)
-        return math.sqrt(-math.log(floor) / rate) + 1.0
+        return math.sqrt(-math.log(SAMPLE_TAIL) / rate) + 1.0
 
 
 @dataclass(frozen=True)
 class SampledVector:
-    """Grid samples of a module element.
+    """A closed-form module element together with a sample grid.
 
     ``axes`` holds the continuous sample axes (one array for the lattice
     kind, two for the vector-space kind); lattice vectors also carry the
-    symmetric integer window n in [-window, window]^2. ``source`` points
-    back at the closed form the samples came from, when there is one.
+    symmetric integer window n in [-window, window]^2. ``values`` are the
+    samples of ``source`` on that grid, evaluated on first use, so samples
+    and source cannot disagree.
     """
 
     kind: EmbeddingKind
     axes: tuple[np.ndarray, ...]
-    values: np.ndarray
+    source: ClosedFormVector
     window: int | None = None
-    source: ClosedFormVector | None = None
     finite_vector: np.ndarray | None = None
-    interpolated: bool = False
 
-    @property
-    def step(self) -> float:
-        ax = self.axes[0]
-        return float(ax[1] - ax[0])
-
-    def window_range(self) -> np.ndarray:
-        return np.arange(-self.window, self.window + 1)
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.source.evaluate(*self.grids())
 
     def grids(self):
         """Open mesh of all coordinates, broadcastable against values."""
         if self.kind is EmbeddingKind.LATTICE:
-            n = self.window_range()
+            n = np.arange(-self.window, self.window + 1)
             return np.ix_(self.axes[0], n, n)
         return np.ix_(self.axes[0], self.axes[1])
 
@@ -142,32 +134,22 @@ def theta_test_vector(emb: EmbeddingMap, im_scale: float = 2.0) -> ClosedFormVec
                             linear=np.zeros(2))
 
 
-def sample_vector(f: ClosedFormVector, step: float, extent: float | None = None,
-                  window: int | None = None,
+def sample_vector(f: ClosedFormVector, step: float,
                   finite_vector: np.ndarray | None = None) -> SampledVector:
-    """Sample a closed form on a symmetric uniform grid; the source is kept.
+    """Sample a closed form on a symmetric uniform grid with the given step.
 
-    Default extent keeps Gaussian tails below 1e-45 so that boundary
-    zero-fill in raw shifts never matters at verification tolerances.
+    The grid reaches out until the Gaussian tails of ``f`` fall below
+    SAMPLE_TAIL, in the continuous axes and, for the lattice kind, in the
+    integer window. ``finite_vector`` is the factor on the finite group
+    Z_m1 x Z_m2, if the embedding has one.
     """
-    if extent is None:
-        extent = f.sup_extent()
-    n_pts = int(round(extent / step))
+    n_pts = int(round(f.sup_extent() / step))
     axis = step * np.arange(-n_pts, n_pts + 1)
     if f.kind is EmbeddingKind.LATTICE:
-        if window is None:
-            window = math.ceil(math.sqrt(-math.log(1e-45) / (math.pi * f.decay))) + 1
-        n = np.arange(-window, window + 1)
-        vals = f.evaluate(*np.ix_(axis, n, n))
-        return SampledVector(f.kind, (axis,), vals, window=window, source=f,
-                             finite_vector=_pick_finite(f, finite_vector))
-    vals = f.evaluate(*np.ix_(axis, axis))
-    return SampledVector(f.kind, (axis, axis), vals, source=f,
-                         finite_vector=_pick_finite(f, finite_vector))
-
-
-def _pick_finite(f: ClosedFormVector, override):
-    return f.finite_vector if override is None else override
+        window = math.ceil(math.sqrt(-math.log(SAMPLE_TAIL) / (math.pi * f.decay))) + 1
+        return SampledVector(f.kind, (axis,), f, window=window,
+                             finite_vector=finite_vector)
+    return SampledVector(f.kind, (axis, axis), f, finite_vector=finite_vector)
 
 
 def default_finite_vector(fp) -> np.ndarray:
@@ -205,92 +187,18 @@ def _transform_closed(h: LatticeElement, f: ClosedFormVector) -> ClosedFormVecto
     return replace(f, linear=q @ x1 + l + x2, amplitude=complex(amp))
 
 
-def _phase_on_grid(h: LatticeElement, sampled: SampledVector) -> np.ndarray:
-    if h.kind is EmbeddingKind.LATTICE:
-        s, n1, n2 = sampled.grids()
-        t = h.t_lift
-        m1, m2 = h.m_shift
-        sym = h.w1 * h.w2 + m1 * t[0] + m2 * t[1]
-        return np.exp(2j * math.pi * (h.w2 * s + t[0] * n1 + t[1] * n2)
-                      + 1j * math.pi * sym)
-    s1, s2 = sampled.grids()
-    x1, x2 = h.m_part, h.dual_part
-    return np.exp(2j * math.pi * (x2[0] * s1 + x2[1] * s2)
-                  + 1j * math.pi * float(x1 @ x2))
-
-
-def _shift_axis(values: np.ndarray, axis: int, offset: int) -> np.ndarray:
-    """out[i] = values[i + offset] with zero fill outside the array."""
-    out = np.zeros_like(values)
-    n = values.shape[axis]
-    src = slice(max(0, offset), min(n, n + offset))
-    dst = slice(max(0, -offset), min(n, n - offset))
-    idx_src = [slice(None)] * values.ndim
-    idx_dst = [slice(None)] * values.ndim
-    idx_src[axis] = src
-    idx_dst[axis] = dst
-    out[tuple(idx_dst)] = values[tuple(idx_src)]
-    return out
-
-
-def _interp_axis(values: np.ndarray, axis: np.ndarray, shift: float,
-                 axis_index: int) -> np.ndarray:
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(axis, values, axis=axis_index, extrapolate=False)
-    out = spline(axis + shift)
-    return np.nan_to_num(out, nan=0.0)
-
-
-def apply_pi(h: LatticeElement, f, allow_interpolation: bool = False):
+def apply_pi(h: LatticeElement, f):
     """Heisenberg operator pi_h: translate by the M part, modulate by the
     dual part, with the symmetrizing half-phase on the cross term.
 
-    Closed forms stay closed forms. Sampled vectors with a source are
-    re-evaluated exactly; raw sampled vectors require grid-compatible
-    shifts unless cubic interpolation is explicitly allowed (the result is
-    then flagged ``interpolated``). The finite factor is untouched here;
-    see :func:`apply_generator`.
+    Closed forms stay closed forms. A sampled vector keeps its grid and
+    carries the transformed closed form, so its values are the exact
+    re-evaluation on that grid. The finite factor is untouched here; see
+    :func:`apply_generator`.
     """
     if isinstance(f, ClosedFormVector):
         return _transform_closed(h, f)
-    if f.kind is not h.kind:
-        raise KindMismatch("vector and lattice element kinds differ")
-    if f.source is not None:
-        new_source = _transform_closed(h, f.source)
-        return replace(f, values=new_source.evaluate(*f.grids()), source=new_source)
-
-    # Raw samples: translate indices, then modulate in place.
-    step = f.step
-    interpolated = f.interpolated
-    if f.kind is EmbeddingKind.LATTICE:
-        ratio = h.w1 / step
-        vals = f.values
-        if abs(ratio - round(ratio)) <= GRID_SNAP_TOL:
-            vals = _shift_axis(vals, 0, int(round(ratio)))
-        elif allow_interpolation:
-            vals = _interp_axis(vals, f.axes[0], h.w1, 0)
-            interpolated = True
-        else:
-            raise GridIncompatibleShift(
-                f"shift {h.w1} is not a multiple of the grid step {step}")
-        m1, m2 = h.m_shift
-        vals = _shift_axis(_shift_axis(vals, 1, m1), 2, m2)
-        return replace(f, values=_phase_on_grid(h, f) * vals,
-                       source=None, interpolated=interpolated)
-    vals = f.values
-    for ax, shift in enumerate(h.m_part):
-        ratio = shift / step
-        if abs(ratio - round(ratio)) <= GRID_SNAP_TOL:
-            vals = _shift_axis(vals, ax, int(round(ratio)))
-        elif allow_interpolation:
-            vals = _interp_axis(vals, f.axes[ax], float(shift), ax)
-            interpolated = True
-        else:
-            raise GridIncompatibleShift(
-                f"shift {shift} is not a multiple of the grid step {step}")
-    return replace(f, values=_phase_on_grid(h, f) * vals,
-                   source=None, interpolated=interpolated)
+    return replace(f, source=_transform_closed(h, f.source))
 
 
 def _finite_operator(fp, j: int, finite_vector: np.ndarray) -> np.ndarray:
@@ -328,14 +236,14 @@ def generator_element(emb: EmbeddingMap, j: int) -> LatticeElement:
     return replace(el, m_part=m_part)
 
 
-def apply_generator(emb: EmbeddingMap, j: int, f, allow_interpolation: bool = False):
+def apply_generator(emb: EmbeddingMap, j: int, f):
     """Torus generator U_j acting on a module vector.
 
     Equals pi at the j-th embedding column; when the embedding carries a
     finite factor (vector-space kind), the continuous shift is corrected
     and the finite operator acts on the attached finite vector.
     """
-    out = apply_pi(generator_element(emb, j), f, allow_interpolation)
+    out = apply_pi(generator_element(emb, j), f)
     fp = emb.finite_part
     fin = getattr(f, "finite_vector", None)
     if fp is not None and fin is not None:
@@ -350,20 +258,20 @@ def _tensor_values(f: SampledVector) -> np.ndarray:
     return f.values.reshape(f.values.shape + extra) * f.finite_vector
 
 
-def measure_commutation_phase(emb: EmbeddingMap, i: int, j: int, f: SampledVector,
-                              threshold: float = PHASE_MASK_THRESHOLD) -> complex:
+def measure_commutation_phase(emb: EmbeddingMap, i: int, j: int,
+                              f: SampledVector) -> complex:
     """Measured commutation phase of generators U_i and U_j.
 
     Returns the pointwise ratio of the word U_j U_i (U_j acts first) to
     the word U_i U_j, averaged over grid points whose reference magnitude
-    exceeds ``threshold``. For a valid embedding this equals
+    exceeds PHASE_MASK_THRESHOLD. For a valid embedding this equals
     e^{2 pi i theta_ij}.
     """
     ji = apply_generator(emb, i, apply_generator(emb, j, f))
     ij = apply_generator(emb, j, apply_generator(emb, i, f))
     num = _tensor_values(ji)
     den = _tensor_values(ij)
-    mask = np.abs(den) > threshold
+    mask = np.abs(den) > PHASE_MASK_THRESHOLD
     if not mask.any():
         raise DegenerateTestVector("all grid magnitudes below the phase threshold")
     return complex(np.mean(num[mask] / den[mask]))
@@ -420,9 +328,9 @@ def build_connections(emb: EmbeddingMap) -> ConnectionSet:
 def _require_closed(f) -> ClosedFormVector:
     if isinstance(f, ClosedFormVector):
         return f
-    if isinstance(f, SampledVector) and f.source is not None:
+    if isinstance(f, SampledVector):
         return f.source
-    raise UnsupportedVector("residual measurement needs a closed-form backed vector")
+    raise UnsupportedVector("residual measurement needs a module vector")
 
 
 def _fd4(evaluate, coords, axis: int, step: float) -> np.ndarray:

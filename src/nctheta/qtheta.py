@@ -210,9 +210,6 @@ class QuantumThetaSeries:
             raise KeyError(k)
         return complex(self.values[self._row_table[tuple(c + r for c in k)]])
 
-    def element(self, k) -> LatticeElement:
-        return lattice_element(self.embedding, k)
-
 
 class _CoefficientView(Mapping):
     """Index tuple -> coefficient, over the arrays of a series, in canonical order."""

@@ -321,6 +321,29 @@ class TestCli:
         assert coeff.exists()
         assert len(json.loads(coeff.read_text())["coefficients"]) == 625
 
+    @pytest.mark.parametrize("kind, argv, json_path", [
+        *[(kind, argv, path) for kind in ("lattice", "vector") for argv, path in [
+            (["quantum-theta", "--radius", "0"], "$.radius"),
+            (["quantum-theta", "--radius", "-1"], "$.radius"),
+            (["consistency", "--radius", "0"], "$.radius"),
+            (["validate", "--seed", "-3"], "$.seed"),
+            (["oracle-compare", "--tol-oracle", "-1"], "$.tolerances.oracle_rel"),
+        ]],
+        # lattice only: on code that lets this flag through, a NaN tolerance
+        # drives the vector-kind 2-d quadrature oracle to gigabyte grids
+        ("lattice", ["oracle-compare", "--tol-oracle", "nan"], "$.tolerances.oracle_rel"),
+    ])
+    def test_flag_overrides_pass_the_schema(self, kind, argv, json_path, request,
+                                            tmp_path, capsys):
+        # a flag is held to the same schema as the config field it overrides
+        config = request.getfixturevalue(f"{kind}_config_path")
+        code = main(argv + ["--config", str(config), "--output", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("config error: ")
+        assert err.endswith(f"(at {json_path})\n")
+        assert not any(tmp_path.iterdir())
+
     def test_io_error_exit_three(self, lattice_config_path, tmp_path):
         target = tmp_path / "dir_as_file"
         target.mkdir()
@@ -354,3 +377,18 @@ class TestCli:
             capture_output=True, text=True, cwd=tmp_path, env=cli_env)
         assert proc.returncode == 0, proc.stderr + proc.stdout
         assert out.exists()
+
+    def test_runs_without_scipy(self, lattice_config_path, vector_config_path,
+                                tmp_path, cli_env):
+        # a None entry in sys.modules makes every import of scipy fail
+        configs = [str(lattice_config_path), str(vector_config_path)]
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from nctheta.cli import main\n"
+            f"print([main([suite, '--config', cfg, '--output', 'r.json'])"
+            f" for cfg in {configs!r} for suite in ('validate', 'commutation')])\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, cwd=tmp_path, env=cli_env)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]", proc.stdout

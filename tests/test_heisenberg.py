@@ -13,7 +13,6 @@ from nctheta.embedding import (
 )
 from nctheta.errors import (
     DegenerateTestVector,
-    GridIncompatibleShift,
     KindMismatch,
     NotPositive,
     UnsupportedVector,
@@ -100,29 +99,18 @@ class TestApplyPi:
         assert worst <= 1e-10
 
     def test_closed_form_matches_sampled(self, lattice_emb, lattice_theta):
-        # pi-stability: descriptor transform agrees with raw grid shifting
-        h = lattice_element(lattice_emb, [1, 1, 1, 0])
-        closed = apply_pi(h, lattice_theta)
-        raw = sample_vector(lattice_theta, step=1 / 16)
-        raw = replace(raw, source=None)
-        shifted = apply_pi(h, raw)
-        grid_vals = closed.evaluate(*raw.grids())
-        assert np.max(np.abs(shifted.values - grid_vals)) <= 1e-10
-
-    def test_off_grid_shift_raises(self, lattice_emb, lattice_theta):
-        h = lattice_element(lattice_emb, [1, 0, 0, 0])  # shift 0.5
-        raw = replace(sample_vector(lattice_theta, step=0.3, extent=3.0), source=None)
-        with pytest.raises(GridIncompatibleShift):
-            apply_pi(h, raw)
-
-    def test_off_grid_shift_interpolates_when_allowed(self, lattice_emb, lattice_theta):
-        h = lattice_element(lattice_emb, [1, 0, 0, 0])  # shift 0.5 = 2.5 steps
-        raw = replace(sample_vector(lattice_theta, step=0.2, extent=6.0), source=None)
-        out = apply_pi(h, raw, allow_interpolation=True)
-        assert out.interpolated
-        exact = apply_pi(h, lattice_theta).evaluate(*raw.grids())
-        # cubic interpolation on a 0.2 grid: coarse but sane
-        assert np.max(np.abs(out.values - exact)) <= 5e-3
+        # pi-stability: the descriptor transform against the pointwise
+        # definition e^{2 pi i (w2 s + t.n) + i pi (w1 w2 + m.t)} f(s + w1, n + m)
+        f = replace(lattice_theta, linear=0.25, n_shift=(1, -1), n_phase=(0.2, -0.15))
+        for k in ([1, 1, 1, 0], [-1, 2, 1, -1]):
+            h = lattice_element(lattice_emb, k)
+            sampled = apply_pi(h, sample_vector(f, step=1 / 16))
+            s, n1, n2 = sampled.grids()
+            (m1, m2), t = h.m_shift, h.t_lift
+            direct = (np.exp(2j * math.pi * (h.w2 * s + t[0] * n1 + t[1] * n2)
+                             + 1j * math.pi * (h.w1 * h.w2 + m1 * t[0] + m2 * t[1]))
+                      * f.evaluate(s + h.w1, n1 + m1, n2 + m2))
+            assert np.max(np.abs(sampled.values - direct)) <= 1e-10, k
 
     def test_kind_mismatch(self, vector_emb, lattice_theta):
         h = lattice_element(vector_emb, [1, 0, 0, 0])
@@ -156,8 +144,7 @@ class TestGenerators:
         assert val == pytest.approx(expected)
 
     def test_generator_on_zero_vector(self, lattice_emb, lattice_theta):
-        f = sample_vector(lattice_theta, step=1 / 8)
-        zero = replace(f, values=np.zeros_like(f.values), source=None)
+        zero = sample_vector(replace(lattice_theta, amplitude=0.0), step=1 / 8)
         out = apply_generator(lattice_emb, 2, zero)
         assert np.all(out.values == 0)
 
@@ -216,8 +203,8 @@ class TestCommutationPhase:
             assert abs(a - b) <= 1e-10
 
     def test_degenerate_vector_raises(self, lattice_emb):
-        f = sample_vector(theta_test_vector(lattice_emb), step=1 / 8)
-        dead = replace(f, values=np.full_like(f.values, 1e-12), source=None)
+        faint = replace(theta_test_vector(lattice_emb), amplitude=1e-12)
+        dead = sample_vector(faint, step=1 / 8)
         with pytest.raises(DegenerateTestVector):
             measure_commutation_phase(lattice_emb, 1, 2, dead)
 
@@ -268,6 +255,6 @@ class TestCommutatorResidual:
         assert all(b <= a / 8 for a, b in zip(resids, resids[1:]))
 
     def test_requires_closed_backing(self, lattice_emb, lattice_theta):
-        raw = replace(sample_vector(lattice_theta, step=1 / 8), source=None)
+        raw = sample_vector(lattice_theta, step=1 / 8).values
         with pytest.raises(UnsupportedVector):
             connection_commutator_residual(lattice_emb, 1, 1, raw)
