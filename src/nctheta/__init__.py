@@ -20,11 +20,8 @@ from .embedding import (
     cocycle_phase,
     commutation_matrix,
     element_add,
-    element_neg,
     enumerate_indices,
-    enumerate_lattice,
     lattice_element,
-    pairing,
 )
 from .errors import NCThetaError
 from .heisenberg import (
@@ -43,13 +40,10 @@ from .qtheta import (
     QuantumThetaSeries,
     VerificationReport,
     additivity_gap,
-    basis_multiply,
-    c_factor,
     inner_product_closed,
     inner_product_oracle,
     quantum_theta_series,
     series_tail_bound,
-    translation_factor,
     verify_consistency_condition,
     verify_functional_equation,
 )

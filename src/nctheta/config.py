@@ -157,8 +157,7 @@ def _structure_shape_ok(kind: str, tau) -> bool:
     return scalar == (kind == "lattice")
 
 
-def parse_config(data: dict, allow_invalid: bool = False,
-                 source: str = "<config>") -> RunConfig:
+def parse_config(data: dict, allow_invalid: bool = False) -> RunConfig:
     """Validate a raw config dict and fill defaults.
 
     Schema violations raise :class:`ConfigInvalid` with a JSON path;
@@ -207,7 +206,7 @@ def parse_config(data: dict, allow_invalid: bool = False,
 
 
 def load_config(path, allow_invalid: bool = False) -> RunConfig:
-    """Read, parse and validate a JSON config file."""
+    """Read, parse and validate a JSON config file; errors name the file."""
     p = Path(path)
     if not p.is_file():
         raise ConfigInvalid(f"config file not found: {p}", "$")
@@ -215,7 +214,10 @@ def load_config(path, allow_invalid: bool = False) -> RunConfig:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as err:
         raise ConfigSyntax(f"{p}: {err}") from err
-    return parse_config(data, allow_invalid=allow_invalid, source=str(p))
+    try:
+        return parse_config(data, allow_invalid=allow_invalid)
+    except ConfigInvalid as err:
+        raise ConfigInvalid(f"{p}: {err.message}", err.json_path) from err
 
 
 def require_seed(cfg: RunConfig, suite: str) -> int:

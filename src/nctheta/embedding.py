@@ -187,8 +187,7 @@ def build_embedding(kind: EmbeddingKind, theta1: float, theta2: float | None = N
                 raise ValueError("m must have integer entries")
         m = m.astype(np.int64)
         d = np.asarray(delta_hat, dtype=float)
-        if int(round(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])) == 0:
-            raise SingularIntegerMatrix("det(m) = 0, integer block not invertible")
+        integer_block_inverse(m)  # SingularIntegerMatrix when det(m) = 0
         emb = EmbeddingMap(kind, _lattice_entries(theta1, m, d),
                            float(theta1), None, m=m, delta_hat=d)
 
@@ -204,6 +203,14 @@ def build_embedding(kind: EmbeddingKind, theta1: float, theta2: float | None = N
         emb = EmbeddingMap(emb.kind, emb.entries, emb.theta1, emb.theta2,
                            emb.m, emb.delta_hat, emb.finite_part, valid=False)
     return emb
+
+
+def integer_block_inverse(m) -> tuple[int, np.ndarray]:
+    """det(m), exact in integers, and b = m^-1 of the integer 2x2 block."""
+    det = int(m[0, 0]) * int(m[1, 1]) - int(m[0, 1]) * int(m[1, 0])
+    if det == 0:
+        raise SingularIntegerMatrix("det(m) = 0, integer block not invertible")
+    return det, np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=float) / det
 
 
 def commutation_matrix(emb: EmbeddingMap) -> DeformationMatrix:
@@ -239,10 +246,6 @@ def element_add(emb: EmbeddingMap, x: LatticeElement, y: LatticeElement) -> Latt
     return lattice_element(emb, np.asarray(x.k) + np.asarray(y.k))
 
 
-def element_neg(emb: EmbeddingMap, x: LatticeElement) -> LatticeElement:
-    return lattice_element(emb, -np.asarray(x.k))
-
-
 def enumerate_indices(radius: int) -> np.ndarray:
     """Integer 4-vectors with sup norm <= radius in the canonical order.
 
@@ -258,22 +261,14 @@ def enumerate_indices(radius: int) -> np.ndarray:
     return ks[np.argsort(np.abs(ks).max(axis=1), kind="stable")]
 
 
-def enumerate_lattice(emb: EmbeddingMap, radius: int) -> list[LatticeElement]:
-    """All lattice elements with index sup norm <= radius, canonical order."""
-    return [lattice_element(emb, k) for k in enumerate_indices(radius)]
+def _cocycle_exponent(m_l, d_l, m_r, d_r):
+    """Cocycle exponent <x1, y2> - <y1, x2> of x = (m_l, d_l), y = (m_r, d_r).
 
-
-def pairing(m_part, dual_part) -> float:
-    """Duality pairing <r, s^> between a point of M and a point of M^.
-
-    Componentwise products, summed; torus coordinates enter through their
-    real lifts.
+    Torus coordinates enter through their real lifts. Points give a scalar,
+    row families (a point per row) the rows x cols matrix. Every cocycle
+    route, operator oracle and identity certificate alike, reads this formula.
     """
-    a = np.asarray(m_part, dtype=float)
-    b = np.asarray(dual_part, dtype=float)
-    if a.shape != b.shape:
-        raise KindMismatch("pairing arguments must have matching dimensions")
-    return float(a @ b)
+    return m_l @ d_r.T - (m_r @ d_l.T).T
 
 
 def _pairing_exponent_table(emb: EmbeddingMap, left: np.ndarray,
@@ -287,7 +282,7 @@ def _pairing_exponent_table(emb: EmbeddingMap, left: np.ndarray,
     else:
         m_l, d_l = amb_l[:, :3], amb_l[:, 3:]
         m_r, d_r = amb_r[:, :3], amb_r[:, 3:]
-    return m_l @ d_r.T - (m_r @ d_l.T).T
+    return _cocycle_exponent(m_l, d_l, m_r, d_r)
 
 
 # Unit roundoff of IEEE double precision (Higham, *Accuracy and Stability
@@ -447,5 +442,5 @@ def cocycle_phase(x: LatticeElement, y: LatticeElement) -> complex:
     """
     if x.kind is not y.kind:
         raise KindMismatch("cocycle arguments must come from the same embedding kind")
-    expo = pairing(x.m_part, y.dual_part) - pairing(y.m_part, x.dual_part)
+    expo = float(_cocycle_exponent(x.m_part, x.dual_part, y.m_part, y.dual_part))
     return cmath.exp(1j * math.pi * expo)

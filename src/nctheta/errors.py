@@ -75,9 +75,11 @@ class ConfigSyntax(NCThetaError):
 class ConfigInvalid(NCThetaError):
     """The configuration violates the schema or embedding invariants.
 
-    ``json_path`` points at the offending field when known.
+    ``message`` is the bare description; ``json_path`` points at the
+    offending field when known.
     """
 
     def __init__(self, message: str, json_path: str = "$"):
+        self.message = message
         self.json_path = json_path
         super().__init__(f"{message} (at {json_path})")

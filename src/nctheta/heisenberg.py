@@ -26,13 +26,13 @@ from .embedding import (
     EmbeddingKind,
     EmbeddingMap,
     LatticeElement,
+    integer_block_inverse,
     lattice_element,
 )
 from .errors import (
     DegenerateTestVector,
     KindMismatch,
     NotPositive,
-    SingularIntegerMatrix,
     UnsupportedVector,
 )
 
@@ -125,13 +125,11 @@ class SampledVector:
         return np.ix_(self.axes[0], self.axes[1])
 
 
-def theta_test_vector(emb: EmbeddingMap, im_scale: float = 2.0) -> ClosedFormVector:
+def theta_test_vector(emb: EmbeddingMap) -> ClosedFormVector:
     """A generic normalized Gaussian suitable for operator measurements."""
     if emb.kind is EmbeddingKind.LATTICE:
-        return ClosedFormVector(emb.kind, quadratic=1j * im_scale,
-                                decay=1.0 / emb.theta34)
-    return ClosedFormVector(emb.kind, quadratic=1j * im_scale * np.eye(2),
-                            linear=np.zeros(2))
+        return ClosedFormVector(emb.kind, quadratic=2j, decay=1.0 / emb.theta34)
+    return ClosedFormVector(emb.kind, quadratic=2j * np.eye(2), linear=np.zeros(2))
 
 
 def sample_vector(f: ClosedFormVector, step: float,
@@ -312,11 +310,7 @@ def build_connections(emb: EmbeddingMap) -> ConnectionSet:
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
         a = np.linalg.inv(emb.entries)
         return ConnectionSet(emb.kind, a)
-    m = emb.m
-    det = int(m[0, 0]) * int(m[1, 1]) - int(m[0, 1]) * int(m[1, 0])
-    if det == 0:
-        raise SingularIntegerMatrix("det(m) = 0")
-    b = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=float) / det
+    _, b = integer_block_inverse(emb.m)
     mat = np.zeros((4, 4))
     mat[0, 0] = 1.0 / emb.theta1
     mat[1, 3] = 1.0
@@ -343,28 +337,40 @@ def _fd4(evaluate, coords, axis: int, step: float) -> np.ndarray:
     return (-shifted(2.0) + 8.0 * shifted(1.0) - 8.0 * shifted(-1.0) + shifted(-2.0)) / (12.0 * step)
 
 
-def _apply_connection(conn: ConnectionSet, i: int, evaluate, coords, step: float) -> np.ndarray:
-    mult = conn.multiplier[i - 1]
-    deriv = conn.derivative[i - 1]
-    linear = sum(c * coord for c, coord in zip(mult, coords) if c != 0.0)
-    out = -2j * math.pi * linear * evaluate(*coords)
-    for d, c in enumerate(deriv):
-        if c != 0.0:
-            out = out + c * _fd4(evaluate, coords, d, step)
-    return out
+def apply_connections(conn: ConnectionSet, coefficients, evaluate, coords,
+                      step: float) -> np.ndarray:
+    """sum_i c_i nabla_i of a function, at the probe coordinates ``coords``.
+
+    ``evaluate`` gives the function's values at broadcast coordinates;
+    derivatives are order-4 central differences with the given step. Terms
+    accumulate connection by connection, the multiplier first and then one
+    derivative at a time, and zero coefficients are skipped.
+    """
+    vals = evaluate(*coords)
+    combo = np.zeros(np.broadcast(*coords).shape, dtype=complex)
+    for c, mult, deriv in zip(np.asarray(coefficients, dtype=complex),
+                              conn.multiplier, conn.derivative):
+        if c == 0:
+            continue
+        lin = sum(m * coord for m, coord in zip(mult, coords) if m != 0.0)
+        combo = combo + c * (-2j * math.pi) * lin * vals
+        for d, dc in enumerate(deriv):
+            if dc != 0.0:
+                combo = combo + c * dc * _fd4(evaluate, coords, d, step)
+    return combo
 
 
-def _probe_coords(emb: EmbeddingMap, f: ClosedFormVector, n_probe: int = 41):
+def _probe_coords(emb: EmbeddingMap):
     if emb.kind is EmbeddingKind.LATTICE:
-        s = np.linspace(-2.5, 2.5, 5 * n_probe)
+        s = np.linspace(-2.5, 2.5, 205)
         n = np.arange(-2, 3)
         return np.ix_(s, n, n)
-    s = np.linspace(-2.0, 2.0, n_probe)
+    s = np.linspace(-2.0, 2.0, 41)
     return np.ix_(s, s)
 
 
 def connection_commutator_residual(emb: EmbeddingMap, i: int, j: int, f,
-                                   step: float = 1e-3, probes=None) -> float:
+                                   step: float = 1e-3) -> float:
     """Sup-norm defect of [nabla_i, U_j] = 2 pi i delta_ij U_j on a probe grid.
 
     Derivatives use order-4 central differences with the given step; the
@@ -375,12 +381,9 @@ def connection_commutator_residual(emb: EmbeddingMap, i: int, j: int, f,
     conn = build_connections(emb)
     el = lattice_element(emb, np.eye(4, dtype=np.int64)[j - 1])
     uf = _transform_closed(el, closed)
-    coords = probes if probes is not None else _probe_coords(emb, closed)
-
-    term1 = _apply_connection(conn, i, uf.evaluate, coords, step)
-
-    def nabla_f(*pts):
-        return _apply_connection(conn, i, closed.evaluate, pts, step)
+    coords = _probe_coords(emb)
+    row = np.eye(4)[i - 1]
+    term1 = apply_connections(conn, row, uf.evaluate, coords, step)
 
     shifted = list(coords)
     if emb.kind is EmbeddingKind.LATTICE:
@@ -399,7 +402,7 @@ def connection_commutator_residual(emb: EmbeddingMap, i: int, j: int, f,
         x2 = el.dual_part
         phase = np.exp(2j * math.pi * (x2[0] * s1 + x2[1] * s2)
                        + 1j * math.pi * float(el.m_part @ x2))
-    term2 = phase * nabla_f(*shifted)
+    term2 = phase * apply_connections(conn, row, closed.evaluate, shifted, step)
 
     uf_vals = uf.evaluate(*coords)
     defect = term1 - term2

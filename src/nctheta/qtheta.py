@@ -87,8 +87,7 @@ def _label(k) -> str:
     return ",".join(str(int(c)) for c in k)
 
 
-def inner_product_closed(f: ClosedFormVector, h: LatticeElement,
-                         tol: float = 1e-12) -> complex:
+def inner_product_closed(f: ClosedFormVector, h: LatticeElement) -> complex:
     """Closed form of <f, pi_h f> for a canonical theta vector.
 
     Lattice kind: the two discrete mode factors times the Gaussian
@@ -105,8 +104,8 @@ def inner_product_closed(f: ClosedFormVector, h: LatticeElement,
         theta2_eff = 1.0 / f.decay
         m1, m2 = h.m_shift
         t1, t2 = h.t_lift
-        return (mode_factor(t1, m1, theta2_eff, tol)
-                * mode_factor(t2, m2, theta2_eff, tol)
+        return (mode_factor(t1, m1, theta2_eff)
+                * mode_factor(t2, m2, theta2_eff)
                 * gaussian_factor(ctx, (h.w1, h.w2)))
     return gaussian_factor(ctx, (h.m_part, h.dual_part))
 
@@ -339,35 +338,6 @@ def _log_translation(series: QuantumThetaSeries, kg, kh):
     else:
         lt = lgh - lg - lh - 1j * math.pi * _pairing_exponent_table(emb, kg, kh).ravel()
     return lg, lh, lgh, lt
-
-
-def c_factor(series: QuantumThetaSeries, g: LatticeElement) -> complex:
-    """Translation coefficient of the functional equation at g.
-
-    Plane case: e^{-(pi/2) H(g_, g_)}. Lattice case: the discrete mode
-    product times the continuous Gaussian exponential, identical to the
-    series coefficient at g.
-    """
-    expo, site = _coefficient_parts(series.embedding, series.structure, [g.k])
-    return complex(_cmul(site, np.exp(expo))[0])
-
-
-def translation_factor(series: QuantumThetaSeries, g: LatticeElement,
-                       h: LatticeElement) -> complex:
-    """Multiplier of the quantum translation by g on the basis element at h.
-
-    Plane case: the independent exponential e^{-pi H(g_, h_)}. Lattice
-    case: the coefficient quotient C(g+h) / (C(g) C(h) alpha(g, h)).
-    """
-    return complex(np.exp(_log_translation(series, [g.k], [h.k])[3][0]))
-
-
-def basis_multiply(k1, k2, emb: EmbeddingMap):
-    """Product of two algebra basis elements: cocycle phase and index sum."""
-    k1 = np.asarray(k1, dtype=np.int64)
-    k2 = np.asarray(k2, dtype=np.int64)
-    phase = cocycle_phase(lattice_element(emb, k1), lattice_element(emb, k2))
-    return phase, tuple(int(c) for c in (k1 + k2))
 
 
 def _reassembly_failure(series: QuantumThetaSeries) -> str | None:

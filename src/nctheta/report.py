@@ -27,9 +27,10 @@ from .embedding import (
     commutation_matrix,
     element_linearity_max_residual,
     enumerate_indices,
+    integer_block_inverse,
     lattice_element,
 )
-from .errors import ConfigInvalid, NCThetaError
+from .errors import ConfigInvalid, NCThetaError, SingularIntegerMatrix
 from .export import export_coefficients
 from .heisenberg import (
     connection_commutator_residual,
@@ -78,7 +79,6 @@ def _rng_streams(seed: int) -> dict:
 @dataclass
 class RunContext:
     config: RunConfig
-    suite: str
     emb: object
     structure: object
     rngs: dict
@@ -214,13 +214,15 @@ def _random_lattice_embedding(rng):
 
     while True:
         m = rng.integers(-3, 4, size=(2, 2))
-        det = int(m[0, 0]) * int(m[1, 1]) - int(m[0, 1]) * int(m[1, 0])
-        if det <= 0:
+        try:
+            det, _ = integer_block_inverse(m)
+        except SingularIntegerMatrix:
             continue
-        c = 0.25 / det
-        delta = np.array([[m[1, 0] * c, m[1, 1] * c],
-                          [-m[0, 0] * c, -m[0, 1] * c]])
-        return build_embedding(EmbeddingKind.LATTICE, 0.5, m=m, delta_hat=delta)
+        if det > 0:
+            c = 0.25 / det
+            delta = np.array([[m[1, 0] * c, m[1, 1] * c],
+                              [-m[0, 0] * c, -m[0, 1] * c]])
+            return build_embedding(EmbeddingKind.LATTICE, 0.5, m=m, delta_hat=delta)
 
 
 def _suite_nogo(ctx: RunContext) -> list[VerificationReport]:
@@ -358,14 +360,11 @@ def _suite_consistency(ctx: RunContext) -> list[VerificationReport]:
             "phase-identity",
             [("all radius-2 pairs", phase_identity_max_residual(emb, structure, 2))],
             1e-10))
-    worst_q = 0.0
-    for _ in range(50):
-        g, h = _random_elements(emb, rng, 2, 2)
-        rep = verify_consistency_condition(series, g, h)
-        worst_q = max(worst_q, rep.max_residual)
-    tol = 1e-10 if emb.kind is EmbeddingKind.VECTOR_SPACE else 1e-12
+    checks = [verify_consistency_condition(series, *_random_elements(emb, rng, 2, 2))
+              for _ in range(50)]
     reports.append(VerificationReport.build(
-        "consistency-condition", [("50 random pairs", worst_q)], tol))
+        "consistency-condition", [("50 random pairs", max(c.max_residual for c in checks))],
+        checks[0].tolerance))
     return reports
 
 
@@ -509,7 +508,7 @@ def run_suite(config: RunConfig, suite: str) -> RunReport:
     seed = require_seed(config, suite)
     emb = config.build_embedding()
     structure = config.build_structure(emb)
-    ctx = RunContext(config, suite, emb, structure, _rng_streams(seed))
+    ctx = RunContext(config, emb, structure, _rng_streams(seed))
 
     names = list(_SUITE_FUNCS) if suite == "all" else [suite]
     if suite == "all" and emb.kind is not EmbeddingKind.LATTICE:

@@ -204,7 +204,7 @@ def completed_square_defect(ctx: HermitianFormContext, w) -> float:
     return abs(_ctilde_minus_q_lambda(ctx, w) - 0.5 * hermitian_form(ctx, w, w))
 
 
-def mode_factor(t: float, m: int, theta2: float, tol: float = 1e-12) -> complex:
+def mode_factor(t: float, m: int, theta2: float) -> complex:
     """Per-axis discrete-mode factor of a lattice-kind inner product.
 
     e^{-(pi/theta2) m^2 - pi i m t} theta(2i/theta2, -t + i m/theta2),
@@ -213,7 +213,7 @@ def mode_factor(t: float, m: int, theta2: float, tol: float = 1e-12) -> complex:
     if theta2 <= 0:
         raise NotPositive("theta2 must be positive")
     pref = cmath.exp(-math.pi / theta2 * m * m - 1j * math.pi * m * t)
-    return pref * jacobi_theta(2j / theta2, complex(-t, m / theta2), tol)
+    return pref * jacobi_theta(2j / theta2, complex(-t, m / theta2))
 
 
 def _decay_profile(im_q: np.ndarray, im_l: np.ndarray):

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .embedding import EmbeddingKind, EmbeddingMap
+from .embedding import EmbeddingKind, EmbeddingMap, integer_block_inverse
 from .errors import (
     ConsistencyViolated,
     DegenerateTau,
@@ -27,8 +27,8 @@ from .errors import (
 )
 from .heisenberg import (
     ClosedFormVector,
-    _fd4,
     _require_closed,
+    apply_connections,
     build_connections,
 )
 
@@ -36,8 +36,8 @@ if TYPE_CHECKING:
     import sympy
 
 SYMMETRY_TOL = 1e-12
-DEFAULT_HOLOMORPHY_STEP = 5e-4
-DEFAULT_MASK_REL = 1e-5
+HOLOMORPHY_STEP = 5e-4
+HOLOMORPHY_MASK_REL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -149,11 +149,11 @@ def antiholomorphic_rows(structure: ComplexStructure) -> list[np.ndarray]:
             np.array([t[1, 0], 0.0, t[1, 1], 1.0], dtype=complex)]
 
 
-def _holomorphy_probes(emb: EmbeddingMap, f: ClosedFormVector, mask_rel: float):
+def _holomorphy_probes(emb: EmbeddingMap, f: ClosedFormVector):
     from .heisenberg import _min_im_eig
 
     rate = math.pi * _min_im_eig(f.quadratic)
-    s_max = math.sqrt(-math.log(0.5 * mask_rel) / rate) + 0.2
+    s_max = math.sqrt(-math.log(0.5 * HOLOMORPHY_MASK_REL) / rate) + 0.2
     if emb.kind is EmbeddingKind.LATTICE:
         s = np.linspace(-s_max, s_max, 161)
         n = np.arange(-2, 3)
@@ -162,53 +162,39 @@ def _holomorphy_probes(emb: EmbeddingMap, f: ClosedFormVector, mask_rel: float):
     return np.ix_(s, s)
 
 
-def connection_combo_residual(f, emb: EmbeddingMap, coefficients, step: float = DEFAULT_HOLOMORPHY_STEP,
-                              probes=None, mask_rel: float = DEFAULT_MASK_REL) -> float:
+def connection_combo_residual(f, emb: EmbeddingMap, coefficients) -> float:
     """Pointwise-relative sup of |sum_i c_i nabla_i f| over masked probe points.
 
-    The mask keeps points with |f| >= mask_rel * max |f|, so the residual
-    is meaningful wherever the vector carries weight, including the
-    discrete modes of the lattice kind.
+    The mask keeps points with |f| >= HOLOMORPHY_MASK_REL * max |f|, so the
+    residual is meaningful wherever the vector carries weight, including
+    the discrete modes of the lattice kind. Derivatives are order-4 central
+    differences with step HOLOMORPHY_STEP.
     """
     closed = _require_closed(f)
-    conn = build_connections(emb)
-    coords = probes if probes is not None else _holomorphy_probes(emb, closed, mask_rel)
-    coeffs = np.asarray(coefficients, dtype=complex)
-
+    coords = _holomorphy_probes(emb, closed)
     vals = closed.evaluate(*coords)
     peak = float(np.max(np.abs(vals)))
     if peak == 0.0:
         raise DegenerateTestVector("zero vector")
-    mask = np.abs(vals) >= mask_rel * peak
+    mask = np.abs(vals) >= HOLOMORPHY_MASK_REL * peak
     if not mask.any():
         raise DegenerateTestVector("mask is empty at the requested threshold")
 
-    combo = np.zeros(np.broadcast(*coords).shape, dtype=complex)
-    for i, c in enumerate(coeffs, start=1):
-        if c == 0:
-            continue
-        mult = conn.multiplier[i - 1]
-        lin = sum(m * coord for m, coord in zip(mult, coords) if m != 0.0)
-        combo = combo + c * (-2j * math.pi) * lin * vals
-        for d, dc in enumerate(conn.derivative[i - 1]):
-            if dc != 0.0:
-                combo = combo + c * dc * _fd4(closed.evaluate, coords, d, step)
+    combo = apply_connections(build_connections(emb), coefficients, closed.evaluate,
+                              coords, HOLOMORPHY_STEP)
     rel = np.abs(combo)[mask] / np.abs(vals)[mask]
     return float(np.max(rel))
 
 
-def holomorphy_residual(f, structure: ComplexStructure, emb: EmbeddingMap,
-                        step: float = DEFAULT_HOLOMORPHY_STEP, probes=None,
-                        mask_rel: float = DEFAULT_MASK_REL) -> float:
+def holomorphy_residual(f, structure: ComplexStructure, emb: EmbeddingMap) -> float:
     """Largest residual of the antiholomorphy equations on a probe grid.
 
     Vector-space kind checks both equations; lattice kind checks the single
-    continuous one. Derivatives are order-4 central differences with the
-    given step, and residuals are relative to |f| pointwise.
+    continuous one. Residuals are those of :func:`connection_combo_residual`,
+    relative to |f| pointwise.
     """
-    rows = antiholomorphic_rows(structure)
-    return max(connection_combo_residual(f, emb, row, step, probes, mask_rel)
-               for row in rows)
+    return max(connection_combo_residual(f, emb, row)
+               for row in antiholomorphic_rows(structure))
 
 
 @dataclass(frozen=True)
@@ -287,9 +273,7 @@ def holomorphic_feasibility(emb: EmbeddingMap, tau) -> InfeasibilityCertificate:
 
     relations, forced_det = _symbolic_obstruction()
 
-    m = emb.m
-    det_m = int(m[0, 0]) * int(m[1, 1]) - int(m[0, 1]) * int(m[1, 0])
-    actual_b = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=float) / det_m
+    det_m, actual_b = integer_block_inverse(emb.m)
 
     return InfeasibilityCertificate(
         tau=tuple(map(tuple, tau.tolist())),

@@ -291,6 +291,23 @@ class TestCli:
         assert main(["validate", "--config", str(bad)]) == 2
         assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("field, value, json_path", [
+        ("theta1", "half", "$.embedding.theta1"),
+        ("delta_hat", [[0.1, 0.7], [0.3, 0.0]], "$.embedding"),
+    ])
+    def test_config_error_names_file_and_field(self, field, value, json_path,
+                                               tmp_path, capsys):
+        # a schema error and an embedding-invariant error in a config file
+        raw = minimal_lattice()
+        raw["embedding"][field] = value
+        bad = tmp_path / "schema_bad.json"
+        bad.write_text(json.dumps(raw))
+        code = main(["validate", "--config", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"config error: {bad}: ")
+        assert err.endswith(f"(at {json_path})\n")
+
     def test_seed_requirement_exit_two(self, tmp_path):
         raw = minimal_lattice()
         del raw["seed"]

@@ -20,9 +20,7 @@ from nctheta.embedding import (
     element_add,
     element_linearity_max_residual,
     enumerate_indices,
-    enumerate_lattice,
     lattice_element,
-    pairing,
 )
 from nctheta.errors import (
     EmbeddingConditionViolated,
@@ -30,7 +28,7 @@ from nctheta.errors import (
     NonPositiveDeformation,
     SingularIntegerMatrix,
 )
-from nctheta.report import _random_lattice_embedding
+from nctheta.report import _random_lattice_embedding, run_suite
 
 IDENTITY = [[1, 0], [0, 1]]
 CANON_DELTA = [[0.0, 0.7], [0.3, 0.0]]
@@ -127,9 +125,9 @@ def test_torus_lifts_not_reduced(lattice_emb):
 
 
 def test_enumerate_counts_and_order(lattice_emb):
-    assert len(enumerate_lattice(lattice_emb, 0)) == 1
-    assert len(enumerate_lattice(lattice_emb, 1)) == 81
-    els = enumerate_lattice(lattice_emb, 2)
+    assert len(enumerate_indices(0)) == 1
+    assert len(enumerate_indices(1)) == 81
+    els = [lattice_element(lattice_emb, k) for k in enumerate_indices(2)]
     assert len(els) == 625
     assert els[0].k == (0, 0, 0, 0)
     norms = [max(abs(c) for c in e.k) for e in els]
@@ -146,14 +144,6 @@ def test_enumerate_counts_and_order(lattice_emb):
 def test_enumerate_indices_rejects_negative():
     with pytest.raises(ValueError):
         enumerate_indices(-1)
-
-
-def test_pairing_values():
-    assert pairing((1.0, 0.0, 0.0), (0.25, 0.0, 0.0)) == pytest.approx(0.25)
-    assert pairing((0.0, 1.0, 2.0), (0.0, 0.3, 0.1)) == pytest.approx(0.5)
-    assert pairing((0.0, 0.0, 0.0), (0.9, 0.4, 0.1)) == 0.0
-    with pytest.raises(KindMismatch):
-        pairing((1.0, 2.0), (1.0, 2.0, 3.0))
 
 
 def test_cocycle_generator_pair(lattice_emb):
@@ -342,6 +332,25 @@ def test_cocycle_certificate_catches_broken_tables(which, name, lattice_emb,
     assert certified >= reference
     if reference > IDENTITY_ABS:
         assert certified > IDENTITY_ABS
+
+
+def _flipped_exponent(m_l, d_l, m_r, d_r):
+    # <x1, y2> + <y1, x2>: bilinear, so the identity certificate holds, but
+    # not the cocycle of the Heisenberg operators
+    return m_l @ d_r.T + (m_r @ d_l.T).T
+
+
+@pytest.mark.parametrize("which", ["lattice", "vector"])
+def test_validate_checks_the_shared_exponent(which, lattice_config, vector_config,
+                                              monkeypatch):
+    # the operator oracle reads the exponent that the certificate bounds and
+    # the series uses, so a wrong but bilinear exponent fails validate
+    cfg = lattice_config if which == "lattice" else vector_config
+    monkeypatch.setattr(embedding, "_cocycle_exponent", _flipped_exponent)
+    checks = {c.name: c for c in run_suite(cfg, "validate").checks}
+    assert not checks["cocycle-operator-oracle"].passed
+    assert checks["cocycle-operator-oracle"].tolerance == 1e-10
+    assert checks["cocycle-identity"].passed
 
 
 def test_cocycle_certificate_memory(lattice_emb):

@@ -9,6 +9,7 @@ from nctheta.embedding import (
     FinitePart,
     build_embedding,
     commutation_matrix,
+    enumerate_indices,
     lattice_element,
 )
 from nctheta.errors import (
@@ -88,10 +89,8 @@ class TestApplyPi:
 
     def test_representation_property_all_radius1_pairs(self, lattice_emb,
                                                        lattice_theta):
-        from nctheta.embedding import enumerate_lattice
-
         f = sample_vector(lattice_theta, step=1 / 8)
-        els = enumerate_lattice(lattice_emb, 1)
+        els = [lattice_element(lattice_emb, k) for k in enumerate_indices(1)]
         worst = 0.0
         for g in els:
             for h in els:

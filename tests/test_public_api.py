@@ -1,0 +1,39 @@
+"""Every function and class the package exports is used inside the package.
+
+A name in ``nctheta.__all__`` that no module of ``src/nctheta`` other than
+``__init__`` refers to is reached only by the tests, if at all; such code
+gets deleted rather than kept as a wrapper.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import nctheta
+
+PACKAGE_DIR = Path(nctheta.__file__).resolve().parent
+
+
+def _referenced_names() -> set[str]:
+    """Names read, attribute names and imported names over the package modules."""
+    names = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_exported_function_and_class_is_used_in_the_package():
+    exported = [name for name in nctheta.__all__
+                if inspect.isfunction(getattr(nctheta, name))
+                or inspect.isclass(getattr(nctheta, name))]
+    assert exported
+    used = _referenced_names()
+    assert [name for name in exported if name not in used] == []

@@ -13,15 +13,13 @@ from nctheta.embedding import (
 from nctheta.errors import TruncationTooSmall, UnsupportedVector
 from nctheta.qtheta import (
     _stored_values,
+    _log_translation,
     additivity_gap,
-    basis_multiply,
-    c_factor,
     inner_product_closed,
     inner_product_oracle,
     phase_identity_max_residual,
     quantum_theta_series,
     series_tail_bound,
-    translation_factor,
     verify_consistency_condition,
     verify_functional_equation,
 )
@@ -190,23 +188,21 @@ class TestSeries:
             assert min(rates) > 0
 
 
-class TestFactors:
-    def test_c_factor_matches_coefficients(self, lattice_series, vector_series):
-        for series in (lattice_series, vector_series):
-            for k in ([0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0], [2, -1, 0, 1]):
-                g = lattice_element(series.embedding, k)
-                assert c_factor(series, g) == pytest.approx(
-                    series.coefficient(k), abs=1e-15)
+def _translation(series, g, h) -> complex:
+    """T_g(h), the quantum translation multiplier, from its logarithm."""
+    return complex(np.exp(_log_translation(series, [g.k], [h.k])[3][0]))
 
+
+class TestFactors:
     def test_translation_by_zero(self, lattice_series, vector_series):
         zero = lattice_element(lattice_series.embedding, [0, 0, 0, 0])
         h = lattice_element(lattice_series.embedding, [1, 2, 0, -1])
         # the lattice-kind zero translation rescales by 1/C(0), not 1
-        got = translation_factor(lattice_series, zero, h)
+        got = _translation(lattice_series, zero, h)
         assert got == pytest.approx(1.0 / lattice_series.coefficient([0, 0, 0, 0]))
         zv = lattice_element(vector_series.embedding, [0, 0, 0, 0])
         hv = lattice_element(vector_series.embedding, [1, 2, 0, -1])
-        assert translation_factor(vector_series, zv, hv) == pytest.approx(1.0)
+        assert _translation(vector_series, zv, hv) == pytest.approx(1.0)
 
     def test_lattice_quotient_construction(self, lattice_series):
         emb = lattice_series.embedding
@@ -214,18 +210,10 @@ class TestFactors:
         for _ in range(10):
             kg, kh = rng.integers(-2, 3, size=(2, 4))
             g, h = lattice_element(emb, kg), lattice_element(emb, kh)
-            lhs = (c_factor(lattice_series, g) * c_factor(lattice_series, h)
-                   * cocycle_phase(g, h) * translation_factor(lattice_series, g, h))
-            rhs = c_factor(lattice_series, lattice_element(emb, kg + kh))
+            lhs = (lattice_series.coefficient(kg) * lattice_series.coefficient(kh)
+                   * cocycle_phase(g, h) * _translation(lattice_series, g, h))
+            rhs = lattice_series.coefficient(kg + kh)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-    def test_basis_multiply(self, lattice_emb):
-        phase, idx = basis_multiply([1, 0, 0, 0], [0, 1, 0, 0], lattice_emb)
-        assert phase == pytest.approx(1j)
-        assert idx == (1, 1, 0, 0)
-        phase0, idx0 = basis_multiply([2, -1, 3, 0], [0, 0, 0, 0], lattice_emb)
-        assert phase0 == pytest.approx(1.0)
-        assert idx0 == (2, -1, 3, 0)
 
 
 class TestFunctionalEquation:
