@@ -22,6 +22,7 @@ from .embedding import (
     element_add,
     enumerate_indices,
     lattice_element,
+    point_parts,
 )
 from .errors import NCThetaError
 from .heisenberg import (

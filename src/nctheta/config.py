@@ -104,12 +104,6 @@ def _config_validator():
     return cls(CONFIG_SCHEMA)
 
 
-# Suites that draw random samples; these refuse to run without a seed.
-RANDOMIZED_SUITES = frozenset(
-    {"validate", "holomorphy", "nogo", "consistency", "additivity",
-     "functional-equation", "all"})
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration with defaults filled in."""
@@ -219,10 +213,3 @@ def load_config(path, allow_invalid: bool = False) -> RunConfig:
     except ConfigInvalid as err:
         raise ConfigInvalid(f"{p}: {err.message}", err.json_path) from err
 
-
-def require_seed(cfg: RunConfig, suite: str) -> int:
-    """Seed lookup that enforces the mandatory-seed rule for random suites."""
-    if cfg.seed is None and suite in RANDOMIZED_SUITES:
-        raise ConfigInvalid(f"suite '{suite}' draws random samples; a seed is"
-                            " mandatory", "$.seed")
-    return 0 if cfg.seed is None else cfg.seed

@@ -59,8 +59,9 @@ class EmbeddingMap:
     """A linear map whose image of Z^4 is the lattice D in M x M^.
 
     ``entries`` is 4x4 for the vector-space kind and 6x4 for the lattice
-    kind, laid out row-wise as the ambient coordinates (M block first,
-    then the dual block).
+    kind, laid out row-wise as the ambient coordinates: the M block in
+    the first half of the rows, the dual block in the second. Only
+    :func:`point_parts` splits that layout.
     """
 
     kind: EmbeddingKind
@@ -83,26 +84,21 @@ class EmbeddingMap:
 
     def column_condition_residuals(self) -> np.ndarray:
         """Per-column residual of the M / M^ orthogonality condition."""
-        x = self.entries
-        if self.kind is EmbeddingKind.VECTOR_SPACE:
-            return np.abs(x[0] * x[2] + x[1] * x[3])
-        return np.abs(x[0] * x[3] + x[1] * x[4] + x[2] * x[5])
+        cut = len(self.entries) // 2
+        return np.abs(np.sum(self.entries[:cut] * self.entries[cut:], axis=0))
 
 
 @dataclass(frozen=True)
 class LatticeElement:
     """A lattice point: integer index k plus its exact ambient coordinates.
 
-    Lattice kind: ``m_part`` is (w1, m1, m2) and ``dual_part`` is
-    (w2, t1, t2) with t stored as unreduced lifts. Vector-space kind:
-    both parts are the two continuous coordinates.
+    ``m_part`` and ``dual_part`` are the two halves of :func:`point_parts`.
     """
 
     kind: EmbeddingKind
     k: tuple[int, int, int, int]
     m_part: np.ndarray
     dual_part: np.ndarray
-    m_int: tuple[int, int] | None = None
 
     @property
     def w1(self) -> float:
@@ -116,7 +112,7 @@ class LatticeElement:
     def m_shift(self) -> tuple[int, int]:
         if self.kind is not EmbeddingKind.LATTICE:
             raise KindMismatch("integer shift only exists for the lattice kind")
-        return self.m_int
+        return int(self.m_part[1]), int(self.m_part[2])
 
     @property
     def t_lift(self) -> np.ndarray:
@@ -225,20 +221,25 @@ def commutation_matrix(emb: EmbeddingMap) -> DeformationMatrix:
     return DeformationMatrix(theta)
 
 
+def point_parts(emb: EmbeddingMap, ks) -> tuple[np.ndarray, np.ndarray]:
+    """M part and dual part of the image of each index row of shape (..., 4).
+
+    Lattice kind: the M part is (w1, m1, m2), with the integer shift
+    m (k3, k4) exact in floating point, and the dual part (w2, t1, t2),
+    with t stored as unreduced lifts. Vector-space kind: each part is two
+    continuous coordinates.
+    """
+    amb = np.asarray(ks, dtype=np.int64).astype(float) @ emb.entries.T
+    cut = len(emb.entries) // 2
+    return amb[..., :cut], amb[..., cut:]
+
+
 def lattice_element(emb: EmbeddingMap, k) -> LatticeElement:
     """Image of the integer vector k under the embedding map."""
     k = np.asarray(k, dtype=np.int64)
     if k.shape != (4,):
         raise ValueError("k must be an integer 4-vector")
-    amb = emb.entries @ k.astype(float)
-    if emb.kind is EmbeddingKind.VECTOR_SPACE:
-        return LatticeElement(emb.kind, tuple(int(v) for v in k),
-                              m_part=amb[:2].copy(), dual_part=amb[2:].copy())
-    m_int = emb.m @ k[2:]
-    m_part = np.array([amb[0], float(m_int[0]), float(m_int[1])])
-    dual_part = np.array([amb[3], amb[4], amb[5]])
-    return LatticeElement(emb.kind, tuple(int(v) for v in k), m_part, dual_part,
-                          m_int=(int(m_int[0]), int(m_int[1])))
+    return LatticeElement(emb.kind, tuple(int(v) for v in k), *point_parts(emb, k))
 
 
 def element_add(emb: EmbeddingMap, x: LatticeElement, y: LatticeElement) -> LatticeElement:
@@ -274,15 +275,7 @@ def _cocycle_exponent(m_l, d_l, m_r, d_r):
 def _pairing_exponent_table(emb: EmbeddingMap, left: np.ndarray,
                             right: np.ndarray) -> np.ndarray:
     """Matrix of <x1, y2> - <y1, x2> over two index families (rows x cols)."""
-    amb_l = left.astype(float) @ emb.entries.T
-    amb_r = right.astype(float) @ emb.entries.T
-    if emb.kind is EmbeddingKind.VECTOR_SPACE:
-        m_l, d_l = amb_l[:, :2], amb_l[:, 2:]
-        m_r, d_r = amb_r[:, :2], amb_r[:, 2:]
-    else:
-        m_l, d_l = amb_l[:, :3], amb_l[:, 3:]
-        m_r, d_r = amb_r[:, :3], amb_r[:, 3:]
-    return _cocycle_exponent(m_l, d_l, m_r, d_r)
+    return _cocycle_exponent(*point_parts(emb, left), *point_parts(emb, right))
 
 
 # Unit roundoff of IEEE double precision (Higham, *Accuracy and Stability
@@ -414,14 +407,13 @@ def bicharacter_max_residual(emb: EmbeddingMap, rng, n_pairs: int = 20,
 
 
 def element_linearity_max_residual(emb: EmbeddingMap, radius: int = 2) -> float:
-    """Worst defect of ambient linearity over all index pairs in the radius."""
+    """Worst defect of linearity of :func:`point_parts` over all index pairs in the radius."""
     ks = enumerate_indices(radius)
-    amb = ks.astype(float) @ emb.entries.T
+    parts = point_parts(emb, ks)
     worst = 0.0
     for a, ka in enumerate(ks):
-        summed = amb[a][None, :] + amb
-        direct = (ka + ks).astype(float) @ emb.entries.T
-        worst = max(worst, float(np.max(np.abs(summed - direct))))
+        for part, direct in zip(parts, point_parts(emb, ka + ks)):
+            worst = max(worst, float(np.max(np.abs(part[a] + part - direct))))
     return worst
 
 

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import EmbeddingKind, build_embedding, enumerate_indices
-from .qtheta import QuantumThetaSeries, _ambient, _label, _reassembly_failure, _rows
+from .embedding import EmbeddingKind, build_embedding, enumerate_indices, point_parts
+from .qtheta import QuantumThetaSeries, _label, _reassembly_failure, _rows
 from .structures import MixedStructure, structure_from_tau
 
 CSV_HEADER = "k1,k2,k3,k4,w1,w2,m1,m2,t1,t2,re,im"
@@ -45,14 +45,15 @@ def _blocks(series: QuantumThetaSeries):
     for lo in range(0, len(series.indices), CHUNK_ROWS):
         k = series.indices[lo:lo + CHUNK_ROWS]
         values = series.values[lo:lo + CHUNK_ROWS]
-        amb = _ambient(series.embedding, k)
+        m_part, dual_part = point_parts(series.embedding, k)
         block = np.zeros((len(k), 12))
         block[:, :4] = k
         if series.kind is EmbeddingKind.LATTICE:
-            block[:, [4, 5, 8, 9]] = amb[:, [0, 3, 4, 5]]
-            block[:, 6:8] = k[:, 2:] @ series.embedding.m.T
+            block[:, [4, 6, 7]] = m_part
+            block[:, [5, 8, 9]] = dual_part
         else:
-            block[:, [4, 5, 8, 9]] = amb
+            block[:, [4, 5]] = m_part
+            block[:, [8, 9]] = dual_part
         block[:, 10] = values.real
         block[:, 11] = values.imag
         yield block

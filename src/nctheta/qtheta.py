@@ -35,6 +35,7 @@ from .embedding import (
     cocycle_phase,
     enumerate_indices,
     lattice_element,
+    point_parts,
 )
 from .errors import (
     InternalIdentityViolated,
@@ -261,23 +262,19 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
-def _ambient(emb: EmbeddingMap, ks) -> np.ndarray:
-    """Ambient coordinates of each row of an index array, laid out as ``entries``."""
-    return np.asarray(ks, dtype=np.int64).astype(float) @ emb.entries.T
-
-
-def _hermitian_rows(ctx: HermitianFormContext, amb_g, amb_h) -> np.ndarray:
-    """H(g_, h_) over broadcast rows of ambient coordinates.
+def _hermitian_rows(ctx: HermitianFormContext, g, h) -> np.ndarray:
+    """H(g_, h_) over broadcast rows of points given as (m_part, dual_part).
 
     g_ = T g1 + g2 for the continuous pair (g1, g2): (w1, w2) in the
-    lattice kind, the M and dual blocks in the vector-space kind.
+    lattice kind, the M and dual parts in the vector-space kind.
     """
-    def embed(amb):
+    def embed(parts):
+        m_part, dual_part = parts
         if ctx.is_scalar:
-            return ctx.T * amb[..., 0] + amb[..., 3]
-        return amb[..., :2] @ ctx.T.T + amb[..., 2:]
+            return ctx.T * m_part[..., 0] + dual_part[..., 0]
+        return m_part @ ctx.T.T + dual_part
 
-    gbar, hstar = embed(amb_g), np.conj(embed(amb_h))
+    gbar, hstar = embed(g), np.conj(embed(h))
     if ctx.is_scalar:
         return gbar * hstar * ctx.im_inverse
     return np.einsum("...i,ij,...j->...", gbar, ctx.im_inverse, hstar)
@@ -292,18 +289,18 @@ def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
     The mode factors depend on (k3, k4) only, and :func:`mode_factor` runs
     once per distinct (t, m) pair per axis.
     """
-    ks = np.asarray(ks, dtype=np.int64)
-    amb = _ambient(emb, ks)
-    expo = -0.5 * math.pi * _hermitian_rows(structure_context(structure), amb, amb).real
+    parts = point_parts(emb, ks)
+    expo = -0.5 * math.pi * _hermitian_rows(structure_context(structure), parts, parts).real
     site = np.ones(len(ks), dtype=complex)
     if emb.kind is EmbeddingKind.LATTICE:
         theta2_eff = 1.0 / structure.lattice_decay
-        m_parts = ks[:, 2:] @ emb.m.T
+        m_part, dual_part = parts
+        shifts = m_part[:, 1:].astype(np.int64)
         for axis in range(2):
             # Distinct (t, m) pairs under float equality, sorted by t then m,
             # each represented by its first row: 1-D uniques of the rank of t
             # and then of the code (rank, m).
-            t, m = amb[:, 4 + axis], m_parts[:, axis]
+            t, m = dual_part[:, 1 + axis], shifts[:, axis]
             _, t_rank = np.unique(t, return_inverse=True)
             m_low = m.min(initial=0)
             code = t_rank * (m.max(initial=0) - m_low + 1) + (m - m_low)
@@ -333,8 +330,8 @@ def _log_translation(series: QuantumThetaSeries, kg, kh):
             "vanishing mode product; translation quotient undefined")
     lg, lh, lgh = np.split(expo + np.log(site), 3)
     if series.kind is EmbeddingKind.VECTOR_SPACE:
-        lt = -math.pi * _hermitian_rows(series.context(), _ambient(emb, kg),
-                                        _ambient(emb, kh))
+        lt = -math.pi * _hermitian_rows(series.context(), point_parts(emb, kg),
+                                        point_parts(emb, kh))
     else:
         lt = lgh - lg - lh - 1j * math.pi * _pairing_exponent_table(emb, kg, kh).ravel()
     return lg, lh, lgh, lt
@@ -391,9 +388,10 @@ def series_tail_bound(series: QuantumThetaSeries, radius: int | None = None) -> 
     r = series.radius if radius is None else radius
     emb = series.embedding
     ctx = series.context()
+    # Column j of p is the continuous coordinate T g1 + g2 of the j-th basis row.
+    m_part, dual_part = point_parts(emb, np.eye(4, dtype=np.int64))
     if emb.kind is EmbeddingKind.LATTICE:
-        t = ctx.T
-        p = np.array([emb.theta1 * t, 1.0], dtype=complex)
+        p = ctx.T * m_part[:2, 0] + dual_part[:2, 0]
         cont = 0.5 * math.pi * ctx.im_inverse * np.outer(np.conj(p), p).real
         c = series.structure.lattice_decay
         mtm = (emb.m.T @ emb.m).astype(float)
@@ -402,12 +400,7 @@ def series_tail_bound(series: QuantumThetaSeries, radius: int | None = None) -> 
         # mode-factor surplus: sum over one axis of e^{-2 pi c (n + phi)^2} <= theta(2ci)
         k_const = float(jacobi_theta(2j * c, 0.0).real) ** 2
     else:
-        om = np.asarray(ctx.T)
-        p = np.zeros((2, 4), dtype=complex)
-        p[:, 0] = om[:, 0] * emb.theta1
-        p[:, 2] = om[:, 1] * emb.theta2
-        p[0, 1] = 1.0
-        p[1, 3] = 1.0
+        p = (m_part @ ctx.T.T + dual_part).T
         form = 0.5 * math.pi * (p.conj().T @ ctx.im_inverse @ p).real
         lam = float(np.linalg.eigvalsh(form).min())
         k_const = 1.0
@@ -433,28 +426,27 @@ def phase_identity_max_residual(emb: EmbeddingMap, structure: ComplexStructure,
     Hermitian form does not.
     """
     ks = enumerate_indices(radius)
-    amb = _ambient(emb, ks)
-    h_mat = _hermitian_rows(structure_context(structure), amb[:, None], amb[None, :])
+    m_part, dual_part = point_parts(emb, ks)
+    rows, cols = (m_part[:, None], dual_part[:, None]), (m_part[None], dual_part[None])
+    h_mat = _hermitian_rows(structure_context(structure), rows, cols)
     expo = _pairing_exponent_table(emb, ks, ks)
     return float(np.max(np.abs(np.exp(1j * math.pi * h_mat.imag) - np.exp(1j * math.pi * expo))))
 
 
-def verify_functional_equation(series: QuantumThetaSeries, g: LatticeElement,
-                               tolerance: float | None = None) -> VerificationReport:
-    """Check that translating the series by g reproduces it coefficientwise.
+def verify_functional_equation(series: QuantumThetaSeries, kg) -> VerificationReport:
+    """Check that translating the series by the index kg reproduces it coefficientwise.
 
     The left side at index g+h is C(g) C(h) alpha(g, h) T_g(h); the right
     side is the stored coefficient. Only interior indices are compared, so
     truncation never masquerades as failure.
     """
     radius = series.radius
-    kg = np.asarray(g.k, dtype=np.int64)
+    kg = np.asarray(kg, dtype=np.int64)
     g_norm = int(np.max(np.abs(kg)))
     if g_norm > radius // 2:
         raise TruncationTooSmall(
             f"translation index norm {g_norm} exceeds radius/2 = {radius // 2}")
-    if tolerance is None:
-        tolerance = 1e-9 if series.kind is EmbeddingKind.VECTOR_SPACE else 1e-12
+    tolerance = 1e-9 if series.kind is EmbeddingKind.VECTOR_SPACE else 1e-12
     interior = radius - g_norm
 
     ks = series.indices
@@ -469,39 +461,38 @@ def verify_functional_equation(series: QuantumThetaSeries, g: LatticeElement,
         radius=radius, interior=interior, kind=series.kind.value)
 
 
-def verify_consistency_condition(series: QuantumThetaSeries, g: LatticeElement,
-                                 h: LatticeElement,
-                                 tolerance: float | None = None) -> VerificationReport:
-    """Check C(g+h) = C(g) C(h) T_g(h) alpha(g, h) for one pair.
+def verify_consistency_condition(series: QuantumThetaSeries, kg, kh) -> VerificationReport:
+    """Check C(g+h) = C(g) C(h) T_g(h) alpha(g, h) for one pair of indices.
 
-    In the plane case this is the nontrivial content of the functional
-    equation and reduces to e^{pi i Im H(g_, h_)} = alpha(g, h), which is
-    reported as a second labeled residual.
+    alpha comes from :func:`cocycle_phase` on the two lattice points, the
+    translation from the exponent table. In the plane case this is the
+    nontrivial content of the functional equation and reduces to
+    e^{pi i Im H(g_, h_)} = alpha(g, h), which is reported as a second
+    labeled residual.
     """
-    if tolerance is None:
-        tolerance = 1e-10 if series.kind is EmbeddingKind.VECTOR_SPACE else 1e-12
-    alpha = cocycle_phase(g, h)
-    lg, lh, lgh, lt = _log_translation(series, [g.k], [h.k])
+    vector = series.kind is EmbeddingKind.VECTOR_SPACE
+    tolerance = 1e-10 if vector else 1e-12
+    emb = series.embedding
+    alpha = cocycle_phase(lattice_element(emb, kg), lattice_element(emb, kh))
+    lg, lh, lgh, lt = _log_translation(series, [kg], [kh])
     residuals = [("quotient", abs(cmath.exp(lg[0] + lh[0] + lt[0]) * alpha
                                   - cmath.exp(lgh[0])))]
-    if series.kind is EmbeddingKind.VECTOR_SPACE:
-        emb = series.embedding
-        h_gh = _hermitian_rows(series.context(), _ambient(emb, g.k), _ambient(emb, h.k))
+    if vector:
+        h_gh = _hermitian_rows(series.context(), point_parts(emb, kg), point_parts(emb, kh))
         residuals.append(("phase-identity",
                           abs(cmath.exp(1j * math.pi * h_gh.imag) - alpha)))
     return VerificationReport.build(
-        f"consistency g={_label(g.k)} h={_label(h.k)}", residuals, tolerance,
+        f"consistency g={_label(kg)} h={_label(kh)}", residuals, tolerance,
         kind=series.kind.value)
 
 
-def additivity_gap(series: QuantumThetaSeries, g1: LatticeElement,
-                   g2: LatticeElement, h: LatticeElement) -> float:
-    """|T_{g1}(h) T_{g2}(h) / T_{g1+g2}(h) - 1|, the additivity defect.
+def additivity_gap(series: QuantumThetaSeries, kg1, kg2, kh) -> float:
+    """|T_{g1}(h) T_{g2}(h) / T_{g1+g2}(h) - 1| at three indices, the additivity defect.
 
     Plane translations are additive because the Hermitian form is linear
     in its first slot; lattice translations are not, because the mode
     factors do not multiply exponentially.
     """
-    kgs = [g1.k, g2.k, np.add(g1.k, g2.k)]
-    lt = _log_translation(series, kgs, [h.k])[3]
+    kgs = [kg1, kg2, np.add(kg1, kg2)]
+    lt = _log_translation(series, kgs, [kh])[3]
     return abs(cmath.exp(lt[0] + lt[1] - lt[2]) - 1.0)

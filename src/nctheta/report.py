@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, require_seed
+from .config import RunConfig
 from .embedding import (
     EmbeddingKind,
     bicharacter_max_residual,
@@ -81,13 +81,24 @@ class RunContext:
     config: RunConfig
     emb: object
     structure: object
-    rngs: dict
     artifacts: dict = field(default_factory=dict)
+    _rngs: dict | None = field(default=None, init=False, repr=False)
     _series: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.config.seed is not None:
+            self._rngs = _rng_streams(self.config.seed)
 
     @property
     def tol(self) -> dict:
         return self.config.tolerances
+
+    def rng(self, suite: str) -> np.random.Generator:
+        """The random stream of SUITE; a suite that draws needs a seed."""
+        if self._rngs is None:
+            raise ConfigInvalid(f"suite '{suite}' draws random samples; a seed is"
+                                " mandatory", "$.seed")
+        return self._rngs[suite]
 
     def series(self, radius: int):
         """The quantum theta series at RADIUS, built (and reassembled) once per run."""
@@ -106,7 +117,7 @@ def _lower_bound_entry(label: str, actual: float, threshold: float):
 
 def _suite_validate(ctx: RunContext) -> list[VerificationReport]:
     emb, tol = ctx.emb, ctx.tol["identity_abs"]
-    rng = ctx.rngs["validate"]
+    rng = ctx.rng("validate")
     theta = commutation_matrix(emb).theta
     reports = [
         VerificationReport.build(
@@ -195,7 +206,7 @@ def _suite_holomorphy(ctx: RunContext) -> list[VerificationReport]:
         1.0, residual=bad))
 
     if emb.kind is EmbeddingKind.LATTICE:
-        rng = ctx.rngs["holomorphy"]
+        rng = ctx.rng("holomorphy")
         worst_low = math.inf
         for _ in range(40):
             c = rng.normal(size=4).view(complex)
@@ -228,7 +239,7 @@ def _random_lattice_embedding(rng):
 def _suite_nogo(ctx: RunContext) -> list[VerificationReport]:
     if ctx.emb.kind is not EmbeddingKind.LATTICE:
         raise ConfigInvalid("the nogo suite needs a lattice-kind config", "$.embedding.kind")
-    rng = ctx.rngs["nogo"]
+    rng = ctx.rng("nogo")
     embeddings = [ctx.emb] + [_random_lattice_embedding(rng) for _ in range(4)]
     entries = []
     first = None
@@ -269,7 +280,7 @@ def _suite_inner_product(ctx: RunContext) -> list[VerificationReport]:
             tol["identity_abs"], norm_sq=zero.real),
     ]
 
-    rng = ctx.rngs["inner-product"]
+    rng = ctx.rng("inner-product")
     worst = 0.0
     for _ in range(10):
         t_val = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 5.0))
@@ -334,33 +345,26 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
     return reports
 
 
-def _random_elements(emb, rng, count, radius):
-    ks = rng.integers(-radius, radius + 1, size=(count, 4))
-    return [lattice_element(emb, k) for k in ks]
-
-
 def _suite_functional_equation(ctx: RunContext) -> list[VerificationReport]:
-    emb = ctx.emb
+    rng = ctx.rng("functional-equation")
     series = ctx.series(ctx.config.radius)
-    rng = ctx.rngs["functional-equation"]
     half = max(1, ctx.config.radius // 2)
     kgs = [np.eye(4, dtype=np.int64)[i] for i in range(4)]
     kgs += list(rng.integers(-half, half + 1, size=(2, 4)))
-    return [verify_functional_equation(series, lattice_element(emb, kg))
-            for kg in kgs]
+    return [verify_functional_equation(series, kg) for kg in kgs]
 
 
 def _suite_consistency(ctx: RunContext) -> list[VerificationReport]:
     emb, structure = ctx.emb, ctx.structure
+    rng = ctx.rng("consistency")
     series = ctx.series(max(2, min(ctx.config.radius, 4)))
-    rng = ctx.rngs["consistency"]
     reports = []
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
         reports.append(VerificationReport.build(
             "phase-identity",
             [("all radius-2 pairs", phase_identity_max_residual(emb, structure, 2))],
             1e-10))
-    checks = [verify_consistency_condition(series, *_random_elements(emb, rng, 2, 2))
+    checks = [verify_consistency_condition(series, *rng.integers(-2, 3, size=(2, 4)))
               for _ in range(50)]
     reports.append(VerificationReport.build(
         "consistency-condition", [("50 random pairs", max(c.max_residual for c in checks))],
@@ -370,25 +374,22 @@ def _suite_consistency(ctx: RunContext) -> list[VerificationReport]:
 
 def _suite_additivity(ctx: RunContext) -> list[VerificationReport]:
     emb = ctx.emb
+    rng = ctx.rng("additivity")
     series = ctx.series(max(2, min(ctx.config.radius, 4)))
-    rng = ctx.rngs["additivity"]
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
-        entries = []
-        for idx in range(100):
-            g1, g2, h = _random_elements(emb, rng, 3, 2)
-            entries.append((f"triple {idx}", additivity_gap(series, g1, g2, h)))
+        entries = [(f"triple {idx}",
+                    additivity_gap(series, *rng.integers(-2, 3, size=(3, 4))))
+                   for idx in range(100)]
         return [VerificationReport.build("additivity-gaps", entries, 1e-12,
                                          triples=100)]
-    g = lattice_element(emb, [0, 0, 1, 0])
-    h = lattice_element(emb, [0, 0, 0, 1])
+    g, h = [0, 0, 1, 0], [0, 0, 0, 1]
     witness = additivity_gap(series, g, g, h)
     pure_w = {}
     for idx in range(10):
         ks = np.zeros((3, 4), dtype=np.int64)
         ks[:2, :2] = rng.integers(-2, 3, size=(2, 2))
         ks[2] = rng.integers(-2, 3, size=4)
-        g1, g2, hh = (lattice_element(emb, k) for k in ks)
-        pure_w[f"triple {idx}"] = additivity_gap(series, g1, g2, hh)
+        pure_w[f"triple {idx}"] = additivity_gap(series, *ks)
     return [VerificationReport.build(
         "non-additivity-witness",
         [_lower_bound_entry("threshold 0.01 / gap", witness, 0.01)],
@@ -500,15 +501,16 @@ def _check_dict(c: VerificationReport) -> dict:
 def run_suite(config: RunConfig, suite: str) -> RunReport:
     """Execute one suite (or all of them) and assemble the report.
 
-    Module errors inside a suite are captured as failed checks; only I/O
-    errors escape.
+    Module errors inside a suite are captured as failed checks. A config
+    error escapes: an unknown suite, a suite that draws random samples from
+    a config without a seed, or a suite run on a kind it cannot handle.
+    I/O errors escape as well.
     """
     if suite != "all" and suite not in _SUITE_FUNCS:
         raise ConfigInvalid(f"unknown suite '{suite}'", "$")
-    seed = require_seed(config, suite)
     emb = config.build_embedding()
     structure = config.build_structure(emb)
-    ctx = RunContext(config, emb, structure, _rng_streams(seed))
+    ctx = RunContext(config, emb, structure)
 
     names = list(_SUITE_FUNCS) if suite == "all" else [suite]
     if suite == "all" and emb.kind is not EmbeddingKind.LATTICE:
@@ -519,6 +521,8 @@ def run_suite(config: RunConfig, suite: str) -> RunReport:
     for name in names:
         try:
             checks.extend(_SUITE_FUNCS[name](ctx))
+        except ConfigInvalid:
+            raise
         except NCThetaError as err:
             checks.append(VerificationReport.build(
                 f"{name} (errored)", [("error", math.inf)], 0.0,

@@ -183,8 +183,7 @@ def test_criterion_07_vector_phase_identity_and_functional(vector_emb,
     kgs = [np.eye(4, dtype=np.int64)[i] for i in range(4)]
     kgs += list(rng.integers(-2, 3, size=(3, 4)))
     for kg in kgs:
-        rep = verify_functional_equation(series, lattice_element(vector_emb, kg),
-                                         tolerance=1e-9)
+        rep = verify_functional_equation(series, kg)
         assert rep.passed
         fe_worst = max(fe_worst, rep.max_residual)
     assert fe_worst <= 1e-9
@@ -201,16 +200,13 @@ def test_criterion_08_lattice_functional_and_consistency(lattice_emb,
     kgs = [np.eye(4, dtype=np.int64)[i] for i in range(4)]
     kgs += list(rng.integers(-2, 3, size=(3, 4)))
     for kg in kgs:
-        rep = verify_functional_equation(series, lattice_element(lattice_emb, kg),
-                                         tolerance=1e-12)
+        rep = verify_functional_equation(series, kg)
         assert rep.passed
         fe_worst = max(fe_worst, rep.max_residual)
     cc_worst = 0.0
     for _ in range(50):
         kg, kh = rng.integers(-2, 3, size=(2, 4))
-        rep = verify_consistency_condition(
-            series, lattice_element(lattice_emb, kg),
-            lattice_element(lattice_emb, kh), tolerance=1e-12)
+        rep = verify_consistency_condition(series, kg, kh)
         assert rep.passed
         cc_worst = max(cc_worst, rep.max_residual)
     _report(8, f"lattice functional equation worst {fe_worst:.2e} <= 1e-12;"
@@ -225,14 +221,11 @@ def test_criterion_09_additivity_dichotomy(lattice_emb, lattice_structure,
     vec_worst = 0.0
     for _ in range(100):
         k1, k2, k3 = rng.integers(-2, 3, size=(3, 4))
-        vec_worst = max(vec_worst, additivity_gap(
-            vec_series, lattice_element(vector_emb, k1),
-            lattice_element(vector_emb, k2), lattice_element(vector_emb, k3)))
+        vec_worst = max(vec_worst, additivity_gap(vec_series, k1, k2, k3))
     assert vec_worst <= 1e-12
 
     lat_series = quantum_theta_series(lattice_emb, lattice_structure, radius=4)
-    g = lattice_element(lattice_emb, [0, 0, 1, 0])
-    h = lattice_element(lattice_emb, [0, 0, 0, 1])
+    g, h = [0, 0, 1, 0], [0, 0, 0, 1]
     gap = additivity_gap(lat_series, g, g, h)
     assert gap > 0.01
     golden = load_golden("additivity_witness.json")

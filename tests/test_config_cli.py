@@ -9,8 +9,8 @@ import pytest
 
 import nctheta
 from nctheta.cli import EXIT_INTERNAL_ERROR, main
-from nctheta.config import load_config, parse_config, require_seed
-from nctheta.errors import ConfigInvalid, ConfigSyntax
+from nctheta.config import load_config, parse_config
+from nctheta.errors import ConfigInvalid, ConfigSyntax, TruncationTooSmall
 from nctheta.export import _CSV_ROW, _JSON_ROW, _write_rows, export_coefficients, load_series
 from nctheta.qtheta import quantum_theta_series
 from nctheta.report import run_suite, write_report
@@ -85,8 +85,8 @@ class TestLoadConfig:
         cfg = parse_config({k: v for k, v in minimal_lattice().items()
                             if k != "seed"})
         with pytest.raises(ConfigInvalid):
-            require_seed(cfg, "additivity")
-        assert require_seed(cfg, "commutation") == 0
+            run_suite(cfg, "additivity")
+        assert run_suite(cfg, "commutation").passed
 
     def test_content_hash_stable(self):
         a = parse_config(minimal_lattice())
@@ -201,8 +201,15 @@ class TestRunSuite:
         assert report.checks[0].name == "commutation-phases"
         assert len(report.checks[0].residuals) == 16
 
-    def test_error_captured_not_raised(self, vector_config):
-        report = run_suite(vector_config, "nogo")
+    def test_error_captured_not_raised(self, lattice_config, monkeypatch):
+        # a module error inside a suite becomes an errored check
+        import nctheta.report as report_mod
+
+        def broken(ctx):
+            raise TruncationTooSmall("translation index beyond radius/2")
+
+        monkeypatch.setitem(report_mod._SUITE_FUNCS, "commutation", broken)
+        report = run_suite(lattice_config, "commutation")
         assert not report.passed
         assert "errored" in report.checks[0].name
 
@@ -314,6 +321,32 @@ class TestCli:
         p = tmp_path / "noseed.json"
         p.write_text(json.dumps(raw))
         assert main(["additivity", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("kind, suite, code", [
+        ("lattice", "inner-product", 2),
+        ("lattice", "commutation", 0),
+        ("lattice", "quantum-theta", 0),
+        ("vector", "holomorphy", 0),
+    ])
+    def test_seed_rule_follows_the_draws(self, kind, suite, code, request, tmp_path,
+                                         capsys):
+        # a suite needs a seed exactly when it draws from its random stream
+        raw = json.loads(request.getfixturevalue(f"{kind}_config_path").read_text())
+        del raw["seed"], raw["output"]
+        p = tmp_path / "noseed.json"
+        p.write_text(json.dumps(raw))
+        assert main([suite, "--config", str(p)]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else
+                       f"config error: suite '{suite}' draws random samples;"
+                       " a seed is mandatory (at $.seed)\n")
+
+    def test_suite_on_the_wrong_kind_exit_two(self, vector_config_path, capsys):
+        code = main(["nogo", "--config", str(vector_config_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: the nogo suite needs a lattice-kind config"
+            " (at $.embedding.kind)\n")
 
     def test_check_failure_exit_one(self, tmp_path):
         # an invalid embedding kept alive by --allow-invalid fails validation

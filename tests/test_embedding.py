@@ -21,6 +21,7 @@ from nctheta.embedding import (
     element_linearity_max_residual,
     enumerate_indices,
     lattice_element,
+    point_parts,
 )
 from nctheta.errors import (
     EmbeddingConditionViolated,
@@ -122,6 +123,46 @@ def test_lattice_element_integer_part_exact(lattice_emb):
 def test_torus_lifts_not_reduced(lattice_emb):
     el = lattice_element(lattice_emb, [0, 0, 0, 3])
     assert el.t_lift[0] == pytest.approx(2.1)  # 3 * 0.7, beyond [0, 1)
+
+
+# Both fixtures plus a lattice map with a non-diagonal integer block and a
+# vector map with other deformations.
+POINT_EMBEDDINGS = {
+    "lattice-fixture": (EmbeddingKind.LATTICE, 0.5, None, IDENTITY, CANON_DELTA),
+    "vector-fixture": (EmbeddingKind.VECTOR_SPACE, 0.5, 0.4, None, None),
+    "lattice-m2111": (EmbeddingKind.LATTICE, 0.5, None, [[2, 1], [1, 1]],
+                      [[0.25, 0.25], [-0.5, -0.25]]),
+    "vector-0.7-1.3": (EmbeddingKind.VECTOR_SPACE, 0.7, 1.3, None, None),
+}
+
+
+@pytest.mark.parametrize("name", list(POINT_EMBEDDINGS))
+def test_point_parts_match_lattice_element(name):
+    # the batched rows equal the one-row case bit for bit, and the integer
+    # shift equals m (k3, k4) in integers
+    kind, theta1, theta2, m, delta = POINT_EMBEDDINGS[name]
+    emb = build_embedding(kind, theta1, theta2, m=m, delta_hat=delta)
+    ks = enumerate_indices(2)
+    m_parts, dual_parts = point_parts(emb, ks)
+    for k, m_part, dual_part in zip(ks, m_parts, dual_parts):
+        el = lattice_element(emb, k)
+        assert el.m_part.tobytes() == m_part.tobytes()
+        assert el.dual_part.tobytes() == dual_part.tobytes()
+        if kind is EmbeddingKind.LATTICE:
+            assert el.m_shift == (int(m_part[1]), int(m_part[2]))
+            assert el.m_shift == tuple((emb.m @ k[2:]).tolist())
+
+
+def test_point_parts_layout_on_basis_rows():
+    m, d = [[2, 1], [1, 1]], [[0.25, 0.25], [-0.5, -0.25]]
+    lat = build_embedding(EmbeddingKind.LATTICE, 0.5, m=m, delta_hat=d)
+    m_part, dual_part = point_parts(lat, np.eye(4, dtype=np.int64))
+    assert m_part.tolist() == [[0.5, 0, 0], [0, 0, 0], [0, 2, 1], [0, 1, 1]]
+    assert dual_part.tolist() == [[0, 0, 0], [1, 0, 0], [0, 0.25, -0.5], [0, 0.25, -0.25]]
+    vec = build_embedding(EmbeddingKind.VECTOR_SPACE, 0.7, 1.3)
+    m_part, dual_part = point_parts(vec, np.eye(4, dtype=np.int64))
+    assert m_part.tolist() == [[0.7, 0], [0, 0], [0, 1.3], [0, 0]]
+    assert dual_part.tolist() == [[0, 0], [1, 0], [0, 0], [0, 1]]
 
 
 def test_enumerate_counts_and_order(lattice_emb):

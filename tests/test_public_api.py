@@ -3,6 +3,9 @@
 A name in ``nctheta.__all__`` that no module of ``src/nctheta`` other than
 ``__init__`` refers to is reached only by the tests, if at all; such code
 gets deleted rather than kept as a wrapper.
+
+The ambient layout of ``EmbeddingMap.entries`` is split into its M part and
+its dual part in ``embedding`` alone.
 """
 
 import ast
@@ -37,3 +40,31 @@ def test_every_exported_function_and_class_is_used_in_the_package():
     assert exported
     used = _referenced_names()
     assert [name for name in exported if name not in used] == []
+
+
+# Inverts the whole map, so it reads the layout as one matrix.
+ENTRIES_READERS_ALLOWED = {"heisenberg.build_connections"}
+
+
+def _entries_readers() -> set[str]:
+    """``module.function`` (or ``module.<module>``) of each read of ``.entries``
+    outside ``embedding``."""
+    readers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope.split('.')[0]}.{node.name}"
+        elif isinstance(node, ast.Attribute) and node.attr == "entries":
+            readers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in PACKAGE_DIR.glob("*.py"):
+        if path.name != "embedding.py":
+            visit(ast.parse(path.read_text(), filename=str(path)), f"{path.stem}.<module>")
+    return readers
+
+
+def test_only_embedding_splits_the_ambient_layout():
+    # every other reader goes through embedding.point_parts
+    assert _entries_readers() - ENTRIES_READERS_ALLOWED == set()

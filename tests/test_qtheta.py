@@ -219,33 +219,28 @@ class TestFactors:
 class TestFunctionalEquation:
     def test_vector_generators(self, vector_series):
         for j in range(4):
-            g = lattice_element(vector_series.embedding, np.eye(4, dtype=int)[j])
-            rep = verify_functional_equation(vector_series, g)
+            rep = verify_functional_equation(vector_series, np.eye(4, dtype=int)[j])
             assert rep.passed
             assert rep.max_residual <= 1e-9
 
     def test_lattice_generators(self, lattice_series):
         for j in range(4):
-            g = lattice_element(lattice_series.embedding, np.eye(4, dtype=int)[j])
-            rep = verify_functional_equation(lattice_series, g)
+            rep = verify_functional_equation(lattice_series, np.eye(4, dtype=int)[j])
             assert rep.passed
             assert rep.max_residual <= 1e-12
 
     def test_zero_translation(self, lattice_series, vector_series):
         for series in (lattice_series, vector_series):
-            g = lattice_element(series.embedding, [0, 0, 0, 0])
-            rep = verify_functional_equation(series, g)
+            rep = verify_functional_equation(series, [0, 0, 0, 0])
             assert rep.max_residual <= 1e-12
 
     def test_interior_window_counts(self, vector_series):
-        g = lattice_element(vector_series.embedding, [1, 0, 0, 0])
-        rep = verify_functional_equation(vector_series, g)
+        rep = verify_functional_equation(vector_series, [1, 0, 0, 0])
         assert len(rep.residuals) == 7 ** 4
 
     def test_radius_guard(self, vector_series):
-        g = lattice_element(vector_series.embedding, [3, 0, 0, 0])
         with pytest.raises(TruncationTooSmall):
-            verify_functional_equation(vector_series, g)
+            verify_functional_equation(vector_series, [3, 0, 0, 0])
 
 
 class TestConsistency:
@@ -261,15 +256,12 @@ class TestConsistency:
         for series, tol in ((vector_series, 1e-10), (lattice_series, 1e-12)):
             for _ in range(25):
                 kg, kh = rng.integers(-2, 3, size=(2, 4))
-                rep = verify_consistency_condition(
-                    series,
-                    lattice_element(series.embedding, kg),
-                    lattice_element(series.embedding, kh))
+                rep = verify_consistency_condition(series, kg, kh)
                 assert rep.passed
                 assert rep.max_residual <= tol
 
     def test_zero_pair(self, vector_series):
-        z = lattice_element(vector_series.embedding, [0, 0, 0, 0])
+        z = [0, 0, 0, 0]
         rep = verify_consistency_condition(vector_series, z, z)
         assert rep.max_residual <= 1e-14
 
@@ -277,19 +269,13 @@ class TestConsistency:
 class TestAdditivity:
     def test_vector_always_additive(self, vector_series):
         rng = np.random.default_rng(77)
-        emb = vector_series.embedding
         for _ in range(100):
             k1, k2, k3 = rng.integers(-2, 3, size=(3, 4))
-            gap = additivity_gap(vector_series,
-                                 lattice_element(emb, k1),
-                                 lattice_element(emb, k2),
-                                 lattice_element(emb, k3))
+            gap = additivity_gap(vector_series, k1, k2, k3)
             assert gap <= 1e-12
 
     def test_lattice_witness_gap(self, lattice_series, regen_golden, lattice_config):
-        emb = lattice_series.embedding
-        g = lattice_element(emb, [0, 0, 1, 0])
-        h = lattice_element(emb, [0, 0, 0, 1])
+        g, h = [0, 0, 1, 0], [0, 0, 0, 1]
         gap = additivity_gap(lattice_series, g, g, h)
         assert gap > 0.01
         payload = {"config_hash": lattice_config.content_hash(),
@@ -304,13 +290,11 @@ class TestAdditivity:
 
     def test_pure_continuous_directions_measured(self, lattice_series):
         # no claim either way; the gaps are measured and must be finite
-        emb = lattice_series.embedding
         rng = np.random.default_rng(13)
         gaps = []
         for _ in range(10):
             ks = np.zeros((3, 4), dtype=np.int64)
             ks[:2, :2] = rng.integers(-2, 3, size=(2, 2))
             ks[2] = rng.integers(-2, 3, size=4)
-            g1, g2, h = (lattice_element(emb, k) for k in ks)
-            gaps.append(additivity_gap(lattice_series, g1, g2, h))
+            gaps.append(additivity_gap(lattice_series, *ks))
         assert all(math.isfinite(g) for g in gaps)
