@@ -83,8 +83,10 @@ def main(argv=None) -> int:
     summary = report.summary()
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
-        print(f"[{status}] {check.name}: max residual {check.max_residual:.3e}"
-              f" (tolerance {check.tolerance:.3e})")
+        # an errored check has no residual to show; its captured error says why
+        detail = check.metadata.get("error") or (
+            f"max residual {check.max_residual:.3e} (tolerance {check.tolerance:.3e})")
+        print(f"[{status}] {check.name}: {detail}")
     print(f"{summary['checks']} checks, {summary['failed']} failed,"
           f" elapsed {report.elapsed_seconds:.2f}s")
 

@@ -1,5 +1,6 @@
 import io
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -379,8 +380,7 @@ class TestCli:
             (["validate", "--seed", "-3"], "$.seed"),
             (["oracle-compare", "--tol-oracle", "-1"], "$.tolerances.oracle_rel"),
         ]],
-        # lattice only: on code that lets this flag through, a NaN tolerance
-        # drives the vector-kind 2-d quadrature oracle to gigabyte grids
+        # lattice only, the faster oracle-compare: the NaN case needs one kind
         ("lattice", ["oracle-compare", "--tol-oracle", "nan"], "$.tolerances.oracle_rel"),
     ])
     def test_flag_overrides_pass_the_schema(self, kind, argv, json_path, request,
@@ -412,6 +412,54 @@ class TestCli:
         assert code == EXIT_INTERNAL_ERROR == 4
         err = capsys.readouterr().err
         assert err == "internal error: OverflowError: math range error\n"
+
+    def test_errored_check_prints_its_error(self, lattice_config_path, monkeypatch,
+                                            tmp_path, capsys):
+        import nctheta.report as report_mod
+
+        def broken(ctx):
+            raise TruncationTooSmall("translation index beyond radius/2")
+
+        monkeypatch.setitem(report_mod._SUITE_FUNCS, "commutation", broken)
+        out = tmp_path / "r.json"
+        code = main(["commutation", "--config", str(lattice_config_path),
+                     "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "[FAIL] commutation (errored): TruncationTooSmall:"
+            " translation index beyond radius/2")
+        # the report itself is as before: an infinite residual, the error in metadata
+        (check,) = json.loads(out.read_text())["checks"]
+        assert check == {
+            "name": "commutation (errored)", "max_residual": "inf",
+            "tolerance": 0.0, "passed": False, "elements": [["error", "inf"]],
+            "elements_total": 1,
+            "metadata": {"error": "TruncationTooSmall: translation index beyond radius/2"}}
+
+    def test_unreachable_oracle_tolerance_is_an_errored_check(
+            self, vector_config_path, tmp_path, cli_env):
+        # 1e-17 / 100 is below what doubles resolve, so the quadrature oracle
+        # refuses it before building a grid. The address-space limit turns a
+        # grid that doubles without bound into a MemoryError (exit 4); one
+        # BLAS thread keeps numpy's own reservations far below the limit.
+        def limit_address_space():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024, hard))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "nctheta", "oracle-compare",
+             "--config", str(vector_config_path), "--tol-oracle", "1e-17",
+             "--output", "r.json"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**cli_env, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=limit_address_space)
+        assert proc.returncode == 1, proc.stderr + proc.stdout
+        first = proc.stdout.splitlines()[0]
+        assert first.startswith("[FAIL] oracle-compare (errored): DivergentIntegral: ")
+        assert "below double precision" in first
+        (check,) = json.loads((tmp_path / "r.json").read_text())["checks"]
+        assert check["name"] == "oracle-compare (errored)"
+        assert check["metadata"]["error"].startswith("DivergentIntegral: ")
 
     def test_module_entry_point(self, lattice_config_path, tmp_path, cli_env):
         which = subprocess.run(

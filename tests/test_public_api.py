@@ -6,6 +6,8 @@ gets deleted rather than kept as a wrapper.
 
 The ambient layout of ``EmbeddingMap.entries`` is split into its M part and
 its dual part in ``embedding`` alone.
+
+The oracle routes reach none of the closed-form helpers they check.
 """
 
 import ast
@@ -68,3 +70,59 @@ def _entries_readers() -> set[str]:
 def test_only_embedding_splits_the_ambient_layout():
     # every other reader goes through embedding.point_parts
     assert _entries_readers() - ENTRIES_READERS_ALLOWED == set()
+
+
+# ROADMAP's oracle invariant: the independent routes share no closed-form
+# helper with the routes they check.
+ORACLE_ROUTES = {
+    "inner_product_oracle", "_discrete_cross_sum", "gaussian_quadrature_oracle",
+    "gaussian_quadrature_oracle_2d", "_line_integrals", "representation_defect",
+}
+CLOSED_FORM_HELPERS = {
+    "gaussian_factor", "mode_factor", "jacobi_theta", "HermitianFormContext",
+    "hermitian_form", "_ctilde_minus_q_lambda", "completed_square_defect",
+    "inner_product_closed", "_coefficient_parts", "_hermitian_rows",
+}
+
+
+def _package_definitions() -> dict[str, list[ast.AST]]:
+    """Every function, method and class the package modules define, by name."""
+    definitions = {}
+    for path in PACKAGE_DIR.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append(node)
+    return definitions
+
+
+def _reached_names(roots) -> set[str]:
+    """Names the roots refer to, following every package definition of each
+    name (a method or attribute name follows all definitions it could mean)."""
+    definitions = _package_definitions()
+    assert set(roots) <= definitions.keys()
+    reached, pending = set(), list(roots)
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in definitions.get(name, ()):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    pending.append(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    pending.append(sub.attr)
+    return reached
+
+
+def test_oracle_routes_reach_no_closed_form_helper():
+    assert _reached_names(ORACLE_ROUTES) & CLOSED_FORM_HELPERS == set()
+
+
+def test_closed_route_is_reached_from_its_own_entry_point():
+    # the scan sees through calls: the closed route reaches all of its helpers
+    reached = _reached_names({"inner_product_closed"})
+    assert {"gaussian_factor", "mode_factor", "jacobi_theta",
+            "_ctilde_minus_q_lambda", "hermitian_form"} <= reached

@@ -1,10 +1,13 @@
 import cmath
+import copy
 import math
 
 import numpy as np
 import pytest
 
+import nctheta.qtheta as qtheta_mod
 from conftest import GOLDEN_DIR, load_golden, save_golden
+from nctheta.config import parse_config
 from nctheta.embedding import (
     cocycle_phase,
     enumerate_indices,
@@ -23,6 +26,7 @@ from nctheta.qtheta import (
     verify_consistency_condition,
     verify_functional_equation,
 )
+from nctheta.report import run_suite
 from nctheta.special import jacobi_theta, mode_factor
 from nctheta.structures import theta_vector
 
@@ -102,6 +106,29 @@ class TestOracleEquivalence:
             a = inner_product_oracle(f, h, 1e-11)
             b = inner_product_oracle(f, neg, 1e-11)
             assert b == pytest.approx(np.conj(a), abs=1e-12)
+
+    def test_vector_oracle_compare_off_diagonal_tau(self, vector_config):
+        # Re tau and off-diagonal entries in both rows of tau
+        data = copy.deepcopy(vector_config.raw)
+        data["embedding"].update(theta1=0.7, theta2=1.3)
+        data["structure"]["tau"] = [[[0.2, 0.9], [0.1, 0.3]],
+                                    [[0.053846153846153844, 0.16153846153846155],
+                                     [0.4, 1.1]]]
+        (check,) = run_suite(parse_config(data), "oracle-compare").checks
+        assert check.name == "oracle-equivalence"
+        assert check.passed, check.max_residual
+
+    def test_oracle_equivalence_sees_a_wrong_gaussian_factor(self, vector_config,
+                                                              monkeypatch):
+        # the oracle shares no code with the closed route, so a relative
+        # error of 1e-6 in the closed route's Gaussian factor shows in full
+        exact = qtheta_mod.gaussian_factor
+        monkeypatch.setattr(qtheta_mod, "gaussian_factor",
+                            lambda ctx, w: exact(ctx, w) * (1 + 1e-6))
+        (check,) = run_suite(vector_config, "oracle-compare").checks
+        assert check.name == "oracle-equivalence"
+        assert not check.passed
+        assert check.max_residual == pytest.approx(1e-6, rel=1e-2)
 
 
 class TestSeries:

@@ -13,6 +13,7 @@ from nctheta.errors import (
 )
 from nctheta.special import (
     HermitianFormContext,
+    _line_integrals,
     completed_square_defect,
     gaussian_factor,
     gaussian_quadrature_oracle,
@@ -22,6 +23,37 @@ from nctheta.special import (
     mode_factor,
     theta_truncation,
 )
+
+
+def tensor_trapezoid_2d(q, l, tol):
+    """Plane integral of exp(pi i (s^t q s + l . s)) on one tensor-product grid.
+
+    The reference for the plane oracle, with no change of variables: a
+    window per axis from the slowest decay rate of Im q, and a trapezoid
+    grid doubled from n = 64 until two levels agree to tol relative to the
+    integral of |integrand|. Returns the value and that integral.
+    """
+    alpha = math.pi * q.imag
+    center = np.linalg.solve(2.0 * alpha, -math.pi * l.imag)
+    lam_min = float(np.min(np.linalg.eigvalsh(alpha)))
+    half = (np.abs(center) + math.sqrt((math.log(20.0 / tol) + 1.0) / lam_min)
+            + 2.0 / math.sqrt(lam_min))
+    n, prev = 64, None
+    while n <= 4096:
+        a, b = np.meshgrid(*(np.linspace(-x, x, n + 1) for x in half),
+                           indexing="ij", sparse=True)
+        vals = np.exp(1j * math.pi * (q[0, 0] * a * a + (q[0, 1] + q[1, 0]) * a * b
+                                      + q[1, 1] * b * b + l[0] * a + l[1] * b))
+        axis_weights = [np.full(n + 1, 2.0 * x / n) for x in half]
+        for w in axis_weights:
+            w[0] = w[-1] = 0.5 * w[1]
+        weights = np.outer(*axis_weights)
+        cur = complex(np.sum(weights * vals))
+        scale = float(np.sum(weights * np.abs(vals)))
+        if prev is not None and abs(cur - prev) <= tol * scale:
+            return cur, scale
+        prev, n = cur, 2 * n
+    raise AssertionError("tensor-product reference did not converge")
 
 
 def brute_theta(tau, z, n=64):
@@ -243,6 +275,41 @@ class TestQuadratureOracle:
         other = gaussian_quadrature_oracle(6j, 0.5)
         both = gaussian_quadrature_oracle_2d(np.diag([2j, 6j]), np.array([-1.0, 0.5]))
         assert abs(both - one * other) <= 1e-10
+
+    def test_2d_matches_tensor_grid(self):
+        # Re q != 0, off-diagonal Im q and complex l: the substitution has a
+        # non-trivial Cholesky factor and rotation on every draw
+        rng = np.random.default_rng(8)
+        for _ in range(12):
+            r = rng.uniform(-1, 1, (2, 2))
+            a = rng.uniform(-1, 1, (2, 2))
+            q = 0.5 * (r + r.T) + 1j * (a @ a.T + 0.5 * np.eye(2))
+            l = rng.uniform(-1.5, 1.5, 2) + 1j * rng.uniform(-1, 1, 2)
+            ref, scale = tensor_trapezoid_2d(q, l, 1e-14)
+            got = gaussian_quadrature_oracle_2d(q, l, 0.0, 1e-13)
+            assert abs(got - ref) <= 1e-12 * scale
+
+    def test_2d_reads_the_symmetric_part(self):
+        # s^t q s only sees (q + q^t) / 2; dyadic entries keep that exact
+        sym = np.array([[0.25 + 1.5j, -0.5 + 0.25j], [-0.5 + 0.25j, 0.75 + 1.0j]])
+        skew = np.array([[0.0, 0.5 - 0.25j], [-0.5 + 0.25j, 0.0]])
+        l = np.array([0.5 - 0.25j, -1.0 + 0.5j])
+        assert (gaussian_quadrature_oracle_2d(sym + skew, l)
+                == gaussian_quadrature_oracle_2d(sym, l))
+
+    def test_rows_integrate_as_on_their_own(self):
+        # the oscillating middle row needs three more doublings than the others
+        q = np.array([0.3 + 2.1j, 30.0 + 1.0j, -0.7 + 0.5j])
+        l = np.array([0.4 - 0.7j, 1.0 + 0.3j, -2.0 + 1.0j])
+        together = _line_integrals(q, l, 1e-11)
+        alone = [_line_integrals(qk, lk, 1e-11)[0] for qk, lk in zip(q, l)]
+        assert list(together) == alone
+
+    def test_tolerance_below_double_precision_refused(self):
+        # the plane case runs in test_config_cli under a memory limit
+        for tol in (2.0 ** -53, 1e-17, 0.0, -1e-10):
+            with pytest.raises(DivergentIntegral, match="below double precision"):
+                gaussian_quadrature_oracle(4j, 0.0, 0.0, tol)
 
 
 @given(st.floats(-2, 2), st.floats(0.5, 4), st.floats(-2, 2), st.floats(-0.5, 0.5))
