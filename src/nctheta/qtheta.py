@@ -72,7 +72,9 @@ class VerificationReport:
     @classmethod
     def build(cls, name: str, residuals, tolerance: float, **metadata):
         residuals = tuple((str(k), float(v)) for k, v in residuals)
-        worst = max((v for _, v in residuals), default=0.0)
+        # max() keeps a NaN only in first position; any NaN fails the check
+        values = [v for _, v in residuals]
+        worst = math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
         return cls(name, residuals, worst, float(tolerance),
                    worst <= tolerance, metadata)
 

@@ -11,6 +11,7 @@ instead.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -23,6 +24,7 @@ from .config import RunConfig
 from .embedding import (
     EmbeddingKind,
     bicharacter_max_residual,
+    build_embedding,
     cocycle_identity_max_residual,
     commutation_matrix,
     element_linearity_max_residual,
@@ -54,6 +56,7 @@ from .qtheta import (
 )
 from .special import HermitianFormContext, completed_square_defect, jacobi_theta
 from .structures import (
+    antiholomorphic_rows,
     connection_combo_residual,
     holomorphic_feasibility,
     holomorphy_residual,
@@ -81,7 +84,7 @@ class RunContext:
     config: RunConfig
     emb: object
     structure: object
-    artifacts: dict = field(default_factory=dict)
+    table: object = None  # the quantum-theta series, exported by write_report
     _rngs: dict | None = field(default=None, init=False, repr=False)
     _series: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -191,8 +194,6 @@ def _suite_connections(ctx: RunContext) -> list[VerificationReport]:
 def _suite_holomorphy(ctx: RunContext) -> list[VerificationReport]:
     emb, structure = ctx.emb, ctx.structure
     f = theta_vector(structure)
-    from .structures import antiholomorphic_rows
-
     rows = antiholomorphic_rows(structure)
     entries = [(f"equation {idx + 1}", connection_combo_residual(f, emb, row))
                for idx, row in enumerate(rows)]
@@ -221,8 +222,6 @@ def _suite_holomorphy(ctx: RunContext) -> list[VerificationReport]:
 
 
 def _random_lattice_embedding(rng):
-    from .embedding import build_embedding
-
     while True:
         m = rng.integers(-3, 4, size=(2, 2))
         try:
@@ -335,13 +334,7 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
             1e-12, documented_radius=doc_radius,
             bound_at_config_radius=series_tail_bound(series)),
     ]
-    if ctx.config.output is not None:
-        fmt = ctx.config.output.get("format", "json")
-        out = Path(ctx.config.output["path"])
-        target = out.with_name(out.stem + ".coefficients." + fmt)
-        export_coefficients(series, fmt, target)
-        digest = hashlib.sha256(target.read_bytes()).hexdigest()
-        ctx.artifacts["coefficients"] = {"file": target.name, "sha256": digest}
+    ctx.table = series
     return reports
 
 
@@ -443,8 +436,9 @@ class RunReport:
     config_hash: str
     seed: int | None
     checks: list[VerificationReport]
-    artifacts: dict
     elapsed_seconds: float
+    series: object = None  # exported next to the report, never serialized into it
+    artifacts: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -475,13 +469,11 @@ def _json_safe(value):
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
+        return _json_safe([value.real, value.imag])
+    if isinstance(value, (np.floating, np.integer, np.ndarray)):
         return _json_safe(value.tolist())
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
     return value
 
 
@@ -529,19 +521,26 @@ def run_suite(config: RunConfig, suite: str) -> RunReport:
                 error=f"{type(err).__name__}: {err}"))
     elapsed = time.perf_counter() - started
     return RunReport(suite, config.canonical_dict(), config.content_hash(),
-                     config.seed, checks, ctx.artifacts, elapsed)
+                     config.seed, checks, elapsed, ctx.table)
 
 
 def write_report(report: RunReport, path, fmt: str = "json") -> Path:
-    """Serialize the report; bytes depend only on config and seed."""
-    import json
+    """Serialize the report; bytes depend only on config and seed.
 
+    A series on the report goes first to ``<stem>.coefficients.<fmt>`` next
+    to PATH, and that table's sha256 into ``artifacts``.
+    """
     path = Path(path)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
+    if report.series is not None:
+        table = export_coefficients(report.series, fmt,
+                                    path.with_name(f"{path.stem}.coefficients.{fmt}"))
+        report.artifacts["coefficients"] = {
+            "file": table.name, "sha256": hashlib.sha256(table.read_bytes()).hexdigest()}
     if fmt == "json":
-        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-                        newline="\n")
+        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n", newline="\n")
         return path
     if fmt != "csv":
         raise ValueError(f"unknown report format: {fmt}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,9 +31,6 @@ from .heisenberg import (
     apply_connections,
     build_connections,
 )
-
-if TYPE_CHECKING:
-    import sympy
 
 SYMMETRY_TOL = 1e-12
 HOLOMORPHY_STEP = 5e-4
@@ -209,7 +206,7 @@ class InfeasibilityCertificate:
 
     tau: tuple
     relations: tuple[str, ...]
-    forced_det: sympy.Expr
+    forced_det: _Laurent
     actual_b: np.ndarray
     actual_det_b: float
 
@@ -218,35 +215,79 @@ class InfeasibilityCertificate:
         return bool(self.forced_det.is_zero) and self.actual_det_b != 0.0
 
 
+_SYMBOLS = tuple("b11 b12 b21 b22 n1 n2 s tau11 tau12 tau21 tau22 theta1".split())
+
+
+class _Laurent(dict):
+    """Exact sum of Laurent monomials in ``_SYMBOLS``: exponent tuple -> Fraction."""
+
+    def __add__(self, other: _Laurent) -> _Laurent:
+        return _Laurent({e: c for e in self.keys() | other.keys()
+                         if (c := self.get(e, 0) + other.get(e, 0))})
+
+    def __sub__(self, other: _Laurent) -> _Laurent:
+        return self + _Laurent({e: -c for e, c in other.items()})
+
+    def __mul__(self, other: _Laurent) -> _Laurent:
+        return sum((_Laurent({tuple(a + b for a, b in zip(e1, e2)): c1 * c2})
+                    for e1, c1 in self.items() for e2, c2 in other.items()), _Laurent())
+
+    def __truediv__(self, monomial: _Laurent) -> _Laurent:
+        (e, c), = monomial.items()
+        return self * _Laurent({tuple(-k for k in e): 1 / c})
+
+    is_zero = property(lambda self: not self)
+
+    def coeff(self, name: str) -> _Laurent:
+        """Coefficient of the first power of NAME."""
+        i = _SYMBOLS.index(name)
+        return _Laurent({e[:i] + (0,) + e[i + 1:]: c for e, c in self.items() if e[i] == 1})
+
+    def solve(self, name: str) -> _Laurent:
+        """NAME with self == 0, for self = c*NAME + rest: c one term, rest free of NAME."""
+        c, i = self.coeff(name), _SYMBOLS.index(name)
+        if len(c) != 1 or any(e[i] for e in self - c * _var(name)):
+            raise ValueError(f"not linear in {name} with a one-term coefficient")
+        return (c * _var(name) - self) / c
+
+    def __str__(self) -> str:
+        """Over one monomial denominator, as sympy's ``sstr`` prints a cancelled form."""
+        den = tuple(max(0, -k) for k in map(min, zip(*self)))
+        num = self * _Laurent({den: Fraction(1)})
+        text = " + ".join(_term(c, e) for e, c in sorted(num.items(), reverse=True))
+        text, den_text = text.replace(" + -", " - ") or "0", _term(1, den)
+        if den_text != "1":
+            text = f"({text})" if len(num) > 1 else text
+            text += f"/({den_text})" if "*" in den_text else f"/{den_text}"
+        return text
+
+
+def _var(name: str) -> _Laurent:
+    return _Laurent({tuple(int(v == name) for v in _SYMBOLS): Fraction(1)})
+
+
+def _term(c: Fraction, e: tuple) -> str:
+    factors = [str(abs(c))] * (abs(c) != 1) + [
+        name if k == 1 else f"{name}**{k}" for name, k in zip(_SYMBOLS, e) if k]
+    return ("-" if c < 0 else "") + ("*".join(factors) or "1")
+
+
+def _derive_obstruction(lhs1: _Laurent, lhs2: _Laurent):
+    """Relation strings and det(b) forced by lhs1 == lhs2 identically in s, n1, n2."""
+    diff = lhs1 - lhs2
+    b12, b21 = diff.coeff("n2").solve("b12"), diff.coeff("n1").solve("b21")
+    relations = (f"coefficient of s: {diff.coeff('s') * _var('theta1')} = 0"
+                 "  (i.e. tau11/tau12 = tau21/tau22)",
+                 f"coefficient of n2: b12 = {b12}", f"coefficient of n1: b21 = {b21}")
+    return relations, _var("b11") * _var("b22") - b12 * b21
+
+
 @functools.cache
 def _symbolic_obstruction():
-    """Relation strings and forced det(b) of the lattice-kind obstruction.
-
-    Only fresh symbols enter the derivation, so it is carried out once per
-    process; sympy is imported here and nowhere else.
-    """
-    import sympy
-
-    t11, t12, t21, t22 = sympy.symbols("tau11 tau12 tau21 tau22", nonzero=True)
-    b11, b12, b21, b22 = sympy.symbols("b11 b12 b21 b22")
-    s, n1, n2 = sympy.symbols("s n1 n2")
-    th1 = sympy.Symbol("theta1", positive=True)
-
-    # Both equations solved for the derivative term must agree identically.
-    lhs1 = (t11 / th1 * s + b11 * n1 + b12 * n2) / t12
-    lhs2 = (t21 / th1 * s + b21 * n1 + b22 * n2) / t22
-    diff = sympy.expand(lhs1 - lhs2)
-    cond_s = sympy.cancel(diff.coeff(s) * th1)
-    sol = sympy.solve([diff.coeff(n1), diff.coeff(n2)], [b21, b12], dict=True)[0]
-    forced_det = sympy.cancel((b11 * b22 - b12 * b21).subs(sol))
-
-    relations = (
-        f"coefficient of s: {sympy.sstr(cond_s)} = 0"
-        "  (i.e. tau11/tau12 = tau21/tau22)",
-        f"coefficient of n2: b12 = {sympy.sstr(sympy.cancel(sol[b12]))}",
-        f"coefficient of n1: b21 = {sympy.sstr(sympy.cancel(sol[b21]))}",
-    )
-    return relations, forced_det
+    """The obstruction of both equations, each solved for the derivative term."""
+    b11, b12, b21, b22, n1, n2, s, t11, t12, t21, t22, th1 = map(_var, _SYMBOLS)
+    return _derive_obstruction((t11 / th1 * s + b11 * n1 + b12 * n2) / t12,
+                               (t21 / th1 * s + b21 * n1 + b22 * n2) / t22)
 
 
 def holomorphic_feasibility(emb: EmbeddingMap, tau) -> InfeasibilityCertificate:
@@ -255,13 +296,11 @@ def holomorphic_feasibility(emb: EmbeddingMap, tau) -> InfeasibilityCertificate:
     Requiring both antiholomorphy equations to annihilate one function
     forces, by matching coefficients of s, n1, n2, a consistency relation
     on tau and two substitutions for the off-diagonal entries of b. Their
-    determinant then cancels exactly, which contradicts b being the
-    inverse of the integer block. The cancellation is carried out over the
-    rational function field, never in floating point. It depends on
-    neither tau nor the integer block m, so sympy runs it once per process
-    (the first call imports sympy) and later calls reuse the result; the
-    checks on ``emb`` and ``tau`` and the numeric b = m^-1 run on every
-    call.
+    determinant then cancels exactly, over Laurent polynomials with rational
+    coefficients, which contradicts b being the inverse of the integer block.
+    The derivation depends on neither tau nor the integer block m, so it runs
+    once per process; the checks on ``emb`` and ``tau`` and the numeric
+    b = m^-1 run on every call.
     """
     if emb.kind is not EmbeddingKind.LATTICE:
         raise DegenerateTau("the obstruction concerns the lattice kind")
@@ -278,7 +317,7 @@ def holomorphic_feasibility(emb: EmbeddingMap, tau) -> InfeasibilityCertificate:
     return InfeasibilityCertificate(
         tau=tuple(map(tuple, tau.tolist())),
         relations=relations,
-        forced_det=forced_det,
+        forced_det=_Laurent(forced_det),  # a copy: the cached one is shared
         actual_b=actual_b,
         actual_det_b=float(1.0 / det_m),
     )

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from nctheta.cli import EXIT_INTERNAL_ERROR, main
 from nctheta.config import load_config, parse_config
 from nctheta.errors import ConfigInvalid, ConfigSyntax, TruncationTooSmall
 from nctheta.export import _CSV_ROW, _JSON_ROW, _write_rows, export_coefficients, load_series
-from nctheta.qtheta import quantum_theta_series
+from nctheta.qtheta import VerificationReport, quantum_theta_series
 from nctheta.report import run_suite, write_report
 
 
@@ -228,6 +230,46 @@ class TestRunSuite:
         lines = p.read_text().splitlines()
         assert lines[0] == "check,label,residual,tolerance,passed"
         assert lines[-1].startswith("summary")
+
+    @pytest.mark.parametrize("residuals", [[("a", 1e-13), ("b", math.nan)],
+                                           [("b", math.nan), ("a", 1e-13)]],
+                             ids=["nan-last", "nan-first"])
+    def test_nan_residual_fails_its_check(self, residuals):
+        check = VerificationReport.build("x", residuals, 1e-12)
+        assert math.isnan(check.max_residual)
+        assert check.passed is False
+
+    def test_nonfinite_values_serialize_as_strict_json(self, lattice_config, tmp_path):
+        report = run_suite(lattice_config, "validate")
+        report.checks.append(VerificationReport.build(
+            "x", [("a", 1e-13), ("b", math.nan)], 1e-12, scalar=np.float64("nan"),
+            z=complex(math.nan, 1.0), arr=np.array([math.inf, -math.inf])))
+        p = write_report(report, tmp_path / "r.json")
+
+        def refuse(token):
+            raise ValueError(f"bare {token} in the report")
+
+        check = json.loads(p.read_text(), parse_constant=refuse)["checks"][-1]
+        assert check["max_residual"] == "nan" and check["passed"] is False
+        assert check["elements"] == [["a", 1e-13], ["b", "nan"]]
+        assert check["metadata"] == {"scalar": "nan", "z": ["nan", 1.0],
+                                     "arr": ["inf", "-inf"]}
+
+    def test_run_suite_writes_no_file(self, lattice_config, tmp_path, monkeypatch):
+        # the fixture's output path is relative: reports/lattice_report.json
+        assert not Path(lattice_config.output["path"]).is_absolute()
+        monkeypatch.chdir(tmp_path)
+        report = run_suite(lattice_config, "quantum-theta")
+        assert list(tmp_path.iterdir()) == []
+        assert report.artifacts == {}
+        assert report.series is not None and "series" not in report.to_dict()
+
+        path = write_report(report, tmp_path / "out" / "r.json")
+        table = tmp_path / "out" / "r.coefficients.json"
+        digest = hashlib.sha256(table.read_bytes()).hexdigest()
+        assert sorted(p.name for p in path.parent.iterdir()) == [table.name, path.name]
+        assert json.loads(path.read_text())["artifacts"] == {
+            "coefficients": {"file": table.name, "sha256": digest}}
 
 
 class TestSuiteCoverage:

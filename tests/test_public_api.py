@@ -8,11 +8,18 @@ The ambient layout of ``EmbeddingMap.entries`` is split into its M part and
 its dual part in ``embedding`` alone.
 
 The oracle routes reach none of the closed-form helpers they check.
+
+The third-party modules the package imports are exactly its declared
+runtime dependencies.
 """
 
 import ast
 import inspect
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import nctheta
 
@@ -126,3 +133,30 @@ def test_closed_route_is_reached_from_its_own_entry_point():
     reached = _reached_names({"inner_product_closed"})
     assert {"gaussian_factor", "mode_factor", "jacobi_theta",
             "_ctilde_minus_q_lambda", "hermitian_form"} <= reached
+
+
+def _third_party_imports(package_dir: Path) -> set[str]:
+    """Top-level modules imported anywhere in the package, function bodies
+    included, other than the standard library and the package itself."""
+    modules = set()
+    for path in package_dir.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.split(".")[0])
+    return modules - set(sys.stdlib_module_names) - {package_dir.name}
+
+
+def _declared_dependencies(pyproject: Path) -> set[str]:
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(pyproject.read_text())["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+            for dep in project["dependencies"]}
+
+
+def test_imports_match_the_declared_runtime_dependencies():
+    pyproject = PACKAGE_DIR.parent.parent / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("not run from a source checkout")
+    assert _third_party_imports(PACKAGE_DIR) == _declared_dependencies(pyproject)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,11 @@ from nctheta.report import _random_lattice_embedding
 from nctheta.structures import (
     MixedStructure,
     PlaneStructure,
+    _SYMBOLS,
+    _derive_obstruction,
+    _Laurent,
     _symbolic_obstruction,
+    _var,
     connection_combo_residual,
     holomorphic_feasibility,
     holomorphy_residual,
@@ -201,21 +206,21 @@ PINNED_TAUS = [
 
 
 class TestCertificateCache:
-    def test_sympy_loads_only_for_the_certificate(self, cli_env, lattice_config_path):
+    def test_nctheta_all_never_loads_sympy(self, cli_env, lattice_config_path,
+                                           tmp_path):
+        # a fresh interpreter, so no other test has imported sympy into it
         script = textwrap.dedent(f"""
             import sys
-            import nctheta, nctheta.cli, nctheta.export
-            assert "sympy" not in sys.modules, "sympy loaded at import"
-            from nctheta.config import load_config
-            from nctheta.structures import holomorphic_feasibility
-            emb = load_config({str(lattice_config_path)!r}).build_embedding()
-            cert = holomorphic_feasibility(emb, [[1 + 1j, 2.0], [3.0, 1j]])
-            assert cert.infeasible
-            assert "sympy" in sys.modules, "certificate derived without sympy"
+            from nctheta.cli import main
+            code = main(["all", "--config", {str(lattice_config_path)!r},
+                         "--seed", "42", "--output", "report.json"])
+            assert code == 0, code
+            assert "sympy" not in sys.modules, "sympy loaded"
         """)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=cli_env)
+                              text=True, env=cli_env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert "holomorphy-nogo-certificates" in proc.stdout
 
     @pytest.mark.parametrize("tau", PINNED_TAUS, ids=["t0", "t1", "t2"])
     @pytest.mark.parametrize("which", ["canonical", "random"])
@@ -250,3 +255,73 @@ class TestCertificateCache:
         holomorphic_feasibility(lattice_emb, PINNED_TAUS[1])
         after = _symbolic_obstruction.cache_info()
         assert (after.misses, after.hits) == (warm.misses, warm.hits + 1)
+
+
+def _const(k) -> _Laurent:
+    return _Laurent({(0,) * len(_SYMBOLS): Fraction(k)})
+
+
+def _equations(**scale):
+    """The two equations of ``_symbolic_obstruction``, with the named symbols
+    scaled (b11 enters the first equation only; tau21 and b22 the second)."""
+    b11, b12, b21, b22, n1, n2, s, t11, t12, t21, t22, th1 = (
+        _const(scale.get(name, 1)) * _var(name) for name in _SYMBOLS)
+    return ((t11 / th1 * s + b11 * n1 + b12 * n2) / t12,
+            (t21 / th1 * s + b21 * n1 + b22 * n2) / t22)
+
+
+def _sympy_reference(lhs1: _Laurent, lhs2: _Laurent):
+    """Relations and forced det(b) of the same two equations, derived by sympy."""
+    sympy = pytest.importorskip("sympy")
+    sym = {name: sympy.Symbol(name) for name in _SYMBOLS}
+
+    def to_sympy(poly):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.Mul(*(sym[n] ** k for n, k in zip(_SYMBOLS, e)))
+                   for e, c in poly.items())
+
+    b11, b12, b21, b22 = (sym[n] for n in ("b11", "b12", "b21", "b22"))
+    diff = sympy.expand(to_sympy(lhs1) - to_sympy(lhs2))
+    cond_s = sympy.cancel(diff.coeff(sym["s"]) * sym["theta1"])
+    sol = sympy.solve([diff.coeff(sym["n1"]), diff.coeff(sym["n2"])], [b21, b12],
+                      dict=True)[0]
+    forced_det = sympy.cancel((b11 * b22 - b12 * b21).subs(sol))
+    relations = (
+        f"coefficient of s: {sympy.sstr(cond_s)} = 0"
+        "  (i.e. tau11/tau12 = tau21/tau22)",
+        f"coefficient of n2: b12 = {sympy.sstr(sympy.cancel(sol[b12]))}",
+        f"coefficient of n1: b21 = {sympy.sstr(sympy.cancel(sol[b21]))}",
+    )
+    return relations, sympy.sstr(forced_det)
+
+
+PERTURBATIONS = {
+    "none": {},
+    "b22->2b22": {"b22": 2},
+    "tau21->3tau21": {"tau21": 3},
+    "b11->-b11": {"b11": -1},
+}
+
+
+class TestExactDerivation:
+    def test_the_certificate_derives_these_equations(self):
+        assert _derive_obstruction(*_equations()) == _symbolic_obstruction()
+
+    @pytest.mark.parametrize("scales", PERTURBATIONS.values(), ids=PERTURBATIONS)
+    def test_matches_sympy(self, scales):
+        relations, forced_det = _derive_obstruction(*_equations(**scales))
+        assert (relations, str(forced_det)) == _sympy_reference(*_equations(**scales))
+
+    def test_perturbed_equation_is_not_infeasible(self, lattice_emb):
+        # b22 -> 2 b22 in the second equation: det(b) no longer cancels
+        relations, forced_det = _derive_obstruction(*_equations(b22=2))
+        assert forced_det.is_zero is False
+        assert str(forced_det) == "-b11*b22"
+        cert = replace(holomorphic_feasibility(lattice_emb, PINNED_TAUS[0]),
+                       relations=relations, forced_det=forced_det)
+        assert cert.infeasible is False
+
+    def test_solve_refuses_a_nonlinear_unknown(self):
+        b12, n2 = _var("b12"), _var("n2")
+        with pytest.raises(ValueError):
+            (b12 * b12 * n2 + n2).coeff("n2").solve("b12")
