@@ -26,6 +26,7 @@ from .errors import (
     EmbeddingConditionViolated,
     KindMismatch,
     NonPositiveDeformation,
+    NotCoprime,
     SingularIntegerMatrix,
 )
 
@@ -51,7 +52,7 @@ class FinitePart:
             if mi <= 0:
                 raise NonPositiveDeformation(f"finite order m{label} must be positive")
             if math.gcd(mi, ni) != 1:
-                raise ValueError(f"n{label} must be coprime to m{label}")
+                raise NotCoprime(f"n{label} must be coprime to m{label}")
 
 
 @dataclass(frozen=True)
@@ -389,12 +390,11 @@ def cocycle_identity_max_residual(emb: EmbeddingMap, radius: int = 2) -> float:
     return abs(cmath.exp(1j * math.pi * worst) - 1.0)
 
 
-def bicharacter_max_residual(emb: EmbeddingMap, rng, n_pairs: int = 20,
-                             radius: int = 2) -> float:
-    """Worst defect of additivity of the cocycle in either slot."""
+def bicharacter_max_residual(emb: EmbeddingMap, rng) -> float:
+    """Worst defect of cocycle additivity in either slot over 20 random triples in radius 2."""
     worst = 0.0
-    for _ in range(n_pairs):
-        ka, kb, kc = rng.integers(-radius, radius + 1, size=(3, 4))
+    for _ in range(20):
+        ka, kb, kc = rng.integers(-2, 3, size=(3, 4))
         a, b, c = (lattice_element(emb, k) for k in (ka, kb, kc))
         ab = lattice_element(emb, ka + kb)
         bc = lattice_element(emb, kb + kc)
@@ -406,9 +406,9 @@ def bicharacter_max_residual(emb: EmbeddingMap, rng, n_pairs: int = 20,
     return worst
 
 
-def element_linearity_max_residual(emb: EmbeddingMap, radius: int = 2) -> float:
-    """Worst defect of linearity of :func:`point_parts` over all index pairs in the radius."""
-    ks = enumerate_indices(radius)
+def element_linearity_max_residual(emb: EmbeddingMap) -> float:
+    """Worst defect of linearity of :func:`point_parts` over all index pairs of sup norm <= 2."""
+    ks = enumerate_indices(2)
     parts = point_parts(emb, ks)
     worst = 0.0
     for a, ka in enumerate(ks):

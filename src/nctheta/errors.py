@@ -13,6 +13,10 @@ class NonPositiveDeformation(NCThetaError):
     """A deformation parameter that must be strictly positive is not."""
 
 
+class NotCoprime(NCThetaError):
+    """A finite-group twist n_i shares a factor with its order m_i."""
+
+
 class EmbeddingConditionViolated(NCThetaError):
     """A column of the embedding map violates the orthogonality condition.
 

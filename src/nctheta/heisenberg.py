@@ -385,23 +385,10 @@ def connection_commutator_residual(emb: EmbeddingMap, i: int, j: int, f,
     row = np.eye(4)[i - 1]
     term1 = apply_connections(conn, row, uf.evaluate, coords, step)
 
-    shifted = list(coords)
-    if emb.kind is EmbeddingKind.LATTICE:
-        shifted[0] = coords[0] + el.w1
-        shifted[1] = coords[1] + el.m_shift[0]
-        shifted[2] = coords[2] + el.m_shift[1]
-        s, n1, n2 = coords
-        t = el.t_lift
-        phase = np.exp(2j * math.pi * (el.w2 * s + t[0] * n1 + t[1] * n2)
-                       + 1j * math.pi * (el.w1 * el.w2
-                                         + el.m_shift[0] * t[0] + el.m_shift[1] * t[1]))
-    else:
-        shifted[0] = coords[0] + el.m_part[0]
-        shifted[1] = coords[1] + el.m_part[1]
-        s1, s2 = coords
-        x2 = el.dual_part
-        phase = np.exp(2j * math.pi * (x2[0] * s1 + x2[1] * s2)
-                       + 1j * math.pi * float(el.m_part @ x2))
+    # (pi_h f)(x) = e^{2 pi i <dual, x> + pi i <m, dual>} f(x + m) for h = (m, dual)
+    shifted = [c + x for c, x in zip(coords, el.m_part)]
+    phase = np.exp(2j * math.pi * sum(x * c for x, c in zip(el.dual_part, coords))
+                   + 1j * math.pi * sum(x * y for x, y in zip(el.m_part, el.dual_part)))
     term2 = phase * apply_connections(conn, row, closed.evaluate, shifted, step)
 
     uf_vals = uf.evaluate(*coords)

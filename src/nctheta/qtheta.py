@@ -49,6 +49,7 @@ from .special import (
     gaussian_factor,
     gaussian_quadrature_oracle,
     gaussian_quadrature_oracle_2d,
+    hermitian_form,
     jacobi_theta,
     mode_factor,
 )
@@ -201,9 +202,6 @@ class QuantumThetaSeries:
         table[tuple((self.indices + self.radius).T)] = np.arange(len(self.indices))
         return table
 
-    def context(self) -> HermitianFormContext:
-        return structure_context(self.structure)
-
     def coefficient(self, k) -> complex:
         """C(k); KeyError when k has not four entries or lies outside the radius."""
         k = tuple(int(c) for c in k)
@@ -264,22 +262,13 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
-def _hermitian_rows(ctx: HermitianFormContext, g, h) -> np.ndarray:
-    """H(g_, h_) over broadcast rows of points given as (m_part, dual_part).
-
-    g_ = T g1 + g2 for the continuous pair (g1, g2): (w1, w2) in the
-    lattice kind, the M and dual parts in the vector-space kind.
-    """
-    def embed(parts):
-        m_part, dual_part = parts
-        if ctx.is_scalar:
-            return ctx.T * m_part[..., 0] + dual_part[..., 0]
-        return m_part @ ctx.T.T + dual_part
-
-    gbar, hstar = embed(g), np.conj(embed(h))
-    if ctx.is_scalar:
-        return gbar * hstar * ctx.im_inverse
-    return np.einsum("...i,ij,...j->...", gbar, ctx.im_inverse, hstar)
+def _continuous(kind: EmbeddingKind, parts):
+    """The continuous pair of :func:`point_parts` output, on which H is defined:
+    (w1, w2) in the lattice kind, both parts whole in the vector-space kind."""
+    m_part, dual_part = parts
+    if kind is EmbeddingKind.LATTICE:
+        return m_part[..., 0], dual_part[..., 0]
+    return m_part, dual_part
 
 
 def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
@@ -292,7 +281,8 @@ def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
     once per distinct (t, m) pair per axis.
     """
     parts = point_parts(emb, ks)
-    expo = -0.5 * math.pi * _hermitian_rows(structure_context(structure), parts, parts).real
+    pair = _continuous(emb.kind, parts)
+    expo = -0.5 * math.pi * hermitian_form(structure_context(structure), pair, pair).real
     site = np.ones(len(ks), dtype=complex)
     if emb.kind is EmbeddingKind.LATTICE:
         theta2_eff = 1.0 / structure.lattice_decay
@@ -332,8 +322,8 @@ def _log_translation(series: QuantumThetaSeries, kg, kh):
             "vanishing mode product; translation quotient undefined")
     lg, lh, lgh = np.split(expo + np.log(site), 3)
     if series.kind is EmbeddingKind.VECTOR_SPACE:
-        lt = -math.pi * _hermitian_rows(series.context(), point_parts(emb, kg),
-                                        point_parts(emb, kh))
+        lt = -math.pi * hermitian_form(structure_context(series.structure),
+                                       point_parts(emb, kg), point_parts(emb, kh))
     else:
         lt = lgh - lg - lh - 1j * math.pi * _pairing_exponent_table(emb, kg, kh).ravel()
     return lg, lh, lgh, lt
@@ -389,21 +379,18 @@ def series_tail_bound(series: QuantumThetaSeries, radius: int | None = None) -> 
     """
     r = series.radius if radius is None else radius
     emb = series.embedding
-    ctx = series.context()
-    # Column j of p is the continuous coordinate T g1 + g2 of the j-th basis row.
-    m_part, dual_part = point_parts(emb, np.eye(4, dtype=np.int64))
+    # 0.5 pi Re H over the basis rows; k3 and k4 have no continuous part in
+    # the lattice kind, which keeps the leading 2x2 block.
+    g1, g2 = _continuous(emb.kind, point_parts(emb, np.eye(4, dtype=np.int64)))
+    form = 0.5 * math.pi * hermitian_form(structure_context(series.structure),
+                                          (g1[:, None], g2[:, None]), (g1[None], g2[None])).real
     if emb.kind is EmbeddingKind.LATTICE:
-        p = ctx.T * m_part[:2, 0] + dual_part[:2, 0]
-        cont = 0.5 * math.pi * ctx.im_inverse * np.outer(np.conj(p), p).real
         c = series.structure.lattice_decay
-        mtm = (emb.m.T @ emb.m).astype(float)
-        disc = 0.5 * math.pi * c * mtm
-        lam = min(np.linalg.eigvalsh(cont).min(), np.linalg.eigvalsh(disc).min())
+        disc = 0.5 * math.pi * c * (emb.m.T @ emb.m).astype(float)
+        lam = min(np.linalg.eigvalsh(form[:2, :2]).min(), np.linalg.eigvalsh(disc).min())
         # mode-factor surplus: sum over one axis of e^{-2 pi c (n + phi)^2} <= theta(2ci)
         k_const = float(jacobi_theta(2j * c, 0.0).real) ** 2
     else:
-        p = (m_part @ ctx.T.T + dual_part).T
-        form = 0.5 * math.pi * (p.conj().T @ ctx.im_inverse @ p).real
         lam = float(np.linalg.eigvalsh(form).min())
         k_const = 1.0
     total = 0.0
@@ -428,9 +415,9 @@ def phase_identity_max_residual(emb: EmbeddingMap, structure: ComplexStructure,
     Hermitian form does not.
     """
     ks = enumerate_indices(radius)
-    m_part, dual_part = point_parts(emb, ks)
-    rows, cols = (m_part[:, None], dual_part[:, None]), (m_part[None], dual_part[None])
-    h_mat = _hermitian_rows(structure_context(structure), rows, cols)
+    x1, x2 = _continuous(emb.kind, point_parts(emb, ks))
+    h_mat = hermitian_form(structure_context(structure),
+                           (x1[:, None], x2[:, None]), (x1[None], x2[None]))
     expo = _pairing_exponent_table(emb, ks, ks)
     return float(np.max(np.abs(np.exp(1j * math.pi * h_mat.imag) - np.exp(1j * math.pi * expo))))
 
@@ -480,9 +467,8 @@ def verify_consistency_condition(series: QuantumThetaSeries, kg, kh) -> Verifica
     residuals = [("quotient", abs(cmath.exp(lg[0] + lh[0] + lt[0]) * alpha
                                   - cmath.exp(lgh[0])))]
     if vector:
-        h_gh = _hermitian_rows(series.context(), point_parts(emb, kg), point_parts(emb, kh))
-        residuals.append(("phase-identity",
-                          abs(cmath.exp(1j * math.pi * h_gh.imag) - alpha)))
+        # the plane translation is log T_g(h) = -pi H(g_, h_)
+        residuals.append(("phase-identity", abs(cmath.exp(-1j * lt[0].imag) - alpha)))
     return VerificationReport.build(
         f"consistency g={_label(kg)} h={_label(kh)}", residuals, tolerance,
         kind=series.kind.value)

@@ -133,10 +133,10 @@ def _suite_validate(ctx: RunContext) -> list[VerificationReport]:
             tol, theta12=float(theta[0, 1]), theta34=float(theta[2, 3])),
         VerificationReport.build(
             "element-linearity",
-            [("radius 2", element_linearity_max_residual(emb, 2))], tol),
+            [("radius 2", element_linearity_max_residual(emb))], tol),
         VerificationReport.build(
             "cocycle-bicharacter",
-            [("20 random pairs", bicharacter_max_residual(emb, rng, 20))], tol),
+            [("20 random pairs", bicharacter_max_residual(emb, rng))], tol),
         VerificationReport.build(
             "cocycle-identity",
             [("all radius-2 triples", cocycle_identity_max_residual(emb, 2))], tol),

@@ -125,18 +125,11 @@ class HermitianFormContext:
         return np.isscalar(self.T)
 
     def embed(self, pair):
-        """Complex coordinate T x1 + x2 of a point (x1, x2) of M x M^."""
+        """Complex coordinate T x1 + x2 of points (x1, x2) of M x M^, over leading axes."""
         x1, x2 = pair
         if self.is_scalar:
             return self.T * x1 + x2
-        return np.asarray(self.T) @ np.asarray(x1, dtype=float) + np.asarray(x2, dtype=float)
-
-    def embed_conj(self, pair):
-        """Conjugate coordinate T* x1 + x2 (the conjugate of embed for real pairs)."""
-        x1, x2 = pair
-        if self.is_scalar:
-            return self.T.conjugate() * x1 + x2
-        return np.conj(np.asarray(self.T)) @ np.asarray(x1, dtype=float) + np.asarray(x2, dtype=float)
+        return np.asarray(x1, dtype=float) @ self.T.T + np.asarray(x2, dtype=float)
 
     def normalization(self) -> float:
         """Gaussian self-pairing constant: 1/sqrt(2 Im T), resp. 1/sqrt(2^2 det Im T)."""
@@ -145,17 +138,17 @@ class HermitianFormContext:
         return 1.0 / math.sqrt(4.0 * np.linalg.det(np.asarray(self.T).imag))
 
 
-def hermitian_form(ctx: HermitianFormContext, g, h) -> complex:
-    """Hermitian pairing H(g, h) = g_ ^t (Im T)^{-1} h_^* of two real pairs.
+def hermitian_form(ctx: HermitianFormContext, g, h) -> complex | np.ndarray:
+    """Hermitian pairing H(g, h) = g_ ^t (Im T)^{-1} h_^* of real pairs.
 
-    ``g`` and ``h`` are (first, second) continuous components; g_ = T g1 + g2
-    and h_^* = conj(T) h1 + h2.
+    ``g`` and ``h`` are (first, second) continuous components, whose leading
+    axes broadcast; g_ = T g1 + g2 and h_^* = conj(T h1 + h2).
     """
     gbar = ctx.embed(g)
-    hstar = ctx.embed_conj(h)
+    hstar = ctx.embed(h).conjugate()
     if ctx.is_scalar:
         return gbar * ctx.im_inverse * hstar
-    return complex(gbar @ ctx.im_inverse @ hstar)
+    return np.einsum("...i,ij,...j->...", gbar, ctx.im_inverse, hstar)
 
 
 def _ctilde_minus_q_lambda(ctx: HermitianFormContext, w) -> complex:
@@ -168,7 +161,7 @@ def _ctilde_minus_q_lambda(ctx: HermitianFormContext, w) -> complex:
     definitions, independently of the Hermitian form.
     """
     w1, _ = w
-    wstar = ctx.embed_conj(w)
+    wstar = ctx.embed(w).conjugate()
     if ctx.is_scalar:
         lam = 0.5j * ctx.im_inverse * wstar
         q_lam = 2.0 * ctx.T.imag * lam * lam
@@ -187,7 +180,7 @@ def gaussian_factor(ctx: HermitianFormContext, w) -> complex:
     two must agree to 1e-12; disagreement means an implementation bug, not
     a data problem.
     """
-    h_val = hermitian_form(ctx, w, w)
+    h_val = complex(hermitian_form(ctx, w, w))
     mirror = _ctilde_minus_q_lambda(ctx, w)
     if abs(mirror - 0.5 * h_val) > IDENTITY_ABS_TOL:
         raise InternalIdentityViolated(
@@ -201,7 +194,7 @@ def completed_square_defect(ctx: HermitianFormContext, w) -> float:
     Zero in exact arithmetic; exposed so verification suites can measure
     the floating-point defect directly.
     """
-    return abs(_ctilde_minus_q_lambda(ctx, w) - 0.5 * hermitian_form(ctx, w, w))
+    return abs(_ctilde_minus_q_lambda(ctx, w) - 0.5 * complex(hermitian_form(ctx, w, w)))
 
 
 def mode_factor(t: float, m: int, theta2: float) -> complex:

@@ -358,6 +358,19 @@ class TestCli:
         assert err.startswith(f"config error: {bad}: ")
         assert err.endswith(f"(at {json_path})\n")
 
+    def test_finite_part_twist_not_coprime_exit_two(self, vector_config_path, tmp_path,
+                                                     capsys):
+        # schema-valid, but n1 = 2 shares a factor with m1 = 2
+        raw = json.loads(vector_config_path.read_text())
+        raw["embedding"]["finite_part"] = {"m1": 2, "n1": 2, "m2": 3, "n2": 2}
+        bad = tmp_path / "twist.json"
+        bad.write_text(json.dumps(raw))
+        code = main(["validate", "--config", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {bad}: NotCoprime: n1 must be coprime to m1"
+            " (at $.embedding)\n")
+
     def test_seed_requirement_exit_two(self, tmp_path):
         raw = minimal_lattice()
         del raw["seed"]

@@ -5,15 +5,20 @@ A name in ``nctheta.__all__`` that no module of ``src/nctheta`` other than
 gets deleted rather than kept as a wrapper.
 
 The ambient layout of ``EmbeddingMap.entries`` is split into its M part and
-its dual part in ``embedding`` alone.
+its dual part in ``embedding`` alone, and the Hermitian form is evaluated
+in ``special`` alone.
 
 The oracle routes reach none of the closed-form helpers they check.
 
 The third-party modules the package imports are exactly its declared
 runtime dependencies.
+
+The functions, suite table and config methods the benchmark in
+``perfbench/`` binds to by name exist under those names.
 """
 
 import ast
+import importlib
 import inspect
 import re
 import sys
@@ -55,28 +60,35 @@ def test_every_exported_function_and_class_is_used_in_the_package():
 ENTRIES_READERS_ALLOWED = {"heisenberg.build_connections"}
 
 
-def _entries_readers() -> set[str]:
-    """``module.function`` (or ``module.<module>``) of each read of ``.entries``
-    outside ``embedding``."""
+def _attribute_readers(attr: str) -> set[str]:
+    """``module.function`` (or ``module.<module>``) of each use of ``.<attr>``
+    in the package modules."""
     readers = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope.split('.')[0]}.{node.name}"
-        elif isinstance(node, ast.Attribute) and node.attr == "entries":
+        elif isinstance(node, ast.Attribute) and node.attr == attr:
             readers.add(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     for path in PACKAGE_DIR.glob("*.py"):
-        if path.name != "embedding.py":
-            visit(ast.parse(path.read_text(), filename=str(path)), f"{path.stem}.<module>")
+        visit(ast.parse(path.read_text(), filename=str(path)), f"{path.stem}.<module>")
     return readers
 
 
 def test_only_embedding_splits_the_ambient_layout():
     # every other reader goes through embedding.point_parts
-    assert _entries_readers() - ENTRIES_READERS_ALLOWED == set()
+    readers = {s for s in _attribute_readers("entries") if not s.startswith("embedding.")}
+    assert readers - ENTRIES_READERS_ALLOWED == set()
+
+
+@pytest.mark.parametrize("attr", ["im_inverse", "embed"])
+def test_only_special_evaluates_the_hermitian_form(attr):
+    # H has one implementation, special.hermitian_form, over rows; nothing
+    # else reads (Im T)^{-1} or embeds T x1 + x2
+    assert {scope.split(".")[0] for scope in _attribute_readers(attr)} == {"special"}
 
 
 # ROADMAP's oracle invariant: the independent routes share no closed-form
@@ -88,7 +100,7 @@ ORACLE_ROUTES = {
 CLOSED_FORM_HELPERS = {
     "gaussian_factor", "mode_factor", "jacobi_theta", "HermitianFormContext",
     "hermitian_form", "_ctilde_minus_q_lambda", "completed_square_defect",
-    "inner_product_closed", "_coefficient_parts", "_hermitian_rows",
+    "inner_product_closed", "_coefficient_parts",
 }
 
 
@@ -160,3 +172,50 @@ def test_imports_match_the_declared_runtime_dependencies():
     if not pyproject.exists():
         pytest.skip("not run from a source checkout")
     assert _third_party_imports(PACKAGE_DIR) == _declared_dependencies(pyproject)
+
+
+# The benchmark's span tracer wraps the functions named in its
+# LAYER_FUNCTIONS and every suite of report._SUITE_FUNCS, and its export
+# worker builds series through load_config; a rename here would fail the
+# benchmark's coverage gate rather than a test.
+PERFBENCH_DIR = PACKAGE_DIR.parent.parent / "perfbench"
+
+
+def _benchmark_layer_functions(perfbench_dir: Path) -> tuple[str, ...]:
+    """LAYER_FUNCTIONS of perfbench/tracer.py, read without importing it."""
+    tree = ast.parse((perfbench_dir / "tracer.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["LAYER_FUNCTIONS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no LAYER_FUNCTIONS")
+
+
+@pytest.fixture
+def perfbench_dir():
+    if not PERFBENCH_DIR.is_dir():
+        pytest.skip("no perfbench/ next to the package")
+    return PERFBENCH_DIR
+
+
+def test_benchmark_layer_functions_are_module_level_functions(perfbench_dir):
+    missing = []
+    for qual in _benchmark_layer_functions(perfbench_dir):
+        mod, name = qual.rsplit(".", 1)
+        fn = getattr(importlib.import_module(f"nctheta.{mod}"), name, None)
+        if not (inspect.isfunction(fn) and fn.__module__ == f"nctheta.{mod}"
+                and fn.__qualname__ == name):
+            missing.append(qual)
+    assert missing == []
+
+
+def test_benchmark_suite_table_matches_the_suite_names(perfbench_dir):
+    from nctheta.report import _SUITE_FUNCS, SUITE_NAMES
+    assert sorted(_SUITE_FUNCS) == sorted(SUITE_NAMES)
+
+
+def test_benchmark_builds_series_from_a_loaded_config(perfbench_dir, lattice_config_path):
+    from nctheta.config import load_config
+    cfg = load_config(lattice_config_path)
+    emb = cfg.build_embedding()
+    assert cfg.build_structure(emb).kind is emb.kind

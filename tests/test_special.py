@@ -156,6 +156,38 @@ class TestHermitianForm:
         assert hermitian_form(ctx, g, g) == pytest.approx(1.0)
         assert ctx.normalization() == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("matrix", [False, True])
+    def test_rows_agree_with_single_pairs(self, matrix):
+        # components with leading axes broadcast; each entry is the single
+        # pair's value, and the table is Hermitian
+        rng = np.random.default_rng(17)
+        shape = (12, 2) if matrix else (12,)
+        for _ in range(5):
+            if matrix:
+                r = rng.uniform(-1, 1, (2, 2))
+                im = rng.uniform(0.3, 2, (2, 2))
+                ctx = HermitianFormContext(r + r.T + 1j * (im @ im.T + 0.3 * np.eye(2)))
+            else:
+                ctx = HermitianFormContext(complex(rng.uniform(-2, 2), rng.uniform(0.2, 5)))
+            g1, g2, h1, h2 = rng.uniform(-3, 3, (4, *shape))
+            table = hermitian_form(ctx, (g1[:, None], g2[:, None]), (h1[None], h2[None]))
+            assert table.shape == (12, 12)
+            # |g_| and |h_|, the scale of the rounding error of H(g, h)
+            size_g, size_h = (np.linalg.norm(z, axis=-1) if matrix else np.abs(z)
+                              for z in (ctx.embed((g1, g2)), ctx.embed((h1, h2))))
+            for a in range(12):
+                for b in range(12):
+                    g, h = (g1[a], g2[a]), (h1[b], h2[b])
+                    if not matrix:
+                        g, h = tuple(map(float, g)), tuple(map(float, h))
+                    single = hermitian_form(ctx, g, h)
+                    assert abs(table[a, b] - single) <= 1e-13 * size_g[a] * size_h[b]
+            rows = hermitian_form(ctx, (g1, g2), (h1, h2))
+            assert np.all(np.abs(rows - np.diag(table)) <= 1e-13 * size_g * size_h)
+            mirror = hermitian_form(ctx, (h1[:, None], h2[:, None]), (g1[None], g2[None]))
+            assert np.all(np.abs(table - mirror.T.conj())
+                          <= 1e-13 * np.outer(size_g, size_h))
+
     def test_not_positive_rejected(self):
         with pytest.raises(NotPositive):
             HermitianFormContext(1.0 - 0.5j)
