@@ -8,8 +8,11 @@ reloaded and re-exported byte-identically.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -62,25 +65,28 @@ def _blocks(series: QuantumThetaSeries):
 def _write_rows(fh, row, separator: str, blocks) -> None:
     """Write blocks of rows through a (template, columns) row format.
 
-    A float cell is formatted once per distinct bit pattern of its column
-    in a block (a block repeats few distinct values; -0.0 and 0.0 stay
-    apart), and the row template then takes the text through %s.
+    A block is written as one str.join over the template's literal pieces
+    and the cell texts, laid out row by row. A cell is formatted once per
+    distinct bit pattern of its column in the block (a block repeats few
+    distinct values; -0.0 and 0.0 stay apart).
     """
     template, columns = row
     specs = _CONVERSION.findall(template)
-    text_template = _CONVERSION.sub(lambda c: "%d" if c[0] == "%d" else "%s", template)
+    pieces = _CONVERSION.split(template)
     for i, block in enumerate(blocks):
         cells = block[:, columns]
-        text = np.empty(cells.shape, dtype=object)
+        text = np.empty((len(block), len(pieces) + len(specs)), dtype=object)
+        text[:, 0::2] = pieces
+        # every row but the table's first starts with the separator
+        text[0 if i else 1:, 0] = separator + pieces[0]
         for j, spec in enumerate(specs):
-            if spec == "%d":
-                text[:, j] = cells[:, j]
-                continue
             bits, inverse = np.unique(cells[:, j].view(np.uint64), return_inverse=True)
-            text[:, j] = np.array([spec % v for v in bits.view(np.float64).tolist()],
-                                  dtype=object)[inverse]
-        fh.write((separator if i else "")
-                 + separator.join([text_template] * len(block)) % tuple(text.ravel().tolist()))
+            distinct = bits.view(np.float64)
+            if spec == "%d":
+                distinct = distinct.astype(np.int64)
+            text[:, 2 * j + 1] = np.array([spec % v for v in distinct.tolist()],
+                                          dtype=object)[inverse]
+        fh.write("".join(text.ravel().tolist()))
 
 
 def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
@@ -132,24 +138,50 @@ def load_series(path) -> QuantumThetaSeries:
     """Reload a JSON coefficient export; values are taken as stored.
 
     The table must hold exactly one row for every index with sup norm
-    <= radius, and its coefficients must reproduce the closed-form inner
+    <= radius, each with an index of four integers and finite floats re
+    and im, and its coefficients must reproduce the closed-form inner
     product at sup norm <= 2, as a computed series does; otherwise
     ValueError, naming the path.
     """
-    data = json.loads(Path(path).read_text())
-    e = data["embedding"]
-    emb = build_embedding(EmbeddingKind(e["kind"]), e["theta1"], e.get("theta2"),
+    text = Path(path).read_text()
+    # The decoder builds a dict and two lists per row, none of them in a
+    # cycle; the cyclic collector's passes over them take about a third of
+    # the decoding time of a radius-8 table, so it is paused meanwhile.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: not a JSON table ({err})") from None
+    finally:
+        if collecting:
+            gc.enable()
+    try:
+        e, st = data["embedding"], data["structure"]
+        kind, theta1, tau = e["kind"], e["theta1"], st["tau"]
+        radius, normalization, rows = data["radius"], data["normalization"], data["coefficients"]
+        ks = list(map(itemgetter("k"), rows))
+        re_im = list(chain(map(itemgetter("re"), rows), map(itemgetter("im"), rows)))
+    except KeyError as err:
+        raise ValueError(f"{path}: the table or one of its rows has no {err} entry") from None
+    except TypeError:
+        raise ValueError(f"{path}: not laid out as a coefficient table") from None
+    if type(radius) is not int or radius < 1:
+        raise ValueError(f"{path}: the radius must be a positive integer")
+    try:
+        # a float or bool entry is refused, not truncated to an integer
+        if not (set(map(len, ks)) <= {4}
+                and set(map(type, chain.from_iterable(ks))) <= {int}):
+            raise TypeError
+        ks = np.fromiter(chain.from_iterable(ks), np.int64, 4 * len(ks)).reshape(-1, 4)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{path}: every row needs an index of four integers") from None
+    emb = build_embedding(EmbeddingKind(kind), theta1, e.get("theta2"),
                           m=e.get("m"), delta_hat=e.get("delta_hat"))
-    structure = structure_from_tau(emb, data["structure"]["tau"],
-                                   data["structure"].get("lattice_decay"))
-    radius, rows = data["radius"], data["coefficients"]
-    ks = np.array([row["k"] for row in rows] or np.empty((0, 4)), dtype=np.int64)
-    if ks.ndim != 2 or ks.shape[1] != 4:
-        raise ValueError(f"{path}: every row needs an index of four integers")
+    structure = structure_from_tau(emb, tau, st.get("lattice_decay"))
     indices = enumerate_indices(radius)
     values = np.empty(len(indices), dtype=complex)
-    series = QuantumThetaSeries(emb, structure, radius, data["normalization"],
-                                indices, values)
+    series = QuantumThetaSeries(emb, structure, radius, normalization, indices, values)
     try:
         at = _rows(series, ks)
     except KeyError as err:
@@ -161,8 +193,15 @@ def load_series(path) -> QuantumThetaSeries:
         k = indices[np.argmax(counts > 1 if repeated else counts == 0)]
         raise ValueError(f"{path}: the row for index {_label(k)} is"
                          f" {'repeated' if repeated else 'missing'}")
-    values.real[at] = np.fromiter((row["re"] for row in rows), float, len(rows))
-    values.imag[at] = np.fromiter((row["im"] for row in rows), float, len(rows))
+    # re, then im, of every row; an entry that is not a float reads as NaN
+    if not set(map(type, re_im)) <= {float}:
+        re_im = [v if type(v) is float else np.nan for v in re_im]
+    coeffs = np.fromiter(re_im, float, len(re_im)).reshape(2, -1)
+    bad = ~np.isfinite(coeffs).all(axis=0)
+    if np.any(bad):
+        raise ValueError(f"{path}: the coefficient at {_label(ks[np.argmax(bad)])}"
+                         " is not a pair of finite floats")
+    values.real[at], values.imag[at] = coeffs
     bad = _reassembly_failure(series)
     if bad is not None:
         raise ValueError(f"{path}: stored coefficient at {bad} does not"

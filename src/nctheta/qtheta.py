@@ -337,10 +337,12 @@ def _reassembly_failure(series: QuantumThetaSeries) -> str | None:
     None when it does everywhere.
     """
     f = theta_vector(series.structure)
-    for k in enumerate_indices(min(series.radius, 2)):
+    ks = enumerate_indices(min(series.radius, 2))
+    for k, stored in zip(ks, _stored_values(series, ks).tolist()):
         closed = inner_product_closed(f, lattice_element(series.embedding, k))
-        assembled = series.normalization * series.coefficient(k)
-        if abs(assembled - closed) > REASSEMBLY_REL_TOL * max(abs(closed), 1e-30):
+        assembled = series.normalization * stored
+        # fails closed: a NaN difference is not within the tolerance
+        if not abs(assembled - closed) <= REASSEMBLY_REL_TOL * max(abs(closed), 1e-30):
             return _label(k)
     return None
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -11,11 +12,13 @@ import numpy as np
 import pytest
 
 import nctheta
+from nctheta import export
 from nctheta.cli import EXIT_INTERNAL_ERROR, main
 from nctheta.config import load_config, parse_config
 from nctheta.errors import ConfigInvalid, ConfigSyntax, TruncationTooSmall
 from nctheta.export import _CSV_ROW, _JSON_ROW, _write_rows, export_coefficients, load_series
-from nctheta.qtheta import VerificationReport, quantum_theta_series
+from nctheta.qtheta import (VerificationReport, _label, _reassembly_failure,
+                            quantum_theta_series)
 from nctheta.report import run_suite, write_report
 
 
@@ -137,7 +140,9 @@ class TestExport:
             load_series(path)
 
     @pytest.mark.parametrize("fault", ["missing", "repeated", "repeated-for-another",
-                                       "outside"])
+                                       "outside", "no-k", "no-re", "no-im", "no-radius",
+                                       "three-k", "fractional-k", "list-row", "bad-radius",
+                                       "not-json", "null-re", "nan-im-outside-norm-2"])
     def test_reload_rejects_malformed_rows(self, lattice_emb, lattice_structure,
                                            tmp_path, fault):
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=3)
@@ -145,6 +150,20 @@ class TestExport:
         data = json.loads(path.read_text())
         rows = data["coefficients"]
         twin = dict(rows[-5], re=9.0)  # a row at sup norm 3
+        repeated = ",".join(map(str, twin["k"])) + " is repeated"
+        four_integers = "every row needs an index of four integers"
+        not_finite = "is not a pair of finite floats"
+        message = {"missing": "3,3,3,3 is missing", "repeated": repeated,
+                   "repeated-for-another": repeated,
+                   "outside": "4,0,0,0 lies outside radius 3",
+                   "three-k": four_integers, "fractional-k": four_integers,
+                   "list-row": "not laid out as a coefficient table",
+                   "bad-radius": "the radius must be a positive integer",
+                   "not-json": "not a JSON table",
+                   # rows[3] lies inside sup norm 2, where the reassembly check runs
+                   "null-re": f"coefficient at {_label(rows[3]['k'])} {not_finite}",
+                   "nan-im-outside-norm-2": f"coefficient at 3,3,3,3 {not_finite}",
+                   }.get(fault, f"no '{fault[3:]}' entry")
         if fault == "missing":
             rows.remove(next(r for r in rows if r["k"] == [3, 3, 3, 3]))
         elif fault == "repeated":
@@ -152,15 +171,65 @@ class TestExport:
         elif fault == "repeated-for-another":
             # a row is missing as well; the repeated one is named
             rows[0] = twin
-        else:
+        elif fault == "outside":
             rows.append(dict(rows[-1], k=[4, 0, 0, 0]))
-        path.write_text(json.dumps(data))
-        repeated = ",".join(map(str, twin["k"])) + " is repeated"
-        message = {"missing": "3,3,3,3 is missing", "repeated": repeated,
-                   "repeated-for-another": repeated,
-                   "outside": "4,0,0,0 lies outside radius 3"}[fault]
+        elif fault == "no-radius":
+            del data["radius"]
+        elif fault.startswith("no-"):
+            del rows[3][fault[3:]]
+        elif fault == "three-k":
+            rows[3]["k"] = rows[3]["k"][:3]
+        elif fault == "fractional-k":
+            rows[3]["k"] = [0.5, 0, 0, 0]
+        elif fault == "list-row":
+            rows[3] = list(rows[3].values())
+        elif fault == "bad-radius":
+            data["radius"] = 1.5
+        elif fault == "null-re":
+            rows[3]["re"] = None
+        elif fault == "nan-im-outside-norm-2":
+            next(r for r in rows if r["k"] == [3, 3, 3, 3])["im"] = float("nan")
+        path.write_text("not json" if fault == "not-json" else json.dumps(data))
         with pytest.raises(ValueError, match=f"a.json: .*{message}"):
             load_series(path)
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_reload_leaves_the_collector_as_it_was(self, lattice_emb, lattice_structure,
+                                                   tmp_path, collecting):
+        series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
+        good = export_coefficients(series, "json", tmp_path / "a.json")
+        bad = tmp_path / "b.json"
+        bad.write_text("not json")
+        was = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            load_series(good)
+            assert gc.isenabled() is collecting
+            with pytest.raises(ValueError, match="not a JSON table"):
+                load_series(bad)
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_reassembly_check_fails_closed_on_nan(self, lattice_emb, lattice_structure):
+        series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
+        series.values[3] = complex("nan")
+        assert _reassembly_failure(series) == _label(series.indices[3])
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_block_boundaries_do_not_move_bytes(self, request, monkeypatch, tmp_path,
+                                                kind, fmt):
+        series = quantum_theta_series(request.getfixturevalue(f"{kind}_emb"),
+                                      request.getfixturevalue(f"{kind}_structure"),
+                                      radius=2)
+        tables = []
+        for chunk in (1, 5, export.CHUNK_ROWS):
+            monkeypatch.setattr(export, "CHUNK_ROWS", chunk)
+            tables.append(export_coefficients(series, fmt, tmp_path / f"{chunk}.{fmt}")
+                          .read_bytes())
+        assert tables[0] == tables[1] == tables[2]
+        assert len(series.indices) == 625
 
     @pytest.mark.parametrize("row, separator", [(_CSV_ROW, ""), (_JSON_ROW, ",\n")])
     def test_write_rows_matches_per_row_format(self, row, separator):
