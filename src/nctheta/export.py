@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import re
 from itertools import chain
 from operator import itemgetter
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import EmbeddingKind, build_embedding, enumerate_indices, point_parts
+from .errors import NCThetaError
 from .qtheta import QuantumThetaSeries, _label, _reassembly_failure, _rows
 from .structures import MixedStructure, structure_from_tau
 
@@ -140,8 +142,9 @@ def load_series(path) -> QuantumThetaSeries:
     The table must hold exactly one row for every index with sup norm
     <= radius, each with an index of four integers and finite floats re
     and im, and its coefficients must reproduce the closed-form inner
-    product at sup norm <= 2, as a computed series does; otherwise
-    ValueError, naming the path.
+    product at sup norm <= 2, as a computed series does; its header must
+    define a valid embedding and structure and a finite normalization;
+    otherwise ValueError, naming the path.
     """
     text = Path(path).read_text()
     # The decoder builds a dict and two lists per row, none of them in a
@@ -176,9 +179,15 @@ def load_series(path) -> QuantumThetaSeries:
         ks = np.fromiter(chain.from_iterable(ks), np.int64, 4 * len(ks)).reshape(-1, 4)
     except (TypeError, OverflowError):
         raise ValueError(f"{path}: every row needs an index of four integers") from None
-    emb = build_embedding(EmbeddingKind(kind), theta1, e.get("theta2"),
-                          m=e.get("m"), delta_hat=e.get("delta_hat"))
-    structure = structure_from_tau(emb, tau, st.get("lattice_decay"))
+    if type(normalization) is not float or not math.isfinite(normalization):
+        raise ValueError(f"{path}: the normalization must be a finite float")
+    try:
+        emb = build_embedding(EmbeddingKind(kind), theta1, e.get("theta2"),
+                              m=e.get("m"), delta_hat=e.get("delta_hat"))
+        structure = structure_from_tau(emb, tau, st.get("lattice_decay"))
+    except (ValueError, TypeError, NCThetaError) as err:
+        raise ValueError(f"{path}: the embedding or structure is not valid"
+                         f" ({type(err).__name__}: {err})") from None
     indices = enumerate_indices(radius)
     values = np.empty(len(indices), dtype=complex)
     series = QuantumThetaSeries(emb, structure, radius, normalization, indices, values)

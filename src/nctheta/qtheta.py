@@ -24,6 +24,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -57,27 +58,32 @@ from .structures import ComplexStructure, MixedStructure, theta_vector
 
 REASSEMBLY_REL_TOL = 1e-12
 COEFFICIENT_FLOOR = 1e-300
+MAX_SERIALIZED_ELEMENTS = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Outcome of one identity check: labeled residuals against a tolerance."""
+    """Outcome of one identity check: residuals against a tolerance.
+
+    ``residuals`` holds every element as one float array; ``labels`` names
+    the first MAX_SERIALIZED_ELEMENTS of them, the ones a report prints.
+    """
 
     name: str
-    residuals: tuple[tuple[str, float], ...]
+    labels: tuple[str, ...]
+    residuals: np.ndarray
     max_residual: float
     tolerance: float
     passed: bool
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, name: str, residuals, tolerance: float, **metadata):
-        residuals = tuple((str(k), float(v)) for k, v in residuals)
-        # max() keeps a NaN only in first position; any NaN fails the check
-        values = [v for _, v in residuals]
-        worst = math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
-        return cls(name, residuals, worst, float(tolerance),
-                   worst <= tolerance, metadata)
+    def build(cls, name: str, labels, residuals, tolerance: float, **metadata):
+        residuals = np.asarray(residuals, dtype=np.float64)
+        # np.max propagates NaN, so any NaN fails the check
+        worst = float(np.max(residuals, initial=0.0))
+        return cls(name, tuple(islice(labels, MAX_SERIALIZED_ELEMENTS)), residuals,
+                   worst, float(tolerance), worst <= tolerance, metadata)
 
 
 def structure_context(structure: ComplexStructure) -> HermitianFormContext:
@@ -88,7 +94,7 @@ def structure_context(structure: ComplexStructure) -> HermitianFormContext:
 
 
 def _label(k) -> str:
-    return ",".join(str(int(c)) for c in k)
+    return ",".join(map(str, map(int, k)))
 
 
 def inner_product_closed(f: ClosedFormVector, h: LatticeElement) -> complex:
@@ -446,9 +452,9 @@ def verify_functional_equation(series: QuantumThetaSeries, kg) -> VerificationRe
     alpha = np.exp(1j * math.pi * _pairing_exponent_table(series.embedding, kg[None], kh)[0])
     lhs = np.exp(lg + lh + lt) * alpha
     ksum = kg + kh
-    residuals = zip(map(_label, ksum.tolist()), np.abs(lhs - _stored_values(series, ksum)))
     return VerificationReport.build(
-        f"functional-equation g={_label(kg)}", residuals, tolerance,
+        f"functional-equation g={_label(kg)}", map(_label, ksum),
+        np.abs(lhs - _stored_values(series, ksum)), tolerance,
         radius=radius, interior=interior, kind=series.kind.value)
 
 
@@ -466,13 +472,14 @@ def verify_consistency_condition(series: QuantumThetaSeries, kg, kh) -> Verifica
     emb = series.embedding
     alpha = cocycle_phase(lattice_element(emb, kg), lattice_element(emb, kh))
     lg, lh, lgh, lt = _log_translation(series, [kg], [kh])
-    residuals = [("quotient", abs(cmath.exp(lg[0] + lh[0] + lt[0]) * alpha
-                                  - cmath.exp(lgh[0])))]
+    residuals = {"quotient": abs(cmath.exp(lg[0] + lh[0] + lt[0]) * alpha
+                                 - cmath.exp(lgh[0]))}
     if vector:
         # the plane translation is log T_g(h) = -pi H(g_, h_)
-        residuals.append(("phase-identity", abs(cmath.exp(-1j * lt[0].imag) - alpha)))
+        residuals["phase-identity"] = abs(cmath.exp(-1j * lt[0].imag) - alpha)
     return VerificationReport.build(
-        f"consistency g={_label(kg)} h={_label(kh)}", residuals, tolerance,
+        f"consistency g={_label(kg)} h={_label(kh)}", residuals,
+        list(residuals.values()), tolerance,
         kind=series.kind.value)
 
 

@@ -44,6 +44,7 @@ from .heisenberg import (
 )
 from .qtheta import (
     VerificationReport,
+    _label,
     _stored_values,
     additivity_gap,
     inner_product_closed,
@@ -64,7 +65,6 @@ from .structures import (
 )
 
 RNG_ALGORITHM = "philox4x64"
-MAX_SERIALIZED_ELEMENTS = 256
 
 SUITE_NAMES = (
     "validate", "commutation", "connections", "holomorphy", "nogo",
@@ -110,10 +110,9 @@ class RunContext:
         return self._series[radius]
 
 
-def _lower_bound_entry(label: str, actual: float, threshold: float):
-    """Entry that passes (value <= 1) exactly when actual exceeds threshold."""
-    value = math.inf if actual <= 0 else threshold / actual
-    return (label, value)
+def _lower_bound(actual: float, threshold: float) -> float:
+    """Residual that passes (value <= 1) exactly when actual exceeds threshold."""
+    return math.inf if actual <= 0 else threshold / actual
 
 
 # --- individual suites -----------------------------------------------------
@@ -124,22 +123,20 @@ def _suite_validate(ctx: RunContext) -> list[VerificationReport]:
     theta = commutation_matrix(emb).theta
     reports = [
         VerificationReport.build(
-            "embedding-columns",
-            [(f"column {j + 1}", r) for j, r in enumerate(emb.column_condition_residuals())],
-            tol, kind=emb.kind.value, valid=emb.valid),
+            "embedding-columns", [f"column {j}" for j in range(1, 5)],
+            emb.column_condition_residuals(), tol, kind=emb.kind.value, valid=emb.valid),
         VerificationReport.build(
-            "deformation-antisymmetry",
-            [("max|theta + theta^T|", float(np.max(np.abs(theta + theta.T))))],
+            "deformation-antisymmetry", ["max|theta + theta^T|"],
+            [np.max(np.abs(theta + theta.T))],
             tol, theta12=float(theta[0, 1]), theta34=float(theta[2, 3])),
         VerificationReport.build(
-            "element-linearity",
-            [("radius 2", element_linearity_max_residual(emb))], tol),
+            "element-linearity", ["radius 2"], [element_linearity_max_residual(emb)], tol),
         VerificationReport.build(
-            "cocycle-bicharacter",
-            [("20 random pairs", bicharacter_max_residual(emb, rng))], tol),
+            "cocycle-bicharacter", ["20 random triples"],
+            [bicharacter_max_residual(emb, rng)], tol),
         VerificationReport.build(
-            "cocycle-identity",
-            [("all radius-2 triples", cocycle_identity_max_residual(emb, 2))], tol),
+            "cocycle-identity", ["all radius-2 triples"],
+            [cocycle_identity_max_residual(emb, 2)], tol),
     ]
     f = sample_vector(theta_test_vector(emb), step=1 / 16)
     worst = 0.0
@@ -148,7 +145,7 @@ def _suite_validate(ctx: RunContext) -> list[VerificationReport]:
         worst = max(worst, representation_defect(
             emb, lattice_element(emb, kg), lattice_element(emb, kh), f))
     reports.append(VerificationReport.build(
-        "cocycle-operator-oracle", [("20 random pairs", worst)], 1e-10))
+        "cocycle-operator-oracle", ["20 random pairs"], [worst], 1e-10))
     return reports
 
 
@@ -157,36 +154,35 @@ def _suite_commutation(ctx: RunContext) -> list[VerificationReport]:
     fin = default_finite_vector(emb.finite_part) if emb.finite_part else None
     f = sample_vector(theta_test_vector(emb), step=1 / 16, finite_vector=fin)
     theta = commutation_matrix(emb)
-    entries = []
+    entries = {}
     measured = {}
     for i in range(1, 5):
         for j in range(1, 5):
             got = measure_commutation_phase(emb, i, j, f)
-            expected = theta.phase(i, j)
-            entries.append((f"U{i},U{j}", abs(got - expected)))
+            entries[f"U{i},U{j}"] = abs(got - theta.phase(i, j))
             measured[f"{i}{j}"] = [got.real, got.imag]
     return [VerificationReport.build(
-        "commutation-phases", entries, ctx.tol["phase_abs"],
+        "commutation-phases", entries, list(entries.values()), ctx.tol["phase_abs"],
         finite_part=emb.finite_part is not None, measured=measured)]
 
 
 def _suite_connections(ctx: RunContext) -> list[VerificationReport]:
     emb = ctx.emb
     f = theta_test_vector(emb)
-    entries = [(f"nabla{i},U{j}", connection_commutator_residual(emb, i, j, f, step=1e-3))
-               for i in range(1, 5) for j in range(1, 5)]
-    reports = [VerificationReport.build("connection-commutator", entries, 1e-6,
-                                        step=1e-3)]
+    entries = {f"nabla{i},U{j}": connection_commutator_residual(emb, i, j, f, step=1e-3)
+               for i in range(1, 5) for j in range(1, 5)}
+    reports = [VerificationReport.build("connection-commutator", entries,
+                                        list(entries.values()), 1e-6, step=1e-3)]
     pairs = [(2, 2)] if emb.kind is EmbeddingKind.LATTICE else [(2, 2), (4, 4)]
     steps = (8e-3, 4e-3, 2e-3)
-    ratio_entries = []
+    ratio_entries = {}
     for i, j in pairs:
         resids = [connection_commutator_residual(emb, i, j, f, step=s) for s in steps]
         for a in range(len(steps) - 1):
-            ratio_entries.append((f"nabla{i},U{j} {steps[a]:g}->{steps[a + 1]:g}",
-                                  resids[a + 1] / resids[a]))
+            ratio_entries[f"nabla{i},U{j} {steps[a]:g}->{steps[a + 1]:g}"] = (
+                resids[a + 1] / resids[a])
     reports.append(VerificationReport.build(
-        "connection-refinement", ratio_entries, 0.125,
+        "connection-refinement", ratio_entries, list(ratio_entries.values()), 0.125,
         note="order-4 differences: each halving must shrink the residual 8x"))
     return reports
 
@@ -195,16 +191,15 @@ def _suite_holomorphy(ctx: RunContext) -> list[VerificationReport]:
     emb, structure = ctx.emb, ctx.structure
     f = theta_vector(structure)
     rows = antiholomorphic_rows(structure)
-    entries = [(f"equation {idx + 1}", connection_combo_residual(f, emb, row))
-               for idx, row in enumerate(rows)]
-    reports = [VerificationReport.build("holomorphy-residual", entries, 1e-8)]
+    reports = [VerificationReport.build(
+        "holomorphy-residual", [f"equation {idx + 1}" for idx in range(len(rows))],
+        [connection_combo_residual(f, emb, row) for row in rows], 1e-8)]
 
     control = replace(f, quadratic=f.quadratic + 1.0)
     bad = holomorphy_residual(control, structure, emb)
     reports.append(VerificationReport.build(
-        "holomorphy-negative-control",
-        [_lower_bound_entry("threshold 0.1 / residual", bad, 0.1)],
-        1.0, residual=bad))
+        "holomorphy-negative-control", ["threshold 0.1 / residual"],
+        [_lower_bound(bad, 0.1)], 1.0, residual=bad))
 
     if emb.kind is EmbeddingKind.LATTICE:
         rng = ctx.rng("holomorphy")
@@ -215,9 +210,8 @@ def _suite_holomorphy(ctx: RunContext) -> list[VerificationReport]:
             worst_low = min(worst_low, connection_combo_residual(
                 f, emb, [0.0, 0.0, c[0], c[1]]))
         reports.append(VerificationReport.build(
-            "discrete-direction-no-annihilation",
-            [_lower_bound_entry("threshold 0.01 / min residual", worst_low, 0.01)],
-            1.0, min_residual=worst_low, combos=40))
+            "discrete-direction-no-annihilation", ["threshold 0.01 / min residual"],
+            [_lower_bound(worst_low, 0.01)], 1.0, min_residual=worst_low, combos=40))
     return reports
 
 
@@ -240,7 +234,7 @@ def _suite_nogo(ctx: RunContext) -> list[VerificationReport]:
         raise ConfigInvalid("the nogo suite needs a lattice-kind config", "$.embedding.kind")
     rng = ctx.rng("nogo")
     embeddings = [ctx.emb] + [_random_lattice_embedding(rng) for _ in range(4)]
-    entries = []
+    entries = {}
     first = None
     for ti in range(20):
         signs = rng.choice([-1.0, 1.0], size=(2, 2, 2))
@@ -249,11 +243,11 @@ def _suite_nogo(ctx: RunContext) -> list[VerificationReport]:
         for mi, emb in enumerate(embeddings):
             cert = holomorphic_feasibility(emb, tau)
             ok = cert.forced_det.is_zero and cert.infeasible
-            entries.append((f"tau {ti} m {mi}", 0.0 if ok else 1.0))
+            entries[f"tau {ti} m {mi}"] = 0.0 if ok else 1.0
             if first is None:
                 first = cert
     return [VerificationReport.build(
-        "holomorphy-nogo-certificates", entries, 0.5,
+        "holomorphy-nogo-certificates", entries, list(entries.values()), 0.5,
         relations=list(first.relations), forced_det=str(first.forced_det))]
 
 
@@ -261,21 +255,16 @@ def _suite_inner_product(ctx: RunContext) -> list[VerificationReport]:
     emb, structure = ctx.emb, ctx.structure
     tol = ctx.tol
     f = theta_vector(structure)
-    sym_entries = []
-    for k in enumerate_indices(1):
-        h = lattice_element(emb, k)
-        neg = lattice_element(emb, -np.asarray(k))
-        sym_entries.append((",".join(map(str, k)),
-                            abs(inner_product_closed(f, neg)
-                                - np.conj(inner_product_closed(f, h)))))
+    ks = enumerate_indices(1)
+    sym = [abs(inner_product_closed(f, lattice_element(emb, -k))
+               - np.conj(inner_product_closed(f, lattice_element(emb, k)))) for k in ks]
     zero = inner_product_closed(f, lattice_element(emb, [0, 0, 0, 0]))
     reports = [
-        VerificationReport.build("inner-product-conjugate-symmetry", sym_entries,
+        VerificationReport.build("inner-product-conjugate-symmetry", map(_label, ks), sym,
                                  tol["identity_abs"]),
         VerificationReport.build(
-            "inner-product-norm",
-            [("imaginary part at 0", abs(zero.imag)),
-             ("positivity", 0.0 if zero.real > 0 else 1.0)],
+            "inner-product-norm", ["imaginary part at 0", "positivity"],
+            [abs(zero.imag), 0.0 if zero.real > 0 else 1.0],
             tol["identity_abs"], norm_sq=zero.real),
     ]
 
@@ -288,7 +277,7 @@ def _suite_inner_product(ctx: RunContext) -> list[VerificationReport]:
             w = rng.uniform(-3.0, 3.0, size=2)
             worst = max(worst, completed_square_defect(ctx_h, (w[0], w[1])))
     reports.append(VerificationReport.build(
-        "completed-square-identity", [("100 w x 10 T", worst)], tol["identity_abs"]))
+        "completed-square-identity", ["100 w x 10 T"], [worst], tol["identity_abs"]))
     return reports
 
 
@@ -319,19 +308,16 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
         doc_radius += 1
 
     reports = [
-        VerificationReport.build("coefficient-at-zero", [("defect", zero_defect)],
+        VerificationReport.build("coefficient-at-zero", ["defect"], [zero_defect],
                                  tol, expected=[expected0.real, expected0.imag],
                                  theta_cutoff=cutoff),
-        VerificationReport.build("coefficient-symmetry",
-                                 [("max over radius", sym)], tol),
+        VerificationReport.build("coefficient-symmetry", ["max over radius"], [sym], tol),
         VerificationReport.build(
-            "coefficient-decay",
-            [("positive quadratic rate", 0.0 if decay_min > 0 else 1.0)],
-            0.5, rate=decay_min),
+            "coefficient-decay", ["positive quadratic rate"],
+            [0.0 if decay_min > 0 else 1.0], 0.5, rate=decay_min),
         VerificationReport.build(
-            "series-tail-bound",
-            [(f"bound at radius {doc_radius}", series_tail_bound(series, doc_radius))],
-            1e-12, documented_radius=doc_radius,
+            "series-tail-bound", [f"bound at radius {doc_radius}"],
+            [series_tail_bound(series, doc_radius)], 1e-12, documented_radius=doc_radius,
             bound_at_config_radius=series_tail_bound(series)),
     ]
     ctx.table = series
@@ -354,14 +340,13 @@ def _suite_consistency(ctx: RunContext) -> list[VerificationReport]:
     reports = []
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
         reports.append(VerificationReport.build(
-            "phase-identity",
-            [("all radius-2 pairs", phase_identity_max_residual(emb, structure, 2))],
-            1e-10))
+            "phase-identity", ["all radius-2 pairs"],
+            [phase_identity_max_residual(emb, structure, 2)], 1e-10))
     checks = [verify_consistency_condition(series, *rng.integers(-2, 3, size=(2, 4)))
               for _ in range(50)]
     reports.append(VerificationReport.build(
-        "consistency-condition", [("50 random pairs", max(c.max_residual for c in checks))],
-        checks[0].tolerance))
+        "consistency-condition", ["50 random pairs"],
+        [max(c.max_residual for c in checks)], checks[0].tolerance))
     return reports
 
 
@@ -370,11 +355,11 @@ def _suite_additivity(ctx: RunContext) -> list[VerificationReport]:
     rng = ctx.rng("additivity")
     series = ctx.series(max(2, min(ctx.config.radius, 4)))
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
-        entries = [(f"triple {idx}",
-                    additivity_gap(series, *rng.integers(-2, 3, size=(3, 4))))
-                   for idx in range(100)]
-        return [VerificationReport.build("additivity-gaps", entries, 1e-12,
-                                         triples=100)]
+        gaps = [additivity_gap(series, *rng.integers(-2, 3, size=(3, 4)))
+                for _ in range(100)]
+        return [VerificationReport.build(
+            "additivity-gaps", [f"triple {idx}" for idx in range(100)], gaps, 1e-12,
+            triples=100)]
     g, h = [0, 0, 1, 0], [0, 0, 0, 1]
     witness = additivity_gap(series, g, g, h)
     pure_w = {}
@@ -384,9 +369,8 @@ def _suite_additivity(ctx: RunContext) -> list[VerificationReport]:
         ks[2] = rng.integers(-2, 3, size=4)
         pure_w[f"triple {idx}"] = additivity_gap(series, *ks)
     return [VerificationReport.build(
-        "non-additivity-witness",
-        [_lower_bound_entry("threshold 0.01 / gap", witness, 0.01)],
-        1.0, witness_gap=witness,
+        "non-additivity-witness", ["threshold 0.01 / gap"],
+        [_lower_bound(witness, 0.01)], 1.0, witness_gap=witness,
         witness="g1 = g2 = third generator, h = fourth generator",
         pure_w_direction_gaps=pure_w,
         note="pure-w gaps are measured and reported, nothing is asserted")]
@@ -406,9 +390,8 @@ def _suite_oracle_compare(ctx: RunContext) -> list[VerificationReport]:
         oracle = inner_product_oracle(f, h, rel_tol / 100.0)
         return abs(closed - oracle) / max(abs(oracle), abs_floor / rel_tol)
 
-    entries = [(",".join(map(str, k)), one(k)) for k in ks]
     return [VerificationReport.build(
-        "oracle-equivalence", entries, rel_tol,
+        "oracle-equivalence", map(_label, ks), [one(k) for k in ks], rel_tol,
         indices=len(ks), abs_floor=abs_floor)]
 
 
@@ -478,7 +461,8 @@ def _json_safe(value):
 
 
 def _check_dict(c: VerificationReport) -> dict:
-    elements = [[k, _json_safe(v)] for k, v in c.residuals[:MAX_SERIALIZED_ELEMENTS]]
+    elements = [[k, _json_safe(v)]
+                for k, v in zip(c.labels, c.residuals[:len(c.labels)].tolist())]
     return {
         "name": c.name,
         "max_residual": _json_safe(c.max_residual),
@@ -517,7 +501,7 @@ def run_suite(config: RunConfig, suite: str) -> RunReport:
             raise
         except NCThetaError as err:
             checks.append(VerificationReport.build(
-                f"{name} (errored)", [("error", math.inf)], 0.0,
+                f"{name} (errored)", ["error"], [math.inf], 0.0,
                 error=f"{type(err).__name__}: {err}"))
     elapsed = time.perf_counter() - started
     return RunReport(suite, config.canonical_dict(), config.content_hash(),
@@ -546,7 +530,7 @@ def write_report(report: RunReport, path, fmt: str = "json") -> Path:
         raise ValueError(f"unknown report format: {fmt}")
     lines = ["check,label,residual,tolerance,passed"]
     for c in report.checks:
-        for label, value in c.residuals[:MAX_SERIALIZED_ELEMENTS]:
+        for label, value in zip(c.labels, c.residuals[:len(c.labels)].tolist()):
             safe = label.replace(",", ";")
             lines.append(f"{c.name},{safe},{value!r},{c.tolerance!r},{c.passed}")
         lines.append(f"{c.name},(max),{c.max_residual!r},{c.tolerance!r},{c.passed}")

@@ -17,9 +17,9 @@ from nctheta.cli import EXIT_INTERNAL_ERROR, main
 from nctheta.config import load_config, parse_config
 from nctheta.errors import ConfigInvalid, ConfigSyntax, TruncationTooSmall
 from nctheta.export import _CSV_ROW, _JSON_ROW, _write_rows, export_coefficients, load_series
-from nctheta.qtheta import (VerificationReport, _label, _reassembly_failure,
-                            quantum_theta_series)
-from nctheta.report import run_suite, write_report
+from nctheta.qtheta import (MAX_SERIALIZED_ELEMENTS, VerificationReport, _label,
+                            _reassembly_failure, quantum_theta_series)
+from nctheta.report import _check_dict, run_suite, write_report
 
 
 def minimal_lattice(**overrides):
@@ -142,7 +142,10 @@ class TestExport:
     @pytest.mark.parametrize("fault", ["missing", "repeated", "repeated-for-another",
                                        "outside", "no-k", "no-re", "no-im", "no-radius",
                                        "three-k", "fractional-k", "list-row", "bad-radius",
-                                       "not-json", "null-re", "nan-im-outside-norm-2"])
+                                       "not-json", "null-re", "nan-im-outside-norm-2",
+                                       "bogus-kind", "string-tau", "string-theta1",
+                                       "null-normalization", "negative-decay",
+                                       "singular-m"])
     def test_reload_rejects_malformed_rows(self, lattice_emb, lattice_structure,
                                            tmp_path, fault):
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=3)
@@ -163,6 +166,12 @@ class TestExport:
                    # rows[3] lies inside sup norm 2, where the reassembly check runs
                    "null-re": f"coefficient at {_label(rows[3]['k'])} {not_finite}",
                    "nan-im-outside-norm-2": f"coefficient at 3,3,3,3 {not_finite}",
+                   "null-normalization": "the normalization must be a finite float",
+                   "bogus-kind": "embedding or structure is not valid",
+                   "string-tau": "embedding or structure is not valid",
+                   "string-theta1": "embedding or structure is not valid",
+                   "negative-decay": "embedding or structure is not valid",
+                   "singular-m": "embedding or structure is not valid",
                    }.get(fault, f"no '{fault[3:]}' entry")
         if fault == "missing":
             rows.remove(next(r for r in rows if r["k"] == [3, 3, 3, 3]))
@@ -189,6 +198,18 @@ class TestExport:
             rows[3]["re"] = None
         elif fault == "nan-im-outside-norm-2":
             next(r for r in rows if r["k"] == [3, 3, 3, 3])["im"] = float("nan")
+        elif fault == "bogus-kind":
+            data["embedding"]["kind"] = "bogus"
+        elif fault == "string-tau":
+            data["structure"]["tau"] = "x"
+        elif fault == "string-theta1":
+            data["embedding"]["theta1"] = "x"
+        elif fault == "null-normalization":
+            data["normalization"] = None
+        elif fault == "negative-decay":
+            data["structure"]["lattice_decay"] = -1
+        elif fault == "singular-m":
+            data["embedding"]["m"] = [[1, 2], [2, 4]]
         path.write_text("not json" if fault == "not-json" else json.dumps(data))
         with pytest.raises(ValueError, match=f"a.json: .*{message}"):
             load_series(path)
@@ -301,17 +322,23 @@ class TestRunSuite:
         assert lines[-1].startswith("summary")
 
     @pytest.mark.parametrize("residuals", [[("a", 1e-13), ("b", math.nan)],
-                                           [("b", math.nan), ("a", 1e-13)]],
-                             ids=["nan-last", "nan-first"])
+                                           [("b", math.nan), ("a", 1e-13)],
+                                           [(f"e{i}", 1e-13) for i in range(300)]
+                                           + [("e300", math.nan)]],
+                             ids=["nan-last", "nan-first", "nan-past-printed"])
     def test_nan_residual_fails_its_check(self, residuals):
-        check = VerificationReport.build("x", residuals, 1e-12)
+        labels, values = zip(*residuals)
+        check = VerificationReport.build("x", labels, values, 1e-12)
         assert math.isnan(check.max_residual)
         assert check.passed is False
+        serialized = _check_dict(check)
+        assert len(serialized["elements"]) == min(len(values), MAX_SERIALIZED_ELEMENTS)
+        assert serialized["elements_total"] == len(values)
 
     def test_nonfinite_values_serialize_as_strict_json(self, lattice_config, tmp_path):
         report = run_suite(lattice_config, "validate")
         report.checks.append(VerificationReport.build(
-            "x", [("a", 1e-13), ("b", math.nan)], 1e-12, scalar=np.float64("nan"),
+            "x", ["a", "b"], [1e-13, math.nan], 1e-12, scalar=np.float64("nan"),
             z=complex(math.nan, 1.0), arr=np.array([math.inf, -math.inf])))
         p = write_report(report, tmp_path / "r.json")
 

@@ -6,7 +6,7 @@ gets deleted rather than kept as a wrapper.
 
 The ambient layout of ``EmbeddingMap.entries`` is split into its M part and
 its dual part in ``embedding`` alone, and the Hermitian form is evaluated
-in ``special`` alone.
+in ``special`` alone. An index row is labelled in ``qtheta`` alone.
 
 The oracle routes reach none of the closed-form helpers they check.
 
@@ -89,6 +89,23 @@ def test_only_special_evaluates_the_hermitian_form(attr):
     # H has one implementation, special.hermitian_form, over rows; nothing
     # else reads (Im T)^{-1} or embeds T x1 + x2
     assert {scope.split(".")[0] for scope in _attribute_readers(attr)} == {"special"}
+
+
+def _formats_an_index(node) -> bool:
+    """Whether NODE is a call ``",".join(map(str, ...))``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "join" and isinstance(node.func.value, ast.Constant)
+            and node.func.value.value == "," and len(node.args) == 1
+            and isinstance(node.args[0], ast.Call)
+            and getattr(node.args[0].func, "id", None) == "map"
+            and [getattr(a, "id", None) for a in node.args[0].args[:1]] == ["str"])
+
+
+def test_only_qtheta_formats_an_index_label():
+    # an index row is labelled by qtheta._label alone
+    formatters = {path.name for path in PACKAGE_DIR.glob("*.py")
+                  if any(map(_formats_an_index, ast.walk(ast.parse(path.read_text()))))}
+    assert formatters == {"qtheta.py"}
 
 
 # ROADMAP's oracle invariant: the independent routes share no closed-form

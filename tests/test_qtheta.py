@@ -265,6 +265,22 @@ class TestFunctionalEquation:
         rep = verify_functional_equation(vector_series, [1, 0, 0, 0])
         assert len(rep.residuals) == 7 ** 4
 
+    def test_labels_are_formatted_only_for_printed_elements(
+            self, vector_emb, vector_structure, monkeypatch):
+        series = quantum_theta_series(vector_emb, vector_structure, radius=8)
+        label, calls = qtheta_mod._label, []
+
+        def counting_label(k):
+            calls.append(k)
+            return label(k)
+
+        monkeypatch.setattr(qtheta_mod, "_label", counting_label)
+        rep = verify_functional_equation(series, [1, 0, 0, 0])
+        # the printed elements plus the check's own name
+        assert len(calls) <= qtheta_mod.MAX_SERIALIZED_ELEMENTS + 1
+        assert len(rep.labels) == qtheta_mod.MAX_SERIALIZED_ELEMENTS
+        assert len(rep.residuals) == 15 ** 4
+
     def test_radius_guard(self, vector_series):
         with pytest.raises(TruncationTooSmall):
             verify_functional_equation(vector_series, [3, 0, 0, 0])
