@@ -2,9 +2,9 @@
 
 The closed route computes series coefficients from the Hermitian-form
 exponential (times the discrete mode factors in the lattice kind). The
-oracle route in :func:`inner_product_oracle` recomputes single
-coefficients by brute force, pushing the theta vector through the
-operator layer and integrating numerically; it must never touch
+oracle route in :func:`inner_product_oracle` recomputes coefficients by
+brute force, pushing the theta vector through the operator layer and
+integrating numerically; it must never touch
 ``gaussian_factor``, ``mode_factor`` or :func:`inner_product_closed`.
 
 Quantum translations: the plane case uses the independent multiplier
@@ -47,6 +47,7 @@ from .errors import (
 from .heisenberg import ClosedFormVector, apply_pi
 from .special import (
     HermitianFormContext,
+    _cmul,
     gaussian_factor,
     gaussian_quadrature_oracle,
     gaussian_quadrature_oracle_2d,
@@ -120,58 +121,62 @@ def inner_product_closed(f: ClosedFormVector, h: LatticeElement) -> complex:
     return gaussian_factor(ctx, (h.m_part, h.dual_part))
 
 
-def _discrete_cross_sum(decay: float, u_f, u_g, dv, tol: float) -> complex:
-    """Brute-force sum over Z^2 of the discrete part of f conj(pi_h f).
+def _discrete_cross_sum(decay: float, u_f, u_g, dv, tol: float) -> np.ndarray:
+    """Brute-force sums over Z^2 of the discrete part of f conj(pi_h f), one per row.
 
-    Terms e^{-pi decay (|n+u_f|^2 + |n+u_g|^2)} e^{2 pi i dv . n} on a
-    window centered between the two shifts, with the window radius chosen
-    so the neglected ring is provably below tol relative to the leading
-    term; the boundary ring is checked after the fact as well.
+    Row j sums e^{-pi decay (|n+u_f|^2 + |n+u_g[j]|^2)} e^{2 pi i dv[j] . n}
+    on a window centered between the two shifts, with the window radius
+    chosen so the neglected ring is provably below tol relative to the
+    leading term; each row's boundary ring is checked after the fact as
+    well.
     """
     u_f = np.asarray(u_f, dtype=float)
     u_g = np.asarray(u_g, dtype=float)
     center = np.round(-(u_f + u_g) / 2.0).astype(int)
     reach = math.ceil(math.sqrt(math.log(100.0 / tol) / (2.0 * math.pi * decay))) + 2
-    n1 = center[0] + np.arange(-reach, reach + 1)
-    n2 = center[1] + np.arange(-reach, reach + 1)
-    a, b = np.meshgrid(n1, n2, indexing="ij")
+    offsets = np.arange(-reach, reach + 1)
+    a = center[:, 0, None, None] + offsets[:, None]
+    b = center[:, 1, None, None] + offsets
     expo = (-math.pi * decay * ((a + u_f[0]) ** 2 + (b + u_f[1]) ** 2
-                                + (a + u_g[0]) ** 2 + (b + u_g[1]) ** 2)
-            + 2j * math.pi * (dv[0] * a + dv[1] * b))
+                                + (a + u_g[:, 0, None, None]) ** 2
+                                + (b + u_g[:, 1, None, None]) ** 2)
+            + 2j * math.pi * (dv[:, 0, None, None] * a + dv[:, 1, None, None] * b))
     terms = np.exp(expo)
     mags = np.abs(terms)
-    interior_max = float(mags.max())
-    ring = np.ones_like(mags, dtype=bool)
+    peak = mags.max(axis=(1, 2))
+    ring = np.ones(mags.shape[1:], dtype=bool)
     ring[1:-1, 1:-1] = False
-    if interior_max > 0 and float(mags[ring].max()) > tol * interior_max / 10.0:
+    if np.any((peak > 0) & (mags[:, ring].max(axis=1) > tol * peak / 10.0)):
         raise InternalIdentityViolated("discrete window too small for the requested tol")
-    return complex(terms.sum())
+    return terms.reshape(len(terms), -1).sum(axis=1)
 
 
-def inner_product_oracle(f: ClosedFormVector, h: LatticeElement,
-                         tol: float = 1e-10) -> complex:
+def inner_product_oracle(f: ClosedFormVector, h, tol: float = 1e-10):
     """Brute-force <f, pi_h f>: operator layer + quadrature + direct sums.
 
-    pi_h f is produced by the Heisenberg operator itself; the pointwise
-    product f conj(pi_h f) is then integrated by the quarantined
-    quadrature oracle (1d, or 2d tensorized) and summed directly over the
-    discrete modes. Shares no closed-form helpers with
+    ``h`` is one :class:`LatticeElement`, which returns a complex, or a
+    sequence of them, which returns one value per element. pi_h f is
+    produced by the Heisenberg operator itself; the pointwise product
+    f conj(pi_h f) is then integrated by the quarantined quadrature oracle
+    (1d, or 2d tensorized) and summed directly over the discrete modes,
+    over all elements at once. Shares no closed-form helpers with
     :func:`inner_product_closed`.
     """
     if not isinstance(f, ClosedFormVector):
         raise UnsupportedVector("the oracle integrates closed-form vectors")
-    g = apply_pi(h, f)
-    amp = f.amplitude * np.conj(g.amplitude)
+    single = isinstance(h, LatticeElement)
+    gs = [apply_pi(el, f) for el in ([h] if single else h)]
+    amp = _cmul(f.amplitude, np.conj([g.amplitude for g in gs]))
+    quad = f.quadratic - np.conj([g.quadratic for g in gs])
+    lin = 2.0 * (f.linear - np.conj([g.linear for g in gs]))
     if f.kind is EmbeddingKind.LATTICE:
-        quad = f.quadratic - np.conj(g.quadratic)
-        lin = 2.0 * (f.linear - np.conj(g.linear))
         s_part = gaussian_quadrature_oracle(quad, lin, 0.0, tol)
-        dv = (f.n_phase[0] - g.n_phase[0], f.n_phase[1] - g.n_phase[1])
-        n_part = _discrete_cross_sum(f.decay, f.n_shift, g.n_shift, dv, tol)
-        return complex(amp * s_part * n_part)
-    quad = np.asarray(f.quadratic) - np.conj(np.asarray(g.quadratic))
-    lin = 2.0 * (np.asarray(f.linear, dtype=complex) - np.conj(np.asarray(g.linear, dtype=complex)))
-    return complex(amp * gaussian_quadrature_oracle_2d(quad, lin, 0.0, tol))
+        n_part = _discrete_cross_sum(f.decay, f.n_shift, [g.n_shift for g in gs],
+                                     np.subtract(f.n_phase, [g.n_phase for g in gs]), tol)
+        values = _cmul(_cmul(amp, s_part), n_part)
+    else:
+        values = _cmul(amp, gaussian_quadrature_oracle_2d(quad, lin, 0.0, tol))
+    return complex(values[0]) if single else values
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,18 +259,6 @@ def _rows(series: QuantumThetaSeries, ks) -> np.ndarray:
 def _stored_values(series: QuantumThetaSeries, ks) -> np.ndarray:
     """Stored coefficients at the rows of an (N, 4) index array."""
     return series.values[_rows(series, ks)]
-
-
-def _cmul(a, b) -> np.ndarray:
-    """Elementwise complex product in the operation order of Python's complex
-    type; numpy's own loop may fuse multiply-adds, and the coefficients must
-    equal the scalar products bit for bit."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
 
 
 def _continuous(kind: EmbeddingKind, parts):

@@ -55,7 +55,12 @@ from .qtheta import (
     verify_consistency_condition,
     verify_functional_equation,
 )
-from .special import HermitianFormContext, completed_square_defect, jacobi_theta
+from .special import (
+    HermitianFormContext,
+    completed_square_defect,
+    jacobi_theta,
+    theta_truncation,
+)
 from .structures import (
     antiholomorphic_rows,
     connection_combo_residual,
@@ -285,22 +290,20 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
     emb, structure = ctx.emb, ctx.structure
     tol = ctx.tol["identity_abs"]
     series = ctx.series(ctx.config.radius)
-    cutoff = None
+    expected0, cutoff = 1.0 + 0.0j, None
     if emb.kind is EmbeddingKind.LATTICE:
-        theta2_eff = 1.0 / structure.lattice_decay
-        expected0, cutoff = jacobi_theta(2j / theta2_eff, 0.0, with_meta=True)
-        expected0 = expected0 ** 2
-    else:
-        expected0 = 1.0 + 0.0j
+        tau0 = 2j / (1.0 / structure.lattice_decay)  # 2i / theta2_eff
+        expected0, cutoff = jacobi_theta(tau0, 0.0) ** 2, theta_truncation(tau0, 0.0, 1e-12)
     zero_defect = abs(series.coefficient([0, 0, 0, 0]) - expected0)
 
     ks, values = series.indices, series.values
     sym = float(np.max(np.abs(_stored_values(series, -ks) - np.conj(values))))
-    # Row 0 is k = 0. A coefficient that underflowed to 0 decays without
-    # bound: its rate is +inf.
+    # Row 0 is k = 0, and |C(k)| <= C(0) since pi_k is unitary, so the rate
+    # is measured relative to C(0). A coefficient that underflowed to 0
+    # decays without bound: its rate is +inf.
     norm_sq = np.sum(ks * ks, axis=1)
     with np.errstate(divide="ignore"):
-        rates = -np.log(np.abs(values[1:])) / norm_sq[1:]
+        rates = -np.log(np.abs(values[1:]) / abs(values[0])) / norm_sq[1:]
     decay_min = float(rates.min())
 
     doc_radius = series.radius
@@ -326,7 +329,7 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
 
 def _suite_functional_equation(ctx: RunContext) -> list[VerificationReport]:
     rng = ctx.rng("functional-equation")
-    series = ctx.series(ctx.config.radius)
+    series = ctx.series(max(2, ctx.config.radius))
     half = max(1, ctx.config.radius // 2)
     kgs = [np.eye(4, dtype=np.int64)[i] for i in range(4)]
     kgs += list(rng.integers(-half, half + 1, size=(2, 4)))
@@ -382,16 +385,13 @@ def _suite_oracle_compare(ctx: RunContext) -> list[VerificationReport]:
     abs_floor = 1e-15
     f = theta_vector(structure)
     ks = enumerate_indices(2)
-
-    def one(k):
-        # value <= rel_tol exactly when |closed - oracle| <= max(rel |o|, floor)
-        h = lattice_element(emb, k)
-        closed = inner_product_closed(f, h)
-        oracle = inner_product_oracle(f, h, rel_tol / 100.0)
-        return abs(closed - oracle) / max(abs(oracle), abs_floor / rel_tol)
-
+    hs = [lattice_element(emb, k) for k in ks]
+    oracle = inner_product_oracle(f, hs, rel_tol / 100.0)
+    # value <= rel_tol exactly when |closed - oracle| <= max(rel |o|, floor)
+    residuals = [abs(inner_product_closed(f, h) - o) / max(abs(o), abs_floor / rel_tol)
+                 for h, o in zip(hs, oracle.tolist())]
     return [VerificationReport.build(
-        "oracle-equivalence", map(_label, ks), [one(k) for k in ks], rel_tol,
+        "oracle-equivalence", map(_label, ks), residuals, rel_tol,
         indices=len(ks), abs_floor=abs_floor)]
 
 

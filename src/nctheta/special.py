@@ -43,6 +43,18 @@ def _compensated_sum(terms) -> complex:
     return s + c
 
 
+def _cmul(a, b) -> np.ndarray:
+    """Elementwise complex product in the operation order of Python's complex
+    type; numpy's own loop may fuse multiply-adds, and array results must
+    equal the scalar products bit for bit."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def theta_truncation(tau: complex, z: complex, tol: float) -> int:
     """Smallest symmetric cutoff N whose geometric tail bound is below tol.
 
@@ -67,14 +79,12 @@ def theta_truncation(tau: complex, z: complex, tol: float) -> int:
             raise DivergentSeries("theta truncation search did not terminate")
 
 
-def jacobi_theta(tau: complex, z: complex = 0.0, tol: float = 1e-12,
-                 with_meta: bool = False):
+def jacobi_theta(tau: complex, z: complex = 0.0, tol: float = 1e-12) -> complex:
     """Classical theta function theta(tau, z) = sum_n e^{pi i tau n^2 + 2 pi i n z}.
 
     Truncated at the cutoff from :func:`theta_truncation`; terms are added
     in symmetric pairs (n, -n) of ascending |n| with compensated
-    accumulation, so results are bit-reproducible. With ``with_meta`` the
-    achieved cutoff is returned alongside the value.
+    accumulation, so results are bit-reproducible.
     """
     tau = complex(tau)
     z = complex(z)
@@ -86,10 +96,7 @@ def jacobi_theta(tau: complex, z: complex = 0.0, tol: float = 1e-12,
         base = 1j * math.pi * tau * n * n
         terms.append(cmath.exp(base + 2j * math.pi * n * z))
         terms.append(cmath.exp(base - 2j * math.pi * n * z))
-    value = _compensated_sum(terms)
-    if with_meta:
-        return value, n_max
-    return value
+    return _compensated_sum(terms)
 
 
 @dataclass(frozen=True)
@@ -209,43 +216,51 @@ def mode_factor(t: float, m: int, theta2: float) -> complex:
     return pref * jacobi_theta(2j / theta2, complex(-t, m / theta2))
 
 
-def _line_integrals(quadratic, linear, tol: float) -> np.ndarray:
-    """Trapezoid integrals of exp(pi i (q_k s^2 + l_k s)) over the line, one per row k.
+def gaussian_quadrature_oracle(quadratic, linear=0.0, constant=0.0, tol: float = 1e-10):
+    """Trapezoid integrals of exp(pi i (q s^2 + l s)) exp(-pi c) over the line, one per row.
 
-    Each row gets a symmetric window sized from its Gaussian tail bound and
-    a composite trapezoid rule whose grid doubles from n = 128 until two
-    successive levels agree to ``tol`` relative to the integral of
-    |integrand|; a row keeps the value of the first level where it
-    converges. The stopping rule is a-posteriori on purpose: a step size
-    read off the Gaussian's Fourier transform would borrow the closed form
-    this oracle is there to check. Rows are computed together, with the
-    same floating-point operations as a single row on its own.
+    The arguments broadcast, and each element of the broadcast shape is a
+    row; scalar arguments return a complex. Each row gets a symmetric
+    window sized from its Gaussian tail bound and a composite trapezoid
+    rule whose grid doubles from n = 128 until two successive levels agree
+    to ``tol`` relative to the integral of |integrand|; a row keeps the
+    value of the first level where it converges. The stopping rule is
+    a-posteriori on purpose: a step size read off the Gaussian's Fourier
+    transform would borrow the closed form this oracle is there to check.
+    Purely numerical: no completed squares, no closed forms. Rows are
+    computed together, with the same floating-point operations as a single
+    row on its own.
     """
-    q = np.asarray(quadratic, dtype=complex).reshape(-1)
-    l = np.asarray(linear, dtype=complex).reshape(-1)
+    q, l, c = np.broadcast_arrays(*(np.asarray(a, dtype=complex)
+                                    for a in (quadratic, linear, constant)))
+    q, l = q.reshape(-1, 1), l.reshape(-1, 1)
     if not tol >= 2.0 ** -52:
         raise DivergentIntegral(
             f"quadrature tolerance {tol!r} is below double precision (2**-52)")
     if not (q.imag > 0).all():
         raise DivergentIntegral("Im(quadratic) must be positive for decay")
-    half = np.empty((len(q), 1))
-    for k in range(len(q)):
-        alpha = math.pi * float(q[k].imag)
-        center = -math.pi * float(l[k].imag) / (2.0 * alpha)
-        # e^{-alpha (s - center)^2} tail below tol/20 of the peak, plus margin.
-        half[k] = (abs(center) + math.sqrt((math.log(20.0 / tol) + 1.0) / alpha)
-                   + 2.0 / math.sqrt(alpha))
-    q, l = q[:, None], l[:, None]
+    alpha = math.pi * q.imag
+    center = -math.pi * l.imag / (2.0 * alpha)
+    # e^{-alpha (s - center)^2} tail below tol/20 of the peak, plus margin.
+    half = (np.abs(center) + np.sqrt((math.log(20.0 / tol) + 1.0) / alpha)
+            + 2.0 / np.sqrt(alpha))
 
     def grid_sums(n: int, q, l, half):
-        h = 2.0 * half / n
-        # the nodes of np.linspace(-half, half, n + 1), bit for bit, per row
-        s = np.arange(n + 1.0) * h - half
-        s[:, -1:] = half
-        vals = np.exp(1j * math.pi * (q * s * s + l * s))
-        weights = np.repeat(h, n + 1, axis=-1)
-        weights[:, ::n] = 0.5 * h
-        return (weights * vals).sum(axis=-1), (weights * np.abs(vals)).sum(axis=-1)
+        # blocks of about 2**16 nodes bound the memory of a fine grid over many rows
+        value, scale = np.empty(len(q), dtype=complex), np.empty(len(q))
+        step = max(1, 2 ** 16 // n)
+        for start in range(0, len(q), step):
+            part = slice(start, start + step)
+            h = 2.0 * half[part] / n
+            # the nodes of np.linspace(-half, half, n + 1), bit for bit, per row
+            s = np.arange(n + 1.0) * h - half[part]
+            s[:, -1:] = half[part]
+            vals = np.exp(1j * math.pi * (q[part] * s * s + l[part] * s))
+            weights = np.repeat(h, n + 1, axis=-1)
+            weights[:, ::n] = 0.5 * h
+            value[part] = (weights * vals).sum(axis=-1)
+            scale[part] = (weights * np.abs(vals)).sum(axis=-1)
+        return value, scale
 
     out = np.empty(len(q), dtype=complex)
     rows = np.arange(len(q))
@@ -257,39 +272,28 @@ def _line_integrals(quadratic, linear, tol: float) -> np.ndarray:
         done = abs(cur - prev) <= tol * np.maximum(scale, 1e-300)
         out[rows[done]] = cur[done]
         if done.all():
-            return out
+            value = _cmul(np.exp(-math.pi * c), out.reshape(c.shape))
+            return complex(value) if value.ndim == 0 else value
         keep = ~done
         rows, prev, q, l, half = rows[keep], cur[keep], q[keep], l[keep], half[keep]
     raise DivergentIntegral("quadrature did not reach the requested tolerance")
 
 
-def gaussian_quadrature_oracle(quadratic: complex, linear: complex = 0.0,
-                               constant: complex = 0.0, tol: float = 1e-10) -> complex:
-    """Numerical integral of exp(pi i (q s^2 + l s)) exp(-pi c) over the line.
-
-    The one-row case of :func:`_line_integrals`: composite trapezoid on a
-    symmetric window sized from the Gaussian tail bound, with grid doubling
-    until successive refinements agree to tol relative to the integral of
-    |integrand|. Purely numerical: no completed squares, no closed forms.
-    """
-    value = _line_integrals(complex(quadratic), complex(linear), tol)[0]
-    return cmath.exp(-math.pi * complex(constant)) * complex(value)
-
-
-def gaussian_quadrature_oracle_2d(quadratic, linear, constant: complex = 0.0,
-                                  tol: float = 1e-10) -> complex:
+def gaussian_quadrature_oracle_2d(quadratic, linear, constant=0.0, tol: float = 1e-10):
     """Integral of exp(pi i (s^t q s + l . s)) exp(-pi c) over R^2, as two line integrals.
 
     ``quadratic`` is a 2x2 complex matrix whose symmetric part has a
-    positive-definite imaginary part. With that symmetric part q, the
+    positive-definite imaginary part. Leading axes of ``quadratic``
+    (..., 2, 2), ``linear`` (..., 2) and ``constant`` are rows, and a
+    single row returns a complex. With that symmetric part q, the
     Cholesky factor Im q = L L^t and the eigenbasis
     L^{-1} Re q L^{-t} = R diag(mu) R^t, the real map s = T u with
     T = L^{-t} R gives T^t q T = diag(mu) + i I. By Fubini the integral is
     |det T| times the product over k of the line integrals of
     exp(pi i ((mu_k + i) u^2 + (T^t l)_k u)), each computed by
-    :func:`_line_integrals` to tol/2. |det T| scales the integral of
-    |integrand| by the same factor, so the result keeps the contract of tol
-    relative to the plane integral of |integrand|.
+    :func:`gaussian_quadrature_oracle` to tol/2. |det T| scales the
+    integral of |integrand| by the same factor, so the result keeps the
+    contract of tol relative to the plane integral of |integrand|.
 
     This is not a completed square. T is a real linear change of variables
     of R^2, so no contour is shifted into the complex domain, the linear
@@ -301,16 +305,18 @@ def gaussian_quadrature_oracle_2d(quadratic, linear, constant: complex = 0.0,
     """
     q = np.asarray(quadratic, dtype=complex)
     l = np.asarray(linear, dtype=complex)
-    if q.shape != (2, 2):
+    if q.shape[-2:] != (2, 2):
         raise ValueError("quadratic must be 2x2")
-    q = 0.5 * (q + q.T)
+    q = 0.5 * (q + np.swapaxes(q, -1, -2))
     try:
         chol = np.linalg.cholesky(q.imag)
     except np.linalg.LinAlgError:
         raise DivergentIntegral("Im(quadratic) must be positive definite") from None
     chol_inv = np.linalg.inv(chol)
-    mu, rot = np.linalg.eigh(chol_inv @ q.real @ chol_inv.T)
-    t = chol_inv.T @ rot
-    lines = _line_integrals(mu + 1j, t.T @ l, tol / 2.0)
-    jacobian = 1.0 / (chol[0, 0] * chol[1, 1])
-    return cmath.exp(-math.pi * complex(constant)) * complex(jacobian * lines[0] * lines[1])
+    mu, rot = np.linalg.eigh(chol_inv @ q.real @ np.swapaxes(chol_inv, -1, -2))
+    t = np.swapaxes(chol_inv, -1, -2) @ rot
+    lines = gaussian_quadrature_oracle(mu + 1j, (l[..., None, :] @ t)[..., 0, :], 0.0, tol / 2.0)
+    jacobian = 1.0 / (chol[..., 0, 0] * chol[..., 1, 1])
+    value = _cmul(np.exp(-math.pi * np.asarray(constant, dtype=complex)),
+                  _cmul(_cmul(jacobian, lines[..., 0]), lines[..., 1]))
+    return complex(value) if value.ndim == 0 else value

@@ -398,6 +398,24 @@ class TestSuiteCoverage:
             "series-tail-bound"]
         assert report.passed, report.summary()
 
+    @pytest.mark.parametrize("kind, checks", [("lattice", 29), ("vector", 28)])
+    def test_all_at_the_minimum_radius(self, kind, checks, request):
+        # functional-equation translates by norm-1 indices, so it reads a
+        # radius-2 series when the config asks for radius 1
+        cfg = request.getfixturevalue(f"{kind}_config")
+        report = run_suite(parse_config({**cfg.raw, "radius": 1}), "all")
+        assert report.passed, report.summary()
+        assert len(report.checks) == checks
+
+    def test_coefficient_decay_is_relative_to_zero(self):
+        # C(0) = theta(0.1i)^2 is about 10 here, so |C(k)| > 1 near 0; the
+        # rate of |C(k)| / C(0) is still positive
+        report = run_suite(parse_config(minimal_lattice(
+            structure={"tau": [0.0, 1.0], "lattice_decay": 0.05})), "quantum-theta")
+        (decay,) = [c for c in report.checks if c.name == "coefficient-decay"]
+        assert decay.passed
+        assert decay.metadata["rate"] == pytest.approx(0.113, abs=1e-3)
+
     def test_series_built_once_per_radius(self, lattice_config, monkeypatch):
         # quantum-theta, functional-equation, consistency and additivity share
         # the radius-4 series of one run

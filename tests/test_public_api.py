@@ -112,7 +112,7 @@ def test_only_qtheta_formats_an_index_label():
 # helper with the routes they check.
 ORACLE_ROUTES = {
     "inner_product_oracle", "_discrete_cross_sum", "gaussian_quadrature_oracle",
-    "gaussian_quadrature_oracle_2d", "_line_integrals", "representation_defect",
+    "gaussian_quadrature_oracle_2d", "representation_defect",
 }
 CLOSED_FORM_HELPERS = {
     "gaussian_factor", "mode_factor", "jacobi_theta", "HermitianFormContext",

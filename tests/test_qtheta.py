@@ -118,6 +118,40 @@ class TestOracleEquivalence:
         assert check.name == "oracle-equivalence"
         assert check.passed, check.max_residual
 
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_rows_match_one_row_calls(self, kind, request):
+        # the 625 radius-2 elements in one call, bit for bit as one at a time
+        emb = request.getfixturevalue(f"{kind}_emb")
+        f = theta_vector(request.getfixturevalue(f"{kind}_structure"))
+        hs = [lattice_element(emb, k) for k in enumerate_indices(2)]
+        rows = inner_product_oracle(f, hs, 1e-10)
+        assert np.array_equal(rows, [inner_product_oracle(f, h, 1e-10) for h in hs])
+
+    @pytest.mark.parametrize("kind, integrator", [
+        ("lattice", "gaussian_quadrature_oracle"),
+        ("vector", "gaussian_quadrature_oracle_2d"),
+    ])
+    def test_oracle_compare_calls_the_oracle_once(self, kind, integrator, request,
+                                                  monkeypatch):
+        import nctheta.report as report_mod
+
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(report_mod, "inner_product_oracle")
+        counted(qtheta_mod, integrator)
+        (check,) = run_suite(request.getfixturevalue(f"{kind}_config"),
+                             "oracle-compare").checks
+        assert check.passed, check.max_residual
+        assert calls == ["inner_product_oracle", integrator]
+
     def test_oracle_equivalence_sees_a_wrong_gaussian_factor(self, vector_config,
                                                               monkeypatch):
         # the oracle shares no code with the closed route, so a relative

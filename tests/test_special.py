@@ -13,7 +13,6 @@ from nctheta.errors import (
 )
 from nctheta.special import (
     HermitianFormContext,
-    _line_integrals,
     completed_square_defect,
     gaussian_factor,
     gaussian_quadrature_oracle,
@@ -64,7 +63,8 @@ def brute_theta(tau, z, n=64):
 
 class TestJacobiTheta:
     def test_value_at_i(self):
-        val, n = jacobi_theta(1j, 0.0, 1e-12, with_meta=True)
+        val = jacobi_theta(1j, 0.0, 1e-12)
+        n = theta_truncation(1j, 0.0, 1e-12)
         assert abs(val - brute_theta(1j, 0.0)) <= 1e-15
         assert abs(val - 1.086434811213308) <= 1e-12
         assert n <= 8
@@ -333,8 +333,19 @@ class TestQuadratureOracle:
         # the oscillating middle row needs three more doublings than the others
         q = np.array([0.3 + 2.1j, 30.0 + 1.0j, -0.7 + 0.5j])
         l = np.array([0.4 - 0.7j, 1.0 + 0.3j, -2.0 + 1.0j])
-        together = _line_integrals(q, l, 1e-11)
-        alone = [_line_integrals(qk, lk, 1e-11)[0] for qk, lk in zip(q, l)]
+        together = gaussian_quadrature_oracle(q, l, 0.0, 1e-11)
+        alone = [gaussian_quadrature_oracle(qk, lk, 0.0, 1e-11) for qk, lk in zip(q, l)]
+        assert list(together) == alone
+
+    def test_2d_rows_integrate_as_on_their_own(self):
+        # a stack of two different matrices, each with its own Cholesky
+        # factor and rotation, against the two single calls
+        q = np.array([[[0.25 + 1.5j, -0.5 + 0.25j], [-0.5 + 0.25j, 0.75 + 1.0j]],
+                      [[-0.3 + 0.8j, 0.2 - 0.1j], [0.2 - 0.1j, 0.4 + 2.0j]]])
+        l = np.array([[0.5 - 0.25j, -1.0 + 0.5j], [0.7 + 0.1j, 0.3 - 0.4j]])
+        together = gaussian_quadrature_oracle_2d(q, l, 0.0, 1e-11)
+        alone = [gaussian_quadrature_oracle_2d(qk, lk, 0.0, 1e-11) for qk, lk in zip(q, l)]
+        assert together.shape == (2,)
         assert list(together) == alone
 
     def test_tolerance_below_double_precision_refused(self):
