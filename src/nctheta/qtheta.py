@@ -1,10 +1,10 @@
 """Algebra-valued inner products, quantum theta series and their identities.
 
-The closed route computes series coefficients from the Hermitian-form
-exponential (times the discrete mode factors in the lattice kind). The
-oracle route in :func:`inner_product_oracle` recomputes coefficients by
-brute force, pushing the theta vector through the operator layer and
-integrating numerically; it must never touch
+The closed route computes series coefficients and, in one call over rows,
+the self-pairings of :func:`inner_product_closed` from the Hermitian-form
+exponential (times the lattice kind's discrete mode factors). The oracle
+route in :func:`inner_product_oracle` recomputes them by brute force through
+the operator layer and numerical integration; it must never touch
 ``gaussian_factor``, ``mode_factor`` or :func:`inner_product_closed`.
 
 Quantum translations: the plane case uses the independent multiplier
@@ -98,27 +98,28 @@ def _label(k) -> str:
     return ",".join(map(str, map(int, k)))
 
 
-def inner_product_closed(f: ClosedFormVector, h: LatticeElement) -> complex:
-    """Closed form of <f, pi_h f> for a canonical theta vector.
+def inner_product_closed(f: ClosedFormVector, h):
+    """Closed form of <f, pi_h f> for a canonical theta vector, one value per element.
 
-    Lattice kind: the two discrete mode factors times the Gaussian
-    self-pairing of the continuous pair. Vector-space kind: the Gaussian
-    self-pairing of the full pair.
+    ``h`` is one :class:`LatticeElement`, which returns a complex, or a
+    sequence of them. Lattice kind: the two discrete mode factors times the
+    Gaussian self-pairing of the continuous pair; vector-space kind: the
+    Gaussian self-pairing of the full pair. Each factor runs once over all rows.
     """
-    if f.kind is not h.kind:
+    single = isinstance(h, LatticeElement)
+    hs = [h] if single else h
+    if any(el.kind is not f.kind for el in hs):
         raise KindMismatch("vector and element kinds differ")
     if (np.any(np.asarray(f.linear) != 0) or f.amplitude != 1.0
             or f.n_shift != (0, 0) or f.n_phase != (0.0, 0.0)):
         raise UnsupportedVector("closed form requires the canonical theta vector")
-    ctx = HermitianFormContext(f.quadratic)
-    if h.kind is EmbeddingKind.LATTICE:
-        theta2_eff = 1.0 / f.decay
-        m1, m2 = h.m_shift
-        t1, t2 = h.t_lift
-        return (mode_factor(t1, m1, theta2_eff)
-                * mode_factor(t2, m2, theta2_eff)
-                * gaussian_factor(ctx, (h.w1, h.w2)))
-    return gaussian_factor(ctx, (h.m_part, h.dual_part))
+    if not hs:
+        return np.empty(0, dtype=complex)
+    parts = np.array([el.m_part for el in hs]), np.array([el.dual_part for el in hs])
+    values = gaussian_factor(HermitianFormContext(f.quadratic), _continuous(f.kind, parts))
+    if f.kind is EmbeddingKind.LATTICE:
+        values = _cmul(_mode_products(parts, 1.0 / f.decay), values)
+    return complex(values[0]) if single else values
 
 
 def _discrete_cross_sum(decay: float, u_f, u_g, dv, tol: float) -> np.ndarray:
@@ -166,6 +167,8 @@ def inner_product_oracle(f: ClosedFormVector, h, tol: float = 1e-10):
         raise UnsupportedVector("the oracle integrates closed-form vectors")
     single = isinstance(h, LatticeElement)
     gs = [apply_pi(el, f) for el in ([h] if single else h)]
+    if not gs:
+        return np.empty(0, dtype=complex)
     amp = _cmul(f.amplitude, np.conj([g.amplitude for g in gs]))
     quad = f.quadratic - np.conj([g.quadratic for g in gs])
     lin = 2.0 * (f.linear - np.conj([g.linear for g in gs]))
@@ -235,12 +238,7 @@ class _CoefficientView(Mapping):
         return len(self._series.values)
 
     def __iter__(self):
-        return _index_tuples(self._series.indices)
-
-
-def _index_tuples(ks):
-    """The rows of an (N, 4) index array as tuples of ints, one at a time."""
-    return zip(*np.asarray(ks).T.tolist())
+        return zip(*self._series.indices.T.tolist())
 
 
 def _rows(series: QuantumThetaSeries, ks) -> np.ndarray:
@@ -270,36 +268,40 @@ def _continuous(kind: EmbeddingKind, parts):
     return m_part, dual_part
 
 
+def _mode_products(parts, theta2: float) -> np.ndarray:
+    """Product of the two discrete mode factors of each row of lattice-kind
+    :func:`point_parts`; :func:`mode_factor` runs once per distinct (t, m)
+    pair per axis."""
+    m_part, dual_part = parts
+    site = np.ones(len(m_part), dtype=complex)
+    for axis in range(2):
+        # Distinct (t, m) pairs under float equality, sorted by t then m,
+        # each represented by its first row: 1-D uniques of the rank of t
+        # and then of the code (rank, m).
+        t, m = dual_part[:, 1 + axis], m_part[:, 1 + axis].astype(np.int64)
+        _, t_rank = np.unique(t, return_inverse=True)
+        m_low = m.min(initial=0)
+        code = t_rank * (m.max(initial=0) - m_low + 1) + (m - m_low)
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        factors = np.array([mode_factor(t[i], int(m[i]), theta2)
+                            for i in first.tolist()], dtype=complex)
+        site = _cmul(site, factors[inverse])
+    return site
+
+
 def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
     """Gaussian exponent and mode product of the series coefficient C(k).
 
     For each row k of an (N, 4) index array: the real exponent
     -(pi/2) H(k_, k_) and the product of the two discrete mode factors
     (all ones for the vector-space kind), so that C(k) = site e^{expo}.
-    The mode factors depend on (k3, k4) only, and :func:`mode_factor` runs
-    once per distinct (t, m) pair per axis.
     """
     parts = point_parts(emb, ks)
     pair = _continuous(emb.kind, parts)
     expo = -0.5 * math.pi * hermitian_form(structure_context(structure), pair, pair).real
-    site = np.ones(len(ks), dtype=complex)
     if emb.kind is EmbeddingKind.LATTICE:
-        theta2_eff = 1.0 / structure.lattice_decay
-        m_part, dual_part = parts
-        shifts = m_part[:, 1:].astype(np.int64)
-        for axis in range(2):
-            # Distinct (t, m) pairs under float equality, sorted by t then m,
-            # each represented by its first row: 1-D uniques of the rank of t
-            # and then of the code (rank, m).
-            t, m = dual_part[:, 1 + axis], shifts[:, axis]
-            _, t_rank = np.unique(t, return_inverse=True)
-            m_low = m.min(initial=0)
-            code = t_rank * (m.max(initial=0) - m_low + 1) + (m - m_low)
-            _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-            factors = np.array([mode_factor(t[i], int(m[i]), theta2_eff)
-                                for i in first.tolist()], dtype=complex)
-            site = _cmul(site, factors[inverse])
-    return expo, site
+        return expo, _mode_products(parts, 1.0 / structure.lattice_decay)
+    return expo, np.ones(len(ks), dtype=complex)
 
 
 def _log_translation(series: QuantumThetaSeries, kg, kh):
@@ -335,15 +337,13 @@ def _reassembly_failure(series: QuantumThetaSeries) -> str | None:
     the stored coefficient must reproduce the closed-form inner product;
     None when it does everywhere.
     """
-    f = theta_vector(series.structure)
     ks = enumerate_indices(min(series.radius, 2))
-    for k, stored in zip(ks, _stored_values(series, ks).tolist()):
-        closed = inner_product_closed(f, lattice_element(series.embedding, k))
-        assembled = series.normalization * stored
-        # fails closed: a NaN difference is not within the tolerance
-        if not abs(assembled - closed) <= REASSEMBLY_REL_TOL * max(abs(closed), 1e-30):
-            return _label(k)
-    return None
+    closed = inner_product_closed(theta_vector(series.structure),
+                                  [lattice_element(series.embedding, k) for k in ks])
+    assembled = series.normalization * _stored_values(series, ks)
+    # fails closed: a NaN difference is not within the tolerance
+    bad = ~(np.abs(assembled - closed) <= REASSEMBLY_REL_TOL * np.maximum(np.abs(closed), 1e-30))
+    return _label(ks[np.argmax(bad)]) if bad.any() else None
 
 
 def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,

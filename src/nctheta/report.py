@@ -257,16 +257,15 @@ def _suite_nogo(ctx: RunContext) -> list[VerificationReport]:
 
 
 def _suite_inner_product(ctx: RunContext) -> list[VerificationReport]:
-    emb, structure = ctx.emb, ctx.structure
-    tol = ctx.tol
-    f = theta_vector(structure)
+    emb, tol = ctx.emb, ctx.tol
+    f = theta_vector(ctx.structure)
     ks = enumerate_indices(1)
-    sym = [abs(inner_product_closed(f, lattice_element(emb, -k))
-               - np.conj(inner_product_closed(f, lattice_element(emb, k)))) for k in ks]
-    zero = inner_product_closed(f, lattice_element(emb, [0, 0, 0, 0]))
+    closed = inner_product_closed(f, [lattice_element(emb, k) for k in np.concatenate([ks, -ks])])
+    at_k, at_minus_k = np.split(closed, 2)
+    zero = complex(at_k[0])  # ks[0] is the zero index
     reports = [
-        VerificationReport.build("inner-product-conjugate-symmetry", map(_label, ks), sym,
-                                 tol["identity_abs"]),
+        VerificationReport.build("inner-product-conjugate-symmetry", map(_label, ks),
+                                 np.abs(at_minus_k - np.conj(at_k)), tol["identity_abs"]),
         VerificationReport.build(
             "inner-product-norm", ["imaginary part at 0", "positivity"],
             [abs(zero.imag), 0.0 if zero.real > 0 else 1.0],
@@ -277,10 +276,8 @@ def _suite_inner_product(ctx: RunContext) -> list[VerificationReport]:
     worst = 0.0
     for _ in range(10):
         t_val = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 5.0))
-        ctx_h = HermitianFormContext(t_val)
-        for _ in range(100):
-            w = rng.uniform(-3.0, 3.0, size=2)
-            worst = max(worst, completed_square_defect(ctx_h, (w[0], w[1])))
+        w1, w2 = rng.uniform(-3.0, 3.0, size=(100, 2)).T
+        worst = max(worst, completed_square_defect(HermitianFormContext(t_val), (w1, w2)).max())
     reports.append(VerificationReport.build(
         "completed-square-identity", ["100 w x 10 T"], [worst], tol["identity_abs"]))
     return reports
@@ -387,9 +384,11 @@ def _suite_oracle_compare(ctx: RunContext) -> list[VerificationReport]:
     ks = enumerate_indices(2)
     hs = [lattice_element(emb, k) for k in ks]
     oracle = inner_product_oracle(f, hs, rel_tol / 100.0)
-    # value <= rel_tol exactly when |closed - oracle| <= max(rel |o|, floor)
-    residuals = [abs(inner_product_closed(f, h) - o) / max(abs(o), abs_floor / rel_tol)
-                 for h, o in zip(hs, oracle.tolist())]
+    diff = inner_product_closed(f, hs) - oracle
+    # value <= rel_tol exactly when |closed - oracle| <= max(rel |o|, floor); hypot
+    # rounds as Python's abs does, numpy's complex abs may not
+    residuals = (np.hypot(diff.real, diff.imag)
+                 / np.maximum(np.hypot(oracle.real, oracle.imag), abs_floor / rel_tol))
     return [VerificationReport.build(
         "oracle-equivalence", map(_label, ks), residuals, rel_tol,
         indices=len(ks), abs_floor=abs_floor)]

@@ -1,4 +1,4 @@
-"""Scalar special functions: Jacobi theta, Hermitian forms, Gaussian integrals.
+"""Special functions: Jacobi theta, Hermitian forms over rows, Gaussian integrals.
 
 The quadrature routines at the bottom are deliberately independent oracles.
 They share no closed-form helpers with ``gaussian_factor`` or ``mode_factor``
@@ -158,8 +158,8 @@ def hermitian_form(ctx: HermitianFormContext, g, h) -> complex | np.ndarray:
     return np.einsum("...i,ij,...j->...", gbar, ctx.im_inverse, hstar)
 
 
-def _ctilde_minus_q_lambda(ctx: HermitianFormContext, w) -> complex:
-    """Completed-square constant of the Gaussian self-pairing integrand.
+def _ctilde_minus_q_lambda(ctx: HermitianFormContext, w):
+    """Completed-square constant of the Gaussian self-pairing integrand, over rows of w.
 
     Writing the integrand as e^{-pi (q(s) + l(s) + C)} with
     q(s) = 2 (Im T) s^2, l(s) = 2 i w_^* s and C = i w1 w_^*, shifting by
@@ -174,34 +174,34 @@ def _ctilde_minus_q_lambda(ctx: HermitianFormContext, w) -> complex:
         q_lam = 2.0 * ctx.T.imag * lam * lam
         ctilde = 1j * w1 * wstar
         return ctilde - q_lam
-    lam = 0.5j * (ctx.im_inverse @ wstar)
-    q_lam = 2.0 * (lam @ np.asarray(ctx.T).imag @ lam)
-    ctilde = 1j * (np.asarray(w1, dtype=float) @ wstar)
-    return complex(ctilde - q_lam)
+    lam = 0.5j * np.einsum("ij,...j->...i", ctx.im_inverse, wstar)
+    q_lam = 2.0 * np.einsum("...i,ij,...j->...", lam, ctx.T.imag, lam)
+    ctilde = 1j * np.einsum("...i,...i->...", np.asarray(w1, dtype=float), wstar)
+    return ctilde - q_lam
 
 
-def gaussian_factor(ctx: HermitianFormContext, w) -> complex:
+def gaussian_factor(ctx: HermitianFormContext, w):
     """Gaussian self-pairing coefficient: normalization times e^{-(pi/2) H(w,w)}.
 
-    The exponent is recomputed through the completed-square route and the
-    two must agree to 1e-12; disagreement means an implementation bug, not
-    a data problem.
+    ``w`` is a pair (w1, w2) over rows. The exponent is recomputed through
+    the completed-square route and must agree to 1e-12 on every row;
+    disagreement means an implementation bug, not a data problem.
     """
-    h_val = complex(hermitian_form(ctx, w, w))
-    mirror = _ctilde_minus_q_lambda(ctx, w)
-    if abs(mirror - 0.5 * h_val) > IDENTITY_ABS_TOL:
+    defect = np.ravel(completed_square_defect(ctx, w))
+    bad = np.flatnonzero(defect > IDENTITY_ABS_TOL)
+    if bad.size:
         raise InternalIdentityViolated(
-            f"completed-square constant {mirror} != H/2 = {0.5 * h_val}")
-    return ctx.normalization() * cmath.exp(-0.5 * math.pi * h_val)
+            f"completed-square constant misses H/2 by {defect[bad[0]]} at row {bad[0]}")
+    return ctx.normalization() * np.exp(-0.5 * math.pi * hermitian_form(ctx, w, w))
 
 
-def completed_square_defect(ctx: HermitianFormContext, w) -> float:
-    """|C_w - q(lambda_w) - H(w, w)/2|: the computational lemma's defect.
+def completed_square_defect(ctx: HermitianFormContext, w):
+    """|C_w - q(lambda_w) - H(w, w)/2| over rows of w: the computational lemma's defect.
 
     Zero in exact arithmetic; exposed so verification suites can measure
     the floating-point defect directly.
     """
-    return abs(_ctilde_minus_q_lambda(ctx, w) - 0.5 * complex(hermitian_form(ctx, w, w)))
+    return np.abs(_ctilde_minus_q_lambda(ctx, w) - 0.5 * hermitian_form(ctx, w, w))
 
 
 def mode_factor(t: float, m: int, theta2: float) -> complex:

@@ -117,7 +117,7 @@ ORACLE_ROUTES = {
 CLOSED_FORM_HELPERS = {
     "gaussian_factor", "mode_factor", "jacobi_theta", "HermitianFormContext",
     "hermitian_form", "_ctilde_minus_q_lambda", "completed_square_defect",
-    "inner_product_closed", "_coefficient_parts",
+    "inner_product_closed", "_coefficient_parts", "_mode_products",
 }
 
 
@@ -162,6 +162,44 @@ def test_closed_route_is_reached_from_its_own_entry_point():
     reached = _reached_names({"inner_product_closed"})
     assert {"gaussian_factor", "mode_factor", "jacobi_theta",
             "_ctilde_minus_q_lambda", "hermitian_form"} <= reached
+
+
+# Each of these takes rows and is called once over all of them.
+ROW_ROUTES = {"inner_product_closed", "inner_product_oracle", "completed_square_defect"}
+# A Hermitian-form context holds one complex structure T, so the
+# completed-square sweep makes one call per T: one loop deep, no deeper.
+ROW_ROUTE_LOOPS_ALLOWED = {("report._suite_inner_product", "completed_square_defect", 1)}
+
+
+def _row_route_calls_in_loops() -> set[tuple[str, str, int]]:
+    """(``module.function``, callee, loop depth) of each call of a row route
+    made in a ``for``/``while`` body or a comprehension, in the package."""
+    found = set()
+
+    def visit(node, scope, depth):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope.split('.')[0]}.{node.name}"
+        if depth and isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee in ROW_ROUTES:
+                found.add((scope, callee, depth))
+        looped = {"body", "orelse", "test"} if isinstance(
+            node, (ast.For, ast.AsyncFor, ast.While)) else {"elt", "key", "value", "generators"}
+        if not isinstance(node, (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+                                 ast.DictComp, ast.GeneratorExp)):
+            looped = set()
+        for name, value in ast.iter_fields(node):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, scope, depth + (name in looped))
+
+    for path in PACKAGE_DIR.glob("*.py"):
+        visit(ast.parse(path.read_text(), filename=str(path)), f"{path.stem}.<module>", 0)
+    return found
+
+
+def test_row_routes_are_not_called_per_element():
+    assert _row_route_calls_in_loops() - ROW_ROUTE_LOOPS_ALLOWED == set()
 
 
 def _third_party_imports(package_dir: Path) -> set[str]:

@@ -13,7 +13,7 @@ from nctheta.embedding import (
     enumerate_indices,
     lattice_element,
 )
-from nctheta.errors import TruncationTooSmall, UnsupportedVector
+from nctheta.errors import KindMismatch, TruncationTooSmall, UnsupportedVector
 from nctheta.qtheta import (
     _stored_values,
     _log_translation,
@@ -118,14 +118,35 @@ class TestOracleEquivalence:
         assert check.name == "oracle-equivalence"
         assert check.passed, check.max_residual
 
-    @pytest.mark.parametrize("kind", ["lattice", "vector"])
-    def test_rows_match_one_row_calls(self, kind, request):
+    @pytest.mark.parametrize("kind, route", [
+        pytest.param("lattice", inner_product_oracle, id="lattice"),
+        pytest.param("vector", inner_product_oracle, id="vector"),
+        pytest.param("lattice", inner_product_closed, id="lattice-closed"),
+        pytest.param("vector", inner_product_closed, id="vector-closed"),
+    ])
+    def test_rows_match_one_row_calls(self, kind, route, request):
         # the 625 radius-2 elements in one call, bit for bit as one at a time
         emb = request.getfixturevalue(f"{kind}_emb")
         f = theta_vector(request.getfixturevalue(f"{kind}_structure"))
         hs = [lattice_element(emb, k) for k in enumerate_indices(2)]
-        rows = inner_product_oracle(f, hs, 1e-10)
-        assert np.array_equal(rows, [inner_product_oracle(f, h, 1e-10) for h in hs])
+        rows = route(f, hs)
+        ones = [route(f, h) for h in hs]
+        assert all(type(one) is complex for one in ones)
+        assert rows.shape == (len(hs),)
+        assert rows.view(np.uint64).tolist() == np.array(ones).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("route", [inner_product_oracle, inner_product_closed])
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_no_elements_give_an_empty_array(self, kind, route, request):
+        f = theta_vector(request.getfixturevalue(f"{kind}_structure"))
+        rows = route(f, [])
+        assert rows.shape == (0,) and rows.dtype == complex
+
+    def test_closed_rows_check_every_kind(self, lattice_emb, vector_emb, lattice_structure):
+        f = theta_vector(lattice_structure)
+        hs = [lattice_element(lattice_emb, [0, 0, 0, 0]), lattice_element(vector_emb, [0] * 4)]
+        with pytest.raises(KindMismatch):
+            inner_product_closed(f, hs)
 
     @pytest.mark.parametrize("kind, integrator", [
         ("lattice", "gaussian_quadrature_oracle"),
@@ -146,11 +167,32 @@ class TestOracleEquivalence:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(report_mod, "inner_product_oracle")
+        counted(report_mod, "inner_product_closed")
         counted(qtheta_mod, integrator)
         (check,) = run_suite(request.getfixturevalue(f"{kind}_config"),
                              "oracle-compare").checks
         assert check.passed, check.max_residual
-        assert calls == ["inner_product_oracle", integrator]
+        assert calls == ["inner_product_oracle", integrator, "inner_product_closed"]
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_closed_route_is_called_once_per_caller(self, kind, request, monkeypatch):
+        import nctheta.report as report_mod
+
+        calls = []
+        for module in (report_mod, qtheta_mod):
+            real = module.inner_product_closed
+
+            def wrapper(f, h, _real=real, _name=module.__name__):
+                calls.append(_name)
+                return _real(f, h)
+            monkeypatch.setattr(module, "inner_product_closed", wrapper)
+        checks = run_suite(request.getfixturevalue(f"{kind}_config"), "inner-product").checks
+        assert all(c.passed for c in checks)
+        assert calls == ["nctheta.report"]
+        calls.clear()
+        quantum_theta_series(request.getfixturevalue(f"{kind}_emb"),
+                             request.getfixturevalue(f"{kind}_structure"), radius=3)
+        assert calls == ["nctheta.qtheta"]
 
     def test_oracle_equivalence_sees_a_wrong_gaussian_factor(self, vector_config,
                                                               monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nctheta.errors import (
     DivergentIntegral,
     DivergentSeries,
+    InternalIdentityViolated,
     NotPositive,
 )
 from nctheta.special import (
@@ -218,6 +219,41 @@ class TestGaussianFactor:
                 w = tuple(rng.uniform(-3, 3, 2))
                 worst = max(worst, completed_square_defect(ctx, w))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("t, bitwise", [
+        (0.4 + 1.7j, True),
+        # a matrix context embeds by matmul, whose rounding depends on the row count
+        (np.array([[0.3 + 1.2j, 0.1 + 0.2j], [0.1 + 0.2j, -0.5 + 0.9j]]), False),
+    ])
+    def test_defect_rows_match_single_rows(self, t, bitwise):
+        # one call over rows against one-row calls, and against scalar calls up
+        # to the rounding of H on arrays against Python's complex arithmetic
+        ctx = HermitianFormContext(t)
+        rng = np.random.default_rng(31)
+        shape = (100,) if ctx.is_scalar else (100, 2)
+        w1, w2 = rng.uniform(-3, 3, shape), rng.uniform(-3, 3, shape)
+        rows = completed_square_defect(ctx, (w1, w2))
+        assert rows.shape == (100,)
+        one_row = [completed_square_defect(ctx, (w1[i:i + 1], w2[i:i + 1]))[0]
+                   for i in range(100)]
+        if bitwise:
+            assert rows.tolist() == one_row
+        scalar = [completed_square_defect(ctx, (w1[i], w2[i])) for i in range(100)]
+        for other in (one_row, scalar):
+            assert np.allclose(rows, other, rtol=0.0, atol=1e-14)
+        assert rows.max() <= 1e-12
+
+    def test_guard_names_the_row_that_misses(self, monkeypatch):
+        import nctheta.special as special_mod
+
+        ctx = HermitianFormContext(0.4 + 1.7j)
+        w = (np.linspace(-2, 2, 7), np.linspace(1, -1, 7))
+        exact = special_mod._ctilde_minus_q_lambda
+        assert gaussian_factor(ctx, w).shape == (7,)
+        monkeypatch.setattr(special_mod, "_ctilde_minus_q_lambda",
+                            lambda ctx, w: exact(ctx, w) + np.where(np.arange(7) == 4, 1e-9, 0))
+        with pytest.raises(InternalIdentityViolated, match="at row 4"):
+            gaussian_factor(ctx, w)
 
     def test_matrix_identity(self):
         rng = np.random.default_rng(7)
