@@ -19,7 +19,6 @@ the quotients become ill-defined.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -32,8 +31,8 @@ from .embedding import (
     EmbeddingKind,
     EmbeddingMap,
     LatticeElement,
+    _paired_exponent,
     _pairing_exponent_table,
-    cocycle_phase,
     enumerate_indices,
     lattice_element,
     point_parts,
@@ -305,28 +304,27 @@ def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
 
 
 def _log_translation(series: QuantumThetaSeries, kg, kh):
-    """Row-wise log C(g), log C(h), log C(g+h) and log T_g(h).
+    """log C(g), log C(h), log C(g+h) and log T_g(h) of each pair of index rows.
 
-    ``kg`` and ``kh`` are index arrays of which at least one has a single
-    row. Plane case: log T_g(h) = -pi H(g_, h_), independent of the
+    ``kg`` and ``kh`` are (..., 4) index arrays whose rows broadcast into
+    pairs. Plane case: log T_g(h) = -pi H(g_, h_), independent of the
     coefficients. Lattice case: the quotient
     log C(g+h) - log C(g) - log C(h) - log alpha(g, h), with the unreduced
     cocycle logarithm i pi (<g1, h2> - <h1, g2>).
     """
-    kg = np.asarray(kg, dtype=np.int64)
-    kh = np.asarray(kh, dtype=np.int64)
+    kg, kh = np.broadcast_arrays(np.asarray(kg, dtype=np.int64), np.asarray(kh, dtype=np.int64))
     emb = series.embedding
     expo, site = _coefficient_parts(emb, series.structure,
-                                    np.concatenate([*np.broadcast_arrays(kg, kh), kg + kh]))
+                                    np.concatenate([kg, kh, kg + kh]).reshape(-1, 4))
     if np.any(np.abs(site) < COEFFICIENT_FLOOR):
         raise InternalIdentityViolated(
             "vanishing mode product; translation quotient undefined")
-    lg, lh, lgh = np.split(expo + np.log(site), 3)
+    lg, lh, lgh = (part.reshape(kg.shape[:-1]) for part in np.split(expo + np.log(site), 3))
     if series.kind is EmbeddingKind.VECTOR_SPACE:
         lt = -math.pi * hermitian_form(structure_context(series.structure),
                                        point_parts(emb, kg), point_parts(emb, kh))
     else:
-        lt = lgh - lg - lh - 1j * math.pi * _pairing_exponent_table(emb, kg, kh).ravel()
+        lt = lgh - lg - lh - 1j * math.pi * _paired_exponent(emb, kg, kh)
     return lg, lh, lgh, lt
 
 
@@ -442,7 +440,7 @@ def verify_functional_equation(series: QuantumThetaSeries, kg) -> VerificationRe
     ks = series.indices
     kh = ks[np.max(np.abs(kg + ks), axis=1) <= interior]
     lg, lh, _, lt = _log_translation(series, kg[None], kh)
-    alpha = np.exp(1j * math.pi * _pairing_exponent_table(series.embedding, kg[None], kh)[0])
+    alpha = np.exp(1j * math.pi * _paired_exponent(series.embedding, kg, kh))
     lhs = np.exp(lg + lh + lt) * alpha
     ksum = kg + kh
     return VerificationReport.build(
@@ -452,37 +450,42 @@ def verify_functional_equation(series: QuantumThetaSeries, kg) -> VerificationRe
 
 
 def verify_consistency_condition(series: QuantumThetaSeries, kg, kh) -> VerificationReport:
-    """Check C(g+h) = C(g) C(h) T_g(h) alpha(g, h) for one pair of indices.
+    """Check C(g+h) = C(g) C(h) T_g(h) alpha(g, h) for one pair of indices or rows of pairs.
 
-    alpha comes from :func:`cocycle_phase` on the two lattice points, the
-    translation from the exponent table. In the plane case this is the
-    nontrivial content of the functional equation and reduces to
-    e^{pi i Im H(g_, h_)} = alpha(g, h), which is reported as a second
-    labeled residual.
+    ``kg`` and ``kh`` are index rows of shape (4,) or (N, 4) that broadcast
+    into pairs. alpha comes from the paired cocycle exponent, the translation
+    from :func:`_log_translation`; the report holds a quotient residual per
+    pair. In the plane case this is the nontrivial content of the
+    functional equation and reduces to e^{pi i Im H(g_, h_)} = alpha(g, h),
+    reported as a phase-identity residual per pair after the quotients.
     """
     vector = series.kind is EmbeddingKind.VECTOR_SPACE
     tolerance = 1e-10 if vector else 1e-12
-    emb = series.embedding
-    alpha = cocycle_phase(lattice_element(emb, kg), lattice_element(emb, kh))
-    lg, lh, lgh, lt = _log_translation(series, [kg], [kh])
-    residuals = {"quotient": abs(cmath.exp(lg[0] + lh[0] + lt[0]) * alpha
-                                 - cmath.exp(lgh[0]))}
+    kg, kh = np.broadcast_arrays(*np.atleast_2d(kg, kh))
+    alpha = np.exp(1j * math.pi * _paired_exponent(series.embedding, kg, kh))
+    lg, lh, lgh, lt = _log_translation(series, kg, kh)
+    defects = _cmul(np.exp(lg + lh + lt), alpha) - np.exp(lgh)
+    names = ["quotient"]
     if vector:
         # the plane translation is log T_g(h) = -pi H(g_, h_)
-        residuals["phase-identity"] = abs(cmath.exp(-1j * lt[0].imag) - alpha)
+        defects = np.concatenate([defects, np.exp(-1j * lt.imag) - alpha])
+        names.append("phase-identity")
+    labels = (f"{name} g={_label(g)} h={_label(h)}" for name in names for g, h in zip(kg, kh))
     return VerificationReport.build(
-        f"consistency g={_label(kg)} h={_label(kh)}", residuals,
-        list(residuals.values()), tolerance,
-        kind=series.kind.value)
+        "consistency", labels, np.hypot(defects.real, defects.imag), tolerance,
+        pairs=len(kg), kind=series.kind.value)
 
 
-def additivity_gap(series: QuantumThetaSeries, kg1, kg2, kh) -> float:
-    """|T_{g1}(h) T_{g2}(h) / T_{g1+g2}(h) - 1| at three indices, the additivity defect.
+def additivity_gap(series: QuantumThetaSeries, kg1, kg2, kh):
+    """|T_{g1}(h) T_{g2}(h) / T_{g1+g2}(h) - 1|, the additivity defect of each triple.
 
-    Plane translations are additive because the Hermitian form is linear
-    in its first slot; lattice translations are not, because the mode
-    factors do not multiply exponentially.
+    Three indices give a float, three (N, 4) index arrays the N gaps; the
+    translations of all 3N pairs come from one :func:`_log_translation`
+    call. Plane translations are additive because the Hermitian form is
+    linear in its first slot; lattice translations are not, because the
+    mode factors do not multiply exponentially.
     """
-    kgs = [kg1, kg2, np.add(kg1, kg2)]
-    lt = _log_translation(series, kgs, [kh])[3]
-    return abs(cmath.exp(lt[0] + lt[1] - lt[2]) - 1.0)
+    lt = _log_translation(series, np.stack([kg1, kg2, np.add(kg1, kg2)]), kh)[3]
+    gap = np.exp(lt[0] + lt[1] - lt[2]) - 1.0
+    gap = np.hypot(gap.real, gap.imag)
+    return float(gap) if gap.ndim == 0 else gap

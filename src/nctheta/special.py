@@ -136,7 +136,9 @@ class HermitianFormContext:
         x1, x2 = pair
         if self.is_scalar:
             return self.T * x1 + x2
-        return np.asarray(x1, dtype=float) @ self.T.T + np.asarray(x2, dtype=float)
+        # term by term: a matmul rounds differently with the number of rows
+        x1 = np.asarray(x1, dtype=float)
+        return x1[..., :1] * self.T[:, 0] + x1[..., 1:] * self.T[:, 1] + np.asarray(x2, dtype=float)
 
     def normalization(self) -> float:
         """Gaussian self-pairing constant: 1/sqrt(2 Im T), resp. 1/sqrt(2^2 det Im T)."""

@@ -378,7 +378,7 @@ def test_cocycle_certificate_catches_broken_tables(which, name, lattice_emb,
 def _flipped_exponent(m_l, d_l, m_r, d_r):
     # <x1, y2> + <y1, x2>: bilinear, so the identity certificate holds, but
     # not the cocycle of the Heisenberg operators
-    return m_l @ d_r.T + (m_r @ d_l.T).T
+    return m_l @ np.swapaxes(d_r, -1, -2) + np.swapaxes(m_r @ np.swapaxes(d_l, -1, -2), -1, -2)
 
 
 @pytest.mark.parametrize("which", ["lattice", "vector"])
@@ -412,6 +412,25 @@ def test_bicharacter_and_linearity(lattice_emb, vector_emb):
     assert bicharacter_max_residual(vector_emb, rng) <= 1e-12
     assert element_linearity_max_residual(lattice_emb) <= 1e-12
     assert element_linearity_max_residual(vector_emb) <= 1e-12
+
+
+def test_bicharacter_reads_the_paired_exponent(lattice_emb, monkeypatch):
+    # the 20 triples go through the paired exponent in one pass, with no
+    # per-point cocycle_phase call, and match the per-point phases
+    ks = np.random.default_rng(5).integers(-2, 3, size=(20, 3, 4))
+    worst = 0.0
+    for ka, kb, kc in ks:
+        a, b, c = (lattice_element(lattice_emb, k) for k in (ka, kb, kc))
+        ab, bc = lattice_element(lattice_emb, ka + kb), lattice_element(lattice_emb, kb + kc)
+        worst = max(worst,
+                    abs(cocycle_phase(ab, c) - cocycle_phase(a, c) * cocycle_phase(b, c)),
+                    abs(cocycle_phase(a, bc) - cocycle_phase(a, b) * cocycle_phase(a, c)))
+
+    def forbidden(x, y):
+        raise AssertionError("cocycle_phase called")
+
+    monkeypatch.setattr(embedding, "cocycle_phase", forbidden)
+    assert bicharacter_max_residual(lattice_emb, np.random.default_rng(5)) == worst
 
 
 def test_element_add(lattice_emb):

@@ -165,7 +165,8 @@ def test_closed_route_is_reached_from_its_own_entry_point():
 
 
 # Each of these takes rows and is called once over all of them.
-ROW_ROUTES = {"inner_product_closed", "inner_product_oracle", "completed_square_defect"}
+ROW_ROUTES = {"inner_product_closed", "inner_product_oracle", "completed_square_defect",
+              "verify_consistency_condition", "additivity_gap", "_log_translation"}
 # A Hermitian-form context holds one complex structure T, so the
 # completed-square sweep makes one call per T: one loop deep, no deeper.
 ROW_ROUTE_LOOPS_ALLOWED = {("report._suite_inner_product", "completed_square_defect", 1)}

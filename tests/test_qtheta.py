@@ -9,6 +9,7 @@ import nctheta.qtheta as qtheta_mod
 from conftest import GOLDEN_DIR, load_golden, save_golden
 from nctheta.config import parse_config
 from nctheta.embedding import (
+    EmbeddingKind,
     cocycle_phase,
     enumerate_indices,
     lattice_element,
@@ -417,3 +418,64 @@ class TestAdditivity:
             ks[2] = rng.integers(-2, 3, size=4)
             gaps.append(additivity_gap(lattice_series, *ks))
         assert all(math.isfinite(g) for g in gaps)
+
+
+@pytest.fixture(scope="module", params=["lattice", "vector", "vector-off-diagonal"])
+def translation_series(request, vector_config):
+    if request.param == "vector-off-diagonal":
+        # off-diagonal tau, where a matmul embedding would round by row count
+        data = copy.deepcopy(vector_config.raw)
+        data["structure"]["tau"] = [[[0.1, 0.5], [0.04, 0.08]], [[0.05, 0.1], [0.02, 0.4]]]
+        cfg = parse_config(data)
+        emb = cfg.build_embedding()
+        return quantum_theta_series(emb, cfg.build_structure(emb), radius=4)
+    return request.getfixturevalue(f"{request.param}_series")
+
+
+class TestTranslationRows:
+    TRIPLES = np.moveaxis(np.random.default_rng(18).integers(-2, 3, size=(200, 3, 4)), 1, 0)
+
+    def test_log_translation_rows_match_one_row_calls(self, translation_series):
+        kg, _, kh = self.TRIPLES
+        rows = np.stack(_log_translation(translation_series, kg, kh), axis=-1)
+        ones = np.array([[part[0] for part in _log_translation(translation_series, [g], [h])]
+                         for g, h in zip(kg, kh)])
+        assert rows.shape == (200, 4)
+        assert rows.view(np.uint64).tolist() == ones.view(np.uint64).tolist()
+
+    def test_additivity_rows_match_one_triple_calls(self, translation_series):
+        gaps = additivity_gap(translation_series, *self.TRIPLES)
+        ones = [additivity_gap(translation_series, *ks) for ks in zip(*self.TRIPLES)]
+        assert all(type(one) is float for one in ones)
+        assert gaps.shape == (200,)
+        assert gaps.tolist() == ones
+
+    def test_consistency_rows_match_one_pair_reports(self, translation_series):
+        kg, _, kh = self.TRIPLES
+        rep = verify_consistency_condition(translation_series, kg, kh)
+        ones = [verify_consistency_condition(translation_series, g, h) for g, h in zip(kg, kh)]
+        per_pair = 2 if translation_series.kind is EmbeddingKind.VECTOR_SPACE else 1
+        assert all(len(one.residuals) == per_pair for one in ones)
+        assert len(rep.residuals) == 200 * per_pair
+        assert rep.max_residual == max(one.max_residual for one in ones)
+        assert rep.passed
+
+    @pytest.mark.parametrize("kind, additivity_calls", [("lattice", 2), ("vector", 1)])
+    def test_suites_make_one_call_over_rows(self, kind, additivity_calls, request,
+                                            monkeypatch):
+        import nctheta.report as report_mod
+
+        calls = []
+        for name in ("verify_consistency_condition", "additivity_gap"):
+            real = getattr(report_mod, name)
+
+            def wrapper(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(report_mod, name, wrapper)
+        cfg = request.getfixturevalue(f"{kind}_config")
+        assert all(c.passed for c in run_suite(cfg, "consistency").checks)
+        assert calls == ["verify_consistency_condition"]
+        calls.clear()
+        assert all(c.passed for c in run_suite(cfg, "additivity").checks)
+        assert calls == ["additivity_gap"] * additivity_calls
