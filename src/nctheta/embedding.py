@@ -92,35 +92,16 @@ class EmbeddingMap:
 
 @dataclass(frozen=True)
 class LatticeElement:
-    """A lattice point: integer index k plus its exact ambient coordinates.
+    """Lattice points: integer index rows k of shape (..., 4) plus their exact
+    ambient coordinates, over the same leading axes.
 
     ``m_part`` and ``dual_part`` are the two halves of :func:`point_parts`.
     """
 
     kind: EmbeddingKind
-    k: tuple[int, int, int, int]
+    k: np.ndarray
     m_part: np.ndarray
     dual_part: np.ndarray
-
-    @property
-    def w1(self) -> float:
-        return float(self.m_part[0])
-
-    @property
-    def w2(self) -> float:
-        return float(self.dual_part[0])
-
-    @property
-    def m_shift(self) -> tuple[int, int]:
-        if self.kind is not EmbeddingKind.LATTICE:
-            raise KindMismatch("integer shift only exists for the lattice kind")
-        return int(self.m_part[1]), int(self.m_part[2])
-
-    @property
-    def t_lift(self) -> np.ndarray:
-        if self.kind is not EmbeddingKind.LATTICE:
-            raise KindMismatch("torus lift only exists for the lattice kind")
-        return self.dual_part[1:]
 
 
 @dataclass(frozen=True)
@@ -237,16 +218,19 @@ def point_parts(emb: EmbeddingMap, ks) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lattice_element(emb: EmbeddingMap, k) -> LatticeElement:
-    """Image of the integer vector k under the embedding map."""
-    k = np.asarray(k, dtype=np.int64)
-    if k.shape != (4,):
-        raise ValueError("k must be an integer 4-vector")
-    return LatticeElement(emb.kind, tuple(int(v) for v in k), *point_parts(emb, k))
+    """Image of the index rows k, of shape (..., 4), under the embedding map."""
+    k = np.asarray(k)
+    if k.ndim == 0 or k.shape[-1] != 4:
+        raise ValueError("k must be integer index rows of shape (..., 4)")
+    if np.any(k != np.round(k)):
+        raise ValueError("k must have integer entries")
+    k = k.astype(np.int64)
+    return LatticeElement(emb.kind, k, *point_parts(emb, k))
 
 
 def element_add(emb: EmbeddingMap, x: LatticeElement, y: LatticeElement) -> LatticeElement:
     """Lattice sum x + y, recomputed through the map so coordinates stay exact."""
-    return lattice_element(emb, np.asarray(x.k) + np.asarray(y.k))
+    return lattice_element(emb, x.k + y.k)
 
 
 def enumerate_indices(radius: int) -> np.ndarray:

@@ -35,6 +35,7 @@ from .errors import (
     NotPositive,
     UnsupportedVector,
 )
+from .special import _cmul
 
 PHASE_MASK_THRESHOLD = 1e-8
 # Sample grids extend until the Gaussian tails fall below this magnitude.
@@ -59,6 +60,10 @@ class ClosedFormVector:
                        * exp(2 pi i n_phase . n)
     Vector-space kind (no discrete factors):
         f(s1, s2) = amplitude * exp(pi i (S^t quadratic S + 2 linear . S))
+
+    A form pushed through rows of lattice points (:func:`apply_pi`) holds one
+    ``linear``, ``amplitude``, ``n_shift`` and ``n_phase`` per point; only a
+    one-point form is evaluated.
     """
 
     kind: EmbeddingKind
@@ -77,6 +82,8 @@ class ClosedFormVector:
 
     def evaluate(self, *coords) -> np.ndarray:
         """Pointwise values; arguments broadcast like numpy arrays."""
+        if np.ndim(self.amplitude):
+            raise ValueError("a form pushed through rows of points is not evaluated")
         if self.kind is EmbeddingKind.LATTICE:
             s, n1, n2 = [np.asarray(c) for c in coords]
             expo = 1j * math.pi * (self.quadratic * s * s + 2.0 * self.linear * s)
@@ -159,43 +166,42 @@ def default_finite_vector(fp) -> np.ndarray:
 
 
 def _transform_closed(h: LatticeElement, f: ClosedFormVector) -> ClosedFormVector:
-    """Push a closed form through pi_h; the Gaussian class is stable."""
+    """Push a closed form through pi_h at each point of h; the Gaussian class is stable."""
     if f.kind is not h.kind:
         raise KindMismatch("vector and lattice element kinds differ")
     if h.kind is EmbeddingKind.LATTICE:
-        w1, w2 = h.w1, h.w2
-        m1, m2 = h.m_shift
-        t = h.t_lift
+        w1, m1, m2 = np.moveaxis(h.m_part, -1, 0)
+        w2, t1, t2 = np.moveaxis(h.dual_part, -1, 0)
+        p1, p2 = np.moveaxis(np.asarray(f.n_phase), -1, 0)
         T, L = f.quadratic, f.linear
-        amp = f.amplitude
-        amp *= np.exp(1j * math.pi * (T * w1 * w1 + 2.0 * L * w1))
-        amp *= np.exp(2j * math.pi * (f.n_phase[0] * m1 + f.n_phase[1] * m2))
-        amp *= np.exp(1j * math.pi * (w1 * w2 + m1 * t[0] + m2 * t[1]))
-        return replace(
-            f,
-            linear=T * w1 + L + w2,
-            amplitude=complex(amp),
-            n_shift=(f.n_shift[0] + m1, f.n_shift[1] + m2),
-            n_phase=(f.n_phase[0] + t[0], f.n_phase[1] + t[1]),
-        )
-    x1, x2 = h.m_part, h.dual_part
+        amp = _cmul(f.amplitude, np.exp(1j * math.pi * (T * w1 * w1 + 2.0 * L * w1)))
+        amp = _cmul(amp, np.exp(2j * math.pi * (p1 * m1 + p2 * m2)))
+        amp = _cmul(amp, np.exp(1j * math.pi * (w1 * w2 + m1 * t1 + m2 * t2)))
+        return replace(f, linear=T * w1 + L + w2, amplitude=amp,
+                       n_shift=np.add(f.n_shift, h.m_part[..., 1:]),
+                       n_phase=np.add(f.n_phase, h.dual_part[..., 1:]))
+    row, x1, x2 = h.m_part[..., None, :], h.m_part[..., :, None], h.dual_part[..., :, None]
     q = np.asarray(f.quadratic)
     l = np.asarray(f.linear, dtype=complex)
-    amp = f.amplitude * np.exp(1j * math.pi * (x1 @ q @ x1 + 2.0 * (l @ x1) + x1 @ x2))
-    return replace(f, linear=q @ x1 + l + x2, amplitude=complex(amp))
+    expo = (row @ q @ x1 + 2.0 * (l[..., None, :] @ x1) + row @ x2)[..., 0, 0]
+    amp = _cmul(f.amplitude, np.exp(1j * math.pi * expo))
+    return replace(f, linear=(q @ x1)[..., 0] + l + h.dual_part, amplitude=amp)
 
 
 def apply_pi(h: LatticeElement, f):
     """Heisenberg operator pi_h: translate by the M part, modulate by the
     dual part, with the symmetrizing half-phase on the cross term.
 
-    Closed forms stay closed forms. A sampled vector keeps its grid and
-    carries the transformed closed form, so its values are the exact
+    Closed forms stay closed forms, one descriptor entry per point of h. A
+    sampled vector takes one point (ValueError for rows): it keeps its grid
+    and carries the transformed closed form, so its values are the exact
     re-evaluation on that grid. The finite factor is untouched here; see
     :func:`apply_generator`.
     """
     if isinstance(f, ClosedFormVector):
         return _transform_closed(h, f)
+    if h.k.ndim != 1:
+        raise ValueError("a sampled vector is pushed through one lattice point")
     return replace(f, source=_transform_closed(h, f.source))
 
 

@@ -97,37 +97,35 @@ def _label(k) -> str:
     return ",".join(map(str, map(int, k)))
 
 
-def inner_product_closed(f: ClosedFormVector, h):
-    """Closed form of <f, pi_h f> for a canonical theta vector, one value per element.
+def inner_product_closed(f: ClosedFormVector, h: LatticeElement):
+    """Closed form of <f, pi_h f> for a canonical theta vector, one value per point of h.
 
-    ``h`` is one :class:`LatticeElement`, which returns a complex, or a
-    sequence of them. Lattice kind: the two discrete mode factors times the
-    Gaussian self-pairing of the continuous pair; vector-space kind: the
-    Gaussian self-pairing of the full pair. Each factor runs once over all rows.
+    Returns the leading shape of h: a complex for one index. Lattice kind:
+    the two discrete mode factors times the Gaussian self-pairing of the
+    continuous pair; vector-space kind: the Gaussian self-pairing of the
+    full pair. Each factor runs once over all points.
     """
-    single = isinstance(h, LatticeElement)
-    hs = [h] if single else h
-    if any(el.kind is not f.kind for el in hs):
+    if h.kind is not f.kind:
         raise KindMismatch("vector and element kinds differ")
-    if (np.any(np.asarray(f.linear) != 0) or f.amplitude != 1.0
-            or f.n_shift != (0, 0) or f.n_phase != (0.0, 0.0)):
+    if (any(np.any(np.asarray(x) != 0) for x in (f.linear, f.n_shift, f.n_phase))
+            or np.any(f.amplitude != 1.0)):
         raise UnsupportedVector("closed form requires the canonical theta vector")
-    if not hs:
-        return np.empty(0, dtype=complex)
-    parts = np.array([el.m_part for el in hs]), np.array([el.dual_part for el in hs])
+    shape = h.k.shape[:-1]
+    parts = tuple(part.reshape(-1, part.shape[-1]) for part in (h.m_part, h.dual_part))
     values = gaussian_factor(HermitianFormContext(f.quadratic), _continuous(f.kind, parts))
     if f.kind is EmbeddingKind.LATTICE:
         values = _cmul(_mode_products(parts, 1.0 / f.decay), values)
-    return complex(values[0]) if single else values
+    return complex(values[0]) if shape == () else values.reshape(shape)
 
 
 def _discrete_cross_sum(decay: float, u_f, u_g, dv, tol: float) -> np.ndarray:
-    """Brute-force sums over Z^2 of the discrete part of f conj(pi_h f), one per row.
+    """Brute-force sums over Z^2 of the discrete part of f conj(pi_h f), one per point.
 
-    Row j sums e^{-pi decay (|n+u_f|^2 + |n+u_g[j]|^2)} e^{2 pi i dv[j] . n}
+    Point j, over the leading axes of u_g and dv (..., 2), sums
+    e^{-pi decay (|n+u_f|^2 + |n+u_g[j]|^2)} e^{2 pi i dv[j] . n}
     on a window centered between the two shifts, with the window radius
     chosen so the neglected ring is provably below tol relative to the
-    leading term; each row's boundary ring is checked after the fact as
+    leading term; each point's boundary ring is checked after the fact as
     well.
     """
     u_f = np.asarray(u_f, dtype=float)
@@ -135,50 +133,46 @@ def _discrete_cross_sum(decay: float, u_f, u_g, dv, tol: float) -> np.ndarray:
     center = np.round(-(u_f + u_g) / 2.0).astype(int)
     reach = math.ceil(math.sqrt(math.log(100.0 / tol) / (2.0 * math.pi * decay))) + 2
     offsets = np.arange(-reach, reach + 1)
-    a = center[:, 0, None, None] + offsets[:, None]
-    b = center[:, 1, None, None] + offsets
+    a = center[..., 0, None, None] + offsets[:, None]
+    b = center[..., 1, None, None] + offsets
     expo = (-math.pi * decay * ((a + u_f[0]) ** 2 + (b + u_f[1]) ** 2
-                                + (a + u_g[:, 0, None, None]) ** 2
-                                + (b + u_g[:, 1, None, None]) ** 2)
-            + 2j * math.pi * (dv[:, 0, None, None] * a + dv[:, 1, None, None] * b))
+                                + (a + u_g[..., 0, None, None]) ** 2
+                                + (b + u_g[..., 1, None, None]) ** 2)
+            + 2j * math.pi * (dv[..., 0, None, None] * a + dv[..., 1, None, None] * b))
     terms = np.exp(expo)
     mags = np.abs(terms)
-    peak = mags.max(axis=(1, 2))
-    ring = np.ones(mags.shape[1:], dtype=bool)
+    peak = mags.max(axis=(-2, -1))
+    ring = np.ones(mags.shape[-2:], dtype=bool)
     ring[1:-1, 1:-1] = False
-    if np.any((peak > 0) & (mags[:, ring].max(axis=1) > tol * peak / 10.0)):
+    if np.any((peak > 0) & (mags[..., ring].max(axis=-1) > tol * peak / 10.0)):
         raise InternalIdentityViolated("discrete window too small for the requested tol")
-    return terms.reshape(len(terms), -1).sum(axis=1)
+    return terms.sum(axis=(-2, -1))
 
 
-def inner_product_oracle(f: ClosedFormVector, h, tol: float = 1e-10):
+def inner_product_oracle(f: ClosedFormVector, h: LatticeElement, tol: float = 1e-10):
     """Brute-force <f, pi_h f>: operator layer + quadrature + direct sums.
 
-    ``h`` is one :class:`LatticeElement`, which returns a complex, or a
-    sequence of them, which returns one value per element. pi_h f is
-    produced by the Heisenberg operator itself; the pointwise product
-    f conj(pi_h f) is then integrated by the quarantined quadrature oracle
-    (1d, or 2d tensorized) and summed directly over the discrete modes,
-    over all elements at once. Shares no closed-form helpers with
+    Returns the leading shape of h: a complex for one index. pi_h f is
+    produced by the Heisenberg operator itself, over all points at once;
+    the pointwise product f conj(pi_h f) is then integrated by the
+    quarantined quadrature oracle (1d, or 2d tensorized) and summed directly
+    over the discrete modes. Shares no closed-form helpers with
     :func:`inner_product_closed`.
     """
     if not isinstance(f, ClosedFormVector):
         raise UnsupportedVector("the oracle integrates closed-form vectors")
-    single = isinstance(h, LatticeElement)
-    gs = [apply_pi(el, f) for el in ([h] if single else h)]
-    if not gs:
-        return np.empty(0, dtype=complex)
-    amp = _cmul(f.amplitude, np.conj([g.amplitude for g in gs]))
-    quad = f.quadratic - np.conj([g.quadratic for g in gs])
-    lin = 2.0 * (f.linear - np.conj([g.linear for g in gs]))
+    g = apply_pi(h, f)
+    amp = _cmul(f.amplitude, np.conj(g.amplitude))
+    quad = f.quadratic - np.conj(g.quadratic)
+    lin = 2.0 * (f.linear - np.conj(g.linear))
     if f.kind is EmbeddingKind.LATTICE:
         s_part = gaussian_quadrature_oracle(quad, lin, 0.0, tol)
-        n_part = _discrete_cross_sum(f.decay, f.n_shift, [g.n_shift for g in gs],
-                                     np.subtract(f.n_phase, [g.n_phase for g in gs]), tol)
+        n_part = _discrete_cross_sum(f.decay, f.n_shift, g.n_shift,
+                                     np.subtract(f.n_phase, g.n_phase), tol)
         values = _cmul(_cmul(amp, s_part), n_part)
     else:
         values = _cmul(amp, gaussian_quadrature_oracle_2d(quad, lin, 0.0, tol))
-    return complex(values[0]) if single else values
+    return complex(values) if values.ndim == 0 else values
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,12 +210,12 @@ class QuantumThetaSeries:
         return table
 
     def coefficient(self, k) -> complex:
-        """C(k); KeyError when k has not four entries or lies outside the radius."""
-        k = tuple(int(c) for c in k)
+        """C(k); KeyError when k has not four integral entries or lies outside the radius."""
+        k = tuple(k)
         r = self.radius
-        if len(k) != 4 or max(map(abs, k)) > r:
+        if len(k) != 4 or not all(float(c).is_integer() and abs(c) <= r for c in k):
             raise KeyError(k)
-        return complex(self.values[self._row_table[tuple(c + r for c in k)]])
+        return complex(self.values[self._row_table[tuple(int(c) + r for c in k)]])
 
 
 class _CoefficientView(Mapping):
@@ -337,7 +331,7 @@ def _reassembly_failure(series: QuantumThetaSeries) -> str | None:
     """
     ks = enumerate_indices(min(series.radius, 2))
     closed = inner_product_closed(theta_vector(series.structure),
-                                  [lattice_element(series.embedding, k) for k in ks])
+                                  lattice_element(series.embedding, ks))
     assembled = series.normalization * _stored_values(series, ks)
     # fails closed: a NaN difference is not within the tolerance
     bad = ~(np.abs(assembled - closed) <= REASSEMBLY_REL_TOL * np.maximum(np.abs(closed), 1e-30))

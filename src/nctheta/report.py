@@ -254,7 +254,7 @@ def _suite_inner_product(ctx: RunContext) -> list[VerificationReport]:
     emb, tol = ctx.emb, ctx.tol
     f = theta_vector(ctx.structure)
     ks = enumerate_indices(1)
-    closed = inner_product_closed(f, [lattice_element(emb, k) for k in np.concatenate([ks, -ks])])
+    closed = inner_product_closed(f, lattice_element(emb, np.concatenate([ks, -ks])))
     at_k, at_minus_k = np.split(closed, 2)
     zero = complex(at_k[0])  # ks[0] is the zero index
     reports = [
@@ -373,9 +373,9 @@ def _suite_oracle_compare(ctx: RunContext) -> list[VerificationReport]:
     abs_floor = 1e-15
     f = theta_vector(structure)
     ks = enumerate_indices(2)
-    hs = [lattice_element(emb, k) for k in ks]
-    oracle = inner_product_oracle(f, hs, rel_tol / 100.0)
-    diff = inner_product_closed(f, hs) - oracle
+    h = lattice_element(emb, ks)
+    oracle = inner_product_oracle(f, h, rel_tol / 100.0)
+    diff = inner_product_closed(f, h) - oracle
     # value <= rel_tol exactly when |closed - oracle| <= max(rel |o|, floor); hypot
     # rounds as Python's abs does, numpy's complex abs may not
     residuals = (np.hypot(diff.real, diff.imag)

@@ -102,27 +102,48 @@ def test_commutation_matrix_general_m():
 
 
 def test_lattice_element_columns(lattice_emb):
+    # M part (w1, m1, m2), dual part (w2, t1, t2)
     el = lattice_element(lattice_emb, [0, 0, 1, 0])
-    assert el.w1 == 0.0
-    assert el.m_shift == (1, 0)
-    assert el.w2 == 0.0
-    assert tuple(el.t_lift) == (0.0, 0.3)
+    assert el.m_part[0] == 0.0
+    assert el.m_part[1:].tolist() == [1, 0]
+    assert el.dual_part[0] == 0.0
+    assert el.dual_part[1:].tolist() == [0.0, 0.3]
     el1 = lattice_element(lattice_emb, [1, 0, 0, 0])
-    assert el1.w1 == pytest.approx(0.5)
-    assert el1.m_shift == (0, 0)
+    assert el1.m_part[0] == pytest.approx(0.5)
+    assert el1.m_part[1:].tolist() == [0, 0]
     zero = lattice_element(lattice_emb, [0, 0, 0, 0])
     assert np.all(zero.m_part == 0) and np.all(zero.dual_part == 0)
 
 
 def test_lattice_element_integer_part_exact(lattice_emb):
     el = lattice_element(lattice_emb, [3, -2, 7, -5])
-    assert isinstance(el.m_shift[0], int)
-    assert el.m_shift == (7, -5)
+    assert el.k.dtype == np.int64
+    assert np.all(el.m_part[1:] == np.round(el.m_part[1:]))
+    assert el.m_part[1:].tolist() == [7, -5]
 
 
 def test_torus_lifts_not_reduced(lattice_emb):
     el = lattice_element(lattice_emb, [0, 0, 0, 3])
-    assert el.t_lift[0] == pytest.approx(2.1)  # 3 * 0.7, beyond [0, 1)
+    assert el.dual_part[1] == pytest.approx(2.1)  # 3 * 0.7, beyond [0, 1)
+
+
+@pytest.mark.parametrize("k", [
+    pytest.param([0.5, 0, 1.9, 0], id="fraction"),  # int64 would truncate to (0, 0, 1, 0)
+    pytest.param([[0, 0, 0, 0], [0, 0, 1e-9, 0]], id="fraction-in-a-row"),
+    pytest.param([np.nan] * 4, id="nan"),
+    pytest.param([0, 0, 1], id="three-entries"),
+    pytest.param([[0, 0, 0, 0, 0]], id="five-entries"),
+    pytest.param(3, id="scalar"),
+])
+def test_lattice_element_rejects_a_malformed_index(lattice_emb, k):
+    with pytest.raises(ValueError):
+        lattice_element(lattice_emb, k)
+
+
+def test_lattice_element_accepts_integral_floats(lattice_emb):
+    el = lattice_element(lattice_emb, [1.0, 0.0, -2.0, 3.0])
+    assert el.k.dtype == np.int64 and el.k.tolist() == [1, 0, -2, 3]
+    assert el.m_part.tobytes() == lattice_element(lattice_emb, [1, 0, -2, 3]).m_part.tobytes()
 
 
 # Both fixtures plus a lattice map with a non-diagonal integer block and a
@@ -149,8 +170,12 @@ def test_point_parts_match_lattice_element(name):
         assert el.m_part.tobytes() == m_part.tobytes()
         assert el.dual_part.tobytes() == dual_part.tobytes()
         if kind is EmbeddingKind.LATTICE:
-            assert el.m_shift == (int(m_part[1]), int(m_part[2]))
-            assert el.m_shift == tuple((emb.m @ k[2:]).tolist())
+            assert np.all(el.m_part[1:] == np.round(m_part[1:]))
+            assert el.m_part[1:].tolist() == (emb.m @ k[2:]).tolist()
+    rows = lattice_element(emb, ks)
+    assert rows.k.tolist() == ks.tolist()
+    assert rows.m_part.tobytes() == m_parts.tobytes()
+    assert rows.dual_part.tobytes() == dual_parts.tobytes()
 
 
 def test_point_parts_layout_on_basis_rows():
@@ -170,7 +195,7 @@ def test_enumerate_counts_and_order(lattice_emb):
     assert len(enumerate_indices(1)) == 81
     els = [lattice_element(lattice_emb, k) for k in enumerate_indices(2)]
     assert len(els) == 625
-    assert els[0].k == (0, 0, 0, 0)
+    assert tuple(els[0].k) == (0, 0, 0, 0)
     norms = [max(abs(c) for c in e.k) for e in els]
     assert norms == sorted(norms)
     # reference definition of the canonical order: sup norm, then lexicographic
@@ -437,7 +462,7 @@ def test_element_add(lattice_emb):
     x = lattice_element(lattice_emb, [1, 2, -1, 0])
     y = lattice_element(lattice_emb, [0, -1, 3, 2])
     s = element_add(lattice_emb, x, y)
-    assert s.k == (1, 1, 2, 2)
+    assert tuple(s.k) == (1, 1, 2, 2)
     assert np.allclose(s.m_part, x.m_part + y.m_part, atol=1e-12)
     assert np.allclose(s.dual_part, x.dual_part + y.dual_part, atol=1e-12)
 

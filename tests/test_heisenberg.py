@@ -105,11 +105,36 @@ class TestApplyPi:
             h = lattice_element(lattice_emb, k)
             sampled = apply_pi(h, sample_vector(f, step=1 / 16))
             s, n1, n2 = sampled.grids()
-            (m1, m2), t = h.m_shift, h.t_lift
-            direct = (np.exp(2j * math.pi * (h.w2 * s + t[0] * n1 + t[1] * n2)
-                             + 1j * math.pi * (h.w1 * h.w2 + m1 * t[0] + m2 * t[1]))
-                      * f.evaluate(s + h.w1, n1 + m1, n2 + m2))
+            (w1, m1, m2), (w2, t1, t2) = h.m_part, h.dual_part
+            direct = (np.exp(2j * math.pi * (w2 * s + t1 * n1 + t2 * n2)
+                             + 1j * math.pi * (w1 * w2 + m1 * t1 + m2 * t2))
+                      * f.evaluate(s + w1, n1 + m1, n2 + m2))
             assert np.max(np.abs(sampled.values - direct)) <= 1e-10, k
+
+    def test_sampled_vector_takes_one_point(self, lattice_emb, lattice_theta):
+        f = sample_vector(lattice_theta, step=1 / 4)
+        rows = lattice_element(lattice_emb, [[0, 0, 1, 0], [1, 0, 0, 0]])
+        with pytest.raises(ValueError):
+            apply_pi(rows, f)
+        # two rows would unpack as the two entries of one shift
+        with pytest.raises(ValueError):
+            apply_pi(rows, lattice_theta).evaluate(0.0, 0, 0)
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_rows_push_each_point(self, kind, request):
+        # a closed form pushed through rows carries, per point, the
+        # descriptor of the one-point push, bit for bit
+        emb = request.getfixturevalue(f"{kind}_emb")
+        f = theta_vector(request.getfixturevalue(f"{kind}_structure"))
+        ks = enumerate_indices(1)
+        rows = apply_pi(lattice_element(emb, ks), f)
+        for j, k in enumerate(ks):
+            one = apply_pi(lattice_element(emb, k), f)
+            for name in ("linear", "amplitude", "n_shift", "n_phase"):
+                got, want = np.asarray(getattr(rows, name)), np.asarray(getattr(one, name))
+                if got.ndim > want.ndim:
+                    got = got[j]
+                assert got.tobytes() == want.tobytes(), (name, k)
 
     def test_kind_mismatch(self, vector_emb, lattice_theta):
         h = lattice_element(vector_emb, [1, 0, 0, 0])

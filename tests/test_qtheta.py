@@ -15,6 +15,7 @@ from nctheta.embedding import (
     lattice_element,
 )
 from nctheta.errors import KindMismatch, TruncationTooSmall, UnsupportedVector
+from nctheta.heisenberg import apply_pi
 from nctheta.qtheta import (
     _stored_values,
     _log_translation,
@@ -63,9 +64,13 @@ class TestInnerProductClosed:
     def test_rejects_noncanonical_vector(self, lattice_emb, lattice_structure):
         from dataclasses import replace
 
-        f = replace(theta_vector(lattice_structure), amplitude=2.0 + 0j)
-        with pytest.raises(UnsupportedVector):
-            inner_product_closed(f, lattice_element(lattice_emb, [0, 0, 0, 0]))
+        theta = theta_vector(lattice_structure)
+        # a pushed vector carries array-valued fields: still UnsupportedVector,
+        # not numpy's ambiguous-truth ValueError
+        for f in (replace(theta, amplitude=2.0 + 0j),
+                  apply_pi(lattice_element(lattice_emb, [0, 0, 1, 0]), theta)):
+            with pytest.raises(UnsupportedVector):
+                inner_product_closed(f, lattice_element(lattice_emb, [0, 0, 0, 0]))
 
 
 class TestOracleEquivalence:
@@ -126,28 +131,43 @@ class TestOracleEquivalence:
         pytest.param("vector", inner_product_closed, id="vector-closed"),
     ])
     def test_rows_match_one_row_calls(self, kind, route, request):
-        # the 625 radius-2 elements in one call, bit for bit as one at a time
+        # the 625 radius-2 index rows in one call, bit for bit as one at a time
         emb = request.getfixturevalue(f"{kind}_emb")
         f = theta_vector(request.getfixturevalue(f"{kind}_structure"))
-        hs = [lattice_element(emb, k) for k in enumerate_indices(2)]
-        rows = route(f, hs)
-        ones = [route(f, h) for h in hs]
+        ks = enumerate_indices(2)
+        rows = route(f, lattice_element(emb, ks))
+        ones = [route(f, lattice_element(emb, k)) for k in ks]
         assert all(type(one) is complex for one in ones)
-        assert rows.shape == (len(hs),)
+        assert rows.shape == (len(ks),)
         assert rows.view(np.uint64).tolist() == np.array(ones).view(np.uint64).tolist()
 
     @pytest.mark.parametrize("route", [inner_product_oracle, inner_product_closed])
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
-    def test_no_elements_give_an_empty_array(self, kind, route, request):
+    def test_leading_axes_give_the_flat_values(self, kind, route, request):
+        # (25, 25, 4) index rows give (25, 25) values: the flat call, reshaped
+        emb = request.getfixturevalue(f"{kind}_emb")
         f = theta_vector(request.getfixturevalue(f"{kind}_structure"))
-        rows = route(f, [])
+        ks = enumerate_indices(2)
+        grid = route(f, lattice_element(emb, ks.reshape(25, 25, 4)))
+        flat = route(f, lattice_element(emb, ks))
+        assert grid.shape == (25, 25)
+        assert grid.tobytes() == flat.reshape(25, 25).tobytes()
+
+    @pytest.mark.parametrize("route", [inner_product_oracle, inner_product_closed])
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_no_elements_give_an_empty_array(self, kind, route, request):
+        emb = request.getfixturevalue(f"{kind}_emb")
+        f = theta_vector(request.getfixturevalue(f"{kind}_structure"))
+        rows = route(f, lattice_element(emb, np.empty((0, 4), dtype=np.int64)))
         assert rows.shape == (0,) and rows.dtype == complex
 
-    def test_closed_rows_check_every_kind(self, lattice_emb, vector_emb, lattice_structure):
-        f = theta_vector(lattice_structure)
-        hs = [lattice_element(lattice_emb, [0, 0, 0, 0]), lattice_element(vector_emb, [0] * 4)]
-        with pytest.raises(KindMismatch):
-            inner_product_closed(f, hs)
+    def test_closed_rows_check_every_kind(self, lattice_emb, vector_emb, lattice_structure,
+                                          vector_structure):
+        ks = enumerate_indices(1)
+        for f, emb in ((theta_vector(lattice_structure), vector_emb),
+                       (theta_vector(vector_structure), lattice_emb)):
+            with pytest.raises(KindMismatch):
+                inner_product_closed(f, lattice_element(emb, ks))
 
     @pytest.mark.parametrize("kind, integrator", [
         ("lattice", "gaussian_quadrature_oracle"),
@@ -239,6 +259,18 @@ class TestSeries:
         assert [k for k, _ in items] == keys
         assert [c for _, c in items] == series.values.tolist()
         assert series.coefficients[(1, -2, 3, -4)] == series.coefficient([1, -2, 3, -4])
+
+    @pytest.mark.parametrize("k", [(0.5, 0, 0, 0), (0.9, 0, 0, 0), (0, 0, 0, -3.5),
+                                   (math.nan, 0, 0, 0), (math.inf, 0, 0, 0)],
+                             ids=["0.5", "0.9", "-3.5", "nan", "inf"])
+    def test_lookup_refuses_a_non_integral_index(self, lattice_series, k):
+        # int() would truncate these to an index of the series; `in` must
+        # agree with iteration, which yields integer tuples only
+        with pytest.raises(KeyError):
+            lattice_series.coefficient(k)
+        assert k not in lattice_series.coefficients
+        assert (1.0, 0.0, 0.0, 0.0) in lattice_series.coefficients
+        assert lattice_series.coefficient([1.0, 0, 0, 0]) == lattice_series.coefficient([1, 0, 0, 0])
 
     def test_normalizations(self, lattice_series, vector_series):
         assert lattice_series.normalization == pytest.approx(0.5)
