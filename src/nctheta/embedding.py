@@ -146,12 +146,12 @@ def build_embedding(kind: EmbeddingKind, theta1: float, theta2: float | None = N
     longer vanish on generator columns.
     """
     kind = EmbeddingKind(kind)
-    if theta1 <= 0:
-        raise NonPositiveDeformation("theta1 must be strictly positive")
+    if not (math.isfinite(theta1) and theta1 > 0):
+        raise NonPositiveDeformation("theta1 must be finite and strictly positive")
 
     if kind is EmbeddingKind.VECTOR_SPACE:
-        if theta2 is None or theta2 <= 0:
-            raise NonPositiveDeformation("theta2 must be strictly positive")
+        if theta2 is None or not (math.isfinite(theta2) and theta2 > 0):
+            raise NonPositiveDeformation("theta2 must be finite and strictly positive")
         emb = EmbeddingMap(kind, _vector_entries(theta1, theta2),
                            float(theta1), float(theta2),
                            finite_part=finite_part)
@@ -175,9 +175,10 @@ def build_embedding(kind: EmbeddingKind, theta1: float, theta2: float | None = N
     if bad.size and not allow_invalid:
         j = int(bad[0])
         raise EmbeddingConditionViolated(column=j + 1, residual=float(residuals[j]))
-    if kind is EmbeddingKind.LATTICE and emb.theta34 <= 0:
+    # a non-finite entry of delta_hat makes theta34 non-finite
+    if kind is EmbeddingKind.LATTICE and not (math.isfinite(emb.theta34) and emb.theta34 > 0):
         raise NonPositiveDeformation(
-            f"derived deformation entry theta34 = {emb.theta34:.6g} must be positive")
+            f"derived deformation entry theta34 = {emb.theta34:.6g} must be finite and positive")
     if bad.size:
         emb = EmbeddingMap(emb.kind, emb.entries, emb.theta1, emb.theta2,
                            emb.m, emb.delta_hat, emb.finite_part, valid=False)
@@ -204,6 +205,18 @@ def commutation_matrix(emb: EmbeddingMap) -> DeformationMatrix:
     return DeformationMatrix(theta)
 
 
+def _index_rows(k) -> np.ndarray:
+    """Index rows of shape (..., 4) as int64; ValueError for another shape or
+    an entry that is not an int64 integer (integral floats such as 1.0 pass)."""
+    k = np.asarray(k)
+    if k.ndim == 0 or k.shape[-1] != 4:
+        raise ValueError("k must be integer index rows of shape (..., 4)")
+    # NaN and infinities fail the magnitude test
+    if k.dtype.kind not in "biu" and not np.all((np.abs(k) < 2.0 ** 63) & (k == np.round(k))):
+        raise ValueError("k must have integer entries within the int64 range")
+    return k.astype(np.int64, copy=False)
+
+
 def point_parts(emb: EmbeddingMap, ks) -> tuple[np.ndarray, np.ndarray]:
     """M part and dual part of the image of each index row of shape (..., 4).
 
@@ -212,19 +225,14 @@ def point_parts(emb: EmbeddingMap, ks) -> tuple[np.ndarray, np.ndarray]:
     with t stored as unreduced lifts. Vector-space kind: each part is two
     continuous coordinates.
     """
-    amb = np.asarray(ks, dtype=np.int64).astype(float) @ emb.entries.T
+    amb = _index_rows(ks).astype(float) @ emb.entries.T
     cut = len(emb.entries) // 2
     return amb[..., :cut], amb[..., cut:]
 
 
 def lattice_element(emb: EmbeddingMap, k) -> LatticeElement:
     """Image of the index rows k, of shape (..., 4), under the embedding map."""
-    k = np.asarray(k)
-    if k.ndim == 0 or k.shape[-1] != 4:
-        raise ValueError("k must be integer index rows of shape (..., 4)")
-    if np.any(k != np.round(k)):
-        raise ValueError("k must have integer entries")
-    k = k.astype(np.int64)
+    k = _index_rows(k)
     return LatticeElement(emb.kind, k, *point_parts(emb, k))
 
 

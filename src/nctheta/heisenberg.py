@@ -43,10 +43,7 @@ SAMPLE_TAIL = 1e-45
 
 
 def _min_im_eig(quadratic) -> float:
-    q = np.asarray(quadratic, dtype=complex)
-    if q.ndim == 0:
-        return float(q.imag)
-    return float(np.min(np.linalg.eigvalsh(q.imag)))
+    return float(np.min(np.linalg.eigvalsh(np.atleast_2d(quadratic).imag)))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .embedding import (
     EmbeddingKind,
     EmbeddingMap,
     LatticeElement,
+    _index_rows,
     _paired_exponent,
     _pairing_exponent_table,
     enumerate_indices,
@@ -240,7 +241,7 @@ def _rows(series: QuantumThetaSeries, ks) -> np.ndarray:
     The range check comes first: an index outside the radius raises
     KeyError rather than wrapping round to another row of the table.
     """
-    ks = np.asarray(ks, dtype=np.int64)
+    ks = _index_rows(ks)
     outside = np.abs(ks).max(axis=1, initial=0) > series.radius
     if np.any(outside):
         raise KeyError(tuple(ks[np.argmax(outside)].tolist()))
@@ -254,10 +255,10 @@ def _stored_values(series: QuantumThetaSeries, ks) -> np.ndarray:
 
 def _continuous(kind: EmbeddingKind, parts):
     """The continuous pair of :func:`point_parts` output, on which H is defined:
-    (w1, w2) in the lattice kind, both parts whole in the vector-space kind."""
+    the (..., 1) rows w1, w2 in the lattice kind, both parts whole otherwise."""
     m_part, dual_part = parts
     if kind is EmbeddingKind.LATTICE:
-        return m_part[..., 0], dual_part[..., 0]
+        return m_part[..., :1], dual_part[..., :1]
     return m_part, dual_part
 
 
@@ -306,7 +307,7 @@ def _log_translation(series: QuantumThetaSeries, kg, kh):
     log C(g+h) - log C(g) - log C(h) - log alpha(g, h), with the unreduced
     cocycle logarithm i pi (<g1, h2> - <h1, g2>).
     """
-    kg, kh = np.broadcast_arrays(np.asarray(kg, dtype=np.int64), np.asarray(kh, dtype=np.int64))
+    kg, kh = np.broadcast_arrays(_index_rows(kg), _index_rows(kh))
     emb = series.embedding
     expo, site = _coefficient_parts(emb, series.structure,
                                     np.concatenate([kg, kh, kg + kh]).reshape(-1, 4))
@@ -423,7 +424,7 @@ def verify_functional_equation(series: QuantumThetaSeries, kg) -> VerificationRe
     truncation never masquerades as failure.
     """
     radius = series.radius
-    kg = np.asarray(kg, dtype=np.int64)
+    kg = _index_rows(kg)
     g_norm = int(np.max(np.abs(kg)))
     if g_norm > radius // 2:
         raise TruncationTooSmall(

@@ -270,7 +270,7 @@ def _suite_inner_product(ctx: RunContext) -> list[VerificationReport]:
     worst = 0.0
     for _ in range(10):
         t_val = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 5.0))
-        w1, w2 = rng.uniform(-3.0, 3.0, size=(100, 2)).T
+        w1, w2 = rng.uniform(-3.0, 3.0, size=(100, 2)).T.reshape(2, 100, 1)
         worst = max(worst, completed_square_defect(HermitianFormContext(t_val), (w1, w2)).max())
     reports.append(VerificationReport.build(
         "completed-square-identity", ["100 w x 10 T"], [worst], tol["identity_abs"]))

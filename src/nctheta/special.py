@@ -101,62 +101,44 @@ def jacobi_theta(tau: complex, z: complex = 0.0, tol: float = 1e-12) -> complex:
 
 @dataclass(frozen=True)
 class HermitianFormContext:
-    """Complex structure T (scalar or 2x2) with its cached (Im T)^{-1}.
+    """Complex structure T, a d x d matrix with Im T positive definite, and (Im T)^{-1}.
 
-    Scalar contexts serve the mixed embedding, matrix contexts the plane
-    embedding. Im T must be positive (definite).
+    d = 1 serves the mixed embedding, whose scalar T is taken as 1 x 1, and
+    d = 2 the plane embedding; points are rows of shape (..., d).
     """
 
-    T: complex | np.ndarray
-    im_inverse: float | np.ndarray = field(init=False)
+    T: np.ndarray
+    im_inverse: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if np.isscalar(self.T) or np.asarray(self.T).ndim == 0:
-            t = complex(self.T)
-            if t.imag <= 0:
-                raise NotPositive("Im T must be positive")
-            object.__setattr__(self, "T", t)
-            object.__setattr__(self, "im_inverse", 1.0 / t.imag)
-        else:
-            t = np.asarray(self.T, dtype=complex)
-            if t.shape != (2, 2):
-                raise ValueError("matrix context requires a 2x2 complex structure")
-            im = t.imag
-            if not (np.linalg.eigvalsh(im) > 0).all():
-                raise NotPositive("Im T must be positive definite")
-            object.__setattr__(self, "T", t)
-            object.__setattr__(self, "im_inverse", np.linalg.inv(im))
-
-    @property
-    def is_scalar(self) -> bool:
-        return np.isscalar(self.T)
+        t = np.atleast_2d(np.asarray(self.T, dtype=complex))
+        if t.shape not in ((1, 1), (2, 2)):
+            raise ValueError("the complex structure must be 1x1 or 2x2")
+        if not (np.linalg.eigvalsh(t.imag) > 0).all():
+            raise NotPositive("Im T must be positive definite")
+        object.__setattr__(self, "T", t)
+        object.__setattr__(self, "im_inverse", np.linalg.inv(t.imag))
 
     def embed(self, pair):
-        """Complex coordinate T x1 + x2 of points (x1, x2) of M x M^, over leading axes."""
-        x1, x2 = pair
-        if self.is_scalar:
-            return self.T * x1 + x2
+        """Complex coordinate T x1 + x2 of rows (x1, x2) of M x M^, over leading axes."""
+        x1 = np.asarray(pair[0], dtype=float)
         # term by term: a matmul rounds differently with the number of rows
-        x1 = np.asarray(x1, dtype=float)
-        return x1[..., :1] * self.T[:, 0] + x1[..., 1:] * self.T[:, 1] + np.asarray(x2, dtype=float)
+        columns = (x1[..., j:j + 1] * self.T[:, j] for j in range(1, len(self.T)))
+        return sum(columns, x1[..., :1] * self.T[:, 0]) + np.asarray(pair[1], dtype=float)
 
     def normalization(self) -> float:
-        """Gaussian self-pairing constant: 1/sqrt(2 Im T), resp. 1/sqrt(2^2 det Im T)."""
-        if self.is_scalar:
-            return 1.0 / math.sqrt(2.0 * self.T.imag)
-        return 1.0 / math.sqrt(4.0 * np.linalg.det(np.asarray(self.T).imag))
+        """Gaussian self-pairing constant 1/sqrt(2^d det Im T)."""
+        return 1.0 / math.sqrt(2.0 ** len(self.T) * np.linalg.det(self.T.imag))
 
 
-def hermitian_form(ctx: HermitianFormContext, g, h) -> complex | np.ndarray:
+def hermitian_form(ctx: HermitianFormContext, g, h) -> np.ndarray:
     """Hermitian pairing H(g, h) = g_ ^t (Im T)^{-1} h_^* of real pairs.
 
-    ``g`` and ``h`` are (first, second) continuous components, whose leading
+    ``g`` and ``h`` are (first, second) pairs of rows (..., d) whose leading
     axes broadcast; g_ = T g1 + g2 and h_^* = conj(T h1 + h2).
     """
     gbar = ctx.embed(g)
     hstar = ctx.embed(h).conjugate()
-    if ctx.is_scalar:
-        return gbar * ctx.im_inverse * hstar
     return np.einsum("...i,ij,...j->...", gbar, ctx.im_inverse, hstar)
 
 
@@ -164,18 +146,13 @@ def _ctilde_minus_q_lambda(ctx: HermitianFormContext, w):
     """Completed-square constant of the Gaussian self-pairing integrand, over rows of w.
 
     Writing the integrand as e^{-pi (q(s) + l(s) + C)} with
-    q(s) = 2 (Im T) s^2, l(s) = 2 i w_^* s and C = i w1 w_^*, shifting by
-    lambda = (i/2) (Im T)^{-1} w_^* turns the integral into a centered
-    Gaussian times e^{-pi (C - q(lambda))}. Computed here from those
-    definitions, independently of the Hermitian form.
+    q(s) = 2 s^t (Im T) s, l(s) = 2 i w_^* . s and C = i w1 . w_^*,
+    shifting by lambda = (i/2) (Im T)^{-1} w_^* turns the integral into a
+    centered Gaussian times e^{-pi (C - q(lambda))}. Computed here from
+    those definitions, independently of the Hermitian form.
     """
     w1, _ = w
     wstar = ctx.embed(w).conjugate()
-    if ctx.is_scalar:
-        lam = 0.5j * ctx.im_inverse * wstar
-        q_lam = 2.0 * ctx.T.imag * lam * lam
-        ctilde = 1j * w1 * wstar
-        return ctilde - q_lam
     lam = 0.5j * np.einsum("ij,...j->...i", ctx.im_inverse, wstar)
     q_lam = 2.0 * np.einsum("...i,ij,...j->...", lam, ctx.T.imag, lam)
     ctilde = 1j * np.einsum("...i,...i->...", np.asarray(w1, dtype=float), wstar)

@@ -86,15 +86,17 @@ def make_complex_structure(kind: EmbeddingKind, tau, theta1: float, theta2: floa
     the discrete decay defaults to 1/theta2.
     """
     kind = EmbeddingKind(kind)
-    if theta1 <= 0 or theta2 <= 0:
-        raise NotPositive("deformation parameters must be strictly positive")
+    if not (math.isfinite(theta1) and math.isfinite(theta2) and theta1 > 0 and theta2 > 0):
+        raise NotPositive("deformation parameters must be finite and strictly positive")
+    if not np.isfinite(tau).all():
+        raise ValueError("tau must be finite")
     if kind is EmbeddingKind.LATTICE:
         t = complex(tau) / theta1
         if t.imag <= 0:
             raise NotPositive("Im(tau) must be positive")
         decay = 1.0 / theta2 if lattice_decay is None else float(lattice_decay)
-        if decay <= 0:
-            raise NotPositive("lattice decay must be positive")
+        if not (math.isfinite(decay) and decay > 0):
+            raise NotPositive("lattice decay must be finite and positive")
         return MixedStructure(t, float(theta1), float(theta2), decay)
 
     tau = np.asarray(tau, dtype=complex)

@@ -84,7 +84,7 @@ def test_criterion_02_computational_lemma():
         ctx = HermitianFormContext(t)
         for _ in range(100):
             w = rng.uniform(-3.0, 3.0, size=2)
-            worst = max(worst, completed_square_defect(ctx, (w[0], w[1])))
+            worst = max(worst, float(completed_square_defect(ctx, (w[:1], w[1:]))))
     assert worst <= 1e-12
     _report(2, f"completed square equals H/2, worst defect {worst:.2e} <= 1e-12"
                " over 100 w x 10 T")

@@ -145,7 +145,7 @@ class TestExport:
                                        "not-json", "null-re", "nan-im-outside-norm-2",
                                        "bogus-kind", "string-tau", "string-theta1",
                                        "null-normalization", "negative-decay",
-                                       "singular-m"])
+                                       "infinite-decay", "nan-theta1", "singular-m"])
     def test_reload_rejects_malformed_rows(self, lattice_emb, lattice_structure,
                                            tmp_path, fault):
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=3)
@@ -171,6 +171,8 @@ class TestExport:
                    "string-tau": "embedding or structure is not valid",
                    "string-theta1": "embedding or structure is not valid",
                    "negative-decay": "embedding or structure is not valid",
+                   "infinite-decay": "embedding or structure is not valid",
+                   "nan-theta1": "embedding or structure is not valid",
                    "singular-m": "embedding or structure is not valid",
                    }.get(fault, f"no '{fault[3:]}' entry")
         if fault == "missing":
@@ -208,6 +210,11 @@ class TestExport:
             data["normalization"] = None
         elif fault == "negative-decay":
             data["structure"]["lattice_decay"] = -1
+        elif fault == "infinite-decay":
+            # json writes Infinity and NaN, and reads them back
+            data["structure"]["lattice_decay"] = math.inf
+        elif fault == "nan-theta1":
+            data["embedding"]["theta1"] = math.nan
         elif fault == "singular-m":
             data["embedding"]["m"] = [[1, 2], [2, 4]]
         path.write_text("not json" if fault == "not-json" else json.dumps(data))

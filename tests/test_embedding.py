@@ -77,6 +77,19 @@ def test_nonpositive_deformation_rejected():
         build_embedding(EmbeddingKind.VECTOR_SPACE, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("kind, theta1, theta2, delta_hat", [
+    pytest.param(EmbeddingKind.LATTICE, np.nan, None, CANON_DELTA, id="nan-theta1"),
+    pytest.param(EmbeddingKind.LATTICE, np.inf, None, CANON_DELTA, id="inf-theta1"),
+    pytest.param(EmbeddingKind.LATTICE, 0.5, None, [[0.0, np.nan], [0.3, 0.0]],
+                 id="nan-delta-hat"),
+    pytest.param(EmbeddingKind.VECTOR_SPACE, 0.5, np.inf, None, id="inf-theta2"),
+    pytest.param(EmbeddingKind.VECTOR_SPACE, 0.5, np.nan, None, id="nan-theta2"),
+])
+def test_nonfinite_deformation_rejected(kind, theta1, theta2, delta_hat):
+    with pytest.raises(NonPositiveDeformation, match="finite"):
+        build_embedding(kind, theta1, theta2, m=IDENTITY, delta_hat=delta_hat)
+
+
 def test_allow_invalid_keeps_map():
     emb = build_embedding(EmbeddingKind.LATTICE, 0.5, m=IDENTITY,
                           delta_hat=[[0.1, 0.7], [0.3, 0.0]], allow_invalid=True)
@@ -131,6 +144,8 @@ def test_torus_lifts_not_reduced(lattice_emb):
     pytest.param([0.5, 0, 1.9, 0], id="fraction"),  # int64 would truncate to (0, 0, 1, 0)
     pytest.param([[0, 0, 0, 0], [0, 0, 1e-9, 0]], id="fraction-in-a-row"),
     pytest.param([np.nan] * 4, id="nan"),
+    pytest.param([np.inf, 0, 0, 0], id="inf"),
+    pytest.param([1e20, 0, 0, 0], id="beyond-int64"),  # astype would wrap it round
     pytest.param([0, 0, 1], id="three-entries"),
     pytest.param([[0, 0, 0, 0, 0]], id="five-entries"),
     pytest.param(3, id="scalar"),

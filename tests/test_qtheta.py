@@ -395,6 +395,19 @@ class TestFunctionalEquation:
             verify_functional_equation(vector_series, [3, 0, 0, 0])
 
 
+@pytest.mark.parametrize("check, ks", [
+    pytest.param(verify_functional_equation, ([0.9, 0, 1.5, 0],), id="functional-equation"),
+    pytest.param(additivity_gap, ([0, 0, 1.7, 0], [0, 0, 1, 0], [0, 0, 0, 1.2]),
+                 id="additivity"),
+    pytest.param(verify_consistency_condition, ([0.5, 0, 0, 0], [0, 0, 0, 1]),
+                 id="consistency"),
+])
+def test_translation_checks_refuse_a_non_integral_index(lattice_series, check, ks):
+    # int64 would truncate each index and check the integral one in its place
+    with pytest.raises(ValueError, match="integer entries"):
+        check(lattice_series, *ks)
+
+
 class TestConsistency:
     def test_phase_identity_vector(self, vector_emb, vector_structure):
         assert phase_identity_max_residual(vector_emb, vector_structure, 2) <= 1e-10

@@ -134,17 +134,17 @@ class TestJacobiTheta:
 class TestHermitianForm:
     def test_scalar_examples(self):
         ctx = HermitianFormContext(2j)
-        assert hermitian_form(ctx, (1, 0), (1, 0)) == pytest.approx(2.0)
-        assert hermitian_form(ctx, (0, 1), (0, 1)) == pytest.approx(0.5)
-        assert hermitian_form(ctx, (0, 0), (1, 1)) == 0.0
+        assert hermitian_form(ctx, ([1], [0]), ([1], [0])) == pytest.approx(2.0)
+        assert hermitian_form(ctx, ([0], [1]), ([0], [1])) == pytest.approx(0.5)
+        assert hermitian_form(ctx, ([0], [0]), ([1], [1])) == 0.0
 
     def test_conjugate_symmetry_and_positivity(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
             t = complex(rng.uniform(-2, 2), rng.uniform(0.2, 5))
             ctx = HermitianFormContext(t)
-            g = tuple(rng.uniform(-3, 3, 2))
-            h = tuple(rng.uniform(-3, 3, 2))
+            g = tuple(rng.uniform(-3, 3, (2, 1)))
+            h = tuple(rng.uniform(-3, 3, (2, 1)))
             assert hermitian_form(ctx, g, h) == pytest.approx(
                 np.conj(hermitian_form(ctx, h, g)), abs=1e-12)
             hh = hermitian_form(ctx, h, h)
@@ -162,7 +162,7 @@ class TestHermitianForm:
         # components with leading axes broadcast; each entry is the single
         # pair's value, and the table is Hermitian
         rng = np.random.default_rng(17)
-        shape = (12, 2) if matrix else (12,)
+        shape = (12, 2) if matrix else (12, 1)
         for _ in range(5):
             if matrix:
                 r = rng.uniform(-1, 1, (2, 2))
@@ -174,13 +174,11 @@ class TestHermitianForm:
             table = hermitian_form(ctx, (g1[:, None], g2[:, None]), (h1[None], h2[None]))
             assert table.shape == (12, 12)
             # |g_| and |h_|, the scale of the rounding error of H(g, h)
-            size_g, size_h = (np.linalg.norm(z, axis=-1) if matrix else np.abs(z)
+            size_g, size_h = (np.linalg.norm(z, axis=-1)
                               for z in (ctx.embed((g1, g2)), ctx.embed((h1, h2))))
             for a in range(12):
                 for b in range(12):
                     g, h = (g1[a], g2[a]), (h1[b], h2[b])
-                    if not matrix:
-                        g, h = tuple(map(float, g)), tuple(map(float, h))
                     single = hermitian_form(ctx, g, h)
                     assert abs(table[a, b] - single) <= 1e-13 * size_g[a] * size_h[b]
             rows = hermitian_form(ctx, (g1, g2), (h1, h2))
@@ -195,12 +193,35 @@ class TestHermitianForm:
         with pytest.raises(NotPositive):
             HermitianFormContext(np.array([[1j, 0], [0, -1j]]))
 
+    @pytest.mark.parametrize("t", [[1j, 1j], 1j * np.eye(3), 1j * np.ones((2, 2, 2))],
+                             ids=["row", "3x3", "stacked"])
+    def test_only_1x1_or_2x2_structures(self, t):
+        with pytest.raises(ValueError, match="1x1 or 2x2"):
+            HermitianFormContext(t)
+
+    def test_scalar_is_the_1x1_structure(self):
+        # a scalar T and the 1x1 matrix [[T]] are one context: every route
+        # over (..., 1) rows agrees bit for bit
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            t = complex(rng.uniform(-2, 2), rng.uniform(0.2, 5))
+            scalar, matrix = HermitianFormContext(t), HermitianFormContext([[t]])
+            g1, g2, h1, h2 = rng.uniform(-3, 3, (4, 50, 1))
+            for route in (lambda c: hermitian_form(c, (g1, g2), (h1, h2)),
+                          lambda c: hermitian_form(c, (g1[:, None], g2[:, None]),
+                                                   (h1[None], h2[None])),
+                          lambda c: gaussian_factor(c, (g1, g2)),
+                          lambda c: completed_square_defect(c, (g1, g2))):
+                a, b = route(scalar), route(matrix)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert scalar.normalization() == matrix.normalization()
+
 
 class TestGaussianFactor:
     def test_scalar_values(self):
         ctx = HermitianFormContext(2j)
-        assert gaussian_factor(ctx, (0.0, 0.0)) == pytest.approx(0.5)
-        assert gaussian_factor(ctx, (1.0, 0.0)) == pytest.approx(
+        assert gaussian_factor(ctx, ([0.0], [0.0])) == pytest.approx(0.5)
+        assert gaussian_factor(ctx, ([1.0], [0.0])) == pytest.approx(
             0.5 * math.exp(-math.pi), abs=1e-15)
 
     def test_matrix_value(self):
@@ -216,7 +237,7 @@ class TestGaussianFactor:
             t = complex(rng.uniform(-2, 2), rng.uniform(0.2, 5))
             ctx = HermitianFormContext(t)
             for _ in range(100):
-                w = tuple(rng.uniform(-3, 3, 2))
+                w = tuple(rng.uniform(-3, 3, (2, 1)))
                 worst = max(worst, completed_square_defect(ctx, w))
         assert worst <= 1e-12
 
@@ -225,19 +246,19 @@ class TestGaussianFactor:
         np.array([[0.3 + 1.2j, 0.1 + 0.2j], [0.1 + 0.2j, -0.5 + 0.9j]]),
     ])
     def test_defect_rows_match_single_rows(self, t):
-        # one call over rows against one-row calls, and against scalar calls up
-        # to the rounding of H on arrays against Python's complex arithmetic
+        # one call over rows against one-row calls, bit for bit, and against
+        # calls on a single (d,) point
         ctx = HermitianFormContext(t)
         rng = np.random.default_rng(31)
-        shape = (100,) if ctx.is_scalar else (100, 2)
+        shape = (100, len(ctx.T))
         w1, w2 = rng.uniform(-3, 3, shape), rng.uniform(-3, 3, shape)
         rows = completed_square_defect(ctx, (w1, w2))
         assert rows.shape == (100,)
         one_row = [completed_square_defect(ctx, (w1[i:i + 1], w2[i:i + 1]))[0]
                    for i in range(100)]
         assert rows.tolist() == one_row
-        scalar = [completed_square_defect(ctx, (w1[i], w2[i])) for i in range(100)]
-        for other in (one_row, scalar):
+        single = [completed_square_defect(ctx, (w1[i], w2[i])) for i in range(100)]
+        for other in (one_row, single):
             assert np.allclose(rows, other, rtol=0.0, atol=1e-14)
         assert rows.max() <= 1e-12
 
@@ -245,7 +266,7 @@ class TestGaussianFactor:
         import nctheta.special as special_mod
 
         ctx = HermitianFormContext(0.4 + 1.7j)
-        w = (np.linspace(-2, 2, 7), np.linspace(1, -1, 7))
+        w = (np.linspace(-2, 2, 7)[:, None], np.linspace(1, -1, 7)[:, None])
         exact = special_mod._ctilde_minus_q_lambda
         assert gaussian_factor(ctx, w).shape == (7,)
         monkeypatch.setattr(special_mod, "_ctilde_minus_q_lambda",
@@ -272,7 +293,7 @@ class TestGaussianFactor:
             t = complex(rng.uniform(-0.6, 0.6), rng.uniform(0.8, 2.5))
             ctx = HermitianFormContext(t)
             w1, w2 = rng.uniform(-0.7, 0.7, 2)
-            direct = gaussian_factor(ctx, (w1, w2))
+            direct = gaussian_factor(ctx, ([w1], [w2]))
             quad = t - np.conj(t)
             lin = -2 * (np.conj(t) * w1 + w2)
             const = 1j * np.conj(t) * w1 * w1 + 1j * w1 * w2

@@ -60,6 +60,19 @@ class TestMakeStructure:
         with pytest.raises(NotPositive):
             make_complex_structure(EmbeddingKind.LATTICE, 1j, -0.5, 0.4)
 
+    @pytest.mark.parametrize("kind, tau, theta1, decay, error", [
+        pytest.param(EmbeddingKind.LATTICE, 1j, np.nan, None, NotPositive, id="nan-theta1"),
+        pytest.param(EmbeddingKind.LATTICE, 1j, 0.5, np.inf, NotPositive, id="inf-decay"),
+        pytest.param(EmbeddingKind.LATTICE, 1j, 0.5, np.nan, NotPositive, id="nan-decay"),
+        pytest.param(EmbeddingKind.LATTICE, complex(0.0, np.inf), 0.5, None, ValueError,
+                     id="inf-tau"),
+        pytest.param(EmbeddingKind.VECTOR_SPACE, [[0.5j, 0], [0, complex(np.nan, 1)]], 0.5,
+                     None, ValueError, id="nan-tau-matrix"),
+    ])
+    def test_rejects_nonfinite_parameters(self, kind, tau, theta1, decay, error):
+        with pytest.raises(error, match="finite"):
+            make_complex_structure(kind, tau, theta1, 0.4, lattice_decay=decay)
+
     def test_custom_decay(self):
         st_ = make_complex_structure(EmbeddingKind.LATTICE, 1j, 0.5, 0.4,
                                      lattice_decay=1.7)
