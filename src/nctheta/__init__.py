@@ -17,7 +17,6 @@ from .embedding import (
     FinitePart,
     LatticeElement,
     build_embedding,
-    cocycle_phase,
     commutation_matrix,
     element_add,
     enumerate_indices,

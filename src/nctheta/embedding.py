@@ -259,133 +259,97 @@ def enumerate_indices(radius: int) -> np.ndarray:
 def _cocycle_exponent(m_l, d_l, m_r, d_r):
     """Cocycle exponent <x1, y2> - <y1, x2> of x = (m_l, d_l), y = (m_r, d_r).
 
-    Torus coordinates enter through their real lifts. Row families of shape
-    (..., rows, d), a point per row, give the (..., rows, cols) table, over
-    leading axes that broadcast. Every cocycle route, operator oracle and
-    identity certificate alike, reads this formula.
+    Composing pi_x pi_y f, with pi_x f(r) = e^{2 pi i <r, x2> + pi i <x1, x2>}
+    f(r + x1), the translations combine to r + x1 + y1 while the phases pick
+    up e^{2 pi i <x1, y2>} from the y-modulation at r + x1. Comparing with
+    pi_{x+y} leaves alpha(x, y) = e^{pi i (<x1, y2> - <y1, x2>)}, a
+    bicharacter with alpha(x, y) = alpha(y, x)^{-1}. Torus coordinates enter
+    through their real lifts; (rows, d) point families give the rows x cols
+    table. Only :func:`_exponent_split` reads this, at the basis rows.
     """
-    return m_l @ np.swapaxes(d_r, -1, -2) - np.swapaxes(m_r @ np.swapaxes(d_l, -1, -2), -1, -2)
+    return m_l @ d_r.T - d_l @ m_r.T
 
 
-def _pairing_exponent_table(emb: EmbeddingMap, left: np.ndarray,
-                            right: np.ndarray) -> np.ndarray:
-    """Matrix of <x1, y2> - <y1, x2> over two index families (rows x cols)."""
-    return _cocycle_exponent(*point_parts(emb, left), *point_parts(emb, right))
+def _exponent_split(emb: EmbeddingMap) -> tuple[np.ndarray, np.ndarray]:
+    """(R mod 2, F) of the split B = R + F of the basis exponent table B.
+
+    R = rint(B) and F = B - R are exact in floating point, with |F| <= 1/2.
+    R mod 2, a 0/1 int64 matrix, is also taken in floating point, where it
+    is exact, so no theta, however large, overflows an integer product.
+    """
+    parts = point_parts(emb, np.eye(4, dtype=np.int64))
+    form = _cocycle_exponent(*parts, *parts)
+    whole = np.rint(form)
+    return np.mod(whole, 2.0).astype(np.int64), form - whole
 
 
 def _paired_exponent(emb: EmbeddingMap, kg, kh) -> np.ndarray:
-    """<x1, y2> - <y1, x2> of each pair of broadcast index arrays (..., 4)."""
-    return _pairing_exponent_table(emb, kg[..., None, :], kh[..., None, :])[..., 0, 0]
+    """Exponent of alpha, mod 2, of each pair of broadcast index arrays (..., 4).
 
-
-# Unit roundoff of IEEE double precision (Higham, *Accuracy and Stability
-# of Numerical Algorithms*, ch. 2-3).
-_UNIT_ROUNDOFF = 2.0 ** -53
-# Rows and columns per exponent-table block: the identity certificate holds
-# a few arrays of this side at once, whatever the radius.
-_TABLE_BLOCK = 625
-
-
-def _split_form(form: np.ndarray, reach: int) -> tuple[np.ndarray, np.ndarray]:
-    """form = hi + lo exactly, with k^T hi l exact in floating point.
-
-    hi is form rounded to a power-of-two grid with |hi| <= 2^bits grid, so
-    for integer vectors of sup norm <= reach every partial sum of k^T hi l,
-    in any order, is an integer multiple of the grid below
-    16 reach^2 2^bits grid <= 2^53 grid.
+    With B = R + F (:func:`_exponent_split`), alpha(g, h) = e^{i pi x},
+    x = (g^T R h mod 2) + fl(fl(g^T F) h): the parity is exact integer
+    arithmetic on g and h mod 2, and |g^T F h| does not grow with theta.
+    Both 4-term sums run term by term in index order, so an entry does not
+    depend on the shape of the call.
     """
-    bits = 49 - 2 * math.ceil(math.log2(max(reach, 1)))
-    _, exponent = np.frexp(np.max(np.abs(form)))
-    grid = np.ldexp(1.0, int(exponent) - bits)
-    hi = np.round(form / grid) * grid
-    return hi, form - hi
+    parity, frac = _exponent_split(emb)
+    kg, kh = _index_rows(kg), _index_rows(kh)
+    kf = sum(kg[..., i, None] * frac[i] for i in range(4))
+    kr = (kg % 2) @ parity
+    odd = sum(kr[..., j] * (kh[..., j] % 2) for j in range(4))
+    return odd % 2 + sum(kf[..., j] * kh[..., j] for j in range(4))
 
 
-def _block_deviation(emb: EmbeddingMap, ks: np.ndarray, ls: np.ndarray,
-                     hi: np.ndarray, lo: np.ndarray) -> tuple[float, float]:
-    """(max |table|, max of |fl(d - P_lo)| + u |d|) over one table block.
-
-    d = fl(table - P_hi) with P_hi = k^T hi l exact; P_lo = fl(k^T lo l).
-    """
-    kf, lf = ks.astype(float), ls.astype(float)
-    table = _pairing_exponent_table(emb, ks, ls)
-    size = np.max(np.abs(table))
-    table -= (kf @ hi) @ lf.T
-    rest = (kf @ lo) @ lf.T
-    np.subtract(table, rest, out=rest)
-    np.abs(rest, out=rest)
-    np.abs(table, out=table)
-    rest += _UNIT_ROUNDOFF * table
-    return size, np.max(rest)
+def _pairing_exponent_table(emb: EmbeddingMap, left, right) -> np.ndarray:
+    """:func:`_paired_exponent` of every left row with every right row: the
+    (..., rows, cols) table of two index families of shape (..., rows, 4)
+    and (..., cols, 4)."""
+    return _paired_exponent(emb, np.asarray(left)[..., :, None, :],
+                            np.asarray(right)[..., None, :, :])
 
 
-def _bilinear_deviation(emb: EmbeddingMap, left: np.ndarray, right: np.ndarray,
-                        hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """``_block_deviation`` over the left x right table, block by block."""
-    n = _TABLE_BLOCK
-    return np.max([_block_deviation(emb, left[i:i + n], right[j:j + n], hi, lo)
-                   for i in range(0, len(left), n)
-                   for j in range(0, len(right), n)], axis=0)
+_UNIT_ROUNDOFF = 2.0 ** -53  # of IEEE double precision
 
 
 def cocycle_identity_max_residual(emb: EmbeddingMap, radius: int = 2) -> float:
     """Certified bound on the worst 2-cocycle defect over all ordered triples.
 
-    The identity alpha(g,h) alpha(g+h,k) = alpha(h,k) alpha(g,h+k) holds when
-    the phase exponent E(g,h) = <x1, y2> - <y1, x2> is bilinear. A triple
-    sweep over g, h, k of sup norm <= radius evaluates
+    A triple sweep over g, h, k of sup norm <= r = radius would evaluate,
+    from the exponents E of :func:`_paired_exponent`,
 
-        combo = ((a + w) - s) - t,   a = A(g,h), w = W(g+h,k),
-                                     s = A(h,k), t = T(g,h+k),
+        combo = ((a + w) - s) - t,   a = E(g,h), w = E(g+h,k),
+                                     s = E(h,k), t = E(g,h+k),
 
-    from three float tables of ``_pairing_exponent_table``: A over ks x ks,
-    W over ks2 x ks and T over ks x ks2 (ks2: sup norm <= 2 radius), and
-    reports |e^{i pi max|combo|} - 1|. This function bounds every such
-    fl(combo) from the 2 (4 radius + 1)^4 (2 radius + 1)^4 table entries
-    instead of the (2 radius + 1)^12 triples, in blocks of bounded memory.
+    and report |e^{i pi d} - 1| at the largest distance d of a combo from
+    the even integers. This bounds d a priori, from r and S = sum |F_ij|.
 
-    B, the table of the basis vectors, is read off the table function itself.
-    D(k,l) = table(k,l) - k^T B l is the exact deviation of an entry from that
-    bilinear form, and b(k,l) = k^T B l. In exact arithmetic the b-terms of a
-    combo cancel for any B, so with Delta = 2 max|D_A| + max|D_W| + max|D_T|
+    E(k,l) = fl(p + fl(fl(k^T F) l)) with p = k^T R l mod 2 exact. Its exact
+    value p + k^T F l is k^T B l mod 2, and B is bilinear, so the exact combo
+    is an even integer and d <= |fl(combo) - exact combo|. With u the unit
+    roundoff and gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 2-3):
 
-        |combo| <= Delta,
-        |a + w| = |b(g,h+k) + b(h,k) + D's| <= max|T| + max|A| + Delta,
-        |a + w - s| = |b(g,h+k) + D's| <= max|T| + Delta.
+    * fl(fl(k^T F) l) is two 4-term inner products, off from k^T F l by at
+      most gamma_8 |k|^T |F| |l| <= gamma_8 y, y = |k|_inf |l|_inf S.
+      Adding p rounds once more, by at most u (1 + (1 + gamma_8) y). a and s
+      have y <= r^2 S; w and t pair a sum of sup norm <= 2r with a row of
+      sup norm <= r, so y <= 2 r^2 S. The four entries are off by at most
+      6 gamma_8 r^2 S + u (4 + 6 (1 + gamma_8) r^2 S) together.
+    * |E| <= (1 + u)(1 + (1 + gamma_8) y). The combo's three roundings are
+      each at most u times a partial sum: u (1 + u)^2 (5 A + 3 W + T) in
+      all, with A, W and T the bounds on |a| and |s|, |w| and |t|, so at
+      most u (1 + u)^3 (9 + 13 (1 + gamma_8) r^2 S).
 
-    Each of the sweep's three roundings is relative and at most u (the unit
-    roundoff), which gives |fl(combo) - combo| <= u (1 + u)^2 (|a + w| +
-    |a + w - s| + |combo|), hence
-
-        |fl(combo)| <= Delta + u (1 + u)^2 (2 max|T| + max|A| + 3 Delta).
-
-    |D| is bounded entry by entry (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 3). B = hi + lo (``_split_form``), where
-    P_hi = k^T hi l is exact. P_lo = fl(fl(k^T lo) l) is two 4-term inner
-    products, so |P_lo - k^T lo l| <= gamma_8 |k|^T |lo| |l| <=
-    gamma_8 16 (2 radius)^2 max|lo|, gamma_n = n u / (1 - n u). With d =
-    fl(table - P_hi) and round to nearest, |table - P_hi - P_lo| <= (1 + u)
-    |fl(d - P_lo)| + u |d|. The bound is evaluated in floating point on
-    nonnegative numbers: its roundings and the factors 1 + u above make
-    fewer than 16 factors of (1 - u)^-1, which the final factor 1 + 64 u
-    covers.
-
-    |e^{i pi x} - 1| rises on 0 <= x <= 1 to its maximum 2, so a bound of
-    1 or more (or not a number) reports 2. The result is therefore never
-    below what the triple sweep reports on the same tables.
+    The parts add up to u (67 r^2 S + 13) plus terms of order u^2. Evaluating
+    u (68 r^2 S + 14) in floating point leaves a surplus that covers its own
+    17 roundings (16 terms in S, two operations), each at most a factor
+    1 - u on nonnegative numbers. |e^{i pi x} - 1| rises on [0, 1] to its
+    maximum 2, so a bound of 1 or more (or NaN) reports 2: the result is
+    never below what the triple sweep reports.
     """
-    u = _UNIT_ROUNDOFF
-    ks = enumerate_indices(radius)
-    ks2 = enumerate_indices(2 * radius)
-    basis = np.eye(4, dtype=np.int64)
-    hi, lo = _split_form(_pairing_exponent_table(emb, basis, basis), 2 * radius)
-    lo_error = 8 * u / (1 - 8 * u) * 16 * (2 * radius) ** 2 * np.max(np.abs(lo))
-    a_size, a_dev = _bilinear_deviation(emb, ks, ks, hi, lo)
-    _, w_dev = _bilinear_deviation(emb, ks2, ks, hi, lo)
-    t_size, t_dev = _bilinear_deviation(emb, ks, ks2, hi, lo)
-    delta = 2 * a_dev + w_dev + t_dev + 4 * lo_error
-    worst = (delta + u * (2 * t_size + a_size + 3 * delta)) * (1 + 64 * u)
-    worst = float(worst) if worst < 1.0 else 1.0
+    span = float(np.sum(np.abs(_exponent_split(emb)[1])))
+    worst = _UNIT_ROUNDOFF * (68 * radius * radius * span + 14)
+    worst = worst if worst < 1.0 else 1.0
     return abs(cmath.exp(1j * math.pi * worst) - 1.0)
 
 
@@ -407,25 +371,3 @@ def element_linearity_max_residual(emb: EmbeddingMap) -> float:
         for part, direct in zip(parts, point_parts(emb, ka + ks)):
             worst = max(worst, float(np.max(np.abs(part[a] + part - direct))))
     return worst
-
-
-def cocycle_phase(x: LatticeElement, y: LatticeElement) -> complex:
-    """Cocycle alpha(x, y) of the symmetrized Heisenberg operators.
-
-    Composing two operators pi_x pi_y f, with
-    pi_x f(r) = e^{2 pi i <r, x2> + pi i <x1, x2>} f(r + x1),
-    the translation parts combine to r + x1 + y1 while the phases pick up
-    e^{2 pi i <x1, y2>} from evaluating the y-modulation at r + x1.
-    Comparing with pi_{x+y} leaves exactly
-
-        alpha(x, y) = e^{pi i (<x1, y2> - <y1, x2>)},
-
-    a bicharacter with alpha(x, y) = alpha(y, x)^{-1}. The formula is
-    validated against operator composition on sampled Gaussians by the
-    test suite and the ``validate`` CLI suite.
-    """
-    if x.kind is not y.kind:
-        raise KindMismatch("cocycle arguments must come from the same embedding kind")
-    expo = float(_cocycle_exponent(x.m_part[None], x.dual_part[None],
-                                   y.m_part[None], y.dual_part[None])[0, 0])
-    return cmath.exp(1j * math.pi * expo)

@@ -26,6 +26,8 @@ from .embedding import (
     EmbeddingKind,
     EmbeddingMap,
     LatticeElement,
+    _paired_exponent,
+    element_add,
     integer_block_inverse,
     lattice_element,
 )
@@ -408,13 +410,13 @@ def representation_defect(emb: EmbeddingMap, g: LatticeElement, h: LatticeElemen
                           f: SampledVector) -> float:
     """Sup-norm of pi_g pi_h f - alpha(g, h) pi_{g+h} f, relative to max |f|.
 
-    This is the operator-composition oracle behind the cocycle formula.
+    This is the operator-composition oracle behind the cocycle formula: alpha
+    is the one every route reads (``embedding._paired_exponent``), and the
+    other side is the phases of :func:`apply_pi`.
     """
-    from .embedding import cocycle_phase, element_add
-
     lhs = apply_pi(g, apply_pi(h, f))
     rhs = apply_pi(element_add(emb, g, h), f)
-    alpha = cocycle_phase(g, h)
+    alpha = np.exp(1j * math.pi * _paired_exponent(emb, g.k, h.k))
     denom = float(np.max(np.abs(f.values)))
     if denom == 0.0:
         raise DegenerateTestVector("zero test vector")

@@ -304,8 +304,9 @@ def _log_translation(series: QuantumThetaSeries, kg, kh):
     ``kg`` and ``kh`` are (..., 4) index arrays whose rows broadcast into
     pairs. Plane case: log T_g(h) = -pi H(g_, h_), independent of the
     coefficients. Lattice case: the quotient
-    log C(g+h) - log C(g) - log C(h) - log alpha(g, h), with the unreduced
-    cocycle logarithm i pi (<g1, h2> - <h1, g2>).
+    log C(g+h) - log C(g) - log C(h) - log alpha(g, h), with log alpha the
+    paired exponent mod 2 times i pi: only ``exp`` reads the result, so a
+    shift by 2 pi i n does not matter.
     """
     kg, kh = np.broadcast_arrays(_index_rows(kg), _index_rows(kh))
     emb = series.embedding

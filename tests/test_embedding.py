@@ -1,7 +1,9 @@
 import cmath
+import copy
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from nctheta.embedding import (
     bicharacter_max_residual,
     build_embedding,
     cocycle_identity_max_residual,
-    cocycle_phase,
     commutation_matrix,
     element_add,
     element_linearity_max_residual,
@@ -25,10 +26,10 @@ from nctheta.embedding import (
 )
 from nctheta.errors import (
     EmbeddingConditionViolated,
-    KindMismatch,
     NonPositiveDeformation,
     SingularIntegerMatrix,
 )
+from nctheta.config import parse_config
 from nctheta.report import _random_lattice_embedding, run_suite
 
 IDENTITY = [[1, 0], [0, 1]]
@@ -227,28 +228,24 @@ def test_enumerate_indices_rejects_negative():
         enumerate_indices(-1)
 
 
+def _alpha(emb, kg, kh):
+    """alpha(g, h) of each pair of index rows, read off the paired exponent."""
+    return np.exp(1j * math.pi * embedding._paired_exponent(emb, kg, kh))
+
+
 def test_cocycle_generator_pair(lattice_emb):
-    g = lattice_element(lattice_emb, [1, 0, 0, 0])
-    h = lattice_element(lattice_emb, [0, 1, 0, 0])
     # exponent <g1, h2> - <h1, g2> = 0.5, so the phase is i
-    assert cocycle_phase(g, h) == pytest.approx(1j)
+    assert _alpha(lattice_emb, [1, 0, 0, 0], [0, 1, 0, 0]) == pytest.approx(1j)
 
 
 def test_cocycle_with_zero_and_inverse(lattice_emb):
     rng = np.random.default_rng(0)
-    zero = lattice_element(lattice_emb, [0, 0, 0, 0])
+    zero = [0, 0, 0, 0]
     for _ in range(5):
         k = rng.integers(-3, 4, size=4)
-        x = lattice_element(lattice_emb, k)
-        y = lattice_element(lattice_emb, rng.integers(-3, 4, size=4))
-        assert cocycle_phase(x, zero) == pytest.approx(1.0)
-        assert cocycle_phase(x, y) * cocycle_phase(y, x) == pytest.approx(1.0)
-
-
-def test_cocycle_kind_mismatch(lattice_emb, vector_emb):
-    with pytest.raises(KindMismatch):
-        cocycle_phase(lattice_element(lattice_emb, [1, 0, 0, 0]),
-                      lattice_element(vector_emb, [1, 0, 0, 0]))
+        x, y = k, rng.integers(-3, 4, size=4)
+        assert _alpha(lattice_emb, x, zero) == pytest.approx(1.0)
+        assert _alpha(lattice_emb, x, y) * _alpha(lattice_emb, y, x) == pytest.approx(1.0)
 
 
 @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4),
@@ -261,10 +258,8 @@ def test_cocycle_bicharacter_property(a1, a2, a3, a4, b1, b2, b3, b4):
     ka = np.array([a1, a2, a3, a4])
     kb = np.array([b1, b2, b3, b4])
     kc = np.array([1, -2, 0, 1])
-    x, y, z = (lattice_element(emb, k) for k in (ka, kb, kc))
-    xy = lattice_element(emb, ka + kb)
-    lhs = cocycle_phase(xy, z)
-    rhs = cocycle_phase(x, z) * cocycle_phase(y, z)
+    lhs = _alpha(emb, ka + kb, kc)
+    rhs = _alpha(emb, ka, kc) * _alpha(emb, kb, kc)
     assert abs(lhs - rhs) <= 1e-12
 
 
@@ -281,8 +276,8 @@ def triple_sweep_residual(emb, radius):
 
     alpha(g,h) alpha(g+h,k) = alpha(h,k) alpha(g,h+k) through the phase
     exponents, one g at a time, with sums looked up in the doubled-radius
-    enumeration. The exponent tables come from the module attribute, so a
-    patched table function reaches this sweep and the certificate alike.
+    enumeration. |e^{i pi x} - 1| has period 2 in x, so each combo counts
+    by its distance to the nearest even integer.
     """
     ks = enumerate_indices(radius)
     ks2 = enumerate_indices(2 * radius)
@@ -297,14 +292,24 @@ def triple_sweep_residual(emb, radius):
     for g in range(len(ks)):
         combo = (e_small[g][:, None] + e_wide[pair_sum[g], :]
                  - e_small - e_tall[g][pair_sum])
-        worst = max(worst, float(np.max(np.abs(combo))))
+        worst = max(worst, float(np.max(np.abs(combo - 2 * np.round(combo / 2)))))
     return abs(cmath.exp(1j * math.pi * worst) - 1.0)
 
 
-@pytest.mark.parametrize("radius", [1, 2])
-@pytest.mark.parametrize("which", ["lattice", "vector"])
-def test_cocycle_certificate_bounds_the_sweep(which, radius, lattice_emb, vector_emb):
-    emb = lattice_emb if which == "lattice" else vector_emb
+# theta1 = 2.7 gives R = rint(B) an odd entry, so parities reach the sweep
+SWEPT = {
+    "lattice": lambda: build_embedding(EmbeddingKind.LATTICE, 0.5, m=IDENTITY,
+                                       delta_hat=CANON_DELTA),
+    "vector": lambda: build_embedding(EmbeddingKind.VECTOR_SPACE, 0.5, 0.4),
+    "theta1-2.7": lambda: build_embedding(EmbeddingKind.LATTICE, 2.7, m=IDENTITY,
+                                          delta_hat=CANON_DELTA),
+}
+
+
+@pytest.mark.parametrize("which, radius", [("lattice", 1), ("lattice", 2), ("vector", 1),
+                                           ("vector", 2), ("theta1-2.7", 1)])
+def test_cocycle_certificate_bounds_the_sweep(which, radius):
+    emb = SWEPT[which]()
     reference = triple_sweep_residual(emb, radius)
     certified = cocycle_identity_max_residual(emb, radius)
     assert reference <= certified <= IDENTITY_ABS
@@ -331,27 +336,88 @@ def test_cocycle_certificate_random_vector(theta1, theta2, m1, m2):
     assert reference <= certified <= IDENTITY_ABS
 
 
+@given(kind=st.sampled_from(["lattice", "vector"]),
+       theta1=st.floats(0.01, 50.0, exclude_min=True),
+       theta2=st.floats(0.01, 50.0, exclude_min=True))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_cocycle_certificate_large_deformations(kind, theta1, theta2):
+    # the bound reads only |F| <= 1/2, so no theta fails it from rounding
+    if kind == "lattice":
+        emb = build_embedding(EmbeddingKind.LATTICE, theta1, m=IDENTITY,
+                              delta_hat=[[0.0, theta2], [0.0, 0.0]])
+    else:
+        emb = build_embedding(EmbeddingKind.VECTOR_SPACE, theta1, theta2)
+    assert cocycle_identity_max_residual(emb, 2) <= IDENTITY_ABS
+
+
+LARGE_DEFORMATIONS = {
+    "vector-20.3-18.5": {"theta1": 20.3, "theta2": 18.5},
+    "lattice-25.3": {"theta1": 25.3},
+}
+
+
+@pytest.mark.parametrize("which", list(LARGE_DEFORMATIONS))
+def test_validate_passes_large_deformations(which, lattice_config, vector_config):
+    # guards cocycle-identity, whose bound no longer grows with theta; on the
+    # vector config pi_g pi_h f leaves the oracle's sample grid, so
+    # cocycle-operator-oracle compares vanishing samples there
+    cfg = copy.deepcopy((lattice_config if which.startswith("lattice") else vector_config).raw)
+    cfg["embedding"].update(LARGE_DEFORMATIONS[which])
+    report = run_suite(parse_config(cfg), "validate")
+    failed = [c.name for c in report.checks if not c.passed]
+    assert failed == []
+    identity = {c.name: c for c in report.checks}["cocycle-identity"]
+    assert identity.tolerance == IDENTITY_ABS
+
+
+_U = Fraction(1, 2**53)
+_GAMMA_8 = 8 * _U / (1 - 8 * _U)
+
+
+def _split_cases(rng):
+    """Embeddings with theta up to 50, odd and even R, and thetas of 2^52 + 1
+    (odd R), 3 2^53 and 1e300 (beyond int64)."""
+    thetas = rng.uniform(0.01, 50.0, size=(3, 2))
+    return ([build_embedding(EmbeddingKind.VECTOR_SPACE, *t) for t in thetas]
+            + [build_embedding(EmbeddingKind.LATTICE, t1, m=IDENTITY,
+                               delta_hat=[[0.0, t2], [0.0, 0.0]]) for t1, t2 in thetas]
+            + [_random_lattice_embedding(rng), build_embedding(EmbeddingKind.LATTICE, 2.7,
+                                                               m=IDENTITY, delta_hat=CANON_DELTA)]
+            + [build_embedding(EmbeddingKind.VECTOR_SPACE, 2.0**52 + 1, 3 * 2.0**53),
+               build_embedding(EmbeddingKind.VECTOR_SPACE, 1e300, 7.5)])
+
+
 @pytest.mark.parametrize("reach", [1, 4, 8])
-def test_split_form_is_exact(reach):
-    # form = hi + lo exactly, and k^T hi l is exact in floating point for
-    # integer vectors of sup norm <= reach, checked against integer
-    # arithmetic on the extreme vectors and random ones
+def test_exponent_split_is_exact(reach):
+    # B = R + F bit for bit with |F| <= 1/2, R mod 2 an int64 0/1 matrix;
+    # the paired exponent agrees mod 2 with k^T B l, evaluated exactly on
+    # B's float entries, to the certified per-entry bound gamma_8 y +
+    # u (1 + (1 + gamma_8) y), y = |k|^T |F| |l| (cocycle_identity_max_residual)
     rng = np.random.default_rng(reach)
     corners = np.array(list(itertools.product([-reach, reach], repeat=4)))
     ks = np.concatenate([corners, rng.integers(-reach, reach + 1, size=(64, 4))])
-    for scale in (1e-9, 0.4, 21.0, 3e5):
-        form = rng.normal(size=(4, 4)) * scale
-        hi, lo = embedding._split_form(form, reach)
-        assert np.array_equal(hi + lo, form)
-        grid = np.min(np.abs(hi[hi != 0])) if np.any(hi) else 1.0
-        grid = 2.0 ** np.floor(np.log2(grid))
-        while not np.all(np.round(hi / grid) == hi / grid):
-            grid /= 2
-        steps = np.round(hi / grid).astype(np.int64)
-        exact = ks @ steps @ ks.T
-        assert np.array_equal((ks.astype(float) @ hi) @ ks.T.astype(float),
-                              exact.astype(float) * grid)
-        assert np.all(np.abs(exact) < 2**53)
+    ls = rng.permutation(ks)
+    basis = np.eye(4, dtype=np.int64)
+    for emb in _split_cases(rng):
+        parts = point_parts(emb, basis)
+        form = embedding._cocycle_exponent(*parts, *parts)
+        parity, frac = embedding._exponent_split(emb)
+        whole = np.rint(form)
+        assert np.array_equal(whole + frac, form)
+        assert np.all(np.abs(frac) <= 0.5)
+        assert parity.dtype == np.int64
+        assert np.array_equal(parity, np.mod(whole, 2.0)) and set(parity.flat) <= {0, 1}
+        got = embedding._paired_exponent(emb, ks, ls)
+        assert np.array_equal(got, [embedding._paired_exponent(emb, k, l)
+                                    for k, l in zip(ks, ls)])
+        b = [[Fraction(x) for x in row] for row in form]
+        f = [[abs(Fraction(x)) for x in row] for row in frac]
+        for k, l, x in zip(ks.tolist(), ls.tolist(), got.tolist()):
+            exact = sum(k[i] * b[i][j] * l[j] for i in range(4) for j in range(4))
+            y = sum(abs(k[i]) * f[i][j] * abs(l[j]) for i in range(4) for j in range(4))
+            diff = Fraction(x) - exact
+            diff -= 2 * round(diff / 2)
+            assert abs(diff) <= _GAMMA_8 * y + _U * (1 + (1 + _GAMMA_8) * y)
 
 
 def _marks(ks, k):
@@ -386,33 +452,50 @@ MUTATIONS = {
     "bump-1e-6": _bump(1e-6),
     "bump-0.5": _bump(0.5),
     "bump-2": _bump(2.0),
-    # entries that only the sum-row table (left of sup norm 2) or only the
-    # sum-column table (right of sup norm 2) holds at radius 1
+    # entries off the basis rows
     "bump-wide-1e-12": _bump(1e-12, ([2, 0, 0, 0], [0, 1, 0, 0])),
     "bump-tall-1e-12": _bump(1e-12, ([1, 0, 0, 0], [0, 2, 0, 0])),
     "sign-flip": _sign_flip,
 }
+# validate's operator oracle sees the wrong alpha
+ORACLE_FAILS = {"sign-flip", "bump-1e-6", "bump-0.5", "quadratic-1e-3"}
+# alpha stays bit-identical: an off-basis bump never reaches B, and a shift
+# of an entry of B by 2 moves R by 2 and leaves R mod 2 and F alone
+ALPHA_UNMOVED = {"bump-wide-1e-12", "bump-tall-1e-12", "bump-2"}
+# alpha moves, by less than the oracle's 1e-10 resolution: these pass
+# validate unseen
+BELOW_RESOLUTION = {"quadratic-1e-15", "quadratic-1e-13", "bump-1e-14", "bump-1e-12"}
 
 
 @pytest.mark.parametrize("name", list(MUTATIONS))
 @pytest.mark.parametrize("which", ["lattice", "vector"])
-def test_cocycle_certificate_catches_broken_tables(which, name, lattice_emb,
-                                                   vector_emb, monkeypatch):
-    # a table that is not bilinear: wherever the triple sweep fails the
-    # tolerance, the certificate fails it too (and never reports less)
-    emb = lattice_emb if which == "lattice" else vector_emb
-    original = embedding._pairing_exponent_table
-    extra = MUTATIONS[name]
-
-    def mutated(emb, left, right):
-        return original(emb, left, right) + extra(left, right)
-
-    monkeypatch.setattr(embedding, "_pairing_exponent_table", mutated)
-    reference = triple_sweep_residual(emb, 1)
-    certified = cocycle_identity_max_residual(emb, 1)
-    assert certified >= reference
-    if reference > IDENTITY_ABS:
-        assert certified > IDENTITY_ABS
+def test_cocycle_certificate_catches_broken_tables(which, name, lattice_config,
+                                                   vector_config, monkeypatch):
+    # every cocycle route reads alpha through the basis table B, so a wrong
+    # table is a wrong B: the term of each mutation at the basis rows is
+    # added to B, and the mutation lands in exactly one of the three sets
+    cfg = lattice_config if which == "lattice" else vector_config
+    emb = cfg.build_embedding()
+    ks = enumerate_indices(2)
+    before = np.exp(1j * math.pi * embedding._pairing_exponent_table(emb, ks, ks))
+    basis = np.eye(4, dtype=np.int64)
+    extra = MUTATIONS[name](basis, basis)
+    original = embedding._cocycle_exponent
+    monkeypatch.setattr(embedding, "_cocycle_exponent",
+                        lambda *parts: original(*parts) + extra)
+    after = np.exp(1j * math.pi * embedding._pairing_exponent_table(emb, ks, ks))
+    assert [name in ORACLE_FAILS, name in ALPHA_UNMOVED,
+            name in BELOW_RESOLUTION].count(True) == 1
+    if name in ALPHA_UNMOVED:
+        assert after.tobytes() == before.tobytes()
+        return
+    oracle = {c.name: c for c in run_suite(cfg, "validate").checks}["cocycle-operator-oracle"]
+    assert oracle.tolerance == 1e-10
+    if name in ORACLE_FAILS:
+        assert not oracle.passed
+    else:
+        assert 0 < np.max(np.abs(after - before)) < oracle.tolerance
+        assert oracle.passed
 
 
 def _flipped_exponent(m_l, d_l, m_r, d_r):
@@ -435,7 +518,7 @@ def test_validate_checks_the_shared_exponent(which, lattice_config, vector_confi
 
 
 def test_cocycle_certificate_memory(lattice_emb):
-    # the radius-2 tables in full take 66 MB; the blocks stay a few MiB
+    # the certificate reads the 4x4 split alone, no exponent table
     cocycle_identity_max_residual(lattice_emb, 1)  # warm imports and caches
     tracemalloc.start()
     try:
@@ -454,22 +537,19 @@ def test_bicharacter_and_linearity(lattice_emb, vector_emb):
     assert element_linearity_max_residual(vector_emb) <= 1e-12
 
 
-def test_bicharacter_reads_the_paired_exponent(lattice_emb, monkeypatch):
-    # the 20 triples go through the paired exponent in one pass, with no
-    # per-point cocycle_phase call, and match the per-point phases
+def test_bicharacter_reads_the_paired_exponent(lattice_emb):
+    # the 20 triples go through the paired exponent in one pass and match
+    # the phases of one-pair calls
     ks = np.random.default_rng(5).integers(-2, 3, size=(20, 3, 4))
+
+    def alpha(kg, kh):
+        return complex(_alpha(lattice_emb, kg, kh))
+
     worst = 0.0
     for ka, kb, kc in ks:
-        a, b, c = (lattice_element(lattice_emb, k) for k in (ka, kb, kc))
-        ab, bc = lattice_element(lattice_emb, ka + kb), lattice_element(lattice_emb, kb + kc)
         worst = max(worst,
-                    abs(cocycle_phase(ab, c) - cocycle_phase(a, c) * cocycle_phase(b, c)),
-                    abs(cocycle_phase(a, bc) - cocycle_phase(a, b) * cocycle_phase(a, c)))
-
-    def forbidden(x, y):
-        raise AssertionError("cocycle_phase called")
-
-    monkeypatch.setattr(embedding, "cocycle_phase", forbidden)
+                    abs(alpha(ka + kb, kc) - alpha(ka, kc) * alpha(kb, kc)),
+                    abs(alpha(ka, kb + kc) - alpha(ka, kb) * alpha(ka, kc)))
     assert bicharacter_max_residual(lattice_emb, np.random.default_rng(5)) == worst
 
 

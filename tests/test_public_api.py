@@ -6,7 +6,8 @@ gets deleted rather than kept as a wrapper.
 
 The ambient layout of ``EmbeddingMap.entries`` is split into its M part and
 its dual part in ``embedding`` alone, and the Hermitian form is evaluated
-in ``special`` alone. An index row is labelled in ``qtheta`` alone.
+in ``special`` alone. An index row is labelled in ``qtheta`` alone. The
+cocycle formula is read in ``embedding._exponent_split`` alone.
 
 The oracle routes reach none of the closed-form helpers they check.
 
@@ -60,15 +61,15 @@ def test_every_exported_function_and_class_is_used_in_the_package():
 ENTRIES_READERS_ALLOWED = {"heisenberg.build_connections"}
 
 
-def _attribute_readers(attr: str) -> set[str]:
-    """``module.function`` (or ``module.<module>``) of each use of ``.<attr>``
-    in the package modules."""
+def _readers(matches) -> set[str]:
+    """``module.function`` (or ``module.<module>``) of each node of the
+    package modules that MATCHES."""
     readers = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope.split('.')[0]}.{node.name}"
-        elif isinstance(node, ast.Attribute) and node.attr == attr:
+        elif matches(node):
             readers.add(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -76,6 +77,11 @@ def _attribute_readers(attr: str) -> set[str]:
     for path in PACKAGE_DIR.glob("*.py"):
         visit(ast.parse(path.read_text(), filename=str(path)), f"{path.stem}.<module>")
     return readers
+
+
+def _attribute_readers(attr: str) -> set[str]:
+    """``module.function`` (or ``module.<module>``) of each use of ``.<attr>``."""
+    return _readers(lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
 
 
 def test_only_embedding_splits_the_ambient_layout():
@@ -89,6 +95,16 @@ def test_only_special_evaluates_the_hermitian_form(attr):
     # H has one implementation, special.hermitian_form, over rows; nothing
     # else reads (Im T)^{-1} or embeds T x1 + x2
     assert {scope.split(".")[0] for scope in _attribute_readers(attr)} == {"special"}
+
+
+def test_only_the_exponent_split_reads_the_cocycle_formula():
+    # every cocycle route reads alpha through the split of the one basis
+    # table B, so none evaluates a per-pair formula: bilinearity is
+    # structural, not something a certificate has to find
+    def calls_formula(node):
+        return (isinstance(node, ast.Call) and "_cocycle_exponent"
+                in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+    assert _readers(calls_formula) == {"embedding._exponent_split"}
 
 
 def _formats_an_index(node) -> bool:

@@ -10,7 +10,7 @@ from conftest import GOLDEN_DIR, load_golden, save_golden
 from nctheta.config import parse_config
 from nctheta.embedding import (
     EmbeddingKind,
-    cocycle_phase,
+    _paired_exponent,
     enumerate_indices,
     lattice_element,
 )
@@ -108,7 +108,8 @@ class TestOracleEquivalence:
             k = rng.integers(-2, 3, size=4)
             h = lattice_element(lattice_emb, k)
             neg = lattice_element(lattice_emb, -k)
-            assert cocycle_phase(h, neg) == pytest.approx(1.0)
+            alpha = np.exp(1j * math.pi * _paired_exponent(lattice_emb, k, -k))
+            assert alpha == pytest.approx(1.0)
             a = inner_product_oracle(f, h, 1e-11)
             b = inner_product_oracle(f, neg, 1e-11)
             assert b == pytest.approx(np.conj(a), abs=1e-12)
@@ -347,7 +348,8 @@ class TestFactors:
             kg, kh = rng.integers(-2, 3, size=(2, 4))
             g, h = lattice_element(emb, kg), lattice_element(emb, kh)
             lhs = (lattice_series.coefficient(kg) * lattice_series.coefficient(kh)
-                   * cocycle_phase(g, h) * _translation(lattice_series, g, h))
+                   * complex(np.exp(1j * math.pi * _paired_exponent(emb, kg, kh)))
+                   * _translation(lattice_series, g, h))
             rhs = lattice_series.coefficient(kg + kh)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
