@@ -362,12 +362,18 @@ def bicharacter_max_residual(emb: EmbeddingMap, rng) -> float:
     return float(np.max(np.hypot(defects.real, defects.imag)))
 
 
+# Left index rows per block of the all-pairs sweeps: a block is a
+# (block, rows) table, 25 x 625 at radius 2.
+PAIR_SWEEP_BLOCK = 25
+
+
 def element_linearity_max_residual(emb: EmbeddingMap) -> float:
     """Worst defect of linearity of :func:`point_parts` over all index pairs of sup norm <= 2."""
     ks = enumerate_indices(2)
     parts = point_parts(emb, ks)
     worst = 0.0
-    for a, ka in enumerate(ks):
-        for part, direct in zip(parts, point_parts(emb, ka + ks)):
-            worst = max(worst, float(np.max(np.abs(part[a] + part - direct))))
+    for lo in range(0, len(ks), PAIR_SWEEP_BLOCK):
+        rows = slice(lo, lo + PAIR_SWEEP_BLOCK)
+        for part, direct in zip(parts, point_parts(emb, ks[rows, None] + ks)):
+            worst = max(worst, float(np.max(np.abs(part[rows, None] + part - direct))))
     return worst

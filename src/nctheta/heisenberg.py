@@ -40,6 +40,9 @@ from .errors import (
 from .special import _cmul
 
 PHASE_MASK_THRESHOLD = 1e-8
+# Pairs per block of representation_defect: a block holds three sample
+# grids per pair (two complex, one real).
+REPRESENTATION_BLOCK = 4
 # Sample grids extend until the Gaussian tails fall below this magnitude.
 SAMPLE_TAIL = 1e-45
 
@@ -61,8 +64,7 @@ class ClosedFormVector:
         f(s1, s2) = amplitude * exp(pi i (S^t quadratic S + 2 linear . S))
 
     A form pushed through rows of lattice points (:func:`apply_pi`) holds one
-    ``linear``, ``amplitude``, ``n_shift`` and ``n_phase`` per point; only a
-    one-point form is evaluated.
+    ``linear``, ``amplitude``, ``n_shift`` and ``n_phase`` per point.
     """
 
     kind: EmbeddingKind
@@ -80,21 +82,44 @@ class ClosedFormVector:
             raise NotPositive("lattice vectors need a positive discrete decay")
 
     def evaluate(self, *coords) -> np.ndarray:
-        """Pointwise values; arguments broadcast like numpy arrays."""
-        if np.ndim(self.amplitude):
-            raise ValueError("a form pushed through rows of points is not evaluated")
+        """Pointwise values; arguments broadcast like numpy arrays.
+
+        The exponent is a sum of one term per coordinate, plus an s1 s2 cross
+        term when the vector-space quadratic is off-diagonal, so each term is
+        exponentiated on its own coordinate and the factors multiply: on an
+        open mesh (``np.ix_``) that is one exponential per axis point, not
+        one per grid point. A form pushed through rows of points gives one
+        grid per row: the rows lead, the result has shape (..., *grid), and
+        each row equals the one-point evaluation bit for bit.
+        """
+        coords = [np.asarray(c) for c in coords]
+        pad = (1,) * np.broadcast(*coords).ndim
+
+        def lead(param):
+            """A parameter's row axes, ahead of the grid axes."""
+            return np.reshape(param, np.shape(param) + pad)
+
+        # numpy's complex product runs the same loop on a row of a block as on
+        # one row, so rows match one-point calls bit for bit; _cmul would cost
+        # as much as the exponentials it multiplies
+        value = lead(self.amplitude)
         if self.kind is EmbeddingKind.LATTICE:
-            s, n1, n2 = [np.asarray(c) for c in coords]
-            expo = 1j * math.pi * (self.quadratic * s * s + 2.0 * self.linear * s)
-            u1, u2 = self.n_shift
-            expo = expo - math.pi * self.decay * ((n1 + u1) ** 2 + (n2 + u2) ** 2)
-            expo = expo + 2j * math.pi * (self.n_phase[0] * n1 + self.n_phase[1] * n2)
-            return self.amplitude * np.exp(expo)
-        s1, s2 = [np.asarray(c) for c in coords]
+            s, *ns = coords
+            shifts = np.moveaxis(np.asarray(self.n_shift), -1, 0)
+            phases = np.moveaxis(np.asarray(self.n_phase), -1, 0)
+            for n, u, p in zip(ns, shifts, phases):
+                value = value * np.exp(-math.pi * self.decay * (n + lead(u)) ** 2
+                                       + 2j * math.pi * lead(p) * n)
+            return value * np.exp(1j * math.pi * (self.quadratic * s * s
+                                                  + 2.0 * lead(self.linear) * s))
         q = np.asarray(self.quadratic)
         l = np.asarray(self.linear, dtype=complex)
-        quad = q[0, 0] * s1 * s1 + (q[0, 1] + q[1, 0]) * s1 * s2 + q[1, 1] * s2 * s2
-        return self.amplitude * np.exp(1j * math.pi * (quad + 2.0 * (l[0] * s1 + l[1] * s2)))
+        for j, s in enumerate(coords):
+            value = value * np.exp(1j * math.pi * (q[j, j] * s * s + 2.0 * lead(l[..., j]) * s))
+        cross = q[0, 1] + q[1, 0]
+        if cross != 0:
+            value = value * np.exp(1j * math.pi * cross * coords[0] * coords[1])
+        return value
 
     def sup_extent(self) -> float:
         """Continuous half-width beyond which |f| drops under SAMPLE_TAIL."""
@@ -406,18 +431,48 @@ def connection_commutator_residual(emb: EmbeddingMap, i: int, j: int, f,
     return float(np.max(np.abs(defect)) / denom)
 
 
+def _pair_rows(el: LatticeElement, shape) -> list[np.ndarray]:
+    """k, M part and dual part of EL broadcast to the pair SHAPE, as (N, ...) rows."""
+    return [np.broadcast_to(a, shape + a.shape[-1:]).reshape(-1, a.shape[-1])
+            for a in (el.k, el.m_part, el.dual_part)]
+
+
 def representation_defect(emb: EmbeddingMap, g: LatticeElement, h: LatticeElement,
-                          f: SampledVector) -> float:
-    """Sup-norm of pi_g pi_h f - alpha(g, h) pi_{g+h} f, relative to max |f|.
+                          f: SampledVector):
+    """Sup-norm of pi_g pi_h f - alpha(g, h) pi_{g+h} f on the grid of f,
+    relative to max |f|, for each pair of broadcast rows of g and h.
 
     This is the operator-composition oracle behind the cocycle formula: alpha
     is the one every route reads (``embedding._paired_exponent``), and the
     other side is the phases of :func:`apply_pi`.
+
+    A pair is resolved when max |alpha pi_{g+h} f| on the grid reaches
+    PHASE_MASK_THRESHOLD max |f| and every sample of both sides is finite.
+    An unresolved pair reads NaN: its samples vanish on the grid, or a
+    descriptor over- or underflowed on the way (pi_h f with an amplitude of
+    0 that pi_g multiplies by an overflowing exponential). Pairs run in
+    blocks of REPRESENTATION_BLOCK, so memory does not grow with their
+    number. One pair gives a float.
     """
-    lhs = apply_pi(g, apply_pi(h, f))
-    rhs = apply_pi(element_add(emb, g, h), f)
-    alpha = np.exp(1j * math.pi * _paired_exponent(emb, g.k, h.k))
     denom = float(np.max(np.abs(f.values)))
     if denom == 0.0:
         raise DegenerateTestVector("zero test vector")
-    return float(np.max(np.abs(lhs.values - alpha * rhs.values)) / denom)
+    alpha = np.exp(1j * math.pi * _paired_exponent(emb, g.k, h.k))
+    shape = alpha.shape
+    sides = [_pair_rows(el, shape) for el in (g, h, element_add(emb, g, h))]
+    grids = f.grids()
+    alpha = alpha.reshape((-1,) + (1,) * len(grids))
+    out = np.empty(len(alpha))
+    for lo in range(0, len(alpha), REPRESENTATION_BLOCK):
+        gb, hb, sb = (LatticeElement(emb.kind, *(a[lo:lo + REPRESENTATION_BLOCK] for a in side))
+                      for side in sides)
+        lhs = _transform_closed(gb, _transform_closed(hb, f.source)).evaluate(*grids)
+        rhs = _transform_closed(sb, f.source).evaluate(*grids)
+        np.multiply(alpha[lo:lo + REPRESENTATION_BLOCK], rhs, out=rhs)
+        peak = np.max(np.abs(rhs).reshape(len(rhs), -1), axis=1)
+        lhs -= rhs
+        defect = np.max(np.abs(lhs).reshape(len(rhs), -1), axis=1) / denom
+        resolved = (peak >= PHASE_MASK_THRESHOLD * denom) & np.isfinite(defect)
+        out[lo:lo + len(rhs)] = np.where(resolved, defect, np.nan)
+    out = out.reshape(shape)
+    return float(out) if out.ndim == 0 else out

@@ -28,6 +28,7 @@ from itertools import islice
 import numpy as np
 
 from .embedding import (
+    PAIR_SWEEP_BLOCK,
     EmbeddingKind,
     EmbeddingMap,
     LatticeElement,
@@ -402,7 +403,8 @@ def series_tail_bound(series: QuantumThetaSeries, radius: int | None = None) -> 
 
 def phase_identity_max_residual(emb: EmbeddingMap, structure: ComplexStructure,
                                 radius: int = 2) -> float:
-    """Worst defect of e^{pi i Im H(g_, h_)} = alpha(g, h) over all pairs.
+    """Worst defect of e^{pi i Im H(g_, h_)} = alpha(g, h) over all pairs,
+    PAIR_SWEEP_BLOCK left rows at a time.
 
     This identity is what makes the plane-case functional equation hold
     with the independent translation multiplier; it fails for the lattice
@@ -410,11 +412,16 @@ def phase_identity_max_residual(emb: EmbeddingMap, structure: ComplexStructure,
     Hermitian form does not.
     """
     ks = enumerate_indices(radius)
+    ctx = structure_context(structure)
     x1, x2 = _continuous(emb.kind, point_parts(emb, ks))
-    h_mat = hermitian_form(structure_context(structure),
-                           (x1[:, None], x2[:, None]), (x1[None], x2[None]))
-    expo = _pairing_exponent_table(emb, ks, ks)
-    return float(np.max(np.abs(np.exp(1j * math.pi * h_mat.imag) - np.exp(1j * math.pi * expo))))
+    worst = 0.0
+    for lo in range(0, len(ks), PAIR_SWEEP_BLOCK):
+        rows = slice(lo, lo + PAIR_SWEEP_BLOCK)
+        h_mat = hermitian_form(ctx, (x1[rows, None], x2[rows, None]), (x1[None], x2[None]))
+        expo = _pairing_exponent_table(emb, ks[rows], ks)
+        worst = max(worst, float(np.max(np.abs(
+            np.exp(1j * math.pi * h_mat.imag) - np.exp(1j * math.pi * expo)))))
+    return worst
 
 
 def verify_functional_equation(series: QuantumThetaSeries, kg) -> VerificationReport:

@@ -138,13 +138,13 @@ def _suite_validate(ctx: RunContext) -> list[VerificationReport]:
             [cocycle_identity_max_residual(emb, 2)], tol),
     ]
     f = sample_vector(theta_test_vector(emb), step=1 / 16)
-    worst = 0.0
-    for _ in range(20):
-        kg, kh = rng.integers(-2, 3, size=(2, 4))
-        worst = max(worst, representation_defect(
-            emb, lattice_element(emb, kg), lattice_element(emb, kh), f))
+    kg, kh = np.moveaxis(rng.integers(-2, 3, size=(20, 2, 4)), 1, 0)
+    defects = representation_defect(emb, lattice_element(emb, kg), lattice_element(emb, kh), f)
+    # an unresolved pair reads NaN; with none resolved the check fails
+    resolved = defects[~np.isnan(defects)]
     reports.append(VerificationReport.build(
-        "cocycle-operator-oracle", ["20 random pairs"], [worst], 1e-10))
+        "cocycle-operator-oracle", ["20 random pairs"],
+        [resolved.max() if resolved.size else math.inf], 1e-10, pairs_resolved=resolved.size))
     return reports
 
 

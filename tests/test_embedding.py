@@ -358,16 +358,30 @@ LARGE_DEFORMATIONS = {
 
 @pytest.mark.parametrize("which", list(LARGE_DEFORMATIONS))
 def test_validate_passes_large_deformations(which, lattice_config, vector_config):
-    # guards cocycle-identity, whose bound no longer grows with theta; on the
-    # vector config pi_g pi_h f leaves the oracle's sample grid, so
-    # cocycle-operator-oracle compares vanishing samples there
+    # guards cocycle-identity, whose bound no longer grows with theta. On the
+    # vector config pi_{g+h} f leaves the oracle's sample grid for every
+    # drawn pair, so cocycle-operator-oracle resolves none and fails as a
+    # named check instead of comparing vanishing samples
     cfg = copy.deepcopy((lattice_config if which.startswith("lattice") else vector_config).raw)
     cfg["embedding"].update(LARGE_DEFORMATIONS[which])
     report = run_suite(parse_config(cfg), "validate")
+    checks = {c.name: c for c in report.checks}
     failed = [c.name for c in report.checks if not c.passed]
-    assert failed == []
-    identity = {c.name: c for c in report.checks}["cocycle-identity"]
-    assert identity.tolerance == IDENTITY_ABS
+    oracle = checks["cocycle-operator-oracle"]
+    if which.startswith("vector"):
+        assert failed == ["cocycle-operator-oracle"]
+        assert oracle.metadata["pairs_resolved"] == 0 and oracle.max_residual == math.inf
+    else:
+        assert failed == []
+        assert oracle.metadata["pairs_resolved"] >= 1
+    assert checks["cocycle-identity"].tolerance == IDENTITY_ABS
+
+
+@pytest.mark.parametrize("kind", ["lattice", "vector"])
+def test_operator_oracle_resolves_every_canonical_pair(kind, request):
+    report = run_suite(request.getfixturevalue(f"{kind}_config"), "validate")
+    oracle = {c.name: c for c in report.checks}["cocycle-operator-oracle"]
+    assert oracle.passed and oracle.metadata["pairs_resolved"] == 20
 
 
 _U = Fraction(1, 2**53)

@@ -33,6 +33,23 @@ from nctheta.heisenberg import (
 from nctheta.structures import make_complex_structure, theta_vector
 
 
+def _full_exponent_values(f, coords):
+    """Reference samples of a one-point form: amplitude * exp(full exponent),
+    one exponential per point."""
+    if f.kind is EmbeddingKind.LATTICE:
+        s, n1, n2 = coords
+        (u1, u2), (p1, p2) = f.n_shift, f.n_phase
+        expo = (1j * math.pi * (f.quadratic * s * s + 2.0 * f.linear * s)
+                - math.pi * f.decay * ((n1 + u1) ** 2 + (n2 + u2) ** 2)
+                + 2j * math.pi * (p1 * n1 + p2 * n2))
+    else:
+        q, l = f.quadratic, f.linear
+        expo = 1j * math.pi * (sum(q[i, j] * coords[i] * coords[j]
+                                   for i in range(2) for j in range(2))
+                               + 2.0 * (l[0] * coords[0] + l[1] * coords[1]))
+    return f.amplitude * np.exp(expo)
+
+
 @pytest.fixture(scope="module")
 def lattice_theta(lattice_emb):
     st = make_complex_structure(EmbeddingKind.LATTICE, 1j, 0.5, lattice_emb.theta34)
@@ -52,6 +69,37 @@ class TestClosedForm:
             math.exp(-2 * math.pi * 0.0625))
         assert lattice_theta.evaluate(0.5, 1, 0) == pytest.approx(
             math.exp(-math.pi / 2) * math.exp(-2.5 * math.pi))
+
+    @pytest.mark.parametrize("case", ["lattice", "lattice-pushed", "vector-pushed",
+                                      "vector-cross", "vector-cross-pushed"])
+    @pytest.mark.parametrize("mesh", ["open", "full"])
+    def test_separable_matches_the_full_exponent(self, case, mesh, lattice_emb, vector_emb,
+                                                 lattice_theta):
+        # one exponential per axis against amplitude * exp(full exponent) at
+        # every point, on an open mesh and on full broadcast coordinates
+        if case.startswith("lattice"):
+            emb = lattice_emb
+            f = replace(lattice_theta, linear=0.25 - 0.1j, amplitude=0.7 - 0.2j,
+                        n_shift=(1, -2), n_phase=(0.2, -0.15))
+            axes = (np.linspace(-4.0, 4.0, 33), np.arange(-5, 6), np.arange(-4, 5))
+        else:
+            emb = vector_emb
+            quadratic = [[2j, 0.3 + 0.1j], [-0.1 + 0.2j, 1.5j]] if "cross" in case else 2j * np.eye(2)
+            f = ClosedFormVector(EmbeddingKind.VECTOR_SPACE, quadratic=np.array(quadratic),
+                                 linear=np.array([0.2 + 0.05j, -0.3j]), amplitude=1.3 + 0.4j)
+            axes = (np.linspace(-4.0, 4.0, 33), np.linspace(-3.0, 3.0, 25))
+        coords = np.ix_(*axes) if mesh == "open" else np.meshgrid(*axes, indexing="ij")
+        forms = [f]
+        if case.endswith("pushed"):
+            ks = np.random.default_rng(5).integers(-2, 3, size=(6, 4))
+            rows = apply_pi(lattice_element(emb, ks), f).evaluate(*coords)
+            forms = [apply_pi(lattice_element(emb, k), f) for k in ks]
+            assert rows.shape == (6,) + np.broadcast(*coords).shape
+        else:
+            rows = f.evaluate(*coords)[None]
+        for got, form in zip(rows, forms):
+            want = _full_exponent_values(form, coords)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), case
 
     def test_monotone_decay_along_rays(self, lattice_theta):
         s = np.linspace(0, 3, 40)
@@ -90,12 +138,40 @@ class TestApplyPi:
     def test_representation_property_all_radius1_pairs(self, lattice_emb,
                                                        lattice_theta):
         f = sample_vector(lattice_theta, step=1 / 8)
-        els = [lattice_element(lattice_emb, k) for k in enumerate_indices(1)]
-        worst = 0.0
-        for g in els:
-            for h in els:
-                worst = max(worst, representation_defect(lattice_emb, g, h, f))
-        assert worst <= 1e-10
+        ks = enumerate_indices(1)
+        defects = representation_defect(lattice_emb, lattice_element(lattice_emb, ks[:, None]),
+                                         lattice_element(lattice_emb, ks[None]), f)
+        assert defects.shape == (81, 81)
+        # an unresolved pair reads NaN and fails the comparison
+        assert np.max(defects) <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_defect_rows_match_single_pairs(self, kind, request):
+        # rows of (g, h) pairs, broadcast over two axes and run in blocks,
+        # give each pair's one-pair residual bit for bit
+        emb = request.getfixturevalue(f"{kind}_emb")
+        f = sample_vector(theta_test_vector(emb), step=1 / 8)
+        kg, kh = np.random.default_rng(23).integers(-2, 3, size=(2, 11, 4))
+        rows = representation_defect(emb, lattice_element(emb, kg[:, None]),
+                                     lattice_element(emb, kh[None]), f)
+        assert rows.shape == (11, 11)
+        for a, b in np.ndindex(rows.shape):
+            one = representation_defect(emb, lattice_element(emb, kg[a]),
+                                        lattice_element(emb, kh[b]), f)
+            assert isinstance(one, float)
+            assert rows[a, b].tobytes() == np.float64(one).tobytes(), (kg[a], kh[b])
+
+    def test_unresolved_pairs_read_nan(self):
+        # at theta1 = 20.3 the shift by g = e1 moves pi_{g+h} f off the sample
+        # grid, whose half-width is about 5: the pair compares vanishing samples
+        emb = build_embedding(EmbeddingKind.VECTOR_SPACE, 20.3, 18.5)
+        f = sample_vector(theta_test_vector(emb), step=1 / 16)
+        with np.errstate(over="ignore", invalid="ignore"):  # off-grid tails overflow
+            defects = representation_defect(
+                emb, lattice_element(emb, [[1, 0, 0, 0], [0, 1, 0, 0]]),
+                lattice_element(emb, [0, 0, 0, 0]), f)
+        assert np.isnan(defects[0])
+        assert defects[1] <= 1e-10
 
     def test_closed_form_matches_sampled(self, lattice_emb, lattice_theta):
         # pi-stability: the descriptor transform against the pointwise
@@ -116,9 +192,27 @@ class TestApplyPi:
         rows = lattice_element(lattice_emb, [[0, 0, 1, 0], [1, 0, 0, 0]])
         with pytest.raises(ValueError):
             apply_pi(rows, f)
-        # two rows would unpack as the two entries of one shift
-        with pytest.raises(ValueError):
-            apply_pi(rows, lattice_theta).evaluate(0.0, 0, 0)
+        # a closed form pushed through the rows evaluates each of them: the
+        # rows lead, and two rows no longer unpack as one shift's two entries
+        pushed = apply_pi(rows, lattice_theta).evaluate(0.0, 0, 0)
+        single = [apply_pi(lattice_element(lattice_emb, k), lattice_theta).evaluate(0.0, 0, 0)
+                  for k in rows.k]
+        assert pushed.shape == (2,)
+        assert pushed.tobytes() == np.array(single).tobytes()
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_rows_evaluate_each_point(self, kind, request):
+        # each row of a pushed form's samples is the one-point push's
+        # samples, bit for bit; row axes lead the grid axes
+        emb = request.getfixturevalue(f"{kind}_emb")
+        f = theta_vector(request.getfixturevalue(f"{kind}_structure"))
+        grids = sample_vector(f, step=1 / 8).grids()
+        ks = enumerate_indices(1).reshape(9, 9, 4)
+        rows = apply_pi(lattice_element(emb, ks), f).evaluate(*grids)
+        assert rows.shape == (9, 9) + np.broadcast(*grids).shape
+        for idx in np.ndindex(9, 9):
+            one = apply_pi(lattice_element(emb, ks[idx]), f).evaluate(*grids)
+            assert rows[idx].tobytes() == one.tobytes(), ks[idx]
 
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_rows_push_each_point(self, kind, request):
