@@ -225,9 +225,76 @@ def point_parts(emb: EmbeddingMap, ks) -> tuple[np.ndarray, np.ndarray]:
     with t stored as unreduced lifts. Vector-space kind: each part is two
     continuous coordinates.
     """
-    amb = _index_rows(ks).astype(float) @ emb.entries.T
+    k = _index_rows(ks)
+    # term by term in index order from +0.0: a matmul rounds differently with
+    # the number of rows, and a row's parts must not depend on the rows that
+    # share the call. A zero entry would add +-0.0, which leaves such a sum
+    # as it is, so its term is skipped.
+    amb = np.zeros(k.shape[:-1] + (len(emb.entries),))
+    for i, row in enumerate(emb.entries.tolist()):
+        for j, entry in enumerate(row):
+            if entry:
+                amb[..., i] += k[..., j] * entry
     cut = len(emb.entries) // 2
     return amb[..., :cut], amb[..., cut:]
+
+
+@dataclass(frozen=True)
+class IndexPlanes:
+    """Index rows split over the two index planes, (k1, k2) and (k3, k4).
+
+    ``points[p]`` holds the distinct points of plane p, as index rows that
+    are zero on the other plane, and ``codes[p]`` the point of each row.
+    ``reads[i]`` is the plane that ambient coordinate i (row i of
+    ``entries``) reads.
+    """
+
+    points: tuple[np.ndarray, np.ndarray]
+    codes: tuple[np.ndarray, np.ndarray]
+    reads: tuple[int, ...]
+
+
+def _plane_codes(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of (N, 2) integer columns: the first row holding each,
+    and the distinct row of each row, as indices.
+
+    The int64 code of a row is its offset in the columns' bounding box,
+    which np.unique sorts; the box is never built. Columns whose box does
+    not fit in int64 are replaced by their ranks first.
+    """
+    low = [int(c.min(initial=0)) for c in cols.T]
+    span = [int(c.max(initial=0)) - lo + 1 for c, lo in zip(cols.T, low)]
+    if span[0] * span[1] >= 2 ** 63:
+        cols = np.stack([np.unique(c, return_inverse=True)[1] for c in cols.T], axis=-1)
+        low, span = [0, 0], [len(cols)] * 2
+    code = (cols[:, 0] - low[0]) * span[1] + (cols[:, 1] - low[1])
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def index_planes(emb: EmbeddingMap, ks) -> IndexPlanes:
+    """The two index planes of (N, 4) index rows under the embedding.
+
+    Each ambient coordinate must read one plane: its row of ``entries`` is
+    zero on the other, as in the canonical maps (an all-zero row is put on
+    (k3, k4)); ValueError otherwise. :func:`point_parts` sums term by term
+    from +0.0, so a coordinate of a row equals that coordinate of the row's
+    point on the plane it reads, bit for bit.
+    """
+    ks = _index_rows(ks).reshape(-1, 4)
+    off_near, off_far = (np.all(emb.entries[:, cols] == 0, axis=1)
+                         for cols in (slice(0, 2), slice(2, 4)))
+    if not np.all(off_near | off_far):
+        raise ValueError("an ambient coordinate reads both index planes")
+    points, codes = [], []
+    for plane in range(2):
+        cols = slice(2 * plane, 2 * plane + 2)
+        first, code = _plane_codes(ks[:, cols])
+        point = np.zeros((len(first), 4), dtype=np.int64)
+        point[:, cols] = ks[first, cols]
+        points.append(point)
+        codes.append(code)
+    return IndexPlanes(tuple(points), tuple(codes), tuple(off_near.astype(int).tolist()))
 
 
 def lattice_element(emb: EmbeddingMap, k) -> LatticeElement:

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import EmbeddingKind, build_embedding, enumerate_indices, point_parts
+from .embedding import (EmbeddingKind, build_embedding, enumerate_indices, index_planes,
+                        point_parts)
 from .errors import NCThetaError
 from .qtheta import QuantumThetaSeries, _label, _reassembly_failure, _rows
 from .structures import MixedStructure, structure_from_tau
@@ -40,54 +41,91 @@ _JSON_ROW = ("\n".join("    " + line for line in json.dumps(
 _CONVERSION = re.compile(r"%[.0-9]*[dgr]")
 
 
-def _blocks(series: QuantumThetaSeries):
-    """The table in blocks of rows: index, six ambient slots, coefficient.
+def _table_cells(series: QuantumThetaSeries):
+    """Source and values of each table column (k1..k4, w1, w2, m1, m2, t1, t2,
+    re, im), and the plane codes of the rows.
 
-    Lattice kind: (w1, w2, m1, m2, t1, t2) with unreduced torus lifts.
-    Vector-space kind: the M part fills (w1, w2), the dual part (t1, t2),
-    and the integer slots are zero.
+    The source is the index plane whose points the values run over, None
+    for a constant, or "row" for re and im. Lattice kind: (w1, w2, m1, m2,
+    t1, t2) with unreduced torus lifts. Vector-space kind: the M part fills
+    (w1, w2), the dual part (t1, t2), and the integer slots are zero.
     """
-    for lo in range(0, len(series.indices), CHUNK_ROWS):
-        k = series.indices[lo:lo + CHUNK_ROWS]
-        values = series.values[lo:lo + CHUNK_ROWS]
-        m_part, dual_part = point_parts(series.embedding, k)
-        block = np.zeros((len(k), 12))
-        block[:, :4] = k
-        if series.kind is EmbeddingKind.LATTICE:
-            block[:, [4, 6, 7]] = m_part
-            block[:, [5, 8, 9]] = dual_part
-        else:
-            block[:, [4, 5]] = m_part
-            block[:, [8, 9]] = dual_part
-        block[:, 10] = values.real
-        block[:, 11] = values.imag
-        yield block
+    planes = index_planes(series.embedding, series.indices)
+    index = [(p, planes.points[p][:, j]) for p in range(2) for j in (2 * p, 2 * p + 1)]
+    # each plane's points through the map, one column per row of entries
+    ambient = [np.concatenate(point_parts(series.embedding, points), axis=-1)
+               for points in planes.points]
+    # the row of entries behind each of (w1, w2, m1, m2, t1, t2)
+    lattice = series.kind is EmbeddingKind.LATTICE
+    slots = [0, 3, 1, 2, 4, 5] if lattice else [0, 1, None, None, 2, 3]
+    reads = planes.reads
+    cells = [(None, 0.0) if i is None else (reads[i], ambient[reads[i]][:, i]) for i in slots]
+    return index + cells + [("row", series.values.real), ("row", series.values.imag)], planes.codes
 
 
-def _write_rows(fh, row, separator: str, blocks) -> None:
-    """Write blocks of rows through a (template, columns) row format.
+def _joined(last, new):
+    """Two adjacent row-template parts as one, or None when they stay apart.
 
-    A block is written as one str.join over the template's literal pieces
-    and the cell texts, laid out row by row. A cell is formatted once per
-    distinct bit pattern of its column in the block (a block repeats few
-    distinct values; -0.0 and 0.0 stay apart).
+    A part is (None, literal text), (plane, texts at the plane's points) or
+    ("row", (values, conversion)). Literals join each other and plane parts;
+    two parts of one plane join point by point.
     """
+    (a, x), (b, y) = last, new
+    if "row" in (a, b) or (None not in (a, b) and a != b):
+        return None
+    return (b if a is None else a), x + y
+
+
+def _row_parts(row, cells) -> list:
+    """The row template as parts (see :func:`_joined`): index and ambient
+    cells formatted once per plane point, constants once, and each run of
+    adjacent slots that read one plane joined into one part."""
     template, columns = row
-    specs = _CONVERSION.findall(template)
     pieces = _CONVERSION.split(template)
-    for i, block in enumerate(blocks):
-        cells = block[:, columns]
-        text = np.empty((len(block), len(pieces) + len(specs)), dtype=object)
-        text[:, 0::2] = pieces
+    parts = [(None, pieces[0])]
+    for spec, col, piece in zip(_CONVERSION.findall(template), columns, pieces[1:]):
+        source, values = cells[col]
+        if source == "row":
+            cell = (source, (values, spec))
+        elif source is None:
+            cell = (None, spec % values)
+        else:
+            cell = (source, np.array([spec % v for v in values.tolist()], dtype=object))
+        for new in (cell, (None, piece)):
+            both = _joined(parts[-1], new)
+            if both is None:
+                parts.append(new)
+            else:
+                parts[-1] = both
+    return parts
+
+
+def _write_table(fh, row, separator: str, series: QuantumThetaSeries) -> None:
+    """Write the table through a (template, columns) row format.
+
+    Rows go in blocks of CHUNK_ROWS, each as one str.join over the parts of
+    :func:`_row_parts`: a plane part's texts are gathered by the rows' plane
+    codes, and a re or im cell is formatted once per distinct bit pattern
+    in the block (-0.0 and 0.0 stay apart).
+    """
+    cells, codes = _table_cells(series)
+    parts = _row_parts(row, cells)
+    for lo in range(0, len(series.indices), CHUNK_ROWS):
+        rows = slice(lo, lo + CHUNK_ROWS)
+        text = np.empty((len(codes[0][rows]), 1 + len(parts)), dtype=object)
         # every row but the table's first starts with the separator
-        text[0 if i else 1:, 0] = separator + pieces[0]
-        for j, spec in enumerate(specs):
-            bits, inverse = np.unique(cells[:, j].view(np.uint64), return_inverse=True)
-            distinct = bits.view(np.float64)
-            if spec == "%d":
-                distinct = distinct.astype(np.int64)
-            text[:, 2 * j + 1] = np.array([spec % v for v in distinct.tolist()],
-                                          dtype=object)[inverse]
+        text[:, 0] = ""
+        text[0 if lo else 1:, 0] = separator
+        for j, (source, payload) in enumerate(parts, 1):
+            if source is None:
+                text[:, j] = payload
+            elif source == "row":
+                values, spec = payload
+                bits, inverse = np.unique(values[rows].view(np.uint64), return_inverse=True)
+                text[:, j] = np.array([spec % v for v in bits.view(np.float64).tolist()],
+                                      dtype=object)[inverse]
+            else:
+                text[:, j] = payload[codes[source][rows]]
         fh.write("".join(text.ravel().tolist()))
 
 
@@ -101,7 +139,7 @@ def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
     if fmt == "csv":
         with path.open("w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            _write_rows(fh, _CSV_ROW, "", _blocks(series))
+            _write_table(fh, _CSV_ROW, "", series)
         return path
     emb = series.embedding
     emb_params = {"kind": emb.kind.value, "theta1": emb.theta1}
@@ -131,7 +169,7 @@ def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
         '"coefficients": []', 1)
     with path.open("w", newline="\n") as fh:
         fh.write(head + '"coefficients": [\n')
-        _write_rows(fh, _JSON_ROW, ",\n", _blocks(series))
+        _write_table(fh, _JSON_ROW, ",\n", series)
         fh.write("\n  ]" + tail + "\n")
     return path
 

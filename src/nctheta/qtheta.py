@@ -36,6 +36,7 @@ from .embedding import (
     _paired_exponent,
     _pairing_exponent_table,
     enumerate_indices,
+    index_planes,
     lattice_element,
     point_parts,
 )
@@ -284,19 +285,35 @@ def _mode_products(parts, theta2: float) -> np.ndarray:
     return site
 
 
+def _gaussian_exponent(structure: ComplexStructure, kind: EmbeddingKind, parts) -> np.ndarray:
+    """-(pi/2) H(k_, k_) of each row of :func:`point_parts` output."""
+    pair = _continuous(kind, parts)
+    return -0.5 * math.pi * hermitian_form(structure_context(structure), pair, pair).real
+
+
 def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
     """Gaussian exponent and mode product of the series coefficient C(k).
 
     For each row k of an (N, 4) index array: the real exponent
     -(pi/2) H(k_, k_) and the product of the two discrete mode factors
     (all ones for the vector-space kind), so that C(k) = site e^{expo}.
+    On the lattice kind, R x Z^2, the exponent reads (w1, w2), the image of
+    (k1, k2), and the mode product reads (m, t), the image of (k3, k4): each
+    is computed once per point of its index plane and gathered per row. On
+    the plane an off-diagonal T couples the two, so it stays over rows.
     """
-    parts = point_parts(emb, ks)
-    pair = _continuous(emb.kind, parts)
-    expo = -0.5 * math.pi * hermitian_form(structure_context(structure), pair, pair).real
-    if emb.kind is EmbeddingKind.LATTICE:
-        return expo, _mode_products(parts, 1.0 / structure.lattice_decay)
-    return expo, np.ones(len(ks), dtype=complex)
+    if emb.kind is EmbeddingKind.VECTOR_SPACE:
+        expo = _gaussian_exponent(structure, emb.kind, point_parts(emb, ks))
+        return expo, np.ones(len(ks), dtype=complex)
+    planes = index_planes(emb, ks)
+    # ambient coordinates (w1, m1, m2, w2, t1, t2) of point_parts
+    if planes.reads != (0, 1, 1, 0, 1, 1):
+        raise InternalIdentityViolated("the lattice map does not read w from (k1, k2)"
+                                       " and (m, t) from (k3, k4)")
+    near, far = (point_parts(emb, points) for points in planes.points)
+    expo = _gaussian_exponent(structure, emb.kind, near)
+    site = _mode_products(far, 1.0 / structure.lattice_decay)
+    return expo[planes.codes[0]], site[planes.codes[1]]
 
 
 def _log_translation(series: QuantumThetaSeries, kg, kh):

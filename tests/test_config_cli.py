@@ -15,8 +15,9 @@ import nctheta
 from nctheta import export
 from nctheta.cli import EXIT_INTERNAL_ERROR, main
 from nctheta.config import load_config, parse_config
+from nctheta.embedding import point_parts
 from nctheta.errors import ConfigInvalid, ConfigSyntax, TruncationTooSmall
-from nctheta.export import _CSV_ROW, _JSON_ROW, _write_rows, export_coefficients, load_series
+from nctheta.export import _CSV_ROW, _JSON_ROW, _write_table, export_coefficients, load_series
 from nctheta.qtheta import (MAX_SERIALIZED_ELEMENTS, VerificationReport, _label,
                             _reassembly_failure, quantum_theta_series)
 from nctheta.report import _check_dict, run_suite, write_report
@@ -259,26 +260,49 @@ class TestExport:
         assert tables[0] == tables[1] == tables[2]
         assert len(series.indices) == 625
 
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
     @pytest.mark.parametrize("row, separator", [(_CSV_ROW, ""), (_JSON_ROW, ",\n")])
-    def test_write_rows_matches_per_row_format(self, row, separator):
-        # each block holds signed zeros, subnormal and tiny values, integer
-        # valued and negative floats; column 11 is distinct in every row
+    def test_write_table_matches_per_row_format(self, kind, row, separator, monkeypatch):
+        # a non-canonical lattice and an off-diagonal vector series whose
+        # values hold signed zeros, subnormal and tiny values, integer valued
+        # and negative floats; im is distinct in every row
+        if kind == "lattice":
+            cfg = parse_config(minimal_lattice(
+                embedding={"kind": "lattice", "theta1": 0.5, "m": [[2, 1], [1, 1]],
+                           "delta_hat": [[0.25, 0.25], [-0.5, -0.25]]},
+                structure={"tau": [0.3, 0.2]}))
+        else:
+            cfg = parse_config({"embedding": {"kind": "vector_space", "theta1": 0.5,
+                                              "theta2": 0.4},
+                                "structure": {"tau": [[[0.1, 0.5], [0.04, 0.08]],
+                                                      [[0.05, 0.1], [0.02, 0.4]]]}})
+        emb = cfg.build_embedding()
+        series = quantum_theta_series(emb, cfg.build_structure(emb), radius=2)
         rng = np.random.default_rng(3)
         special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 3.0, -7.0,
                             -2.5, 0.1, 1e16, -1e-300])
-        blocks = []
-        for n in (37, 5):
-            block = special[rng.integers(0, len(special), size=(n, 12))]
-            block[:, :4] = rng.integers(-9, 10, size=(n, 4))
-            block[:, 11] = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-            blocks.append(block)
+        n = len(series.values)
+        series.values.real = special[rng.integers(0, len(special), size=n)]
+        series.values.imag = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        # the table as the per-row writer laid it out
+        m_part, dual_part = point_parts(emb, series.indices)
+        block = np.zeros((n, 12))
+        block[:, :4] = series.indices
+        if kind == "lattice":
+            block[:, [4, 6, 7]] = m_part
+            block[:, [5, 8, 9]] = dual_part
+        else:
+            block[:, [4, 5]] = m_part
+            block[:, [8, 9]] = dual_part
+        block[:, 10] = series.values.real
+        block[:, 11] = series.values.imag
         template, columns = row
-        expected = separator.join(template % tuple(r[columns].tolist())
-                                  for block in blocks for r in block)
+        expected = separator.join(template % tuple(r[columns].tolist()) for r in block)
+        monkeypatch.setattr(export, "CHUNK_ROWS", 37)
         out = io.StringIO()
-        _write_rows(out, row, separator, blocks)
+        _write_table(out, row, separator, series)
         assert out.getvalue() == expected
-        assert len(np.unique(blocks[0][:, 11])) == 37
+        assert len(np.unique(block[:37, 11])) == 37
 
     def test_vector_export(self, vector_emb, vector_structure, tmp_path):
         series = quantum_theta_series(vector_emb, vector_structure, radius=1)

@@ -206,6 +206,76 @@ def test_point_parts_layout_on_basis_rows():
     assert dual_part.tolist() == [[0, 0], [1, 0], [0, 0], [0, 1]]
 
 
+def _dense_embeddings(seed: int) -> list:
+    """Random lattice maps with dense, non-dyadic delta_hat (column condition
+    not enforced) and random vector maps."""
+    rng = np.random.default_rng(seed)
+    maps = []
+    while len(maps) < 4:
+        m = rng.integers(-3, 4, size=(2, 2))
+        d = rng.uniform(-1.0, 1.0, size=(2, 2))
+        if round(np.linalg.det(m)) == 0:
+            continue
+        theta34 = m[0, 0] * d[0, 1] + m[1, 0] * d[1, 1] - m[0, 1] * d[0, 0] - m[1, 1] * d[1, 0]
+        maps.append(build_embedding(EmbeddingKind.LATTICE, rng.uniform(0.1, 3.0), m=m,
+                                    delta_hat=d if theta34 > 0 else -d, allow_invalid=True))
+    return maps + [build_embedding(EmbeddingKind.VECTOR_SPACE, *rng.uniform(0.1, 3.0, 2))
+                   for _ in range(2)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_point_parts_do_not_depend_on_the_call(seed):
+    # each coordinate is summed term by term from +0.0, so the radius-4 parts
+    # equal one-row calls and the parts of each row's plane points bit for bit
+    ks = enumerate_indices(4)
+    for emb in _dense_embeddings(seed):
+        table = np.concatenate(point_parts(emb, ks), axis=-1)
+        rows = np.concatenate([np.concatenate(point_parts(emb, k)) for k in ks[::7]])
+        assert rows.tobytes() == table[::7].tobytes()
+        planes = embedding.index_planes(emb, ks)
+        at_points = [np.concatenate(point_parts(emb, p), axis=-1)[c]
+                     for p, c in zip(planes.points, planes.codes)]
+        by_plane = np.choose(planes.reads, at_points)
+        assert by_plane.tobytes() == table.tobytes()
+
+
+def test_index_planes_split_the_rows():
+    emb = build_embedding(EmbeddingKind.LATTICE, 0.5, m=[[2, 1], [1, 1]],
+                          delta_hat=[[0.25, 0.25], [-0.5, -0.25]])
+    ks = enumerate_indices(3)
+    planes = embedding.index_planes(emb, ks)
+    # (w1, m1, m2, w2, t1, t2): w reads (k1, k2), m and t read (k3, k4)
+    assert planes.reads == (0, 1, 1, 0, 1, 1)
+    near, far = planes.points
+    assert near.shape == far.shape == (49, 4)
+    assert not near[:, 2:].any() and not far[:, :2].any()
+    assert np.array_equal(near[planes.codes[0]] + far[planes.codes[1]], ks)
+    vec = embedding.index_planes(build_embedding(EmbeddingKind.VECTOR_SPACE, 0.5, 0.4), ks)
+    # (theta1 k1, theta2 k3, k2, k4)
+    assert vec.reads == (0, 1, 0, 1)
+
+
+def test_index_planes_cost_follows_the_rows_not_their_spread(lattice_emb):
+    # entries near the int64 limits: the bounding box of a plane does not fit
+    # an int64 code, so the columns are ranked first
+    big = 2 ** 62
+    ks = np.array([[-big, big, 1, 0], [big, -big, 0, 1], [-big, big, 1, 0],
+                   [0, 0, -big, big], [big, -big, 2, 3]], dtype=np.int64)
+    planes = embedding.index_planes(lattice_emb, ks)
+    near, far = planes.points
+    assert len(near) == 3 and len(far) == 4
+    assert np.array_equal(near[planes.codes[0]] + far[planes.codes[1]], ks)
+
+
+def test_index_planes_refuse_a_coordinate_on_both_planes(lattice_emb):
+    entries = lattice_emb.entries.copy()
+    entries[0, 2] = 1.0  # w1 = theta1 k1 + k3
+    mixed = embedding.EmbeddingMap(lattice_emb.kind, entries, lattice_emb.theta1,
+                                   m=lattice_emb.m, delta_hat=lattice_emb.delta_hat)
+    with pytest.raises(ValueError, match="both index planes"):
+        embedding.index_planes(mixed, enumerate_indices(1))
+
+
 def test_enumerate_counts_and_order(lattice_emb):
     assert len(enumerate_indices(0)) == 1
     assert len(enumerate_indices(1)) == 81

@@ -11,8 +11,10 @@ from nctheta.config import parse_config
 from nctheta.embedding import (
     EmbeddingKind,
     _paired_exponent,
+    build_embedding,
     enumerate_indices,
     lattice_element,
+    point_parts,
 )
 from nctheta.errors import KindMismatch, TruncationTooSmall, UnsupportedVector
 from nctheta.heisenberg import apply_pi
@@ -28,9 +30,9 @@ from nctheta.qtheta import (
     verify_consistency_condition,
     verify_functional_equation,
 )
-from nctheta.report import run_suite
-from nctheta.special import jacobi_theta, mode_factor
-from nctheta.structures import theta_vector
+from nctheta.report import _random_lattice_embedding, run_suite
+from nctheta.special import _cmul, hermitian_form, jacobi_theta, mode_factor
+from nctheta.structures import structure_from_tau, theta_vector
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +330,53 @@ class TestSeries:
 def _translation(series, g, h) -> complex:
     """T_g(h), the quantum translation multiplier, from its logarithm."""
     return complex(np.exp(_log_translation(series, [g.k], [h.k])[3][0]))
+
+
+def _row_coefficient_parts(emb, structure, ks):
+    """The lattice coefficient parts over rows, the formula the plane route
+    replaces: -(pi/2) H of each row's (w1, w2) and the mode product of each
+    row's (m, t)."""
+    parts = point_parts(emb, ks)
+    pair = qtheta_mod._continuous(emb.kind, parts)
+    expo = -0.5 * math.pi * hermitian_form(qtheta_mod.structure_context(structure),
+                                           pair, pair).real
+    return expo, qtheta_mod._mode_products(parts, 1.0 / structure.lattice_decay)
+
+
+def _plane_case(name, lattice_emb, lattice_structure):
+    if name == "fixture":
+        return lattice_emb, lattice_structure
+    if name == "m2111":
+        emb = build_embedding(EmbeddingKind.LATTICE, 0.5, m=[[2, 1], [1, 1]],
+                              delta_hat=[[0.25, 0.25], [-0.5, -0.25]])
+        return emb, structure_from_tau(emb, [0.3, 0.2])
+    emb = _random_lattice_embedding(np.random.default_rng(int(name.split("-")[1])))
+    return emb, structure_from_tau(emb, [0.3, 1.0], lattice_decay=1.0)
+
+
+class TestPlaneRoute:
+    @pytest.mark.parametrize("name", ["fixture", "m2111", "random-1", "random-2", "random-6"])
+    def test_plane_route_equals_the_row_formula(self, name, lattice_emb, lattice_structure):
+        emb, structure = _plane_case(name, lattice_emb, lattice_structure)
+        ks = enumerate_indices(4)
+        expo, site = qtheta_mod._coefficient_parts(emb, structure, ks)
+        ref_expo, ref_site = _row_coefficient_parts(emb, structure, ks)
+        assert expo.tobytes() == ref_expo.tobytes()
+        assert site.tobytes() == ref_site.tobytes()
+        series = quantum_theta_series(emb, structure, radius=4)
+        assert series.values.tobytes() == _cmul(ref_site, np.exp(ref_expo)).tobytes()
+
+    @pytest.mark.parametrize("radius", [3, 6])
+    def test_mode_factor_runs_per_plane_point(self, radius, lattice_emb, lattice_structure,
+                                              monkeypatch):
+        # at most (2r+1)^2 distinct (t, m) pairs per axis: one per point of
+        # the (k3, k4) plane; the radius-2 reassembly is left out of the count
+        calls = []
+        real = qtheta_mod.mode_factor
+        monkeypatch.setattr(qtheta_mod, "mode_factor", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(qtheta_mod, "_reassembly_failure", lambda series: None)
+        quantum_theta_series(lattice_emb, lattice_structure, radius=radius)
+        assert 0 < len(calls) <= 2 * (2 * radius + 1) ** 2
 
 
 class TestFactors:
