@@ -312,15 +312,35 @@ def enumerate_indices(radius: int) -> np.ndarray:
     """Integer 4-vectors with sup norm <= radius in the canonical order.
 
     Sorted by sup norm first, then lexicographically; this fixes the
-    summation order of every truncated series in the package. The "ij"
-    grid is already lexicographic, so a stable sort on the sup norm alone
-    gives that order.
+    summation order of every truncated series in the package. The flat
+    positions of the (2r+1)^4 grid, last axis fastest, are already
+    lexicographic, so a stable sort of them on the sup norm alone gives
+    that order. The sup norm is taken per axis pair by outer maxima, in the
+    narrowest unsigned type that holds the radius (a key numpy sorts stably
+    by radix up to 16 bits), and the rows are decoded from the sorted
+    positions.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    rng = np.arange(-radius, radius + 1, dtype=np.int64)
-    ks = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 4)
-    return ks[np.argsort(np.abs(ks).max(axis=1), kind="stable")]
+    side = 2 * radius + 1
+    span = np.abs(np.arange(-radius, radius + 1)).astype(np.min_scalar_type(radius))
+    pair = np.maximum.outer(span, span).ravel()
+    order = np.argsort(np.maximum.outer(pair, pair).ravel(), kind="stable")
+    return np.stack(np.unravel_index(order, (side,) * 4), axis=-1).astype(np.int64) - radius
+
+
+def _negated_rows(radius: int) -> np.ndarray:
+    """Row of -k in :func:`enumerate_indices` for each row k, at one radius.
+
+    Shell s (sup norm s) spans rows [a_s, b_s), with a_0 = 0, a_s = (2s-1)^4
+    and b_s = (2s+1)^4. Negation keeps the sup norm, so it maps each shell
+    onto itself, and it reverses the lexicographic order, which sorts the
+    rows inside a shell. So it reverses every shell: row a_s + j holds -k
+    for the k at row b_s - 1 - j.
+    """
+    ends = (2 * np.arange(radius + 1) + 1) ** 4
+    starts = np.concatenate(([0], ends[:-1]))
+    return np.repeat(starts + ends - 1, ends - starts) - np.arange(ends[-1])
 
 
 def _cocycle_exponent(m_l, d_l, m_r, d_r):

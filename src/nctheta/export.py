@@ -43,12 +43,15 @@ _CONVERSION = re.compile(r"%[.0-9]*[dgr]")
 
 def _table_cells(series: QuantumThetaSeries):
     """Source and values of each table column (k1..k4, w1, w2, m1, m2, t1, t2,
-    re, im), and the plane codes of the rows.
+    re, im), and the codes of the rows.
 
-    The source is the index plane whose points the values run over, None
-    for a constant, or "row" for re and im. Lattice kind: (w1, w2, m1, m2,
-    t1, t2) with unreduced torus lifts. Vector-space kind: the M part fills
-    (w1, w2), the dual part (t1, t2), and the integer slots are zero.
+    A source numbers the code array that gathers the values per row, or is
+    None for a constant. Sources 0 and 1 are the index planes, whose points
+    the values run over; 2 and 3 are the distinct bit patterns of re and
+    im over the whole table (-0.0 and 0.0 stay apart), so each value is
+    formatted once per table. Lattice kind: (w1, w2, m1, m2, t1, t2) with
+    unreduced torus lifts. Vector-space kind: the M part fills (w1, w2), the
+    dual part (t1, t2), and the integer slots are zero.
     """
     planes = index_planes(series.embedding, series.indices)
     index = [(p, planes.points[p][:, j]) for p in range(2) for j in (2 * p, 2 * p + 1)]
@@ -60,34 +63,37 @@ def _table_cells(series: QuantumThetaSeries):
     slots = [0, 3, 1, 2, 4, 5] if lattice else [0, 1, None, None, 2, 3]
     reads = planes.reads
     cells = [(None, 0.0) if i is None else (reads[i], ambient[reads[i]][:, i]) for i in slots]
-    return index + cells + [("row", series.values.real), ("row", series.values.imag)], planes.codes
+    codes = list(planes.codes)
+    for column in (series.values.real, series.values.imag):
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        cells.append((len(codes), bits.view(np.float64)))
+        codes.append(inverse)
+    return index + cells, codes
 
 
 def _joined(last, new):
     """Two adjacent row-template parts as one, or None when they stay apart.
 
-    A part is (None, literal text), (plane, texts at the plane's points) or
-    ("row", (values, conversion)). Literals join each other and plane parts;
-    two parts of one plane join point by point.
+    A part is (None, literal text) or (source, one text per code of the
+    source; see :func:`_table_cells`). Literals join each other and sourced
+    parts; two parts of one source join code by code.
     """
     (a, x), (b, y) = last, new
-    if "row" in (a, b) or (None not in (a, b) and a != b):
+    if None not in (a, b) and a != b:
         return None
     return (b if a is None else a), x + y
 
 
 def _row_parts(row, cells) -> list:
-    """The row template as parts (see :func:`_joined`): index and ambient
-    cells formatted once per plane point, constants once, and each run of
-    adjacent slots that read one plane joined into one part."""
+    """The row template as parts (see :func:`_joined`): each sourced cell
+    formatted once per code of its source, constants once, and each run of
+    adjacent slots that read one source joined into one part."""
     template, columns = row
     pieces = _CONVERSION.split(template)
     parts = [(None, pieces[0])]
     for spec, col, piece in zip(_CONVERSION.findall(template), columns, pieces[1:]):
         source, values = cells[col]
-        if source == "row":
-            cell = (source, (values, spec))
-        elif source is None:
+        if source is None:
             cell = (None, spec % values)
         else:
             cell = (source, np.array([spec % v for v in values.tolist()], dtype=object))
@@ -104,9 +110,7 @@ def _write_table(fh, row, separator: str, series: QuantumThetaSeries) -> None:
     """Write the table through a (template, columns) row format.
 
     Rows go in blocks of CHUNK_ROWS, each as one str.join over the parts of
-    :func:`_row_parts`: a plane part's texts are gathered by the rows' plane
-    codes, and a re or im cell is formatted once per distinct bit pattern
-    in the block (-0.0 and 0.0 stay apart).
+    :func:`_row_parts`, whose texts are gathered by the rows' codes.
     """
     cells, codes = _table_cells(series)
     parts = _row_parts(row, cells)
@@ -117,15 +121,7 @@ def _write_table(fh, row, separator: str, series: QuantumThetaSeries) -> None:
         text[:, 0] = ""
         text[0 if lo else 1:, 0] = separator
         for j, (source, payload) in enumerate(parts, 1):
-            if source is None:
-                text[:, j] = payload
-            elif source == "row":
-                values, spec = payload
-                bits, inverse = np.unique(values[rows].view(np.uint64), return_inverse=True)
-                text[:, j] = np.array([spec % v for v in bits.view(np.float64).tolist()],
-                                      dtype=object)[inverse]
-            else:
-                text[:, j] = payload[codes[source][rows]]
+            text[:, j] = payload if source is None else payload[codes[source][rows]]
         fh.write("".join(text.ravel().tolist()))
 
 

@@ -23,6 +23,7 @@ from . import __version__
 from .config import RunConfig
 from .embedding import (
     EmbeddingKind,
+    _negated_rows,
     bicharacter_max_residual,
     build_embedding,
     cocycle_identity_max_residual,
@@ -45,7 +46,6 @@ from .heisenberg import (
 from .qtheta import (
     VerificationReport,
     _label,
-    _stored_values,
     additivity_gap,
     inner_product_closed,
     inner_product_oracle,
@@ -288,7 +288,7 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
     zero_defect = abs(series.coefficient([0, 0, 0, 0]) - expected0)
 
     ks, values = series.indices, series.values
-    sym = float(np.max(np.abs(_stored_values(series, -ks) - np.conj(values))))
+    sym = float(np.max(np.abs(values[_negated_rows(series.radius)] - np.conj(values))))
     # Row 0 is k = 0, and |C(k)| <= C(0) since pi_k is unitary, so the rate
     # is measured relative to C(0). A coefficient that underflowed to 0
     # decays without bound: its rate is +inf.
@@ -513,8 +513,12 @@ def write_report(report: RunReport, path, fmt: str = "json") -> Path:
     if report.series is not None:
         table = export_coefficients(report.series, fmt,
                                     path.with_name(f"{path.stem}.coefficients.{fmt}"))
-        report.artifacts["coefficients"] = {
-            "file": table.name, "sha256": hashlib.sha256(table.read_bytes()).hexdigest()}
+        # the table is hashed in chunks, so its bytes are never all in memory at once
+        digest = hashlib.sha256()
+        with table.open("rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+        report.artifacts["coefficients"] = {"file": table.name, "sha256": digest.hexdigest()}
     if fmt == "json":
         path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True,
                                    allow_nan=False) + "\n", newline="\n")

@@ -398,6 +398,17 @@ class TestRunSuite:
         assert json.loads(path.read_text())["artifacts"] == {
             "coefficients": {"file": table.name, "sha256": digest}}
 
+    def test_write_report_hashes_the_csv_table(self, tmp_path):
+        report = run_suite(parse_config(minimal_lattice(radius=6)), "quantum-theta")
+        write_report(report, tmp_path / "r.csv", fmt="csv")
+        table = tmp_path / "r.coefficients.csv"
+        data = table.read_bytes()
+        # the hash reads the table in 1 MiB chunks; this one takes several
+        assert len(data) > 2 << 20
+        assert data.startswith(export.CSV_HEADER.encode() + b"\n")
+        assert report.artifacts == {
+            "coefficients": {"file": table.name, "sha256": hashlib.sha256(data).hexdigest()}}
+
 
 class TestSuiteCoverage:
     def test_every_suite_produces_checks(self, tmp_path):

@@ -293,6 +293,18 @@ def test_enumerate_counts_and_order(lattice_emb):
     assert [tuple(k) for k in ks.tolist()] == reference
 
 
+@pytest.mark.parametrize("radius", range(14))
+def test_enumerate_indices_matches_the_sorted_grid(radius):
+    # the construction it replaced: the "ij" grid rows, stably sorted on an
+    # int64 sup norm
+    rng = np.arange(-radius, radius + 1, dtype=np.int64)
+    grid = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 4)
+    expected = grid[np.argsort(np.abs(grid).max(axis=1), kind="stable")]
+    ks = enumerate_indices(radius)
+    assert ks.dtype == expected.dtype == np.int64
+    np.testing.assert_array_equal(ks, expected)
+
+
 def test_enumerate_indices_rejects_negative():
     with pytest.raises(ValueError):
         enumerate_indices(-1)

@@ -10,6 +10,7 @@ from conftest import GOLDEN_DIR, load_golden, save_golden
 from nctheta.config import parse_config
 from nctheta.embedding import (
     EmbeddingKind,
+    _negated_rows,
     _paired_exponent,
     build_embedding,
     enumerate_indices,
@@ -19,8 +20,10 @@ from nctheta.embedding import (
 from nctheta.errors import KindMismatch, TruncationTooSmall, UnsupportedVector
 from nctheta.heisenberg import apply_pi
 from nctheta.qtheta import (
-    _stored_values,
+    QuantumThetaSeries,
     _log_translation,
+    _rows,
+    _stored_values,
     additivity_gap,
     inner_product_closed,
     inner_product_oracle,
@@ -262,6 +265,13 @@ class TestSeries:
         assert [k for k, _ in items] == keys
         assert [c for _, c in items] == series.values.tolist()
         assert series.coefficients[(1, -2, 3, -4)] == series.coefficient([1, -2, 3, -4])
+
+    @pytest.mark.parametrize("radius", range(7))
+    def test_negated_rows_match_the_row_lookup(self, lattice_emb, lattice_structure, radius):
+        ks = enumerate_indices(radius)
+        series = QuantumThetaSeries(lattice_emb, lattice_structure, radius, 1.0, ks,
+                                    np.zeros(len(ks), dtype=complex))
+        np.testing.assert_array_equal(_negated_rows(radius), _rows(series, -ks))
 
     @pytest.mark.parametrize("k", [(0.5, 0, 0, 0), (0.9, 0, 0, 0), (0, 0, 0, -3.5),
                                    (math.nan, 0, 0, 0), (math.inf, 0, 0, 0)],
