@@ -57,9 +57,8 @@ from .special import (
     mode_factor,
 )
 from .structures import (
+    ComplexStructure,
     InfeasibilityCertificate,
-    MixedStructure,
-    PlaneStructure,
     holomorphic_feasibility,
     holomorphy_residual,
     make_complex_structure,

@@ -171,6 +171,9 @@ def parse_config(data: dict, allow_invalid: bool = False) -> RunConfig:
     if kind == "lattice" and "finite_part" in emb_cfg:
         raise ConfigInvalid("finite_part applies to the vector-space kind only",
                             "$.embedding.finite_part")
+    if kind == "vector_space" and "lattice_decay" in data["structure"]:
+        raise ConfigInvalid("lattice_decay applies to the lattice kind only",
+                            "$.structure.lattice_decay")
     if not _structure_shape_ok(kind, data["structure"]["tau"]):
         raise ConfigInvalid(
             "tau must be a [re, im] pair for lattice kind, a 2x2 matrix of pairs"

@@ -22,7 +22,7 @@ from .embedding import (EmbeddingKind, build_embedding, enumerate_indices, index
                         point_parts)
 from .errors import NCThetaError
 from .qtheta import QuantumThetaSeries, _label, _reassembly_failure, _rows
-from .structures import MixedStructure, structure_from_tau
+from .structures import structure_from_tau
 
 CSV_HEADER = "k1,k2,k3,k4,w1,w2,m1,m2,t1,t2,re,im"
 # Rows are built and formatted this many at a time, which bounds the memory held.
@@ -146,13 +146,11 @@ def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
         emb_params["theta2"] = emb.theta2
 
     st = series.structure
-    if isinstance(st, MixedStructure):
-        st_params = {"tau": [st.tau().real, st.tau().imag],
-                     "lattice_decay": st.lattice_decay}
-    else:
-        t = st.tau()
-        st_params = {"tau": [[[t[0, 0].real, t[0, 0].imag], [t[0, 1].real, t[0, 1].imag]],
-                             [[t[1, 0].real, t[1, 0].imag], [t[1, 1].real, t[1, 1].imag]]]}
+    t = st.tau()
+    # tau as [re, im] pairs: a 2x2 matrix of them on the plane, the one pair on R x Z^2
+    pairs = np.stack([t.real, t.imag], axis=-1).tolist()
+    st_params = ({"tau": pairs} if st.lattice_decay is None
+                 else {"tau": pairs[0][0], "lattice_decay": st.lattice_decay})
     payload = {
         "kind": emb.kind.value,
         "embedding": emb_params,

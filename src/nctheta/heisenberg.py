@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -48,49 +49,55 @@ SAMPLE_TAIL = 1e-45
 
 
 def _min_im_eig(quadratic) -> float:
-    return float(np.min(np.linalg.eigvalsh(np.atleast_2d(quadratic).imag)))
+    return float(np.min(np.linalg.eigvalsh(quadratic.imag)))
 
 
 @dataclass(frozen=True)
 class ClosedFormVector:
     """Gaussian module element, exactly evaluable and operator-stable.
 
-    Lattice kind:
-        f(s, n1, n2) = amplitude
-                       * exp(pi i (quadratic s^2 + 2 linear s))
-                       * exp(-pi decay |n + n_shift|^2)
-                       * exp(2 pi i n_phase . n)
-    Vector-space kind (no discrete factors):
-        f(s1, s2) = amplitude * exp(pi i (S^t quadratic S + 2 linear . S))
+    One Gaussian over R^d, d = 2 on the plane and 1 on R x Z^2, with a d x d
+    ``quadratic`` and a (d,) ``linear`` (scalars are taken as 1 x 1 and (d,)):
+        f(S) = amplitude * exp(pi i (S^t quadratic S + 2 linear . S))
+    On R x Z^2, and only there, ``decay`` is set and f carries the Z^2 factor
+        exp(-pi decay |n + n_shift|^2) * exp(2 pi i n_phase . n).
 
     A form pushed through rows of lattice points (:func:`apply_pi`) holds one
     ``linear``, ``amplitude``, ``n_shift`` and ``n_phase`` per point.
     """
 
     kind: EmbeddingKind
-    quadratic: complex | np.ndarray
-    linear: complex | np.ndarray = 0.0
+    quadratic: np.ndarray
+    linear: np.ndarray = 0.0
     amplitude: complex = 1.0
     decay: float | None = None
     n_shift: tuple[int, int] = (0, 0)
     n_phase: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if _min_im_eig(self.quadratic) <= 0:
+        d = 1 if self.kind is EmbeddingKind.LATTICE else 2
+        quadratic = np.reshape(np.asarray(self.quadratic, dtype=complex), (d, d))
+        linear = np.asarray(self.linear, dtype=complex)
+        object.__setattr__(self, "quadratic", quadratic)
+        object.__setattr__(self, "linear", np.full(d, linear) if linear.ndim == 0 else linear)
+        if _min_im_eig(quadratic) <= 0:
             raise NotPositive("Im(quadratic) must be positive (definite)")
-        if self.kind is EmbeddingKind.LATTICE and (self.decay is None or self.decay <= 0):
+        if d == 1 and (self.decay is None or self.decay <= 0):
             raise NotPositive("lattice vectors need a positive discrete decay")
+        if d == 2 and self.decay is not None:
+            raise KindMismatch("vector-space vectors have no discrete decay")
 
     def evaluate(self, *coords) -> np.ndarray:
-        """Pointwise values; arguments broadcast like numpy arrays.
+        """Pointwise values at (S, n); arguments broadcast like numpy arrays.
 
-        The exponent is a sum of one term per coordinate, plus an s1 s2 cross
-        term when the vector-space quadratic is off-diagonal, so each term is
-        exponentiated on its own coordinate and the factors multiply: on an
-        open mesh (``np.ix_``) that is one exponential per axis point, not
-        one per grid point. A form pushed through rows of points gives one
-        grid per row: the rows lead, the result has shape (..., *grid), and
-        each row equals the one-point evaluation bit for bit.
+        The exponent is a sum of one term per coordinate, plus a cross term
+        per off-diagonal pair of ``quadratic``, so each term is exponentiated
+        on its own coordinates and the factors multiply: on an open mesh
+        (``np.ix_``) that is one exponential per axis point, not one per
+        grid point. The Z^2 factors come first, when ``decay`` is set. A
+        form pushed through rows of points gives one grid per row: the rows
+        lead, the result has shape (..., *grid), and each row equals the
+        one-point evaluation bit for bit.
         """
         coords = [np.asarray(c) for c in coords]
         pad = (1,) * np.broadcast(*coords).ndim
@@ -102,23 +109,21 @@ class ClosedFormVector:
         # numpy's complex product runs the same loop on a row of a block as on
         # one row, so rows match one-point calls bit for bit; _cmul would cost
         # as much as the exponentials it multiplies
+        q, d = self.quadratic, len(self.quadratic)
         value = lead(self.amplitude)
-        if self.kind is EmbeddingKind.LATTICE:
-            s, *ns = coords
+        if self.decay is not None:
             shifts = np.moveaxis(np.asarray(self.n_shift), -1, 0)
             phases = np.moveaxis(np.asarray(self.n_phase), -1, 0)
-            for n, u, p in zip(ns, shifts, phases):
+            for n, u, p in zip(coords[d:], shifts, phases):
                 value = value * np.exp(-math.pi * self.decay * (n + lead(u)) ** 2
                                        + 2j * math.pi * lead(p) * n)
-            return value * np.exp(1j * math.pi * (self.quadratic * s * s
-                                                  + 2.0 * lead(self.linear) * s))
-        q = np.asarray(self.quadratic)
-        l = np.asarray(self.linear, dtype=complex)
-        for j, s in enumerate(coords):
-            value = value * np.exp(1j * math.pi * (q[j, j] * s * s + 2.0 * lead(l[..., j]) * s))
-        cross = q[0, 1] + q[1, 0]
-        if cross != 0:
-            value = value * np.exp(1j * math.pi * cross * coords[0] * coords[1])
+        for j, s in enumerate(coords[:d]):
+            value = value * np.exp(1j * math.pi * (q[j, j] * s * s
+                                                   + 2.0 * lead(self.linear[..., j]) * s))
+        for i, j in combinations(range(d), 2):
+            cross = q[i, j] + q[j, i]
+            if cross != 0:
+                value = value * np.exp(1j * math.pi * cross * coords[i] * coords[j])
         return value
 
     def sup_extent(self) -> float:
@@ -131,17 +136,16 @@ class ClosedFormVector:
 class SampledVector:
     """A closed-form module element together with a sample grid.
 
-    ``axes`` holds the continuous sample axes (one array for the lattice
-    kind, two for the vector-space kind); lattice vectors also carry the
-    symmetric integer window n in [-window, window]^2. ``values`` are the
-    samples of ``source`` on that grid, evaluated on first use, so samples
-    and source cannot disagree.
+    ``axes`` holds one sample axis per coordinate: the continuous axes (one
+    for the lattice kind, two for the vector-space kind) and, for lattice
+    vectors, the symmetric integer window n in [-w, w] twice. ``values``
+    are the samples of ``source`` on that grid, evaluated on first use, so
+    samples and source cannot disagree.
     """
 
     kind: EmbeddingKind
     axes: tuple[np.ndarray, ...]
     source: ClosedFormVector
-    window: int | None = None
     finite_vector: np.ndarray | None = None
 
     @cached_property
@@ -150,17 +154,14 @@ class SampledVector:
 
     def grids(self):
         """Open mesh of all coordinates, broadcastable against values."""
-        if self.kind is EmbeddingKind.LATTICE:
-            n = np.arange(-self.window, self.window + 1)
-            return np.ix_(self.axes[0], n, n)
-        return np.ix_(self.axes[0], self.axes[1])
+        return np.ix_(*self.axes)
 
 
 def theta_test_vector(emb: EmbeddingMap) -> ClosedFormVector:
     """A generic normalized Gaussian suitable for operator measurements."""
     if emb.kind is EmbeddingKind.LATTICE:
         return ClosedFormVector(emb.kind, quadratic=2j, decay=1.0 / emb.theta34)
-    return ClosedFormVector(emb.kind, quadratic=2j * np.eye(2), linear=np.zeros(2))
+    return ClosedFormVector(emb.kind, quadratic=2j * np.eye(2))
 
 
 def sample_vector(f: ClosedFormVector, step: float,
@@ -173,12 +174,11 @@ def sample_vector(f: ClosedFormVector, step: float,
     Z_m1 x Z_m2, if the embedding has one.
     """
     n_pts = int(round(f.sup_extent() / step))
-    axis = step * np.arange(-n_pts, n_pts + 1)
-    if f.kind is EmbeddingKind.LATTICE:
+    axes = (step * np.arange(-n_pts, n_pts + 1),) * len(f.quadratic)
+    if f.decay is not None:
         window = math.ceil(math.sqrt(-math.log(SAMPLE_TAIL) / (math.pi * f.decay))) + 1
-        return SampledVector(f.kind, (axis,), f, window=window,
-                             finite_vector=finite_vector)
-    return SampledVector(f.kind, (axis, axis), f, finite_vector=finite_vector)
+        axes += (np.arange(-window, window + 1),) * 2
+    return SampledVector(f.kind, axes, f, finite_vector=finite_vector)
 
 
 def default_finite_vector(fp) -> np.ndarray:
@@ -190,26 +190,21 @@ def default_finite_vector(fp) -> np.ndarray:
 
 
 def _transform_closed(h: LatticeElement, f: ClosedFormVector) -> ClosedFormVector:
-    """Push a closed form through pi_h at each point of h; the Gaussian class is stable."""
+    """Push a closed form through pi_h at each point of h; the Gaussian class is stable.
+    The first d coordinates of h's parts push f(S), the rest the Z^2 factor."""
     if f.kind is not h.kind:
         raise KindMismatch("vector and lattice element kinds differ")
-    if h.kind is EmbeddingKind.LATTICE:
-        w1, m1, m2 = np.moveaxis(h.m_part, -1, 0)
-        w2, t1, t2 = np.moveaxis(h.dual_part, -1, 0)
-        p1, p2 = np.moveaxis(np.asarray(f.n_phase), -1, 0)
-        T, L = f.quadratic, f.linear
-        amp = _cmul(f.amplitude, np.exp(1j * math.pi * (T * w1 * w1 + 2.0 * L * w1)))
-        amp = _cmul(amp, np.exp(2j * math.pi * (p1 * m1 + p2 * m2)))
-        amp = _cmul(amp, np.exp(1j * math.pi * (w1 * w2 + m1 * t1 + m2 * t2)))
-        return replace(f, linear=T * w1 + L + w2, amplitude=amp,
-                       n_shift=np.add(f.n_shift, h.m_part[..., 1:]),
-                       n_phase=np.add(f.n_phase, h.dual_part[..., 1:]))
-    row, x1, x2 = h.m_part[..., None, :], h.m_part[..., :, None], h.dual_part[..., :, None]
-    q = np.asarray(f.quadratic)
-    l = np.asarray(f.linear, dtype=complex)
+    q, l, d = f.quadratic, f.linear, len(f.quadratic)
+    row, x1, x2 = h.m_part[..., None, :d], h.m_part[..., :d, None], h.dual_part[..., :d, None]
     expo = (row @ q @ x1 + 2.0 * (l[..., None, :] @ x1) + row @ x2)[..., 0, 0]
-    amp = _cmul(f.amplitude, np.exp(1j * math.pi * expo))
-    return replace(f, linear=(q @ x1)[..., 0] + l + h.dual_part, amplitude=amp)
+    changes = {"linear": (q @ x1)[..., 0] + l + h.dual_part[..., :d],
+               "amplitude": _cmul(f.amplitude, np.exp(1j * math.pi * expo))}
+    if f.decay is not None:
+        m, t = h.m_part[..., d:], h.dual_part[..., d:]
+        expo = np.sum((2.0 * np.asarray(f.n_phase) + t) * m, axis=-1)
+        changes.update(amplitude=_cmul(changes["amplitude"], np.exp(1j * math.pi * expo)),
+                       n_shift=np.add(f.n_shift, m), n_phase=np.add(f.n_phase, t))
+    return replace(f, **changes)
 
 
 def apply_pi(h: LatticeElement, f):

@@ -57,7 +57,7 @@ from .special import (
     jacobi_theta,
     mode_factor,
 )
-from .structures import ComplexStructure, MixedStructure, theta_vector
+from .structures import ComplexStructure, theta_vector
 
 REASSEMBLY_REL_TOL = 1e-12
 COEFFICIENT_FLOOR = 1e-300
@@ -89,13 +89,6 @@ class VerificationReport:
                    worst, float(tolerance), worst <= tolerance, metadata)
 
 
-def structure_context(structure: ComplexStructure) -> HermitianFormContext:
-    """Hermitian-form context matching a complex structure."""
-    if isinstance(structure, MixedStructure):
-        return HermitianFormContext(structure.T)
-    return HermitianFormContext(structure.omega)
-
-
 def _label(k) -> str:
     return ",".join(map(str, map(int, k)))
 
@@ -115,7 +108,8 @@ def inner_product_closed(f: ClosedFormVector, h: LatticeElement):
         raise UnsupportedVector("closed form requires the canonical theta vector")
     shape = h.k.shape[:-1]
     parts = tuple(part.reshape(-1, part.shape[-1]) for part in (h.m_part, h.dual_part))
-    values = gaussian_factor(HermitianFormContext(f.quadratic), _continuous(f.kind, parts))
+    ctx = HermitianFormContext(f.quadratic)
+    values = gaussian_factor(ctx, _continuous(len(ctx.T), parts))
     if f.kind is EmbeddingKind.LATTICE:
         values = _cmul(_mode_products(parts, 1.0 / f.decay), values)
     return complex(values[0]) if shape == () else values.reshape(shape)
@@ -169,7 +163,7 @@ def inner_product_oracle(f: ClosedFormVector, h: LatticeElement, tol: float = 1e
     quad = f.quadratic - np.conj(g.quadratic)
     lin = 2.0 * (f.linear - np.conj(g.linear))
     if f.kind is EmbeddingKind.LATTICE:
-        s_part = gaussian_quadrature_oracle(quad, lin, 0.0, tol)
+        s_part = gaussian_quadrature_oracle(quad[0, 0], lin[..., 0], 0.0, tol)
         n_part = _discrete_cross_sum(f.decay, f.n_shift, g.n_shift,
                                      np.subtract(f.n_phase, g.n_phase), tol)
         values = _cmul(_cmul(amp, s_part), n_part)
@@ -255,13 +249,11 @@ def _stored_values(series: QuantumThetaSeries, ks) -> np.ndarray:
     return series.values[_rows(series, ks)]
 
 
-def _continuous(kind: EmbeddingKind, parts):
+def _continuous(d: int, parts):
     """The continuous pair of :func:`point_parts` output, on which H is defined:
-    the (..., 1) rows w1, w2 in the lattice kind, both parts whole otherwise."""
+    the first d coordinates of each part, (w1, w2) in the lattice kind."""
     m_part, dual_part = parts
-    if kind is EmbeddingKind.LATTICE:
-        return m_part[..., :1], dual_part[..., :1]
-    return m_part, dual_part
+    return m_part[..., :d], dual_part[..., :d]
 
 
 def _mode_products(parts, theta2: float) -> np.ndarray:
@@ -285,10 +277,10 @@ def _mode_products(parts, theta2: float) -> np.ndarray:
     return site
 
 
-def _gaussian_exponent(structure: ComplexStructure, kind: EmbeddingKind, parts) -> np.ndarray:
+def _gaussian_exponent(structure: ComplexStructure, parts) -> np.ndarray:
     """-(pi/2) H(k_, k_) of each row of :func:`point_parts` output."""
-    pair = _continuous(kind, parts)
-    return -0.5 * math.pi * hermitian_form(structure_context(structure), pair, pair).real
+    pair = _continuous(len(structure.T), parts)
+    return -0.5 * math.pi * hermitian_form(HermitianFormContext(structure.T), pair, pair).real
 
 
 def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
@@ -303,7 +295,7 @@ def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
     the plane an off-diagonal T couples the two, so it stays over rows.
     """
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
-        expo = _gaussian_exponent(structure, emb.kind, point_parts(emb, ks))
+        expo = _gaussian_exponent(structure, point_parts(emb, ks))
         return expo, np.ones(len(ks), dtype=complex)
     planes = index_planes(emb, ks)
     # ambient coordinates (w1, m1, m2, w2, t1, t2) of point_parts
@@ -311,7 +303,7 @@ def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
         raise InternalIdentityViolated("the lattice map does not read w from (k1, k2)"
                                        " and (m, t) from (k3, k4)")
     near, far = (point_parts(emb, points) for points in planes.points)
-    expo = _gaussian_exponent(structure, emb.kind, near)
+    expo = _gaussian_exponent(structure, near)
     site = _mode_products(far, 1.0 / structure.lattice_decay)
     return expo[planes.codes[0]], site[planes.codes[1]]
 
@@ -335,7 +327,7 @@ def _log_translation(series: QuantumThetaSeries, kg, kh):
             "vanishing mode product; translation quotient undefined")
     lg, lh, lgh = (part.reshape(kg.shape[:-1]) for part in np.split(expo + np.log(site), 3))
     if series.kind is EmbeddingKind.VECTOR_SPACE:
-        lt = -math.pi * hermitian_form(structure_context(series.structure),
+        lt = -math.pi * hermitian_form(HermitianFormContext(series.structure.T),
                                        point_parts(emb, kg), point_parts(emb, kh))
     else:
         lt = lgh - lg - lh - 1j * math.pi * _paired_exponent(emb, kg, kh)
@@ -373,7 +365,7 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
     ks = enumerate_indices(radius)
     expo, site = _coefficient_parts(emb, structure, ks)
     series = QuantumThetaSeries(emb, structure, radius,
-                                structure_context(structure).normalization(),
+                                HermitianFormContext(structure.T).normalization(),
                                 ks, _cmul(site, np.exp(expo)))
     bad = _reassembly_failure(series)
     if bad is not None:
@@ -394,8 +386,8 @@ def series_tail_bound(series: QuantumThetaSeries, radius: int | None = None) -> 
     emb = series.embedding
     # 0.5 pi Re H over the basis rows; k3 and k4 have no continuous part in
     # the lattice kind, which keeps the leading 2x2 block.
-    g1, g2 = _continuous(emb.kind, point_parts(emb, np.eye(4, dtype=np.int64)))
-    form = 0.5 * math.pi * hermitian_form(structure_context(series.structure),
+    g1, g2 = _continuous(len(series.structure.T), point_parts(emb, np.eye(4, dtype=np.int64)))
+    form = 0.5 * math.pi * hermitian_form(HermitianFormContext(series.structure.T),
                                           (g1[:, None], g2[:, None]), (g1[None], g2[None])).real
     if emb.kind is EmbeddingKind.LATTICE:
         c = series.structure.lattice_decay
@@ -429,8 +421,8 @@ def phase_identity_max_residual(emb: EmbeddingMap, structure: ComplexStructure,
     Hermitian form does not.
     """
     ks = enumerate_indices(radius)
-    ctx = structure_context(structure)
-    x1, x2 = _continuous(emb.kind, point_parts(emb, ks))
+    ctx = HermitianFormContext(structure.T)
+    x1, x2 = _continuous(len(structure.T), point_parts(emb, ks))
     worst = 0.0
     for lo in range(0, len(ks), PAIR_SWEEP_BLOCK):
         rows = slice(lo, lo + PAIR_SWEEP_BLOCK)

@@ -527,10 +527,12 @@ def write_report(report: RunReport, path, fmt: str = "json") -> Path:
         raise ValueError(f"unknown report format: {fmt}")
     lines = ["check,label,residual,tolerance,passed"]
     for c in report.checks:
+        # names and labels carry index labels such as "g=1,0,0,0"
+        name = c.name.replace(",", ";")
         for label, value in zip(c.labels, c.residuals[:len(c.labels)].tolist()):
             safe = label.replace(",", ";")
-            lines.append(f"{c.name},{safe},{value!r},{c.tolerance!r},{c.passed}")
-        lines.append(f"{c.name},(max),{c.max_residual!r},{c.tolerance!r},{c.passed}")
+            lines.append(f"{name},{safe},{value!r},{c.tolerance!r},{c.passed}")
+        lines.append(f"{name},(max),{c.max_residual!r},{c.tolerance!r},{c.passed}")
     lines.append(f"summary,,{report.summary()['failed']},,{report.passed}")
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path

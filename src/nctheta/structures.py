@@ -1,12 +1,11 @@
 """Complex structures, theta vectors, holomorphy checks and the no-go proof.
 
-A plane (vector-space) structure is a symmetric 2x2 complex matrix with
-positive-definite imaginary part, assembled entrywise from a complex
-parameter matrix divided by the two deformation parameters. A mixed
-(lattice) structure carries a single complex scalar over the continuous
-coordinate; the discrete coordinates only get a decay rate, because full
-holomorphy is provably infeasible there (see
-:func:`holomorphic_feasibility`).
+A complex structure is one symmetric d x d complex matrix T with positive
+definite imaginary part over R^d, the vector-space part of the embedding:
+d = 2 on the plane (tau divided entrywise by the deformation parameters)
+and d = 1 on R x Z^2. Its theta vector is the Gaussian exp(pi i S^t T S),
+times a Schwartz weight over Z^2 on R x Z^2, where full holomorphy is
+provably infeasible (see :func:`holomorphic_feasibility`).
 """
 
 from __future__ import annotations
@@ -38,42 +37,25 @@ HOLOMORPHY_MASK_REL = 1e-5
 
 
 @dataclass(frozen=True)
-class PlaneStructure:
-    """Full complex structure Omega on the vector-space module."""
+class ComplexStructure:
+    """Complex structure T, d x d, over the vector-space part R^d of the module.
 
-    omega: np.ndarray
+    ``lattice_decay`` is the rate of the Schwartz weight over Z^2 and is set
+    exactly on the lattice kind, R x Z^2, where d = 1.
+    """
+
+    T: np.ndarray
     theta1: float
     theta2: float
+    lattice_decay: float | None = None
 
     @property
     def kind(self) -> EmbeddingKind:
-        return EmbeddingKind.VECTOR_SPACE
+        return EmbeddingKind.VECTOR_SPACE if self.lattice_decay is None else EmbeddingKind.LATTICE
 
     def tau(self) -> np.ndarray:
-        """Parameter matrix recovered from Omega and the deformation entries."""
-        o = self.omega
-        return np.array([[o[0, 0] * self.theta1, o[0, 1] * self.theta2],
-                         [o[1, 0] * self.theta1, o[1, 1] * self.theta2]])
-
-
-@dataclass(frozen=True)
-class MixedStructure:
-    """Scalar complex structure T over the continuous part only."""
-
-    T: complex
-    theta1: float
-    theta2: float
-    lattice_decay: float
-
-    @property
-    def kind(self) -> EmbeddingKind:
-        return EmbeddingKind.LATTICE
-
-    def tau(self) -> complex:
-        return self.T * self.theta1
-
-
-ComplexStructure = PlaneStructure | MixedStructure
+        """Parameter matrix: column j of T times theta_j."""
+        return self.T * np.array([self.theta1, self.theta2])[:len(self.T)]
 
 
 def make_complex_structure(kind: EmbeddingKind, tau, theta1: float, theta2: float,
@@ -82,8 +64,8 @@ def make_complex_structure(kind: EmbeddingKind, tau, theta1: float, theta2: floa
 
     Vector-space kind: Omega_ij = tau_ij / theta_j must come out symmetric
     (the two holomorphy equations are inconsistent otherwise) with positive
-    definite imaginary part. Lattice kind: T = tau / theta1 with Im T > 0;
-    the discrete decay defaults to 1/theta2.
+    definite imaginary part; a lattice decay is refused. Lattice kind:
+    T = [[tau / theta1]] with Im T > 0; the decay defaults to 1/theta2.
     """
     kind = EmbeddingKind(kind)
     if not (math.isfinite(theta1) and math.isfinite(theta2) and theta1 > 0 and theta2 > 0):
@@ -97,8 +79,10 @@ def make_complex_structure(kind: EmbeddingKind, tau, theta1: float, theta2: floa
         decay = 1.0 / theta2 if lattice_decay is None else float(lattice_decay)
         if not (math.isfinite(decay) and decay > 0):
             raise NotPositive("lattice decay must be finite and positive")
-        return MixedStructure(t, float(theta1), float(theta2), decay)
+        return ComplexStructure(np.array([[t]]), float(theta1), float(theta2), decay)
 
+    if lattice_decay is not None:
+        raise ValueError("lattice_decay applies to the lattice kind only")
     tau = np.asarray(tau, dtype=complex)
     if tau.shape != (2, 2):
         raise ValueError("vector-space structure needs a 2x2 tau")
@@ -108,7 +92,7 @@ def make_complex_structure(kind: EmbeddingKind, tau, theta1: float, theta2: floa
             "tau12/theta2 != tau21/theta1: the two holomorphy equations are inconsistent")
     if not (np.linalg.eigvalsh(omega.imag) > 0).all():
         raise NotPositive("Im(Omega) must be positive definite")
-    return PlaneStructure(omega, float(theta1), float(theta2))
+    return ComplexStructure(omega, float(theta1), float(theta2))
 
 
 def structure_from_tau(emb: EmbeddingMap, tau,
@@ -119,33 +103,28 @@ def structure_from_tau(emb: EmbeddingMap, tau,
     [re, im] pairs for the vector-space kind.
     """
     if emb.kind is EmbeddingKind.LATTICE:
-        return make_complex_structure(emb.kind, complex(*tau), emb.theta1, emb.theta34,
-                                      lattice_decay=lattice_decay)
-    tau_mat = np.array([[complex(*z) for z in row] for row in tau])
-    return make_complex_structure(emb.kind, tau_mat, emb.theta1, emb.theta2)
+        tau, theta2 = complex(*tau), emb.theta34
+    else:
+        tau, theta2 = np.array([[complex(*z) for z in row] for row in tau]), emb.theta2
+    return make_complex_structure(emb.kind, tau, emb.theta1, theta2, lattice_decay)
 
 
 def theta_vector(structure: ComplexStructure) -> ClosedFormVector:
     """Canonical Gaussian annihilated by the antiholomorphic connections.
 
-    Vector-space kind: exp(pi i S^t Omega S). Lattice kind:
-    exp(pi i T s^2) times the default Schwartz weight
-    exp(-pi c (n1^2 + n2^2)) with c the structure's decay.
+    exp(pi i S^t T S) over R^d; on the lattice kind times the default
+    Schwartz weight exp(-pi c (n1^2 + n2^2)) with c the structure's decay.
     """
-    if isinstance(structure, MixedStructure):
-        return ClosedFormVector(EmbeddingKind.LATTICE, quadratic=structure.T,
-                                decay=structure.lattice_decay)
-    return ClosedFormVector(EmbeddingKind.VECTOR_SPACE,
-                            quadratic=structure.omega, linear=np.zeros(2))
+    return ClosedFormVector(structure.kind, quadratic=structure.T,
+                            decay=structure.lattice_decay)
 
 
 def antiholomorphic_rows(structure: ComplexStructure) -> list[np.ndarray]:
-    """Coefficient rows of the antiholomorphic connections in the nabla basis."""
-    if isinstance(structure, MixedStructure):
-        return [np.array([structure.tau(), 1.0, 0.0, 0.0], dtype=complex)]
+    """Coefficient rows of the antiholomorphic connections in the nabla basis:
+    row j holds tau[j] on the position slots, 1 on its own momentum slot."""
     t = structure.tau()
-    return [np.array([t[0, 0], 1.0, t[0, 1], 0.0], dtype=complex),
-            np.array([t[1, 0], 0.0, t[1, 1], 1.0], dtype=complex)]
+    rows = np.stack([t, np.eye(len(t))], axis=-1).reshape(len(t), -1)
+    return list(np.pad(rows, ((0, 0), (0, 4 - rows.shape[1]))))
 
 
 def _holomorphy_probes(emb: EmbeddingMap, f: ClosedFormVector):

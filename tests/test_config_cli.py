@@ -1,3 +1,4 @@
+import csv
 import gc
 import hashlib
 import io
@@ -352,6 +353,16 @@ class TestRunSuite:
         assert lines[0] == "check,label,residual,tolerance,passed"
         assert lines[-1].startswith("summary")
 
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_csv_report_of_all_has_five_fields_per_line(self, kind, request, tmp_path):
+        # check names carry index labels ("functional-equation g=1,0,0,0"),
+        # so they are escaped as the labels are
+        report = run_suite(request.getfixturevalue(f"{kind}_config"), "all")
+        p = write_report(report, tmp_path / "r.csv", fmt="csv")
+        rows = list(csv.reader(p.read_text().splitlines()))
+        assert len(rows) > len(report.checks)
+        assert {len(row) for row in rows} == {5}
+
     @pytest.mark.parametrize("residuals", [[("a", 1e-13), ("b", math.nan)],
                                            [("b", math.nan), ("a", 1e-13)],
                                            [(f"e{i}", 1e-13) for i in range(300)]
@@ -500,12 +511,18 @@ class TestCli:
     @pytest.mark.parametrize("field, value, json_path", [
         ("theta1", "half", "$.embedding.theta1"),
         ("delta_hat", [[0.1, 0.7], [0.3, 0.0]], "$.embedding"),
+        ("finite_part", {"m1": 2, "n1": 1, "m2": 3, "n2": 2}, "$.embedding.finite_part"),
+        # the plane's theta vector has no Z^2 factor for a decay to weigh
+        ("lattice_decay", 1e-3, "$.structure.lattice_decay"),
     ])
     def test_config_error_names_file_and_field(self, field, value, json_path,
-                                               tmp_path, capsys):
-        # a schema error and an embedding-invariant error in a config file
-        raw = minimal_lattice()
-        raw["embedding"][field] = value
+                                               vector_config_path, tmp_path, capsys):
+        # a schema error, an embedding-invariant error and a field of the
+        # other kind in a config file
+        section = json_path.split(".")[1]
+        raw = (minimal_lattice() if section == "embedding"
+               else json.loads(vector_config_path.read_text()))
+        raw[section][field] = value
         bad = tmp_path / "schema_bad.json"
         bad.write_text(json.dumps(raw))
         code = main(["validate", "--config", str(bad)])

@@ -63,6 +63,25 @@ class TestClosedForm:
         with pytest.raises(NotPositive):
             ClosedFormVector(EmbeddingKind.LATTICE, quadratic=2j, decay=-1.0)
 
+    def test_vector_forms_take_no_decay(self):
+        with pytest.raises(KindMismatch):
+            ClosedFormVector(EmbeddingKind.VECTOR_SPACE, quadratic=2j * np.eye(2), decay=1.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scalar_and_one_by_one_forms_agree_bit_for_bit(self, seed, lattice_emb):
+        # a lattice T and linear given as scalars or as 1 x 1 and (1,) arrays
+        # are one form: the same samples, and the same forms pushed over rows
+        rng = np.random.default_rng(seed)
+        t = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0))
+        linear = complex(*rng.uniform(-0.5, 0.5, size=2))
+        scalar = ClosedFormVector(EmbeddingKind.LATTICE, quadratic=t, linear=linear, decay=1.3)
+        matrix = ClosedFormVector(EmbeddingKind.LATTICE, quadratic=[[t]], linear=[linear],
+                                  decay=1.3)
+        grids = np.ix_(np.linspace(-3.0, 3.0, 25), np.arange(-3, 4), np.arange(-2, 3))
+        h = lattice_element(lattice_emb, rng.integers(-2, 3, size=(7, 4)))
+        for a, b in [(scalar, matrix), (apply_pi(h, scalar), apply_pi(h, matrix))]:
+            assert a.evaluate(*grids).tobytes() == b.evaluate(*grids).tobytes()
+
     def test_evaluate_canonical(self, lattice_theta):
         # exp(pi i T s^2) with T = 2i is exp(-2 pi s^2)
         assert lattice_theta.evaluate(0.25, 0, 0) == pytest.approx(

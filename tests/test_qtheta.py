@@ -34,7 +34,7 @@ from nctheta.qtheta import (
     verify_functional_equation,
 )
 from nctheta.report import _random_lattice_embedding, run_suite
-from nctheta.special import _cmul, hermitian_form, jacobi_theta, mode_factor
+from nctheta.special import HermitianFormContext, _cmul, hermitian_form, jacobi_theta, mode_factor
 from nctheta.structures import structure_from_tau, theta_vector
 
 
@@ -347,8 +347,8 @@ def _row_coefficient_parts(emb, structure, ks):
     replaces: -(pi/2) H of each row's (w1, w2) and the mode product of each
     row's (m, t)."""
     parts = point_parts(emb, ks)
-    pair = qtheta_mod._continuous(emb.kind, parts)
-    expo = -0.5 * math.pi * hermitian_form(qtheta_mod.structure_context(structure),
+    pair = qtheta_mod._continuous(len(structure.T), parts)
+    expo = -0.5 * math.pi * hermitian_form(HermitianFormContext(structure.T),
                                            pair, pair).real
     return expo, qtheta_mod._mode_products(parts, 1.0 / structure.lattice_decay)
 

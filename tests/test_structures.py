@@ -18,8 +18,6 @@ from nctheta.errors import (
 )
 from nctheta.report import _random_lattice_embedding
 from nctheta.structures import (
-    MixedStructure,
-    PlaneStructure,
     _SYMBOLS,
     _derive_obstruction,
     _Laurent,
@@ -37,13 +35,13 @@ class TestMakeStructure:
     def test_plane_entrywise_division(self):
         st_ = make_complex_structure(EmbeddingKind.VECTOR_SPACE,
                                      [[0.5j, 0], [0, 0.4j]], 0.5, 0.4)
-        assert isinstance(st_, PlaneStructure)
-        assert np.allclose(st_.omega, 1j * np.eye(2))
+        assert st_.kind is EmbeddingKind.VECTOR_SPACE
+        assert np.allclose(st_.T, 1j * np.eye(2))
 
     def test_mixed_scalar_division(self):
         st_ = make_complex_structure(EmbeddingKind.LATTICE, 1j, 0.5, 0.4)
-        assert isinstance(st_, MixedStructure)
-        assert st_.T == 2j
+        assert st_.kind is EmbeddingKind.LATTICE
+        assert np.array_equal(st_.T, [[2j]])
         assert st_.lattice_decay == pytest.approx(2.5)
 
     def test_rejects_asymmetric_omega(self):
@@ -73,6 +71,11 @@ class TestMakeStructure:
         with pytest.raises(error, match="finite"):
             make_complex_structure(kind, tau, theta1, 0.4, lattice_decay=decay)
 
+    def test_decay_refused_on_the_plane(self):
+        with pytest.raises(ValueError, match="lattice kind only"):
+            make_complex_structure(EmbeddingKind.VECTOR_SPACE, [[0.5j, 0], [0, 0.4j]],
+                                   0.5, 0.4, lattice_decay=1.0)
+
     def test_custom_decay(self):
         st_ = make_complex_structure(EmbeddingKind.LATTICE, 1j, 0.5, 0.4,
                                      lattice_decay=1.7)
@@ -96,6 +99,16 @@ class TestMakeStructure:
 
 
 class TestThetaVector:
+    @pytest.mark.parametrize("kind, tau, d", [
+        (EmbeddingKind.LATTICE, 1j, 1),
+        (EmbeddingKind.VECTOR_SPACE, [[0.5j, 0], [0, 0.4j]], 2),
+    ], ids=["lattice", "vector"])
+    def test_one_d_by_d_gaussian_on_both_kinds(self, kind, tau, d):
+        st_ = make_complex_structure(kind, tau, 0.5, 0.4)
+        assert st_.T.shape == (d, d)
+        assert theta_vector(st_).quadratic.shape == (d, d)
+        assert (theta_vector(st_).decay is None) == (kind is EmbeddingKind.VECTOR_SPACE)
+
     def test_plane_values(self, vector_structure):
         f = theta_vector(vector_structure)
         assert f.evaluate(0.0, 0.0) == pytest.approx(1.0)
