@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import jsonschema
 
 from .embedding import EmbeddingKind, EmbeddingMap, FinitePart, build_embedding
 from .errors import ConfigInvalid, ConfigSyntax, NCThetaError
@@ -85,23 +83,70 @@ CONFIG_SCHEMA = {
 }
 
 
-@functools.cache
-def _config_validator():
-    """Schema validator, built once per process.
+# The JSON types of the schema. A "number" is finite: Python's JSON parser
+# and ``float`` accept NaN and infinities, which no tolerance or deformation
+# can take. An "integer" is a JSON integer, so 2.0 is not one.
+_JSON_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "number": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                         or isinstance(x, float) and math.isfinite(x)),
+}
+# keyword: (the type it constrains, the test a violation passes, the message)
+_LIMITS = {
+    "minimum": ("number", operator.lt, "is less than the minimum of {!r}"),
+    "maximum": ("number", operator.gt, "is greater than the maximum of {!r}"),
+    "exclusiveMinimum": ("number", operator.le, "is less than or equal to the minimum of {!r}"),
+    "minItems": ("array", lambda x, n: len(x) < n, "is too short"),
+    "maxItems": ("array", lambda x, n: len(x) > n, "is too long"),
+}
+# Every keyword `_violation` reads; a test holds CONFIG_SCHEMA to these.
+_SCHEMA_KEYWORDS = frozenset({"type", "enum", "oneOf", "required", "additionalProperties",
+                              "properties", "items", *_LIMITS})
 
-    A "number" is finite here: Python's JSON parser and ``float`` accept
-    NaN and infinities, which no tolerance or deformation can take.
+
+def _violation(schema: dict, x, path: str = "$"):
+    """(message, JSON path) of the first place where ``x`` breaks ``schema``.
+
+    Reads the keywords of _SCHEMA_KEYWORDS (``additionalProperties`` false
+    only) in the order the schema lists them, a node before its children,
+    with the messages of the ``jsonschema`` package. None when ``x`` is
+    valid.
     """
-    base = jsonschema.Draft202012Validator
-
-    def finite_number(checker, x) -> bool:
-        return (base.TYPE_CHECKER.is_type(x, "number")
-                and (isinstance(x, int) or math.isfinite(x)))
-
-    finite = base.TYPE_CHECKER.redefine("number", finite_number)
-    cls = jsonschema.validators.extend(base, type_checker=finite)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+    for key, want in schema.items():
+        if key == "type" and not _JSON_TYPES[want](x):
+            return f"{x!r} is not of type {want!r}", path
+        if key == "enum" and x not in want:
+            return f"{x!r} is not one of {want!r}", path
+        if key == "oneOf":
+            valid = [s for s in want if _violation(s, x, path) is None]
+            if not valid:
+                return f"{x!r} is not valid under any of the given schemas", path
+            if len(valid) > 1:
+                return f"{x!r} is valid under each of {', '.join(map(repr, valid))}", path
+        if key in _LIMITS:
+            kind, broken, text = _LIMITS[key]
+            if _JSON_TYPES[kind](x) and broken(x, want):
+                return f"{x!r} {text.format(want)}", path
+        if key == "items" and isinstance(x, list):
+            for i, item in enumerate(x):
+                if found := _violation(want, item, f"{path}[{i}]"):
+                    return found
+        if not isinstance(x, dict):
+            continue
+        if key == "required" and (missing := [k for k in want if k not in x]):
+            return f"{missing[0]!r} is a required property", path
+        if key == "additionalProperties" and (
+                extra := sorted(set(x) - set(schema.get("properties", ())), key=str)):
+            return ("Additional properties are not allowed ({} {} unexpected)".format(
+                ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were"), path)
+        if key == "properties":
+            for name, sub in want.items():
+                if name in x and (found := _violation(sub, x[name], f"{path}.{name}")):
+                    return found
+    return None
 
 
 @dataclass(frozen=True)
@@ -158,9 +203,9 @@ def parse_config(data: dict, allow_invalid: bool = False) -> RunConfig:
     embedding and structure invariant failures surface through the same
     error with the underlying cause chained.
     """
-    err = jsonschema.exceptions.best_match(_config_validator().iter_errors(data))
-    if err is not None:
-        raise ConfigInvalid(err.message, err.json_path) from err
+    found = _violation(CONFIG_SCHEMA, data)
+    if found is not None:
+        raise ConfigInvalid(*found)
 
     emb_cfg = data["embedding"]
     kind = emb_cfg["kind"]

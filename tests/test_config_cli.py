@@ -1,9 +1,12 @@
+import copy
 import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
+import random
 import resource
 import subprocess
 import sys
@@ -15,7 +18,7 @@ import pytest
 import nctheta
 from nctheta import export
 from nctheta.cli import EXIT_INTERNAL_ERROR, main
-from nctheta.config import load_config, parse_config
+from nctheta.config import _SCHEMA_KEYWORDS, CONFIG_SCHEMA, _violation, load_config, parse_config
 from nctheta.embedding import point_parts
 from nctheta.errors import ConfigInvalid, ConfigSyntax, TruncationTooSmall
 from nctheta.export import _CSV_ROW, _JSON_ROW, _write_table, export_coefficients, load_series
@@ -102,6 +105,87 @@ class TestLoadConfig:
         assert a.content_hash() == b.content_hash()
         c = parse_config(minimal_lattice(radius=5))
         assert c.content_hash() != a.content_hash()
+
+
+def _schema_nodes(schema):
+    """Every (keyword, value) pair of a schema and of its subschemas."""
+    yield from schema.items()
+    for sub in (*schema.get("properties", {}).values(), *schema.get("oneOf", ()),
+                *([schema["items"]] if "items" in schema else [])):
+        yield from _schema_nodes(sub)
+
+
+# What a mutation writes: a field name of the schema or one it does not know,
+# and a value of every shape it takes, integral floats, non-finite numbers,
+# a bool and an integer past the seed's maximum among them.
+_MUTANT_NAMES = sorted({name for key, value in _schema_nodes(CONFIG_SCHEMA)
+                        if key == "properties" for name in value} | {"extra"})
+_MUTANT_VALUES = (
+    0, 1, -1, 2, 2.0, 0.5, -0.25, 2**64, 2**64 - 1, 1e-300, math.nan, math.inf, True, None,
+    "x", "csv", "lattice", [], [1], [0.5, 1], [[1, 0], [0, 1]], [[0.5, 1], [2, 3.0]],
+    [[[0.0, 0.5], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.4]]], {}, {"path": "r.json"})
+
+
+def _mutate(cfg, rng):
+    """One seeded edit of a dict or list anywhere in cfg: set, drop or add an entry."""
+    def containers(node):
+        yield node
+        for child in (node.values() if isinstance(node, dict) else node):
+            if isinstance(child, (dict, list)):
+                yield from containers(child)
+
+    node = rng.choice(list(containers(cfg)))
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    op = rng.randrange(3)
+    value = copy.deepcopy(rng.choice(_MUTANT_VALUES))
+    if op == 0 and keys:
+        node[rng.choice(keys)] = value
+    elif op == 1 and keys:
+        node.pop(rng.choice(keys))
+    elif isinstance(node, dict):
+        node[rng.choice(_MUTANT_NAMES)] = value
+    else:
+        node.append(copy.deepcopy(rng.choice(node)) if node and rng.random() < 0.5 else value)
+
+
+class TestSchema:
+    def test_every_schema_keyword_is_interpreted(self):
+        # a keyword the interpreter does not read would be ignored silently
+        pairs = list(_schema_nodes(CONFIG_SCHEMA))
+        assert {key for key, _ in pairs} <= _SCHEMA_KEYWORDS
+        assert all(value is False for key, value in pairs if key == "additionalProperties")
+
+    def test_interpreter_agrees_with_jsonschema(self, lattice_config_path,
+                                                vector_config_path):
+        # the independent route: jsonschema's Draft 2020-12 validator with the
+        # config's two types, "number" finite and "integer" an int, not a bool
+        jsonschema = pytest.importorskip("jsonschema")
+        base = jsonschema.Draft202012Validator
+        types = base.TYPE_CHECKER.redefine_many({
+            "number": lambda _, x: not isinstance(x, bool) and (
+                isinstance(x, int) or isinstance(x, float) and math.isfinite(x)),
+            "integer": lambda _, x: isinstance(x, int) and not isinstance(x, bool)})
+        cls = jsonschema.validators.extend(base, type_checker=types)
+        cls.check_schema(CONFIG_SCHEMA)
+        validator = cls(CONFIG_SCHEMA)
+        texts = [lattice_config_path.read_text(), vector_config_path.read_text()]
+        rng = random.Random(2026)
+        accepted = single = 0
+        for n in range(1500):
+            cfg = json.loads(texts[n % 2])
+            for _ in range(rng.randint(1, 3)):
+                _mutate(cfg, rng)
+            found = _violation(CONFIG_SCHEMA, cfg)
+            errors = list(itertools.islice(validator.iter_errors(cfg), 2))
+            assert (found is None) == (not errors), (cfg, found, errors)
+            accepted += found is None
+            # the error as raised, a oneOf one at tau itself (best_match
+            # would pick one of its inner errors instead)
+            if len(errors) == 1:
+                single += 1
+                assert found == (errors[0].message, errors[0].json_path), cfg
+        # the sample holds both verdicts and many single errors
+        assert accepted > 50 and single > 500, (accepted, single)
 
 
 class TestExport:
@@ -494,6 +578,18 @@ class TestSuiteCoverage:
         assert report.checks[0].max_residual <= 1e-12
 
 
+def _assert_config_error(raw, json_path, tmp_path, capsys):
+    """Run validate on raw: exit 2, naming the file and json_path on stderr."""
+    bad = tmp_path / "schema_bad.json"
+    bad.write_text(json.dumps(raw))
+    code = main(["validate", "--config", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"config error: {bad}: ")
+    assert err.endswith(f"(at {json_path})\n")
+    return err
+
+
 class TestCli:
     def test_exit_zero_and_report(self, lattice_config_path, tmp_path):
         out = tmp_path / "rep.json"
@@ -523,13 +619,25 @@ class TestCli:
         raw = (minimal_lattice() if section == "embedding"
                else json.loads(vector_config_path.read_text()))
         raw[section][field] = value
-        bad = tmp_path / "schema_bad.json"
-        bad.write_text(json.dumps(raw))
-        code = main(["validate", "--config", str(bad)])
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert err.startswith(f"config error: {bad}: ")
-        assert err.endswith(f"(at {json_path})\n")
+        _assert_config_error(raw, json_path, tmp_path, capsys)
+
+    @pytest.mark.parametrize("kind, keys, value, json_path", [
+        ("lattice", ["seed"], 42.0, "$.seed"),
+        ("vector", ["radius"], 2.0, "$.radius"),
+        ("vector", ["embedding", "finite_part", "m1"], 2.0, "$.embedding.finite_part.m1"),
+        # as load_series refuses a fractional index
+        ("lattice", ["embedding", "m"], [[1.0, 0], [0, 1.0]], "$.embedding.m[0][0]"),
+    ])
+    def test_integral_float_in_an_integer_field(self, kind, keys, value, json_path,
+                                                 request, tmp_path, capsys):
+        # an integer field takes JSON integers only, so 2.0 is a config error
+        raw = json.loads(request.getfixturevalue(f"{kind}_config_path").read_text())
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        err = _assert_config_error(raw, json_path, tmp_path, capsys)
+        assert "is not of type 'integer'" in err
 
     def test_finite_part_twist_not_coprime_exit_two(self, vector_config_path, tmp_path,
                                                      capsys):
@@ -706,11 +814,11 @@ class TestCli:
 
     def test_runs_without_scipy(self, lattice_config_path, vector_config_path,
                                 tmp_path, cli_env):
-        # a None entry in sys.modules makes every import of scipy fail
+        # a None entry in sys.modules makes every import of the module fail
         configs = [str(lattice_config_path), str(vector_config_path)]
         script = (
             "import sys\n"
-            "sys.modules['scipy'] = None\n"
+            "sys.modules['scipy'] = sys.modules['jsonschema'] = None\n"
             "from nctheta.cli import main\n"
             f"print([main([suite, '--config', cfg, '--output', 'r.json'])"
             f" for cfg in {configs!r} for suite in ('validate', 'commutation')])\n")
