@@ -255,20 +255,35 @@ class IndexPlanes:
 
 
 def _plane_codes(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of (N, 2) integer columns: the first row holding each,
-    and the distinct row of each row, as indices.
+    """Distinct rows of (N, 2) integer columns, in lexicographic order: the
+    first row holding each, and the distinct row of each row, as indices.
 
-    The int64 code of a row is its offset in the columns' bounding box,
-    which np.unique sorts; the box is never built. Columns whose box does
-    not fit in int64 are replaced by their ranks first.
+    The int64 code of a row is its offset in the columns' bounding box. A
+    box of at most max(N, 2^16) points, as each plane of the canonical grid
+    is, ranks the codes by distribution counting: a mask over the box marks
+    them, and its running sum numbers them in order. A larger box is never
+    built; np.unique sorts the codes instead, and columns whose box does not
+    fit in int64 are replaced by their ranks first.
     """
     low = [int(c.min(initial=0)) for c in cols.T]
     span = [int(c.max(initial=0)) - lo + 1 for c, lo in zip(cols.T, low)]
+    dense = span[0] * span[1] <= max(len(cols), 2 ** 16)
     if span[0] * span[1] >= 2 ** 63:
         cols = np.stack([np.unique(c, return_inverse=True)[1] for c in cols.T], axis=-1)
         low, span = [0, 0], [len(cols)] * 2
-    code = (cols[:, 0] - low[0]) * span[1] + (cols[:, 1] - low[1])
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    # in place on the strided columns; as low <= 0, no step leaves int64
+    code = cols[:, 0] - low[0]
+    code *= span[1]
+    code += cols[:, 1]
+    code -= low[1]
+    if not dense:
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        return first, inverse
+    mark = np.zeros(span[0] * span[1], dtype=bool)
+    mark[code] = True
+    inverse = (np.cumsum(mark) - 1)[code]
+    first = np.full(np.count_nonzero(mark), len(code))
+    np.minimum.at(first, inverse, np.arange(len(code)))
     return first, inverse
 
 
@@ -317,8 +332,8 @@ def enumerate_indices(radius: int) -> np.ndarray:
     lexicographic, so a stable sort of them on the sup norm alone gives
     that order. The sup norm is taken per axis pair by outer maxima, in the
     narrowest unsigned type that holds the radius (a key numpy sorts stably
-    by radix up to 16 bits), and the rows are decoded from the sorted
-    positions.
+    by radix up to 16 bits), and the sorted positions are decoded in place,
+    one divmod per axis from the last.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -326,7 +341,11 @@ def enumerate_indices(radius: int) -> np.ndarray:
     span = np.abs(np.arange(-radius, radius + 1)).astype(np.min_scalar_type(radius))
     pair = np.maximum.outer(span, span).ravel()
     order = np.argsort(np.maximum.outer(pair, pair).ravel(), kind="stable")
-    return np.stack(np.unravel_index(order, (side,) * 4), axis=-1).astype(np.int64) - radius
+    rows = np.empty((len(order), 4), dtype=np.int64)
+    for axis in (3, 2, 1, 0):
+        np.divmod(order, side, out=(order, rows[:, axis]))
+    rows -= radius
+    return rows
 
 
 def _negated_rows(radius: int) -> np.ndarray:

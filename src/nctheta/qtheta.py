@@ -339,12 +339,18 @@ def _reassembly_failure(series: QuantumThetaSeries) -> str | None:
 
     For every index with sup norm <= min(radius, 2), normalization times
     the stored coefficient must reproduce the closed-form inner product;
-    None when it does everywhere.
+    None when it does everywhere. The canonical order goes by sup norm
+    first, so those indices are the table's first rows, in the order of
+    :func:`enumerate_indices`; a row there holding another index fails.
     """
     ks = enumerate_indices(min(series.radius, 2))
+    head = series.indices[:len(ks)]
+    moved = np.any(head != ks[:len(head)], axis=1)
+    if moved.any() or len(head) < len(ks):
+        return _label(ks[np.argmax(moved) if moved.any() else len(head)])
     closed = inner_product_closed(theta_vector(series.structure),
                                   lattice_element(series.embedding, ks))
-    assembled = series.normalization * _stored_values(series, ks)
+    assembled = series.normalization * series.values[:len(ks)]
     # fails closed: a NaN difference is not within the tolerance
     bad = ~(np.abs(assembled - closed) <= REASSEMBLY_REL_TOL * np.maximum(np.abs(closed), 1e-30))
     return _label(ks[np.argmax(bad)]) if bad.any() else None

@@ -285,13 +285,12 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
     if emb.kind is EmbeddingKind.LATTICE:
         tau0 = 2j / (1.0 / structure.lattice_decay)  # 2i / theta2_eff
         expected0, cutoff = jacobi_theta(tau0, 0.0) ** 2, theta_truncation(tau0, 0.0, 1e-12)
-    zero_defect = abs(series.coefficient([0, 0, 0, 0]) - expected0)
-
     ks, values = series.indices, series.values
     sym = float(np.max(np.abs(values[_negated_rows(series.radius)] - np.conj(values))))
     # Row 0 is k = 0, and |C(k)| <= C(0) since pi_k is unitary, so the rate
     # is measured relative to C(0). A coefficient that underflowed to 0
     # decays without bound: its rate is +inf.
+    zero_defect = abs(complex(values[0]) - expected0)
     norm_sq = np.sum(ks * ks, axis=1)
     with np.errstate(divide="ignore"):
         rates = -np.log(np.abs(values[1:]) / abs(values[0])) / norm_sq[1:]

@@ -493,6 +493,12 @@ class TestRunSuite:
         assert json.loads(path.read_text())["artifacts"] == {
             "coefficients": {"file": table.name, "sha256": digest}}
 
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_quantum_theta_builds_no_row_table(self, kind, request, tmp_path):
+        report = run_suite(request.getfixturevalue(f"{kind}_config"), "quantum-theta")
+        write_report(report, tmp_path / "r.json")
+        assert "_row_table" not in report.series.__dict__
+
     def test_write_report_hashes_the_csv_table(self, tmp_path):
         report = run_suite(parse_config(minimal_lattice(radius=6)), "quantum-theta")
         write_report(report, tmp_path / "r.csv", fmt="csv")

@@ -256,14 +256,66 @@ def test_index_planes_split_the_rows():
 
 
 def test_index_planes_cost_follows_the_rows_not_their_spread(lattice_emb):
-    # entries near the int64 limits: the bounding box of a plane does not fit
-    # an int64 code, so the columns are ranked first
+    # pins the sorted path: entries near the int64 limits, whose bounding box
+    # is far too large to mark and does not fit an int64 code, so the columns
+    # are ranked first
     big = 2 ** 62
     ks = np.array([[-big, big, 1, 0], [big, -big, 0, 1], [-big, big, 1, 0],
                    [0, 0, -big, big], [big, -big, 2, 3]], dtype=np.int64)
     planes = embedding.index_planes(lattice_emb, ks)
     near, far = planes.points
     assert len(near) == 3 and len(far) == 4
+    assert np.array_equal(near[planes.codes[0]] + far[planes.codes[1]], ks)
+
+
+def _count_unique_calls(monkeypatch):
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    return calls
+
+
+# (low, high) corners of each column, row count, and whether the box of at
+# most max(rows, 2^16) points is marked rather than sorted
+@pytest.mark.parametrize("low, high, rows, dense", [
+    ((-7, -3), (3, 4), 500, True),
+    ((-5, 9), (-5, 9), 1, True),
+    ((0, 0), (0, 0), 0, True),
+    ((-200, 0), (55, 255), 300, True),
+    ((-200, 0), (56, 255), 300, False),
+    ((-150, -150), (149, 149), 100_000, True),
+    ((-10 ** 9, -3), (10 ** 9, 3), 50, False),
+    ((-2 ** 62, -2 ** 62), (2 ** 62, 2 ** 62), 40, False),
+], ids=["duplicates", "one-row", "no-rows", "box-2^16", "box-over-2^16",
+        "box-under-the-rows", "far-apart", "int64-limits"])
+def test_plane_codes_match_the_sorted_reference(monkeypatch, low, high, rows, dense):
+    rng = np.random.default_rng(rows)
+    cols = np.stack([rng.integers(lo, hi, size=rows, endpoint=True)
+                     for lo, hi in zip(low, high)], axis=-1).astype(np.int64)
+    if rows > 1:
+        cols[0], cols[-1] = low, high
+    _, first, inverse = np.unique(cols, axis=0, return_index=True, return_inverse=True)
+    calls = _count_unique_calls(monkeypatch)
+    got_first, got_inverse = embedding._plane_codes(cols)
+    assert (calls == []) is dense
+    assert got_first.dtype == got_inverse.dtype == np.intp
+    np.testing.assert_array_equal(got_first, first)
+    np.testing.assert_array_equal(got_inverse, inverse.ravel())
+
+
+@pytest.mark.parametrize("radius", range(1, 7))
+def test_index_planes_of_the_canonical_grid_sort_nothing(monkeypatch, lattice_emb, radius):
+    ks = enumerate_indices(radius)
+    calls = _count_unique_calls(monkeypatch)
+    planes = embedding.index_planes(lattice_emb, ks)
+    assert calls == []
+    near, far = planes.points
+    assert len(near) == len(far) == (2 * radius + 1) ** 2
     assert np.array_equal(near[planes.codes[0]] + far[planes.codes[1]], ks)
 
 
@@ -303,6 +355,14 @@ def test_enumerate_indices_matches_the_sorted_grid(radius):
     ks = enumerate_indices(radius)
     assert ks.dtype == expected.dtype == np.int64
     np.testing.assert_array_equal(ks, expected)
+
+
+def test_enumerate_indices_is_the_prefix_of_every_larger_radius():
+    # the reassembly check reads the rows up to sup norm 2 as the table's head
+    grids = [enumerate_indices(r) for r in range(9)]
+    for q, small in enumerate(grids):
+        for large in grids[q:]:
+            np.testing.assert_array_equal(large[:len(small)], small)
 
 
 def test_enumerate_indices_rejects_negative():

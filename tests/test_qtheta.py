@@ -297,6 +297,21 @@ class TestSeries:
             assembled = lattice_series.normalization * lattice_series.coefficient(k)
             assert abs(assembled - closed) <= 1e-12 * max(abs(closed), 1e-30)
 
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_reassembly_refuses_permuted_head_rows(self, kind, request):
+        # a row lookup would find every coefficient of this table; the check
+        # reads the first 625 rows in the canonical order and must refuse it
+        series = request.getfixturevalue(f"{kind}_series")
+        perm = np.random.default_rng(7).permutation(625)
+        indices, values = series.indices.copy(), series.values.copy()
+        indices[:625], values[:625] = indices[perm], values[perm]
+        permuted = QuantumThetaSeries(series.embedding, series.structure, series.radius,
+                                      series.normalization, indices, values)
+        ks = enumerate_indices(2)
+        assert qtheta_mod._reassembly_failure(series) is None
+        assert qtheta_mod._reassembly_failure(permuted) == qtheta_mod._label(
+            ks[np.argmax(perm != np.arange(625))])
+
     def test_oracle_matches_scaled_coefficients(self, lattice_series, lattice_structure):
         f = theta_vector(lattice_structure)
         rng = np.random.default_rng(4)
