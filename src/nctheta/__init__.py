@@ -32,7 +32,7 @@ from .heisenberg import (
     apply_pi,
     build_connections,
     connection_commutator_residual,
-    measure_commutation_phase,
+    measure_commutation_phases,
     sample_vector,
     theta_test_vector,
 )

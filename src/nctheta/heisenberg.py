@@ -224,6 +224,11 @@ def apply_pi(h: LatticeElement, f):
     return replace(f, source=_transform_closed(h, f.source))
 
 
+def _check_generators(*indices) -> None:
+    if not all(1 <= j <= 4 for j in indices):
+        raise ValueError("generator index must be in 1..4")
+
+
 def _finite_operator(fp, j: int, finite_vector: np.ndarray) -> np.ndarray:
     """Generator action on the finite factor Z_m1 x Z_m2."""
     v = finite_vector
@@ -245,8 +250,7 @@ def generator_element(emb: EmbeddingMap, j: int) -> LatticeElement:
     rational corrections n_i/m_i that the finite operators cancel in the
     commutation phases.
     """
-    if not 1 <= j <= 4:
-        raise ValueError("generator index must be in 1..4")
+    _check_generators(j)
     el = lattice_element(emb, np.eye(4, dtype=np.int64)[j - 1])
     fp = emb.finite_part
     if fp is None or emb.kind is not EmbeddingKind.VECTOR_SPACE:
@@ -281,23 +285,36 @@ def _tensor_values(f: SampledVector) -> np.ndarray:
     return f.values.reshape(f.values.shape + extra) * f.finite_vector
 
 
+def measure_commutation_phases(emb: EmbeddingMap, pairs, f: SampledVector) -> list[complex]:
+    """Measured commutation phases of generators U_i and U_j, one per (i, j) of PAIRS.
+
+    Each is the pointwise ratio of the word U_j U_i (U_j acts first) to the
+    word U_i U_j, averaged over grid points whose reference magnitude exceeds
+    PHASE_MASK_THRESHOLD; for a valid embedding, e^{2 pi i theta_ij}. Both
+    words of {i, j} are formed once, and released before the next pair's.
+    """
+    pairs = [tuple(pair) for pair in pairs]
+    _check_generators(*(j for pair in pairs for j in pair))
+    phases = {}
+    for a, b in dict.fromkeys((min(pair), max(pair)) for pair in pairs):
+        # first[x] is the word in which U_x acts first
+        first = {x: _tensor_values(apply_generator(emb, y, apply_generator(emb, x, f)))
+                 for x, y in {(a, b), (b, a)}}
+        for i, j in {(a, b), (b, a)} & set(pairs):
+            mask = np.abs(first[i]) > PHASE_MASK_THRESHOLD
+            if not mask.any():
+                raise DegenerateTestVector("all grid magnitudes below the phase threshold")
+            ratio = first[j][mask]
+            ratio /= first[i][mask]
+            phases[i, j] = complex(np.mean(ratio))
+        del first, mask, ratio
+    return [phases[pair] for pair in pairs]
+
+
 def measure_commutation_phase(emb: EmbeddingMap, i: int, j: int,
                               f: SampledVector) -> complex:
-    """Measured commutation phase of generators U_i and U_j.
-
-    Returns the pointwise ratio of the word U_j U_i (U_j acts first) to
-    the word U_i U_j, averaged over grid points whose reference magnitude
-    exceeds PHASE_MASK_THRESHOLD. For a valid embedding this equals
-    e^{2 pi i theta_ij}.
-    """
-    ji = apply_generator(emb, i, apply_generator(emb, j, f))
-    ij = apply_generator(emb, j, apply_generator(emb, i, f))
-    num = _tensor_values(ji)
-    den = _tensor_values(ij)
-    mask = np.abs(den) > PHASE_MASK_THRESHOLD
-    if not mask.any():
-        raise DegenerateTestVector("all grid magnitudes below the phase threshold")
-    return complex(np.mean(num[mask] / den[mask]))
+    """The phase of one pair, as :func:`measure_commutation_phases` measures it."""
+    return measure_commutation_phases(emb, [(i, j)], f)[0]
 
 
 @dataclass(frozen=True)
@@ -402,6 +419,7 @@ def connection_commutator_residual(emb: EmbeddingMap, i: int, j: int, f,
     defect is normalized by max |U_j f| over the probes. The finite factor
     is outside the scope of this contract and is ignored.
     """
+    _check_generators(i, j)
     closed = _require_closed(f)
     conn = build_connections(emb)
     el = lattice_element(emb, np.eye(4, dtype=np.int64)[j - 1])

@@ -38,7 +38,7 @@ from .export import export_coefficients
 from .heisenberg import (
     connection_commutator_residual,
     default_finite_vector,
-    measure_commutation_phase,
+    measure_commutation_phases,
     representation_defect,
     sample_vector,
     theta_test_vector,
@@ -155,11 +155,10 @@ def _suite_commutation(ctx: RunContext) -> list[VerificationReport]:
     theta = commutation_matrix(emb)
     entries = {}
     measured = {}
-    for i in range(1, 5):
-        for j in range(1, 5):
-            got = measure_commutation_phase(emb, i, j, f)
-            entries[f"U{i},U{j}"] = abs(got - theta.phase(i, j))
-            measured[f"{i}{j}"] = [got.real, got.imag]
+    pairs = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+    for (i, j), got in zip(pairs, measure_commutation_phases(emb, pairs, f)):
+        entries[f"U{i},U{j}"] = abs(got - theta.phase(i, j))
+        measured[f"{i}{j}"] = [got.real, got.imag]
     return [VerificationReport.build(
         "commutation-phases", entries, list(entries.values()), ctx.tol["phase_abs"],
         finite_part=emb.finite_part is not None, measured=measured)]

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from nctheta import embedding
 from nctheta.embedding import (
+    PAIR_SWEEP_BLOCK,
     EmbeddingKind,
+    EmbeddingMap,
     FinitePart,
     bicharacter_max_residual,
     build_embedding,
@@ -691,6 +693,66 @@ def test_bicharacter_and_linearity(lattice_emb, vector_emb):
     assert bicharacter_max_residual(vector_emb, rng) <= 1e-12
     assert element_linearity_max_residual(lattice_emb) <= 1e-12
     assert element_linearity_max_residual(vector_emb) <= 1e-12
+
+
+def _full_linearity_sweep(emb):
+    """Reference: the linearity defect over all 625 x 625 pairs of radius-2 rows,
+    every ambient coordinate at every pair."""
+    ks = enumerate_indices(2)
+    parts = point_parts(emb, ks)
+    worst = 0.0
+    for lo in range(0, len(ks), PAIR_SWEEP_BLOCK):
+        rows = slice(lo, lo + PAIR_SWEEP_BLOCK)
+        for part, direct in zip(parts, point_parts(emb, ks[rows, None] + ks)):
+            worst = max(worst, float(np.max(np.abs(part[rows, None] + part - direct))))
+    return worst
+
+
+def _linearity_cases():
+    """Embeddings whose coordinates read one, two or all index columns."""
+    lattice = {"m": IDENTITY, "delta_hat": CANON_DELTA}
+    mixed = {"m": [[2, 1], [1, 1]], "delta_hat": [[0.25, 0.25], [-0.5, -0.25]]}
+    cases = {
+        "lattice-canonical": build_embedding(EmbeddingKind.LATTICE, 0.5, **lattice),
+        "vector-canonical": build_embedding(EmbeddingKind.VECTOR_SPACE, 0.5, 0.4,
+                                            finite_part=FinitePart(2, 1, 3, 2)),
+        "lattice-m-2111": build_embedding(EmbeddingKind.LATTICE, 0.5, **mixed),
+    }
+    for theta in (7.3, 25.3, 50.0):
+        cases[f"lattice-theta-{theta}"] = build_embedding(EmbeddingKind.LATTICE, theta, **mixed)
+        cases[f"vector-theta-{theta}"] = build_embedding(EmbeddingKind.VECTOR_SPACE, theta,
+                                                         0.73 * theta)
+    for seed in range(4):
+        cases[f"random-lattice-{seed}"] = _random_lattice_embedding(np.random.default_rng(seed))
+    # rows read all four columns, or a mix of 0 to 4 of them: the sweep is
+    # not only the canonical layout's single columns
+    rng = np.random.default_rng(28)
+    cases["dense-4x4"] = EmbeddingMap(EmbeddingKind.VECTOR_SPACE, rng.normal(size=(4, 4)),
+                                      0.5, 0.4)
+    support = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1],
+                        [0, 0, 0, 0], [1, 0, 1, 1], [0, 1, 1, 0]])
+    cases["mixed-supports"] = EmbeddingMap(EmbeddingKind.LATTICE,
+                                           support * rng.normal(size=(6, 4)), 0.5)
+    return cases
+
+
+LINEARITY_CASES = _linearity_cases()
+
+
+@pytest.mark.parametrize("name", LINEARITY_CASES)
+def test_reduced_linearity_sweep_equals_the_full_sweep(name):
+    emb = LINEARITY_CASES[name]
+    assert element_linearity_max_residual(emb) == _full_linearity_sweep(emb)
+
+
+def test_reduced_linearity_sweep_finds_a_rounding_defect():
+    # pinned from a seeded search: seed 1 draws m = [[-2, -1], [3, -1]], whose
+    # torus coordinates 0.15 k3 - 0.05 k4 round, so the sweep is not 0 == 0
+    emb = _random_lattice_embedding(np.random.default_rng(1))
+    assert emb.m.tolist() == [[-2, -1], [3, -1]]
+    assert element_linearity_max_residual(emb) == _full_linearity_sweep(emb) == 2.0 ** -53
+    dense = LINEARITY_CASES["dense-4x4"]
+    assert element_linearity_max_residual(dense) > 0.0
 
 
 def test_bicharacter_reads_the_paired_exponent(lattice_emb):

@@ -1,9 +1,13 @@
 import math
+import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nctheta import heisenberg
+from nctheta.config import parse_config
 from nctheta.embedding import (
     EmbeddingKind,
     FinitePart,
@@ -19,6 +23,7 @@ from nctheta.errors import (
     UnsupportedVector,
 )
 from nctheta.heisenberg import (
+    PHASE_MASK_THRESHOLD,
     ClosedFormVector,
     apply_generator,
     apply_pi,
@@ -26,10 +31,12 @@ from nctheta.heisenberg import (
     connection_commutator_residual,
     default_finite_vector,
     measure_commutation_phase,
+    measure_commutation_phases,
     representation_defect,
     sample_vector,
     theta_test_vector,
 )
+from nctheta.report import run_suite
 from nctheta.structures import make_complex_structure, theta_vector
 
 
@@ -346,6 +353,156 @@ class TestCommutationPhase:
             measure_commutation_phase(lattice_emb, 1, 2, dead)
 
 
+ALL_PAIRS = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+CANON_DELTA = [[0.0, 0.7], [0.3, 0.0]]
+CANON_FINITE = FinitePart(m1=2, n1=1, m2=3, n2=2)
+PHASE_EMBEDDINGS = {
+    "lattice-canonical": dict(kind=EmbeddingKind.LATTICE, theta1=0.5, m=[[1, 0], [0, 1]],
+                              delta_hat=CANON_DELTA),
+    "vector-canonical": dict(kind=EmbeddingKind.VECTOR_SPACE, theta1=0.5, theta2=0.4,
+                             finite_part=CANON_FINITE),
+    "vector-theta-20.3-18.5": dict(kind=EmbeddingKind.VECTOR_SPACE, theta1=20.3, theta2=18.5,
+                                   finite_part=CANON_FINITE),
+    "lattice-theta1-25.3": dict(kind=EmbeddingKind.LATTICE, theta1=25.3, m=[[1, 0], [0, 1]],
+                                delta_hat=CANON_DELTA),
+}
+
+
+def _suite_setup(name):
+    """Embedding and sampled test vector as the commutation suite builds them."""
+    emb = build_embedding(**PHASE_EMBEDDINGS[name])
+    fin = default_finite_vector(emb.finite_part) if emb.finite_part else None
+    return emb, sample_vector(theta_test_vector(emb), step=1 / 16, finite_vector=fin)
+
+
+def _reference_phase(emb, i, j, f):
+    """Reference: the one-pair measurement, both words formed for each ordered pair."""
+    ji = heisenberg.apply_generator(emb, i, heisenberg.apply_generator(emb, j, f))
+    ij = heisenberg.apply_generator(emb, j, heisenberg.apply_generator(emb, i, f))
+    num = heisenberg._tensor_values(ji)
+    den = heisenberg._tensor_values(ij)
+    mask = np.abs(den) > PHASE_MASK_THRESHOLD
+    if not mask.any():
+        raise DegenerateTestVector("all grid magnitudes below the phase threshold")
+    return complex(np.mean(num[mask] / den[mask]))
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _outcome(measure, *args):
+    """The bits of a measured phase, or the type and message of its refusal."""
+    try:
+        return _bits(measure(*args))
+    except DegenerateTestVector as exc:
+        return type(exc), str(exc)
+
+
+class TestBatchedCommutationPhases:
+    # the large thetas overflow in the samples of the shifted words, on both routes
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning",
+                                "ignore:invalid value encountered in multiply:RuntimeWarning")
+    @pytest.mark.parametrize("name", PHASE_EMBEDDINGS)
+    def test_every_pair_matches_the_per_pair_reference(self, name):
+        emb, f = _suite_setup(name)
+        expected = {pair: _outcome(_reference_phase, emb, *pair, f) for pair in ALL_PAIRS}
+        for pair in ALL_PAIRS:
+            assert _outcome(lambda: measure_commutation_phases(emb, [pair], f)[0]) \
+                == expected[pair], pair
+        resolved = [pair for pair in ALL_PAIRS if isinstance(expected[pair], bytes)]
+        assert resolved
+        got = measure_commutation_phases(emb, resolved, f)
+        assert [_bits(z) for z in got] == [expected[pair] for pair in resolved]
+        if len(resolved) == len(ALL_PAIRS):
+            return
+        # the shifted Gaussians of the large thetas leave the grid: the
+        # 16-pair call refuses as the first unresolved pair did
+        with pytest.raises(DegenerateTestVector,
+                           match="^all grid magnitudes below the phase threshold$"):
+            measure_commutation_phases(emb, ALL_PAIRS, f)
+
+    @pytest.mark.parametrize("name", ["lattice-canonical", "vector-canonical"])
+    @pytest.mark.parametrize("pairs", [
+        [(3, 1), (2, 2), (1, 3)],
+        [(1, 2), (1, 2), (2, 1), (1, 2)],
+        ALL_PAIRS[::-1],
+        [],
+    ], ids=["subset", "repeated", "reversed", "empty"])
+    def test_subsets_repeats_and_orders(self, name, pairs):
+        emb, f = _suite_setup(name)
+        got = measure_commutation_phases(emb, pairs, f)
+        assert [_bits(z) for z in got] == [_bits(_reference_phase(emb, i, j, f))
+                                           for i, j in pairs]
+
+    def test_degenerate_config_still_refused(self):
+        # vector theta = (5, 4), tau = diag(5i, 4i): U_1 and U_3 shift the
+        # test vector off its grid
+        cfg = parse_config({
+            "embedding": {"kind": "vector_space", "theta1": 5, "theta2": 4},
+            "structure": {"tau": [[[0, 5], [0, 0]], [[0, 0], [0, 4]]]},
+            "seed": 42})
+        message = "all grid magnitudes below the phase threshold"
+        emb = cfg.build_embedding()
+        f = sample_vector(theta_test_vector(emb), step=1 / 16)
+        with pytest.raises(DegenerateTestVector, match=f"^{message}$"):
+            measure_commutation_phases(emb, ALL_PAIRS, f)
+        [check] = run_suite(cfg, "commutation").checks
+        assert check.name == "commutation (errored)"
+        assert check.metadata["error"] == f"DegenerateTestVector: {message}"
+
+    def test_peak_memory_of_all_pairs_within_one_reference_pair(self):
+        # every pair's words are released before the next pair's are formed,
+        # so 16 pairs peak no higher than one pair of the per-pair reference
+        emb, f = _suite_setup("vector-canonical")
+        measure_commutation_phases(emb, ALL_PAIRS, f)
+        _reference_phase(emb, 1, 2, f)
+        peaks = []
+        for call in (lambda: _reference_phase(emb, 1, 2, f),
+                     lambda: measure_commutation_phases(emb, ALL_PAIRS, f)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
+    @pytest.mark.parametrize("fixture", ["lattice_config", "vector_config"])
+    def test_suite_forms_each_word_once(self, fixture, request, monkeypatch):
+        # 4 diagonal pairs have one word each and 6 off-diagonal pairs two:
+        # 16 words of two generators, where one word per order and pair
+        # would form 32 words of two
+        cfg = request.getfixturevalue(fixture)
+        calls = {"apply_generator": 0, "_tensor_values": 0}
+
+        def counted(name):
+            original = getattr(heisenberg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(heisenberg, name, counted(name))
+        [check] = run_suite(cfg, "commutation").checks
+        assert check.passed
+        assert calls == {"apply_generator": 32, "_tensor_values": 16}
+
+    @pytest.mark.parametrize("bad", [(0, 1), (1, 0), (5, 1), (1, 5)])
+    def test_refuses_generator_indices_before_forming_a_word(self, bad, lattice_emb,
+                                                             monkeypatch):
+        f = sample_vector(theta_test_vector(lattice_emb), step=1 / 16)
+        formed = []
+        original = heisenberg.apply_generator
+        monkeypatch.setattr(heisenberg, "apply_generator",
+                            lambda *args: formed.append(args) or original(*args))
+        with pytest.raises(ValueError, match=r"^generator index must be in 1\.\.4$"):
+            measure_commutation_phases(lattice_emb, [(1, 2), bad], f)
+        assert formed == []
+
+
 class TestConnections:
     def test_lattice_matrix(self, lattice_emb):
         conn = build_connections(lattice_emb)
@@ -390,6 +547,13 @@ class TestCommutatorResidual:
                   for s in (8e-3, 4e-3, 2e-3, 1e-3)]
         assert all(b < a for a, b in zip(resids, resids[1:]))
         assert all(b <= a / 8 for a, b in zip(resids, resids[1:]))
+
+    @pytest.mark.parametrize("bad", [(0, 1), (1, 0), (5, 1), (1, 5)])
+    def test_refuses_generator_indices_outside_one_to_four(self, bad, lattice_emb, vector_emb):
+        # index 0 used to wrap round to generator 4, and 5 to end in an IndexError
+        for emb in (lattice_emb, vector_emb):
+            with pytest.raises(ValueError, match=r"^generator index must be in 1\.\.4$"):
+                connection_commutator_residual(emb, *bad, theta_test_vector(emb))
 
     def test_requires_closed_backing(self, lattice_emb, lattice_theta):
         raw = sample_vector(lattice_theta, step=1 / 8).values
