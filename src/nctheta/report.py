@@ -240,7 +240,7 @@ def _suite_nogo(ctx: RunContext) -> list[VerificationReport]:
                + 1j * rng.uniform(0.3, 2.0, size=(2, 2)) * signs[..., 1])
         for mi, emb in enumerate(embeddings):
             cert = holomorphic_feasibility(emb, tau)
-            ok = cert.forced_det.is_zero and cert.infeasible
+            ok = cert.infeasible
             entries[f"tau {ti} m {mi}"] = 0.0 if ok else 1.0
             if first is None:
                 first = cert

@@ -4,16 +4,16 @@ A complex structure is one symmetric d x d complex matrix T with positive
 definite imaginary part over R^d, the vector-space part of the embedding:
 d = 2 on the plane (tau divided entrywise by the deformation parameters)
 and d = 1 on R x Z^2. Its theta vector is the Gaussian exp(pi i S^t T S),
-times a Schwartz weight over Z^2 on R x Z^2, where full holomorphy is
-provably infeasible (see :func:`holomorphic_feasibility`).
+times a Schwartz weight over Z^2 on R x Z^2. There full holomorphy is
+provably infeasible: the obstruction is a constant, re-derived with sympy
+by the Tier-1 tests, and :func:`holomorphic_feasibility` checks each
+(tau, m) it is given.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .heisenberg import (
     ClosedFormVector,
+    _min_im_eig,
     _require_closed,
     apply_connections,
     build_connections,
@@ -128,8 +129,6 @@ def antiholomorphic_rows(structure: ComplexStructure) -> list[np.ndarray]:
 
 
 def _holomorphy_probes(emb: EmbeddingMap, f: ClosedFormVector):
-    from .heisenberg import _min_im_eig
-
     rate = math.pi * _min_im_eig(f.quadratic)
     s_max = math.sqrt(-math.log(0.5 * HOLOMORPHY_MASK_REL) / rate) + 0.2
     if emb.kind is EmbeddingKind.LATTICE:
@@ -175,19 +174,40 @@ def holomorphy_residual(f, structure: ComplexStructure, emb: EmbeddingMap) -> fl
                for row in antiholomorphic_rows(structure))
 
 
+# The obstruction of the two would-be holomorphy equations over R x Z^2,
+#   (tau11/theta1 s + b11 n1 + b12 n2)/tau12 = (tau21/theta1 s + b21 n1 + b22 n2)/tau22,
+# identically in s, n1, n2. It depends on neither tau nor m, so it is a
+# constant here, re-derived with sympy by the tests (tests/test_structures.py).
+RELATIONS = (
+    "coefficient of s: (tau11*tau22 - tau12*tau21)/(tau12*tau22) = 0"
+    "  (i.e. tau11/tau12 = tau21/tau22)",
+    "coefficient of n2: b12 = b22*tau12/tau22",
+    "coefficient of n1: b21 = b11*tau22/tau12",
+)
+
+
+class _ForcedDet(str):
+    """det(b) under the relations, as sympy's ``sstr`` prints it."""
+
+    is_zero = property(lambda self: self == "0")
+
+
+FORCED_DET = _ForcedDet("0")
+
+
 @dataclass(frozen=True)
 class InfeasibilityCertificate:
-    """Symbolic witness that full holomorphy over the lattice kind fails.
+    """Witness that full holomorphy over the lattice kind fails.
 
-    ``relations`` traces the consistency conditions forced by requiring a
+    ``relations`` are the consistency conditions forced by requiring a
     common solution of the two would-be holomorphy equations;
-    ``forced_det`` is det(b) under those relations, identically zero over
-    the rational function field, contradicting ``actual_det_b`` != 0.
+    ``forced_det`` is det(b) under those relations, identically zero as a
+    rational function, contradicting ``actual_det_b`` != 0.
     """
 
     tau: tuple
     relations: tuple[str, ...]
-    forced_det: _Laurent
+    forced_det: _ForcedDet
     actual_b: np.ndarray
     actual_det_b: float
 
@@ -196,92 +216,18 @@ class InfeasibilityCertificate:
         return bool(self.forced_det.is_zero) and self.actual_det_b != 0.0
 
 
-_SYMBOLS = tuple("b11 b12 b21 b22 n1 n2 s tau11 tau12 tau21 tau22 theta1".split())
-
-
-class _Laurent(dict):
-    """Exact sum of Laurent monomials in ``_SYMBOLS``: exponent tuple -> Fraction."""
-
-    def __add__(self, other: _Laurent) -> _Laurent:
-        return _Laurent({e: c for e in self.keys() | other.keys()
-                         if (c := self.get(e, 0) + other.get(e, 0))})
-
-    def __sub__(self, other: _Laurent) -> _Laurent:
-        return self + _Laurent({e: -c for e, c in other.items()})
-
-    def __mul__(self, other: _Laurent) -> _Laurent:
-        return sum((_Laurent({tuple(a + b for a, b in zip(e1, e2)): c1 * c2})
-                    for e1, c1 in self.items() for e2, c2 in other.items()), _Laurent())
-
-    def __truediv__(self, monomial: _Laurent) -> _Laurent:
-        (e, c), = monomial.items()
-        return self * _Laurent({tuple(-k for k in e): 1 / c})
-
-    is_zero = property(lambda self: not self)
-
-    def coeff(self, name: str) -> _Laurent:
-        """Coefficient of the first power of NAME."""
-        i = _SYMBOLS.index(name)
-        return _Laurent({e[:i] + (0,) + e[i + 1:]: c for e, c in self.items() if e[i] == 1})
-
-    def solve(self, name: str) -> _Laurent:
-        """NAME with self == 0, for self = c*NAME + rest: c one term, rest free of NAME."""
-        c, i = self.coeff(name), _SYMBOLS.index(name)
-        if len(c) != 1 or any(e[i] for e in self - c * _var(name)):
-            raise ValueError(f"not linear in {name} with a one-term coefficient")
-        return (c * _var(name) - self) / c
-
-    def __str__(self) -> str:
-        """Over one monomial denominator, as sympy's ``sstr`` prints a cancelled form."""
-        den = tuple(max(0, -k) for k in map(min, zip(*self)))
-        num = self * _Laurent({den: Fraction(1)})
-        text = " + ".join(_term(c, e) for e, c in sorted(num.items(), reverse=True))
-        text, den_text = text.replace(" + -", " - ") or "0", _term(1, den)
-        if den_text != "1":
-            text = f"({text})" if len(num) > 1 else text
-            text += f"/({den_text})" if "*" in den_text else f"/{den_text}"
-        return text
-
-
-def _var(name: str) -> _Laurent:
-    return _Laurent({tuple(int(v == name) for v in _SYMBOLS): Fraction(1)})
-
-
-def _term(c: Fraction, e: tuple) -> str:
-    factors = [str(abs(c))] * (abs(c) != 1) + [
-        name if k == 1 else f"{name}**{k}" for name, k in zip(_SYMBOLS, e) if k]
-    return ("-" if c < 0 else "") + ("*".join(factors) or "1")
-
-
-def _derive_obstruction(lhs1: _Laurent, lhs2: _Laurent):
-    """Relation strings and det(b) forced by lhs1 == lhs2 identically in s, n1, n2."""
-    diff = lhs1 - lhs2
-    b12, b21 = diff.coeff("n2").solve("b12"), diff.coeff("n1").solve("b21")
-    relations = (f"coefficient of s: {diff.coeff('s') * _var('theta1')} = 0"
-                 "  (i.e. tau11/tau12 = tau21/tau22)",
-                 f"coefficient of n2: b12 = {b12}", f"coefficient of n1: b21 = {b21}")
-    return relations, _var("b11") * _var("b22") - b12 * b21
-
-
-@functools.cache
-def _symbolic_obstruction():
-    """The obstruction of both equations, each solved for the derivative term."""
-    b11, b12, b21, b22, n1, n2, s, t11, t12, t21, t22, th1 = map(_var, _SYMBOLS)
-    return _derive_obstruction((t11 / th1 * s + b11 * n1 + b12 * n2) / t12,
-                               (t21 / th1 * s + b21 * n1 + b22 * n2) / t22)
-
-
 def holomorphic_feasibility(emb: EmbeddingMap, tau) -> InfeasibilityCertificate:
-    """Derive the lattice-kind holomorphy obstruction for a generic tau.
+    """Certificate of the lattice-kind holomorphy obstruction for a generic tau.
 
     Requiring both antiholomorphy equations to annihilate one function
     forces, by matching coefficients of s, n1, n2, a consistency relation
     on tau and two substitutions for the off-diagonal entries of b. Their
-    determinant then cancels exactly, over Laurent polynomials with rational
-    coefficients, which contradicts b being the inverse of the integer block.
-    The derivation depends on neither tau nor the integer block m, so it runs
-    once per process; the checks on ``emb`` and ``tau`` and the numeric
-    b = m^-1 run on every call.
+    determinant then cancels exactly, which contradicts b being the inverse
+    of the integer block. That cancellation depends on neither tau nor m:
+    it is the constant pair ``RELATIONS`` and ``FORCED_DET``, re-derived with
+    sympy by the tests. Each call checks the kind of ``emb``, that ``tau``
+    is 2x2 with nonzero entries (the derivation divides by each), and
+    computes b = m^-1 from the integer block.
     """
     if emb.kind is not EmbeddingKind.LATTICE:
         raise DegenerateTau("the obstruction concerns the lattice kind")
@@ -291,14 +237,12 @@ def holomorphic_feasibility(emb: EmbeddingMap, tau) -> InfeasibilityCertificate:
     if np.any(tau == 0):
         raise DegenerateTau("the derivation divides by every tau entry")
 
-    relations, forced_det = _symbolic_obstruction()
-
     det_m, actual_b = integer_block_inverse(emb.m)
 
     return InfeasibilityCertificate(
         tau=tuple(map(tuple, tau.tolist())),
-        relations=relations,
-        forced_det=_Laurent(forced_det),  # a copy: the cached one is shared
+        relations=RELATIONS,
+        forced_det=FORCED_DET,
         actual_b=actual_b,
         actual_det_b=float(1.0 / det_m),
     )

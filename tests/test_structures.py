@@ -3,7 +3,6 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,11 +17,9 @@ from nctheta.errors import (
 )
 from nctheta.report import _random_lattice_embedding
 from nctheta.structures import (
-    _SYMBOLS,
-    _derive_obstruction,
-    _Laurent,
-    _symbolic_obstruction,
-    _var,
+    FORCED_DET,
+    RELATIONS,
+    _ForcedDet,
     connection_combo_residual,
     holomorphic_feasibility,
     holomorphy_residual,
@@ -173,6 +170,13 @@ class TestHolomorphyResidual:
         assert min(lows) > 0.01
 
 
+PINNED_TAUS = [
+    np.array([[1 + 1j, 2.0 + 0.5j], [3.0 - 1j, 6 / (1 + 1j)]]),
+    np.array([[0.3 - 0.7j, -1.2 + 0.4j], [0.9 + 0.9j, 2.0 - 0.1j]]),
+    np.array([[-1.5j, 0.4], [-0.8 + 2j, 1.1 + 0.2j]]),
+]
+
+
 class TestNoGo:
     def test_generic_tau_certificate(self, lattice_emb):
         tau = np.array([[1 + 1j, 2.0 + 0.5j], [3.0 - 1j, 6 / (1 + 1j)]])
@@ -182,14 +186,20 @@ class TestNoGo:
         assert cert.infeasible
         assert len(cert.relations) == 3
 
-    def test_degenerate_tau(self, lattice_emb):
-        with pytest.raises(DegenerateTau):
-            holomorphic_feasibility(lattice_emb,
-                                    np.array([[1 + 1j, 0], [3.0, 2.0]]))
+    @pytest.mark.parametrize("tau, error, match", [
+        (np.array([[1 + 1j, 0], [3.0, 2.0]]), DegenerateTau, "divides"),
+        (np.ones((3, 3), dtype=complex), ValueError, "2x2"),
+        (1 + 1j, ValueError, "2x2"),
+    ], ids=["zero-entry", "3x3", "scalar"])
+    def test_degenerate_tau(self, lattice_emb, tau, error, match):
+        with pytest.raises(error, match=match):
+            holomorphic_feasibility(lattice_emb, tau)
 
-    def test_wrong_kind(self, vector_emb):
-        with pytest.raises(DegenerateTau):
-            holomorphic_feasibility(vector_emb, np.eye(2) + 1j * np.eye(2))
+    @pytest.mark.parametrize("tau", [np.eye(2) + 1j * np.eye(2), PINNED_TAUS[0]],
+                             ids=["diagonal", "generic"])
+    def test_wrong_kind(self, vector_emb, tau):
+        with pytest.raises(DegenerateTau, match="lattice kind"):
+            holomorphic_feasibility(vector_emb, tau)
 
     def test_certificate_independent_of_m(self):
         # the symbolic cancellation never references the integer block
@@ -216,19 +226,13 @@ class TestNoGo:
             assert cert.forced_det.is_zero and cert.infeasible
 
 
-# Recorded from the certificate as it was derived on every call, before the
-# derivation was cached; the cached derivation must reproduce it exactly.
+# Recorded from the certificate while it was still derived on every call.
 PINNED_RELATIONS = (
     "coefficient of s: (tau11*tau22 - tau12*tau21)/(tau12*tau22) = 0"
     "  (i.e. tau11/tau12 = tau21/tau22)",
     "coefficient of n2: b12 = b22*tau12/tau22",
     "coefficient of n1: b21 = b11*tau22/tau12",
 )
-PINNED_TAUS = [
-    np.array([[1 + 1j, 2.0 + 0.5j], [3.0 - 1j, 6 / (1 + 1j)]]),
-    np.array([[0.3 - 0.7j, -1.2 + 0.4j], [0.9 + 0.9j, 2.0 - 0.1j]]),
-    np.array([[-1.5j, 0.4], [-0.8 + 2j, 1.1 + 0.2j]]),
-]
 
 
 class TestCertificateCache:
@@ -266,52 +270,25 @@ class TestCertificateCache:
         assert cert.actual_det_b == det_b
         assert cert.tau == tuple(map(tuple, tau.tolist()))
 
-    def test_per_call_checks_survive_a_warm_cache(self, lattice_emb, vector_emb):
-        holomorphic_feasibility(lattice_emb, PINNED_TAUS[0])
-        warm = _symbolic_obstruction.cache_info()
-        assert warm.currsize == 1
-        with pytest.raises(DegenerateTau):
-            holomorphic_feasibility(lattice_emb, np.array([[1 + 1j, 0], [3.0, 2.0]]))
-        with pytest.raises(DegenerateTau):
-            holomorphic_feasibility(vector_emb, PINNED_TAUS[0])
-        with pytest.raises(ValueError):
-            holomorphic_feasibility(lattice_emb, np.ones((3, 3), dtype=complex))
-        with pytest.raises(ValueError):
-            holomorphic_feasibility(lattice_emb, 1 + 1j)
-        holomorphic_feasibility(lattice_emb, PINNED_TAUS[1])
-        after = _symbolic_obstruction.cache_info()
-        assert (after.misses, after.hits) == (warm.misses, warm.hits + 1)
 
+def _sympy_derivation(**scale):
+    """Relations and forced det(b) of the two would-be holomorphy equations,
+    each solved for the derivative term, with the named symbols scaled
+    (b11 enters the first equation only; tau21 and b22 the second).
+    sympy is imported, not skipped: this is the only derivation of the
+    constants in ``structures``."""
+    import sympy
 
-def _const(k) -> _Laurent:
-    return _Laurent({(0,) * len(_SYMBOLS): Fraction(k)})
-
-
-def _equations(**scale):
-    """The two equations of ``_symbolic_obstruction``, with the named symbols
-    scaled (b11 enters the first equation only; tau21 and b22 the second)."""
+    names = "b11 b12 b21 b22 n1 n2 s tau11 tau12 tau21 tau22 theta1".split()
+    sym = {name: sympy.Symbol(name) for name in names}
     b11, b12, b21, b22, n1, n2, s, t11, t12, t21, t22, th1 = (
-        _const(scale.get(name, 1)) * _var(name) for name in _SYMBOLS)
-    return ((t11 / th1 * s + b11 * n1 + b12 * n2) / t12,
-            (t21 / th1 * s + b21 * n1 + b22 * n2) / t22)
-
-
-def _sympy_reference(lhs1: _Laurent, lhs2: _Laurent):
-    """Relations and forced det(b) of the same two equations, derived by sympy."""
-    sympy = pytest.importorskip("sympy")
-    sym = {name: sympy.Symbol(name) for name in _SYMBOLS}
-
-    def to_sympy(poly):
-        return sum(sympy.Rational(c.numerator, c.denominator)
-                   * sympy.Mul(*(sym[n] ** k for n, k in zip(_SYMBOLS, e)))
-                   for e, c in poly.items())
-
-    b11, b12, b21, b22 = (sym[n] for n in ("b11", "b12", "b21", "b22"))
-    diff = sympy.expand(to_sympy(lhs1) - to_sympy(lhs2))
+        scale.get(name, 1) * sym[name] for name in names)
+    diff = sympy.expand((t11 / th1 * s + b11 * n1 + b12 * n2) / t12
+                        - (t21 / th1 * s + b21 * n1 + b22 * n2) / t22)
     cond_s = sympy.cancel(diff.coeff(sym["s"]) * sym["theta1"])
     sol = sympy.solve([diff.coeff(sym["n1"]), diff.coeff(sym["n2"])], [b21, b12],
                       dict=True)[0]
-    forced_det = sympy.cancel((b11 * b22 - b12 * b21).subs(sol))
+    forced_det = sympy.cancel((sym["b11"] * sym["b22"] - b12 * b21).subs(sol))
     relations = (
         f"coefficient of s: {sympy.sstr(cond_s)} = 0"
         "  (i.e. tau11/tau12 = tau21/tau22)",
@@ -321,33 +298,30 @@ def _sympy_reference(lhs1: _Laurent, lhs2: _Laurent):
     return relations, sympy.sstr(forced_det)
 
 
+# Scaled symbols and the forced det(b) sympy derives; every scaling but
+# "none" changes the relations, so each is a negative control.
 PERTURBATIONS = {
-    "none": {},
-    "b22->2b22": {"b22": 2},
-    "tau21->3tau21": {"tau21": 3},
-    "b11->-b11": {"b11": -1},
+    "none": ({}, "0"),
+    "b22->2b22": ({"b22": 2}, "-b11*b22"),
+    "tau21->3tau21": ({"tau21": 3}, "0"),
+    "b11->-b11": ({"b11": -1}, "2*b11*b22"),
 }
 
 
 class TestExactDerivation:
-    def test_the_certificate_derives_these_equations(self):
-        assert _derive_obstruction(*_equations()) == _symbolic_obstruction()
-
-    @pytest.mark.parametrize("scales", PERTURBATIONS.values(), ids=PERTURBATIONS)
-    def test_matches_sympy(self, scales):
-        relations, forced_det = _derive_obstruction(*_equations(**scales))
-        assert (relations, str(forced_det)) == _sympy_reference(*_equations(**scales))
+    @pytest.mark.parametrize("scales, forced_det", PERTURBATIONS.values(),
+                             ids=PERTURBATIONS)
+    def test_matches_sympy(self, scales, forced_det):
+        relations, derived_det = _sympy_derivation(**scales)
+        assert derived_det == forced_det
+        constants = (RELATIONS, str(FORCED_DET))
+        assert ((relations, derived_det) == constants) == (not scales)
 
     def test_perturbed_equation_is_not_infeasible(self, lattice_emb):
         # b22 -> 2 b22 in the second equation: det(b) no longer cancels
-        relations, forced_det = _derive_obstruction(*_equations(b22=2))
+        relations, forced_det = _sympy_derivation(b22=2)
+        forced_det = _ForcedDet(forced_det)
         assert forced_det.is_zero is False
-        assert str(forced_det) == "-b11*b22"
         cert = replace(holomorphic_feasibility(lattice_emb, PINNED_TAUS[0]),
                        relations=relations, forced_det=forced_det)
         assert cert.infeasible is False
-
-    def test_solve_refuses_a_nonlinear_unknown(self):
-        b12, n2 = _var("b12"), _var("n2")
-        with pytest.raises(ValueError):
-            (b12 * b12 * n2 + n2).coeff("n2").solve("b12")
