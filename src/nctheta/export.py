@@ -1,9 +1,12 @@
 """Bit-exact export and reload of quantum theta series coefficients.
 
-Two formats: a CSV table with a fixed header and 17-significant-digit
-decimals, rows in the canonical enumeration order, and a JSON mirror that
-carries the embedding and structure parameters so a series can be
-reloaded and re-exported byte-identically.
+Two formats, rows in the canonical enumeration order. The CSV table has a
+fixed header and 17-significant-digit decimals, with each index's ambient
+coordinates beside its coefficient. The JSON table holds what fixes the
+series: the embedding and structure parameters, the radius and the
+normalization, and per row only the index and the coefficient, so a series
+can be reloaded and re-exported byte-identically; the ambient coordinates
+of an index k are ``point_parts(embedding, k)``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 from .embedding import (EmbeddingKind, build_embedding, enumerate_indices, index_planes,
                         point_parts)
 from .errors import NCThetaError
-from .qtheta import QuantumThetaSeries, _label, _reassembly_failure, _rows
+from .qtheta import REASSEMBLY_REL_TOL, QuantumThetaSeries, _label, _reassembly_failure
+from .special import HermitianFormContext
 from .structures import structure_from_tau
 
 CSV_HEADER = "k1,k2,k3,k4,w1,w2,m1,m2,t1,t2,re,im"
@@ -34,9 +38,9 @@ CHUNK_ROWS = 4096
 # their repr there too.
 _CSV_ROW = ("%d,%d,%d,%d," + ",".join(["%.17g"] * 8) + "\n", range(12))
 _JSON_ROW = ("\n".join("    " + line for line in json.dumps(
-    {"ambient": ["%r"] * 6, "im": "%r", "k": ["%d"] * 4, "re": "%r"},
+    {"im": "%r", "k": ["%d"] * 4, "re": "%r"},
     indent=2, sort_keys=True).replace('"%r"', "%r").replace('"%d"', "%d").splitlines()),
-    [4, 5, 6, 7, 8, 9, 11, 0, 1, 2, 3, 10])
+    [11, 0, 1, 2, 3, 10])
 # One conversion of a row template: %d, %r or a %g with its precision.
 _CONVERSION = re.compile(r"%[.0-9]*[dgr]")
 
@@ -168,6 +172,30 @@ def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
     return path
 
 
+def _first_gap(ks: np.ndarray) -> str:
+    """The first fault of (N, 4) index rows within a radius whose (2r+1)^4
+    indices they are too few to fill: "<k> is repeated" for the first
+    repeated index in the canonical order, else "<k> is missing" for the
+    first missing one.
+
+    The rows are sorted into the canonical order, so the work is bounded by
+    their count and not by the radius. Without repeats, the first missing
+    index lies in the first shell the rows cannot fill, whose enumeration is
+    a prefix of the radius's: it is the first place the sorted rows leave.
+    """
+    order = np.lexsort((*ks.T[::-1], np.abs(ks).max(axis=1, initial=0)))
+    rows = ks[order]
+    same = np.all(rows[1:] == rows[:-1], axis=1)
+    if same.any():
+        return f"{_label(rows[np.argmax(same)])} is repeated"
+    shell = 0
+    while (2 * shell + 1) ** 4 <= len(rows):
+        shell += 1
+    head = enumerate_indices(shell)
+    left = np.any(rows != head[:len(rows)], axis=1)
+    return f"{_label(head[np.argmax(left) if left.any() else len(rows)])} is missing"
+
+
 def load_series(path) -> QuantumThetaSeries:
     """Reload a JSON coefficient export; values are taken as stored.
 
@@ -175,11 +203,13 @@ def load_series(path) -> QuantumThetaSeries:
     <= radius, each with an index of four integers and finite floats re
     and im, and its coefficients must reproduce the closed-form inner
     product at sup norm <= 2, as a computed series does; its header must
-    define a valid embedding and structure and a finite normalization;
-    otherwise ValueError, naming the path.
+    define a valid embedding and structure, of the kind it names, and the
+    normalization of that structure; otherwise ValueError, naming the
+    path. Other row entries, such as the ``ambient`` coordinates of
+    earlier tables, are ignored.
     """
     text = Path(path).read_text()
-    # The decoder builds a dict and two lists per row, none of them in a
+    # The decoder builds a dict and a list per row, none of them in a
     # cycle; the cyclic collector's passes over them take about a third of
     # the decoding time of a radius-8 table, so it is paused meanwhile.
     collecting = gc.isenabled()
@@ -195,6 +225,7 @@ def load_series(path) -> QuantumThetaSeries:
         e, st = data["embedding"], data["structure"]
         kind, theta1, tau = e["kind"], e["theta1"], st["tau"]
         radius, normalization, rows = data["radius"], data["normalization"], data["coefficients"]
+        table_kind = data["kind"]
         ks = list(map(itemgetter("k"), rows))
         re_im = list(chain(map(itemgetter("re"), rows), map(itemgetter("im"), rows)))
     except KeyError as err:
@@ -220,20 +251,32 @@ def load_series(path) -> QuantumThetaSeries:
     except (ValueError, TypeError, NCThetaError) as err:
         raise ValueError(f"{path}: the embedding or structure is not valid"
                          f" ({type(err).__name__}: {err})") from None
+    if table_kind != emb.kind.value:
+        raise ValueError(f"{path}: the table's kind {table_kind!r} is not its"
+                         f" embedding's {emb.kind.value!r}")
+    # the coefficients are taken as stored, but their scale is not: a table
+    # whose normalization and coefficients are rescaled together would
+    # otherwise pass the reassembly check
+    expected = HermitianFormContext(structure.T).normalization()
+    if not abs(normalization - expected) <= REASSEMBLY_REL_TOL * abs(expected):
+        raise ValueError(f"{path}: the normalization {normalization!r} is not"
+                         f" the structure's {expected!r}")
+    # as unsigned, so that the magnitude of -2^63 does not wrap negative
+    outside = np.abs(ks).view(np.uint64).max(axis=1, initial=0) > radius
+    if np.any(outside):
+        raise ValueError(f"{path}: the row for index {_label(ks[np.argmax(outside)])}"
+                         f" lies outside radius {radius}")
+    if (2 * radius + 1) ** 4 > len(ks):
+        raise ValueError(f"{path}: the row for index {_first_gap(ks)}")
     indices = enumerate_indices(radius)
     values = np.empty(len(indices), dtype=complex)
     series = QuantumThetaSeries(emb, structure, radius, normalization, indices, values)
-    try:
-        at = _rows(series, ks)
-    except KeyError as err:
-        raise ValueError(f"{path}: the row for index {_label(err.args[0])}"
-                         f" lies outside radius {radius}") from None
+    at = series._row_table[tuple((ks + radius).T)]
     counts = np.bincount(at, minlength=len(indices))
     if np.any(counts != 1):
-        repeated = np.any(counts > 1)
-        k = indices[np.argmax(counts > 1 if repeated else counts == 0)]
-        raise ValueError(f"{path}: the row for index {_label(k)} is"
-                         f" {'repeated' if repeated else 'missing'}")
+        # no fewer rows than indices, so a row is repeated wherever one is missing
+        k = indices[np.argmax(counts > 1)]
+        raise ValueError(f"{path}: the row for index {_label(k)} is repeated")
     # re, then im, of every row; an entry that is not a float reads as NaN
     if not set(map(type, re_im)) <= {float}:
         re_im = [v if type(v) is float else np.nan for v in re_im]

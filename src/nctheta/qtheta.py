@@ -210,7 +210,12 @@ class QuantumThetaSeries:
         """C(k); KeyError when k has not four integral entries or lies outside the radius."""
         k = tuple(k)
         r = self.radius
-        if len(k) != 4 or not all(float(c).is_integer() and abs(c) <= r for c in k):
+        try:
+            inside = len(k) == 4 and all(float(c).is_integer() and abs(c) <= r for c in k)
+        except (TypeError, ValueError, OverflowError):
+            # an entry that is no number, or an integer beyond the floats
+            inside = False
+        if not inside:
             raise KeyError(k)
         return complex(self.values[self._row_table[tuple(int(c) + r for c in k)]])
 

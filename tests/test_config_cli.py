@@ -10,6 +10,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,10 @@ import nctheta
 from nctheta import export
 from nctheta.cli import EXIT_INTERNAL_ERROR, main
 from nctheta.config import _SCHEMA_KEYWORDS, CONFIG_SCHEMA, _violation, load_config, parse_config
-from nctheta.embedding import point_parts
+from nctheta.embedding import enumerate_indices, point_parts
 from nctheta.errors import ConfigInvalid, ConfigSyntax, TruncationTooSmall
-from nctheta.export import _CSV_ROW, _JSON_ROW, _write_table, export_coefficients, load_series
+from nctheta.export import (_CSV_ROW, _JSON_ROW, _first_gap, _write_table, export_coefficients,
+                            load_series)
 from nctheta.qtheta import (MAX_SERIALIZED_ELEMENTS, VerificationReport, _label,
                             _reassembly_failure, quantum_theta_series)
 from nctheta.report import _check_dict, run_suite, write_report
@@ -231,7 +233,9 @@ class TestExport:
                                        "not-json", "null-re", "nan-im-outside-norm-2",
                                        "bogus-kind", "string-tau", "string-theta1",
                                        "null-normalization", "negative-decay",
-                                       "infinite-decay", "nan-theta1", "singular-m"])
+                                       "infinite-decay", "nan-theta1", "singular-m",
+                                       "rescaled-normalization", "kind-mismatch",
+                                       "int64-min-k"])
     def test_reload_rejects_malformed_rows(self, lattice_emb, lattice_structure,
                                            tmp_path, fault):
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=3)
@@ -245,6 +249,7 @@ class TestExport:
         message = {"missing": "3,3,3,3 is missing", "repeated": repeated,
                    "repeated-for-another": repeated,
                    "outside": "4,0,0,0 lies outside radius 3",
+                   "int64-min-k": f"{-2**63},0,0,0 lies outside radius 3",
                    "three-k": four_integers, "fractional-k": four_integers,
                    "list-row": "not laid out as a coefficient table",
                    "bad-radius": "the radius must be a positive integer",
@@ -260,6 +265,8 @@ class TestExport:
                    "infinite-decay": "embedding or structure is not valid",
                    "nan-theta1": "embedding or structure is not valid",
                    "singular-m": "embedding or structure is not valid",
+                   "rescaled-normalization": "normalization 1.0 is not the structure's 0.5",
+                   "kind-mismatch": "kind 'vector_space' is not its embedding's 'lattice'",
                    }.get(fault, f"no '{fault[3:]}' entry")
         if fault == "missing":
             rows.remove(next(r for r in rows if r["k"] == [3, 3, 3, 3]))
@@ -270,6 +277,9 @@ class TestExport:
             rows[0] = twin
         elif fault == "outside":
             rows.append(dict(rows[-1], k=[4, 0, 0, 0]))
+        elif fault == "int64-min-k":
+            # its int64 magnitude wraps round to a negative number
+            rows[3]["k"] = [-2**63, 0, 0, 0]
         elif fault == "no-radius":
             del data["radius"]
         elif fault.startswith("no-"):
@@ -303,9 +313,82 @@ class TestExport:
             data["embedding"]["theta1"] = math.nan
         elif fault == "singular-m":
             data["embedding"]["m"] = [[1, 2], [2, 4]]
+        elif fault == "rescaled-normalization":
+            # normalization times C is unchanged, so only the scale is wrong
+            data["normalization"] *= 2.0
+            for r in rows:
+                r["re"] /= 2.0
+                r["im"] /= 2.0
+        elif fault == "kind-mismatch":
+            data["kind"] = "vector_space"
         path.write_text("not json" if fault == "not-json" else json.dumps(data))
         with pytest.raises(ValueError, match=f"a.json: .*{message}"):
             load_series(path)
+
+    def test_reload_bounds_its_work_by_the_row_count(self, lattice_emb, lattice_structure,
+                                                     tmp_path):
+        # 81 rows cannot fill radius 2, let alone a (2 * 10**6 + 1)^4 table
+        series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
+        path = export_coefficients(series, "json", tmp_path / "a.json")
+        data = json.loads(path.read_text())
+        data["radius"] = 10**6
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="a.json: the row for index -2,-2,-2,-2 is missing"):
+            load_series(path)
+        assert time.perf_counter() - start < 1.0
+
+    def test_first_gap_matches_the_dense_count(self):
+        # rows within a radius that they cannot fill: repeats, shuffled
+        # distinct subsets and shuffled canonical heads, against a count
+        # over every index of the radius
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            full = enumerate_indices(int(rng.integers(1, 4)))
+            n = int(rng.integers(0, len(full)))
+            pick = [rng.integers(0, len(full), size=n), rng.permutation(len(full))[:n],
+                    rng.permutation(n)][trial % 3]
+            ks = full[pick]
+            position = {tuple(k): i for i, k in enumerate(full.tolist())}
+            counts = np.bincount([position[tuple(k)] for k in ks.tolist()],
+                                 minlength=len(full))
+            repeated = np.any(counts > 1)
+            k = full[np.argmax(counts > 1 if repeated else counts == 0)]
+            expected = f"{_label(k)} is {'repeated' if repeated else 'missing'}"
+            assert _first_gap(ks) == expected, ks
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector", "off-diagonal-vector"])
+    def test_reload_of_a_table_with_ambient_rows(self, request, tmp_path, kind):
+        # tables written before the JSON rows lost their ambient coordinates
+        # reload to the same series and re-export without them
+        if kind == "off-diagonal-vector":
+            cfg = parse_config({"embedding": {"kind": "vector_space", "theta1": 0.5,
+                                              "theta2": 0.4},
+                                "structure": {"tau": [[[0.1, 0.5], [0.04, 0.08]],
+                                                      [[0.05, 0.1], [0.02, 0.4]]]}})
+            emb = cfg.build_embedding()
+            structure = cfg.build_structure(emb)
+        else:
+            emb = request.getfixturevalue(f"{kind}_emb")
+            structure = request.getfixturevalue(f"{kind}_structure")
+        series = quantum_theta_series(emb, structure, radius=2)
+        new = export_coefficients(series, "json", tmp_path / "new.json")
+        data = json.loads(new.read_text())
+        assert all(row.keys() == {"im", "k", "re"} for row in data["coefficients"])
+        # an old row's ambient list: the CSV table's (w1, w2, m1, m2, t1, t2)
+        table = export_coefficients(series, "csv", tmp_path / "new.csv")
+        ambient = np.loadtxt(table, delimiter=",", skiprows=1, usecols=range(4, 10))
+        for row, point in zip(data["coefficients"], ambient.tolist()):
+            row["ambient"] = point
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        reloaded = load_series(old)
+        assert reloaded.normalization == series.normalization
+        np.testing.assert_array_equal(reloaded.indices, series.indices)
+        np.testing.assert_array_equal(reloaded.values.view(np.uint64),
+                                      series.values.view(np.uint64))
+        again = export_coefficients(reloaded, "json", tmp_path / "again.json")
+        assert again.read_bytes() == new.read_bytes()
 
     @pytest.mark.parametrize("collecting", [True, False])
     def test_reload_leaves_the_collector_as_it_was(self, lattice_emb, lattice_structure,

@@ -274,14 +274,16 @@ class TestSeries:
         np.testing.assert_array_equal(_negated_rows(radius), _rows(series, -ks))
 
     @pytest.mark.parametrize("k", [(0.5, 0, 0, 0), (0.9, 0, 0, 0), (0, 0, 0, -3.5),
-                                   (math.nan, 0, 0, 0), (math.inf, 0, 0, 0)],
-                             ids=["0.5", "0.9", "-3.5", "nan", "inf"])
+                                   (math.nan, 0, 0, 0), (math.inf, 0, 0, 0),
+                                   (10**400, 0, 0, 0), ("1", 0, 0, 0), (None, 0, 0, 0)],
+                             ids=["0.5", "0.9", "-3.5", "nan", "inf", "10**400", "str", "None"])
     def test_lookup_refuses_a_non_integral_index(self, lattice_series, k):
         # int() would truncate these to an index of the series; `in` must
         # agree with iteration, which yields integer tuples only
         with pytest.raises(KeyError):
             lattice_series.coefficient(k)
         assert k not in lattice_series.coefficients
+        assert lattice_series.coefficients.get(k) is None
         assert (1.0, 0.0, 0.0, 0.0) in lattice_series.coefficients
         assert lattice_series.coefficient([1.0, 0, 0, 0]) == lattice_series.coefficient([1, 0, 0, 0])
 
