@@ -406,14 +406,6 @@ def _paired_exponent(emb: EmbeddingMap, kg, kh) -> np.ndarray:
     return odd % 2 + sum(kf[..., j] * kh[..., j] for j in range(4))
 
 
-def _pairing_exponent_table(emb: EmbeddingMap, left, right) -> np.ndarray:
-    """:func:`_paired_exponent` of every left row with every right row: the
-    (..., rows, cols) table of two index families of shape (..., rows, 4)
-    and (..., cols, 4)."""
-    return _paired_exponent(emb, np.asarray(left)[..., :, None, :],
-                            np.asarray(right)[..., None, :, :])
-
-
 _UNIT_ROUNDOFF = 2.0 ** -53  # of IEEE double precision
 
 

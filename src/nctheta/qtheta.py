@@ -28,13 +28,13 @@ from itertools import islice
 import numpy as np
 
 from .embedding import (
-    PAIR_SWEEP_BLOCK,
+    _UNIT_ROUNDOFF,
     EmbeddingKind,
     EmbeddingMap,
     LatticeElement,
     _index_rows,
+    _exponent_split,
     _paired_exponent,
-    _pairing_exponent_table,
     enumerate_indices,
     index_planes,
     lattice_element,
@@ -54,6 +54,7 @@ from .special import (
     gaussian_quadrature_oracle,
     gaussian_quadrature_oracle_2d,
     hermitian_form,
+    hermitian_form_bound,
     jacobi_theta,
     mode_factor,
 )
@@ -240,10 +241,11 @@ def _rows(series: QuantumThetaSeries, ks) -> np.ndarray:
     """Row of the series at each index of an (N, 4) index array.
 
     The range check comes first: an index outside the radius raises
-    KeyError rather than wrapping round to another row of the table.
+    KeyError rather than wrapping round to another row of the table. The
+    magnitudes are read as uint64, where |-2^63| does not wrap.
     """
     ks = _index_rows(ks)
-    outside = np.abs(ks).max(axis=1, initial=0) > series.radius
+    outside = np.abs(ks).view(np.uint64).max(axis=1, initial=0) > series.radius
     if np.any(outside):
         raise KeyError(tuple(ks[np.argmax(outside)].tolist()))
     return series._row_table[tuple((ks + series.radius).T)]
@@ -421,27 +423,98 @@ def series_tail_bound(series: QuantumThetaSeries, radius: int | None = None) -> 
     return total
 
 
+def _phase_basis(emb: EmbeddingMap, structure: ComplexStructure):
+    """Distance from 2Z of each entry of M - B, and the sums L and S that bound
+    the rounding of the phase identity (:func:`phase_identity_max_residual`).
+
+    M is Im H on the continuous pairs p_i = (x1_i, x2_i) of the four basis
+    rows, B the basis exponent of :func:`_exponent_split`, read mod 2 as
+    (R mod 2) + F, the B that alpha reads. L is the sum over i, j of
+    Lambda_ij = :func:`hermitian_form_bound` (p_i, p_j) = G_i^T |W| G_j,
+    W = (Im T)^{-1}, which bounds |Im H(p_i, p_j)|; the bound is additive,
+    so L is one call on the summed magnitudes. S = sum |F_ij|.
+    """
+    ctx = HermitianFormContext(structure.T)
+    x1, x2 = _continuous(len(ctx.T), point_parts(emb, np.eye(4, dtype=np.int64)))
+    m = hermitian_form(ctx, (x1[:, None], x2[:, None]), (x1[None], x2[None])).imag
+    parity, frac = _exponent_split(emb)
+    diff = (m - frac) - parity
+    total = (np.sum(np.abs(x1), axis=0), np.sum(np.abs(x2), axis=0))
+    return (np.abs(diff - 2.0 * np.rint(diff / 2.0)),
+            float(hermitian_form_bound(ctx, total, total)), float(np.sum(np.abs(frac))))
+
+
+def _phase_basis_defect(emb: EmbeddingMap, structure: ComplexStructure):
+    """Largest defect |e^{i pi M_ij} - e^{i pi B_ij}| = 2 |sin(pi dist_ij / 2)| of the
+    phase identity at a basis pair (e_i, e_j), and that pair (1-based)."""
+    dist = _phase_basis(emb, structure)[0]
+    i, j = np.unravel_index(np.argmax(dist), dist.shape)
+    return 2.0 * math.sin(0.5 * math.pi * float(dist[i, j])), (int(i) + 1, int(j) + 1)
+
+
 def phase_identity_max_residual(emb: EmbeddingMap, structure: ComplexStructure,
                                 radius: int = 2) -> float:
-    """Worst defect of e^{pi i Im H(g_, h_)} = alpha(g, h) over all pairs,
-    PAIR_SWEEP_BLOCK left rows at a time.
+    """Certified bound on the worst defect of e^{pi i Im H(g_, h_)} = alpha(g, h)
+    over all pairs of index rows of sup norm <= r = radius.
 
     This identity is what makes the plane-case functional equation hold
     with the independent translation multiplier; it fails for the lattice
     kind, where the pairing sees the discrete coordinates but the
     Hermitian form does not.
+
+    Im H(k, k') = k^T M k' and alpha(k, k') = e^{i pi k^T B k'} are both
+    bilinear in the index rows (:func:`_phase_basis`), so the identity holds
+    on all of Z^4 x Z^4 exactly when every entry of M - B is an even integer.
+    With N = rint((M - B) / 2) and dist_ij = |M_ij - B_ij - 2 N_ij| (the
+    subtraction of 2 N_ij is exact, by Sterbenz's lemma), the pair (e_i, e_j)
+    has the defect 2 |sin(pi dist_ij / 2)| (:func:`_phase_basis_defect`).
+
+    A pair sweep would evaluate, at the rows k, k' of each pair, a = fl Im H
+    of their :func:`point_parts` pairs and b = :func:`_paired_exponent`, and
+    report fl |exp(i fl(pi) a) - exp(i fl(pi) b)|. This bounds that a
+    priori, from r, D = sum dist_ij, L and S. With u the unit roundoff,
+    gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 2-3), ||z||_1 = |Re z| + |Im z|, and |k|, |k'| <= r
+    entrywise, so that sum_ij |k_i| |k'_j| c_ij <= r^2 sum_ij c_ij:
+
+    * :func:`hermitian_form` at real pairs x, y rounds each entry of
+      T x1 + x2 by gamma_3 in ||.||_1 (d <= 2 products, d additions), each
+      term of its d^2-term sum by gamma_3 (a real and a complex product) and
+      the sum by gamma_3: by 12 u G(x)^T |W| G(y) in all, to first order
+      (:func:`hermitian_form_bound`). The basis pairs p_i are the columns
+      of ``entries``, exactly, so M_ij is off by 12 u Lambda_ij from the
+      exact Im H(p_i, p_j).
+    * :func:`point_parts` sums at most four products per coordinate, off by
+      gamma_4 sum_j |k_j| |p_j|. So a is off by (12 + 8) u r^2 L from the
+      exact k^T M k', and M's own rounding adds 12 u r^2 L.
+    * M - B rounds twice, by 2 u (|M_ij| + |F_ij| + 1), with |M_ij| <=
+      Lambda_ij: |k^T (M - B - 2N) k'| <= r^2 (D + 2 u (L + S + 16)).
+    * b is k^T B k' mod 2 up to u (1 + 9 r^2 S)
+      (:func:`embedding.cocycle_identity_max_residual`).
+    * fl(pi) and the product round each phase by 2 u pi |x|, with |a| <= r^2 L
+      and |b| <= 1 + r^2 S.
+
+    So, mod 2, a - b is within e = r^2 D + u (r^2 (36 L + 13 S + 32) + 3) of
+    an even integer, and |e^{ix} - e^{iy}| <= |x - y| bounds the exact phases'
+    distance by pi e. Each exp is within 2 u (cos and sin to one unit in the
+    last place); the difference and its modulus round by a factor 1 + 3 u,
+    and 3 u pi r^2 D <= 48 u pi r^2. The parts add up to
+
+        pi r^2 (D + u (36 L + 13 S + 80)) + (3 pi + 4) u
+
+    plus terms of order u^2. Evaluating pi r^2 (D + u (40 L + 16 S + 96))
+    + 16 u leaves a surplus that covers those, and the factor 1 + 64 u
+    covers the evaluation's own roundings, fewer than 64 on nonnegative
+    numbers, each at most a factor 1 - u. The modulus is at most 2, so a
+    bound of 2 or more (or NaN) reports 2: the result is never below what the
+    sweep reports. At r >= 1 it is never below the witnessed basis defect
+    either, since 2 |sin(pi x / 2)| <= pi x.
     """
-    ks = enumerate_indices(radius)
-    ctx = HermitianFormContext(structure.T)
-    x1, x2 = _continuous(len(structure.T), point_parts(emb, ks))
-    worst = 0.0
-    for lo in range(0, len(ks), PAIR_SWEEP_BLOCK):
-        rows = slice(lo, lo + PAIR_SWEEP_BLOCK)
-        h_mat = hermitian_form(ctx, (x1[rows, None], x2[rows, None]), (x1[None], x2[None]))
-        expo = _pairing_exponent_table(emb, ks[rows], ks)
-        worst = max(worst, float(np.max(np.abs(
-            np.exp(1j * math.pi * h_mat.imag) - np.exp(1j * math.pi * expo)))))
-    return worst
+    dist, lam, span = _phase_basis(emb, structure)
+    u, r2 = _UNIT_ROUNDOFF, radius * radius
+    worst = (math.pi * r2 * (float(np.sum(dist)) + u * (40 * lam + 16 * span + 96))
+             + 16 * u) * (1 + 64 * u)
+    return worst if worst < 2.0 else 2.0
 
 
 def verify_functional_equation(series: QuantumThetaSeries, kg) -> VerificationReport:
@@ -453,7 +526,7 @@ def verify_functional_equation(series: QuantumThetaSeries, kg) -> VerificationRe
     """
     radius = series.radius
     kg = _index_rows(kg)
-    g_norm = int(np.max(np.abs(kg)))
+    g_norm = int(np.abs(kg).view(np.uint64).max())
     if g_norm > radius // 2:
         raise TruncationTooSmall(
             f"translation index norm {g_norm} exceeds radius/2 = {radius // 2}")

@@ -46,6 +46,7 @@ from .heisenberg import (
 from .qtheta import (
     VerificationReport,
     _label,
+    _phase_basis_defect,
     additivity_gap,
     inner_product_closed,
     inner_product_oracle,
@@ -331,9 +332,12 @@ def _suite_consistency(ctx: RunContext) -> list[VerificationReport]:
     series = ctx.series(max(2, min(ctx.config.radius, 4)))
     reports = []
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
+        # a bound at radius 2 from the 4x4 basis, with the worst basis pair's defect
+        defect, pair = _phase_basis_defect(emb, structure)
         reports.append(VerificationReport.build(
             "phase-identity", ["all radius-2 pairs"],
-            [phase_identity_max_residual(emb, structure, 2)], 1e-10))
+            [phase_identity_max_residual(emb, structure, 2)], 1e-10,
+            basis_defect=defect, basis_pair=list(pair)))
     check = verify_consistency_condition(
         series, *np.moveaxis(rng.integers(-2, 3, size=(50, 2, 4)), 1, 0))
     reports.append(VerificationReport.build(

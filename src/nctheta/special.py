@@ -142,6 +142,18 @@ def hermitian_form(ctx: HermitianFormContext, g, h) -> np.ndarray:
     return np.einsum("...i,ij,...j->...", gbar, ctx.im_inverse, hstar)
 
 
+def hermitian_form_bound(ctx: HermitianFormContext, g, h) -> np.ndarray:
+    """G(g)^T |(Im T)^{-1}| G(h) of real pairs, over rows, with
+    G(x) = |T|_1 |x1| + |x2| and |T|_1 = |Re T| + |Im T|.
+
+    G(x) bounds |Re| + |Im| of each entry of T x1 + x2, so the result bounds
+    |H(g, h)|, and it is additive in |g| and |h|.
+    """
+    t = np.abs(ctx.T.real) + np.abs(ctx.T.imag)
+    gg, hh = (np.abs(x[0]) @ t.T + np.abs(x[1]) for x in (g, h))
+    return np.einsum("...i,ij,...j->...", gg, np.abs(ctx.im_inverse), hh)
+
+
 def _ctilde_minus_q_lambda(ctx: HermitianFormContext, w):
     """Completed-square constant of the Gaussian self-pairing integrand, over rows of w.
 

@@ -2,11 +2,12 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nctheta
 from nctheta.config import load_config
-from nctheta.embedding import EmbeddingKind, build_embedding
+from nctheta.embedding import EmbeddingKind, _paired_exponent, build_embedding
 from nctheta.structures import make_complex_structure
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "nctheta" / "fixtures"
@@ -91,3 +92,11 @@ def load_golden(name: str):
 def save_golden(name: str, payload: dict):
     GOLDEN_DIR.mkdir(exist_ok=True)
     (GOLDEN_DIR / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def pairing_exponent_table(emb, left, right) -> np.ndarray:
+    """:func:`_paired_exponent` of every left row with every right row: the
+    (..., rows, cols) table of two index families of shape (..., rows, 4)
+    and (..., cols, 4)."""
+    return _paired_exponent(emb, np.asarray(left)[..., :, None, :],
+                            np.asarray(right)[..., None, :, :])

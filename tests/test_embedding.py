@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pairing_exponent_table
 from nctheta import embedding
 from nctheta.embedding import (
     PAIR_SWEEP_BLOCK,
@@ -429,9 +430,9 @@ def triple_sweep_residual(emb, radius):
     row_of = np.empty((4 * radius + 1) ** 4, dtype=np.int64)
     row_of[(ks2 + 2 * radius) @ place] = np.arange(len(ks2))
     pair_sum = row_of[(ks[:, None, :] + ks[None, :, :] + 2 * radius) @ place]
-    e_small = embedding._pairing_exponent_table(emb, ks, ks)
-    e_wide = embedding._pairing_exponent_table(emb, ks2, ks)
-    e_tall = embedding._pairing_exponent_table(emb, ks, ks2)
+    e_small = pairing_exponent_table(emb, ks, ks)
+    e_wide = pairing_exponent_table(emb, ks2, ks)
+    e_tall = pairing_exponent_table(emb, ks, ks2)
     worst = 0.0
     for g in range(len(ks)):
         combo = (e_small[g][:, None] + e_wide[pair_sum[g], :]
@@ -635,13 +636,13 @@ def test_cocycle_certificate_catches_broken_tables(which, name, lattice_config,
     cfg = lattice_config if which == "lattice" else vector_config
     emb = cfg.build_embedding()
     ks = enumerate_indices(2)
-    before = np.exp(1j * math.pi * embedding._pairing_exponent_table(emb, ks, ks))
+    before = np.exp(1j * math.pi * pairing_exponent_table(emb, ks, ks))
     basis = np.eye(4, dtype=np.int64)
     extra = MUTATIONS[name](basis, basis)
     original = embedding._cocycle_exponent
     monkeypatch.setattr(embedding, "_cocycle_exponent",
                         lambda *parts: original(*parts) + extra)
-    after = np.exp(1j * math.pi * embedding._pairing_exponent_table(emb, ks, ks))
+    after = np.exp(1j * math.pi * pairing_exponent_table(emb, ks, ks))
     assert [name in ORACLE_FAILS, name in ALPHA_UNMOVED,
             name in BELOW_RESOLUTION].count(True) == 1
     if name in ALPHA_UNMOVED:

@@ -1,14 +1,18 @@
 import cmath
 import copy
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
+import nctheta.embedding as embedding_mod
 import nctheta.qtheta as qtheta_mod
-from conftest import GOLDEN_DIR, load_golden, save_golden
+from conftest import GOLDEN_DIR, load_golden, pairing_exponent_table, save_golden
 from nctheta.config import parse_config
 from nctheta.embedding import (
+    PAIR_SWEEP_BLOCK,
     EmbeddingKind,
     _negated_rows,
     _paired_exponent,
@@ -247,6 +251,11 @@ class TestSeries:
         expected = jacobi_theta(5j, 0.0) ** 2 * cmath.exp(-math.pi / 4)
         assert got == pytest.approx(expected, abs=1e-15)
 
+    def test_lookup_refuses_the_int64_minimum(self, lattice_series):
+        # |-2^63| wraps to -2^63 in int64, which would pass the range check
+        with pytest.raises(KeyError):
+            _stored_values(lattice_series, [[-2**63, 0, 0, 0]])
+
     def test_lookup_stays_inside_the_radius(self, lattice_series):
         series = lattice_series
         assert series.radius == 4
@@ -472,6 +481,11 @@ class TestFunctionalEquation:
         with pytest.raises(TruncationTooSmall):
             verify_functional_equation(vector_series, [3, 0, 0, 0])
 
+    def test_radius_guard_reads_the_int64_minimum(self, vector_series):
+        # |-2^63| wraps to -2^63 in int64, which would pass the guard
+        with pytest.raises(TruncationTooSmall, match="9223372036854775808 exceeds"):
+            verify_functional_equation(vector_series, [-2**63, 0, 0, 0])
+
 
 @pytest.mark.parametrize("check, ks", [
     pytest.param(verify_functional_equation, ([0.9, 0, 1.5, 0],), id="functional-equation"),
@@ -486,6 +500,43 @@ def test_translation_checks_refuse_a_non_integral_index(lattice_series, check, k
         check(lattice_series, *ks)
 
 
+def phase_sweep_residual(emb, structure, radius):
+    """Reference: the phase identity defect swept over every pair of the radius,
+    PAIR_SWEEP_BLOCK left rows at a time."""
+    ks = enumerate_indices(radius)
+    ctx = HermitianFormContext(structure.T)
+    x1, x2 = qtheta_mod._continuous(len(structure.T), point_parts(emb, ks))
+    worst = 0.0
+    for lo in range(0, len(ks), PAIR_SWEEP_BLOCK):
+        rows = slice(lo, lo + PAIR_SWEEP_BLOCK)
+        h_mat = hermitian_form(ctx, (x1[rows, None], x2[rows, None]), (x1[None], x2[None]))
+        expo = pairing_exponent_table(emb, ks[rows], ks)
+        worst = max(worst, float(np.max(np.abs(
+            np.exp(1j * math.pi * h_mat.imag) - np.exp(1j * math.pi * expo)))))
+    return worst
+
+
+OFF_DIAGONAL_TAU = {"theta1": 0.7, "theta2": 1.3,
+                    "tau": [[[0.2, 0.9], [0.1, 0.3]],
+                            [[0.053846153846153844, 0.16153846153846155], [0.4, 1.1]]]}
+
+
+def _vector_setup(vector_config, theta1=None, theta2=None, tau=None):
+    """Embedding and structure of the canonical vector config with the given changes."""
+    data = copy.deepcopy(vector_config.raw)
+    if theta1 is not None:
+        data["embedding"].update(theta1=theta1, theta2=theta2)
+    if tau is not None:
+        data["structure"]["tau"] = tau
+    cfg = parse_config(data)
+    emb = cfg.build_embedding()
+    return emb, cfg.build_structure(emb)
+
+
+PHASE_CONFIGS = {"canonical": {}, "theta-20.3-18.5": {"theta1": 20.3, "theta2": 18.5},
+                 "off-diagonal-tau": OFF_DIAGONAL_TAU}
+
+
 class TestConsistency:
     def test_phase_identity_vector(self, vector_emb, vector_structure):
         assert phase_identity_max_residual(vector_emb, vector_structure, 2) <= 1e-10
@@ -493,6 +544,70 @@ class TestConsistency:
     def test_phase_identity_fails_on_lattice(self, lattice_emb, lattice_structure):
         # the pairing sees the discrete part, the Hermitian form does not
         assert phase_identity_max_residual(lattice_emb, lattice_structure, 1) > 0.1
+        defect, pair = qtheta_mod._phase_basis_defect(lattice_emb, lattice_structure)
+        assert defect > 0.1
+        assert pair[0] > 2 or pair[1] > 2  # a pair that reads a discrete coordinate
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize("name", list(PHASE_CONFIGS))
+    def test_phase_certificate_bounds_the_sweep(self, name, radius, vector_config):
+        emb, structure = _vector_setup(vector_config, **PHASE_CONFIGS[name])
+        reference = phase_sweep_residual(emb, structure, radius)
+        certified = phase_identity_max_residual(emb, structure, radius)
+        assert reference <= certified <= 1e-10
+        # the witness is a pair of the sweep, so it never exceeds it by more than rounding
+        assert qtheta_mod._phase_basis_defect(emb, structure)[0] <= reference + 1e-15
+
+    def test_phase_certificate_fails_on_a_scaled_entry_of_t(self, vector_config):
+        # T_12 != T_21 breaks the symmetry of Im T that the identity needs
+        emb, structure = _vector_setup(vector_config, **OFF_DIAGONAL_TAU)
+        scale = np.ones((2, 2))
+        scale[0, 1] = 1.5
+        broken = dataclasses.replace(structure, T=structure.T * scale)
+        defect, _ = qtheta_mod._phase_basis_defect(emb, broken)
+        reference = phase_sweep_residual(emb, broken, 2)
+        certified = phase_identity_max_residual(emb, broken, 2)
+        assert 1e-10 < defect <= reference + 1e-15
+        assert reference <= certified
+
+    def test_phase_certificate_is_fast(self, vector_emb, vector_structure):
+        phase_identity_max_residual(vector_emb, vector_structure, 2)  # warm caches
+        timings = []
+        for _ in range(5):
+            start = time.perf_counter()
+            phase_identity_max_residual(vector_emb, vector_structure, 2)
+            timings.append(time.perf_counter() - start)
+        assert min(timings) < 1e-3
+
+    def test_suite_forms_no_pair_table(self, vector_config, monkeypatch):
+        # the 4x4 basis table and the 50 pairs are the largest pairings the
+        # suite forms; a self-pairing of the series rows (g is h) is no table
+        sizes = {"hermitian_form": [], "_paired_exponent": []}
+
+        def counted(module, name, size_of):
+            original = getattr(module, name)
+
+            def wrapper(first, g, h, *args):
+                if g is not h:
+                    sizes[name].append(math.prod(size_of(g, h)))
+                return original(first, g, h, *args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        def pair_size(g, h):
+            return np.broadcast_shapes(np.shape(g[0])[:-1], np.shape(h[0])[:-1])
+
+        def index_size(g, h):
+            return np.broadcast_shapes(np.shape(g)[:-1], np.shape(h)[:-1])
+
+        counted(qtheta_mod, "hermitian_form", pair_size)
+        counted(qtheta_mod, "_paired_exponent", index_size)
+        counted(embedding_mod, "_paired_exponent", index_size)
+        checks = run_suite(vector_config, "consistency").checks
+        assert [c.name for c in checks] == ["phase-identity", "consistency-condition"]
+        assert all(c.passed for c in checks)
+        assert checks[0].metadata == {"basis_defect": 0.0, "basis_pair": [1, 1]}
+        assert max(sizes["hermitian_form"]) == max(sizes["_paired_exponent"]) == 50
+        assert 16 in sizes["hermitian_form"]
 
     def test_condition_reports(self, lattice_series, vector_series):
         rng = np.random.default_rng(31)

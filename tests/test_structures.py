@@ -246,6 +246,7 @@ class TestCertificateCache:
                          "--seed", "42", "--output", "report.json"])
             assert code == 0, code
             assert "sympy" not in sys.modules, "sympy loaded"
+            assert "mpmath" not in sys.modules, "mpmath loaded"
         """)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=cli_env, cwd=tmp_path)
