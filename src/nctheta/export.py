@@ -21,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import (EmbeddingKind, build_embedding, enumerate_indices, index_planes,
-                        point_parts)
+from .embedding import EmbeddingKind, build_embedding, enumerate_indices, point_parts
 from .errors import NCThetaError
 from .qtheta import REASSEMBLY_REL_TOL, QuantumThetaSeries, _label, _reassembly_failure
 from .special import HermitianFormContext
@@ -57,7 +56,7 @@ def _table_cells(series: QuantumThetaSeries):
     unreduced torus lifts. Vector-space kind: the M part fills (w1, w2), the
     dual part (t1, t2), and the integer slots are zero.
     """
-    planes = index_planes(series.embedding, series.indices)
+    planes = series.index_planes
     index = [(p, planes.points[p][:, j]) for p in range(2) for j in (2 * p, 2 * p + 1)]
     # each plane's points through the map, one column per row of entries
     ambient = [np.concatenate(point_parts(series.embedding, points), axis=-1)
@@ -111,22 +110,24 @@ def _row_parts(row, cells) -> list:
 
 
 def _write_table(fh, row, separator: str, series: QuantumThetaSeries) -> None:
-    """Write the table through a (template, columns) row format.
+    """Write the table through a (template, columns) row format, with the
+    separator between rows.
 
     Rows go in blocks of CHUNK_ROWS, each as one str.join over the parts of
-    :func:`_row_parts`, whose texts are gathered by the rows' codes.
+    :func:`_row_parts`, whose texts are gathered by the rows' codes. Every
+    row starts with the separator, a literal of its template, which the
+    table's first row drops.
     """
+    template, columns = row
     cells, codes = _table_cells(series)
-    parts = _row_parts(row, cells)
+    parts = _row_parts((separator + template, columns), cells)
     for lo in range(0, len(series.indices), CHUNK_ROWS):
         rows = slice(lo, lo + CHUNK_ROWS)
-        text = np.empty((len(codes[0][rows]), 1 + len(parts)), dtype=object)
-        # every row but the table's first starts with the separator
-        text[:, 0] = ""
-        text[0 if lo else 1:, 0] = separator
-        for j, (source, payload) in enumerate(parts, 1):
+        text = np.empty((len(codes[0][rows]), len(parts)), dtype=object)
+        for j, (source, payload) in enumerate(parts):
             text[:, j] = payload if source is None else payload[codes[source][rows]]
-        fh.write("".join(text.ravel().tolist()))
+        block = "".join(text.ravel().tolist())
+        fh.write(block if lo else block[len(separator):])
 
 
 def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:

@@ -31,6 +31,7 @@ from .embedding import (
     _UNIT_ROUNDOFF,
     EmbeddingKind,
     EmbeddingMap,
+    IndexPlanes,
     LatticeElement,
     _index_rows,
     _exponent_split,
@@ -201,6 +202,12 @@ class QuantumThetaSeries:
         return _CoefficientView(self)
 
     @cached_property
+    def index_planes(self) -> IndexPlanes:
+        """The two index planes of ``indices`` (:func:`index_planes`), kept
+        for the coefficient parts and the table writer."""
+        return index_planes(self.embedding, self.indices)
+
+    @cached_property
     def _row_table(self) -> np.ndarray:
         """Row of each index, at [k1 + r, k2 + r, k3 + r, k4 + r] for radius r."""
         table = np.empty((2 * self.radius + 1,) * 4, dtype=np.intp)
@@ -290,7 +297,8 @@ def _gaussian_exponent(structure: ComplexStructure, parts) -> np.ndarray:
     return -0.5 * math.pi * hermitian_form(HermitianFormContext(structure.T), pair, pair).real
 
 
-def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
+def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks,
+                       planes: IndexPlanes | None = None):
     """Gaussian exponent and mode product of the series coefficient C(k).
 
     For each row k of an (N, 4) index array: the real exponent
@@ -298,13 +306,15 @@ def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
     (all ones for the vector-space kind), so that C(k) = site e^{expo}.
     On the lattice kind, R x Z^2, the exponent reads (w1, w2), the image of
     (k1, k2), and the mode product reads (m, t), the image of (k3, k4): each
-    is computed once per point of its index plane and gathered per row. On
-    the plane an off-diagonal T couples the two, so it stays over rows.
+    is computed once per point of its index plane and gathered per row;
+    ``planes``, when given, are the rows' :func:`index_planes`. On the
+    plane an off-diagonal T couples the two, so it stays over rows.
     """
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
         expo = _gaussian_exponent(structure, point_parts(emb, ks))
         return expo, np.ones(len(ks), dtype=complex)
-    planes = index_planes(emb, ks)
+    if planes is None:
+        planes = index_planes(emb, ks)
     # ambient coordinates (w1, m1, m2, w2, t1, t2) of point_parts
     if planes.reads != (0, 1, 1, 0, 1, 1):
         raise InternalIdentityViolated("the lattice map does not read w from (k1, k2)"
@@ -376,10 +386,13 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
     if emb.kind is not structure.kind:
         raise KindMismatch("embedding and structure kinds differ")
     ks = enumerate_indices(radius)
-    expo, site = _coefficient_parts(emb, structure, ks)
     series = QuantumThetaSeries(emb, structure, radius,
                                 HermitianFormContext(structure.T).normalization(),
-                                ks, _cmul(site, np.exp(expo)))
+                                ks, np.empty(len(ks), dtype=complex))
+    # the lattice kind reads the planes here; the series keeps them for export
+    planes = series.index_planes if emb.kind is EmbeddingKind.LATTICE else None
+    expo, site = _coefficient_parts(emb, structure, ks, planes)
+    _cmul(site, np.exp(expo), out=series.values)
     bad = _reassembly_failure(series)
     if bad is not None:
         raise InternalIdentityViolated(

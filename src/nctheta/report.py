@@ -88,19 +88,21 @@ class RunContext:
     _rngs: dict | None = field(default=None, init=False, repr=False)
     _series: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
-        if self.config.seed is not None:
-            self._rngs = _rng_streams(self.config.seed)
-
     @property
     def tol(self) -> dict:
         return self.config.tolerances
 
     def rng(self, suite: str) -> np.random.Generator:
-        """The random stream of SUITE; a suite that draws needs a seed."""
-        if self._rngs is None:
+        """The random stream of SUITE; a suite that draws needs a seed.
+
+        The streams are built on the first draw, so a run whose suites never
+        draw does not load ``numpy.random``.
+        """
+        if self.config.seed is None:
             raise ConfigInvalid(f"suite '{suite}' draws random samples; a seed is"
                                 " mandatory", "$.seed")
+        if self._rngs is None:
+            self._rngs = _rng_streams(self.config.seed)
         return self._rngs[suite]
 
     def series(self, radius: int):

@@ -43,13 +43,15 @@ def _compensated_sum(terms) -> complex:
     return s + c
 
 
-def _cmul(a, b) -> np.ndarray:
+def _cmul(a, b, out=None) -> np.ndarray:
     """Elementwise complex product in the operation order of Python's complex
     type; numpy's own loop may fuse multiply-adds, and array results must
-    equal the scalar products bit for bit."""
+    equal the scalar products bit for bit. OUT, when given, is a complex
+    array of the broadcast shape that receives the product."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
@@ -114,7 +116,9 @@ class HermitianFormContext:
         t = np.atleast_2d(np.asarray(self.T, dtype=complex))
         if t.shape not in ((1, 1), (2, 2)):
             raise ValueError("the complex structure must be 1x1 or 2x2")
-        if not (np.linalg.eigvalsh(t.imag) > 0).all():
+        # eigvalsh reads one triangle only, so it gets the symmetric part;
+        # that of a symmetric Im T is Im T itself, bit for bit
+        if not (np.linalg.eigvalsh((t.imag + t.imag.T) / 2) > 0).all():
             raise NotPositive("Im T must be positive definite")
         object.__setattr__(self, "T", t)
         object.__setattr__(self, "im_inverse", np.linalg.inv(t.imag))
@@ -135,10 +139,11 @@ def hermitian_form(ctx: HermitianFormContext, g, h) -> np.ndarray:
     """Hermitian pairing H(g, h) = g_ ^t (Im T)^{-1} h_^* of real pairs.
 
     ``g`` and ``h`` are (first, second) pairs of rows (..., d) whose leading
-    axes broadcast; g_ = T g1 + g2 and h_^* = conj(T h1 + h2).
+    axes broadcast; g_ = T g1 + g2 and h_^* = conj(T h1 + h2). A
+    self-pairing, ``h is g``, embeds the rows once.
     """
     gbar = ctx.embed(g)
-    hstar = ctx.embed(h).conjugate()
+    hstar = (gbar if h is g else ctx.embed(h)).conjugate()
     return np.einsum("...i,ij,...j->...", gbar, ctx.im_inverse, hstar)
 
 

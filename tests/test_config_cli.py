@@ -10,6 +10,7 @@ import random
 import resource
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -26,7 +27,8 @@ from nctheta.export import (_CSV_ROW, _JSON_ROW, _first_gap, _write_table, expor
                             load_series)
 from nctheta.qtheta import (MAX_SERIALIZED_ELEMENTS, VerificationReport, _label,
                             _reassembly_failure, quantum_theta_series)
-from nctheta.report import _check_dict, run_suite, write_report
+from nctheta.report import (SUITE_NAMES, RunContext, _check_dict, _rng_streams, run_suite,
+                            write_report)
 
 
 def minimal_lattice(**overrides):
@@ -472,6 +474,33 @@ class TestExport:
         assert out.getvalue() == expected
         assert len(np.unique(block[:37, 11])) == 37
 
+    def test_index_planes_once_per_series(self, lattice_config, monkeypatch, tmp_path):
+        # the series keeps the planes its coefficients read, and the writer
+        # reuses them; a reloaded series computes them on its first export
+        from nctheta import embedding as embedding_mod
+
+        original, calls = embedding_mod.index_planes, []
+
+        def counted(emb, ks):
+            calls.append(len(ks))
+            return original(emb, ks)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("nctheta")]:
+            if getattr(module, "index_planes", None) is original:
+                monkeypatch.setattr(module, "index_planes", counted)
+        report = run_suite(lattice_config, "quantum-theta")
+        write_report(report, tmp_path / "r.csv", fmt="csv")
+        assert calls == [9 ** 4]
+        table = export_coefficients(report.series, "json", tmp_path / "t.json")
+        assert calls == [9 ** 4]
+
+        calls.clear()
+        series = load_series(table)
+        first, second = (export_coefficients(series, "csv", tmp_path / f"{n}.csv").read_bytes()
+                         for n in (1, 2))
+        assert calls == [9 ** 4]
+        assert first == second == (tmp_path / "r.coefficients.csv").read_bytes()
+
     def test_vector_export(self, vector_emb, vector_structure, tmp_path):
         series = quantum_theta_series(vector_emb, vector_structure, radius=1)
         out = export_coefficients(series, "csv", tmp_path / "v.csv")
@@ -581,6 +610,39 @@ class TestRunSuite:
         report = run_suite(request.getfixturevalue(f"{kind}_config"), "quantum-theta")
         write_report(report, tmp_path / "r.json")
         assert "_row_table" not in report.series.__dict__
+
+    def test_streams_built_on_the_first_draw_match_the_spawned_ones(self, lattice_config):
+        ctx = RunContext(lattice_config, None, None)
+        # the first draw is from the last stream, so no stream rides on the order of draws
+        drawn = {name: ctx.rng(name).integers(0, 2 ** 62, 16) for name in SUITE_NAMES[::-1]}
+        streams = _rng_streams(lattice_config.seed)
+        for name in SUITE_NAMES:
+            assert drawn[name].tolist() == streams[name].integers(0, 2 ** 62, 16).tolist()
+
+    def test_first_draw_without_a_seed_is_a_config_error(self):
+        cfg = parse_config({k: v for k, v in minimal_lattice().items() if k != "seed"})
+        ctx = RunContext(cfg, None, None)
+        for _ in range(2):
+            with pytest.raises(ConfigInvalid) as err:
+                ctx.rng("validate")
+            assert err.value.json_path == "$.seed"
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_quantum_theta_never_loads_numpy_random(self, kind, request, cli_env, tmp_path):
+        # a fresh interpreter, so no other test has imported numpy.random into it
+        path = request.getfixturevalue(f"{kind}_config_path")
+        script = textwrap.dedent(f"""
+            import sys
+            from nctheta.cli import main
+            code = main(["quantum-theta", "--config", {str(path)!r}, "--seed", "42",
+                         "--format", "csv", "--output", "report.csv"])
+            assert code == 0, code
+            assert "numpy.random" not in sys.modules, "numpy.random loaded"
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=cli_env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert (tmp_path / "report.coefficients.csv").exists()
 
     def test_write_report_hashes_the_csv_table(self, tmp_path):
         report = run_suite(parse_config(minimal_lattice(radius=6)), "quantum-theta")

@@ -533,6 +533,25 @@ def _vector_setup(vector_config, theta1=None, theta2=None, tau=None):
     return emb, cfg.build_structure(emb)
 
 
+@pytest.mark.parametrize("which", ["d1", "diagonal-d2", "off-diagonal-d2"])
+def test_self_pairing_equals_the_pairing_of_a_copy(which, lattice_structure, vector_config):
+    # H(g, g) embeds g once; the pairing of g with a copy embeds it twice
+    if which == "d1":
+        t = lattice_structure.T
+    elif which == "diagonal-d2":
+        t = _vector_setup(vector_config)[1].T
+    else:
+        t = _vector_setup(vector_config, **OFF_DIAGONAL_TAU)[1].T
+    ctx = HermitianFormContext(t)
+    if which == "diagonal-d2":
+        assert ctx.T[0, 1] == ctx.T[1, 0] == 0
+    rng = np.random.default_rng(41)
+    g = tuple(rng.uniform(-12, 12, (2, 1000, len(ctx.T))))
+    same = hermitian_form(ctx, g, g)
+    copied = hermitian_form(ctx, g, (g[0].copy(), g[1].copy()))
+    assert same.shape == (1000,) and same.tobytes() == copied.tobytes()
+
+
 PHASE_CONFIGS = {"canonical": {}, "theta-20.3-18.5": {"theta1": 20.3, "theta2": 18.5},
                  "off-diagonal-tau": OFF_DIAGONAL_TAU}
 

@@ -193,6 +193,30 @@ class TestHermitianForm:
         with pytest.raises(NotPositive):
             HermitianFormContext(np.array([[1j, 0], [0, -1j]]))
 
+    def test_positivity_reads_both_triangles(self):
+        # Im T = [[1, 5], [0, 1]]: its lower triangle alone is positive
+        # definite, its symmetric part [[1, 2.5], [2.5, 1]] is not
+        with pytest.raises(NotPositive):
+            HermitianFormContext(np.array([[1j, 5j], [0, 1j]]))
+        with pytest.raises(NotPositive):
+            HermitianFormContext(np.array([[1j, 0], [5j, 1j]]))
+
+    def test_symmetric_im_t_keeps_its_verdict_and_inverse(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            a = rng.uniform(-2, 2, (2, 2))
+            im = a @ a.T + rng.uniform(-0.5, 0.5) * np.eye(2)
+            re = rng.uniform(-1, 1, (2, 2))
+            t = re + re.T + 1j * im
+            # the symmetric part of a symmetric Im T is Im T, bit for bit
+            assert ((im + im.T) / 2).tobytes() == im.tobytes()
+            if np.linalg.eigvalsh(im).min() > 0:
+                ctx = HermitianFormContext(t)
+                assert ctx.im_inverse.tobytes() == np.linalg.inv(im).tobytes()
+            else:
+                with pytest.raises(NotPositive):
+                    HermitianFormContext(t)
+
     @pytest.mark.parametrize("t", [[1j, 1j], 1j * np.eye(3), 1j * np.ones((2, 2, 2))],
                              ids=["row", "3x3", "stacked"])
     def test_only_1x1_or_2x2_structures(self, t):
