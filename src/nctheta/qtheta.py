@@ -204,7 +204,7 @@ class QuantumThetaSeries:
     @cached_property
     def index_planes(self) -> IndexPlanes:
         """The two index planes of ``indices`` (:func:`index_planes`), kept
-        for the coefficient parts and the table writer."""
+        for the coefficient parts and the CSV table writer."""
         return index_planes(self.embedding, self.indices)
 
     @cached_property
@@ -389,7 +389,7 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
     series = QuantumThetaSeries(emb, structure, radius,
                                 HermitianFormContext(structure.T).normalization(),
                                 ks, np.empty(len(ks), dtype=complex))
-    # the lattice kind reads the planes here; the series keeps them for export
+    # the lattice kind reads the planes here; the series keeps them for CSV export
     planes = series.index_planes if emb.kind is EmbeddingKind.LATTICE else None
     expo, site = _coefficient_parts(emb, structure, ks, planes)
     _cmul(site, np.exp(expo), out=series.values)

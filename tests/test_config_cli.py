@@ -23,8 +23,7 @@ from nctheta.cli import EXIT_INTERNAL_ERROR, main
 from nctheta.config import _SCHEMA_KEYWORDS, CONFIG_SCHEMA, _violation, load_config, parse_config
 from nctheta.embedding import enumerate_indices, point_parts
 from nctheta.errors import ConfigInvalid, ConfigSyntax, TruncationTooSmall
-from nctheta.export import (_CSV_ROW, _JSON_ROW, _first_gap, _write_table, export_coefficients,
-                            load_series)
+from nctheta.export import _CSV_ROW, _JSON_ROW, _write_table, export_coefficients, load_series
 from nctheta.qtheta import (MAX_SERIALIZED_ELEMENTS, VerificationReport, _label,
                             _reassembly_failure, quantum_theta_series)
 from nctheta.report import (SUITE_NAMES, RunContext, _check_dict, _rng_streams, run_suite,
@@ -192,6 +191,31 @@ class TestSchema:
         assert accepted > 50 and single > 500, (accepted, single)
 
 
+def _non_canonical_series(kind):
+    """A radius-2 series of a non-canonical lattice or an off-diagonal vector
+    config whose values hold signed zeros, subnormal and tiny values,
+    integer valued and negative floats; im is distinct in every row."""
+    if kind == "lattice":
+        cfg = parse_config(minimal_lattice(
+            embedding={"kind": "lattice", "theta1": 0.5, "m": [[2, 1], [1, 1]],
+                       "delta_hat": [[0.25, 0.25], [-0.5, -0.25]]},
+            structure={"tau": [0.3, 0.2]}))
+    else:
+        cfg = parse_config({"embedding": {"kind": "vector_space", "theta1": 0.5,
+                                          "theta2": 0.4},
+                            "structure": {"tau": [[[0.1, 0.5], [0.04, 0.08]],
+                                                  [[0.05, 0.1], [0.02, 0.4]]]}})
+    emb = cfg.build_embedding()
+    series = quantum_theta_series(emb, cfg.build_structure(emb), radius=2)
+    rng = np.random.default_rng(3)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 3.0, -7.0,
+                        -2.5, 0.1, 1e16, -1e-300])
+    n = len(series.values)
+    series.values.real = special[rng.integers(0, len(special), size=n)]
+    series.values.imag = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    return series
+
+
 class TestExport:
     def test_csv_row_count_and_header(self, lattice_emb, lattice_structure, tmp_path):
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
@@ -224,41 +248,41 @@ class TestExport:
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
         path = export_coefficients(series, "json", tmp_path / "a.json")
         data = json.loads(path.read_text())
-        data["coefficients"][1]["re"] *= 2.0
+        data["coefficients"][1][0] *= 2.0
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="coefficient at -1,-1,-1,-1"):
             load_series(path)
 
-    @pytest.mark.parametrize("fault", ["missing", "repeated", "repeated-for-another",
-                                       "outside", "no-k", "no-re", "no-im", "no-radius",
-                                       "three-k", "fractional-k", "list-row", "bad-radius",
-                                       "not-json", "null-re", "nan-im-outside-norm-2",
+    @pytest.mark.parametrize("fault", ["missing", "added", "three-entries", "entry-moved-up",
+                                       "object-row", "ambient-row", "true-re", "int-im",
+                                       "rows-not-a-list", "no-coefficients", "no-radius",
+                                       "bad-radius", "not-json", "null-re",
+                                       "nan-im-outside-norm-2",
                                        "bogus-kind", "string-tau", "string-theta1",
                                        "null-normalization", "negative-decay",
                                        "infinite-decay", "nan-theta1", "singular-m",
-                                       "rescaled-normalization", "kind-mismatch",
-                                       "int64-min-k"])
+                                       "rescaled-normalization", "kind-mismatch"])
     def test_reload_rejects_malformed_rows(self, lattice_emb, lattice_structure,
                                            tmp_path, fault):
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=3)
         path = export_coefficients(series, "json", tmp_path / "a.json")
         data = json.loads(path.read_text())
         rows = data["coefficients"]
-        twin = dict(rows[-5], re=9.0)  # a row at sup norm 3
-        repeated = ",".join(map(str, twin["k"])) + " is repeated"
-        four_integers = "every row needs an index of four integers"
-        not_finite = "is not a pair of finite floats"
-        message = {"missing": "3,3,3,3 is missing", "repeated": repeated,
-                   "repeated-for-another": repeated,
-                   "outside": "4,0,0,0 lies outside radius 3",
-                   "int64-min-k": f"{-2**63},0,0,0 lies outside radius 3",
-                   "three-k": four_integers, "fractional-k": four_integers,
-                   "list-row": "not laid out as a coefficient table",
+        # rows[3] lies inside sup norm 2, where the reassembly check runs
+        k3 = series.indices[3].tolist()
+        assert series.indices[-1].tolist() == [3, 3, 3, 3]
+        not_finite = f"coefficient at {_label(k3)} is not a pair of finite floats"
+        earlier = f"the row for index {_label(k3)} is an object, the layout of earlier tables"
+        message = {"missing": "holds 2400 rows, not the 2401 indices of radius 3",
+                   "added": "holds 2402 rows, not the 2401 indices of radius 3",
+                   "three-entries": not_finite, "entry-moved-up": not_finite,
+                   "true-re": not_finite, "int-im": not_finite, "null-re": not_finite,
+                   "object-row": earlier, "ambient-row": earlier,
+                   "rows-not-a-list": "not laid out as a coefficient table",
                    "bad-radius": "the radius must be a positive integer",
                    "not-json": "not a JSON table",
-                   # rows[3] lies inside sup norm 2, where the reassembly check runs
-                   "null-re": f"coefficient at {_label(rows[3]['k'])} {not_finite}",
-                   "nan-im-outside-norm-2": f"coefficient at 3,3,3,3 {not_finite}",
+                   "nan-im-outside-norm-2":
+                       "coefficient at 3,3,3,3 is not a pair of finite floats",
                    "null-normalization": "the normalization must be a finite float",
                    "bogus-kind": "embedding or structure is not valid",
                    "string-tau": "embedding or structure is not valid",
@@ -271,33 +295,36 @@ class TestExport:
                    "kind-mismatch": "kind 'vector_space' is not its embedding's 'lattice'",
                    }.get(fault, f"no '{fault[3:]}' entry")
         if fault == "missing":
-            rows.remove(next(r for r in rows if r["k"] == [3, 3, 3, 3]))
-        elif fault == "repeated":
-            rows.append(twin)
-        elif fault == "repeated-for-another":
-            # a row is missing as well; the repeated one is named
-            rows[0] = twin
-        elif fault == "outside":
-            rows.append(dict(rows[-1], k=[4, 0, 0, 0]))
-        elif fault == "int64-min-k":
-            # its int64 magnitude wraps round to a negative number
-            rows[3]["k"] = [-2**63, 0, 0, 0]
-        elif fault == "no-radius":
-            del data["radius"]
+            del rows[1000]
+        elif fault == "added":
+            rows.append(rows[-1])
+        elif fault == "three-entries":
+            rows[3].append(0.0)
+        elif fault == "entry-moved-up":
+            # three entries and then one: still twice as many floats as rows
+            rows[3].append(rows[4].pop(0))
+        elif fault == "object-row":
+            # the row of the tables that held each index beside its coefficient
+            rows[3] = {"im": rows[3][1], "k": k3, "re": rows[3][0]}
+        elif fault == "ambient-row":
+            # and of the tables before them, with the index's ambient coordinates
+            ambient = np.concatenate(point_parts(lattice_emb, series.indices[3]), axis=-1)
+            rows[3] = {"ambient": ambient.tolist(), "im": rows[3][1], "k": k3,
+                       "re": rows[3][0]}
+        elif fault == "true-re":
+            rows[3][0] = True
+        elif fault == "int-im":
+            rows[3][1] = 1
+        elif fault == "null-re":
+            rows[3][0] = None
+        elif fault == "rows-not-a-list":
+            data["coefficients"] = dict(enumerate(rows))
         elif fault.startswith("no-"):
-            del rows[3][fault[3:]]
-        elif fault == "three-k":
-            rows[3]["k"] = rows[3]["k"][:3]
-        elif fault == "fractional-k":
-            rows[3]["k"] = [0.5, 0, 0, 0]
-        elif fault == "list-row":
-            rows[3] = list(rows[3].values())
+            del data[fault[3:]]
         elif fault == "bad-radius":
             data["radius"] = 1.5
-        elif fault == "null-re":
-            rows[3]["re"] = None
         elif fault == "nan-im-outside-norm-2":
-            next(r for r in rows if r["k"] == [3, 3, 3, 3])["im"] = float("nan")
+            rows[-1][1] = float("nan")
         elif fault == "bogus-kind":
             data["embedding"]["kind"] = "bogus"
         elif fault == "string-tau":
@@ -319,8 +346,8 @@ class TestExport:
             # normalization times C is unchanged, so only the scale is wrong
             data["normalization"] *= 2.0
             for r in rows:
-                r["re"] /= 2.0
-                r["im"] /= 2.0
+                r[0] /= 2.0
+                r[1] /= 2.0
         elif fault == "kind-mismatch":
             data["kind"] = "vector_space"
         path.write_text("not json" if fault == "not-json" else json.dumps(data))
@@ -336,33 +363,18 @@ class TestExport:
         data["radius"] = 10**6
         path.write_text(json.dumps(data))
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="a.json: the row for index -2,-2,-2,-2 is missing"):
+        with pytest.raises(ValueError, match=f"a.json: the table holds 81 rows, not the"
+                                             f" {(2 * 10**6 + 1) ** 4} indices of radius"):
             load_series(path)
         assert time.perf_counter() - start < 1.0
 
-    def test_first_gap_matches_the_dense_count(self):
-        # rows within a radius that they cannot fill: repeats, shuffled
-        # distinct subsets and shuffled canonical heads, against a count
-        # over every index of the radius
-        rng = np.random.default_rng(11)
-        for trial in range(300):
-            full = enumerate_indices(int(rng.integers(1, 4)))
-            n = int(rng.integers(0, len(full)))
-            pick = [rng.integers(0, len(full), size=n), rng.permutation(len(full))[:n],
-                    rng.permutation(n)][trial % 3]
-            ks = full[pick]
-            position = {tuple(k): i for i, k in enumerate(full.tolist())}
-            counts = np.bincount([position[tuple(k)] for k in ks.tolist()],
-                                 minlength=len(full))
-            repeated = np.any(counts > 1)
-            k = full[np.argmax(counts > 1 if repeated else counts == 0)]
-            expected = f"{_label(k)} is {'repeated' if repeated else 'missing'}"
-            assert _first_gap(ks) == expected, ks
-
+    @pytest.mark.parametrize("layout", ["index", "ambient"])
     @pytest.mark.parametrize("kind", ["lattice", "vector", "off-diagonal-vector"])
-    def test_reload_of_a_table_with_ambient_rows(self, request, tmp_path, kind):
-        # tables written before the JSON rows lost their ambient coordinates
-        # reload to the same series and re-export without them
+    def test_reload_refuses_the_object_rows_of_earlier_tables(self, request, tmp_path,
+                                                              kind, layout, capsys):
+        # a table whose rows are {"im", "k", "re"} objects, with the index's
+        # ambient coordinates or without, is refused; its header makes the
+        # config from which the CLI writes the table anew
         if kind == "off-diagonal-vector":
             cfg = parse_config({"embedding": {"kind": "vector_space", "theta1": 0.5,
                                               "theta2": 0.4},
@@ -376,21 +388,51 @@ class TestExport:
         series = quantum_theta_series(emb, structure, radius=2)
         new = export_coefficients(series, "json", tmp_path / "new.json")
         data = json.loads(new.read_text())
-        assert all(row.keys() == {"im", "k", "re"} for row in data["coefficients"])
+        header = {key: data[key] for key in ("embedding", "structure", "radius")}
         # an old row's ambient list: the CSV table's (w1, w2, m1, m2, t1, t2)
         table = export_coefficients(series, "csv", tmp_path / "new.csv")
         ambient = np.loadtxt(table, delimiter=",", skiprows=1, usecols=range(4, 10))
-        for row, point in zip(data["coefficients"], ambient.tolist()):
-            row["ambient"] = point
+        data["coefficients"] = [
+            {"im": im, "k": k, "re": re, **({"ambient": point} if layout == "ambient" else {})}
+            for (re, im), k, point in zip(data["coefficients"], series.indices.tolist(),
+                                          ambient.tolist())]
         old = tmp_path / "old.json"
         old.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        reloaded = load_series(old)
-        assert reloaded.normalization == series.normalization
-        np.testing.assert_array_equal(reloaded.indices, series.indices)
-        np.testing.assert_array_equal(reloaded.values.view(np.uint64),
-                                      series.values.view(np.uint64))
-        again = export_coefficients(reloaded, "json", tmp_path / "again.json")
-        assert again.read_bytes() == new.read_bytes()
+        with pytest.raises(ValueError, match="old.json: the row for index 0,0,0,0 is an"
+                                             " object, the layout of earlier tables; .*"
+                                             "`nctheta quantum-theta` writes the table anew"):
+            load_series(old)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(header))
+        assert main(["quantum-theta", "--config", str(config), "--output",
+                     str(tmp_path / "again.json"), "--format", "json"]) == 0
+        capsys.readouterr()
+        # the header's tau is recomputed from the structure, so it can differ
+        # from the config's in the last place, and the table with it
+        again = load_series(tmp_path / "again.coefficients.json")
+        np.testing.assert_allclose(again.values, series.values, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector", "non-canonical-lattice",
+                                      "off-diagonal-vector"])
+    def test_json_row_i_is_the_csv_row_of_the_ith_index(self, request, tmp_path, kind):
+        # the JSON table leaves each row's index to the canonical order,
+        # which the CSV table writes out
+        if kind in ("lattice", "vector"):
+            series = quantum_theta_series(request.getfixturevalue(f"{kind}_emb"),
+                                          request.getfixturevalue(f"{kind}_structure"),
+                                          radius=3)
+        else:
+            series = _non_canonical_series(kind.split("-")[-1])
+        rows = json.loads(export_coefficients(series, "json", tmp_path / "t.json")
+                          .read_text())["coefficients"]
+        lines = export_coefficients(series, "csv", tmp_path / "t.csv").read_text()
+        cells = [line.split(",") for line in lines.splitlines()[1:]]
+        np.testing.assert_array_equal([[int(c) for c in row[:4]] for row in cells],
+                                      enumerate_indices(series.radius))
+        np.testing.assert_array_equal(
+            np.array(rows, dtype=float).view(np.uint64),
+            np.array([[float(c) for c in row[10:]] for row in cells]).view(np.uint64))
+        assert len(rows) == len(cells) == (2 * series.radius + 1) ** 4
 
     @pytest.mark.parametrize("collecting", [True, False])
     def test_reload_leaves_the_collector_as_it_was(self, lattice_emb, lattice_structure,
@@ -474,9 +516,11 @@ class TestExport:
         assert out.getvalue() == expected
         assert len(np.unique(block[:37, 11])) == 37
 
-    def test_index_planes_once_per_series(self, lattice_config, monkeypatch, tmp_path):
-        # the series keeps the planes its coefficients read, and the writer
-        # reuses them; a reloaded series computes them on its first export
+    def test_index_planes_once_per_series(self, lattice_config, vector_emb, vector_structure,
+                                          monkeypatch, tmp_path):
+        # the series keeps the planes its coefficients read, and the CSV
+        # writer reuses them; a reloaded series computes them on its first
+        # CSV export
         from nctheta import embedding as embedding_mod
 
         original, calls = embedding_mod.index_planes, []
@@ -496,10 +540,22 @@ class TestExport:
 
         calls.clear()
         series = load_series(table)
+        # a JSON row reads no plane, so the reloaded series keeps none
+        for n in (1, 2):
+            export_coefficients(series, "json", tmp_path / f"{n}.json")
+        assert calls == []
+        assert "index_planes" not in series.__dict__
         first, second = (export_coefficients(series, "csv", tmp_path / f"{n}.csv").read_bytes()
                          for n in (1, 2))
         assert calls == [9 ** 4]
         assert first == second == (tmp_path / "r.coefficients.csv").read_bytes()
+
+        # the vector coefficients read no plane either
+        calls.clear()
+        vector = quantum_theta_series(vector_emb, vector_structure, radius=2)
+        export_coefficients(vector, "json", tmp_path / "v.json")
+        assert calls == []
+        assert "index_planes" not in vector.__dict__
 
     def test_vector_export(self, vector_emb, vector_structure, tmp_path):
         series = quantum_theta_series(vector_emb, vector_structure, radius=1)
@@ -776,7 +832,7 @@ class TestCli:
         ("lattice", ["seed"], 42.0, "$.seed"),
         ("vector", ["radius"], 2.0, "$.radius"),
         ("vector", ["embedding", "finite_part", "m1"], 2.0, "$.embedding.finite_part.m1"),
-        # as load_series refuses a fractional index
+        # an integral float in an integer matrix
         ("lattice", ["embedding", "m"], [[1.0, 0], [0, 1.0]], "$.embedding.m[0][0]"),
     ])
     def test_integral_float_in_an_integer_field(self, kind, keys, value, json_path,
