@@ -239,77 +239,30 @@ def point_parts(emb: EmbeddingMap, ks) -> tuple[np.ndarray, np.ndarray]:
     return amb[..., :cut], amb[..., cut:]
 
 
-@dataclass(frozen=True)
-class IndexPlanes:
-    """Index rows split over the two index planes, (k1, k2) and (k3, k4).
+def index_planes(emb: EmbeddingMap, ks, radius: int):
+    """The two index planes, (k1, k2) and (k3, k4), of (N, 4) index rows of
+    sup norm <= radius, as (points, codes, reads).
 
-    ``points[p]`` holds the distinct points of plane p, as index rows that
-    are zero on the other plane, and ``codes[p]`` the point of each row.
-    ``reads[i]`` is the plane that ambient coordinate i (row i of
-    ``entries``) reads.
-    """
-
-    points: tuple[np.ndarray, np.ndarray]
-    codes: tuple[np.ndarray, np.ndarray]
-    reads: tuple[int, ...]
-
-
-def _plane_codes(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of (N, 2) integer columns, in lexicographic order: the
-    first row holding each, and the distinct row of each row, as indices.
-
-    The int64 code of a row is its offset in the columns' bounding box. A
-    box of at most max(N, 2^16) points, as each plane of the canonical grid
-    is, ranks the codes by distribution counting: a mask over the box marks
-    them, and its running sum numbers them in order. A larger box is never
-    built; np.unique sorts the codes instead, and columns whose box does not
-    fit in int64 are replaced by their ranks first.
-    """
-    low = [int(c.min(initial=0)) for c in cols.T]
-    span = [int(c.max(initial=0)) - lo + 1 for c, lo in zip(cols.T, low)]
-    dense = span[0] * span[1] <= max(len(cols), 2 ** 16)
-    if span[0] * span[1] >= 2 ** 63:
-        cols = np.stack([np.unique(c, return_inverse=True)[1] for c in cols.T], axis=-1)
-        low, span = [0, 0], [len(cols)] * 2
-    # in place on the strided columns; as low <= 0, no step leaves int64
-    code = cols[:, 0] - low[0]
-    code *= span[1]
-    code += cols[:, 1]
-    code -= low[1]
-    if not dense:
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        return first, inverse
-    mark = np.zeros(span[0] * span[1], dtype=bool)
-    mark[code] = True
-    inverse = (np.cumsum(mark) - 1)[code]
-    first = np.full(np.count_nonzero(mark), len(code))
-    np.minimum.at(first, inverse, np.arange(len(code)))
-    return first, inverse
-
-
-def index_planes(emb: EmbeddingMap, ks) -> IndexPlanes:
-    """The two index planes of (N, 4) index rows under the embedding.
-
-    Each ambient coordinate must read one plane: its row of ``entries`` is
-    zero on the other, as in the canonical maps (an all-zero row is put on
-    (k3, k4)); ValueError otherwise. :func:`point_parts` sums term by term
-    from +0.0, so a coordinate of a row equals that coordinate of the row's
+    ``points[p]`` holds the (2r+1)^2 points of plane p's box in
+    lexicographic order, as index rows that are zero on the other plane;
+    ``codes[p]`` the point of each row, (k[2p] + r)(2r+1) + k[2p+1] + r; and
+    ``reads[i]`` the plane that ambient coordinate i (row i of ``entries``)
+    reads, (k3, k4) when that row is zero on (k1, k2); ValueError when a
+    row is non-zero on both. :func:`point_parts` sums term by term from
+    +0.0, so a coordinate of a row equals that coordinate of the row's
     point on the plane it reads, bit for bit.
     """
+    side = 2 * radius + 1
     ks = _index_rows(ks).reshape(-1, 4)
-    off_near, off_far = (np.all(emb.entries[:, cols] == 0, axis=1)
-                         for cols in (slice(0, 2), slice(2, 4)))
-    if not np.all(off_near | off_far):
+    box = np.stack(np.divmod(np.arange(side * side), side), axis=-1) - radius
+    points = tuple(np.pad(box, ((0, 0), (2 * p, 2 - 2 * p))) for p in range(2))
+    codes = tuple((ks[:, 2 * p] + radius) * side + (ks[:, 2 * p + 1] + radius)
+                  for p in range(2))
+    rows = emb.entries.tolist()
+    if any(any(row[:2]) and any(row[2:]) for row in rows):
         raise ValueError("an ambient coordinate reads both index planes")
-    points, codes = [], []
-    for plane in range(2):
-        cols = slice(2 * plane, 2 * plane + 2)
-        first, code = _plane_codes(ks[:, cols])
-        point = np.zeros((len(first), 4), dtype=np.int64)
-        point[:, cols] = ks[first, cols]
-        points.append(point)
-        codes.append(code)
-    return IndexPlanes(tuple(points), tuple(codes), tuple(off_near.astype(int).tolist()))
+    reads = tuple(int(not any(row[:2])) for row in rows)
+    return points, codes, reads
 
 
 def lattice_element(emb: EmbeddingMap, k) -> LatticeElement:

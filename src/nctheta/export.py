@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import EmbeddingKind, build_embedding, enumerate_indices, point_parts
+from .embedding import (
+    EmbeddingKind,
+    build_embedding,
+    enumerate_indices,
+    index_planes,
+    point_parts,
+)
 from .errors import NCThetaError
 from .qtheta import REASSEMBLY_REL_TOL, QuantumThetaSeries, _label, _reassembly_failure
 from .special import HermitianFormContext
@@ -47,27 +53,26 @@ def _table_cells(series: QuantumThetaSeries, columns):
 
     A source numbers the code array that gathers the values per row, or is
     None for a constant. When a column before re is read, sources 0 and 1
-    are the index planes, whose points the values run over; the distinct
-    bit patterns of re and im over the whole table (-0.0 and 0.0 stay
-    apart) come next, so each value is formatted once per table. Lattice
-    kind: (w1, w2, m1, m2, t1, t2) with unreduced torus lifts. Vector-space
-    kind: the M part fills (w1, w2), the dual part (t1, t2), and the
-    integer slots are zero.
+    are the index planes (:func:`index_planes`), whose points the values
+    run over; the distinct bit patterns of re and im over the whole table
+    (-0.0 and 0.0 stay apart) come next, so each value is formatted once
+    per table. Lattice kind: (w1, w2, m1, m2, t1, t2) with unreduced torus
+    lifts. Vector-space kind: the M part fills (w1, w2), the dual part
+    (t1, t2), and the integer slots are zero.
     """
     cells, codes = [None] * 10, []
     if min(columns) < 10:
-        planes = series.index_planes
-        index = [(p, planes.points[p][:, j]) for p in range(2) for j in (2 * p, 2 * p + 1)]
+        points, codes, reads = index_planes(series.embedding, series.indices, series.radius)
+        index = [(p, points[p][:, j]) for p in range(2) for j in (2 * p, 2 * p + 1)]
         # each plane's points through the map, one column per row of entries
-        ambient = [np.concatenate(point_parts(series.embedding, points), axis=-1)
-                   for points in planes.points]
+        ambient = [np.concatenate(point_parts(series.embedding, plane), axis=-1)
+                   for plane in points]
         # the row of entries behind each of (w1, w2, m1, m2, t1, t2)
         lattice = series.kind is EmbeddingKind.LATTICE
         slots = [0, 3, 1, 2, 4, 5] if lattice else [0, 1, None, None, 2, 3]
-        reads = planes.reads
         cells = index + [(None, 0.0) if i is None else (reads[i], ambient[reads[i]][:, i])
                          for i in slots]
-        codes = list(planes.codes)
+        codes = list(codes)
     for column in (series.values.real, series.values.imag):
         bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
         cells.append((len(codes), bits.view(np.float64)))

@@ -31,7 +31,6 @@ from .embedding import (
     _UNIT_ROUNDOFF,
     EmbeddingKind,
     EmbeddingMap,
-    IndexPlanes,
     LatticeElement,
     _index_rows,
     _exponent_split,
@@ -202,12 +201,6 @@ class QuantumThetaSeries:
         return _CoefficientView(self)
 
     @cached_property
-    def index_planes(self) -> IndexPlanes:
-        """The two index planes of ``indices`` (:func:`index_planes`), kept
-        for the coefficient parts and the CSV table writer."""
-        return index_planes(self.embedding, self.indices)
-
-    @cached_property
     def _row_table(self) -> np.ndarray:
         """Row of each index, at [k1 + r, k2 + r, k3 + r, k4 + r] for radius r."""
         table = np.empty((2 * self.radius + 1,) * 4, dtype=np.intp)
@@ -297,32 +290,18 @@ def _gaussian_exponent(structure: ComplexStructure, parts) -> np.ndarray:
     return -0.5 * math.pi * hermitian_form(HermitianFormContext(structure.T), pair, pair).real
 
 
-def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks,
-                       planes: IndexPlanes | None = None):
+def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
     """Gaussian exponent and mode product of the series coefficient C(k).
 
     For each row k of an (N, 4) index array: the real exponent
     -(pi/2) H(k_, k_) and the product of the two discrete mode factors
     (all ones for the vector-space kind), so that C(k) = site e^{expo}.
-    On the lattice kind, R x Z^2, the exponent reads (w1, w2), the image of
-    (k1, k2), and the mode product reads (m, t), the image of (k3, k4): each
-    is computed once per point of its index plane and gathered per row;
-    ``planes``, when given, are the rows' :func:`index_planes`. On the
-    plane an off-diagonal T couples the two, so it stays over rows.
     """
+    parts = point_parts(emb, ks)
+    expo = _gaussian_exponent(structure, parts)
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
-        expo = _gaussian_exponent(structure, point_parts(emb, ks))
-        return expo, np.ones(len(ks), dtype=complex)
-    if planes is None:
-        planes = index_planes(emb, ks)
-    # ambient coordinates (w1, m1, m2, w2, t1, t2) of point_parts
-    if planes.reads != (0, 1, 1, 0, 1, 1):
-        raise InternalIdentityViolated("the lattice map does not read w from (k1, k2)"
-                                       " and (m, t) from (k3, k4)")
-    near, far = (point_parts(emb, points) for points in planes.points)
-    expo = _gaussian_exponent(structure, near)
-    site = _mode_products(far, 1.0 / structure.lattice_decay)
-    return expo[planes.codes[0]], site[planes.codes[1]]
+        return expo, np.ones(len(expo), dtype=complex)
+    return expo, _mode_products(parts, 1.0 / structure.lattice_decay)
 
 
 def _log_translation(series: QuantumThetaSeries, kg, kh):
@@ -389,9 +368,15 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
     series = QuantumThetaSeries(emb, structure, radius,
                                 HermitianFormContext(structure.T).normalization(),
                                 ks, np.empty(len(ks), dtype=complex))
-    # the lattice kind reads the planes here; the series keeps them for CSV export
-    planes = series.index_planes if emb.kind is EmbeddingKind.LATTICE else None
-    expo, site = _coefficient_parts(emb, structure, ks, planes)
+    if emb.kind is EmbeddingKind.LATTICE:
+        # R x Z^2: the exponent reads (w1, w2), the image of (k1, k2), and the
+        # mode product (m, t), the image of (k3, k4); each runs once per point
+        # of its plane and is gathered per row
+        (near, far), codes, _ = index_planes(emb, ks, radius)
+        expo = _gaussian_exponent(structure, point_parts(emb, near))[codes[0]]
+        site = _mode_products(point_parts(emb, far), 1.0 / structure.lattice_decay)[codes[1]]
+    else:
+        expo, site = _coefficient_parts(emb, structure, ks)
     _cmul(site, np.exp(expo), out=series.values)
     bad = _reassembly_failure(series)
     if bad is not None:

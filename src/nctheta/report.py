@@ -249,7 +249,7 @@ def _suite_nogo(ctx: RunContext) -> list[VerificationReport]:
                 first = cert
     return [VerificationReport.build(
         "holomorphy-nogo-certificates", entries, list(entries.values()), 0.5,
-        relations=list(first.relations), forced_det=str(first.forced_det))]
+        relations=list(first.relations), forced_det=first.forced_det)]
 
 
 def _suite_inner_product(ctx: RunContext) -> list[VerificationReport]:

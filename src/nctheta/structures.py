@@ -41,13 +41,13 @@ HOLOMORPHY_MASK_REL = 1e-5
 class ComplexStructure:
     """Complex structure T, d x d, over the vector-space part R^d of the module.
 
+    ``tau_matrix`` is the d x d parameter matrix T was built from, as given.
     ``lattice_decay`` is the rate of the Schwartz weight over Z^2 and is set
     exactly on the lattice kind, R x Z^2, where d = 1.
     """
 
     T: np.ndarray
-    theta1: float
-    theta2: float
+    tau_matrix: np.ndarray
     lattice_decay: float | None = None
 
     @property
@@ -55,8 +55,9 @@ class ComplexStructure:
         return EmbeddingKind.VECTOR_SPACE if self.lattice_decay is None else EmbeddingKind.LATTICE
 
     def tau(self) -> np.ndarray:
-        """Parameter matrix: column j of T times theta_j."""
-        return self.T * np.array([self.theta1, self.theta2])[:len(self.T)]
+        """Parameter matrix, column j of T times theta_j, as the structure was
+        built from it: recomputing it from T could move its last digits."""
+        return self.tau_matrix
 
 
 def make_complex_structure(kind: EmbeddingKind, tau, theta1: float, theta2: float,
@@ -80,11 +81,11 @@ def make_complex_structure(kind: EmbeddingKind, tau, theta1: float, theta2: floa
         decay = 1.0 / theta2 if lattice_decay is None else float(lattice_decay)
         if not (math.isfinite(decay) and decay > 0):
             raise NotPositive("lattice decay must be finite and positive")
-        return ComplexStructure(np.array([[t]]), float(theta1), float(theta2), decay)
+        return ComplexStructure(np.array([[t]]), np.array([[complex(tau)]]), decay)
 
     if lattice_decay is not None:
         raise ValueError("lattice_decay applies to the lattice kind only")
-    tau = np.asarray(tau, dtype=complex)
+    tau = np.array(tau, dtype=complex)
     if tau.shape != (2, 2):
         raise ValueError("vector-space structure needs a 2x2 tau")
     omega = tau / np.array([[theta1, theta2], [theta1, theta2]])
@@ -93,7 +94,7 @@ def make_complex_structure(kind: EmbeddingKind, tau, theta1: float, theta2: floa
             "tau12/theta2 != tau21/theta1: the two holomorphy equations are inconsistent")
     if not (np.linalg.eigvalsh(omega.imag) > 0).all():
         raise NotPositive("Im(Omega) must be positive definite")
-    return ComplexStructure(omega, float(theta1), float(theta2))
+    return ComplexStructure(omega, tau)
 
 
 def structure_from_tau(emb: EmbeddingMap, tau,
@@ -186,13 +187,8 @@ RELATIONS = (
 )
 
 
-class _ForcedDet(str):
-    """det(b) under the relations, as sympy's ``sstr`` prints it."""
-
-    is_zero = property(lambda self: self == "0")
-
-
-FORCED_DET = _ForcedDet("0")
+# det(b) under the relations, as sympy's ``sstr`` prints it
+FORCED_DET = "0"
 
 
 @dataclass(frozen=True)
@@ -207,13 +203,13 @@ class InfeasibilityCertificate:
 
     tau: tuple
     relations: tuple[str, ...]
-    forced_det: _ForcedDet
+    forced_det: str
     actual_b: np.ndarray
     actual_det_b: float
 
     @property
     def infeasible(self) -> bool:
-        return bool(self.forced_det.is_zero) and self.actual_det_b != 0.0
+        return self.forced_det == "0" and self.actual_det_b != 0.0
 
 
 def holomorphic_feasibility(emb: EmbeddingMap, tau) -> InfeasibilityCertificate:

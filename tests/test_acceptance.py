@@ -165,7 +165,7 @@ def test_criterion_06_nogo(lattice_emb):
                + 1j * rng.uniform(0.3, 2.0, size=(2, 2)) * signs[..., 1])
         for emb in embeddings:
             cert = holomorphic_feasibility(emb, tau)
-            assert cert.forced_det.is_zero
+            assert cert.forced_det == "0"
             assert cert.actual_det_b != 0
             assert cert.infeasible
             count += 1

@@ -235,10 +235,10 @@ def test_point_parts_do_not_depend_on_the_call(seed):
         table = np.concatenate(point_parts(emb, ks), axis=-1)
         rows = np.concatenate([np.concatenate(point_parts(emb, k)) for k in ks[::7]])
         assert rows.tobytes() == table[::7].tobytes()
-        planes = embedding.index_planes(emb, ks)
+        points, codes, reads = embedding.index_planes(emb, ks, 4)
         at_points = [np.concatenate(point_parts(emb, p), axis=-1)[c]
-                     for p, c in zip(planes.points, planes.codes)]
-        by_plane = np.choose(planes.reads, at_points)
+                     for p, c in zip(points, codes)]
+        by_plane = np.choose(reads, at_points)
         assert by_plane.tobytes() == table.tobytes()
 
 
@@ -246,29 +246,19 @@ def test_index_planes_split_the_rows():
     emb = build_embedding(EmbeddingKind.LATTICE, 0.5, m=[[2, 1], [1, 1]],
                           delta_hat=[[0.25, 0.25], [-0.5, -0.25]])
     ks = enumerate_indices(3)
-    planes = embedding.index_planes(emb, ks)
+    (near, far), codes, reads = embedding.index_planes(emb, ks, 3)
     # (w1, m1, m2, w2, t1, t2): w reads (k1, k2), m and t read (k3, k4)
-    assert planes.reads == (0, 1, 1, 0, 1, 1)
-    near, far = planes.points
+    assert reads == (0, 1, 1, 0, 1, 1)
     assert near.shape == far.shape == (49, 4)
     assert not near[:, 2:].any() and not far[:, :2].any()
-    assert np.array_equal(near[planes.codes[0]] + far[planes.codes[1]], ks)
-    vec = embedding.index_planes(build_embedding(EmbeddingKind.VECTOR_SPACE, 0.5, 0.4), ks)
+    assert np.array_equal(near[codes[0]] + far[codes[1]], ks)
+    # a subset of the rows, in any order, gathers the same points
+    some = ks[::-5]
+    _, some_codes, _ = embedding.index_planes(emb, some, 3)
+    assert np.array_equal(near[some_codes[0]] + far[some_codes[1]], some)
+    vec = embedding.index_planes(build_embedding(EmbeddingKind.VECTOR_SPACE, 0.5, 0.4), ks, 3)
     # (theta1 k1, theta2 k3, k2, k4)
-    assert vec.reads == (0, 1, 0, 1)
-
-
-def test_index_planes_cost_follows_the_rows_not_their_spread(lattice_emb):
-    # pins the sorted path: entries near the int64 limits, whose bounding box
-    # is far too large to mark and does not fit an int64 code, so the columns
-    # are ranked first
-    big = 2 ** 62
-    ks = np.array([[-big, big, 1, 0], [big, -big, 0, 1], [-big, big, 1, 0],
-                   [0, 0, -big, big], [big, -big, 2, 3]], dtype=np.int64)
-    planes = embedding.index_planes(lattice_emb, ks)
-    near, far = planes.points
-    assert len(near) == 3 and len(far) == 4
-    assert np.array_equal(near[planes.codes[0]] + far[planes.codes[1]], ks)
+    assert vec[2] == (0, 1, 0, 1)
 
 
 def _count_unique_calls(monkeypatch):
@@ -283,52 +273,63 @@ def _count_unique_calls(monkeypatch):
     return calls
 
 
-# (low, high) corners of each column, row count, and whether the box of at
-# most max(rows, 2^16) points is marked rather than sorted
-@pytest.mark.parametrize("low, high, rows, dense", [
-    ((-7, -3), (3, 4), 500, True),
-    ((-5, 9), (-5, 9), 1, True),
-    ((0, 0), (0, 0), 0, True),
-    ((-200, 0), (55, 255), 300, True),
-    ((-200, 0), (56, 255), 300, False),
-    ((-150, -150), (149, 149), 100_000, True),
-    ((-10 ** 9, -3), (10 ** 9, 3), 50, False),
-    ((-2 ** 62, -2 ** 62), (2 ** 62, 2 ** 62), 40, False),
+# radius, row count, and whether the rows hold only the corners of the box
+@pytest.mark.parametrize("radius, rows, corners", [
+    (7, 500, False),
+    (9, 1, False),
+    (0, 0, False),
+    (127, 300, False),
+    (128, 300, False),
+    (149, 100_000, False),
+    (200, 40, True),
+    (0, 5, False),
 ], ids=["duplicates", "one-row", "no-rows", "box-2^16", "box-over-2^16",
-        "box-under-the-rows", "far-apart", "int64-limits"])
-def test_plane_codes_match_the_sorted_reference(monkeypatch, low, high, rows, dense):
-    rng = np.random.default_rng(rows)
-    cols = np.stack([rng.integers(lo, hi, size=rows, endpoint=True)
-                     for lo, hi in zip(low, high)], axis=-1).astype(np.int64)
+        "box-under-the-rows", "corners-only", "radius-0"])
+def test_plane_codes_match_the_sorted_reference(monkeypatch, lattice_emb, radius, rows, corners):
+    rng = np.random.default_rng(rows + radius)
+    if corners:
+        ks = rng.choice([-radius, radius], size=(rows, 4))
+    else:
+        ks = rng.integers(-radius, radius, size=(rows, 4), endpoint=True)
     if rows > 1:
-        cols[0], cols[-1] = low, high
-    _, first, inverse = np.unique(cols, axis=0, return_index=True, return_inverse=True)
+        ks[0], ks[-1] = -radius, radius
+    # the rank of each row's plane point among the sorted points of the box
+    side = np.arange(-radius, radius + 1)
+    box = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
+    ranks = [np.unique(np.concatenate([box, ks[:, 2 * p:2 * p + 2]]), axis=0,
+                       return_inverse=True)[1].ravel()[len(box):] for p in range(2)]
     calls = _count_unique_calls(monkeypatch)
-    got_first, got_inverse = embedding._plane_codes(cols)
-    assert (calls == []) is dense
-    assert got_first.dtype == got_inverse.dtype == np.intp
-    np.testing.assert_array_equal(got_first, first)
-    np.testing.assert_array_equal(got_inverse, inverse.ravel())
+    points, codes, _ = embedding.index_planes(lattice_emb, ks, radius)
+    assert calls == []
+    for p in range(2):
+        assert codes[p].dtype.kind == "i" and codes[p].shape == (rows,)
+        np.testing.assert_array_equal(codes[p], ranks[p])
+        np.testing.assert_array_equal(points[p][:, 2 * p:2 * p + 2], box)
+        assert not np.delete(points[p], [2 * p, 2 * p + 1], axis=1).any()
 
 
 @pytest.mark.parametrize("radius", range(1, 7))
 def test_index_planes_of_the_canonical_grid_sort_nothing(monkeypatch, lattice_emb, radius):
     ks = enumerate_indices(radius)
     calls = _count_unique_calls(monkeypatch)
-    planes = embedding.index_planes(lattice_emb, ks)
+    (near, far), codes, _ = embedding.index_planes(lattice_emb, ks, radius)
     assert calls == []
-    near, far = planes.points
     assert len(near) == len(far) == (2 * radius + 1) ** 2
-    assert np.array_equal(near[planes.codes[0]] + far[planes.codes[1]], ks)
+    # the points of each plane's box, in lexicographic order
+    box = list(itertools.product(range(-radius, radius + 1), repeat=2))
+    assert near[:, :2].tolist() == far[:, 2:].tolist() == [list(p) for p in box]
+    assert np.array_equal(near[codes[0]] + far[codes[1]], ks)
 
 
 def test_index_planes_refuse_a_coordinate_on_both_planes(lattice_emb):
+    # the CSV writer gathers each ambient coordinate at the point of the one
+    # plane it reads, which a coordinate reading both would get wrong
     entries = lattice_emb.entries.copy()
     entries[0, 2] = 1.0  # w1 = theta1 k1 + k3
     mixed = embedding.EmbeddingMap(lattice_emb.kind, entries, lattice_emb.theta1,
                                    m=lattice_emb.m, delta_hat=lattice_emb.delta_hat)
     with pytest.raises(ValueError, match="both index planes"):
-        embedding.index_planes(mixed, enumerate_indices(1))
+        embedding.index_planes(mixed, enumerate_indices(1), 1)
 
 
 def test_enumerate_counts_and_order(lattice_emb):
