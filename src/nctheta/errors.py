@@ -41,7 +41,9 @@ class DegenerateTestVector(NCThetaError):
 
 
 class DivergentSeries(NCThetaError):
-    """Series parameters outside the convergence region (Im tau <= 0)."""
+    """A theta series that cannot be summed in double precision: parameters
+    outside the convergence region (Im tau <= 0), or a term beyond the
+    floating-point range."""
 
 
 class DivergentIntegral(NCThetaError):

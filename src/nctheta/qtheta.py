@@ -266,9 +266,11 @@ def _continuous(d: int, parts):
 def _mode_products(parts, theta2: float) -> np.ndarray:
     """Product of the two discrete mode factors of each row of lattice-kind
     :func:`point_parts`; :func:`mode_factor` runs once per distinct (t, m)
-    pair per axis."""
+    pair per axis. The product is real, as each factor is: tau = 2i/theta2
+    is purely imaginary, so the theta terms pair off as complex conjugates
+    (:func:`mode_factor`)."""
     m_part, dual_part = parts
-    site = np.ones(len(m_part), dtype=complex)
+    site = np.ones(len(m_part))
     for axis in range(2):
         # Distinct (t, m) pairs under float equality, sorted by t then m,
         # each represented by its first row: 1-D uniques of the rank of t
@@ -278,9 +280,8 @@ def _mode_products(parts, theta2: float) -> np.ndarray:
         m_low = m.min(initial=0)
         code = t_rank * (m.max(initial=0) - m_low + 1) + (m - m_low)
         _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        factors = np.array([mode_factor(t[i], int(m[i]), theta2)
-                            for i in first.tolist()], dtype=complex)
-        site = _cmul(site, factors[inverse])
+        factors = np.array([mode_factor(t[i], int(m[i]), theta2) for i in first.tolist()])
+        site = site * factors[inverse]
     return site
 
 
@@ -294,13 +295,13 @@ def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
     """Gaussian exponent and mode product of the series coefficient C(k).
 
     For each row k of an (N, 4) index array: the real exponent
-    -(pi/2) H(k_, k_) and the product of the two discrete mode factors
+    -(pi/2) H(k_, k_) and the real product of the two discrete mode factors
     (all ones for the vector-space kind), so that C(k) = site e^{expo}.
     """
     parts = point_parts(emb, ks)
     expo = _gaussian_exponent(structure, parts)
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
-        return expo, np.ones(len(expo), dtype=complex)
+        return expo, np.ones(len(expo))
     return expo, _mode_products(parts, 1.0 / structure.lattice_decay)
 
 
@@ -312,7 +313,8 @@ def _log_translation(series: QuantumThetaSeries, kg, kh):
     coefficients. Lattice case: the quotient
     log C(g+h) - log C(g) - log C(h) - log alpha(g, h), with log alpha the
     paired exponent mod 2 times i pi: only ``exp`` reads the result, so a
-    shift by 2 pi i n does not matter.
+    shift by 2 pi i n does not matter. The real mode product may be
+    negative, so its logarithm is taken in the complex plane.
     """
     kg, kh = np.broadcast_arrays(_index_rows(kg), _index_rows(kh))
     emb = series.embedding
@@ -321,7 +323,8 @@ def _log_translation(series: QuantumThetaSeries, kg, kh):
     if np.any(np.abs(site) < COEFFICIENT_FLOOR):
         raise InternalIdentityViolated(
             "vanishing mode product; translation quotient undefined")
-    lg, lh, lgh = (part.reshape(kg.shape[:-1]) for part in np.split(expo + np.log(site), 3))
+    logs = expo + np.log(site.astype(complex))
+    lg, lh, lgh = (part.reshape(kg.shape[:-1]) for part in np.split(logs, 3))
     if series.kind is EmbeddingKind.VECTOR_SPACE:
         lt = -math.pi * hermitian_form(HermitianFormContext(series.structure.T),
                                        point_parts(emb, kg), point_parts(emb, kh))
@@ -365,9 +368,6 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
     if emb.kind is not structure.kind:
         raise KindMismatch("embedding and structure kinds differ")
     ks = enumerate_indices(radius)
-    series = QuantumThetaSeries(emb, structure, radius,
-                                HermitianFormContext(structure.T).normalization(),
-                                ks, np.empty(len(ks), dtype=complex))
     if emb.kind is EmbeddingKind.LATTICE:
         # R x Z^2: the exponent reads (w1, w2), the image of (k1, k2), and the
         # mode product (m, t), the image of (k3, k4); each runs once per point
@@ -377,7 +377,10 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
         site = _mode_products(point_parts(emb, far), 1.0 / structure.lattice_decay)[codes[1]]
     else:
         expo, site = _coefficient_parts(emb, structure, ks)
-    _cmul(site, np.exp(expo), out=series.values)
+    # real on both kinds; the complex values, imaginary part +0.0, are the table format
+    series = QuantumThetaSeries(emb, structure, radius,
+                                HermitianFormContext(structure.T).normalization(),
+                                ks, (site * np.exp(expo)).astype(complex))
     bad = _reassembly_failure(series)
     if bad is not None:
         raise InternalIdentityViolated(

@@ -96,8 +96,12 @@ def jacobi_theta(tau: complex, z: complex = 0.0, tol: float = 1e-12) -> complex:
     terms = [complex(1.0)]
     for n in range(1, n_max + 1):
         base = 1j * math.pi * tau * n * n
-        terms.append(cmath.exp(base + 2j * math.pi * n * z))
-        terms.append(cmath.exp(base - 2j * math.pi * n * z))
+        try:
+            terms.append(cmath.exp(base + 2j * math.pi * n * z))
+            terms.append(cmath.exp(base - 2j * math.pi * n * z))
+        except OverflowError:
+            raise DivergentSeries(
+                f"theta term n = {n} overflows at tau = {tau!r}, z = {z!r}") from None
     return _compensated_sum(terms)
 
 
@@ -200,16 +204,21 @@ def completed_square_defect(ctx: HermitianFormContext, w):
     return np.abs(_ctilde_minus_q_lambda(ctx, w) - 0.5 * hermitian_form(ctx, w, w))
 
 
-def mode_factor(t: float, m: int, theta2: float) -> complex:
+def mode_factor(t: float, m: int, theta2: float) -> float:
     """Per-axis discrete-mode factor of a lattice-kind inner product.
 
-    e^{-(pi/theta2) m^2 - pi i m t} theta(2i/theta2, -t + i m/theta2),
-    where t is the unreduced torus lift and m the integer shift.
+    mu(t, m) = e^{-(pi/theta2) m^2 - pi i m t} theta(2i/theta2, -t + i m/theta2),
+    where t is the unreduced torus lift and m the integer shift. mu is real,
+    and this returns the real part of the computed product. Term n of the
+    theta sum times the prefactor is e^{-(pi/theta2)(n^2 + (n+m)^2)}
+    e^{-pi i (2n+m) t}; n -> -(n+m) keeps n^2 + (n+m)^2 and negates 2n + m,
+    so the terms pair off as complex conjugates (Mumford, *Tata Lectures on
+    Theta I*, ch. I), and the imaginary part of the product is rounding.
     """
     if theta2 <= 0:
         raise NotPositive("theta2 must be positive")
     pref = cmath.exp(-math.pi / theta2 * m * m - 1j * math.pi * m * t)
-    return pref * jacobi_theta(2j / theta2, complex(-t, m / theta2))
+    return (pref * jacobi_theta(2j / theta2, complex(-t, m / theta2))).real
 
 
 def gaussian_quadrature_oracle(quadratic, linear=0.0, constant=0.0, tol: float = 1e-10):

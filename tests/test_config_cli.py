@@ -243,6 +243,37 @@ class TestExport:
         c2 = export_coefficients(reloaded, "csv", tmp_path / "b.csv")
         assert c1.read_bytes() == c2.read_bytes()
 
+    @pytest.mark.parametrize("case, radius", [("fixture", 4), ("fixture", 8), ("m2111", 2)])
+    def test_lattice_coefficients_are_stored_real(self, case, radius, lattice_config,
+                                                  tmp_path):
+        # the mode product is real (special.mode_factor), so every lattice
+        # coefficient holds im +0.0, never -0.0, and its table reloads as such
+        cfg = lattice_config if case == "fixture" else parse_config(minimal_lattice(
+            embedding={"kind": "lattice", "theta1": 0.5, "m": [[2, 1], [1, 1]],
+                       "delta_hat": [[0.25, 0.25], [-0.5, -0.25]]},
+            structure={"tau": [0.3, 0.2]}))
+        emb = cfg.build_embedding()
+        series = quantum_theta_series(emb, cfg.build_structure(emb), radius=radius)
+        assert not series.values.imag.view(np.uint64).any()
+        j1 = export_coefficients(series, "json", tmp_path / "a.json")
+        reloaded = load_series(j1)
+        assert not reloaded.values.imag.view(np.uint64).any()
+        j2 = export_coefficients(reloaded, "json", tmp_path / "b.json")
+        assert j1.read_bytes() == j2.read_bytes()
+
+    def test_reload_keeps_the_rounding_im_of_earlier_tables(self, lattice_emb,
+                                                            lattice_structure, tmp_path):
+        # lattice tables written while the mode product was complex hold
+        # rounding noise in im; they reload as stored and re-export unchanged
+        series = quantum_theta_series(lattice_emb, lattice_structure, radius=2)
+        noise = np.random.default_rng(5).standard_normal(len(series.values)) * 1e-17
+        series.values.imag = noise * series.values.real
+        j1 = export_coefficients(series, "json", tmp_path / "a.json")
+        reloaded = load_series(j1)
+        assert reloaded.values.tobytes() == series.values.tobytes()
+        assert export_coefficients(reloaded, "json", tmp_path / "b.json").read_bytes() \
+            == j1.read_bytes()
+
     def test_reload_rejects_table_that_misses_its_parameters(
             self, lattice_emb, lattice_structure, tmp_path):
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
@@ -936,6 +967,24 @@ class TestCli:
         code = main(["commutation", "--config", str(lattice_config_path),
                      "--output", str(target)])
         assert code == 3
+
+    def test_theta_overflow_is_an_errored_check(self, tmp_path, capsys):
+        # at radius 6 a theta term of this config's mode factors passes the
+        # largest double: the suite gets a named error, not an internal one
+        cfg = minimal_lattice(embedding={"kind": "lattice", "theta1": 0.5,
+                                         "m": [[2, 1], [1, 1]],
+                                         "delta_hat": [[0.25, 0.25], [-0.5, -0.25]]},
+                              structure={"tau": [0.3, 0.2]}, radius=6)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "r.json"
+        code = main(["quantum-theta", "--config", str(path), "--output", str(out)])
+        assert code == 1
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith("[FAIL] quantum-theta (errored): DivergentSeries: theta term n = ")
+        assert "overflows at tau = " in first and ", z = " in first
+        (check,) = json.loads(out.read_text())["checks"]
+        assert check["name"] == "quantum-theta (errored)"
 
     def test_internal_error_exit_four(self, lattice_config_path, monkeypatch, capsys):
         # an exception that escapes the suites is a program defect: one line

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -736,3 +737,23 @@ class TestTranslationRows:
         calls.clear()
         assert all(c.passed for c in run_suite(cfg, "additivity").checks)
         assert calls == ["additivity_gap"] * additivity_calls
+
+
+def test_translation_suites_read_negative_mode_products(lattice_config, monkeypatch):
+    # the real mode product is negative at some rows; the translations take
+    # its complex logarithm, so the suites that read them pass on the
+    # canonical lattice at radius 4 without a numpy warning
+    sites = []
+    real = qtheta_mod._coefficient_parts
+
+    def recording(*args):
+        expo, site = real(*args)
+        sites.append(site)
+        return expo, site
+    monkeypatch.setattr(qtheta_mod, "_coefficient_parts", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for suite in ("functional-equation", "consistency", "additivity"):
+            report = run_suite(lattice_config, suite)
+            assert report.passed, report.summary()
+    assert min(float(site.min()) for site in sites) < 0

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,12 @@ class TestJacobiTheta:
     def test_divergent_series(self):
         with pytest.raises(DivergentSeries):
             jacobi_theta(1.0, 0.0)
+
+    def test_term_beyond_the_double_range(self):
+        # |e^{2 pi i n z}| = e^{72 pi n} at Im z = -36: the n = 5 term is past
+        # the largest double, which the error names with tau and z
+        with pytest.raises(DivergentSeries, match=r"n = 5 overflows at tau = 4j, z = \(3-36j\)"):
+            jacobi_theta(4j, 3 - 36j)
 
     def test_truncation_bound_is_honest(self):
         # enlarging the cutoff beyond the chosen N never moves the value by tol
@@ -354,6 +361,28 @@ class TestModeFactor:
     def test_requires_positive_theta2(self):
         with pytest.raises(NotPositive):
             mode_factor(0.0, 0, -0.4)
+
+    def test_is_real(self):
+        # tau = 2i/theta2 is purely imaginary, so the theta terms n and -(n+m)
+        # of mu pair off as complex conjugates: a 50-digit sum of the defining
+        # series, term by term as written, leaves no imaginary part beyond its
+        # own rounding, and the package returns a float. (mpmath's jtheta
+        # loses digits at large Im z, so the sum is formed here; its terms
+        # beyond |n| = 20 are below 1e-150 of the largest at theta2 <= 3.)
+        rng = np.random.default_rng(35)
+        for _ in range(40):
+            theta2, t = rng.uniform(0.1, 3.0), rng.uniform(-5.0, 5.0)
+            m = int(rng.integers(-6, 7))
+            with mpmath.workdps(50):
+                pi, c = mpmath.pi, 1 / mpmath.mpf(theta2)
+                tau, z = 2j * c, -mpmath.mpf(t) + 1j * m * c
+                mu = mpmath.fsum(mpmath.exp(-pi * c * m * m - 1j * pi * m * t
+                                            + 1j * pi * tau * n * n + 2j * pi * n * z)
+                                 for n in range(-20, 21))
+                assert abs(mu.imag) < 1e-40 * abs(mu), (theta2, t, m)
+            value = mode_factor(t, m, theta2)
+            assert type(value) is float
+            assert abs(value - float(mu.real)) <= 1e-12 * max(1.0, abs(mu))
 
 
 class TestQuadratureOracle:
