@@ -253,8 +253,9 @@ def load_config(path, allow_invalid: bool = False) -> RunConfig:
     if not p.is_file():
         raise ConfigInvalid(f"config file not found: {p}", "$")
     try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as err:
+        # RFC 8259: JSON exchanged between systems is UTF-8
+        data = json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigSyntax(f"{p}: {err}") from err
     try:
         return parse_config(data, allow_invalid=allow_invalid)

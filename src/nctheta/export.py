@@ -179,6 +179,97 @@ def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
     return path
 
 
+# The writer's frame around the rows: the header's "coefficients" entry, a
+# key of the top-level object, opens before the first row and closes after
+# the last; the header alone holds it empty.
+_ROWS_OPEN, _ROWS_CLOSE, _NO_ROWS = '"coefficients": [\n', "\n  ]", '"coefficients": []'
+
+
+def _decoded(text: str):
+    """``json.loads(text)``, with the cyclic collector paused: the decoder
+    builds a list per row, none of them in a cycle, and the collector's
+    passes over them would take about a quarter of the decoding time of a
+    radius-8 table."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _pair_values(rows: list):
+    """The rows as complex values re + i im, and whether each row is a list
+    of two floats; a row that is not reads as NaN."""
+    pairs = set(map(type, rows)) == {list} and set(map(len, rows)) == {2}
+    flat = list(chain.from_iterable(rows)) if pairs else []
+    floats = pairs and set(map(type, flat)) == {float}
+    if not floats:
+        flat = list(chain.from_iterable(
+            row if type(row) is list and len(row) == 2 and set(map(type, row)) <= {float}
+            else (math.nan, math.nan) for row in rows))
+    return np.fromiter(flat, float, 2 * len(rows)).view(complex), floats
+
+
+def _distinct_rows(text: str):
+    """A table laid out as :func:`export_coefficients` writes it, parsed once
+    per distinct row: the header, whose "coefficients" entry is left empty,
+    and the value re + i im of each row. None for any other text, and for a
+    table of which more than half the rows are distinct, where parsing the
+    distinct rows alone would save little of the decode.
+
+    The layout: the text is ``json.dumps(header, indent=2, sort_keys=True)``
+    of its header, with the top-level ``"coefficients": []`` opened into
+    the rows, one per line and ",\n" between them, and a newline at the
+    end. C(-k) = conj C(k) and C is stored real, so row -k repeats row k: a
+    table written from a series passes the one-half line.
+
+    Why the rows read as in ``json.loads(text)``: the k distinct row texts
+    r_1..r_k are decoded at once as ``[[r_1],[r_2],...,[r_k]]`` and taken
+    only as k one-item lists, each holding a list of two floats. With no
+    string in that value, every "]", "," and "[" of the text is structural,
+    so each of the k - 1 inserted "],[" is a comma between two elements of
+    an array whose elements are arrays. Only the outer array is one: a
+    one-item list has no comma, and a pair holds floats. The outer array's
+    k elements have exactly k - 1 commas between them, so these are the
+    inserted ones: element i is "[" + r_i + "]", and r_i is one JSON value,
+    which reads the same wherever it stands. So the block of rows, a
+    ",\n"-separated list of the r_i, reads as the list of their values,
+    which is the header's entry in ``json.loads(text)``.
+    """
+    start = text.find(_ROWS_OPEN)
+    end = text.rfind(_ROWS_CLOSE, start + len(_ROWS_OPEN)) if start >= 0 else -1
+    if end < 0:
+        return None
+    head, tail = text[:start], text[end + len(_ROWS_CLOSE):]
+    # indented by two, the entry is a key of the top-level object
+    if not head.endswith("\n  ") or not tail.endswith("\n"):
+        return None
+    try:
+        header = json.loads(head + _NO_ROWS + tail)
+        if json.dumps(header, indent=2, sort_keys=True).split(_NO_ROWS, 1) != [head, tail[:-1]]:
+            return None
+    except (ValueError, RecursionError):
+        return None
+    rows = text[start + len(_ROWS_OPEN):end].split(",\n")
+    distinct = dict.fromkeys(rows)
+    if 2 * len(distinct) > len(rows):
+        return None
+    number = dict(zip(distinct, range(len(distinct))))
+    try:
+        parsed = _decoded("[[" + "],[".join(distinct) + "]]")
+        # a number, or an element of another length, raises; a one-key
+        # object or a one-character string leaves a string, which fails below
+        pairs = [row for (row,) in parsed]
+    except (ValueError, TypeError, RecursionError):
+        return None
+    values, floats = _pair_values(pairs)
+    if len(pairs) != len(distinct) or not floats:
+        return None
+    return header, values[np.fromiter(map(number.__getitem__, rows), np.intp, len(rows))]
+
+
 def load_series(path) -> QuantumThetaSeries:
     """Reload a JSON coefficient export; values are taken as stored.
 
@@ -188,24 +279,29 @@ def load_series(path) -> QuantumThetaSeries:
     closed-form inner product at sup norm <= 2, as a computed series does;
     its header must define a valid embedding and structure, of the kind it
     names, and the normalization of that structure; otherwise ValueError,
-    naming the path. The row count is checked before any index is
-    enumerated, so the work is bounded by the table's size whatever radius
-    it names. Rows that are objects, the layout of earlier tables, are
-    refused.
+    naming the path, also for a file that is not UTF-8 text. The row count
+    is checked before any index is enumerated, so the work is bounded by
+    the table's size whatever radius it names. Rows that are objects, the
+    layout of earlier tables, are refused.
+
+    A table in the writer's layout is parsed once per distinct row
+    (:func:`_distinct_rows`), any other text whole by ``json.loads``; both
+    give the same values, or the same error, which names the first row
+    that fails.
     """
-    text = Path(path).read_text()
-    # The decoder builds a list per row, none of them in a cycle; the cyclic
-    # collector's passes over them would take about a quarter of the
-    # decoding time of a radius-8 table, so it is paused meanwhile.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not a JSON table ({err})") from None
-    finally:
-        if collecting:
-            gc.enable()
+    table = _distinct_rows(text)
+    if table is None:
+        try:
+            data = _decoded(text)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: not a JSON table ({err})") from None
+        values = None
+    else:
+        data, values = table
     try:
         e, st = data["embedding"], data["structure"]
         kind, theta1, tau = e["kind"], e["theta1"], st["tau"]
@@ -220,27 +316,21 @@ def load_series(path) -> QuantumThetaSeries:
     if type(radius) is not int or radius < 1:
         raise ValueError(f"{path}: the radius must be a positive integer")
     count = (2 * radius + 1) ** 4
-    if len(rows) != count:
-        raise ValueError(f"{path}: the table holds {len(rows)} rows, not the {count}"
+    size = len(rows) if values is None else len(values)
+    if size != count:
+        raise ValueError(f"{path}: the table holds {size} rows, not the {count}"
                          f" indices of radius {radius}")
     indices = enumerate_indices(radius)
-    row_types = set(map(type, rows))
-    if dict in row_types:
-        first = next(i for i, row in enumerate(rows) if type(row) is dict)
-        raise ValueError(
-            f"{path}: the row for index {_label(indices[first])} is an object, the"
-            " layout of earlier tables; a row is now [re, im], in the order of"
-            " enumerate_indices(radius). The header's embedding, structure and"
-            " radius make the config from which `nctheta quantum-theta` writes"
-            " the table anew")
-    # re, then im, of every row; a row that is not two floats reads as NaN
-    pairs = row_types == {list} and set(map(len, rows)) == {2}
-    flat = list(chain.from_iterable(rows)) if pairs else []
-    if not pairs or not set(map(type, flat)) <= {float}:
-        flat = list(chain.from_iterable(
-            row if type(row) is list and len(row) == 2 and set(map(type, row)) <= {float}
-            else (math.nan, math.nan) for row in rows))
-    values = np.fromiter(flat, float, 2 * count).view(complex)
+    if values is None:
+        values, floats = _pair_values(rows)
+        if not floats and dict in set(map(type, rows)):
+            first = next(i for i, row in enumerate(rows) if type(row) is dict)
+            raise ValueError(
+                f"{path}: the row for index {_label(indices[first])} is an object, the"
+                " layout of earlier tables; a row is now [re, im], in the order of"
+                " enumerate_indices(radius). The header's embedding, structure and"
+                " radius make the config from which `nctheta quantum-theta` writes"
+                " the table anew")
     bad = ~np.isfinite(values)
     if np.any(bad):
         raise ValueError(f"{path}: the coefficient at {_label(indices[np.argmax(bad)])}"

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nctheta
 from nctheta import export
@@ -24,8 +26,8 @@ from nctheta.config import _SCHEMA_KEYWORDS, CONFIG_SCHEMA, _violation, load_con
 from nctheta.embedding import enumerate_indices, point_parts
 from nctheta.errors import ConfigInvalid, ConfigSyntax, TruncationTooSmall
 from nctheta.export import _CSV_ROW, _JSON_ROW, _write_table, export_coefficients, load_series
-from nctheta.qtheta import (MAX_SERIALIZED_ELEMENTS, VerificationReport, _label,
-                            _reassembly_failure, quantum_theta_series)
+from nctheta.qtheta import (MAX_SERIALIZED_ELEMENTS, QuantumThetaSeries, VerificationReport,
+                            _label, _reassembly_failure, quantum_theta_series)
 from nctheta.report import (SUITE_NAMES, RunContext, _check_dict, _rng_streams, run_suite,
                             write_report)
 
@@ -65,6 +67,15 @@ class TestLoadConfig:
         bad.write_text("{not json")
         with pytest.raises(ConfigSyntax):
             load_config(bad)
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        # RFC 8259 JSON is UTF-8; other bytes are a syntax error naming the file
+        bad = tmp_path / "c.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigSyntax, match="c.json: 'utf-8' codec can't decode byte 0xff"):
+            load_config(bad)
+        assert main(["quantum-theta", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {bad}: 'utf-8' codec")
 
     def test_schema_violation_carries_path(self):
         raw = minimal_lattice()
@@ -216,6 +227,27 @@ def _non_canonical_series(kind):
     return series
 
 
+def _writer_layout(data) -> str:
+    """A table's data as the writer lays it out: the header indented by two
+    with sorted keys, one row per line; data whose coefficients are not a
+    list, all of it indented."""
+    rows = data.get("coefficients")
+    if type(rows) is not list:
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    head, tail = json.dumps({**data, "coefficients": []}, indent=2, sort_keys=True).split(
+        '"coefficients": []', 1)
+    return (head + '"coefficients": [\n' + ",\n".join("    " + json.dumps(row) for row in rows)
+            + "\n  ]" + tail + "\n")
+
+
+def _reload_outcome(path):
+    """The reloaded values' bytes, or the message of the ValueError raised."""
+    try:
+        return load_series(path).values.tobytes()
+    except ValueError as err:
+        return str(err)
+
+
 class TestExport:
     def test_csv_row_count_and_header(self, lattice_emb, lattice_structure, tmp_path):
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
@@ -293,11 +325,16 @@ class TestExport:
                                        "null-normalization", "negative-decay",
                                        "infinite-decay", "nan-theta1", "singular-m",
                                        "rescaled-normalization", "kind-mismatch"])
+    @pytest.mark.parametrize("layout", ["compact", "writer"])
     def test_reload_rejects_malformed_rows(self, lattice_emb, lattice_structure,
-                                           tmp_path, fault):
+                                           tmp_path, fault, layout):
+        # the same message from a compact table, which json.loads reads whole,
+        # and from one in the writer's layout, read per distinct row unless
+        # its rows are not all pairs of floats
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=3)
         path = export_coefficients(series, "json", tmp_path / "a.json")
         data = json.loads(path.read_text())
+        assert _writer_layout(data) == path.read_text()
         rows = data["coefficients"]
         # rows[3] lies inside sup norm 2, where the reassembly check runs
         k3 = series.indices[3].tolist()
@@ -381,9 +418,155 @@ class TestExport:
                 r[1] /= 2.0
         elif fault == "kind-mismatch":
             data["kind"] = "vector_space"
-        path.write_text("not json" if fault == "not-json" else json.dumps(data))
+        layouts = {"compact": json.dumps, "writer": _writer_layout}
+        path.write_text("not json" if fault == "not-json" else layouts[layout](data))
+        not_pairs = {"three-entries", "entry-moved-up", "object-row", "ambient-row", "true-re",
+                     "int-im", "null-re", "rows-not-a-list", "no-coefficients", "not-json"}
+        assert (export._distinct_rows(path.read_text()) is not None) \
+            == (layout == "writer" and fault not in not_pairs)
         with pytest.raises(ValueError, match=f"a.json: .*{message}"):
             load_series(path)
+
+    @pytest.mark.parametrize("case, outcome", [
+        ("split-row", None), ("crlf", None),
+        ("string-holds-separator", "is not a pair of finite floats"),
+        ("string-across-rows", "not a JSON table"),
+        ("row-of-two-elements", "not a JSON table"),
+        ("row-of-two-pairs", "not a JSON table"),
+        ("int-re", "is not a pair of finite floats"),
+        ("nan-re", "is not a pair of finite floats"),
+        ("object-row", "is an object, the layout of earlier tables"),
+        ("duplicate-key-first", None),
+        ("duplicate-key-last", "holds 1 rows, not the 625 indices"),
+        ("nested-entry", "holds 0 rows, not the 625 indices")])
+    def test_reload_reads_adversarial_rows_as_json_loads(self, lattice_emb, lattice_structure,
+                                                         tmp_path, monkeypatch, case, outcome):
+        # row texts near the writer's layout reload exactly as json.loads
+        # reads the whole text: the same values, or the same message
+        series = quantum_theta_series(lattice_emb, lattice_structure, radius=2)
+        text = export_coefficients(series, "json", tmp_path / "a.json").read_text()
+        open_, (row, after) = '"coefficients": [\n', text.splitlines()[4:6]
+        assert row.startswith("    [") and row.endswith("],")
+        re_, im = row[5:-2].split(", ")
+        edit = {
+            # a string across a row break, then two pairs on one line: the
+            # rows decoded apart hold as many lists, ["a],[b", 0.0], [1.0,
+            # 0.0] and [2.0, 0.0], but a raw line break in a string is not JSON
+            "string-across-rows": f'    ["a,\nb", {im}],\n    [1.0, 0.0]],[[2.0, 0.0],',
+            # two lists, and an empty row beside a row of two pairs, which
+            # decoded apart hold as many pairs as rows
+            "row-of-two-elements": "    [1.0, 0.0]],[[2.0, 0.0],",
+            "row-of-two-pairs": "    [1.0, 0.0], [2.0, 0.0],\n,",
+            "split-row": f"    [{re_},\n     {im}],",
+            "string-holds-separator": f'    ["{re_}],[", {im}],',
+            "int-re": f"    [1, {im}],",
+            "nan-re": f"    [NaN, {im}],",
+            "object-row": f'    {{"im": {im}, "k": [-1, -1, -1, 1], "re": {re_}}},',
+        }
+        if case == "string-across-rows":
+            text = text.replace(f"{row}\n{after}", edit[case], 1)
+        elif case in edit:
+            text = text.replace(row, edit[case], 1)
+        elif case == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif case == "duplicate-key-first":
+            text = text.replace(open_, '"coefficients": [],\n  ' + open_, 1)
+        elif case == "duplicate-key-last":
+            text = text.replace("\n}\n", ',\n  "coefficients": [[1.0, 0.0]]\n}\n')
+        elif case == "nested-entry":
+            # the rows under a key that sorts before "coefficients", which is
+            # empty; the header is laid out as json.dumps lays it out
+            text = text.replace(open_, '"a": {\n    ' + open_, 1).replace(
+                "\n  ],", '\n  ]\n  },\n  "coefficients": [],', 1)
+        path = tmp_path / "b.json"
+        path.write_bytes(text.encode())
+        got = _reload_outcome(path)
+        monkeypatch.setattr(export, "_distinct_rows", lambda text: None)
+        assert got == _reload_outcome(path)
+        if outcome is None:
+            assert got == series.values.tobytes()
+        else:
+            assert outcome in got
+
+    def test_reload_refuses_text_that_is_not_utf8(self, lattice_emb, lattice_structure,
+                                                 tmp_path):
+        series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
+        path = export_coefficients(series, "json", tmp_path / "a.json")
+        path.write_bytes(path.read_bytes().replace(b"0.0", b"0.\xe9", 1))
+        with pytest.raises(ValueError, match="a.json: not a JSON table .*'utf-8' codec"):
+            load_series(path)
+
+    def test_reload_is_bit_exact(self, lattice_emb, lattice_structure, tmp_path):
+        # finite doubles at the edges of the format reload bit for bit, in
+        # rows of sup norm 3, outside the reassembly check
+        series = quantum_theta_series(lattice_emb, lattice_structure, radius=3)
+        outer = np.flatnonzero(np.abs(series.indices).max(axis=1) == 3)
+
+        @settings(max_examples=12, deadline=None, derandomize=True)
+        @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+                        max_size=64))
+        @example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  -2.225073858507201e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 1e-310, 0.1])
+        def check(floats):
+            values = series.values.copy()
+            pairs = np.array(floats[:len(floats) // 2 * 2]).view(complex)
+            values[outer[:len(pairs)]] = pairs
+            table = QuantumThetaSeries(series.embedding, series.structure, series.radius,
+                                       series.normalization, series.indices, values)
+            path = export_coefficients(table, "json", tmp_path / "bits.json")
+            assert export._distinct_rows(path.read_text()) is not None
+            assert load_series(path).values.view(np.uint64).tolist() \
+                == values.view(np.uint64).tolist()
+
+        check()
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector", "non-canonical-lattice",
+                                      "off-diagonal-vector", "noise-im-lattice",
+                                      "outer-noise-im-lattice"])
+    @pytest.mark.parametrize("radius", [1, 3])
+    def test_written_tables_skip_the_whole_text_decode(self, request, monkeypatch, tmp_path,
+                                                       kind, radius):
+        # a table written from a series is read per distinct row, never by
+        # json.loads of the whole text; one whose im holds rounding noise,
+        # as lattice tables written while the mode product was complex do,
+        # is read whole: in every row, or in the outer shell only, where
+        # the inner rows repeat but more than half of all rows differ
+        if kind in ("lattice", "vector"):
+            emb = request.getfixturevalue(f"{kind}_emb")
+            structure = request.getfixturevalue(f"{kind}_structure")
+        elif kind.endswith("noise-im-lattice"):
+            emb, structure = request.getfixturevalue("lattice_emb"), \
+                request.getfixturevalue("lattice_structure")
+        else:
+            cfg = parse_config(minimal_lattice(
+                embedding={"kind": "lattice", "theta1": 0.5, "m": [[2, 1], [1, 1]],
+                           "delta_hat": [[0.25, 0.25], [-0.5, -0.25]]},
+                structure={"tau": [0.3, 0.2]}) if kind == "non-canonical-lattice" else {
+                "embedding": {"kind": "vector_space", "theta1": 0.5, "theta2": 0.4},
+                "structure": {"tau": [[[0.1, 0.5], [0.04, 0.08]],
+                                      [[0.05, 0.1], [0.02, 0.4]]]}})
+            emb = cfg.build_embedding()
+            structure = cfg.build_structure(emb)
+        series = quantum_theta_series(emb, structure, radius=radius)
+        if kind.endswith("noise-im-lattice"):
+            noise = np.random.default_rng(5).standard_normal(len(series.values)) * 1e-17
+            if kind.startswith("outer"):
+                noise[np.abs(series.indices).max(axis=1) < radius] = 0.0
+            series.values.imag = noise * series.values.real
+        path = export_coefficients(series, "json", tmp_path / "a.json")
+        text, decoded = path.read_text(), []
+        loads = json.loads
+
+        def spy(s, *args, **kwargs):
+            decoded.append(s)
+            return loads(s, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", spy)
+        reloaded = load_series(path)
+        monkeypatch.undo()
+        assert reloaded.values.tobytes() == series.values.tobytes()
+        assert (text in decoded) == kind.endswith("noise-im-lattice")
 
     def test_reload_bounds_its_work_by_the_row_count(self, lattice_emb, lattice_structure,
                                                      tmp_path):

@@ -5,17 +5,21 @@ C(k) = G(w1, w2) mu(t1, m1) mu(t2, m2), with the ambient coordinates
 (w1, m1, m2) and (w2, t1, t2) of :func:`point_parts`:
 
 * G = exp(-(pi/2) |T w1 + w2|^2 / Im T), the Gaussian factor;
-* mu(t, m) = e^{-pi m^2 / theta2 - i pi m t} jtheta(3, pi (-t + i m / theta2),
-  e^{-2 pi / theta2}), with theta2 the inverse of the structure's lattice
-  decay, the mode factor of one discrete axis.
+* mu(t, m) = sum over n of e^{-(pi / theta2) (n^2 + (n + m)^2)}
+  cos(pi (2n + m) t), with theta2 the inverse of the structure's lattice
+  decay, the mode factor of one discrete axis. This is the defining series
+  e^{-pi m^2 / theta2 - i pi m t} jtheta(3, pi (-t + i m / theta2),
+  e^{-2 pi / theta2}) with its terms n and -(n + m) paired; the reference
+  sums it directly, since ``mpmath.jtheta`` at that argument loses about 30
+  digits when m / theta2 is large.
 
 The reference evaluates both in mpmath from the package's floats (the
 coordinates, T and the decay), read as exact binary numbers, so it checks
 everything the table computes after :func:`point_parts`; the validate check
 ``element-linearity`` covers :func:`point_parts` itself. G runs once per
-distinct (w1, w2) and the product of the two mu once per distinct
-(t1, m1, t2, m2). A row is resolved when both its factors agree at two
-precisions; its reference, the product of the two factors rounded to
+distinct (w1, w2), mu once per distinct (t, m) and their product once per
+distinct (t1, m1, t2, m2). A row is resolved when both its factors agree at
+two precisions; its reference, the product of the two factors rounded to
 double, must then match the table to TABLE_REL relative.
 """
 
@@ -36,9 +40,13 @@ def _gaussian(tee, w1, w2):
 
 
 def _mode(t, m, theta2):
-    pref = mpmath.exp(-mpmath.pi * m * m / theta2 - 1j * mpmath.pi * m * t)
-    return pref * mpmath.jtheta(3, mpmath.pi * (-t + 1j * m / theta2),
-                                mpmath.exp(-2 * mpmath.pi / theta2))
+    # n^2 + (n + m)^2 = 2 j^2 + m^2 / 2 with j = n + m/2, so past |j| = reach
+    # a term is below 10^-dps of the largest
+    reach = int(mpmath.sqrt(mpmath.mp.dps * mpmath.log(10) * theta2 / (2 * mpmath.pi))) + 2
+    m, t = int(m), mpmath.mpf(t)
+    return mpmath.fsum(mpmath.exp(-mpmath.pi / theta2 * (n * n + (n + m) ** 2))
+                       * mpmath.cos(mpmath.pi * (2 * n + m) * t)
+                       for n in range(-m // 2 - reach, -m // 2 + reach + 1))
 
 
 def reference_factors(series, dps):
@@ -52,8 +60,9 @@ def reference_factors(series, dps):
         tee = mpmath.mpc(complex(series.structure.T[0, 0]))
         theta2 = 1 / mpmath.mpf(series.structure.lattice_decay)
         gauss = {key: _gaussian(tee, *key) for key in set(keys[0])}
-        modes = {(a, b, c, d): _mode(a, b, theta2) * _mode(c, d, theta2)
-                 for a, b, c, d in set(keys[1])}
+        axes = {key[i:i + 2] for key in set(keys[1]) for i in (0, 2)}
+        mode = {axis: _mode(*axis, theta2) for axis in axes}
+        modes = {key: mode[key[:2]] * mode[key[2:]] for key in set(keys[1])}
     return keys, (gauss, modes)
 
 
