@@ -255,7 +255,8 @@ def load_config(path, allow_invalid: bool = False) -> RunConfig:
     try:
         # RFC 8259: JSON exchanged between systems is UTF-8
         data = json.loads(p.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise ConfigSyntax(f"{p}: {err}") from err
     try:
         return parse_config(data, allow_invalid=allow_invalid)

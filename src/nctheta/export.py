@@ -4,19 +4,18 @@ Two formats, rows in the canonical enumeration order. The CSV table has a
 fixed header and 17-significant-digit decimals, with each index and its
 ambient coordinates beside its coefficient. The JSON table holds what fixes
 the series: the embedding and structure parameters, the radius and the
-normalization, and per row only the coefficient as an ``[re, im]`` pair;
-row i belongs to ``enumerate_indices(radius)[i]``, so a series can be
+normalization, each distinct coefficient once as an ``[re, im]`` pair in
+``values``, and per index one code into ``values`` in ``coefficients``;
+code i belongs to ``enumerate_indices(radius)[i]``, so a series can be
 reloaded and re-exported byte-identically. The ambient coordinates of an
 index k are ``point_parts(embedding, k)``.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import re
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,45 +36,46 @@ CSV_HEADER = "k1,k2,k3,k4,w1,w2,m1,m2,t1,t2,re,im"
 # Rows are built and formatted this many at a time, which bounds the memory held.
 CHUNK_ROWS = 4096
 
-# One row per format, filled from the block columns (k1..k4, w1, w2, m1, m2,
-# t1, t2, re, im) in the order given next to it. A JSON row is one line at
-# the depth of a row in the payload; json.dumps prints floats as their repr.
-_CSV_ROW = ("%d,%d,%d,%d," + ",".join(["%.17g"] * 8) + "\n", range(12))
-_JSON_ROW = ("    [%r, %r]", [10, 11])
-# One conversion of a row template: %d, %r or a %g with its precision.
-_CONVERSION = re.compile(r"%[.0-9]*[dgr]")
+# One CSV row, filled from the columns k1..k4, w1, w2, m1, m2, t1, t2, re, im.
+_CSV_ROW = "%d,%d,%d,%d," + ",".join(["%.17g"] * 8) + "\n"
+# One conversion of the row template: %d or a %g with its precision.
+_CONVERSION = re.compile(r"%[.0-9]*[dg]")
 
 
-def _table_cells(series: QuantumThetaSeries, columns):
-    """Source and values of each table column (k1..k4, w1, w2, m1, m2, t1,
-    t2, re, im) that ``columns`` read, None for the others, and the codes
-    of the rows.
+def _distinct(column):
+    """The distinct bit patterns of a float column (-0.0 and 0.0 stay
+    apart), as floats in ascending order of the patterns, and the position
+    of each row's value among them."""
+    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    return bits.view(np.float64), inverse
+
+
+def _table_cells(series: QuantumThetaSeries):
+    """Source and values of each CSV column (k1..k4, w1, w2, m1, m2, t1,
+    t2, re, im), and the codes of the rows.
 
     A source numbers the code array that gathers the values per row, or is
-    None for a constant. When a column before re is read, sources 0 and 1
-    are the index planes (:func:`index_planes`), whose points the values
-    run over; the distinct bit patterns of re and im over the whole table
-    (-0.0 and 0.0 stay apart) come next, so each value is formatted once
-    per table. Lattice kind: (w1, w2, m1, m2, t1, t2) with unreduced torus
-    lifts. Vector-space kind: the M part fills (w1, w2), the dual part
-    (t1, t2), and the integer slots are zero.
+    None for a constant. Sources 0 and 1 are the index planes
+    (:func:`index_planes`), whose points the values run over; the distinct
+    values of re and im over the whole table (:func:`_distinct`) come next,
+    so each value is formatted once per table. Lattice kind: (w1, w2, m1,
+    m2, t1, t2) with unreduced torus lifts. Vector-space kind: the M part
+    fills (w1, w2), the dual part (t1, t2), and the integer slots are zero.
     """
-    cells, codes = [None] * 10, []
-    if min(columns) < 10:
-        points, codes, reads = index_planes(series.embedding, series.indices, series.radius)
-        index = [(p, points[p][:, j]) for p in range(2) for j in (2 * p, 2 * p + 1)]
-        # each plane's points through the map, one column per row of entries
-        ambient = [np.concatenate(point_parts(series.embedding, plane), axis=-1)
-                   for plane in points]
-        # the row of entries behind each of (w1, w2, m1, m2, t1, t2)
-        lattice = series.kind is EmbeddingKind.LATTICE
-        slots = [0, 3, 1, 2, 4, 5] if lattice else [0, 1, None, None, 2, 3]
-        cells = index + [(None, 0.0) if i is None else (reads[i], ambient[reads[i]][:, i])
-                         for i in slots]
-        codes = list(codes)
+    points, codes, reads = index_planes(series.embedding, series.indices, series.radius)
+    index = [(p, points[p][:, j]) for p in range(2) for j in (2 * p, 2 * p + 1)]
+    # each plane's points through the map, one column per row of entries
+    ambient = [np.concatenate(point_parts(series.embedding, plane), axis=-1)
+               for plane in points]
+    # the row of entries behind each of (w1, w2, m1, m2, t1, t2)
+    lattice = series.kind is EmbeddingKind.LATTICE
+    slots = [0, 3, 1, 2, 4, 5] if lattice else [0, 1, None, None, 2, 3]
+    cells = index + [(None, 0.0) if i is None else (reads[i], ambient[reads[i]][:, i])
+                     for i in slots]
+    codes = list(codes)
     for column in (series.values.real, series.values.imag):
-        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        cells.append((len(codes), bits.view(np.float64)))
+        values, inverse = _distinct(column)
+        cells.append((len(codes), values))
         codes.append(inverse)
     return cells, codes
 
@@ -93,15 +93,13 @@ def _joined(last, new):
     return (b if a is None else a), x + y
 
 
-def _row_parts(row, cells) -> list:
-    """The row template as parts (see :func:`_joined`): each sourced cell
-    formatted once per code of its source, constants once, and each run of
-    adjacent slots that read one source joined into one part."""
-    template, columns = row
-    pieces = _CONVERSION.split(template)
+def _row_parts(cells) -> list:
+    """The CSV row template as parts (see :func:`_joined`): each sourced
+    cell formatted once per code of its source, constants once, and each
+    run of adjacent slots that read one source joined into one part."""
+    pieces = _CONVERSION.split(_CSV_ROW)
     parts = [(None, pieces[0])]
-    for spec, col, piece in zip(_CONVERSION.findall(template), columns, pieces[1:]):
-        source, values = cells[col]
+    for spec, (source, values), piece in zip(_CONVERSION.findall(_CSV_ROW), cells, pieces[1:]):
         if source is None:
             cell = (None, spec % values)
         else:
@@ -115,25 +113,39 @@ def _row_parts(row, cells) -> list:
     return parts
 
 
-def _write_table(fh, row, separator: str, series: QuantumThetaSeries) -> None:
-    """Write the table through a (template, columns) row format, with the
-    separator between rows.
+def _write_table(fh, series: QuantumThetaSeries) -> None:
+    """Write the CSV rows of the table.
 
     Rows go in blocks of CHUNK_ROWS, each as one str.join over the parts of
-    :func:`_row_parts`, whose texts are gathered by the rows' codes. Every
-    row starts with the separator, a literal of its template, which the
-    table's first row drops.
+    :func:`_row_parts`, whose texts are gathered by the rows' codes.
     """
-    template, columns = row
-    cells, codes = _table_cells(series, columns)
-    parts = _row_parts((separator + template, columns), cells)
+    cells, codes = _table_cells(series)
+    parts = _row_parts(cells)
     for lo in range(0, len(series.indices), CHUNK_ROWS):
         rows = slice(lo, lo + CHUNK_ROWS)
         text = np.empty((len(codes[0][rows]), len(parts)), dtype=object)
         for j, (source, payload) in enumerate(parts):
             text[:, j] = payload if source is None else payload[codes[source][rows]]
-        block = "".join(text.ravel().tolist())
-        fh.write(block if lo else block[len(separator):])
+        fh.write("".join(text.ravel().tolist()))
+
+
+def _values_and_codes(series: QuantumThetaSeries):
+    """The JSON table's ``values`` text, one ``[re, im]`` per line in
+    ascending order of the (re, im) bit patterns, and its ``coefficients``
+    text, one code into ``values`` per index on one line.
+
+    json.dumps prints a float as its repr, and both depend only on the
+    values, so a reloaded table re-exports byte for byte.
+    """
+    re_values, re_codes = _distinct(series.values.real)
+    im_values, im_codes = _distinct(series.values.imag)
+    pairs, codes = np.unique(re_codes * len(im_values) + im_codes, return_inverse=True)
+    re_text = np.array([repr(v) for v in re_values.tolist()], dtype=object)
+    im_text = np.array([repr(v) for v in im_values.tolist()], dtype=object)
+    re_code, im_code = np.divmod(pairs, len(im_values))
+    rows = "    [" + re_text[re_code] + ", " + im_text[im_code] + "]"
+    code_text = np.array([str(i) for i in range(len(pairs))], dtype=object)
+    return ",\n".join(rows.tolist()), ", ".join(code_text[codes].tolist())
 
 
 def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
@@ -146,7 +158,7 @@ def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
     if fmt == "csv":
         with path.open("w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            _write_table(fh, _CSV_ROW, "", series)
+            _write_table(fh, series)
         return path
     emb = series.embedding
     emb_params = {"kind": emb.kind.value, "theta1": emb.theta1}
@@ -169,139 +181,37 @@ def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
         "radius": series.radius,
         "normalization": series.normalization,
         "coefficients": [],
+        "values": [],
     }
-    head, tail = json.dumps(payload, indent=2, sort_keys=True).split(
-        '"coefficients": []', 1)
+    values, codes = _values_and_codes(series)
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = text.replace('"coefficients": []', f'"coefficients": [{codes}]', 1)
+    text = text.replace('"values": []', f'"values": [\n{values}\n  ]', 1)
     with path.open("w", newline="\n") as fh:
-        fh.write(head + '"coefficients": [\n')
-        _write_table(fh, _JSON_ROW, ",\n", series)
-        fh.write("\n  ]" + tail + "\n")
+        fh.write(text + "\n")
     return path
-
-
-# The writer's frame around the rows: the header's "coefficients" entry, a
-# key of the top-level object, opens before the first row and closes after
-# the last; the header alone holds it empty.
-_ROWS_OPEN, _ROWS_CLOSE, _NO_ROWS = '"coefficients": [\n', "\n  ]", '"coefficients": []'
-
-
-def _decoded(text: str):
-    """``json.loads(text)``, with the cyclic collector paused: the decoder
-    builds a list per row, none of them in a cycle, and the collector's
-    passes over them would take about a quarter of the decoding time of a
-    radius-8 table."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return json.loads(text)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _pair_values(rows: list):
-    """The rows as complex values re + i im, and whether each row is a list
-    of two floats; a row that is not reads as NaN."""
-    pairs = set(map(type, rows)) == {list} and set(map(len, rows)) == {2}
-    flat = list(chain.from_iterable(rows)) if pairs else []
-    floats = pairs and set(map(type, flat)) == {float}
-    if not floats:
-        flat = list(chain.from_iterable(
-            row if type(row) is list and len(row) == 2 and set(map(type, row)) <= {float}
-            else (math.nan, math.nan) for row in rows))
-    return np.fromiter(flat, float, 2 * len(rows)).view(complex), floats
-
-
-def _distinct_rows(text: str):
-    """A table laid out as :func:`export_coefficients` writes it, parsed once
-    per distinct row: the header, whose "coefficients" entry is left empty,
-    and the value re + i im of each row. None for any other text, and for a
-    table of which more than half the rows are distinct, where parsing the
-    distinct rows alone would save little of the decode.
-
-    The layout: the text is ``json.dumps(header, indent=2, sort_keys=True)``
-    of its header, with the top-level ``"coefficients": []`` opened into
-    the rows, one per line and ",\n" between them, and a newline at the
-    end. C(-k) = conj C(k) and C is stored real, so row -k repeats row k: a
-    table written from a series passes the one-half line.
-
-    Why the rows read as in ``json.loads(text)``: the k distinct row texts
-    r_1..r_k are decoded at once as ``[[r_1],[r_2],...,[r_k]]`` and taken
-    only as k one-item lists, each holding a list of two floats. With no
-    string in that value, every "]", "," and "[" of the text is structural,
-    so each of the k - 1 inserted "],[" is a comma between two elements of
-    an array whose elements are arrays. Only the outer array is one: a
-    one-item list has no comma, and a pair holds floats. The outer array's
-    k elements have exactly k - 1 commas between them, so these are the
-    inserted ones: element i is "[" + r_i + "]", and r_i is one JSON value,
-    which reads the same wherever it stands. So the block of rows, a
-    ",\n"-separated list of the r_i, reads as the list of their values,
-    which is the header's entry in ``json.loads(text)``.
-    """
-    start = text.find(_ROWS_OPEN)
-    end = text.rfind(_ROWS_CLOSE, start + len(_ROWS_OPEN)) if start >= 0 else -1
-    if end < 0:
-        return None
-    head, tail = text[:start], text[end + len(_ROWS_CLOSE):]
-    # indented by two, the entry is a key of the top-level object
-    if not head.endswith("\n  ") or not tail.endswith("\n"):
-        return None
-    try:
-        header = json.loads(head + _NO_ROWS + tail)
-        if json.dumps(header, indent=2, sort_keys=True).split(_NO_ROWS, 1) != [head, tail[:-1]]:
-            return None
-    except (ValueError, RecursionError):
-        return None
-    rows = text[start + len(_ROWS_OPEN):end].split(",\n")
-    distinct = dict.fromkeys(rows)
-    if 2 * len(distinct) > len(rows):
-        return None
-    number = dict(zip(distinct, range(len(distinct))))
-    try:
-        parsed = _decoded("[[" + "],[".join(distinct) + "]]")
-        # a number, or an element of another length, raises; a one-key
-        # object or a one-character string leaves a string, which fails below
-        pairs = [row for (row,) in parsed]
-    except (ValueError, TypeError, RecursionError):
-        return None
-    values, floats = _pair_values(pairs)
-    if len(pairs) != len(distinct) or not floats:
-        return None
-    return header, values[np.fromiter(map(number.__getitem__, rows), np.intp, len(rows))]
 
 
 def load_series(path) -> QuantumThetaSeries:
     """Reload a JSON coefficient export; values are taken as stored.
 
-    The table must hold one row per index with sup norm <= radius, row i
-    the coefficient at ``enumerate_indices(radius)[i]`` as a list of two
-    finite floats [re, im], and its coefficients must reproduce the
-    closed-form inner product at sup norm <= 2, as a computed series does;
-    its header must define a valid embedding and structure, of the kind it
-    names, and the normalization of that structure; otherwise ValueError,
-    naming the path, also for a file that is not UTF-8 text. The row count
-    is checked before any index is enumerated, so the work is bounded by
-    the table's size whatever radius it names. Rows that are objects, the
-    layout of earlier tables, are refused.
-
-    A table in the writer's layout is parsed once per distinct row
-    (:func:`_distinct_rows`), any other text whole by ``json.loads``; both
-    give the same values, or the same error, which names the first row
-    that fails.
+    The table must hold in ``coefficients`` one code per index with sup
+    norm <= radius, code i for ``enumerate_indices(radius)[i]``, each an
+    integer position in ``values``, whose entries are lists of two finite
+    floats [re, im]; its coefficients must reproduce the closed-form inner
+    product at sup norm <= 2, as a computed series does; its header must
+    define a valid embedding and structure, of the kind it names, and the
+    normalization of that structure. Otherwise ValueError, naming the path,
+    also for a file that is not UTF-8 text or JSON. The row count is
+    checked before any index is enumerated, so the work is bounded by the
+    table's size whatever radius it names. Rows that are [re, im] lists or
+    objects, the layouts of earlier tables, are refused.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise ValueError(f"{path}: not a JSON table ({err})") from None
-    table = _distinct_rows(text)
-    if table is None:
-        try:
-            data = _decoded(text)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: not a JSON table ({err})") from None
-        values = None
-    else:
-        data, values = table
     try:
         e, st = data["embedding"], data["structure"]
         kind, theta1, tau = e["kind"], e["theta1"], st["tau"]
@@ -316,21 +226,34 @@ def load_series(path) -> QuantumThetaSeries:
     if type(radius) is not int or radius < 1:
         raise ValueError(f"{path}: the radius must be a positive integer")
     count = (2 * radius + 1) ** 4
-    size = len(rows) if values is None else len(values)
-    if size != count:
-        raise ValueError(f"{path}: the table holds {size} rows, not the {count}"
+    if len(rows) != count:
+        raise ValueError(f"{path}: the table holds {len(rows)} rows, not the {count}"
                          f" indices of radius {radius}")
     indices = enumerate_indices(radius)
-    if values is None:
-        values, floats = _pair_values(rows)
-        if not floats and dict in set(map(type, rows)):
-            first = next(i for i, row in enumerate(rows) if type(row) is dict)
+    pairs = data.get("values")
+    n = len(pairs) if type(pairs) is list else 0
+    codes = np.array(rows) if set(map(type, rows)) == {int} else None
+    if codes is None or codes.min() < 0 or codes.max() >= n:
+        first = next(i for i, c in enumerate(rows) if type(c) is not int or not 0 <= c < n)
+        # tables of the earlier layouts have no "values"; their rows name the layout
+        if type(rows[first]) in (list, dict):
+            layout = "an object" if type(rows[first]) is dict else "an [re, im] list"
             raise ValueError(
-                f"{path}: the row for index {_label(indices[first])} is an object, the"
-                " layout of earlier tables; a row is now [re, im], in the order of"
-                " enumerate_indices(radius). The header's embedding, structure and"
-                " radius make the config from which `nctheta quantum-theta` writes"
+                f"{path}: the row for index {_label(indices[first])} is {layout}, the"
+                " layout of earlier tables; a row is now a code into \"values\", in the"
+                " order of enumerate_indices(radius). The header's embedding, structure"
+                " and radius make the config from which `nctheta quantum-theta` writes"
                 " the table anew")
+        if "values" not in data:
+            raise ValueError(f"{path}: the table has no 'values' entry")
+        if type(pairs) is not list:
+            raise ValueError(f"{path}: not laid out as a coefficient table")
+        raise ValueError(f"{path}: the code for index {_label(indices[first])} is not an"
+                         f" integer in range({n})")
+    nan = (math.nan, math.nan)
+    table = np.array([v if type(v) is list and len(v) == 2 and type(v[0]) is float
+                      and type(v[1]) is float else nan for v in pairs])
+    values = table.view(complex)[codes, 0]
     bad = ~np.isfinite(values)
     if np.any(bad):
         raise ValueError(f"{path}: the coefficient at {_label(indices[np.argmax(bad)])}"

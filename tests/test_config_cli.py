@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from nctheta.cli import EXIT_INTERNAL_ERROR, main
 from nctheta.config import _SCHEMA_KEYWORDS, CONFIG_SCHEMA, _violation, load_config, parse_config
 from nctheta.embedding import enumerate_indices, point_parts
 from nctheta.errors import ConfigInvalid, ConfigSyntax, TruncationTooSmall
-from nctheta.export import _CSV_ROW, _JSON_ROW, _write_table, export_coefficients, load_series
+from nctheta.export import _CSV_ROW, _write_table, export_coefficients, load_series
 from nctheta.qtheta import (MAX_SERIALIZED_ELEMENTS, QuantumThetaSeries, VerificationReport,
                             _label, _reassembly_failure, quantum_theta_series)
 from nctheta.report import (SUITE_NAMES, RunContext, _check_dict, _rng_streams, run_suite,
@@ -76,6 +77,15 @@ class TestLoadConfig:
             load_config(bad)
         assert main(["quantum-theta", "--config", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {bad}: 'utf-8' codec")
+
+    def test_deeply_nested_config_is_a_config_error(self, tmp_path, capsys):
+        # nesting deeper than the decoder's recursion limit is a syntax error
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200000 + "]" * 200000)
+        with pytest.raises(ConfigSyntax, match="deep.json: maximum recursion depth"):
+            load_config(bad)
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {bad}: maximum recursion")
 
     def test_schema_violation_carries_path(self):
         raw = minimal_lattice()
@@ -227,19 +237,6 @@ def _non_canonical_series(kind):
     return series
 
 
-def _writer_layout(data) -> str:
-    """A table's data as the writer lays it out: the header indented by two
-    with sorted keys, one row per line; data whose coefficients are not a
-    list, all of it indented."""
-    rows = data.get("coefficients")
-    if type(rows) is not list:
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    head, tail = json.dumps({**data, "coefficients": []}, indent=2, sort_keys=True).split(
-        '"coefficients": []', 1)
-    return (head + '"coefficients": [\n' + ",\n".join("    " + json.dumps(row) for row in rows)
-            + "\n  ]" + tail + "\n")
-
-
 def _reload_outcome(path):
     """The reloaded values' bytes, or the message of the ValueError raised."""
     try:
@@ -295,12 +292,16 @@ class TestExport:
 
     def test_reload_keeps_the_rounding_im_of_earlier_tables(self, lattice_emb,
                                                             lattice_structure, tmp_path):
-        # lattice tables written while the mode product was complex hold
-        # rounding noise in im; they reload as stored and re-export unchanged
+        # the rounding noise in im of the tables written while the mode
+        # product was complex makes nearly every pair distinct; a series
+        # holding it stores each pair once, reloads as stored and re-exports
+        # unchanged
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=2)
         noise = np.random.default_rng(5).standard_normal(len(series.values)) * 1e-17
         series.values.imag = noise * series.values.real
         j1 = export_coefficients(series, "json", tmp_path / "a.json")
+        distinct = len(np.unique(series.values.view(np.uint64).reshape(-1, 2), axis=0))
+        assert len(json.loads(j1.read_text())["values"]) == distinct > 600
         reloaded = load_series(j1)
         assert reloaded.values.tobytes() == series.values.tobytes()
         assert export_coefficients(reloaded, "json", tmp_path / "b.json").read_bytes() \
@@ -311,7 +312,10 @@ class TestExport:
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
         path = export_coefficients(series, "json", tmp_path / "a.json")
         data = json.loads(path.read_text())
-        data["coefficients"][1][0] *= 2.0
+        # row 1 alone reads the doubled value
+        real, imag = data["values"][data["coefficients"][1]]
+        data["coefficients"][1] = len(data["values"])
+        data["values"].append([2.0 * real, imag])
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="coefficient at -1,-1,-1,-1"):
             load_series(path)
@@ -324,29 +328,44 @@ class TestExport:
                                        "bogus-kind", "string-tau", "string-theta1",
                                        "null-normalization", "negative-decay",
                                        "infinite-decay", "nan-theta1", "singular-m",
-                                       "rescaled-normalization", "kind-mismatch"])
+                                       "rescaled-normalization", "kind-mismatch",
+                                       "pair-row", "true-code", "float-code", "string-code",
+                                       "negative-code", "past-values-code", "nan-re",
+                                       "shared-nan-im", "no-values", "values-not-a-list"])
     @pytest.mark.parametrize("layout", ["compact", "writer"])
     def test_reload_rejects_malformed_rows(self, lattice_emb, lattice_structure,
                                            tmp_path, fault, layout):
-        # the same message from a compact table, which json.loads reads whole,
-        # and from one in the writer's layout, read per distinct row unless
-        # its rows are not all pairs of floats
+        # the reader is one json.loads, so a table gives the same message
+        # compact and indented with sorted keys, as the writer lays it out
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=3)
         path = export_coefficients(series, "json", tmp_path / "a.json")
         data = json.loads(path.read_text())
-        assert _writer_layout(data) == path.read_text()
-        rows = data["coefficients"]
-        # rows[3] lies inside sup norm 2, where the reassembly check runs
-        k3 = series.indices[3].tolist()
+        rows, values = data["coefficients"], data["values"]
+        # row j lies inside sup norm 2, where the reassembly check runs, and
+        # no row before it reads its value or that of row j + 1
+        j = 10
+        k = _label(series.indices[j])
         assert series.indices[-1].tolist() == [3, 3, 3, 3]
-        not_finite = f"coefficient at {_label(k3)} is not a pair of finite floats"
-        earlier = f"the row for index {_label(k3)} is an object, the layout of earlier tables"
+        assert {rows[j], rows[j + 1]}.isdisjoint(rows[:j])
+        value = values[rows[j]]
+        # the value of the last row is read first by another row
+        shared = _label(series.indices[rows.index(rows[-1])])
+        assert shared != "3,3,3,3"
+        not_finite = f"coefficient at {k} is not a pair of finite floats"
+        earlier = f"the row for index {k} is an object, the layout of earlier tables"
+        bad_code = f"the code for index {k} is not an integer in range({len(values)})"
         message = {"missing": "holds 2400 rows, not the 2401 indices of radius 3",
                    "added": "holds 2402 rows, not the 2401 indices of radius 3",
                    "three-entries": not_finite, "entry-moved-up": not_finite,
                    "true-re": not_finite, "int-im": not_finite, "null-re": not_finite,
+                   "nan-re": not_finite,
+                   "shared-nan-im": f"coefficient at {shared} is not a pair of finite floats",
                    "object-row": earlier, "ambient-row": earlier,
+                   "pair-row": earlier.replace("an object", "an [re, im] list"),
+                   "true-code": bad_code, "float-code": bad_code, "string-code": bad_code,
+                   "negative-code": bad_code, "past-values-code": bad_code,
                    "rows-not-a-list": "not laid out as a coefficient table",
+                   "values-not-a-list": "not laid out as a coefficient table",
                    "bad-radius": "the radius must be a positive integer",
                    "not-json": "not a JSON table",
                    "nan-im-outside-norm-2":
@@ -367,32 +386,46 @@ class TestExport:
         elif fault == "added":
             rows.append(rows[-1])
         elif fault == "three-entries":
-            rows[3].append(0.0)
+            value.append(0.0)
         elif fault == "entry-moved-up":
-            # three entries and then one: still twice as many floats as rows
-            rows[3].append(rows[4].pop(0))
+            # three entries and then one: still twice as many floats as values
+            value.append(values[rows[j + 1]].pop(0))
         elif fault == "object-row":
             # the row of the tables that held each index beside its coefficient
-            rows[3] = {"im": rows[3][1], "k": k3, "re": rows[3][0]}
+            rows[j] = {"im": value[1], "k": series.indices[j].tolist(), "re": value[0]}
         elif fault == "ambient-row":
             # and of the tables before them, with the index's ambient coordinates
-            ambient = np.concatenate(point_parts(lattice_emb, series.indices[3]), axis=-1)
-            rows[3] = {"ambient": ambient.tolist(), "im": rows[3][1], "k": k3,
-                       "re": rows[3][0]}
+            ambient = np.concatenate(point_parts(lattice_emb, series.indices[j]), axis=-1)
+            rows[j] = {"ambient": ambient.tolist(), "im": value[1],
+                       "k": series.indices[j].tolist(), "re": value[0]}
+        elif fault == "pair-row":
+            # and of the tables after them, which held [re, im] in every row
+            rows[j] = list(value)
+        elif fault.endswith("-code"):
+            rows[j] = {"true-code": True, "float-code": 1.0, "string-code": "3",
+                       "negative-code": -1, "past-values-code": len(values)}[fault]
         elif fault == "true-re":
-            rows[3][0] = True
+            value[0] = True
         elif fault == "int-im":
-            rows[3][1] = 1
+            value[1] = 1
         elif fault == "null-re":
-            rows[3][0] = None
+            value[0] = None
+        elif fault == "nan-re":
+            value[0] = math.nan
         elif fault == "rows-not-a-list":
             data["coefficients"] = dict(enumerate(rows))
+        elif fault == "values-not-a-list":
+            data["values"] = dict(enumerate(values))
         elif fault.startswith("no-"):
             del data[fault[3:]]
         elif fault == "bad-radius":
             data["radius"] = 1.5
         elif fault == "nan-im-outside-norm-2":
-            rows[-1][1] = float("nan")
+            # in a value that the last row alone reads
+            values.append([values[rows[-1]][0], math.nan])
+            rows[-1] = len(values) - 1
+        elif fault == "shared-nan-im":
+            values[rows[-1]][1] = math.nan
         elif fault == "bogus-kind":
             data["embedding"]["kind"] = "bogus"
         elif fault == "string-tau":
@@ -413,18 +446,15 @@ class TestExport:
         elif fault == "rescaled-normalization":
             # normalization times C is unchanged, so only the scale is wrong
             data["normalization"] *= 2.0
-            for r in rows:
-                r[0] /= 2.0
-                r[1] /= 2.0
+            for v in values:
+                v[0] /= 2.0
+                v[1] /= 2.0
         elif fault == "kind-mismatch":
             data["kind"] = "vector_space"
-        layouts = {"compact": json.dumps, "writer": _writer_layout}
+        layouts = {"compact": json.dumps,
+                   "writer": lambda d: json.dumps(d, indent=2, sort_keys=True) + "\n"}
         path.write_text("not json" if fault == "not-json" else layouts[layout](data))
-        not_pairs = {"three-entries", "entry-moved-up", "object-row", "ambient-row", "true-re",
-                     "int-im", "null-re", "rows-not-a-list", "no-coefficients", "not-json"}
-        assert (export._distinct_rows(path.read_text()) is not None) \
-            == (layout == "writer" and fault not in not_pairs)
-        with pytest.raises(ValueError, match=f"a.json: .*{message}"):
+        with pytest.raises(ValueError, match=f"a.json: .*{re.escape(message)}"):
             load_series(path)
 
     @pytest.mark.parametrize("case, outcome", [
@@ -440,28 +470,27 @@ class TestExport:
         ("duplicate-key-last", "holds 1 rows, not the 625 indices"),
         ("nested-entry", "holds 0 rows, not the 625 indices")])
     def test_reload_reads_adversarial_rows_as_json_loads(self, lattice_emb, lattice_structure,
-                                                         tmp_path, monkeypatch, case, outcome):
-        # row texts near the writer's layout reload exactly as json.loads
-        # reads the whole text: the same values, or the same message
+                                                         tmp_path, case, outcome):
+        # edits of the written text near its layout reload as json.loads
+        # reads them: the same values, or the message of what it reads
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=2)
         text = export_coefficients(series, "json", tmp_path / "a.json").read_text()
-        open_, (row, after) = '"coefficients": [\n', text.splitlines()[4:6]
+        lines = text.splitlines()
+        codes = lines[1]
+        assert codes.startswith('  "coefficients": [') and codes.endswith("],")
+        row, after = lines[lines.index('  "values": [') + 1:][:2]
         assert row.startswith("    [") and row.endswith("],")
         re_, im = row[5:-2].split(", ")
         edit = {
-            # a string across a row break, then two pairs on one line: the
-            # rows decoded apart hold as many lists, ["a],[b", 0.0], [1.0,
-            # 0.0] and [2.0, 0.0], but a raw line break in a string is not JSON
+            # a string across a line break, then two pairs on one line
             "string-across-rows": f'    ["a,\nb", {im}],\n    [1.0, 0.0]],[[2.0, 0.0],',
-            # two lists, and an empty row beside a row of two pairs, which
-            # decoded apart hold as many pairs as rows
+            # a value list closed early, and an empty entry beside two pairs
             "row-of-two-elements": "    [1.0, 0.0]],[[2.0, 0.0],",
             "row-of-two-pairs": "    [1.0, 0.0], [2.0, 0.0],\n,",
             "split-row": f"    [{re_},\n     {im}],",
             "string-holds-separator": f'    ["{re_}],[", {im}],',
             "int-re": f"    [1, {im}],",
             "nan-re": f"    [NaN, {im}],",
-            "object-row": f'    {{"im": {im}, "k": [-1, -1, -1, 1], "re": {re_}}},',
         }
         if case == "string-across-rows":
             text = text.replace(f"{row}\n{after}", edit[case], 1)
@@ -469,20 +498,20 @@ class TestExport:
             text = text.replace(row, edit[case], 1)
         elif case == "crlf":
             text = text.replace("\n", "\r\n")
+        elif case == "object-row":
+            # in place of the first code
+            text = text.replace(codes, '  "coefficients": [{"im": 0.0, "k": [0, 0, 0, 0],'
+                                ' "re": 1.0}, ' + codes.split(", ", 1)[1], 1)
         elif case == "duplicate-key-first":
-            text = text.replace(open_, '"coefficients": [],\n  ' + open_, 1)
+            text = text.replace('"coefficients": [', '"coefficients": [],\n  "coefficients": [', 1)
         elif case == "duplicate-key-last":
-            text = text.replace("\n}\n", ',\n  "coefficients": [[1.0, 0.0]]\n}\n')
+            text = text.replace("\n}\n", ',\n  "coefficients": [0]\n}\n')
         elif case == "nested-entry":
-            # the rows under a key that sorts before "coefficients", which is
-            # empty; the header is laid out as json.dumps lays it out
-            text = text.replace(open_, '"a": {\n    ' + open_, 1).replace(
-                "\n  ],", '\n  ]\n  },\n  "coefficients": [],', 1)
+            # the codes under a key that sorts before "coefficients", which is empty
+            text = text.replace(codes, '  "a": {' + codes[2:-1] + '},\n  "coefficients": [],', 1)
         path = tmp_path / "b.json"
         path.write_bytes(text.encode())
         got = _reload_outcome(path)
-        monkeypatch.setattr(export, "_distinct_rows", lambda text: None)
-        assert got == _reload_outcome(path)
         if outcome is None:
             assert got == series.values.tobytes()
         else:
@@ -494,6 +523,12 @@ class TestExport:
         path = export_coefficients(series, "json", tmp_path / "a.json")
         path.write_bytes(path.read_bytes().replace(b"0.0", b"0.\xe9", 1))
         with pytest.raises(ValueError, match="a.json: not a JSON table .*'utf-8' codec"):
+            load_series(path)
+
+    def test_reload_refuses_nesting_deeper_than_the_decoder_reaches(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        with pytest.raises(ValueError, match="deep.json: not a JSON table .*recursion"):
             load_series(path)
 
     def test_reload_is_bit_exact(self, lattice_emb, lattice_structure, tmp_path):
@@ -515,7 +550,9 @@ class TestExport:
             table = QuantumThetaSeries(series.embedding, series.structure, series.radius,
                                        series.normalization, series.indices, values)
             path = export_coefficients(table, "json", tmp_path / "bits.json")
-            assert export._distinct_rows(path.read_text()) is not None
+            # each distinct pair of bit patterns is stored once
+            stored = json.loads(path.read_text())["values"]
+            assert len(stored) == len(np.unique(values.view(np.uint64).reshape(-1, 2), axis=0))
             assert load_series(path).values.view(np.uint64).tolist() \
                 == values.view(np.uint64).tolist()
 
@@ -525,13 +562,10 @@ class TestExport:
                                       "off-diagonal-vector", "noise-im-lattice",
                                       "outer-noise-im-lattice"])
     @pytest.mark.parametrize("radius", [1, 3])
-    def test_written_tables_skip_the_whole_text_decode(self, request, monkeypatch, tmp_path,
-                                                       kind, radius):
-        # a table written from a series is read per distinct row, never by
-        # json.loads of the whole text; one whose im holds rounding noise,
-        # as lattice tables written while the mode product was complex do,
-        # is read whole: in every row, or in the outer shell only, where
-        # the inner rows repeat but more than half of all rows differ
+    def test_reload_decodes_the_text_once(self, request, monkeypatch, tmp_path, kind, radius):
+        # every table is read by one json.loads of the file's text, also one
+        # whose im holds rounding noise, as lattice tables written while the
+        # mode product was complex do: in every row, or in the outer shell
         if kind in ("lattice", "vector"):
             emb = request.getfixturevalue(f"{kind}_emb")
             structure = request.getfixturevalue(f"{kind}_structure")
@@ -566,7 +600,7 @@ class TestExport:
         reloaded = load_series(path)
         monkeypatch.undo()
         assert reloaded.values.tobytes() == series.values.tobytes()
-        assert (text in decoded) == kind.endswith("noise-im-lattice")
+        assert decoded == [text]
 
     def test_reload_bounds_its_work_by_the_row_count(self, lattice_emb, lattice_structure,
                                                      tmp_path):
@@ -582,13 +616,14 @@ class TestExport:
             load_series(path)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("layout", ["index", "ambient"])
+    @pytest.mark.parametrize("layout", ["index", "ambient", "pairs"])
     @pytest.mark.parametrize("kind", ["lattice", "vector", "off-diagonal-vector"])
     def test_reload_refuses_the_object_rows_of_earlier_tables(self, request, tmp_path,
                                                               kind, layout, capsys):
-        # a table whose rows are {"im", "k", "re"} objects, with the index's
-        # ambient coordinates or without, is refused; its header makes the
-        # config from which the CLI writes the table anew
+        # a table without "values" whose rows are {"im", "k", "re"} objects,
+        # with the index's ambient coordinates or without, or [re, im] lists,
+        # is refused; its header makes the config from which the CLI writes
+        # the table anew
         if kind == "off-diagonal-vector":
             cfg = parse_config({"embedding": {"kind": "vector_space", "theta1": 0.5,
                                               "theta2": 0.4},
@@ -603,17 +638,19 @@ class TestExport:
         new = export_coefficients(series, "json", tmp_path / "new.json")
         data = json.loads(new.read_text())
         header = {key: data[key] for key in ("embedding", "structure", "radius")}
+        pairs = [data["values"][code] for code in data.pop("coefficients")]
         # an old row's ambient list: the CSV table's (w1, w2, m1, m2, t1, t2)
         table = export_coefficients(series, "csv", tmp_path / "new.csv")
         ambient = np.loadtxt(table, delimiter=",", skiprows=1, usecols=range(4, 10))
-        data["coefficients"] = [
+        del data["values"]
+        data["coefficients"] = pairs if layout == "pairs" else [
             {"im": im, "k": k, "re": re, **({"ambient": point} if layout == "ambient" else {})}
-            for (re, im), k, point in zip(data["coefficients"], series.indices.tolist(),
-                                          ambient.tolist())]
+            for (re, im), k, point in zip(pairs, series.indices.tolist(), ambient.tolist())]
         old = tmp_path / "old.json"
         old.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        with pytest.raises(ValueError, match="old.json: the row for index 0,0,0,0 is an"
-                                             " object, the layout of earlier tables; .*"
+        row = r"an \[re, im\] list" if layout == "pairs" else "an object"
+        with pytest.raises(ValueError, match=f"old.json: the row for index 0,0,0,0 is {row},"
+                                             " the layout of earlier tables; .*"
                                              "`nctheta quantum-theta` writes the table anew"):
             load_series(old)
         config = tmp_path / "config.json"
@@ -627,16 +664,16 @@ class TestExport:
     @pytest.mark.parametrize("kind", ["lattice", "vector", "non-canonical-lattice",
                                       "off-diagonal-vector"])
     def test_json_row_i_is_the_csv_row_of_the_ith_index(self, request, tmp_path, kind):
-        # the JSON table leaves each row's index to the canonical order,
-        # which the CSV table writes out
+        # the JSON table leaves each code's index to the canonical order,
+        # which the CSV table writes out; code i reads the value of CSV row i
         if kind in ("lattice", "vector"):
             series = quantum_theta_series(request.getfixturevalue(f"{kind}_emb"),
                                           request.getfixturevalue(f"{kind}_structure"),
                                           radius=3)
         else:
             series = _non_canonical_series(kind.split("-")[-1])
-        rows = json.loads(export_coefficients(series, "json", tmp_path / "t.json")
-                          .read_text())["coefficients"]
+        table = json.loads(export_coefficients(series, "json", tmp_path / "t.json").read_text())
+        rows = [table["values"][code] for code in table["coefficients"]]
         lines = export_coefficients(series, "csv", tmp_path / "t.csv").read_text()
         cells = [line.split(",") for line in lines.splitlines()[1:]]
         np.testing.assert_array_equal([[int(c) for c in row[:4]] for row in cells],
@@ -685,31 +722,11 @@ class TestExport:
         assert len(series.indices) == 625
 
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
-    @pytest.mark.parametrize("row, separator", [(_CSV_ROW, ""), (_JSON_ROW, ",\n")])
-    def test_write_table_matches_per_row_format(self, kind, row, separator, monkeypatch):
-        # a non-canonical lattice and an off-diagonal vector series whose
-        # values hold signed zeros, subnormal and tiny values, integer valued
-        # and negative floats; im is distinct in every row
-        if kind == "lattice":
-            cfg = parse_config(minimal_lattice(
-                embedding={"kind": "lattice", "theta1": 0.5, "m": [[2, 1], [1, 1]],
-                           "delta_hat": [[0.25, 0.25], [-0.5, -0.25]]},
-                structure={"tau": [0.3, 0.2]}))
-        else:
-            cfg = parse_config({"embedding": {"kind": "vector_space", "theta1": 0.5,
-                                              "theta2": 0.4},
-                                "structure": {"tau": [[[0.1, 0.5], [0.04, 0.08]],
-                                                      [[0.05, 0.1], [0.02, 0.4]]]}})
-        emb = cfg.build_embedding()
-        series = quantum_theta_series(emb, cfg.build_structure(emb), radius=2)
-        rng = np.random.default_rng(3)
-        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 3.0, -7.0,
-                            -2.5, 0.1, 1e16, -1e-300])
+    def test_write_table_matches_per_row_format(self, kind, monkeypatch):
+        series = _non_canonical_series(kind)
         n = len(series.values)
-        series.values.real = special[rng.integers(0, len(special), size=n)]
-        series.values.imag = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         # the table as the per-row writer laid it out
-        m_part, dual_part = point_parts(emb, series.indices)
+        m_part, dual_part = point_parts(series.embedding, series.indices)
         block = np.zeros((n, 12))
         block[:, :4] = series.indices
         if kind == "lattice":
@@ -720,11 +737,10 @@ class TestExport:
             block[:, [8, 9]] = dual_part
         block[:, 10] = series.values.real
         block[:, 11] = series.values.imag
-        template, columns = row
-        expected = separator.join(template % tuple(r[columns].tolist()) for r in block)
+        expected = "".join(_CSV_ROW % tuple(r.tolist()) for r in block)
         monkeypatch.setattr(export, "CHUNK_ROWS", 37)
         out = io.StringIO()
-        _write_table(out, row, separator, series)
+        _write_table(out, series)
         assert out.getvalue() == expected
         assert len(np.unique(block[:37, 11])) == 37
 

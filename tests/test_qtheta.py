@@ -1,6 +1,7 @@
 import cmath
 import copy
 import dataclasses
+import json
 import math
 import time
 import warnings
@@ -296,6 +297,24 @@ class TestSeries:
         assert lattice_series.coefficients.get(k) is None
         assert (1.0, 0.0, 0.0, 0.0) in lattice_series.coefficients
         assert lattice_series.coefficient([1.0, 0, 0, 0]) == lattice_series.coefficient([1, 0, 0, 0])
+
+    def test_series_does_not_read_the_finite_part(self, vector_config_path):
+        # a vector config's finite_part reaches only the commutation suite
+        # (README); carrying Manin's finite-group factor into C(k) has to
+        # change this test
+        raw = json.loads(vector_config_path.read_text())
+        assert raw["embedding"]["finite_part"] == {"m1": 2, "n1": 1, "m2": 3, "n2": 2}
+        bare = {key: value for key, value in raw["embedding"].items() if key != "finite_part"}
+        tables, parts = [], []
+        for embedding in (raw["embedding"], bare,
+                          {**bare, "finite_part": {"m1": 5, "n1": 1, "m2": 7, "n2": 2}}):
+            cfg = parse_config({**raw, "embedding": embedding})
+            emb = cfg.build_embedding()
+            parts.append(emb.finite_part and emb.finite_part.m1)
+            series = quantum_theta_series(emb, cfg.build_structure(emb), radius=3)
+            tables.append(series.values.tobytes())
+        assert parts == [2, None, 5]
+        assert tables[0] == tables[1] == tables[2]
 
     def test_normalizations(self, lattice_series, vector_series):
         assert lattice_series.normalization == pytest.approx(0.5)
