@@ -29,7 +29,6 @@ from .embedding import (
     LatticeElement,
     _paired_exponent,
     element_add,
-    integer_block_inverse,
     lattice_element,
 )
 from .errors import (
@@ -311,12 +310,6 @@ def measure_commutation_phases(emb: EmbeddingMap, pairs, f: SampledVector) -> li
     return [phases[pair] for pair in pairs]
 
 
-def measure_commutation_phase(emb: EmbeddingMap, i: int, j: int,
-                              f: SampledVector) -> complex:
-    """The phase of one pair, as :func:`measure_commutation_phases` measures it."""
-    return measure_commutation_phases(emb, [(i, j)], f)[0]
-
-
 @dataclass(frozen=True)
 class ConnectionSet:
     """Constant-curvature connection coefficients for one embedding.
@@ -343,22 +336,10 @@ class ConnectionSet:
 
 
 def build_connections(emb: EmbeddingMap) -> ConnectionSet:
-    """Connection coefficients: the inverse of the embedding data.
-
-    Vector-space kind: the full inverse of the 4x4 map. Lattice kind: rows
-    solving (coefficients . first-four-rows-of-the-map) = identity, which
-    embeds the inverse of the integer block.
-    """
-    if emb.kind is EmbeddingKind.VECTOR_SPACE:
-        a = np.linalg.inv(emb.entries)
-        return ConnectionSet(emb.kind, a)
-    _, b = integer_block_inverse(emb.m)
-    mat = np.zeros((4, 4))
-    mat[0, 0] = 1.0 / emb.theta1
-    mat[1, 3] = 1.0
-    mat[2, 1:3] = b[0]
-    mat[3, 1:3] = b[1]
-    return ConnectionSet(emb.kind, mat)
+    """Connection coefficients: rows solving (coefficients . first four rows
+    of the map) = identity, the inverse of those rows. On the lattice kind
+    that embeds 1/theta1 and the inverse of the integer block."""
+    return ConnectionSet(emb.kind, np.linalg.inv(emb.entries[:4]))
 
 
 def _require_closed(f) -> ClosedFormVector:
@@ -381,25 +362,35 @@ def _fd4(evaluate, coords, axis: int, step: float) -> np.ndarray:
 
 def apply_connections(conn: ConnectionSet, coefficients, evaluate, coords,
                       step: float) -> np.ndarray:
-    """sum_i c_i nabla_i of a function, at the probe coordinates ``coords``.
+    """sum_i c_i nabla_i of a function at the probe coordinates ``coords``, one
+    grid per row of ``coefficients`` (..., 4), rows leading.
 
     ``evaluate`` gives the function's values at broadcast coordinates;
-    derivatives are order-4 central differences with the given step. Terms
-    accumulate connection by connection, the multiplier first and then one
-    derivative at a time, and zero coefficients are skipped.
+    derivatives are order-4 central differences with the given step. The
+    values, each connection's multiplier and each derivative axis some row
+    reads are formed once per call. Each row accumulates its terms
+    connection by connection, the multiplier first and then one derivative
+    at a time, and skips zero coefficients: a row's grid does not depend on
+    the rows that share the call.
     """
+    rows = np.asarray(coefficients, dtype=complex)
+    flat = rows.reshape(-1, 4)
+    shape = np.broadcast(*coords).shape
     vals = evaluate(*coords)
-    combo = np.zeros(np.broadcast(*coords).shape, dtype=complex)
-    for c, mult, deriv in zip(np.asarray(coefficients, dtype=complex),
-                              conn.multiplier, conn.derivative):
-        if c == 0:
-            continue
-        lin = sum(m * coord for m, coord in zip(mult, coords) if m != 0.0)
-        combo = combo + c * (-2j * math.pi) * lin * vals
-        for d, dc in enumerate(deriv):
-            if dc != 0.0:
-                combo = combo + c * dc * _fd4(evaluate, coords, d, step)
-    return combo
+    lins = [sum(m * coord for m, coord in zip(mult, coords) if m != 0.0)
+            for mult in conn.multiplier]
+    read = np.any(conn.derivative[np.any(flat != 0, axis=0)] != 0.0, axis=0)
+    derivs = {d: _fd4(evaluate, coords, d, step) for d in np.flatnonzero(read).tolist()}
+    out = np.zeros((len(flat),) + shape, dtype=complex)
+    for combo, row in zip(out, flat):
+        for c, lin, deriv in zip(row, lins, conn.derivative):
+            if c == 0:
+                continue
+            combo += c * (-2j * math.pi) * lin * vals
+            for d, dc in enumerate(deriv):
+                if dc != 0.0:
+                    combo += c * dc * derivs[d]
+    return out.reshape(rows.shape[:-1] + shape)
 
 
 def _probe_coords(emb: EmbeddingMap):
@@ -411,37 +402,39 @@ def _probe_coords(emb: EmbeddingMap):
     return np.ix_(s, s)
 
 
-def connection_commutator_residual(emb: EmbeddingMap, i: int, j: int, f,
-                                   step: float = 1e-3) -> float:
-    """Sup-norm defect of [nabla_i, U_j] = 2 pi i delta_ij U_j on a probe grid.
+def connection_commutator_residual(emb: EmbeddingMap, i, j: int, f,
+                                   step: float = 1e-3):
+    """Sup-norm defect of [nabla_i, U_j] = 2 pi i delta_ij U_j on a probe grid,
+    one per connection index of ``i``; an int ``i`` gives a float.
 
     Derivatives use order-4 central differences with the given step; the
     defect is normalized by max |U_j f| over the probes. The finite factor
     is outside the scope of this contract and is ignored.
     """
-    _check_generators(i, j)
+    i = np.asarray(i)
+    _check_generators(*i.ravel(), j)
     closed = _require_closed(f)
     conn = build_connections(emb)
     el = lattice_element(emb, np.eye(4, dtype=np.int64)[j - 1])
     uf = _transform_closed(el, closed)
     coords = _probe_coords(emb)
-    row = np.eye(4)[i - 1]
-    term1 = apply_connections(conn, row, uf.evaluate, coords, step)
+    rows = np.eye(4)[i - 1]
+    term1 = apply_connections(conn, rows, uf.evaluate, coords, step)
 
     # (pi_h f)(x) = e^{2 pi i <dual, x> + pi i <m, dual>} f(x + m) for h = (m, dual)
     shifted = [c + x for c, x in zip(coords, el.m_part)]
     phase = np.exp(2j * math.pi * sum(x * c for x, c in zip(el.dual_part, coords))
                    + 1j * math.pi * sum(x * y for x, y in zip(el.m_part, el.dual_part)))
-    term2 = phase * apply_connections(conn, row, closed.evaluate, shifted, step)
+    term2 = phase * apply_connections(conn, rows, closed.evaluate, shifted, step)
 
     uf_vals = uf.evaluate(*coords)
     defect = term1 - term2
-    if i == j:
-        defect = defect - 2j * math.pi * uf_vals
+    defect[i == j] -= 2j * math.pi * uf_vals
     denom = float(np.max(np.abs(uf_vals)))
     if denom < PHASE_MASK_THRESHOLD:
         raise DegenerateTestVector("test vector vanishes on the probe grid")
-    return float(np.max(np.abs(defect)) / denom)
+    out = np.max(np.abs(defect).reshape(i.shape + (-1,)), axis=-1) / denom
+    return float(out) if out.ndim == 0 else out
 
 
 def _pair_rows(el: LatticeElement, shape) -> list[np.ndarray]:

@@ -273,13 +273,9 @@ def _mode_products(parts, theta2: float) -> np.ndarray:
     site = np.ones(len(m_part))
     for axis in range(2):
         # Distinct (t, m) pairs under float equality, sorted by t then m,
-        # each represented by its first row: 1-D uniques of the rank of t
-        # and then of the code (rank, m).
-        t, m = dual_part[:, 1 + axis], m_part[:, 1 + axis].astype(np.int64)
-        _, t_rank = np.unique(t, return_inverse=True)
-        m_low = m.min(initial=0)
-        code = t_rank * (m.max(initial=0) - m_low + 1) + (m - m_low)
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        # each represented by its first row; m is an integer, exact as a float.
+        t, m = dual_part[:, 1 + axis], m_part[:, 1 + axis]
+        _, first, inverse = np.unique(t + 1j * m, return_index=True, return_inverse=True)
         factors = np.array([mode_factor(t[i], int(m[i]), theta2) for i in first.tolist()])
         site = site * factors[inverse]
     return site
@@ -400,9 +396,7 @@ def series_tail_bound(series: QuantumThetaSeries, radius: int | None = None) -> 
     emb = series.embedding
     # 0.5 pi Re H over the basis rows; k3 and k4 have no continuous part in
     # the lattice kind, which keeps the leading 2x2 block.
-    g1, g2 = _continuous(len(series.structure.T), point_parts(emb, np.eye(4, dtype=np.int64)))
-    form = 0.5 * math.pi * hermitian_form(HermitianFormContext(series.structure.T),
-                                          (g1[:, None], g2[:, None]), (g1[None], g2[None])).real
+    form = 0.5 * math.pi * _basis_form(emb, series.structure)[0].real
     if emb.kind is EmbeddingKind.LATTICE:
         c = series.structure.lattice_decay
         disc = 0.5 * math.pi * c * (emb.m.T @ emb.m).astype(float)
@@ -424,6 +418,14 @@ def series_tail_bound(series: QuantumThetaSeries, radius: int | None = None) -> 
     return total
 
 
+def _basis_form(emb: EmbeddingMap, structure: ComplexStructure):
+    """H on the continuous pairs p_i = (x1_i, x2_i) of the four basis rows, the
+    4 x 4 complex matrix H(p_i, p_j), with its context and the pairs."""
+    ctx = HermitianFormContext(structure.T)
+    x1, x2 = _continuous(len(ctx.T), point_parts(emb, np.eye(4, dtype=np.int64)))
+    return hermitian_form(ctx, (x1[:, None], x2[:, None]), (x1[None], x2[None])), ctx, (x1, x2)
+
+
 def _phase_basis(emb: EmbeddingMap, structure: ComplexStructure):
     """Distance from 2Z of each entry of M - B, and the sums L and S that bound
     the rounding of the phase identity (:func:`phase_identity_max_residual`).
@@ -435,9 +437,8 @@ def _phase_basis(emb: EmbeddingMap, structure: ComplexStructure):
     W = (Im T)^{-1}, which bounds |Im H(p_i, p_j)|; the bound is additive,
     so L is one call on the summed magnitudes. S = sum |F_ij|.
     """
-    ctx = HermitianFormContext(structure.T)
-    x1, x2 = _continuous(len(ctx.T), point_parts(emb, np.eye(4, dtype=np.int64)))
-    m = hermitian_form(ctx, (x1[:, None], x2[:, None]), (x1[None], x2[None])).imag
+    form, ctx, (x1, x2) = _basis_form(emb, structure)
+    m = form.imag
     parity, frac = _exponent_split(emb)
     diff = (m - frac) - parity
     total = (np.sum(np.abs(x1), axis=0), np.sum(np.abs(x2), axis=0))

@@ -43,15 +43,13 @@ def _compensated_sum(terms) -> complex:
     return s + c
 
 
-def _cmul(a, b, out=None) -> np.ndarray:
+def _cmul(a, b) -> np.ndarray:
     """Elementwise complex product in the operation order of Python's complex
     type; numpy's own loop may fuse multiply-adds, and array results must
-    equal the scalar products bit for bit. OUT, when given, is a complex
-    array of the broadcast shape that receives the product."""
+    equal the scalar products bit for bit."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out

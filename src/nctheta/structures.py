@@ -121,12 +121,12 @@ def theta_vector(structure: ComplexStructure) -> ClosedFormVector:
                             decay=structure.lattice_decay)
 
 
-def antiholomorphic_rows(structure: ComplexStructure) -> list[np.ndarray]:
-    """Coefficient rows of the antiholomorphic connections in the nabla basis:
-    row j holds tau[j] on the position slots, 1 on its own momentum slot."""
+def antiholomorphic_rows(structure: ComplexStructure) -> np.ndarray:
+    """Coefficient rows (d, 4) of the antiholomorphic connections in the nabla
+    basis: row j holds tau[j] on the position slots, 1 on its own momentum slot."""
     t = structure.tau()
     rows = np.stack([t, np.eye(len(t))], axis=-1).reshape(len(t), -1)
-    return list(np.pad(rows, ((0, 0), (0, 4 - rows.shape[1]))))
+    return np.pad(rows, ((0, 0), (0, 4 - rows.shape[1])))
 
 
 def _holomorphy_probes(emb: EmbeddingMap, f: ClosedFormVector):
@@ -140,8 +140,9 @@ def _holomorphy_probes(emb: EmbeddingMap, f: ClosedFormVector):
     return np.ix_(s, s)
 
 
-def connection_combo_residual(f, emb: EmbeddingMap, coefficients) -> float:
-    """Pointwise-relative sup of |sum_i c_i nabla_i f| over masked probe points.
+def connection_combo_residual(f, emb: EmbeddingMap, coefficients):
+    """Pointwise-relative sup of |sum_i c_i nabla_i f| over masked probe points,
+    one per coefficient row (..., 4); one row gives a float.
 
     The mask keeps points with |f| >= HOLOMORPHY_MASK_REL * max |f|, so the
     residual is meaningful wherever the vector carries weight, including
@@ -160,8 +161,9 @@ def connection_combo_residual(f, emb: EmbeddingMap, coefficients) -> float:
 
     combo = apply_connections(build_connections(emb), coefficients, closed.evaluate,
                               coords, HOLOMORPHY_STEP)
-    rel = np.abs(combo)[mask] / np.abs(vals)[mask]
-    return float(np.max(rel))
+    rel = np.abs(combo)[..., mask] / np.abs(vals)[mask]
+    out = np.max(rel, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def holomorphy_residual(f, structure: ComplexStructure, emb: EmbeddingMap) -> float:
@@ -171,8 +173,7 @@ def holomorphy_residual(f, structure: ComplexStructure, emb: EmbeddingMap) -> fl
     continuous one. Residuals are those of :func:`connection_combo_residual`,
     relative to |f| pointwise.
     """
-    return max(connection_combo_residual(f, emb, row)
-               for row in antiholomorphic_rows(structure))
+    return float(np.max(connection_combo_residual(f, emb, antiholomorphic_rows(structure))))
 
 
 # The obstruction of the two would-be holomorphy equations over R x Z^2,

@@ -25,7 +25,7 @@ from nctheta.embedding import (
 from nctheta.heisenberg import (
     connection_commutator_residual,
     default_finite_vector,
-    measure_commutation_phase,
+    measure_commutation_phases,
     sample_vector,
     theta_test_vector,
 )
@@ -106,7 +106,7 @@ def test_criterion_03_commutation_phases(lattice_emb):
         theta = commutation_matrix(emb)
         for i in range(1, 5):
             for j in range(1, 5):
-                got = measure_commutation_phase(emb, i, j, f)
+                got = measure_commutation_phases(emb, [(i, j)], f)[0]
                 worst = max(worst, abs(got - theta.phase(i, j)))
     assert worst <= 1e-9
     _report(3, f"measured operator phases match e^(2 pi i theta_ij), worst"

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nctheta import heisenberg
+from nctheta import heisenberg, structures
 from nctheta.config import parse_config
 from nctheta.embedding import (
     EmbeddingKind,
@@ -14,6 +14,7 @@ from nctheta.embedding import (
     build_embedding,
     commutation_matrix,
     enumerate_indices,
+    integer_block_inverse,
     lattice_element,
 )
 from nctheta.errors import (
@@ -25,19 +26,21 @@ from nctheta.errors import (
 from nctheta.heisenberg import (
     PHASE_MASK_THRESHOLD,
     ClosedFormVector,
+    _fd4,
+    _probe_coords,
+    apply_connections,
     apply_generator,
     apply_pi,
     build_connections,
     connection_commutator_residual,
     default_finite_vector,
-    measure_commutation_phase,
     measure_commutation_phases,
     representation_defect,
     sample_vector,
     theta_test_vector,
 )
-from nctheta.report import run_suite
-from nctheta.structures import make_complex_structure, theta_vector
+from nctheta.report import _rng_streams, run_suite
+from nctheta.structures import connection_combo_residual, make_complex_structure, theta_vector
 
 
 def _full_exponent_values(f, coords):
@@ -314,7 +317,7 @@ class TestCommutationPhase:
         theta = commutation_matrix(lattice_emb)
         for i in range(1, 5):
             for j in range(1, 5):
-                got = measure_commutation_phase(lattice_emb, i, j, f)
+                got = measure_commutation_phases(lattice_emb, [(i, j)], f)[0]
                 assert abs(got - theta.phase(i, j)) <= 1e-9
 
     def test_vector_with_finite_part(self):
@@ -324,7 +327,7 @@ class TestCommutationPhase:
                           finite_vector=default_finite_vector(fp))
         theta = commutation_matrix(emb)
         for (i, j) in [(1, 2), (2, 1), (3, 4), (4, 3), (1, 3), (2, 4), (1, 4)]:
-            got = measure_commutation_phase(emb, i, j, f)
+            got = measure_commutation_phases(emb, [(i, j)], f)[0]
             assert abs(got - theta.phase(i, j)) <= 1e-9
 
     def test_finite_part_changes_raw_phase(self):
@@ -332,7 +335,7 @@ class TestCommutationPhase:
         fp = FinitePart(m1=2, n1=1, m2=3, n2=2)
         emb = build_embedding(EmbeddingKind.VECTOR_SPACE, 0.5, 0.4, finite_part=fp)
         f = sample_vector(theta_test_vector(emb), step=1 / 8)  # no finite vector
-        got = measure_commutation_phase(emb, 1, 2, f)
+        got = measure_commutation_phases(emb, [(1, 2)], f)[0]
         bare = np.exp(2j * math.pi * (0.5 + 0.5))
         assert abs(got - bare) <= 1e-9
         assert abs(got - commutation_matrix(emb).phase(1, 2)) > 0.5
@@ -342,15 +345,15 @@ class TestCommutationPhase:
         coarse = sample_vector(theta_test_vector(lattice_emb), step=1 / 16)
         fine = sample_vector(theta_test_vector(lattice_emb), step=1 / 32)
         for (i, j) in [(1, 2), (3, 4), (2, 3)]:
-            a = measure_commutation_phase(lattice_emb, i, j, coarse)
-            b = measure_commutation_phase(lattice_emb, i, j, fine)
+            a = measure_commutation_phases(lattice_emb, [(i, j)], coarse)[0]
+            b = measure_commutation_phases(lattice_emb, [(i, j)], fine)[0]
             assert abs(a - b) <= 1e-10
 
     def test_degenerate_vector_raises(self, lattice_emb):
         faint = replace(theta_test_vector(lattice_emb), amplitude=1e-12)
         dead = sample_vector(faint, step=1 / 8)
         with pytest.raises(DegenerateTestVector):
-            measure_commutation_phase(lattice_emb, 1, 2, dead)
+            measure_commutation_phases(lattice_emb, [(1, 2)], dead)[0]
 
 
 ALL_PAIRS = [(i, j) for i in range(1, 5) for j in range(1, 5)]
@@ -548,6 +551,22 @@ class TestCommutatorResidual:
         assert all(b < a for a, b in zip(resids, resids[1:]))
         assert all(b <= a / 8 for a, b in zip(resids, resids[1:]))
 
+    def test_connection_indices_give_one_residual_each(self, vector_emb):
+        f = theta_test_vector(vector_emb)
+        for j in range(1, 5):
+            rows = connection_commutator_residual(vector_emb, [1, 2, 3, 4], j, f)
+            singles = [connection_commutator_residual(vector_emb, i, j, f) for i in range(1, 5)]
+            assert rows.tolist() == singles
+
+    def test_refuses_a_bad_connection_index_among_many_before_any_work(self, lattice_emb,
+                                                                       monkeypatch):
+        built = []
+        monkeypatch.setattr(heisenberg, "build_connections", built.append)
+        with pytest.raises(ValueError, match=r"^generator index must be in 1\.\.4$"):
+            connection_commutator_residual(lattice_emb, [1, 2, 5], 1,
+                                           theta_test_vector(lattice_emb))
+        assert built == []
+
     @pytest.mark.parametrize("bad", [(0, 1), (1, 0), (5, 1), (1, 5)])
     def test_refuses_generator_indices_outside_one_to_four(self, bad, lattice_emb, vector_emb):
         # index 0 used to wrap round to generator 4, and 5 to end in an IndexError
@@ -559,3 +578,106 @@ class TestCommutatorResidual:
         raw = sample_vector(lattice_theta, step=1 / 8).values
         with pytest.raises(UnsupportedVector):
             connection_commutator_residual(lattice_emb, 1, 1, raw)
+
+
+def _hand_built_connections(emb):
+    """Reference: the connection matrix built by kind, the full inverse of the
+    plane map and, on the lattice kind, 1/theta1 and the inverse integer block
+    placed by hand."""
+    if emb.kind is EmbeddingKind.VECTOR_SPACE:
+        return np.linalg.inv(emb.entries)
+    _, b = integer_block_inverse(emb.m)
+    mat = np.zeros((4, 4))
+    mat[0, 0] = 1.0 / emb.theta1
+    mat[1, 3] = 1.0
+    mat[2, 1:3] = b[0]
+    mat[3, 1:3] = b[1]
+    return mat
+
+
+def _single_row_connections(conn, coefficients, evaluate, coords, step):
+    """Reference: sum_i c_i nabla_i for one coefficient row, the function
+    sampled and each derivative differenced anew, terms added connection by
+    connection (multiplier, then one derivative at a time), zeros skipped."""
+    vals = evaluate(*coords)
+    combo = np.zeros(np.broadcast(*coords).shape, dtype=complex)
+    for c, mult, deriv in zip(np.asarray(coefficients, dtype=complex),
+                              conn.multiplier, conn.derivative):
+        if c == 0:
+            continue
+        lin = sum(m * coord for m, coord in zip(mult, coords) if m != 0.0)
+        combo = combo + c * (-2j * math.pi) * lin * vals
+        for d, dc in enumerate(deriv):
+            if dc != 0.0:
+                combo = combo + c * dc * _fd4(evaluate, coords, d, step)
+    return combo
+
+
+def _row_by_row(conn, coefficients, evaluate, coords, step):
+    """The reference over coefficient rows (..., 4), one call per row."""
+    rows = np.asarray(coefficients, dtype=complex)
+    out = [_single_row_connections(conn, row, evaluate, coords, step)
+           for row in rows.reshape(-1, 4)]
+    return np.reshape(out, rows.shape[:-1] + out[0].shape)
+
+
+class TestConnectionKernel:
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_inverse_equals_the_hand_built_matrix(self, kind, request):
+        emb = request.getfixturevalue(f"{kind}_config").build_embedding()
+        assert np.array_equal(build_connections(emb).matrix, _hand_built_connections(emb))
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_each_piece_is_formed_once_per_call(self, kind, request, monkeypatch):
+        emb = request.getfixturevalue(f"{kind}_config").build_embedding()
+        f, conn = theta_test_vector(emb), build_connections(emb)
+        evaluations, axes = [], []
+        original = heisenberg._fd4
+        monkeypatch.setattr(heisenberg, "_fd4",
+                            lambda ev, coords, d, step: axes.append(d) or original(ev, coords, d,
+                                                                                  step))
+        rows = np.random.default_rng(3).normal(size=(6, 4))
+        apply_connections(conn, rows, lambda *c: evaluations.append(1) or f.evaluate(*c),
+                          _probe_coords(emb), 1e-3)
+        derivative_axes = conn.derivative.shape[1]
+        assert sorted(axes) == list(range(derivative_axes))
+        assert len(evaluations) == 1 + 4 * derivative_axes
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_suites_match_single_row_calls_bit_for_bit(self, kind, request, monkeypatch):
+        # the 16 commutator entries and the refinement steps, the
+        # antiholomorphic rows, the negative control and the 40 combos
+        cfg = request.getfixturevalue(f"{kind}_config")
+        calls = []
+        for module in (heisenberg, structures):
+            original = module.apply_connections
+            monkeypatch.setattr(module, "apply_connections",
+                                lambda *args, original=original: calls.append(1) or original(*args))
+        rows = [run_suite(cfg, suite).checks for suite in ("connections", "holomorphy")]
+        # two per commutator call (4 for the 16 entries, 3 steps per refined
+        # pair), one per holomorphy residual call
+        refined = 1 if cfg.build_embedding().kind is EmbeddingKind.LATTICE else 2
+        assert len(calls) == 2 * (4 + 3 * refined) + (3 if refined == 1 else 2)
+        for module in (heisenberg, structures):
+            monkeypatch.setattr(module, "apply_connections", _row_by_row)
+        single = [run_suite(cfg, suite).checks for suite in ("connections", "holomorphy")]
+        for got, want in zip(sum(rows, []), sum(single, [])):
+            assert got.name == want.name
+            assert got.residuals.tobytes() == want.residuals.tobytes(), got.name
+            assert got.metadata == want.metadata
+
+    def test_combos_match_one_call_per_draw(self, lattice_config, monkeypatch):
+        # the suite draws the 40 combos as one (40, 4) block and normalizes
+        # each row; here each is drawn, normalized and evaluated on its own
+        [check] = [c for c in run_suite(lattice_config, "holomorphy").checks
+                   if c.name == "discrete-direction-no-annihilation"]
+        monkeypatch.setattr(structures, "apply_connections", _row_by_row)
+        emb = lattice_config.build_embedding()
+        f = theta_vector(lattice_config.build_structure(emb))
+        rng = _rng_streams(lattice_config.seed)["holomorphy"]
+        lows = []
+        for _ in range(40):
+            c = rng.normal(size=4).view(complex)
+            c = c / np.linalg.norm(c)
+            lows.append(connection_combo_residual(f, emb, [0.0, 0.0, c[0], c[1]]))
+        assert check.metadata["min_residual"] == min(lows)

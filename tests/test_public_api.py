@@ -183,7 +183,8 @@ def test_closed_route_is_reached_from_its_own_entry_point():
 # Each of these takes rows and is called once over all of them.
 ROW_ROUTES = {"inner_product_closed", "inner_product_oracle", "completed_square_defect",
               "verify_consistency_condition", "additivity_gap", "_log_translation",
-              "lattice_element", "representation_defect", "measure_commutation_phases"}
+              "lattice_element", "representation_defect", "measure_commutation_phases",
+              "connection_combo_residual"}
 ROW_ROUTE_LOOPS_ALLOWED = {
     # A Hermitian-form context holds one complex structure T, so the
     # completed-square sweep makes one call per T: one loop deep, no deeper.
