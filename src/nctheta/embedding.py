@@ -301,8 +301,22 @@ def enumerate_indices(radius: int) -> np.ndarray:
     return rows
 
 
-def _negated_rows(radius: int) -> np.ndarray:
-    """Row of -k in :func:`enumerate_indices` for each row k, at one radius.
+# Rows per block of :func:`row_blocks`.
+BLOCK_ROWS = 8192
+
+
+def row_blocks(stop: int, start: int = 0) -> list[slice]:
+    """Slices of at most BLOCK_ROWS consecutive rows that cover range(start, stop).
+
+    Every pass over a whole table (the series, its checks and the CSV
+    writer) runs block by block, so it holds one block beyond the table.
+    """
+    return [slice(lo, min(lo + BLOCK_ROWS, stop)) for lo in range(start, stop, BLOCK_ROWS)]
+
+
+def _negated_rows(radius: int, rows: slice = slice(None)) -> np.ndarray:
+    """Row of -k in :func:`enumerate_indices` for each row k in ROWS (all
+    rows by default), at one radius.
 
     Shell s (sup norm s) spans rows [a_s, b_s), with a_0 = 0, a_s = (2s-1)^4
     and b_s = (2s+1)^4. Negation keeps the sup norm, so it maps each shell
@@ -312,7 +326,9 @@ def _negated_rows(radius: int) -> np.ndarray:
     """
     ends = (2 * np.arange(radius + 1) + 1) ** 4
     starts = np.concatenate(([0], ends[:-1]))
-    return np.repeat(starts + ends - 1, ends - starts) - np.arange(ends[-1])
+    at = np.arange(*rows.indices(int(ends[-1])))
+    shell = np.searchsorted(ends, at, side="right")
+    return starts[shell] + ends[shell] - 1 - at
 
 
 def _cocycle_exponent(m_l, d_l, m_r, d_r):

@@ -26,6 +26,7 @@ from .embedding import (
     enumerate_indices,
     index_planes,
     point_parts,
+    row_blocks,
 )
 from .errors import NCThetaError
 from .qtheta import REASSEMBLY_REL_TOL, QuantumThetaSeries, _label, _reassembly_failure
@@ -33,8 +34,6 @@ from .special import HermitianFormContext
 from .structures import structure_from_tau
 
 CSV_HEADER = "k1,k2,k3,k4,w1,w2,m1,m2,t1,t2,re,im"
-# Rows are built and formatted this many at a time, which bounds the memory held.
-CHUNK_ROWS = 4096
 
 # One CSV row, filled from the columns k1..k4, w1, w2, m1, m2, t1, t2, re, im.
 _CSV_ROW = "%d,%d,%d,%d," + ",".join(["%.17g"] * 8) + "\n"
@@ -42,27 +41,34 @@ _CSV_ROW = "%d,%d,%d,%d," + ",".join(["%.17g"] * 8) + "\n"
 _CONVERSION = re.compile(r"%[.0-9]*[dg]")
 
 
-def _distinct(column):
-    """The distinct bit patterns of a float column (-0.0 and 0.0 stay
-    apart), as floats in ascending order of the patterns, and the position
-    of each row's value among them."""
-    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    return bits.view(np.float64), inverse
+def _ascending(bits) -> np.ndarray:
+    """The distinct values of an integer array in ascending order, by a sort
+    (np.unique finds them by hashing, several times slower here)."""
+    bits = np.sort(bits)
+    return bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
 
 
-def _table_cells(series: QuantumThetaSeries):
+def _distinct(column) -> np.ndarray:
+    """The distinct bit patterns of a float column, in ascending order
+    (-0.0 and 0.0 stay apart): those of each block (:func:`row_blocks`),
+    then those of their union."""
+    bits = column.view(np.uint64)
+    return _ascending(np.concatenate([_ascending(bits[rows]) for rows in row_blocks(len(bits))]))
+
+
+def _table_cells(series: QuantumThetaSeries, points, reads, distinct):
     """Source and values of each CSV column (k1..k4, w1, w2, m1, m2, t1,
-    t2, re, im), and the codes of the rows.
+    t2, re, im).
 
-    A source numbers the code array that gathers the values per row, or is
-    None for a constant. Sources 0 and 1 are the index planes
-    (:func:`index_planes`), whose points the values run over; the distinct
-    values of re and im over the whole table (:func:`_distinct`) come next,
-    so each value is formatted once per table. Lattice kind: (w1, w2, m1,
-    m2, t1, t2) with unreduced torus lifts. Vector-space kind: the M part
-    fills (w1, w2), the dual part (t1, t2), and the integer slots are zero.
+    A source numbers the codes that gather the values per row (see
+    :func:`_write_table`), or is None for a constant. Sources 0 and 1 are
+    the index planes, whose ``points`` the values run over, with ``reads``
+    (:func:`index_planes`); sources 2 and 3 the ``distinct`` bit patterns of
+    re and im (:func:`_distinct`), so each value is formatted once per
+    table. Lattice kind: (w1, w2, m1, m2, t1, t2) with unreduced torus
+    lifts. Vector-space kind: the M part fills (w1, w2), the dual part (t1,
+    t2), and the integer slots are zero.
     """
-    points, codes, reads = index_planes(series.embedding, series.indices, series.radius)
     index = [(p, points[p][:, j]) for p in range(2) for j in (2 * p, 2 * p + 1)]
     # each plane's points through the map, one column per row of entries
     ambient = [np.concatenate(point_parts(series.embedding, plane), axis=-1)
@@ -70,14 +76,9 @@ def _table_cells(series: QuantumThetaSeries):
     # the row of entries behind each of (w1, w2, m1, m2, t1, t2)
     lattice = series.kind is EmbeddingKind.LATTICE
     slots = [0, 3, 1, 2, 4, 5] if lattice else [0, 1, None, None, 2, 3]
-    cells = index + [(None, 0.0) if i is None else (reads[i], ambient[reads[i]][:, i])
+    cells = index + [(None, np.zeros(1)) if i is None else (reads[i], ambient[reads[i]][:, i])
                      for i in slots]
-    codes = list(codes)
-    for column in (series.values.real, series.values.imag):
-        values, inverse = _distinct(column)
-        cells.append((len(codes), values))
-        codes.append(inverse)
-    return cells, codes
+    return cells + [(2 + j, bits.view(np.float64)) for j, bits in enumerate(distinct)]
 
 
 def _joined(last, new):
@@ -94,16 +95,16 @@ def _joined(last, new):
 
 
 def _row_parts(cells) -> list:
-    """The CSV row template as parts (see :func:`_joined`): each sourced
-    cell formatted once per code of its source, constants once, and each
-    run of adjacent slots that read one source joined into one part."""
+    """The CSV row template as parts (see :func:`_joined`): each cell
+    formatted once per value, a cell of one text (a constant, or a column
+    such as im that holds one value) as literal text, and each run of
+    adjacent slots that read one source joined into one part."""
     pieces = _CONVERSION.split(_CSV_ROW)
     parts = [(None, pieces[0])]
     for spec, (source, values), piece in zip(_CONVERSION.findall(_CSV_ROW), cells, pieces[1:]):
-        if source is None:
-            cell = (None, spec % values)
-        else:
-            cell = (source, np.array([spec % v for v in values.tolist()], dtype=object))
+        texts = [spec % v for v in values.tolist()]
+        cell = ((None, texts[0]) if len(set(texts)) == 1
+                else (source, np.array(texts, dtype=object)))
         for new in (cell, (None, piece)):
             both = _joined(parts[-1], new)
             if both is None:
@@ -116,16 +117,25 @@ def _row_parts(cells) -> list:
 def _write_table(fh, series: QuantumThetaSeries) -> None:
     """Write the CSV rows of the table.
 
-    Rows go in blocks of CHUNK_ROWS, each as one str.join over the parts of
-    :func:`_row_parts`, whose texts are gathered by the rows' codes.
+    Rows go in the blocks of :func:`row_blocks`, each as one str.join over
+    the parts of :func:`_row_parts`, whose texts are gathered by the
+    block's codes: its plane codes (:func:`index_planes`, sources 0 and 1)
+    and the position of its re and im bit patterns among the distinct ones
+    (np.searchsorted, sources 2 and 3). Beyond the table, only the distinct
+    patterns and one block are held.
     """
-    cells, codes = _table_cells(series)
-    parts = _row_parts(cells)
-    for lo in range(0, len(series.indices), CHUNK_ROWS):
-        rows = slice(lo, lo + CHUNK_ROWS)
-        text = np.empty((len(codes[0][rows]), len(parts)), dtype=object)
+    emb, ks, radius = series.embedding, series.indices, series.radius
+    columns = (series.values.real, series.values.imag)
+    distinct = [_distinct(column) for column in columns]
+    for rows in row_blocks(len(ks)):
+        points, codes, reads = index_planes(emb, ks[rows], radius)
+        if rows.start == 0:  # the points and reads are the same for every block
+            parts = _row_parts(_table_cells(series, points, reads, distinct))
+        codes += tuple(np.searchsorted(bits, column[rows].view(np.uint64))
+                       for bits, column in zip(distinct, columns))
+        text = np.empty((len(codes[0]), len(parts)), dtype=object)
         for j, (source, payload) in enumerate(parts):
-            text[:, j] = payload if source is None else payload[codes[source][rows]]
+            text[:, j] = payload if source is None else payload[codes[source]]
         fh.write("".join(text.ravel().tolist()))
 
 
@@ -137,12 +147,14 @@ def _values_and_codes(series: QuantumThetaSeries):
     json.dumps prints a float as its repr, and both depend only on the
     values, so a reloaded table re-exports byte for byte.
     """
-    re_values, re_codes = _distinct(series.values.real)
-    im_values, im_codes = _distinct(series.values.imag)
-    pairs, codes = np.unique(re_codes * len(im_values) + im_codes, return_inverse=True)
-    re_text = np.array([repr(v) for v in re_values.tolist()], dtype=object)
-    im_text = np.array([repr(v) for v in im_values.tolist()], dtype=object)
-    re_code, im_code = np.divmod(pairs, len(im_values))
+    # the bit patterns of each column, as in :func:`_distinct`, and every row's code
+    (re_bits, re_codes), (im_bits, im_codes) = (
+        np.unique(column.view(np.uint64), return_inverse=True)
+        for column in (series.values.real, series.values.imag))
+    pairs, codes = np.unique(re_codes * len(im_bits) + im_codes, return_inverse=True)
+    re_text = np.array([repr(v) for v in re_bits.view(np.float64).tolist()], dtype=object)
+    im_text = np.array([repr(v) for v in im_bits.view(np.float64).tolist()], dtype=object)
+    re_code, im_code = np.divmod(pairs, len(im_bits))
     rows = "    [" + re_text[re_code] + ", " + im_text[im_code] + "]"
     code_text = np.array([str(i) for i in range(len(pairs))], dtype=object)
     return ",\n".join(rows.tolist()), ", ".join(code_text[codes].tolist())

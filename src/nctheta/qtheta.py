@@ -39,6 +39,7 @@ from .embedding import (
     index_planes,
     lattice_element,
     point_parts,
+    row_blocks,
 )
 from .errors import (
     InternalIdentityViolated,
@@ -355,28 +356,34 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
                          radius: int = 4) -> QuantumThetaSeries:
     """Compute all series coefficients with index sup norm <= radius.
 
-    On the way out, the defining relation is re-assembled: for every index
-    with sup norm <= min(radius, 2), normalization times the coefficient
-    must reproduce the closed-form inner product.
+    The coefficients fill one array in the row blocks of :func:`row_blocks`,
+    so the call holds the table and one block. On the way out, the
+    defining relation is re-assembled: for every index with sup norm <=
+    min(radius, 2), normalization times the coefficient must reproduce the
+    closed-form inner product.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
     if emb.kind is not structure.kind:
         raise KindMismatch("embedding and structure kinds differ")
     ks = enumerate_indices(radius)
+    # real on both kinds; the complex values, imaginary part +0.0, are the table format
+    values = np.empty(len(ks), dtype=complex)
     if emb.kind is EmbeddingKind.LATTICE:
         # R x Z^2: the exponent reads (w1, w2), the image of (k1, k2), and the
         # mode product (m, t), the image of (k3, k4); each runs once per point
         # of its plane and is gathered per row
-        (near, far), codes, _ = index_planes(emb, ks, radius)
-        expo = _gaussian_exponent(structure, point_parts(emb, near))[codes[0]]
-        site = _mode_products(point_parts(emb, far), 1.0 / structure.lattice_decay)[codes[1]]
+        for rows in row_blocks(len(ks)):
+            (near, far), codes, _ = index_planes(emb, ks[rows], radius)
+            if rows.start == 0:  # the points depend on the radius alone
+                expo = _gaussian_exponent(structure, point_parts(emb, near))
+                site = _mode_products(point_parts(emb, far), 1.0 / structure.lattice_decay)
+            values[rows] = site[codes[1]] * np.exp(expo[codes[0]])
     else:
-        expo, site = _coefficient_parts(emb, structure, ks)
-    # real on both kinds; the complex values, imaginary part +0.0, are the table format
+        for rows in row_blocks(len(ks)):
+            values[rows] = np.exp(_gaussian_exponent(structure, point_parts(emb, ks[rows])))
     series = QuantumThetaSeries(emb, structure, radius,
-                                HermitianFormContext(structure.T).normalization(),
-                                ks, (site * np.exp(expo)).astype(complex))
+                                HermitianFormContext(structure.T).normalization(), ks, values)
     bad = _reassembly_failure(series)
     if bad is not None:
         raise InternalIdentityViolated(

@@ -32,6 +32,7 @@ from .embedding import (
     enumerate_indices,
     integer_block_inverse,
     lattice_element,
+    row_blocks,
 )
 from .errors import ConfigInvalid, NCThetaError, SingularIntegerMatrix
 from .export import export_coefficients
@@ -290,15 +291,20 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
         tau0 = 2j / (1.0 / structure.lattice_decay)  # 2i / theta2_eff
         expected0, cutoff = jacobi_theta(tau0, 0.0) ** 2, theta_truncation(tau0, 0.0, 1e-12)
     ks, values = series.indices, series.values
-    sym = float(np.max(np.abs(values[_negated_rows(series.radius)] - np.conj(values))))
+    # block by block (row_blocks); np.max and np.min over the blocks' results
+    # keep a NaN, where Python's max and min may drop it
+    sym = float(np.max([
+        np.max(np.abs(values[_negated_rows(series.radius, rows)] - np.conj(values[rows])))
+        for rows in row_blocks(len(values))]))
     # Row 0 is k = 0, and |C(k)| <= C(0) since pi_k is unitary, so the rate
     # is measured relative to C(0). A coefficient that underflowed to 0
     # decays without bound: its rate is +inf.
     zero_defect = abs(complex(values[0]) - expected0)
-    norm_sq = np.sum(ks * ks, axis=1)
     with np.errstate(divide="ignore"):
-        rates = -np.log(np.abs(values[1:]) / abs(values[0])) / norm_sq[1:]
-    decay_min = float(rates.min())
+        decay_min = float(np.min([
+            np.min(-np.log(np.abs(values[rows]) / abs(values[0]))
+                   / np.sum(ks[rows] * ks[rows], axis=1))
+            for rows in row_blocks(len(values), start=1)]))
 
     doc_radius = series.radius
     while series_tail_bound(series, doc_radius) >= 1e-12:

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nctheta
+from nctheta import embedding as embedding_mod
 from nctheta import export
 from nctheta.cli import EXIT_INTERNAL_ERROR, main
 from nctheta.config import _SCHEMA_KEYWORDS, CONFIG_SCHEMA, _violation, load_config, parse_config
@@ -212,20 +214,23 @@ class TestSchema:
         assert accepted > 50 and single > 500, (accepted, single)
 
 
-def _non_canonical_series(kind):
-    """A radius-2 series of a non-canonical lattice or an off-diagonal vector
-    config whose values hold signed zeros, subnormal and tiny values,
-    integer valued and negative floats; im is distinct in every row."""
+def _non_canonical_config(kind):
+    """A non-canonical lattice or an off-diagonal vector config."""
     if kind == "lattice":
-        cfg = parse_config(minimal_lattice(
+        return parse_config(minimal_lattice(
             embedding={"kind": "lattice", "theta1": 0.5, "m": [[2, 1], [1, 1]],
                        "delta_hat": [[0.25, 0.25], [-0.5, -0.25]]},
             structure={"tau": [0.3, 0.2]}))
-    else:
-        cfg = parse_config({"embedding": {"kind": "vector_space", "theta1": 0.5,
-                                          "theta2": 0.4},
-                            "structure": {"tau": [[[0.1, 0.5], [0.04, 0.08]],
-                                                  [[0.05, 0.1], [0.02, 0.4]]]}})
+    return parse_config({"embedding": {"kind": "vector_space", "theta1": 0.5, "theta2": 0.4},
+                         "structure": {"tau": [[[0.1, 0.5], [0.04, 0.08]],
+                                               [[0.05, 0.1], [0.02, 0.4]]]}})
+
+
+def _non_canonical_series(kind):
+    """A radius-2 series of :func:`_non_canonical_config` whose values hold
+    signed zeros, subnormal and tiny values, integer valued and negative
+    floats; im is distinct in every row."""
+    cfg = _non_canonical_config(kind)
     emb = cfg.build_embedding()
     series = quantum_theta_series(emb, cfg.build_structure(emb), radius=2)
     rng = np.random.default_rng(3)
@@ -714,9 +719,9 @@ class TestExport:
                                       request.getfixturevalue(f"{kind}_structure"),
                                       radius=2)
         tables = []
-        for chunk in (1, 5, export.CHUNK_ROWS):
-            monkeypatch.setattr(export, "CHUNK_ROWS", chunk)
-            tables.append(export_coefficients(series, fmt, tmp_path / f"{chunk}.{fmt}")
+        for block in (1, 5, embedding_mod.BLOCK_ROWS):
+            monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", block)
+            tables.append(export_coefficients(series, fmt, tmp_path / f"{block}.{fmt}")
                           .read_bytes())
         assert tables[0] == tables[1] == tables[2]
         assert len(series.indices) == 625
@@ -738,7 +743,7 @@ class TestExport:
         block[:, 10] = series.values.real
         block[:, 11] = series.values.imag
         expected = "".join(_CSV_ROW % tuple(r.tolist()) for r in block)
-        monkeypatch.setattr(export, "CHUNK_ROWS", 37)
+        monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", 37)
         out = io.StringIO()
         _write_table(out, series)
         assert out.getvalue() == expected
@@ -746,39 +751,65 @@ class TestExport:
 
     def test_index_planes_once_per_series(self, lattice_config, vector_emb, vector_structure,
                                           monkeypatch, tmp_path):
-        # a lattice series reads the planes of its grid once, and a CSV table
-        # once per write; a JSON table and the vector coefficients read none
-        from nctheta import embedding as embedding_mod
-
+        # a lattice series reads the plane codes of each of its rows once, in
+        # blocks, and a CSV table once per write; a JSON table and the vector
+        # coefficients read none
         original, calls = embedding_mod.index_planes, []
 
         def counted(emb, ks, radius):
-            calls.append(len(ks))
+            calls.append(ks)
             return original(emb, ks, radius)
+
+        def covered():
+            # the rows the calls read since the last look, in order
+            assert all(len(ks) <= embedding_mod.BLOCK_ROWS for ks in calls)
+            rows = np.concatenate(calls) if calls else np.empty((0, 4), dtype=np.int64)
+            calls.clear()
+            return rows.tolist()
 
         for module in [m for name, m in sys.modules.items() if name.startswith("nctheta")]:
             if getattr(module, "index_planes", None) is original:
                 monkeypatch.setattr(module, "index_planes", counted)
+        monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", 1000)
+        grid = enumerate_indices(4).tolist()
         report = run_suite(lattice_config, "quantum-theta")
-        assert calls == [9 ** 4]
+        assert covered() == grid
         write_report(report, tmp_path / "r.csv", fmt="csv")
+        assert covered() == grid
         table = export_coefficients(report.series, "json", tmp_path / "t.json")
-        assert calls == [9 ** 4] * 2
+        assert covered() == []
 
-        calls.clear()
         series = load_series(table)
         for n in (1, 2):
             export_coefficients(series, "json", tmp_path / f"{n}.json")
-        assert calls == []
-        first, second = (export_coefficients(series, "csv", tmp_path / f"{n}.csv").read_bytes()
-                         for n in (1, 2))
-        assert calls == [9 ** 4] * 2
-        assert first == second == (tmp_path / "r.coefficients.csv").read_bytes()
+        assert covered() == []
+        tables = []
+        for n in (1, 2):
+            tables.append(export_coefficients(series, "csv", tmp_path / f"{n}.csv").read_bytes())
+            assert covered() == grid
+        assert tables[0] == tables[1] == (tmp_path / "r.coefficients.csv").read_bytes()
 
-        calls.clear()
         vector = quantum_theta_series(vector_emb, vector_structure, radius=2)
         export_coefficients(vector, "json", tmp_path / "v.json")
-        assert calls == []
+        assert covered() == []
+        export_coefficients(vector, "csv", tmp_path / "v.csv")
+        assert covered() == enumerate_indices(2).tolist()
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector", "off-diagonal-vector"])
+    def test_blocks_do_not_move_the_series_or_its_checks(self, request, monkeypatch, kind):
+        if kind == "off-diagonal-vector":
+            cfg = _non_canonical_config("vector")
+        else:
+            cfg = request.getfixturevalue(f"{kind}_config")
+        cfg = parse_config({**cfg.raw, "radius": 2})
+        runs = []
+        for block in (1, 7, embedding_mod.BLOCK_ROWS):
+            monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", block)
+            report = run_suite(cfg, "quantum-theta")
+            assert report.passed, report.summary()
+            runs.append((report.series.values.tobytes(), json.dumps(report.to_dict())))
+        assert runs[0] == runs[1] == runs[2]
+        assert len(report.series.values) == 625
 
     def test_vector_export(self, vector_emb, vector_structure, tmp_path):
         series = quantum_theta_series(vector_emb, vector_structure, radius=1)
@@ -982,6 +1013,46 @@ class TestSuiteCoverage:
         (decay,) = [c for c in report.checks if c.name == "coefficient-decay"]
         assert decay.passed
         assert decay.metadata["rate"] == pytest.approx(0.113, abs=1e-3)
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_a_nan_coefficient_fails_symmetry_and_decay(self, kind, request, monkeypatch):
+        # the checks reduce block by block; with 7-row blocks the NaN at row
+        # 100 and at its negation, row 605, lies in a later block than the
+        # first, whose result a Python max() or min() over the blocks would keep
+        import nctheta.report as report_mod
+
+        def with_nan(emb, structure, radius):
+            series = quantum_theta_series(emb, structure, radius)
+            series.values[100] = complex("nan")
+            return series
+
+        monkeypatch.setattr(report_mod, "quantum_theta_series", with_nan)
+        monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", 7)
+        report = run_suite(request.getfixturevalue(f"{kind}_config"), "quantum-theta")
+        assert report.summary()["failed_names"] == ["coefficient-symmetry", "coefficient-decay"]
+        checks = {c.name: c for c in report.checks}
+        assert math.isnan(checks["coefficient-symmetry"].max_residual)
+        assert math.isnan(checks["coefficient-decay"].metadata["rate"])
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_quantum_theta_holds_the_table_and_one_block(self, kind, request, tmp_path):
+        # every pass over the table runs in row blocks, so a radius-8 run and
+        # its CSV write hold the table (indices and values) plus a fixed
+        # budget; a pass over all 83,521 rows at once holds 0.6 MiB per int64
+        # column and 1.3 MiB per complex one, and whole-table passes peaked
+        # 5.3 (lattice) and 8.0 (vector) MiB above the table
+        cfg = request.getfixturevalue(f"{kind}_config")
+        write_report(run_suite(parse_config({**cfg.raw, "radius": 1}), "quantum-theta"),
+                     tmp_path / "warm.csv", fmt="csv")  # imports and caches
+        tracemalloc.start()
+        try:
+            report = run_suite(parse_config({**cfg.raw, "radius": 8}), "quantum-theta")
+            write_report(report, tmp_path / "r.csv", fmt="csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = report.series.indices.nbytes + report.series.values.nbytes
+        assert peak - table < 4 * 2**20, (peak, table)
 
     def test_series_built_once_per_radius(self, lattice_config, monkeypatch):
         # quantum-theta, functional-equation, consistency and additivity share

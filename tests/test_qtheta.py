@@ -278,11 +278,16 @@ class TestSeries:
         assert series.coefficients[(1, -2, 3, -4)] == series.coefficient([1, -2, 3, -4])
 
     @pytest.mark.parametrize("radius", range(7))
-    def test_negated_rows_match_the_row_lookup(self, lattice_emb, lattice_structure, radius):
+    def test_negated_rows_match_the_row_lookup(self, lattice_emb, lattice_structure, radius,
+                                               monkeypatch):
         ks = enumerate_indices(radius)
         series = QuantumThetaSeries(lattice_emb, lattice_structure, radius, 1.0, ks,
                                     np.zeros(len(ks), dtype=complex))
         np.testing.assert_array_equal(_negated_rows(radius), _rows(series, -ks))
+        # block by block, as the symmetry check reads them; blocks straddle shells
+        monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", 7)
+        blocks = [_negated_rows(radius, rows) for rows in embedding_mod.row_blocks(len(ks))]
+        np.testing.assert_array_equal(np.concatenate(blocks), _rows(series, -ks))
 
     @pytest.mark.parametrize("k", [(0.5, 0, 0, 0), (0.9, 0, 0, 0), (0, 0, 0, -3.5),
                                    (math.nan, 0, 0, 0), (math.inf, 0, 0, 0),
