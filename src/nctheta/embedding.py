@@ -276,29 +276,46 @@ def element_add(emb: EmbeddingMap, x: LatticeElement, y: LatticeElement) -> Latt
     return lattice_element(emb, x.k + y.k)
 
 
-def enumerate_indices(radius: int) -> np.ndarray:
-    """Integer 4-vectors with sup norm <= radius in the canonical order.
+def index_positions(radius: int) -> np.ndarray:
+    """Flat positions in the (2r+1)^4 grid of the index rows of sup norm <=
+    radius r, in the canonical order of :func:`enumerate_indices`.
 
-    Sorted by sup norm first, then lexicographically; this fixes the
-    summation order of every truncated series in the package. The flat
-    positions of the (2r+1)^4 grid, last axis fastest, are already
-    lexicographic, so a stable sort of them on the sup norm alone gives
-    that order. The sup norm is taken per axis pair by outer maxima, in the
-    narrowest unsigned type that holds the radius (a key numpy sorts stably
-    by radix up to 16 bits), and the sorted positions are decoded in place,
-    one divmod per axis from the last.
+    The flat positions, last axis fastest, are already lexicographic, so a
+    stable sort of them on the sup norm alone gives that order. The sup
+    norm is taken per axis pair by outer maxima, in the narrowest unsigned
+    type that holds the radius (a key numpy sorts stably by radix up to 16
+    bits). The positions come in the narrowest unsigned type that holds
+    them, one per row; :func:`indices_at` decodes them.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    side = 2 * radius + 1
     span = np.abs(np.arange(-radius, radius + 1)).astype(np.min_scalar_type(radius))
     pair = np.maximum.outer(span, span).ravel()
     order = np.argsort(np.maximum.outer(pair, pair).ravel(), kind="stable")
+    return order.astype(np.min_scalar_type(len(order) - 1))
+
+
+def indices_at(positions, radius: int) -> np.ndarray:
+    """Index rows (N, 4), int64, at the flat positions of the (2r+1)^4 grid,
+    last axis fastest, for radius r: one divmod per axis from the last, in
+    the positions' own type."""
+    side = 2 * radius + 1
+    order = np.array(positions)
     rows = np.empty((len(order), 4), dtype=np.int64)
     for axis in (3, 2, 1, 0):
         np.divmod(order, side, out=(order, rows[:, axis]))
     rows -= radius
     return rows
+
+
+def enumerate_indices(radius: int) -> np.ndarray:
+    """Integer 4-vectors with sup norm <= radius in the canonical order.
+
+    Sorted by sup norm first, then lexicographically; this fixes the
+    summation order of every truncated series in the package. The rows
+    of :func:`index_positions`, decoded by :func:`indices_at`.
+    """
+    return indices_at(index_positions(radius), radius)
 
 
 # Rows per block of :func:`row_blocks`.

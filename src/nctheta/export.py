@@ -23,13 +23,20 @@ import numpy as np
 from .embedding import (
     EmbeddingKind,
     build_embedding,
-    enumerate_indices,
     index_planes,
+    index_positions,
+    indices_at,
     point_parts,
     row_blocks,
 )
 from .errors import NCThetaError
-from .qtheta import REASSEMBLY_REL_TOL, QuantumThetaSeries, _label, _reassembly_failure
+from .qtheta import (
+    REASSEMBLY_REL_TOL,
+    QuantumThetaSeries,
+    _label,
+    _reassembly_failure,
+    _with_positions,
+)
 from .special import HermitianFormContext
 from .structures import structure_from_tau
 
@@ -119,20 +126,24 @@ def _write_table(fh, series: QuantumThetaSeries) -> None:
 
     Rows go in the blocks of :func:`row_blocks`, each as one str.join over
     the parts of :func:`_row_parts`, whose texts are gathered by the
-    block's codes: its plane codes (:func:`index_planes`, sources 0 and 1)
-    and the position of its re and im bit patterns among the distinct ones
-    (np.searchsorted, sources 2 and 3). Beyond the table, only the distinct
-    patterns and one block are held.
+    block's codes: its plane codes (:func:`index_planes` of the block's
+    index rows, decoded from their positions; sources 0 and 1) and the
+    position of its re and im bit patterns among the distinct ones
+    (np.searchsorted, sources 2 and 3), for a column that some part reads.
+    Beyond the table, only the distinct patterns and one block are held.
     """
-    emb, ks, radius = series.embedding, series.indices, series.radius
+    emb, radius = series.embedding, series.radius
     columns = (series.values.real, series.values.imag)
     distinct = [_distinct(column) for column in columns]
-    for rows in row_blocks(len(ks)):
-        points, codes, reads = index_planes(emb, ks[rows], radius)
+    for rows in row_blocks(len(series.values)):
+        points, codes, reads = index_planes(
+            emb, indices_at(series.positions[rows], radius), radius)
         if rows.start == 0:  # the points and reads are the same for every block
             parts = _row_parts(_table_cells(series, points, reads, distinct))
+            sources = {source for source, _ in parts}
         codes += tuple(np.searchsorted(bits, column[rows].view(np.uint64))
-                       for bits, column in zip(distinct, columns))
+                       if 2 + j in sources else None
+                       for j, (bits, column) in enumerate(zip(distinct, columns)))
         text = np.empty((len(codes[0]), len(parts)), dtype=object)
         for j, (source, payload) in enumerate(parts):
             text[:, j] = payload if source is None else payload[codes[source]]
@@ -215,8 +226,10 @@ def load_series(path) -> QuantumThetaSeries:
     define a valid embedding and structure, of the kind it names, and the
     normalization of that structure. Otherwise ValueError, naming the path,
     also for a file that is not UTF-8 text or JSON. The row count is
-    checked before any index is enumerated, so the work is bounded by the
-    table's size whatever radius it names. Rows that are [re, im] lists or
+    checked before the grid positions of the radius are sorted, so the work
+    is bounded by the table's size whatever radius it names; the positions
+    are sorted once, go to the series, and a message that names an index
+    decodes that row alone. Rows that are [re, im] lists or
     objects, the layouts of earlier tables, are refused.
     """
     try:
@@ -241,7 +254,11 @@ def load_series(path) -> QuantumThetaSeries:
     if len(rows) != count:
         raise ValueError(f"{path}: the table holds {len(rows)} rows, not the {count}"
                          f" indices of radius {radius}")
-    indices = enumerate_indices(radius)
+    positions = index_positions(radius)
+
+    def label_at(row: int) -> str:
+        return _label(indices_at(positions[row:row + 1], radius)[0])
+
     pairs = data.get("values")
     n = len(pairs) if type(pairs) is list else 0
     codes = np.array(rows) if set(map(type, rows)) == {int} else None
@@ -251,7 +268,7 @@ def load_series(path) -> QuantumThetaSeries:
         if type(rows[first]) in (list, dict):
             layout = "an object" if type(rows[first]) is dict else "an [re, im] list"
             raise ValueError(
-                f"{path}: the row for index {_label(indices[first])} is {layout}, the"
+                f"{path}: the row for index {label_at(first)} is {layout}, the"
                 " layout of earlier tables; a row is now a code into \"values\", in the"
                 " order of enumerate_indices(radius). The header's embedding, structure"
                 " and radius make the config from which `nctheta quantum-theta` writes"
@@ -260,7 +277,7 @@ def load_series(path) -> QuantumThetaSeries:
             raise ValueError(f"{path}: the table has no 'values' entry")
         if type(pairs) is not list:
             raise ValueError(f"{path}: not laid out as a coefficient table")
-        raise ValueError(f"{path}: the code for index {_label(indices[first])} is not an"
+        raise ValueError(f"{path}: the code for index {label_at(first)} is not an"
                          f" integer in range({n})")
     nan = (math.nan, math.nan)
     table = np.array([v if type(v) is list and len(v) == 2 and type(v[0]) is float
@@ -268,7 +285,7 @@ def load_series(path) -> QuantumThetaSeries:
     values = table.view(complex)[codes, 0]
     bad = ~np.isfinite(values)
     if np.any(bad):
-        raise ValueError(f"{path}: the coefficient at {_label(indices[np.argmax(bad)])}"
+        raise ValueError(f"{path}: the coefficient at {label_at(int(np.argmax(bad)))}"
                          " is not a pair of finite floats")
     if type(normalization) is not float or not math.isfinite(normalization):
         raise ValueError(f"{path}: the normalization must be a finite float")
@@ -289,7 +306,8 @@ def load_series(path) -> QuantumThetaSeries:
     if not abs(normalization - expected) <= REASSEMBLY_REL_TOL * abs(expected):
         raise ValueError(f"{path}: the normalization {normalization!r} is not"
                          f" the structure's {expected!r}")
-    series = QuantumThetaSeries(emb, structure, radius, normalization, indices, values)
+    series = _with_positions(
+        QuantumThetaSeries(emb, structure, radius, normalization, values), positions)
     bad = _reassembly_failure(series)
     if bad is not None:
         raise ValueError(f"{path}: stored coefficient at {bad} does not"

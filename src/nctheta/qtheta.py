@@ -37,6 +37,8 @@ from .embedding import (
     _paired_exponent,
     enumerate_indices,
     index_planes,
+    index_positions,
+    indices_at,
     lattice_element,
     point_parts,
     row_blocks,
@@ -178,20 +180,28 @@ def inner_product_oracle(f: ClosedFormVector, h: LatticeElement, tol: float = 1e
 class QuantumThetaSeries:
     """Truncation of the quantum theta series for one embedding.
 
-    ``indices`` holds every integer index with sup norm <= radius, an
-    (N, 4) array in the canonical order of :func:`enumerate_indices`, and
-    ``values`` the algebra coefficient of each row; ``coefficients`` is a
-    read-only mapping view over the two. ``normalization`` is the constant relating the
-    self-pairing of the theta vector to the series. Series compare by
-    identity.
+    ``values`` holds the algebra coefficient of every integer index with
+    sup norm <= radius, one per row in the canonical order of
+    :func:`enumerate_indices`, a ((2 radius + 1)^4,) array; the
+    constructor refuses another shape. The series stores nothing else per
+    row: ``positions`` (the rows' flat grid positions) and ``indices``
+    (the (N, 4) index rows) follow from the radius and are derived when
+    first read, read-only. ``coefficients`` is a read-only mapping view.
+    ``normalization`` is the constant relating the self-pairing of the
+    theta vector to the series. Series compare by identity.
     """
 
     embedding: EmbeddingMap
     structure: ComplexStructure
     radius: int
     normalization: float
-    indices: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        count = (2 * self.radius + 1) ** 4
+        if np.shape(self.values) != (count,):
+            raise ValueError(f"values of shape {np.shape(self.values)} are not the"
+                             f" ({count},) rows of radius {self.radius}")
 
     @property
     def kind(self) -> EmbeddingKind:
@@ -202,10 +212,20 @@ class QuantumThetaSeries:
         return _CoefficientView(self)
 
     @cached_property
+    def positions(self) -> np.ndarray:
+        """Flat grid position of each row (:func:`index_positions`)."""
+        return _read_only(index_positions(self.radius))
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """Index row of each row, (N, 4) int64."""
+        return _read_only(indices_at(self.positions, self.radius))
+
+    @cached_property
     def _row_table(self) -> np.ndarray:
         """Row of each index, at [k1 + r, k2 + r, k3 + r, k4 + r] for radius r."""
         table = np.empty((2 * self.radius + 1,) * 4, dtype=np.intp)
-        table[tuple((self.indices + self.radius).T)] = np.arange(len(self.indices))
+        table.ravel()[self.positions] = np.arange(len(self.values))
         return table
 
     def coefficient(self, k) -> complex:
@@ -220,6 +240,18 @@ class QuantumThetaSeries:
         if not inside:
             raise KeyError(k)
         return complex(self.values[self._row_table[tuple(int(c) + r for c in k)]])
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _with_positions(series: QuantumThetaSeries, positions: np.ndarray) -> QuantumThetaSeries:
+    """SERIES with its ``positions`` set to POSITIONS, those of its radius, so
+    that they are not sorted again."""
+    vars(series)["positions"] = _read_only(positions)
+    return series
 
 
 class _CoefficientView(Mapping):
@@ -337,13 +369,9 @@ def _reassembly_failure(series: QuantumThetaSeries) -> str | None:
     the stored coefficient must reproduce the closed-form inner product;
     None when it does everywhere. The canonical order goes by sup norm
     first, so those indices are the table's first rows, in the order of
-    :func:`enumerate_indices`; a row there holding another index fails.
+    :func:`enumerate_indices`.
     """
     ks = enumerate_indices(min(series.radius, 2))
-    head = series.indices[:len(ks)]
-    moved = np.any(head != ks[:len(head)], axis=1)
-    if moved.any() or len(head) < len(ks):
-        return _label(ks[np.argmax(moved) if moved.any() else len(head)])
     closed = inner_product_closed(theta_vector(series.structure),
                                   lattice_element(series.embedding, ks))
     assembled = series.normalization * series.values[:len(ks)]
@@ -366,24 +394,25 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
         raise ValueError("radius must be at least 1")
     if emb.kind is not structure.kind:
         raise KindMismatch("embedding and structure kinds differ")
-    ks = enumerate_indices(radius)
+    positions = index_positions(radius)
     # real on both kinds; the complex values, imaginary part +0.0, are the table format
-    values = np.empty(len(ks), dtype=complex)
-    if emb.kind is EmbeddingKind.LATTICE:
-        # R x Z^2: the exponent reads (w1, w2), the image of (k1, k2), and the
-        # mode product (m, t), the image of (k3, k4); each runs once per point
-        # of its plane and is gathered per row
-        for rows in row_blocks(len(ks)):
-            (near, far), codes, _ = index_planes(emb, ks[rows], radius)
+    values = np.empty(len(positions), dtype=complex)
+    for rows in row_blocks(len(positions)):
+        ks = indices_at(positions[rows], radius)
+        if emb.kind is EmbeddingKind.LATTICE:
+            # R x Z^2: the exponent reads (w1, w2), the image of (k1, k2), and
+            # the mode product (m, t), the image of (k3, k4); each runs once per
+            # point of its plane and is gathered per row
+            (near, far), codes, _ = index_planes(emb, ks, radius)
             if rows.start == 0:  # the points depend on the radius alone
                 expo = _gaussian_exponent(structure, point_parts(emb, near))
                 site = _mode_products(point_parts(emb, far), 1.0 / structure.lattice_decay)
             values[rows] = site[codes[1]] * np.exp(expo[codes[0]])
-    else:
-        for rows in row_blocks(len(ks)):
-            values[rows] = np.exp(_gaussian_exponent(structure, point_parts(emb, ks[rows])))
-    series = QuantumThetaSeries(emb, structure, radius,
-                                HermitianFormContext(structure.T).normalization(), ks, values)
+        else:
+            values[rows] = np.exp(_gaussian_exponent(structure, point_parts(emb, ks)))
+    series = _with_positions(QuantumThetaSeries(
+        emb, structure, radius, HermitianFormContext(structure.T).normalization(), values),
+        positions)
     bad = _reassembly_failure(series)
     if bad is not None:
         raise InternalIdentityViolated(

@@ -30,6 +30,7 @@ from .embedding import (
     commutation_matrix,
     element_linearity_max_residual,
     enumerate_indices,
+    indices_at,
     integer_block_inverse,
     lattice_element,
     row_blocks,
@@ -290,11 +291,11 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
     if emb.kind is EmbeddingKind.LATTICE:
         tau0 = 2j / (1.0 / structure.lattice_decay)  # 2i / theta2_eff
         expected0, cutoff = jacobi_theta(tau0, 0.0) ** 2, theta_truncation(tau0, 0.0, 1e-12)
-    ks, values = series.indices, series.values
+    values, radius = series.values, series.radius
     # block by block (row_blocks); np.max and np.min over the blocks' results
     # keep a NaN, where Python's max and min may drop it
     sym = float(np.max([
-        np.max(np.abs(values[_negated_rows(series.radius, rows)] - np.conj(values[rows])))
+        np.max(np.abs(values[_negated_rows(radius, rows)] - np.conj(values[rows])))
         for rows in row_blocks(len(values))]))
     # Row 0 is k = 0, and |C(k)| <= C(0) since pi_k is unitary, so the rate
     # is measured relative to C(0). A coefficient that underflowed to 0
@@ -303,10 +304,10 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
     with np.errstate(divide="ignore"):
         decay_min = float(np.min([
             np.min(-np.log(np.abs(values[rows]) / abs(values[0]))
-                   / np.sum(ks[rows] * ks[rows], axis=1))
+                   / np.sum(np.square(indices_at(series.positions[rows], radius)), axis=1))
             for rows in row_blocks(len(values), start=1)]))
 
-    doc_radius = series.radius
+    doc_radius = radius
     while series_tail_bound(series, doc_radius) >= 1e-12:
         doc_radius += 1
 

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nctheta
+from conftest import load_golden
 from nctheta import embedding as embedding_mod
 from nctheta import export
 from nctheta.cli import EXIT_INTERNAL_ERROR, main
@@ -251,6 +252,20 @@ def _reload_outcome(path):
 
 
 class TestExport:
+    def test_tables_keep_their_golden_bytes(self, lattice_config, vector_config, tmp_path):
+        # the r=4 CSV and JSON tables and the r=8 CSV table of both fixtures,
+        # byte for byte as tests/golden/table_digests.json records them
+        golden = load_golden("table_digests.json")["sha256"]
+        digests, configs = {}, {"lattice": lattice_config, "vector": vector_config}
+        for name in golden:
+            kind, radius, fmt = name.split(" ")
+            emb = configs[kind].build_embedding()
+            series = quantum_theta_series(emb, configs[kind].build_structure(emb),
+                                          radius=int(radius[2:]))
+            path = export_coefficients(series, fmt, tmp_path / f"{kind}.{fmt}")
+            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == golden
+
     def test_csv_row_count_and_header(self, lattice_emb, lattice_structure, tmp_path):
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
         out = export_coefficients(series, "csv", tmp_path / "coeff.csv")
@@ -553,7 +568,7 @@ class TestExport:
             pairs = np.array(floats[:len(floats) // 2 * 2]).view(complex)
             values[outer[:len(pairs)]] = pairs
             table = QuantumThetaSeries(series.embedding, series.structure, series.radius,
-                                       series.normalization, series.indices, values)
+                                       series.normalization, values)
             path = export_coefficients(table, "json", tmp_path / "bits.json")
             # each distinct pair of bit patterns is stored once
             stored = json.loads(path.read_text())["values"]
@@ -1037,7 +1052,7 @@ class TestSuiteCoverage:
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_quantum_theta_holds_the_table_and_one_block(self, kind, request, tmp_path):
         # every pass over the table runs in row blocks, so a radius-8 run and
-        # its CSV write hold the table (indices and values) plus a fixed
+        # its CSV write hold the table (values and positions) plus a fixed
         # budget; a pass over all 83,521 rows at once holds 0.6 MiB per int64
         # column and 1.3 MiB per complex one, and whole-table passes peaked
         # 5.3 (lattice) and 8.0 (vector) MiB above the table
@@ -1051,8 +1066,40 @@ class TestSuiteCoverage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        table = report.series.indices.nbytes + report.series.values.nbytes
+        table = report.series.values.nbytes + report.series.positions.nbytes
         assert peak - table < 4 * 2**20, (peak, table)
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_quantum_theta_decodes_one_block_of_rows_at_a_time(self, kind, request,
+                                                                monkeypatch, tmp_path):
+        # a radius-8 run and its CSV write decode index rows from their grid
+        # positions one block at a time, and never enumerate the run's grid
+        # as (N, 4) rows
+        decode, enumerate_ = embedding_mod.indices_at, embedding_mod.enumerate_indices
+        decoded, enumerated = [], []
+
+        def counted_decode(positions, radius):
+            decoded.append((len(positions), radius))
+            return decode(positions, radius)
+
+        def counted_enumerate(radius):
+            enumerated.append(radius)
+            return enumerate_(radius)
+
+        spies = {decode: counted_decode, enumerate_: counted_enumerate}
+        for module in [m for name, m in sys.modules.items() if name.startswith("nctheta")]:
+            for attr, value in list(vars(module).items()):
+                if value is decode or value is enumerate_:
+                    monkeypatch.setattr(module, attr, spies[value])
+        cfg = request.getfixturevalue(f"{kind}_config")
+        report = run_suite(parse_config({**cfg.raw, "radius": 8}), "quantum-theta")
+        write_report(report, tmp_path / "r.csv", fmt="csv")
+        assert report.passed, report.summary()
+        assert max(n for n, _ in decoded) <= embedding_mod.BLOCK_ROWS
+        # the series, the decay check and the CSV writer each read all rows
+        assert sum(n for n, radius in decoded if radius == 8) == 3 * (2 * 8 + 1) ** 4 - 1
+        assert 8 not in enumerated
+        assert "indices" not in vars(report.series)
 
     def test_series_built_once_per_radius(self, lattice_config, monkeypatch):
         # quantum-theta, functional-equation, consistency and additivity share

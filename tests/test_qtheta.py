@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 import time
 import warnings
 
@@ -281,7 +282,7 @@ class TestSeries:
     def test_negated_rows_match_the_row_lookup(self, lattice_emb, lattice_structure, radius,
                                                monkeypatch):
         ks = enumerate_indices(radius)
-        series = QuantumThetaSeries(lattice_emb, lattice_structure, radius, 1.0, ks,
+        series = QuantumThetaSeries(lattice_emb, lattice_structure, radius, 1.0,
                                     np.zeros(len(ks), dtype=complex))
         np.testing.assert_array_equal(_negated_rows(radius), _rows(series, -ks))
         # block by block, as the symmetry check reads them; blocks straddle shells
@@ -335,18 +336,32 @@ class TestSeries:
 
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_reassembly_refuses_permuted_head_rows(self, kind, request):
-        # a row lookup would find every coefficient of this table; the check
-        # reads the first 625 rows in the canonical order and must refuse it
+        # a series holds its values in the canonical order; the check reads
+        # the first 625 and refuses a permuted head at the first row whose
+        # value leaves the closed form, that is, its row's own value: indices
+        # of one orbit share a value, so that row may lie past the first moved one
         series = request.getfixturevalue(f"{kind}_series")
         perm = np.random.default_rng(7).permutation(625)
-        indices, values = series.indices.copy(), series.values.copy()
-        indices[:625], values[:625] = indices[perm], values[perm]
+        values = series.values.copy()
+        values[:625] = values[perm]
         permuted = QuantumThetaSeries(series.embedding, series.structure, series.radius,
-                                      series.normalization, indices, values)
+                                      series.normalization, values)
+        head = series.values[:625]
+        left = np.abs(values[:625] - head) > qtheta_mod.REASSEMBLY_REL_TOL * np.abs(head)
+        assert left.any()
         ks = enumerate_indices(2)
         assert qtheta_mod._reassembly_failure(series) is None
         assert qtheta_mod._reassembly_failure(permuted) == qtheta_mod._label(
-            ks[np.argmax(perm != np.arange(625))])
+            ks[np.argmax(left)])
+
+    @pytest.mark.parametrize("shape", [(9 ** 4 - 1,), (9 ** 4 + 1,), (9 ** 4, 1), (),
+                                       (9, 9, 9, 9)])
+    def test_series_refuses_values_of_another_shape(self, lattice_series, shape):
+        series = lattice_series
+        with pytest.raises(ValueError, match=re.escape(
+                f"values of shape {shape} are not the (6561,) rows of radius 4")):
+            QuantumThetaSeries(series.embedding, series.structure, series.radius,
+                               series.normalization, np.zeros(shape, dtype=complex))
 
     def test_oracle_matches_scaled_coefficients(self, lattice_series, lattice_structure):
         f = theta_vector(lattice_structure)
