@@ -239,30 +239,27 @@ def point_parts(emb: EmbeddingMap, ks) -> tuple[np.ndarray, np.ndarray]:
     return amb[..., :cut], amb[..., cut:]
 
 
-def index_planes(emb: EmbeddingMap, ks, radius: int):
-    """The two index planes, (k1, k2) and (k3, k4), of (N, 4) index rows of
-    sup norm <= radius, as (points, codes, reads).
+def index_planes(emb: EmbeddingMap, radius: int):
+    """The two index planes, (k1, k2) and (k3, k4), of the (2r+1)^4 grid of
+    radius r (:func:`_grid_rows`), as (points, reads).
 
     ``points[p]`` holds the (2r+1)^2 points of plane p's box in
-    lexicographic order, as index rows that are zero on the other plane;
-    ``codes[p]`` the point of each row, (k[2p] + r)(2r+1) + k[2p+1] + r; and
-    ``reads[i]`` the plane that ambient coordinate i (row i of ``entries``)
-    reads, (k3, k4) when that row is zero on (k1, k2); ValueError when a
-    row is non-zero on both. :func:`point_parts` sums term by term from
-    +0.0, so a coordinate of a row equals that coordinate of the row's
-    point on the plane it reads, bit for bit.
+    lexicographic order, as index rows that are zero on the other plane, so
+    grid position a (2r+1)^2 + b holds point a of the first plane plus
+    point b of the second; ``reads[i]`` the plane that ambient coordinate i
+    (row i of ``entries``) reads, (k3, k4) when that row is zero on (k1,
+    k2); ValueError when a row is non-zero on both. :func:`point_parts`
+    sums term by term from +0.0, so a coordinate of a row equals that
+    coordinate of the row's point on the plane it reads, bit for bit.
     """
     side = 2 * radius + 1
-    ks = _index_rows(ks).reshape(-1, 4)
     box = np.stack(np.divmod(np.arange(side * side), side), axis=-1) - radius
     points = tuple(np.pad(box, ((0, 0), (2 * p, 2 - 2 * p))) for p in range(2))
-    codes = tuple((ks[:, 2 * p] + radius) * side + (ks[:, 2 * p + 1] + radius)
-                  for p in range(2))
     rows = emb.entries.tolist()
     if any(any(row[:2]) and any(row[2:]) for row in rows):
         raise ValueError("an ambient coordinate reads both index planes")
     reads = tuple(int(not any(row[:2])) for row in rows)
-    return points, codes, reads
+    return points, reads
 
 
 def lattice_element(emb: EmbeddingMap, k) -> LatticeElement:
@@ -276,46 +273,29 @@ def element_add(emb: EmbeddingMap, x: LatticeElement, y: LatticeElement) -> Latt
     return lattice_element(emb, x.k + y.k)
 
 
-def index_positions(radius: int) -> np.ndarray:
-    """Flat positions in the (2r+1)^4 grid of the index rows of sup norm <=
-    radius r, in the canonical order of :func:`enumerate_indices`.
-
-    The flat positions, last axis fastest, are already lexicographic, so a
-    stable sort of them on the sup norm alone gives that order. The sup
-    norm is taken per axis pair by outer maxima, in the narrowest unsigned
-    type that holds the radius (a key numpy sorts stably by radix up to 16
-    bits). The positions come in the narrowest unsigned type that holds
-    them, one per row; :func:`indices_at` decodes them.
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    span = np.abs(np.arange(-radius, radius + 1)).astype(np.min_scalar_type(radius))
-    pair = np.maximum.outer(span, span).ravel()
-    order = np.argsort(np.maximum.outer(pair, pair).ravel(), kind="stable")
-    return order.astype(np.min_scalar_type(len(order) - 1))
-
-
-def indices_at(positions, radius: int) -> np.ndarray:
-    """Index rows (N, 4), int64, at the flat positions of the (2r+1)^4 grid,
-    last axis fastest, for radius r: one divmod per axis from the last, in
-    the positions' own type."""
+def _grid_rows(radius: int, rows: slice = slice(None)) -> np.ndarray:
+    """Index rows (N, 4), int64, at the flat positions ROWS (all by default)
+    of the (2r+1)^4 grid of radius r: position p holds the k with
+    p = sum_i (k_i + r) (2r+1)^(3-i), the last axis fastest. One divmod per
+    axis from the last, in the narrowest unsigned type that holds p."""
     side = 2 * radius + 1
-    order = np.array(positions)
-    rows = np.empty((len(order), 4), dtype=np.int64)
+    at = np.arange(*rows.indices(side ** 4), dtype=np.min_scalar_type(side ** 4))
+    ks = np.empty((len(at), 4), dtype=np.int64)
     for axis in (3, 2, 1, 0):
-        np.divmod(order, side, out=(order, rows[:, axis]))
-    rows -= radius
-    return rows
+        np.divmod(at, side, out=(at, ks[:, axis]))
+    ks -= radius
+    return ks
 
 
 def enumerate_indices(radius: int) -> np.ndarray:
-    """Integer 4-vectors with sup norm <= radius in the canonical order.
-
-    Sorted by sup norm first, then lexicographically; this fixes the
-    summation order of every truncated series in the package. The rows
-    of :func:`index_positions`, decoded by :func:`indices_at`.
-    """
-    return indices_at(index_positions(radius), radius)
+    """Integer 4-vectors with sup norm <= radius, sorted by sup norm first,
+    then lexicographically: the order in which the checks over a small box
+    list their elements. The grid rows, already lexicographic, stably
+    sorted on their sup norm."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    ks = _grid_rows(radius)
+    return ks[np.argsort(np.abs(ks).max(axis=1), kind="stable")]
 
 
 # Rows per block of :func:`row_blocks`.
@@ -325,27 +305,10 @@ BLOCK_ROWS = 8192
 def row_blocks(stop: int, start: int = 0) -> list[slice]:
     """Slices of at most BLOCK_ROWS consecutive rows that cover range(start, stop).
 
-    Every pass over a whole table (the series, its checks and the CSV
-    writer) runs block by block, so it holds one block beyond the table.
+    Every pass over a whole table (the vector series, its checks and the
+    CSV writer) runs block by block, so it holds one block beyond the table.
     """
     return [slice(lo, min(lo + BLOCK_ROWS, stop)) for lo in range(start, stop, BLOCK_ROWS)]
-
-
-def _negated_rows(radius: int, rows: slice = slice(None)) -> np.ndarray:
-    """Row of -k in :func:`enumerate_indices` for each row k in ROWS (all
-    rows by default), at one radius.
-
-    Shell s (sup norm s) spans rows [a_s, b_s), with a_0 = 0, a_s = (2s-1)^4
-    and b_s = (2s+1)^4. Negation keeps the sup norm, so it maps each shell
-    onto itself, and it reverses the lexicographic order, which sorts the
-    rows inside a shell. So it reverses every shell: row a_s + j holds -k
-    for the k at row b_s - 1 - j.
-    """
-    ends = (2 * np.arange(radius + 1) + 1) ** 4
-    starts = np.concatenate(([0], ends[:-1]))
-    at = np.arange(*rows.indices(int(ends[-1])))
-    shell = np.searchsorted(ends, at, side="right")
-    return starts[shell] + ends[shell] - 1 - at
 
 
 def _cocycle_exponent(m_l, d_l, m_r, d_r):

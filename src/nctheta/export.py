@@ -1,14 +1,14 @@
 """Bit-exact export and reload of quantum theta series coefficients.
 
-Two formats, rows in the canonical enumeration order. The CSV table has a
-fixed header and 17-significant-digit decimals, with each index and its
-ambient coordinates beside its coefficient. The JSON table holds what fixes
-the series: the embedding and structure parameters, the radius and the
-normalization, each distinct coefficient once as an ``[re, im]`` pair in
-``values``, and per index one code into ``values`` in ``coefficients``;
-code i belongs to ``enumerate_indices(radius)[i]``, so a series can be
-reloaded and re-exported byte-identically. The ambient coordinates of an
-index k are ``point_parts(embedding, k)``.
+Two formats, rows in the grid order of :class:`QuantumThetaSeries` (the
+last index fastest). The CSV table has a fixed header and
+17-significant-digit decimals, with each index and its ambient coordinates
+beside its coefficient. The JSON table holds what fixes the series: the
+embedding and structure parameters, the radius and the normalization, each
+distinct coefficient once as an ``[re, im]`` pair in ``values``, and per
+index one code into ``values`` in ``coefficients``, in grid order, so a
+series can be reloaded and re-exported byte-identically. The ambient
+coordinates of an index k are ``point_parts(embedding, k)``.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import numpy as np
 
 from .embedding import (
     EmbeddingKind,
+    _grid_rows,
     build_embedding,
+    enumerate_indices,
     index_planes,
-    index_positions,
-    indices_at,
     point_parts,
     row_blocks,
 )
@@ -35,12 +35,15 @@ from .qtheta import (
     QuantumThetaSeries,
     _label,
     _reassembly_failure,
-    _with_positions,
 )
 from .special import HermitianFormContext
 from .structures import structure_from_tau
 
 CSV_HEADER = "k1,k2,k3,k4,w1,w2,m1,m2,t1,t2,re,im"
+
+# How a refused table of an earlier layout is written anew.
+_WRITE_ANEW = ("The header's embedding, structure and radius make the config from which"
+               " `nctheta quantum-theta` writes the table anew")
 
 # One CSV row, filled from the columns k1..k4, w1, w2, m1, m2, t1, t2, re, im.
 _CSV_ROW = "%d,%d,%d,%d," + ",".join(["%.17g"] * 8) + "\n"
@@ -126,21 +129,19 @@ def _write_table(fh, series: QuantumThetaSeries) -> None:
 
     Rows go in the blocks of :func:`row_blocks`, each as one str.join over
     the parts of :func:`_row_parts`, whose texts are gathered by the
-    block's codes: its plane codes (:func:`index_planes` of the block's
-    index rows, decoded from their positions; sources 0 and 1) and the
-    position of its re and im bit patterns among the distinct ones
+    block's codes: its plane codes, divmod(p, (2r+1)^2) of each grid
+    position p (the points of :func:`index_planes`; sources 0 and 1), and
+    the position of its re and im bit patterns among the distinct ones
     (np.searchsorted, sources 2 and 3), for a column that some part reads.
     Beyond the table, only the distinct patterns and one block are held.
     """
-    emb, radius = series.embedding, series.radius
     columns = (series.values.real, series.values.imag)
     distinct = [_distinct(column) for column in columns]
+    points, reads = index_planes(series.embedding, series.radius)
+    parts = _row_parts(_table_cells(series, points, reads, distinct))
+    sources = {source for source, _ in parts}
     for rows in row_blocks(len(series.values)):
-        points, codes, reads = index_planes(
-            emb, indices_at(series.positions[rows], radius), radius)
-        if rows.start == 0:  # the points and reads are the same for every block
-            parts = _row_parts(_table_cells(series, points, reads, distinct))
-            sources = {source for source, _ in parts}
+        codes = np.divmod(np.arange(rows.start, rows.stop), len(points[0]))
         codes += tuple(np.searchsorted(bits, column[rows].view(np.uint64))
                        if 2 + j in sources else None
                        for j, (bits, column) in enumerate(zip(distinct, columns)))
@@ -219,18 +220,17 @@ def load_series(path) -> QuantumThetaSeries:
     """Reload a JSON coefficient export; values are taken as stored.
 
     The table must hold in ``coefficients`` one code per index with sup
-    norm <= radius, code i for ``enumerate_indices(radius)[i]``, each an
-    integer position in ``values``, whose entries are lists of two finite
-    floats [re, im]; its coefficients must reproduce the closed-form inner
-    product at sup norm <= 2, as a computed series does; its header must
-    define a valid embedding and structure, of the kind it names, and the
-    normalization of that structure. Otherwise ValueError, naming the path,
-    also for a file that is not UTF-8 text or JSON. The row count is
-    checked before the grid positions of the radius are sorted, so the work
-    is bounded by the table's size whatever radius it names; the positions
-    are sorted once, go to the series, and a message that names an index
-    decodes that row alone. Rows that are [re, im] lists or
-    objects, the layouts of earlier tables, are refused.
+    norm <= radius, in grid order, each an integer position in ``values``,
+    whose entries are lists of two finite floats [re, im]; its coefficients
+    must reproduce the closed-form inner product at sup norm <= 2, as a
+    computed series does; its header must define a valid embedding and
+    structure, of the kind it names, and the normalization of that
+    structure. Otherwise ValueError, naming the path, also for a file that
+    is not UTF-8 text or JSON. The row count is checked first, so the work
+    is bounded by the table's size whatever radius it names, and a message
+    that names an index decodes that row alone. Earlier layouts are
+    refused: rows that are [re, im] lists or objects, and codes in the
+    order of :func:`enumerate_indices`, which fail the reassembly check.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -254,10 +254,12 @@ def load_series(path) -> QuantumThetaSeries:
     if len(rows) != count:
         raise ValueError(f"{path}: the table holds {len(rows)} rows, not the {count}"
                          f" indices of radius {radius}")
-    positions = index_positions(radius)
 
     def label_at(row: int) -> str:
-        return _label(indices_at(positions[row:row + 1], radius)[0])
+        # tables without "values" listed their rows in the order of enumerate_indices
+        if "values" not in data:
+            return _label(enumerate_indices(radius)[row])
+        return _label(_grid_rows(radius, slice(row, row + 1))[0])
 
     pairs = data.get("values")
     n = len(pairs) if type(pairs) is list else 0
@@ -269,10 +271,8 @@ def load_series(path) -> QuantumThetaSeries:
             layout = "an object" if type(rows[first]) is dict else "an [re, im] list"
             raise ValueError(
                 f"{path}: the row for index {label_at(first)} is {layout}, the"
-                " layout of earlier tables; a row is now a code into \"values\", in the"
-                " order of enumerate_indices(radius). The header's embedding, structure"
-                " and radius make the config from which `nctheta quantum-theta` writes"
-                " the table anew")
+                " layout of earlier tables; a row is now a code into \"values\", in grid"
+                f" order. {_WRITE_ANEW}")
         if "values" not in data:
             raise ValueError(f"{path}: the table has no 'values' entry")
         if type(pairs) is not list:
@@ -306,10 +306,10 @@ def load_series(path) -> QuantumThetaSeries:
     if not abs(normalization - expected) <= REASSEMBLY_REL_TOL * abs(expected):
         raise ValueError(f"{path}: the normalization {normalization!r} is not"
                          f" the structure's {expected!r}")
-    series = _with_positions(
-        QuantumThetaSeries(emb, structure, radius, normalization, values), positions)
+    series = QuantumThetaSeries(emb, structure, radius, normalization, values)
     bad = _reassembly_failure(series)
     if bad is not None:
-        raise ValueError(f"{path}: stored coefficient at {bad} does not"
-                         " reassemble the inner product")
+        raise ValueError(f"{path}: stored coefficient at {bad} does not reassemble the"
+                         " inner product; a table lists its codes in grid order, not in the"
+                         f" order of enumerate_indices(radius) of earlier tables. {_WRITE_ANEW}")
     return series

@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 
@@ -34,11 +33,10 @@ from .embedding import (
     LatticeElement,
     _index_rows,
     _exponent_split,
+    _grid_rows,
     _paired_exponent,
     enumerate_indices,
     index_planes,
-    index_positions,
-    indices_at,
     lattice_element,
     point_parts,
     row_blocks,
@@ -181,12 +179,12 @@ class QuantumThetaSeries:
     """Truncation of the quantum theta series for one embedding.
 
     ``values`` holds the algebra coefficient of every integer index with
-    sup norm <= radius, one per row in the canonical order of
-    :func:`enumerate_indices`, a ((2 radius + 1)^4,) array; the
-    constructor refuses another shape. The series stores nothing else per
-    row: ``positions`` (the rows' flat grid positions) and ``indices``
-    (the (N, 4) index rows) follow from the radius and are derived when
-    first read, read-only. ``coefficients`` is a read-only mapping view.
+    sup norm <= radius r, a ((2r+1)^4,) array in grid order: C(k) at the
+    flat position p = sum_i (k_i + r) (2r+1)^(3-i), the last axis fastest,
+    so C(0) is at the centre and C(-k) at the mirrored position. The
+    constructor refuses another shape. The series stores nothing else:
+    ``indices``, the (N, 4) index rows in the same order, is decoded on
+    each read. ``coefficients`` is a read-only mapping view.
     ``normalization`` is the constant relating the self-pairing of the
     theta vector to the series. Series compare by identity.
     """
@@ -211,22 +209,10 @@ class QuantumThetaSeries:
     def coefficients(self) -> Mapping[tuple[int, int, int, int], complex]:
         return _CoefficientView(self)
 
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """Flat grid position of each row (:func:`index_positions`)."""
-        return _read_only(index_positions(self.radius))
-
-    @cached_property
+    @property
     def indices(self) -> np.ndarray:
-        """Index row of each row, (N, 4) int64."""
-        return _read_only(indices_at(self.positions, self.radius))
-
-    @cached_property
-    def _row_table(self) -> np.ndarray:
-        """Row of each index, at [k1 + r, k2 + r, k3 + r, k4 + r] for radius r."""
-        table = np.empty((2 * self.radius + 1,) * 4, dtype=np.intp)
-        table.ravel()[self.positions] = np.arange(len(self.values))
-        return table
+        """Index row of each value, (N, 4) int64."""
+        return _grid_rows(self.radius)
 
     def coefficient(self, k) -> complex:
         """C(k); KeyError when k has not four integral entries or lies outside the radius."""
@@ -239,23 +225,14 @@ class QuantumThetaSeries:
             inside = False
         if not inside:
             raise KeyError(k)
-        return complex(self.values[self._row_table[tuple(int(c) + r for c in k)]])
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-def _with_positions(series: QuantumThetaSeries, positions: np.ndarray) -> QuantumThetaSeries:
-    """SERIES with its ``positions`` set to POSITIONS, those of its radius, so
-    that they are not sorted again."""
-    vars(series)["positions"] = _read_only(positions)
-    return series
+        at = 0
+        for c in k:
+            at = at * (2 * r + 1) + int(c) + r
+        return complex(self.values[at])
 
 
 class _CoefficientView(Mapping):
-    """Index tuple -> coefficient, over the arrays of a series, in canonical order."""
+    """Index tuple -> coefficient, over the values of a series, in grid order."""
 
     def __init__(self, series: QuantumThetaSeries):
         self._series = series
@@ -267,11 +244,12 @@ class _CoefficientView(Mapping):
         return len(self._series.values)
 
     def __iter__(self):
-        return zip(*self._series.indices.T.tolist())
+        r = self._series.radius
+        return product(range(-r, r + 1), repeat=4)
 
 
 def _rows(series: QuantumThetaSeries, ks) -> np.ndarray:
-    """Row of the series at each index of an (N, 4) index array.
+    """Grid position in the series' values of each index of an (N, 4) index array.
 
     The range check comes first: an index outside the radius raises
     KeyError rather than wrapping round to another row of the table. The
@@ -281,7 +259,7 @@ def _rows(series: QuantumThetaSeries, ks) -> np.ndarray:
     outside = np.abs(ks).view(np.uint64).max(axis=1, initial=0) > series.radius
     if np.any(outside):
         raise KeyError(tuple(ks[np.argmax(outside)].tolist()))
-    return series._row_table[tuple((ks + series.radius).T)]
+    return np.ravel_multi_index(tuple((ks + series.radius).T), (2 * series.radius + 1,) * 4)
 
 
 def _stored_values(series: QuantumThetaSeries, ks) -> np.ndarray:
@@ -367,14 +345,13 @@ def _reassembly_failure(series: QuantumThetaSeries) -> str | None:
 
     For every index with sup norm <= min(radius, 2), normalization times
     the stored coefficient must reproduce the closed-form inner product;
-    None when it does everywhere. The canonical order goes by sup norm
-    first, so those indices are the table's first rows, in the order of
-    :func:`enumerate_indices`.
+    None when it does everywhere. The indices are read in the order of
+    :func:`enumerate_indices`, which fixes the label of the first failure.
     """
     ks = enumerate_indices(min(series.radius, 2))
     closed = inner_product_closed(theta_vector(series.structure),
                                   lattice_element(series.embedding, ks))
-    assembled = series.normalization * series.values[:len(ks)]
+    assembled = series.normalization * _stored_values(series, ks)
     # fails closed: a NaN difference is not within the tolerance
     bad = ~(np.abs(assembled - closed) <= REASSEMBLY_REL_TOL * np.maximum(np.abs(closed), 1e-30))
     return _label(ks[np.argmax(bad)]) if bad.any() else None
@@ -384,35 +361,33 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
                          radius: int = 4) -> QuantumThetaSeries:
     """Compute all series coefficients with index sup norm <= radius.
 
-    The coefficients fill one array in the row blocks of :func:`row_blocks`,
-    so the call holds the table and one block. On the way out, the
-    defining relation is re-assembled: for every index with sup norm <=
-    min(radius, 2), normalization times the coefficient must reproduce the
-    closed-form inner product.
+    The coefficients fill one array in grid order (:class:`QuantumThetaSeries`).
+    On the way out, the defining relation is re-assembled: for every index
+    with sup norm <= min(radius, 2), normalization times the coefficient
+    must reproduce the closed-form inner product.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
     if emb.kind is not structure.kind:
         raise KindMismatch("embedding and structure kinds differ")
-    positions = index_positions(radius)
+    plane = (2 * radius + 1) ** 2
     # real on both kinds; the complex values, imaginary part +0.0, are the table format
-    values = np.empty(len(positions), dtype=complex)
-    for rows in row_blocks(len(positions)):
-        ks = indices_at(positions[rows], radius)
-        if emb.kind is EmbeddingKind.LATTICE:
-            # R x Z^2: the exponent reads (w1, w2), the image of (k1, k2), and
-            # the mode product (m, t), the image of (k3, k4); each runs once per
-            # point of its plane and is gathered per row
-            (near, far), codes, _ = index_planes(emb, ks, radius)
-            if rows.start == 0:  # the points depend on the radius alone
-                expo = _gaussian_exponent(structure, point_parts(emb, near))
-                site = _mode_products(point_parts(emb, far), 1.0 / structure.lattice_decay)
-            values[rows] = site[codes[1]] * np.exp(expo[codes[0]])
-        else:
+    values = np.empty(plane * plane, dtype=complex)
+    if emb.kind is EmbeddingKind.LATTICE:
+        # R x Z^2: the exponent reads (w1, w2), the image of (k1, k2), and the
+        # mode product (m, t), the image of (k3, k4); each runs once per point
+        # of its plane, and the table is their outer product
+        (near, far), _ = index_planes(emb, radius)
+        expo = _gaussian_exponent(structure, point_parts(emb, near))
+        site = _mode_products(point_parts(emb, far), 1.0 / structure.lattice_decay)
+        np.multiply(np.exp(expo)[:, None], site[None, :], out=values.reshape(plane, plane))
+    else:
+        # in the row blocks of :func:`row_blocks`: the call holds the table and one block
+        for rows in row_blocks(len(values)):
+            ks = _grid_rows(radius, rows)
             values[rows] = np.exp(_gaussian_exponent(structure, point_parts(emb, ks)))
-    series = _with_positions(QuantumThetaSeries(
-        emb, structure, radius, HermitianFormContext(structure.T).normalization(), values),
-        positions)
+    series = QuantumThetaSeries(
+        emb, structure, radius, HermitianFormContext(structure.T).normalization(), values)
     bad = _reassembly_failure(series)
     if bad is not None:
         raise InternalIdentityViolated(
@@ -571,7 +546,7 @@ def verify_functional_equation(series: QuantumThetaSeries, kg) -> VerificationRe
     tolerance = 1e-9 if series.kind is EmbeddingKind.VECTOR_SPACE else 1e-12
     interior = radius - g_norm
 
-    ks = series.indices
+    ks = enumerate_indices(radius)
     kh = ks[np.max(np.abs(kg + ks), axis=1) <= interior]
     lg, lh, _, lt = _log_translation(series, kg[None], kh)
     alpha = np.exp(1j * math.pi * _paired_exponent(series.embedding, kg, kh))

@@ -23,14 +23,13 @@ from . import __version__
 from .config import RunConfig
 from .embedding import (
     EmbeddingKind,
-    _negated_rows,
+    _grid_rows,
     bicharacter_max_residual,
     build_embedding,
     cocycle_identity_max_residual,
     commutation_matrix,
     element_linearity_max_residual,
     enumerate_indices,
-    indices_at,
     integer_block_inverse,
     lattice_element,
     row_blocks,
@@ -293,19 +292,20 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
         expected0, cutoff = jacobi_theta(tau0, 0.0) ** 2, theta_truncation(tau0, 0.0, 1e-12)
     values, radius = series.values, series.radius
     # block by block (row_blocks); np.max and np.min over the blocks' results
-    # keep a NaN, where Python's max and min may drop it
-    sym = float(np.max([
-        np.max(np.abs(values[_negated_rows(radius, rows)] - np.conj(values[rows])))
-        for rows in row_blocks(len(values))]))
-    # Row 0 is k = 0, and |C(k)| <= C(0) since pi_k is unitary, so the rate
-    # is measured relative to C(0). A coefficient that underflowed to 0
-    # decays without bound: its rate is +inf.
-    zero_defect = abs(complex(values[0]) - expected0)
+    # keep a NaN, where Python's max and min may drop it. In grid order C(-k)
+    # is at the mirrored position, and C(0) at the centre.
+    sym = float(np.max([np.max(np.abs(values[::-1][rows] - np.conj(values[rows])))
+                        for rows in row_blocks(len(values))]))
+    centre = len(values) // 2
+    # |C(k)| <= C(0) since pi_k is unitary, so the rate is measured relative
+    # to C(0), over every k but 0, whose rate 0/0 is NaN. A coefficient that
+    # underflowed to 0 decays without bound: its rate is +inf.
+    zero_defect = abs(complex(values[centre]) - expected0)
     with np.errstate(divide="ignore"):
         decay_min = float(np.min([
-            np.min(-np.log(np.abs(values[rows]) / abs(values[0]))
-                   / np.sum(np.square(indices_at(series.positions[rows], radius)), axis=1))
-            for rows in row_blocks(len(values), start=1)]))
+            np.min(-np.log(np.abs(values[rows]) / abs(values[centre]))
+                   / np.sum(np.square(_grid_rows(radius, rows)), axis=1))
+            for rows in row_blocks(centre) + row_blocks(len(values), start=centre + 1)]))
 
     doc_radius = radius
     while series_tail_bound(series, doc_radius) >= 1e-12:

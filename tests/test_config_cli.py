@@ -251,20 +251,49 @@ def _reload_outcome(path):
         return str(err)
 
 
+@pytest.fixture(scope="class")
+def golden_tables(lattice_config, vector_config, tmp_path_factory):
+    """The tables of tests/golden/table_digests.json, by name, as (radius, bytes)."""
+    configs, tables = {"lattice": lattice_config, "vector": vector_config}, {}
+    out = tmp_path_factory.mktemp("golden")
+    for name in load_golden("table_digests.json")["sha256"]:
+        kind, radius, fmt = name.split(" ")
+        emb = configs[kind].build_embedding()
+        series = quantum_theta_series(emb, configs[kind].build_structure(emb),
+                                      radius=int(radius[2:]))
+        path = export_coefficients(series, fmt, out / f"{kind}.{fmt}")
+        tables[name] = series.radius, path.read_bytes()
+    return tables
+
+
 class TestExport:
-    def test_tables_keep_their_golden_bytes(self, lattice_config, vector_config, tmp_path):
+    def test_tables_keep_their_golden_bytes(self, golden_tables):
         # the r=4 CSV and JSON tables and the r=8 CSV table of both fixtures,
         # byte for byte as tests/golden/table_digests.json records them
         golden = load_golden("table_digests.json")["sha256"]
-        digests, configs = {}, {"lattice": lattice_config, "vector": vector_config}
-        for name in golden:
-            kind, radius, fmt = name.split(" ")
-            emb = configs[kind].build_embedding()
-            series = quantum_theta_series(emb, configs[kind].build_structure(emb),
-                                          radius=int(radius[2:]))
-            path = export_coefficients(series, fmt, tmp_path / f"{kind}.{fmt}")
-            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digests == golden
+        assert {name: hashlib.sha256(table).hexdigest()
+                for name, (_, table) in golden_tables.items()} == golden
+
+    def test_tables_are_the_shell_order_tables_permuted(self, golden_tables):
+        # a table's rows are in grid order; put into the order of
+        # enumerate_indices, in which tables were written before, each is the
+        # earlier table byte for byte: the CSV lines move, and so do the JSON
+        # codes, while its values do not
+        shell = load_golden("table_digests.json")["shell_order_sha256"]
+        digests = {}
+        for name, (radius, table) in golden_tables.items():
+            ks = enumerate_indices(radius)
+            order = np.ravel_multi_index(tuple((ks + radius).T), (2 * radius + 1,) * 4)
+            if name.endswith("csv"):
+                header, *lines = table.split(b"\n")[:-1]
+                table = b"\n".join([header] + [lines[p] for p in order.tolist()]) + b"\n"
+            else:
+                head, codes, tail = re.split(rb'(?<="coefficients": \[)(.*?)(?=\])', table,
+                                             maxsplit=1)
+                codes = codes.split(b", ")
+                table = head + b", ".join(codes[p] for p in order.tolist()) + tail
+            digests[name] = hashlib.sha256(table).hexdigest()
+        assert digests == shell
 
     def test_csv_row_count_and_header(self, lattice_emb, lattice_structure, tmp_path):
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
@@ -274,9 +303,10 @@ class TestExport:
         assert len(lines) == 1 + 81
 
     def test_csv_zero_row(self, lattice_emb, lattice_structure, tmp_path):
+        # rows in grid order: k = 0 is the centre row, 40 of 81
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
         out = export_coefficients(series, "csv", tmp_path / "coeff.csv")
-        first = out.read_text().splitlines()[1].split(",")
+        first = out.read_text().splitlines()[1 + 40].split(",")
         assert first[:4] == ["0", "0", "0", "0"]
         assert float(first[10]) == pytest.approx(1.000000602807, rel=1e-9)
         assert float(first[11]) == 0.0
@@ -332,9 +362,9 @@ class TestExport:
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
         path = export_coefficients(series, "json", tmp_path / "a.json")
         data = json.loads(path.read_text())
-        # row 1 alone reads the doubled value
-        real, imag = data["values"][data["coefficients"][1]]
-        data["coefficients"][1] = len(data["values"])
+        # row 0 alone reads the doubled value
+        real, imag = data["values"][data["coefficients"][0]]
+        data["coefficients"][0] = len(data["values"])
         data["values"].append([2.0 * real, imag])
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="coefficient at -1,-1,-1,-1"):
@@ -361,10 +391,12 @@ class TestExport:
         path = export_coefficients(series, "json", tmp_path / "a.json")
         data = json.loads(path.read_text())
         rows, values = data["coefficients"], data["values"]
-        # row j lies inside sup norm 2, where the reassembly check runs, and
-        # no row before it reads its value or that of row j + 1
-        j = 10
+        # row j, the first in grid order inside sup norm 2, where the
+        # reassembly check runs, and no row before it reads its value or that
+        # of row j + 1
+        j = 400
         k = _label(series.indices[j])
+        assert k == "-2,-2,-2,-2"
         assert series.indices[-1].tolist() == [3, 3, 3, 3]
         assert {rows[j], rows[j + 1]}.isdisjoint(rows[:j])
         value = values[rows[j]]
@@ -681,11 +713,35 @@ class TestExport:
         # the header's tau is the config's, so the table comes back byte for byte
         assert (tmp_path / "again.coefficients.json").read_bytes() == new.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_reload_refuses_a_shell_order_table(self, request, tmp_path, kind):
+        # tables written before the grid order held the same header and
+        # values, with the codes in the order of enumerate_indices; the
+        # reassembly check refuses one, first at k = 0, and says how to write
+        # the table anew
+        series = quantum_theta_series(request.getfixturevalue(f"{kind}_emb"),
+                                      request.getfixturevalue(f"{kind}_structure"), radius=3)
+        data = json.loads(export_coefficients(series, "json", tmp_path / "new.json").read_text())
+        ks = enumerate_indices(3)
+        order = np.ravel_multi_index(tuple((ks + 3).T), (7,) * 4)
+        data["coefficients"] = [data["coefficients"][p] for p in order.tolist()]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        with pytest.raises(ValueError) as refused:
+            load_series(old)
+        assert str(refused.value) == (
+            f"{old}: stored coefficient at 0,0,0,0 does not reassemble the inner product;"
+            " a table lists its codes in grid order, not in the order of"
+            " enumerate_indices(radius) of earlier tables. The header's embedding,"
+            " structure and radius make the config from which `nctheta quantum-theta`"
+            " writes the table anew")
+
     @pytest.mark.parametrize("kind", ["lattice", "vector", "non-canonical-lattice",
                                       "off-diagonal-vector"])
     def test_json_row_i_is_the_csv_row_of_the_ith_index(self, request, tmp_path, kind):
-        # the JSON table leaves each code's index to the canonical order,
-        # which the CSV table writes out; code i reads the value of CSV row i
+        # the JSON table leaves each code's index to the grid order, the last
+        # index fastest, which the CSV table writes out; code i reads the
+        # value of CSV row i
         if kind in ("lattice", "vector"):
             series = quantum_theta_series(request.getfixturevalue(f"{kind}_emb"),
                                           request.getfixturevalue(f"{kind}_structure"),
@@ -696,8 +752,9 @@ class TestExport:
         rows = [table["values"][code] for code in table["coefficients"]]
         lines = export_coefficients(series, "csv", tmp_path / "t.csv").read_text()
         cells = [line.split(",") for line in lines.splitlines()[1:]]
-        np.testing.assert_array_equal([[int(c) for c in row[:4]] for row in cells],
-                                      enumerate_indices(series.radius))
+        r = series.radius
+        assert [[int(c) for c in row[:4]] for row in cells] == [
+            list(k) for k in itertools.product(range(-r, r + 1), repeat=4)]
         np.testing.assert_array_equal(
             np.array(rows, dtype=float).view(np.uint64),
             np.array([[float(c) for c in row[10:]] for row in cells]).view(np.uint64))
@@ -722,9 +779,15 @@ class TestExport:
             (gc.enable if was else gc.disable)()
 
     def test_reassembly_check_fails_closed_on_nan(self, lattice_emb, lattice_structure):
+        # a NaN anywhere in the radius-2 box fails the check at its index:
+        # here at grid position 3 of radius 1, and at its centre
         series = quantum_theta_series(lattice_emb, lattice_structure, radius=1)
         series.values[3] = complex("nan")
-        assert _reassembly_failure(series) == _label(series.indices[3])
+        assert _reassembly_failure(series) == _label(series.indices[3]) == "-1,-1,0,-1"
+        series.values[3] = series.values[77]  # C(k) = C(-k) on the canonical lattice
+        assert _reassembly_failure(series) is None
+        series.values[40] = complex("nan")
+        assert _reassembly_failure(series) == "0,0,0,0"
 
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -766,31 +829,29 @@ class TestExport:
 
     def test_index_planes_once_per_series(self, lattice_config, vector_emb, vector_structure,
                                           monkeypatch, tmp_path):
-        # a lattice series reads the plane codes of each of its rows once, in
-        # blocks, and a CSV table once per write; a JSON table and the vector
-        # coefficients read none
+        # a lattice series reads the two planes of its grid once, and a CSV
+        # table once per write, however many blocks it writes; a JSON table
+        # and the vector coefficients read none
         original, calls = embedding_mod.index_planes, []
 
-        def counted(emb, ks, radius):
-            calls.append(ks)
-            return original(emb, ks, radius)
+        def counted(emb, radius):
+            calls.append(radius)
+            return original(emb, radius)
 
         def covered():
-            # the rows the calls read since the last look, in order
-            assert all(len(ks) <= embedding_mod.BLOCK_ROWS for ks in calls)
-            rows = np.concatenate(calls) if calls else np.empty((0, 4), dtype=np.int64)
+            # the radii the calls read since the last look, in order
+            seen = calls.copy()
             calls.clear()
-            return rows.tolist()
+            return seen
 
         for module in [m for name, m in sys.modules.items() if name.startswith("nctheta")]:
             if getattr(module, "index_planes", None) is original:
                 monkeypatch.setattr(module, "index_planes", counted)
         monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", 1000)
-        grid = enumerate_indices(4).tolist()
         report = run_suite(lattice_config, "quantum-theta")
-        assert covered() == grid
+        assert covered() == [4]
         write_report(report, tmp_path / "r.csv", fmt="csv")
-        assert covered() == grid
+        assert covered() == [4]
         table = export_coefficients(report.series, "json", tmp_path / "t.json")
         assert covered() == []
 
@@ -801,14 +862,15 @@ class TestExport:
         tables = []
         for n in (1, 2):
             tables.append(export_coefficients(series, "csv", tmp_path / f"{n}.csv").read_bytes())
-            assert covered() == grid
+            assert covered() == [4]
         assert tables[0] == tables[1] == (tmp_path / "r.coefficients.csv").read_bytes()
 
         vector = quantum_theta_series(vector_emb, vector_structure, radius=2)
+        assert covered() == []
         export_coefficients(vector, "json", tmp_path / "v.json")
         assert covered() == []
         export_coefficients(vector, "csv", tmp_path / "v.csv")
-        assert covered() == enumerate_indices(2).tolist()
+        assert covered() == [2]
 
     @pytest.mark.parametrize("kind", ["lattice", "vector", "off-diagonal-vector"])
     def test_blocks_do_not_move_the_series_or_its_checks(self, request, monkeypatch, kind):
@@ -932,9 +994,13 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_quantum_theta_builds_no_row_table(self, kind, request, tmp_path):
+        # a series stores its fields alone, also after its suite and its
+        # tables have read it: no row table, positions or index rows
         report = run_suite(request.getfixturevalue(f"{kind}_config"), "quantum-theta")
         write_report(report, tmp_path / "r.json")
-        assert "_row_table" not in report.series.__dict__
+        write_report(report, tmp_path / "r.csv", fmt="csv")
+        assert list(vars(report.series)) == ["embedding", "structure", "radius",
+                                             "normalization", "values"]
 
     def test_streams_built_on_the_first_draw_match_the_spawned_ones(self, lattice_config):
         ctx = RunContext(lattice_config, None, None)
@@ -1032,7 +1098,7 @@ class TestSuiteCoverage:
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_a_nan_coefficient_fails_symmetry_and_decay(self, kind, request, monkeypatch):
         # the checks reduce block by block; with 7-row blocks the NaN at row
-        # 100 and at its negation, row 605, lies in a later block than the
+        # 100 and at its negation, row 524, lies in a later block than the
         # first, whose result a Python max() or min() over the blocks would keep
         import nctheta.report as report_mod
 
@@ -1052,10 +1118,10 @@ class TestSuiteCoverage:
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_quantum_theta_holds_the_table_and_one_block(self, kind, request, tmp_path):
         # every pass over the table runs in row blocks, so a radius-8 run and
-        # its CSV write hold the table (values and positions) plus a fixed
-        # budget; a pass over all 83,521 rows at once holds 0.6 MiB per int64
-        # column and 1.3 MiB per complex one, and whole-table passes peaked
-        # 5.3 (lattice) and 8.0 (vector) MiB above the table
+        # its CSV write hold the table (its values) plus a fixed budget; a
+        # pass over all 83,521 rows at once holds 0.6 MiB per int64 column and
+        # 1.3 MiB per complex one, and whole-table passes peaked 5.3 (lattice)
+        # and 8.0 (vector) MiB above the table
         cfg = request.getfixturevalue(f"{kind}_config")
         write_report(run_suite(parse_config({**cfg.raw, "radius": 1}), "quantum-theta"),
                      tmp_path / "warm.csv", fmt="csv")  # imports and caches
@@ -1066,7 +1132,7 @@ class TestSuiteCoverage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        table = report.series.values.nbytes + report.series.positions.nbytes
+        table = report.series.values.nbytes
         assert peak - table < 4 * 2**20, (peak, table)
 
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
@@ -1075,12 +1141,12 @@ class TestSuiteCoverage:
         # a radius-8 run and its CSV write decode index rows from their grid
         # positions one block at a time, and never enumerate the run's grid
         # as (N, 4) rows
-        decode, enumerate_ = embedding_mod.indices_at, embedding_mod.enumerate_indices
+        decode, enumerate_ = embedding_mod._grid_rows, embedding_mod.enumerate_indices
         decoded, enumerated = [], []
 
-        def counted_decode(positions, radius):
-            decoded.append((len(positions), radius))
-            return decode(positions, radius)
+        def counted_decode(radius, rows=slice(None)):
+            decoded.append((len(range(*rows.indices((2 * radius + 1) ** 4))), radius))
+            return decode(radius, rows)
 
         def counted_enumerate(radius):
             enumerated.append(radius)
@@ -1095,9 +1161,12 @@ class TestSuiteCoverage:
         report = run_suite(parse_config({**cfg.raw, "radius": 8}), "quantum-theta")
         write_report(report, tmp_path / "r.csv", fmt="csv")
         assert report.passed, report.summary()
-        assert max(n for n, _ in decoded) <= embedding_mod.BLOCK_ROWS
-        # the series, the decay check and the CSV writer each read all rows
-        assert sum(n for n, radius in decoded if radius == 8) == 3 * (2 * 8 + 1) ** 4 - 1
+        at_8 = [n for n, radius in decoded if radius == 8]
+        assert max(at_8) <= embedding_mod.BLOCK_ROWS
+        # the decay check reads every row but k = 0, the vector series every
+        # row; the lattice series is an outer product over the two planes,
+        # and the CSV writer's plane codes are the positions' divmod
+        assert sum(at_8) == (2 if kind == "vector" else 1) * (2 * 8 + 1) ** 4 - 1
         assert 8 not in enumerated
         assert "indices" not in vars(report.series)
 

@@ -228,14 +228,16 @@ def _dense_embeddings(seed: int) -> list:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_point_parts_do_not_depend_on_the_call(seed):
-    # each coordinate is summed term by term from +0.0, so the radius-4 parts
-    # equal one-row calls and the parts of each row's plane points bit for bit
-    ks = enumerate_indices(4)
+    # each coordinate is summed term by term from +0.0, so the parts of the
+    # radius-4 grid equal one-row calls and the parts of each row's plane
+    # points, at its plane codes divmod(p, 81), bit for bit
+    ks = embedding._grid_rows(4)
+    codes = np.divmod(np.arange(len(ks)), 81)
     for emb in _dense_embeddings(seed):
         table = np.concatenate(point_parts(emb, ks), axis=-1)
         rows = np.concatenate([np.concatenate(point_parts(emb, k)) for k in ks[::7]])
         assert rows.tobytes() == table[::7].tobytes()
-        points, codes, reads = embedding.index_planes(emb, ks, 4)
+        points, reads = embedding.index_planes(emb, 4)
         at_points = [np.concatenate(point_parts(emb, p), axis=-1)[c]
                      for p, c in zip(points, codes)]
         by_plane = np.choose(reads, at_points)
@@ -245,20 +247,20 @@ def test_point_parts_do_not_depend_on_the_call(seed):
 def test_index_planes_split_the_rows():
     emb = build_embedding(EmbeddingKind.LATTICE, 0.5, m=[[2, 1], [1, 1]],
                           delta_hat=[[0.25, 0.25], [-0.5, -0.25]])
-    ks = enumerate_indices(3)
-    (near, far), codes, reads = embedding.index_planes(emb, ks, 3)
+    (near, far), reads = embedding.index_planes(emb, 3)
     # (w1, m1, m2, w2, t1, t2): w reads (k1, k2), m and t read (k3, k4)
     assert reads == (0, 1, 1, 0, 1, 1)
     assert near.shape == far.shape == (49, 4)
     assert not near[:, 2:].any() and not far[:, :2].any()
-    assert np.array_equal(near[codes[0]] + far[codes[1]], ks)
-    # a subset of the rows, in any order, gathers the same points
-    some = ks[::-5]
-    _, some_codes, _ = embedding.index_planes(emb, some, 3)
-    assert np.array_equal(near[some_codes[0]] + far[some_codes[1]], some)
-    vec = embedding.index_planes(build_embedding(EmbeddingKind.VECTOR_SPACE, 0.5, 0.4), ks, 3)
+    # grid position p holds the sum of the points at its plane codes divmod(p, 49)
+    a, b = np.divmod(np.arange(7 ** 4), 49)
+    assert np.array_equal(near[a] + far[b], embedding._grid_rows(3))
+    # a block of positions decodes to the same rows
+    block = slice(100, 1100)
+    assert np.array_equal(embedding._grid_rows(3, block), near[a[block]] + far[b[block]])
+    vec = embedding.index_planes(build_embedding(EmbeddingKind.VECTOR_SPACE, 0.5, 0.4), 3)
     # (theta1 k1, theta2 k3, k2, k4)
-    assert vec[2] == (0, 1, 0, 1)
+    assert vec[1] == (0, 1, 0, 1)
 
 
 def _count_unique_calls(monkeypatch):
@@ -285,7 +287,7 @@ def _count_unique_calls(monkeypatch):
     (0, 5, False),
 ], ids=["duplicates", "one-row", "no-rows", "box-2^16", "box-over-2^16",
         "box-under-the-rows", "corners-only", "radius-0"])
-def test_plane_codes_match_the_sorted_reference(monkeypatch, lattice_emb, radius, rows, corners):
+def test_plane_codes_match_the_sorted_reference(lattice_emb, radius, rows, corners):
     rng = np.random.default_rng(rows + radius)
     if corners:
         ks = rng.choice([-radius, radius], size=(rows, 4))
@@ -298,27 +300,30 @@ def test_plane_codes_match_the_sorted_reference(monkeypatch, lattice_emb, radius
     box = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
     ranks = [np.unique(np.concatenate([box, ks[:, 2 * p:2 * p + 2]]), axis=0,
                        return_inverse=True)[1].ravel()[len(box):] for p in range(2)]
-    calls = _count_unique_calls(monkeypatch)
-    points, codes, _ = embedding.index_planes(lattice_emb, ks, radius)
-    assert calls == []
+    # is the plane code divmod(p, (2r+1)^2) of the row's grid position p,
+    # and indexes the point of index_planes
+    position = np.ravel_multi_index(tuple((ks + radius).T), (2 * radius + 1,) * 4)
+    codes = np.divmod(position, len(box))
+    points, _ = embedding.index_planes(lattice_emb, radius)
     for p in range(2):
-        assert codes[p].dtype.kind == "i" and codes[p].shape == (rows,)
         np.testing.assert_array_equal(codes[p], ranks[p])
         np.testing.assert_array_equal(points[p][:, 2 * p:2 * p + 2], box)
         assert not np.delete(points[p], [2 * p, 2 * p + 1], axis=1).any()
+    np.testing.assert_array_equal(points[0][codes[0]] + points[1][codes[1]], ks)
 
 
 @pytest.mark.parametrize("radius", range(1, 7))
 def test_index_planes_of_the_canonical_grid_sort_nothing(monkeypatch, lattice_emb, radius):
-    ks = enumerate_indices(radius)
     calls = _count_unique_calls(monkeypatch)
-    (near, far), codes, _ = embedding.index_planes(lattice_emb, ks, radius)
+    (near, far), _ = embedding.index_planes(lattice_emb, radius)
+    ks = embedding._grid_rows(radius)
     assert calls == []
     assert len(near) == len(far) == (2 * radius + 1) ** 2
     # the points of each plane's box, in lexicographic order
     box = list(itertools.product(range(-radius, radius + 1), repeat=2))
     assert near[:, :2].tolist() == far[:, 2:].tolist() == [list(p) for p in box]
-    assert np.array_equal(near[codes[0]] + far[codes[1]], ks)
+    # the grid is their outer sum, the first plane's point slower
+    assert np.array_equal((near[:, None] + far[None]).reshape(-1, 4), ks)
 
 
 def test_index_planes_refuse_a_coordinate_on_both_planes(lattice_emb):
@@ -329,7 +334,7 @@ def test_index_planes_refuse_a_coordinate_on_both_planes(lattice_emb):
     mixed = embedding.EmbeddingMap(lattice_emb.kind, entries, lattice_emb.theta1,
                                    m=lattice_emb.m, delta_hat=lattice_emb.delta_hat)
     with pytest.raises(ValueError, match="both index planes"):
-        embedding.index_planes(mixed, enumerate_indices(1), 1)
+        embedding.index_planes(mixed, 1)
 
 
 def test_enumerate_counts_and_order(lattice_emb):
@@ -351,22 +356,31 @@ def test_enumerate_counts_and_order(lattice_emb):
 
 @pytest.mark.parametrize("radius", range(14))
 def test_enumerate_indices_matches_the_sorted_grid(radius):
-    # the construction it replaced: the "ij" grid rows, stably sorted on an
-    # int64 sup norm
+    # the grid order of a series is the "ij" grid rows, the last axis
+    # fastest; enumerate_indices is those rows stably sorted on their sup norm
     rng = np.arange(-radius, radius + 1, dtype=np.int64)
     grid = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 4)
-    expected = grid[np.argsort(np.abs(grid).max(axis=1), kind="stable")]
+    rows = embedding._grid_rows(radius)
+    assert rows.dtype == grid.dtype == np.int64
+    np.testing.assert_array_equal(rows, grid)
     ks = enumerate_indices(radius)
-    assert ks.dtype == expected.dtype == np.int64
-    np.testing.assert_array_equal(ks, expected)
+    assert ks.dtype == np.int64
+    np.testing.assert_array_equal(ks, grid[np.argsort(np.abs(grid).max(axis=1), kind="stable")])
 
 
 def test_enumerate_indices_is_the_prefix_of_every_larger_radius():
-    # the reassembly check reads the rows up to sup norm 2 as the table's head
-    grids = [enumerate_indices(r) for r in range(9)]
-    for q, small in enumerate(grids):
-        for large in grids[q:]:
-            np.testing.assert_array_equal(large[:len(small)], small)
+    # the grid of a smaller radius is the centre box of every larger grid,
+    # which the reassembly check reads at sup norm <= 2; and enumerate_indices,
+    # the order in which it lists that box, is the prefix of every larger one
+    for large in range(9):
+        side = 2 * large + 1
+        grid = embedding._grid_rows(large).reshape((side,) * 4 + (4,))
+        ordered = enumerate_indices(large)
+        for q in range(large + 1):
+            box = slice(large - q, large + q + 1)
+            np.testing.assert_array_equal(grid[box, box, box, box].reshape(-1, 4),
+                                          embedding._grid_rows(q))
+            np.testing.assert_array_equal(ordered[:(2 * q + 1) ** 4], enumerate_indices(q))
 
 
 def test_enumerate_indices_rejects_negative():

@@ -1,6 +1,7 @@
 import cmath
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -17,7 +18,6 @@ from nctheta.config import parse_config
 from nctheta.embedding import (
     PAIR_SWEEP_BLOCK,
     EmbeddingKind,
-    _negated_rows,
     _paired_exponent,
     build_embedding,
     enumerate_indices,
@@ -270,7 +270,8 @@ class TestSeries:
             _stored_values(series, [[0, 0, 0, 0], [0, 0, 0, -5]])
         assert series.coefficients.get((0, 0, 0, -5), "absent") == "absent"
         assert (0, 0, 0, -4) in series.coefficients
-        keys = [tuple(k) for k in enumerate_indices(4).tolist()]
+        # iteration is in grid order, the last index fastest
+        keys = list(itertools.product(range(-4, 5), repeat=4))
         assert len(series.coefficients) == len(keys) == 9 ** 4
         assert list(series.coefficients) == keys
         items = list(series.coefficients.items())
@@ -279,16 +280,19 @@ class TestSeries:
         assert series.coefficients[(1, -2, 3, -4)] == series.coefficient([1, -2, 3, -4])
 
     @pytest.mark.parametrize("radius", range(7))
-    def test_negated_rows_match_the_row_lookup(self, lattice_emb, lattice_structure, radius,
-                                               monkeypatch):
-        ks = enumerate_indices(radius)
+    def test_negated_rows_match_the_row_lookup(self, lattice_emb, lattice_structure, radius):
+        # values are in grid order: the index rows of the grid, last axis
+        # fastest, are at positions 0, 1, ..., and -k at the mirrored
+        # position, which the symmetry check reads as values[::-1]
+        n = (2 * radius + 1) ** 4
         series = QuantumThetaSeries(lattice_emb, lattice_structure, radius, 1.0,
-                                    np.zeros(len(ks), dtype=complex))
-        np.testing.assert_array_equal(_negated_rows(radius), _rows(series, -ks))
-        # block by block, as the symmetry check reads them; blocks straddle shells
-        monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", 7)
-        blocks = [_negated_rows(radius, rows) for rows in embedding_mod.row_blocks(len(ks))]
-        np.testing.assert_array_equal(np.concatenate(blocks), _rows(series, -ks))
+                                    np.zeros(n, dtype=complex))
+        ks = series.indices
+        assert ks.dtype == np.int64
+        assert ks.tolist() == [list(k) for k in itertools.product(range(-radius, radius + 1),
+                                                                  repeat=4)]
+        np.testing.assert_array_equal(_rows(series, ks), np.arange(n))
+        np.testing.assert_array_equal(_rows(series, -ks), np.arange(n)[::-1])
 
     @pytest.mark.parametrize("k", [(0.5, 0, 0, 0), (0.9, 0, 0, 0), (0, 0, 0, -3.5),
                                    (math.nan, 0, 0, 0), (math.inf, 0, 0, 0),
@@ -336,20 +340,24 @@ class TestSeries:
 
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_reassembly_refuses_permuted_head_rows(self, kind, request):
-        # a series holds its values in the canonical order; the check reads
-        # the first 625 and refuses a permuted head at the first row whose
-        # value leaves the closed form, that is, its row's own value: indices
-        # of one orbit share a value, so that row may lie past the first moved one
+        # a series holds its values in grid order; the check reads the 625
+        # positions of the sup-norm-2 box in the order of enumerate_indices
+        # and refuses a permutation of them at the first index whose value
+        # leaves the closed form, that is, its own value: indices of one
+        # orbit share a value, so that index may lie past the first moved one
         series = request.getfixturevalue(f"{kind}_series")
+        ks = enumerate_indices(2)
+        at = _rows(series, ks)
+        assert sorted(at.tolist()) == [p for p, k in enumerate(series.indices.tolist())
+                                       if max(map(abs, k)) <= 2]
         perm = np.random.default_rng(7).permutation(625)
         values = series.values.copy()
-        values[:625] = values[perm]
+        values[at] = values[at[perm]]
         permuted = QuantumThetaSeries(series.embedding, series.structure, series.radius,
                                       series.normalization, values)
-        head = series.values[:625]
-        left = np.abs(values[:625] - head) > qtheta_mod.REASSEMBLY_REL_TOL * np.abs(head)
+        head = series.values[at]
+        left = np.abs(values[at] - head) > qtheta_mod.REASSEMBLY_REL_TOL * np.abs(head)
         assert left.any()
-        ks = enumerate_indices(2)
         assert qtheta_mod._reassembly_failure(series) is None
         assert qtheta_mod._reassembly_failure(permuted) == qtheta_mod._label(
             ks[np.argmax(left)])
@@ -434,7 +442,7 @@ class TestPlaneRoute:
     @pytest.mark.parametrize("name", ["fixture", "m2111", "random-1", "random-2", "random-6"])
     def test_plane_route_equals_the_row_formula(self, name, lattice_emb, lattice_structure):
         emb, structure = _plane_case(name, lattice_emb, lattice_structure)
-        ks = enumerate_indices(4)
+        ks = embedding_mod._grid_rows(4)  # the series' grid order
         expo, site = qtheta_mod._coefficient_parts(emb, structure, ks)
         ref_expo, ref_site = _row_coefficient_parts(emb, structure, ks)
         assert expo.tobytes() == ref_expo.tobytes()
