@@ -298,17 +298,34 @@ def enumerate_indices(radius: int) -> np.ndarray:
     return ks[np.argsort(np.abs(ks).max(axis=1), kind="stable")]
 
 
-# Rows per block of :func:`row_blocks`.
+# Rows per block of :func:`slab_blocks`, at least one slab.
 BLOCK_ROWS = 8192
 
 
-def row_blocks(stop: int, start: int = 0) -> list[slice]:
-    """Slices of at most BLOCK_ROWS consecutive rows that cover range(start, stop).
+def slab_blocks(radius: int) -> list[tuple[slice, slice]]:
+    """The grid positions of radius r in blocks of max(1, BLOCK_ROWS // (2r+1)^2)
+    slabs, the last one fewer, as (rows, slabs): the block's positions, and its
+    points a of the first index plane (:func:`index_planes`), each the slab of
+    positions a (2r+1)^2 + b. A whole-table pass holds one block beyond the table."""
+    plane = (2 * radius + 1) ** 2
+    step = max(1, BLOCK_ROWS // plane)
+    return [(slice(lo * plane, min(lo + step, plane) * plane), slice(lo, min(lo + step, plane)))
+            for lo in range(0, plane, step)]
 
-    Every pass over a whole table (the vector series, its checks and the
-    CSV writer) runs block by block, so it holds one block beyond the table.
-    """
-    return [slice(lo, min(lo + BLOCK_ROWS, stop)) for lo in range(start, stop, BLOCK_ROWS)]
+
+def slab_parts(emb: EmbeddingMap, radius: int):
+    """(rows, parts) of each block of :func:`slab_blocks`, parts gathered from
+    the two index planes: each ambient coordinate reads one plane
+    (:func:`index_planes`), so they equal :func:`point_parts` of the block's
+    rows bit for bit, in its layout."""
+    points, reads = index_planes(emb, radius)
+    ambient = [np.concatenate(point_parts(emb, plane), axis=-1) for plane in points]
+    first, plane = np.equal(reads, 0), len(points[0])
+    for rows, slabs in slab_blocks(radius):
+        amb = np.empty((slabs.stop - slabs.start, plane, len(reads)))
+        amb[..., first] = ambient[0][slabs, None, first]
+        amb[..., ~first] = ambient[1][:, ~first]
+        yield rows, np.split(amb.reshape(-1, len(reads)), 2, axis=1)
 
 
 def _cocycle_exponent(m_l, d_l, m_r, d_r):

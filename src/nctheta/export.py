@@ -27,7 +27,7 @@ from .embedding import (
     enumerate_indices,
     index_planes,
     point_parts,
-    row_blocks,
+    slab_blocks,
 )
 from .errors import NCThetaError
 from .qtheta import (
@@ -58,12 +58,11 @@ def _ascending(bits) -> np.ndarray:
     return bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
 
 
-def _distinct(column) -> np.ndarray:
-    """The distinct bit patterns of a float column, in ascending order
-    (-0.0 and 0.0 stay apart): those of each block (:func:`row_blocks`),
+def _distinct(bits, blocks) -> np.ndarray:
+    """The distinct uint64 bit patterns of a float column, in ascending order
+    (-0.0 and 0.0 stay apart): those of each block (:func:`slab_blocks`),
     then those of their union."""
-    bits = column.view(np.uint64)
-    return _ascending(np.concatenate([_ascending(bits[rows]) for rows in row_blocks(len(bits))]))
+    return _ascending(np.concatenate([_ascending(bits[rows]) for rows, _ in blocks]))
 
 
 def _table_cells(series: QuantumThetaSeries, points, reads, distinct):
@@ -127,27 +126,32 @@ def _row_parts(cells) -> list:
 def _write_table(fh, series: QuantumThetaSeries) -> None:
     """Write the CSV rows of the table.
 
-    Rows go in the blocks of :func:`row_blocks`, each as one str.join over
-    the parts of :func:`_row_parts`, whose texts are gathered by the
-    block's codes: its plane codes, divmod(p, (2r+1)^2) of each grid
-    position p (the points of :func:`index_planes`; sources 0 and 1), and
-    the position of its re and im bit patterns among the distinct ones
-    (np.searchsorted, sources 2 and 3), for a column that some part reads.
-    Beyond the table, only the distinct patterns and one block are held.
+    Rows go in the blocks of :func:`slab_blocks`, each one str.join over a
+    piece list kept for the table, a (slabs, (2r+1)^2, parts) object array
+    of the parts of :func:`_row_parts`: the literals and the texts of the
+    second index plane (source 1) are placed once, those of the first
+    (source 0) once per slab, and those of re and im per block, at each
+    row's bit pattern among the distinct ones (np.searchsorted, sources 2
+    and 3). Beyond the table, the distinct patterns and one block are held.
     """
-    columns = (series.values.real, series.values.imag)
-    distinct = [_distinct(column) for column in columns]
+    bits = [column.view(np.uint64) for column in (series.values.real, series.values.imag)]
+    blocks = slab_blocks(series.radius)
+    distinct = [_distinct(column, blocks) for column in bits]
     points, reads = index_planes(series.embedding, series.radius)
     parts = _row_parts(_table_cells(series, points, reads, distinct))
-    sources = {source for source, _ in parts}
-    for rows in row_blocks(len(series.values)):
-        codes = np.divmod(np.arange(rows.start, rows.stop), len(points[0]))
-        codes += tuple(np.searchsorted(bits, column[rows].view(np.uint64))
-                       if 2 + j in sources else None
-                       for j, (bits, column) in enumerate(zip(distinct, columns)))
-        text = np.empty((len(codes[0]), len(parts)), dtype=object)
+    plane = len(points[0])
+    pieces = np.empty((blocks[0][1].stop, plane, len(parts)), dtype=object)
+    for j, (source, payload) in enumerate(parts):
+        if source in (None, 1):
+            pieces[:, :, j] = payload
+    for rows, slabs in blocks:
+        text = pieces[:slabs.stop - slabs.start]
         for j, (source, payload) in enumerate(parts):
-            text[:, j] = payload if source is None else payload[codes[source]]
+            if source == 0:
+                text[:, :, j] = payload[slabs, None]
+            elif source in (2, 3):
+                codes = np.searchsorted(distinct[source - 2], bits[source - 2][rows])
+                text[:, :, j] = payload[codes].reshape(len(text), plane)
         fh.write("".join(text.ravel().tolist()))
 
 

@@ -39,7 +39,7 @@ from .embedding import (
     index_planes,
     lattice_element,
     point_parts,
-    row_blocks,
+    slab_parts,
 )
 from .errors import (
     InternalIdentityViolated,
@@ -292,10 +292,10 @@ def _mode_products(parts, theta2: float) -> np.ndarray:
     return site
 
 
-def _gaussian_exponent(structure: ComplexStructure, parts) -> np.ndarray:
+def _gaussian_exponent(ctx: HermitianFormContext, parts) -> np.ndarray:
     """-(pi/2) H(k_, k_) of each row of :func:`point_parts` output."""
-    pair = _continuous(len(structure.T), parts)
-    return -0.5 * math.pi * hermitian_form(HermitianFormContext(structure.T), pair, pair).real
+    pair = _continuous(len(ctx.T), parts)
+    return -0.5 * math.pi * hermitian_form(ctx, pair, pair).real
 
 
 def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
@@ -306,7 +306,7 @@ def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
     (all ones for the vector-space kind), so that C(k) = site e^{expo}.
     """
     parts = point_parts(emb, ks)
-    expo = _gaussian_exponent(structure, parts)
+    expo = _gaussian_exponent(HermitianFormContext(structure.T), parts)
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
         return expo, np.ones(len(expo))
     return expo, _mode_products(parts, 1.0 / structure.lattice_decay)
@@ -361,15 +361,18 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
                          radius: int = 4) -> QuantumThetaSeries:
     """Compute all series coefficients with index sup norm <= radius.
 
-    The coefficients fill one array in grid order (:class:`QuantumThetaSeries`).
-    On the way out, the defining relation is re-assembled: for every index
-    with sup norm <= min(radius, 2), normalization times the coefficient
-    must reproduce the closed-form inner product.
+    The coefficients fill one array in grid order (:class:`QuantumThetaSeries`)
+    from the two index planes: on the lattice kind as an outer product, on
+    the vector kind in the slab blocks of :func:`slab_parts`. On the way out,
+    the defining relation is re-assembled: for every index with sup norm <=
+    min(radius, 2), normalization times the coefficient must reproduce the
+    closed-form inner product.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
     if emb.kind is not structure.kind:
         raise KindMismatch("embedding and structure kinds differ")
+    ctx = HermitianFormContext(structure.T)
     plane = (2 * radius + 1) ** 2
     # real on both kinds; the complex values, imaginary part +0.0, are the table format
     values = np.empty(plane * plane, dtype=complex)
@@ -378,16 +381,14 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
         # mode product (m, t), the image of (k3, k4); each runs once per point
         # of its plane, and the table is their outer product
         (near, far), _ = index_planes(emb, radius)
-        expo = _gaussian_exponent(structure, point_parts(emb, near))
+        expo = _gaussian_exponent(ctx, point_parts(emb, near))
         site = _mode_products(point_parts(emb, far), 1.0 / structure.lattice_decay)
         np.multiply(np.exp(expo)[:, None], site[None, :], out=values.reshape(plane, plane))
     else:
-        # in the row blocks of :func:`row_blocks`: the call holds the table and one block
-        for rows in row_blocks(len(values)):
-            ks = _grid_rows(radius, rows)
-            values[rows] = np.exp(_gaussian_exponent(structure, point_parts(emb, ks)))
-    series = QuantumThetaSeries(
-        emb, structure, radius, HermitianFormContext(structure.T).normalization(), values)
+        # an off-diagonal T couples the planes in H, so H runs per row
+        for rows, parts in slab_parts(emb, radius):
+            values[rows] = np.exp(_gaussian_exponent(ctx, parts))
+    series = QuantumThetaSeries(emb, structure, radius, ctx.normalization(), values)
     bad = _reassembly_failure(series)
     if bad is not None:
         raise InternalIdentityViolated(
@@ -546,8 +547,9 @@ def verify_functional_equation(series: QuantumThetaSeries, kg) -> VerificationRe
     tolerance = 1e-9 if series.kind is EmbeddingKind.VECTOR_SPACE else 1e-12
     interior = radius - g_norm
 
-    ks = enumerate_indices(radius)
-    kh = ks[np.max(np.abs(kg + ks), axis=1) <= interior]
+    # the h with |g + h| <= interior, in the order of enumerate_indices(radius)
+    kh = _grid_rows(interior) - kg
+    kh = kh[np.argsort(np.abs(kh).max(axis=1), kind="stable")]
     lg, lh, _, lt = _log_translation(series, kg[None], kh)
     alpha = np.exp(1j * math.pi * _paired_exponent(series.embedding, kg, kh))
     lhs = np.exp(lg + lh + lt) * alpha

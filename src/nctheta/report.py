@@ -23,7 +23,6 @@ from . import __version__
 from .config import RunConfig
 from .embedding import (
     EmbeddingKind,
-    _grid_rows,
     bicharacter_max_residual,
     build_embedding,
     cocycle_identity_max_residual,
@@ -32,7 +31,7 @@ from .embedding import (
     enumerate_indices,
     integer_block_inverse,
     lattice_element,
-    row_blocks,
+    slab_blocks,
 )
 from .errors import ConfigInvalid, NCThetaError, SingularIntegerMatrix
 from .export import export_coefficients
@@ -291,21 +290,29 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
         tau0 = 2j / (1.0 / structure.lattice_decay)  # 2i / theta2_eff
         expected0, cutoff = jacobi_theta(tau0, 0.0) ** 2, theta_truncation(tau0, 0.0, 1e-12)
     values, radius = series.values, series.radius
-    # block by block (row_blocks); np.max and np.min over the blocks' results
-    # keep a NaN, where Python's max and min may drop it. In grid order C(-k)
-    # is at the mirrored position, and C(0) at the centre.
+    blocks = slab_blocks(radius)
+    # block by block; np.max and np.min over the blocks' results keep a NaN,
+    # where Python's max and min may drop it. In grid order C(-k) is at the
+    # mirrored position, and C(0) at the centre.
     sym = float(np.max([np.max(np.abs(values[::-1][rows] - np.conj(values[rows])))
-                        for rows in row_blocks(len(values))]))
+                        for rows, _ in blocks]))
     centre = len(values) // 2
+    zero_defect = abs(complex(values[centre]) - expected0)
     # |C(k)| <= C(0) since pi_k is unitary, so the rate is measured relative
     # to C(0), over every k but 0, whose rate 0/0 is NaN. A coefficient that
-    # underflowed to 0 decays without bound: its rate is +inf.
-    zero_defect = abs(complex(values[centre]) - expected0)
+    # underflowed to 0 decays without bound: its rate is +inf. |k|^2 is
+    # |a|^2 + |b|^2 over the points a, b of the two index planes.
+    plane_sq = np.add.outer(*[np.arange(-radius, radius + 1) ** 2] * 2).ravel()
+
+    def decay_rate(rows, slabs):
+        sq = np.add.outer(plane_sq[slabs], plane_sq).ravel()
+        ratio = np.abs(values[rows]) / abs(values[centre])
+        if rows.start <= centre < rows.stop:
+            sq, ratio = (np.delete(x, centre - rows.start) for x in (sq, ratio))
+        return np.min(-np.log(ratio) / sq)
+
     with np.errstate(divide="ignore"):
-        decay_min = float(np.min([
-            np.min(-np.log(np.abs(values[rows]) / abs(values[centre]))
-                   / np.sum(np.square(_grid_rows(radius, rows)), axis=1))
-            for rows in row_blocks(centre) + row_blocks(len(values), start=centre + 1)]))
+        decay_min = float(np.min([decay_rate(rows, slabs) for rows, slabs in blocks]))
 
     doc_radius = radius
     while series_tail_bound(series, doc_radius) >= 1e-12:

@@ -821,17 +821,20 @@ class TestExport:
         block[:, 10] = series.values.real
         block[:, 11] = series.values.imag
         expected = "".join(_CSV_ROW % tuple(r.tolist()) for r in block)
-        monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", 37)
-        out = io.StringIO()
-        _write_table(out, series)
-        assert out.getvalue() == expected
-        assert len(np.unique(block[:37, 11])) == 37
+        # blocks of one slab of 25 rows, and of four slabs with one slab last
+        for rows, sizes in ((37, [25] * 25), (100, [100] * 6 + [25])):
+            monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", rows)
+            assert [r.stop - r.start for r, _ in embedding_mod.slab_blocks(2)] == sizes
+            out = io.StringIO()
+            _write_table(out, series)
+            assert out.getvalue() == expected
+        assert len(np.unique(block[:, 11])) == n
 
     def test_index_planes_once_per_series(self, lattice_config, vector_emb, vector_structure,
                                           monkeypatch, tmp_path):
-        # a lattice series reads the two planes of its grid once, and a CSV
-        # table once per write, however many blocks it writes; a JSON table
-        # and the vector coefficients read none
+        # a series reads the two planes of its grid once, and a CSV table
+        # once per write, however many blocks either runs over; a JSON
+        # table reads none
         original, calls = embedding_mod.index_planes, []
 
         def counted(emb, radius):
@@ -866,7 +869,7 @@ class TestExport:
         assert tables[0] == tables[1] == (tmp_path / "r.coefficients.csv").read_bytes()
 
         vector = quantum_theta_series(vector_emb, vector_structure, radius=2)
-        assert covered() == []
+        assert covered() == [2]
         export_coefficients(vector, "json", tmp_path / "v.json")
         assert covered() == []
         export_coefficients(vector, "csv", tmp_path / "v.csv")
@@ -1138,14 +1141,14 @@ class TestSuiteCoverage:
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_quantum_theta_decodes_one_block_of_rows_at_a_time(self, kind, request,
                                                                 monkeypatch, tmp_path):
-        # a radius-8 run and its CSV write decode index rows from their grid
-        # positions one block at a time, and never enumerate the run's grid
-        # as (N, 4) rows
+        # a radius-8 run and its CSV write read the two index planes of the
+        # grid, slab by slab: they decode no index row from a grid position
+        # and never enumerate the run's grid as (N, 4) rows
         decode, enumerate_ = embedding_mod._grid_rows, embedding_mod.enumerate_indices
         decoded, enumerated = [], []
 
         def counted_decode(radius, rows=slice(None)):
-            decoded.append((len(range(*rows.indices((2 * radius + 1) ** 4))), radius))
+            decoded.append(radius)
             return decode(radius, rows)
 
         def counted_enumerate(radius):
@@ -1161,12 +1164,7 @@ class TestSuiteCoverage:
         report = run_suite(parse_config({**cfg.raw, "radius": 8}), "quantum-theta")
         write_report(report, tmp_path / "r.csv", fmt="csv")
         assert report.passed, report.summary()
-        at_8 = [n for n, radius in decoded if radius == 8]
-        assert max(at_8) <= embedding_mod.BLOCK_ROWS
-        # the decay check reads every row but k = 0, the vector series every
-        # row; the lattice series is an outer product over the two planes,
-        # and the CSV writer's plane codes are the positions' divmod
-        assert sum(at_8) == (2 if kind == "vector" else 1) * (2 * 8 + 1) ** 4 - 1
+        assert 8 not in decoded
         assert 8 not in enumerated
         assert "indices" not in vars(report.series)
 

@@ -7,6 +7,8 @@ XPASS, which fails the suite until that change removes the mark.
 """
 
 import itertools
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -120,3 +122,31 @@ def test_small_tau_vector_passes_oracle_compare(vector_config):
 def test_large_theta1_lattice_commutation_does_not_error(lattice_config):
     assert _errored(run_suite(_config(lattice_config, embedding={"theta1": 25.3}),
                               "commutation")) == []
+
+
+_ITEM_7_CONFIGS = {
+    "vector-theta-5-4": ("vector", {"embedding": {"theta1": 5, "theta2": 4},
+                                    "structure": {"tau": [[[0.0, 5.0], [0.0, 0.0]],
+                                                          [[0.0, 0.0], [0.0, 4.0]]]}}),
+    "vector-theta-20.3-18.5": ("vector", {"embedding": {"theta1": 20.3, "theta2": 18.5}}),
+    "lattice-theta1-25.3": ("lattice", {"embedding": {"theta1": 25.3}}),
+    "lattice-decay-20": ("lattice", {"structure": {"lattice_decay": 20}}),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: on these configs `all` errors, leaks"
+                                       " numpy warnings or ends a check at inf")
+@pytest.mark.parametrize("name", list(_ITEM_7_CONFIGS))
+def test_large_deformation_all_gets_a_verdict_without_warnings(name, request):
+    # every check reaches a verdict and no numpy warning leaks from `all` at
+    # r=4; the warnings are recorded here, so they do not reach the suite's count
+    kind, sections = _ITEM_7_CONFIGS[name]
+    cfg = _config(request.getfixturevalue(f"{kind}_config"), **sections)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_suite(cfg, "all")
+    assert _errored(report) == []
+    assert [str(w.message) for w in caught] == []
+    if name == "lattice-decay-20":
+        (check,) = [c for c in report.checks if c.name == "discrete-direction-no-annihilation"]
+        assert math.isfinite(check.max_residual)
