@@ -123,16 +123,25 @@ def _row_parts(cells) -> list:
     return parts
 
 
-def _write_table(fh, series: QuantumThetaSeries) -> None:
-    """Write the CSV rows of the table.
+def _write(fh, text: str, digest) -> None:
+    """Write ``text`` to ``fh`` as ASCII bytes, and the same bytes to ``digest`` if given."""
+    data = text.encode("ascii")
+    if digest is not None:
+        digest.update(data)
+    fh.write(data)
 
-    Rows go in the blocks of :func:`slab_blocks`, each one str.join over a
-    piece list kept for the table, a (slabs, (2r+1)^2, parts) object array
-    of the parts of :func:`_row_parts`: the literals and the texts of the
-    second index plane (source 1) are placed once, those of the first
-    (source 0) once per slab, and those of re and im per block, at each
-    row's bit pattern among the distinct ones (np.searchsorted, sources 2
-    and 3). Beyond the table, the distinct patterns and one block are held.
+
+def _write_table(fh, series: QuantumThetaSeries, digest) -> None:
+    """Write the CSV rows of the table to the binary file ``fh`` (:func:`_write`).
+
+    Rows are placed a block of :func:`slab_blocks` at a time in a piece list
+    kept for the table, a (slabs, (2r+1)^2, parts) object array of the parts
+    of :func:`_row_parts`: the literals and the texts of the second index
+    plane (source 1) once, those of the first (source 0) once per slab, and
+    those of re and im per block, at each row's bit pattern among the
+    distinct ones (np.searchsorted, sources 2 and 3). Beyond the table it
+    holds the distinct patterns, one block of pieces and one slab's text,
+    a str.join small enough for the allocator to reuse its memory.
     """
     bits = [column.view(np.uint64) for column in (series.values.real, series.values.imag)]
     blocks = slab_blocks(series.radius)
@@ -152,7 +161,8 @@ def _write_table(fh, series: QuantumThetaSeries) -> None:
             elif source in (2, 3):
                 codes = np.searchsorted(distinct[source - 2], bits[source - 2][rows])
                 text[:, :, j] = payload[codes].reshape(len(text), plane)
-        fh.write("".join(text.ravel().tolist()))
+        for slab in text:
+            _write(fh, "".join(slab.ravel().tolist()), digest)
 
 
 def _values_and_codes(series: QuantumThetaSeries):
@@ -176,17 +186,17 @@ def _values_and_codes(series: QuantumThetaSeries):
     return ",\n".join(rows.tolist()), ", ".join(code_text[codes].tolist())
 
 
-def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
-    """Write the coefficient table; returns the path written."""
+def export_coefficients(series: QuantumThetaSeries, fmt: str, path, *, digest=None) -> Path:
+    """Write the coefficient table, and its bytes to ``digest`` if given; returns the path."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format: {fmt}")
     path = Path(path)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        with path.open("w", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            _write_table(fh, series)
+        with path.open("wb") as fh:
+            _write(fh, CSV_HEADER + "\n", digest)
+            _write_table(fh, series, digest)
         return path
     emb = series.embedding
     emb_params = {"kind": emb.kind.value, "theta1": emb.theta1}
@@ -215,8 +225,8 @@ def export_coefficients(series: QuantumThetaSeries, fmt: str, path) -> Path:
     text = json.dumps(payload, indent=2, sort_keys=True)
     text = text.replace('"coefficients": []', f'"coefficients": [{codes}]', 1)
     text = text.replace('"values": []', f'"values": [\n{values}\n  ]', 1)
-    with path.open("w", newline="\n") as fh:
-        fh.write(text + "\n")
+    with path.open("wb") as fh:
+        _write(fh, text + "\n", digest)
     return path
 
 

@@ -525,19 +525,14 @@ def write_report(report: RunReport, path, fmt: str = "json") -> Path:
     """Serialize the report; bytes depend only on config and seed.
 
     A series on the report goes first to ``<stem>.coefficients.<fmt>`` next
-    to PATH, and that table's sha256 into ``artifacts``.
+    to PATH, and the sha256 of its bytes as written into ``artifacts``.
     """
     path = Path(path)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
     if report.series is not None:
-        table = export_coefficients(report.series, fmt,
-                                    path.with_name(f"{path.stem}.coefficients.{fmt}"))
-        # the table is hashed in chunks, so its bytes are never all in memory at once
-        digest = hashlib.sha256()
-        with table.open("rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
+        digest, table = hashlib.sha256(), path.with_name(f"{path.stem}.coefficients.{fmt}")
+        export_coefficients(report.series, fmt, table, digest=digest)
         report.artifacts["coefficients"] = {"file": table.name, "sha256": digest.hexdigest()}
     if fmt == "json":
         path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True,

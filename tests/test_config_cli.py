@@ -821,13 +821,24 @@ class TestExport:
         block[:, 10] = series.values.real
         block[:, 11] = series.values.imag
         expected = "".join(_CSV_ROW % tuple(r.tolist()) for r in block)
+        # each write is the text of one slab of 25 rows, whatever the blocks
+        written, write = [], export._write
+
+        def counted(fh, text, digest):
+            written.append(text.count("\n"))
+            write(fh, text, digest)
+
+        monkeypatch.setattr(export, "_write", counted)
         # blocks of one slab of 25 rows, and of four slabs with one slab last
         for rows, sizes in ((37, [25] * 25), (100, [100] * 6 + [25])):
             monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", rows)
             assert [r.stop - r.start for r, _ in embedding_mod.slab_blocks(2)] == sizes
-            out = io.StringIO()
-            _write_table(out, series)
-            assert out.getvalue() == expected
+            out, digest = io.BytesIO(), hashlib.sha256()
+            _write_table(out, series, digest)
+            assert out.getvalue().decode("ascii") == expected
+            assert digest.hexdigest() == hashlib.sha256(out.getvalue()).hexdigest()
+            assert written == [25] * 25
+            written.clear()
         assert len(np.unique(block[:, 11])) == n
 
     def test_index_planes_once_per_series(self, lattice_config, vector_emb, vector_structure,
@@ -1043,11 +1054,35 @@ class TestRunSuite:
         write_report(report, tmp_path / "r.csv", fmt="csv")
         table = tmp_path / "r.coefficients.csv"
         data = table.read_bytes()
-        # the hash reads the table in 1 MiB chunks; this one takes several
+        # a table of several blocks, hashed slab by slab as it is written
         assert len(data) > 2 << 20
         assert data.startswith(export.CSV_HEADER.encode() + b"\n")
         assert report.artifacts == {
             "coefficients": {"file": table.name, "sha256": hashlib.sha256(data).hexdigest()}}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_write_report_reads_no_table_back(self, fmt, monkeypatch, tmp_path):
+        # the table is opened once, to write, and hashed as it is written;
+        # the CSV table spans seven blocks of slabs
+        monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", 100)
+        assert len(embedding_mod.slab_blocks(2)) == 7
+        report = run_suite(parse_config(minimal_lattice(radius=2)), "quantum-theta")
+        table = tmp_path / f"r.coefficients.{fmt}"
+        original, modes = io.open, []
+
+        def spy(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, Path)) and Path(file) == table:
+                modes.append(mode)
+            return original(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", spy)
+        monkeypatch.setattr("builtins.open", spy)
+        write_report(report, tmp_path / f"r.{fmt}", fmt=fmt)
+        monkeypatch.undo()
+        assert modes == ["wb"]
+        assert report.artifacts == {
+            "coefficients": {"file": table.name,
+                             "sha256": hashlib.sha256(table.read_bytes()).hexdigest()}}
 
 
 class TestSuiteCoverage:
@@ -1351,6 +1386,16 @@ class TestCli:
         code = main(["commutation", "--config", str(lattice_config_path),
                      "--output", str(target)])
         assert code == 3
+
+    def test_unwritable_table_exits_three(self, lattice_config_path, tmp_path, capsys):
+        # the table is written before the report: a table path that is a
+        # directory ends the run with no report
+        (tmp_path / "r.coefficients.csv").mkdir()
+        code = main(["quantum-theta", "--config", str(lattice_config_path), "--radius", "2",
+                     "--format", "csv", "--output", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_theta_overflow_is_an_errored_check(self, tmp_path, capsys):
         # at radius 6 a theta term of this config's mode factors passes the
