@@ -313,21 +313,6 @@ def slab_blocks(radius: int) -> list[tuple[slice, slice]]:
             for lo in range(0, plane, step)]
 
 
-def slab_parts(emb: EmbeddingMap, radius: int):
-    """(rows, parts) of each block of :func:`slab_blocks`, parts gathered from
-    the two index planes: each ambient coordinate reads one plane
-    (:func:`index_planes`), so they equal :func:`point_parts` of the block's
-    rows bit for bit, in its layout."""
-    points, reads = index_planes(emb, radius)
-    ambient = [np.concatenate(point_parts(emb, plane), axis=-1) for plane in points]
-    first, plane = np.equal(reads, 0), len(points[0])
-    for rows, slabs in slab_blocks(radius):
-        amb = np.empty((slabs.stop - slabs.start, plane, len(reads)))
-        amb[..., first] = ambient[0][slabs, None, first]
-        amb[..., ~first] = ambient[1][:, ~first]
-        yield rows, np.split(amb.reshape(-1, len(reads)), 2, axis=1)
-
-
 def _cocycle_exponent(m_l, d_l, m_r, d_r):
     """Cocycle exponent <x1, y2> - <y1, x2> of x = (m_l, d_l), y = (m_r, d_r).
 

@@ -39,7 +39,7 @@ from .embedding import (
     index_planes,
     lattice_element,
     point_parts,
-    slab_parts,
+    slab_blocks,
 )
 from .errors import (
     InternalIdentityViolated,
@@ -56,6 +56,7 @@ from .special import (
     gaussian_quadrature_oracle_2d,
     hermitian_form,
     hermitian_form_bound,
+    hermitian_form_real,
     jacobi_theta,
     mode_factor,
 )
@@ -292,10 +293,9 @@ def _mode_products(parts, theta2: float) -> np.ndarray:
     return site
 
 
-def _gaussian_exponent(ctx: HermitianFormContext, parts) -> np.ndarray:
-    """-(pi/2) H(k_, k_) of each row of :func:`point_parts` output."""
-    pair = _continuous(len(ctx.T), parts)
-    return -0.5 * math.pi * hermitian_form(ctx, pair, pair).real
+def _gaussian_exponent(ctx: HermitianFormContext, pair) -> np.ndarray:
+    """-(pi/2) H(k_, k_) of each continuous pair k_ (:func:`_continuous`), from Re H alone."""
+    return -0.5 * math.pi * hermitian_form_real(ctx, pair, pair)
 
 
 def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
@@ -306,7 +306,8 @@ def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
     (all ones for the vector-space kind), so that C(k) = site e^{expo}.
     """
     parts = point_parts(emb, ks)
-    expo = _gaussian_exponent(HermitianFormContext(structure.T), parts)
+    expo = _gaussian_exponent(HermitianFormContext(structure.T),
+                              _continuous(len(structure.T), parts))
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
         return expo, np.ones(len(expo))
     return expo, _mode_products(parts, 1.0 / structure.lattice_decay)
@@ -363,7 +364,7 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
 
     The coefficients fill one array in grid order (:class:`QuantumThetaSeries`)
     from the two index planes: on the lattice kind as an outer product, on
-    the vector kind in the slab blocks of :func:`slab_parts`. On the way out,
+    the vector kind over the slab blocks of :func:`slab_blocks`. On the way out,
     the defining relation is re-assembled: for every index with sup norm <=
     min(radius, 2), normalization times the coefficient must reproduce the
     closed-form inner product.
@@ -381,13 +382,18 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
         # mode product (m, t), the image of (k3, k4); each runs once per point
         # of its plane, and the table is their outer product
         (near, far), _ = index_planes(emb, radius)
-        expo = _gaussian_exponent(ctx, point_parts(emb, near))
+        expo = _gaussian_exponent(ctx, _continuous(len(ctx.T), point_parts(emb, near)))
         site = _mode_products(point_parts(emb, far), 1.0 / structure.lattice_decay)
         np.multiply(np.exp(expo)[:, None], site[None, :], out=values.reshape(plane, plane))
     else:
-        # an off-diagonal T couples the planes in H, so H runs per row
-        for rows, parts in slab_parts(emb, radius):
-            values[rows] = np.exp(_gaussian_exponent(ctx, parts))
+        # an off-diagonal T couples the planes in H: H runs per slab block, on plane columns
+        points, reads = index_planes(emb, radius)
+        near, far = (np.concatenate(point_parts(emb, p), axis=-1) for p in points)
+        for rows, slabs in slab_blocks(radius):
+            cols = tuple(far[None, :, c] if second else near[slabs, None, c]
+                         for c, second in enumerate(reads))
+            pair = cols[:len(cols) // 2], cols[len(cols) // 2:]
+            values[rows] = np.exp(_gaussian_exponent(ctx, pair)).ravel()
     series = QuantumThetaSeries(emb, structure, radius, ctx.normalization(), values)
     bad = _reassembly_failure(series)
     if bad is not None:

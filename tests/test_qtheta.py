@@ -14,6 +14,7 @@ import pytest
 import nctheta.embedding as embedding_mod
 import nctheta.qtheta as qtheta_mod
 from conftest import GOLDEN_DIR, load_golden, pairing_exponent_table, save_golden
+from test_config_cli import _non_canonical_config
 from nctheta.config import parse_config
 from nctheta.embedding import (
     PAIR_SWEEP_BLOCK,
@@ -449,6 +450,29 @@ class TestPlaneRoute:
         assert site.tobytes() == ref_site.tobytes()
         series = quantum_theta_series(emb, structure, radius=4)
         assert series.values.tobytes() == _cmul(ref_site, np.exp(ref_expo)).tobytes()
+
+    @pytest.mark.parametrize("name", ["fixture", "off-diagonal-tau", "non-canonical-tau"])
+    def test_vector_series_equals_the_row_formula(self, name, vector_config, monkeypatch):
+        # the vector series reads each block's ambient columns from the two
+        # planes, builds no per-row pair, and its values equal e^{-(pi/2) Re H}
+        # of each decoded row's pair, H the complex form over rows, bit for bit
+        non_canonical = _non_canonical_config("vector").raw["structure"]["tau"]
+        changes = {"fixture": {}, "off-diagonal-tau": OFF_DIAGONAL_TAU,
+                   "non-canonical-tau": {"tau": non_canonical}}
+        emb, structure = _vector_setup(vector_config, **changes[name])
+        ks = embedding_mod._grid_rows(4)  # the series' grid order
+        pair = point_parts(emb, ks)
+        ref_expo = -0.5 * math.pi * hermitian_form(HermitianFormContext(structure.T),
+                                                   pair, pair).real
+        expo, site = qtheta_mod._coefficient_parts(emb, structure, ks)
+        assert expo.tobytes() == ref_expo.tobytes() and not np.any(site != 1.0)
+        sizes, original = [], qtheta_mod.point_parts
+        monkeypatch.setattr(qtheta_mod, "point_parts",
+                            lambda e, k: sizes.append(len(k)) or original(e, k))
+        monkeypatch.setattr(qtheta_mod, "_reassembly_failure", lambda series: None)
+        series = quantum_theta_series(emb, structure, radius=4)
+        assert sizes == [81, 81]  # one call per plane, (2r+1)^2 points each
+        assert series.values.tobytes() == np.exp(ref_expo).astype(complex).tobytes()
 
     @pytest.mark.parametrize("radius", [3, 6])
     def test_mode_factor_runs_per_plane_point(self, radius, lattice_emb, lattice_structure,

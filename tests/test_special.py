@@ -20,6 +20,7 @@ from nctheta.special import (
     gaussian_quadrature_oracle,
     gaussian_quadrature_oracle_2d,
     hermitian_form,
+    hermitian_form_real,
     jacobi_theta,
     mode_factor,
     theta_truncation,
@@ -181,8 +182,8 @@ class TestHermitianForm:
             table = hermitian_form(ctx, (g1[:, None], g2[:, None]), (h1[None], h2[None]))
             assert table.shape == (12, 12)
             # |g_| and |h_|, the scale of the rounding error of H(g, h)
-            size_g, size_h = (np.linalg.norm(z, axis=-1)
-                              for z in (ctx.embed((g1, g2)), ctx.embed((h1, h2))))
+            size_g, size_h = (np.sqrt(sum(re * re + im * im for re, im in ctx.embed(x)))
+                              for x in ((g1, g2), (h1, h2)))
             for a in range(12):
                 for b in range(12):
                     g, h = (g1[a], g2[a]), (h1[b], h2[b])
@@ -246,6 +247,112 @@ class TestHermitianForm:
                 a, b = route(scalar), route(matrix)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
             assert scalar.normalization() == matrix.normalization()
+
+
+def _complex_embed(ctx, pair):
+    """T x1 + x2 of rows (..., d) in numpy's complex arithmetic, column by column."""
+    x1 = np.asarray(pair[0], dtype=float)
+    columns = (x1[..., j:j + 1] * ctx.T[:, j] for j in range(1, len(ctx.T)))
+    return sum(columns, x1[..., :1] * ctx.T[:, 0]) + np.asarray(pair[1], dtype=float)
+
+
+def _einsum_form(ctx, g, h):
+    """H(g, h) of rows as one complex einsum, the reference for the real arithmetic."""
+    return np.einsum("...i,ij,...j->...", _complex_embed(ctx, g), ctx.im_inverse,
+                     _complex_embed(ctx, h).conjugate())
+
+
+def _random_structure(rng, d, shape):
+    """A d x d complex T: diagonal, symmetric off-diagonal, or non-symmetric
+    (Re T any, Im T with a positive-definite symmetric part plus an
+    antisymmetric one); half of its zero entries are -0.0."""
+    a = rng.uniform(-1, 1, (d, d))
+    im = a @ a.T + 0.3 * np.eye(d)
+    re = rng.uniform(-2, 2, (d, d))
+    if shape == "diagonal":
+        im, re = np.diag(np.diag(im)), np.diag(np.diag(re))
+    elif shape == "symmetric":
+        re = re + re.T
+    else:
+        skew = rng.uniform(-0.5, 0.5, (d, d))
+        im = im + skew - skew.T
+    re[(re == 0) & (rng.random((d, d)) < 0.5)] = -0.0
+    return HermitianFormContext(re + 1j * im)
+
+
+def _signed_points(rng, shape):
+    """Coordinates of which about a third are +0.0 or -0.0 and a third small
+    integers, so that products and sums meet signed zeros and exact cancellation."""
+    x = rng.uniform(-5, 5, shape)
+    pick = rng.random(shape)
+    x[pick < 0.35] = rng.choice([0.0, -0.0], size=int(np.sum(pick < 0.35)))
+    whole = pick > 0.65
+    x[whole] = rng.integers(-3, 4, size=int(np.sum(whole)))
+    return x
+
+
+class TestHermitianFormBits:
+    # H in real arithmetic equals the complex einsum over rows bit for bit,
+    # its real half too, signed zeros included
+    LAYOUTS = {"rows": ((40,), (40,)), "table": ((6, 1), (1, 9)),
+               "broadcast-left": ((30,), ()), "broadcast-right": ((), (30,)),
+               "single": ((), ()), "self": ((40,), None)}
+
+    @staticmethod
+    def _same(got, ref):
+        got, ref = np.asarray(got), np.asarray(ref)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", ["diagonal", "symmetric", "non-symmetric"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_equals_einsum(self, layout, d, shape):
+        rng = np.random.default_rng([d, len(shape), len(layout)])
+        lead_g, lead_h = self.LAYOUTS[layout]
+        for _ in range(12):
+            ctx = _random_structure(rng, d, shape)
+            g = tuple(_signed_points(rng, (2, *lead_g, d)))
+            h = g if lead_h is None else tuple(_signed_points(rng, (2, *lead_h, d)))
+            ref = _einsum_form(ctx, g, h)
+            self._same(hermitian_form(ctx, g, h), ref)
+            self._same(hermitian_form_real(ctx, g, h), np.real(ref))
+            for (re, im), z in zip(ctx.embed(g), np.moveaxis(_complex_embed(ctx, g), -1, 0)):
+                self._same(np.broadcast_to(re, z.shape), z.real)
+                self._same(np.broadcast_to(im, z.shape), z.imag)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_infinite_coordinates_give_nan_where_einsum_does(self, d):
+        # the zero products of g_i (a_ij + 0j) are kept: at an infinite
+        # coordinate they are NaN, and each part of H is NaN, infinite or
+        # finite where einsum's is (a NaN's sign and payload aside)
+        rng = np.random.default_rng(47 + d)
+        for _ in range(40):
+            ctx = _random_structure(rng, d, "non-symmetric")
+            g, h = (tuple(_signed_points(rng, (2, 20, d))) for _ in range(2))
+            for x in (*g, *h):
+                x[rng.random(x.shape) < 0.1] = rng.choice([np.inf, -np.inf])
+            with np.errstate(invalid="ignore"):
+                ref = _einsum_form(ctx, g, h)
+                got, real = hermitian_form(ctx, g, h), hermitian_form_real(ctx, g, h)
+            for part, expected in ((got.real, ref.real), (got.imag, ref.imag), (real, ref.real)):
+                np.testing.assert_array_equal(part, expected)
+
+    @pytest.mark.parametrize("shape", ["diagonal", "symmetric", "non-symmetric"])
+    def test_column_tuples_equal_the_rows(self, shape):
+        # a pair given as d columns that broadcast, (n, 1) against (1, m),
+        # equals the pair of its broadcast rows (n, m, d)
+        rng = np.random.default_rng(len(shape))
+        for _ in range(12):
+            ctx = _random_structure(rng, 2, shape)
+            near, far = _signed_points(rng, (2, 7, 1)), _signed_points(rng, (2, 1, 11))
+            cols = ((near[0], far[0]), (near[1], far[1]))
+            rows = tuple(np.stack(np.broadcast_arrays(*c), axis=-1) for c in cols)
+            ref = _einsum_form(ctx, rows, rows)
+            self._same(hermitian_form(ctx, cols, cols), ref)
+            self._same(hermitian_form_real(ctx, cols, cols), ref.real)
+            other = tuple(_signed_points(rng, (2, 11, 2)))
+            self._same(hermitian_form(ctx, cols, other), _einsum_form(ctx, rows, other))
 
 
 class TestGaussianFactor:
