@@ -2,9 +2,9 @@
 
 The closed route computes series coefficients and, in one call over rows,
 the self-pairings of :func:`inner_product_closed` from the Hermitian-form
-exponential (times the lattice kind's discrete mode factors). The oracle
-route in :func:`inner_product_oracle` recomputes them by brute force through
-the operator layer and numerical integration; it must never touch
+exponential (times the lattice kind's mode factors, one call per table). The
+oracle route in :func:`inner_product_oracle` recomputes them by brute force
+through the operator layer and numerical integration; it must never touch
 ``gaussian_factor``, ``mode_factor`` or :func:`inner_product_closed`.
 
 Quantum translations: the plane case uses the independent multiplier
@@ -277,20 +277,22 @@ def _continuous(d: int, parts):
 
 def _mode_products(parts, theta2: float) -> np.ndarray:
     """Product of the two discrete mode factors of each row of lattice-kind
-    :func:`point_parts`; :func:`mode_factor` runs once per distinct (t, m)
-    pair per axis. The product is real, as each factor is: tau = 2i/theta2
-    is purely imaginary, so the theta terms pair off as complex conjugates
-    (:func:`mode_factor`)."""
+    :func:`point_parts`, from one :func:`mode_factor` call over the distinct
+    (t, m) pairs of axis 0 followed by those of axis 1. The product is real,
+    as each factor is: tau = 2i/theta2 is purely imaginary, so the theta
+    terms pair off as complex conjugates (:func:`mode_factor`)."""
     m_part, dual_part = parts
-    site = np.ones(len(m_part))
+    ts, ms, slots = [], [], []
     for axis in range(2):
         # Distinct (t, m) pairs under float equality, sorted by t then m,
         # each represented by its first row; m is an integer, exact as a float.
         t, m = dual_part[:, 1 + axis], m_part[:, 1 + axis]
         _, first, inverse = np.unique(t + 1j * m, return_index=True, return_inverse=True)
-        factors = np.array([mode_factor(t[i], int(m[i]), theta2) for i in first.tolist()])
-        site = site * factors[inverse]
-    return site
+        slots.append(inverse + sum(map(len, ts)))
+        ts.append(t[first])
+        ms.append(m[first])
+    factors = mode_factor(np.concatenate(ts), np.concatenate(ms), theta2)
+    return np.ones(len(m_part)) * factors[slots[0]] * factors[slots[1]]
 
 
 def _gaussian_exponent(ctx: HermitianFormContext, pair) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,25 +25,6 @@ from .errors import (
 IDENTITY_ABS_TOL = 1e-12
 
 
-def _compensated_sum(terms) -> complex:
-    """Neumaier-compensated sum of complex terms, in the given order."""
-    s = 0.0 + 0.0j
-    c = 0.0 + 0.0j
-    for t in terms:
-        u = s + t
-        if abs(u.real) >= abs(t.real):
-            cr = (s.real - u.real) + t.real
-        else:
-            cr = (t.real - u.real) + s.real
-        if abs(u.imag) >= abs(t.imag):
-            ci = (s.imag - u.imag) + t.imag
-        else:
-            ci = (t.imag - u.imag) + s.imag
-        c += complex(cr, ci)
-        s = u
-    return s + c
-
-
 def _cmul(a, b) -> np.ndarray:
     """Elementwise complex product in the operation order of Python's complex
     type; numpy's own loop may fuse multiply-adds, and array results must
@@ -53,6 +35,10 @@ def _cmul(a, b) -> np.ndarray:
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
+
+
+# past log(DBL_MAX / 4), CPython's cmath.exp forms e^x as e^{x - 1} e
+_CMATH_EXP_SCALED = math.log(sys.float_info.max / 4.0)
 
 
 def theta_truncation(tau: complex, z: complex, tol: float) -> int:
@@ -79,28 +65,58 @@ def theta_truncation(tau: complex, z: complex, tol: float) -> int:
             raise DivergentSeries("theta truncation search did not terminate")
 
 
-def jacobi_theta(tau: complex, z: complex = 0.0, tol: float = 1e-12) -> complex:
+def jacobi_theta(tau: complex, z=0.0, tol: float = 1e-12):
     """Classical theta function theta(tau, z) = sum_n e^{pi i tau n^2 + 2 pi i n z}.
 
-    Truncated at the cutoff from :func:`theta_truncation`; terms are added
-    in symmetric pairs (n, -n) of ascending |n| with compensated
-    accumulation, so results are bit-reproducible.
+    Each element of ``z`` is a row; a scalar ``z`` returns a complex. Row z
+    is cut at N(z) (:func:`theta_truncation`, once per distinct |Im z|); its
+    terms 1, then n and -n for n = 1..N, equal cmath.exp of the exponents
+    Python's complex type forms, and a Neumaier sum adds them in that
+    order. The rows of a block are summed together. Past its cutoff a row
+    adds +0.0, a no-op: x + y is -0.0 only when both are, so the sum s and
+    the compensation c, from +0.0, never are; s + 0.0 = s and the correction
+    (s - s) + 0.0 is +0.0. An overflowing term raises DivergentSeries
+    naming the first such row and its smallest n, before any inf is summed.
     """
     tau = complex(tau)
-    z = complex(z)
     if tau.imag <= 0:
         raise DivergentSeries("Im tau must be positive")
-    n_max = theta_truncation(tau, z, tol)
-    terms = [complex(1.0)]
-    for n in range(1, n_max + 1):
-        base = 1j * math.pi * tau * n * n
-        try:
-            terms.append(cmath.exp(base + 2j * math.pi * n * z))
-            terms.append(cmath.exp(base - 2j * math.pi * n * z))
-        except OverflowError:
-            raise DivergentSeries(
-                f"theta term n = {n} overflows at tau = {tau!r}, z = {z!r}") from None
-    return _compensated_sum(terms)
+    z = np.asarray(z, dtype=complex)
+    zf = z.ravel()
+    heights = np.abs(zf.imag).tolist()
+    cut = {h: theta_truncation(tau, complex(0.0, h), tol) for h in set(heights)}
+    cuts = np.array([cut[h] for h in heights], dtype=int)
+    n_max = int(cuts.max(initial=0))
+    # per n, the Python scalars pi i tau n^2 and 2 pi i n, as columns (n, 1)
+    base, w = np.array([(1j * math.pi * tau * n * n, 2j * math.pi * n)
+                        for n in range(1, n_max + 1)], dtype=complex).reshape(-1, 2).T[..., None]
+    out = np.empty(len(zf), dtype=complex)
+    step = max(1, 8000 // (2 * n_max + 1))  # a block's arrays under 128 KiB: malloc's heap
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(zf), step):
+            rows = slice(start, start + step)
+            wz = _cmul(w, zf[rows])
+            arg = np.stack([base + wz, base - wz], axis=1)  # (n, sign, row)
+            live = np.arange(1, n_max + 1)[:, None, None] <= cuts[rows]
+            terms = np.where(live, np.exp(arg), 0.0)
+            scaled = live & (arg.real > _CMATH_EXP_SCALED)
+            # row by row, n ascending: the first overflow met is the one to name
+            hits = np.argwhere(scaled.transpose(2, 0, 1)).tolist() if scaled.any() else ()
+            for row, n, sign in hits:
+                try:
+                    terms[n, sign, row] = cmath.exp(arg[n, sign, row])
+                except OverflowError:
+                    raise DivergentSeries(f"theta term n = {n + 1} overflows at tau = {tau!r}, "
+                                          f"z = {complex(zf[start + row])!r}") from None
+            # real and imaginary parts interleaved, from the 1 + 0j of n = 0
+            s, c = np.tile([1.0, 0.0], wz.shape[1]), np.zeros(2 * wz.shape[1])
+            for t in terms.reshape(2 * n_max, -1).view(float):
+                u = s + t
+                c += np.where(np.abs(u) >= np.abs(t), (s - u) + t, (t - u) + s)
+                s = u
+            out[rows] = (s + c).view(complex)
+    out = out.reshape(z.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -241,21 +257,27 @@ def completed_square_defect(ctx: HermitianFormContext, w):
     return np.abs(_ctilde_minus_q_lambda(ctx, w) - 0.5 * hermitian_form(ctx, w, w))
 
 
-def mode_factor(t: float, m: int, theta2: float) -> float:
+def mode_factor(t, m, theta2: float):
     """Per-axis discrete-mode factor of a lattice-kind inner product.
 
     mu(t, m) = e^{-(pi/theta2) m^2 - pi i m t} theta(2i/theta2, -t + i m/theta2),
-    where t is the unreduced torus lift and m the integer shift. mu is real,
-    and this returns the real part of the computed product. Term n of the
-    theta sum times the prefactor is e^{-(pi/theta2)(n^2 + (n+m)^2)}
-    e^{-pi i (2n+m) t}; n -> -(n+m) keeps n^2 + (n+m)^2 and negates 2n + m,
-    so the terms pair off as complex conjugates (Mumford, *Tata Lectures on
-    Theta I*, ch. I), and the imaginary part of the product is rounding.
+    where t is the unreduced torus lift and m the integer shift, over pairs
+    that broadcast, in one :func:`jacobi_theta` call. mu is real, and this
+    returns the real part of the product as Python's complex type forms it,
+    a float for one pair. Term n of the theta sum times the prefactor is
+    e^{-(pi/theta2)(n^2 + (n+m)^2)} e^{-pi i (2n+m) t}; n -> -(n+m) keeps
+    n^2 + (n+m)^2 and negates 2n + m, so the terms pair off as complex
+    conjugates (Mumford, *Tata Lectures on Theta I*, ch. I), and the
+    imaginary part of the product is rounding.
     """
     if theta2 <= 0:
         raise NotPositive("theta2 must be positive")
-    pref = cmath.exp(-math.pi / theta2 * m * m - 1j * math.pi * m * t)
-    return (pref * jacobi_theta(2j / theta2, complex(-t, m / theta2))).real
+    t, m = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(m, dtype=float))
+    # the exponent's real part is at most 0, where np.exp is cmath.exp bit for bit
+    pref = np.exp(-math.pi / theta2 * m * m - _cmul(_cmul(1j * math.pi, m), t))
+    theta = jacobi_theta(2j / theta2, _complex(-t, m / theta2))
+    value = pref.real * theta.real - pref.imag * theta.imag
+    return float(value) if value.ndim == 0 else value
 
 
 def gaussian_quadrature_oracle(quadratic, linear=0.0, constant=0.0, tol: float = 1e-10):

@@ -3,7 +3,9 @@
 Each test asserts what the ROADMAP item it names gives as done, not what
 the package does today, so it fails now and is marked
 ``xfail(strict=True)``: a change that mends the defect makes the test
-XPASS, which fails the suite until that change removes the mark.
+XPASS, which fails the suite until that change removes the mark. The one
+unmarked test pins the error that item 1's quantum-theta rows end on, so
+they keep failing for their stated reason and not a new one.
 """
 
 import itertools
@@ -39,14 +41,31 @@ def test_lattice_quantum_theta_gets_a_verdict_at_radius_16(lattice_config):
     assert _errored(report) == [] and report.passed
 
 
+_NON_CANONICAL = {"embedding": {"m": [[2, 1], [1, 1]],
+                                 "delta_hat": [[0.25, 0.25], [-0.5, -0.25]]},
+                  "structure": {"tau": [0.3, 0.2]}}
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: quantum-theta overflows a theta"
                                        " term on the m=[[2,1],[1,1]] config at r=6")
 def test_non_canonical_lattice_quantum_theta_gets_a_verdict_at_radius_6(lattice_config):
-    cfg = _config(lattice_config, radius=6,
-                  embedding={"m": [[2, 1], [1, 1]], "delta_hat": [[0.25, 0.25], [-0.5, -0.25]]},
-                  structure={"tau": [0.3, 0.2]})
-    report = run_suite(cfg, "quantum-theta")
+    report = run_suite(_config(lattice_config, radius=6, **_NON_CANONICAL), "quantum-theta")
     assert _errored(report) == [] and report.passed
+
+
+@pytest.mark.parametrize("radius, sections, error", [
+    (16, {}, "theta term n = 4 overflows at tau = 5j, z = (11.2-40j)"),
+    (6, _NON_CANONICAL, "theta term n = 5 overflows at tau = 4j, z = (3-36j)"),
+], ids=["canonical-r16", "non-canonical-r6"])
+def test_item_1_quantum_theta_rows_end_on_a_theta_overflow(lattice_config, radius, sections,
+                                                           error):
+    # the first overflowing (t, m) pair in the order the mode factors are
+    # handed over, with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_suite(_config(lattice_config, radius=radius, **sections), "quantum-theta")
+    assert _errored(report) == ["quantum-theta (errored)"]
+    assert report.checks[0].metadata["error"] == f"DivergentSeries: {error}"
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: consistency errors with a vanishing"
@@ -95,7 +114,7 @@ def test_lattice_table_is_zero_on_its_zero_set(lattice_config):
                                        " passes every lattice check at r=4")
 def test_scaled_mode_factor_fails_lattice_all(lattice_config, monkeypatch):
     def scaled(t, m, theta2):
-        return mode_factor(t, m, theta2) * (1.5 if abs(m) >= 3 else 1.0)
+        return mode_factor(t, m, theta2) * np.where(np.abs(m) >= 3, 1.5, 1.0)
 
     clean = run_suite(lattice_config, "quantum-theta").series.values
     for module in (nctheta, nctheta.qtheta, nctheta.special):

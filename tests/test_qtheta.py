@@ -477,14 +477,19 @@ class TestPlaneRoute:
     @pytest.mark.parametrize("radius", [3, 6])
     def test_mode_factor_runs_per_plane_point(self, radius, lattice_emb, lattice_structure,
                                               monkeypatch):
-        # at most (2r+1)^2 distinct (t, m) pairs per axis: one per point of
-        # the (k3, k4) plane; the radius-2 reassembly is left out of the count
-        calls = []
-        real = qtheta_mod.mode_factor
-        monkeypatch.setattr(qtheta_mod, "mode_factor", lambda *a: calls.append(a) or real(*a))
+        # one mode_factor call per _mode_products call, handed at most
+        # (2r+1)^2 distinct (t, m) pairs per axis: one per point of the
+        # (k3, k4) plane; the radius-2 reassembly is left out of the count
+        pairs, tables = [], []
+        factor, products = qtheta_mod.mode_factor, qtheta_mod._mode_products
+        monkeypatch.setattr(qtheta_mod, "mode_factor", lambda t, m, theta2: pairs.append(
+            np.broadcast(t, m).size) or factor(t, m, theta2))
+        monkeypatch.setattr(qtheta_mod, "_mode_products",
+                            lambda *a: tables.append(a) or products(*a))
         monkeypatch.setattr(qtheta_mod, "_reassembly_failure", lambda series: None)
         quantum_theta_series(lattice_emb, lattice_structure, radius=radius)
-        assert 0 < len(calls) <= 2 * (2 * radius + 1) ** 2
+        assert len(pairs) == len(tables) == 1
+        assert 0 < pairs[0] <= 2 * (2 * radius + 1) ** 2
 
 
 class TestFactors:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nctheta.embedding import index_planes, point_parts
 from nctheta.errors import (
     DivergentIntegral,
     DivergentSeries,
     InternalIdentityViolated,
     NotPositive,
 )
+from nctheta.qtheta import _mode_products
 from nctheta.special import (
     HermitianFormContext,
     completed_square_defect,
@@ -490,6 +493,154 @@ class TestModeFactor:
             value = mode_factor(t, m, theta2)
             assert type(value) is float
             assert abs(value - float(mu.real)) <= 1e-12 * max(1.0, abs(mu))
+
+
+def _scalar_theta(tau, z, tol=1e-12):
+    """theta(tau, z) as one scalar loop, the reference for the row path: the
+    terms 1, then n and -n for n = 1..N through cmath.exp, Neumaier-summed
+    in that order. A term that overflows raises OverflowError."""
+    tau, z = complex(tau), complex(z)
+    terms = [complex(1.0)]
+    for n in range(1, theta_truncation(tau, z, tol) + 1):
+        base = 1j * math.pi * tau * n * n
+        terms.append(cmath.exp(base + 2j * math.pi * n * z))
+        terms.append(cmath.exp(base - 2j * math.pi * n * z))
+    s = c = 0.0 + 0.0j
+    for t in terms:
+        u = s + t
+        if abs(u.real) >= abs(t.real):
+            cr = (s.real - u.real) + t.real
+        else:
+            cr = (t.real - u.real) + s.real
+        if abs(u.imag) >= abs(t.imag):
+            ci = (s.imag - u.imag) + t.imag
+        else:
+            ci = (t.imag - u.imag) + s.imag
+        c += complex(cr, ci)
+        s = u
+    return s + c
+
+
+def _scalar_mode_factor(t, m, theta2):
+    """mu(t, m) of one pair through :func:`_scalar_theta`, m an int."""
+    pref = cmath.exp(-math.pi / theta2 * m * m - 1j * math.pi * m * t)
+    return (pref * _scalar_theta(2j / theta2, complex(-t, m / theta2))).real
+
+
+class TestThetaRowsBits:
+    # jacobi_theta over rows of z and mode_factor over (t, m) pairs equal the
+    # scalar loop of each row on its own, bit for bit, signed zeros included
+
+    @staticmethod
+    def _same(got, ref):
+        ref = np.array(ref).reshape(np.shape(got))
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_canonical_lattice_pairs(self, lattice_config):
+        # the distinct (t, m) of each axis of the r=12 (k3, k4) plane, axis 0
+        # then axis 1, as the lattice series hands them over
+        emb = lattice_config.build_embedding()
+        theta2 = 1.0 / lattice_config.build_structure(emb).lattice_decay
+        (_, far), _ = index_planes(emb, 12)
+        parts = point_parts(emb, far)
+        m_part, dual_part = parts
+        ts, ms, refs = [], [], []
+        for axis in range(2):
+            t, m = dual_part[:, 1 + axis], m_part[:, 1 + axis]
+            _, first, inverse = np.unique(t + 1j * m, return_index=True, return_inverse=True)
+            factors = [_scalar_mode_factor(float(t[i]), int(m[i]), theta2) for i in first]
+            ts.append(t[first])
+            ms.append(m[first])
+            refs.append(np.array(factors)[inverse])
+        t, m = np.concatenate(ts), np.concatenate(ms)
+        assert len(t) == 1250
+        self._same(mode_factor(t, m, theta2), [_scalar_mode_factor(float(a), int(b), theta2)
+                                               for a, b in zip(t, m)])
+        self._same(_mode_products(parts, theta2), np.ones(len(m_part)) * refs[0] * refs[1])
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(45)
+        skipped = 0
+        for theta2 in rng.uniform(0.1, 3.0, 8):
+            t = rng.uniform(-6.0, 6.0, 150)
+            t[:6] = [0.0, -0.0, 0.5, -0.5, 1.0, -2.5]
+            m = rng.integers(-30, 31, 150)
+            refs, keep = [], []
+            for a, b in zip(t.tolist(), m.tolist()):
+                try:
+                    refs.append(_scalar_mode_factor(a, b, theta2))
+                    keep.append(True)
+                except OverflowError:
+                    keep.append(False)
+            skipped += keep.count(False)
+            keep = np.array(keep)
+            self._same(mode_factor(t[keep], m[keep], theta2), refs)
+            # broadcast pairs: a column of t against a row of m
+            got = mode_factor(t[keep][:5, None], m[keep][None, :7], theta2)
+            self._same(got, [[_scalar_mode_factor(a, b, theta2) for b in m[keep][:7].tolist()]
+                             for a in t[keep][:5].tolist()])
+        assert 0 < skipped < 300
+
+    def test_rows_at_the_scaled_exponent(self):
+        # the largest term of each row has real part R in (708.4, 709.7),
+        # where cmath.exp scales e^x as e^{x - 1} e and np.exp does not: the
+        # peak n0 is exact for tau = i R / (pi n0^2) and Im z = -+Im tau n0
+        rng = np.random.default_rng(709)
+        differ = 0
+        for n0 in (2, 4, 6):
+            for peak in rng.uniform(708.45, 709.65, 3):
+                tau = complex(rng.uniform(-1.0, 1.0), peak / (math.pi * n0 * n0))
+                y = tau.imag * n0 * rng.choice([-1.0, 1.0], 8)
+                z = rng.uniform(-2.0, 2.0, 8) + 1j * y
+                z = np.concatenate([z, rng.uniform(-1.0, 1.0, 4) + 0.3j])
+                for row in z[:8].tolist():
+                    sign = 1 if row.imag < 0 else -1
+                    arg = 1j * math.pi * tau * n0 * n0 + sign * 2j * math.pi * n0 * row
+                    assert 708.4 < arg.real < 709.7
+                    differ += np.exp(arg) != cmath.exp(arg)
+                self._same(jacobi_theta(tau, z), [_scalar_theta(tau, row) for row in z.tolist()])
+        assert differ > 0
+
+    def test_rows_with_different_cutoffs(self):
+        # rows past their own cutoff add +0.0 while the longest row runs on
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            tau = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 2.0))
+            z = rng.uniform(-3.0, 3.0, (6, 5)) + 1j * rng.uniform(-6.0, 6.0, (6, 5))
+            z[0, :4] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+            z[1] = z[1].real
+            cutoffs = {theta_truncation(tau, row, 1e-12) for row in z.ravel().tolist()}
+            assert len(cutoffs) > 3
+            for tol in (1e-12, 1e-6):
+                self._same(jacobi_theta(tau, z, tol),
+                           [_scalar_theta(tau, row, tol) for row in z.ravel().tolist()])
+
+    def test_scalar_calls_keep_their_types(self):
+        value = jacobi_theta(5j, 0.0)
+        assert type(value) is complex and value == _scalar_theta(5j, 0.0)
+        for t in (0.3, np.float64(-0.0), np.float64(1.25)):
+            value = mode_factor(t, 2, 0.4)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == np.float64(
+                _scalar_mode_factor(float(t), 2, 0.4)).tobytes()
+
+    def test_overflow_names_the_first_row(self):
+        # alone, the last row overflows first, at n = 3; the row path names
+        # the first overflowing row in the given order and its smallest n,
+        # and no RuntimeWarning escapes on the way
+        with pytest.raises(OverflowError):
+            _scalar_theta(4j, 3 - 36j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergentSeries,
+                               match=r"^theta term n = 3 overflows at tau = 4j, z = \(1-60j\)$"):
+                jacobi_theta(4j, 1 - 60j)
+            with pytest.raises(DivergentSeries,
+                               match=r"^theta term n = 5 overflows at tau = 4j, z = \(3-36j\)$"):
+                jacobi_theta(4j, [0.1 + 0.2j, 3 - 36j, 1 - 60j])
+            with pytest.raises(DivergentSeries,
+                               match=r"^theta term n = 2 overflows at tau = 5j, z = \(-0.25-100j\)$"):
+                mode_factor([0.0, 0.25, 0.5], [1, -40, -60], 0.4)
 
 
 class TestQuadratureOracle:
