@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import re
 import resource
@@ -14,6 +15,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1504,3 +1506,109 @@ class TestCli:
                               text=True, cwd=tmp_path, env=cli_env)
         assert proc.returncode == 0, proc.stderr + proc.stdout
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]", proc.stdout
+
+
+class TestProcessExit:
+    """The CLI freezes the heap at exit, so Python's shutdown collections skip it."""
+
+    @pytest.mark.parametrize("suite, fmt, radius",
+                             [("quantum-theta", "csv", 3), ("all", "json", 2)])
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_fresh_interpreter_outputs_are_complete(self, kind, suite, fmt, radius,
+                                                    request, cli_env, tmp_path):
+        # what the CLI writes is closed before main returns, not by the last collection
+        path = request.getfixturevalue(f"{kind}_config_path")
+        proc = subprocess.run(
+            [sys.executable, "-m", "nctheta", suite, "--config", str(path),
+             "--format", fmt, "--radius", str(radius), "--seed", "42",
+             "--output", f"r.{fmt}"],
+            capture_output=True, text=True, cwd=tmp_path, env=cli_env)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert proc.stderr == ""
+        cfg = load_config(path)
+        emb = cfg.build_embedding()
+        series = quantum_theta_series(emb, cfg.build_structure(emb), radius)
+        expected = export_coefficients(series, fmt, tmp_path / "expected" / f"t.{fmt}")
+        table = (tmp_path / f"r.coefficients.{fmt}").read_bytes()
+        assert table == expected.read_bytes()
+        if fmt == "json":
+            report = json.loads((tmp_path / "r.json").read_text())
+            assert report["summary"]["ok"] is True
+            assert report["artifacts"]["coefficients"] == {
+                "file": "r.coefficients.json", "sha256": hashlib.sha256(table).hexdigest()}
+
+    @pytest.mark.parametrize("module, frozen", [("nctheta.cli", True), ("nctheta", False)])
+    def test_only_the_cli_freezes_the_heap_at_exit(self, module, frozen, cli_env, tmp_path):
+        # atexit runs callbacks last in, first out: this probe runs after the CLI's hook
+        script = textwrap.dedent(f"""
+            import atexit, gc
+            atexit.register(lambda: print(gc.get_freeze_count()))
+            import {module}
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, cwd=tmp_path, env=cli_env)
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert (int(proc.stdout) > 0) is frozen
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_main_leaves_the_collector_as_it_was(self, lattice_config_path, tmp_path,
+                                                 collecting):
+        was = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            code = main(["validate", "--config", str(lattice_config_path),
+                         "--output", str(tmp_path / "r.json")])
+            assert code == 0
+            assert gc.isenabled() is collecting
+            assert gc.get_freeze_count() == 0
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("suite, fmt", [("all", "json"), ("quantum-theta", "csv")])
+    def test_every_file_is_closed_before_main_returns(self, suite, fmt, lattice_config_path,
+                                                      tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = main([suite, "--config", str(lattice_config_path), "--radius", "2",
+                         "--format", fmt, "--output", str(tmp_path / f"r.{fmt}")])
+            gc.collect()
+        assert code == 0
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+    def test_stdout_error_exits_three(self, target, lattice_config_path, cli_env, tmp_path):
+        # one line on stderr, no traceback and no "Exception ignored" from the
+        # flush at shutdown; the report is written all the same
+        if target == "closed pipe":
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            message = "[Errno 32] Broken pipe"
+        else:
+            if not os.path.exists(target):
+                pytest.skip("no /dev/full on this platform")
+            stdout = os.open(target, os.O_WRONLY)
+            message = "[Errno 28] No space left on device"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nctheta", "validate", "--config",
+                 str(lattice_config_path), "--output", "r.json"],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=cli_env)
+        finally:
+            os.close(stdout)
+        assert proc.returncode == 3
+        assert proc.stderr == f"i/o error: {message}\n"
+        assert json.loads((tmp_path / "r.json").read_text())["summary"]["ok"] is True
+
+    def test_stderr_error_keeps_the_exit_code(self, cli_env, tmp_path):
+        # a config error whose message cannot be written is still a config error
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        stderr = os.open("/dev/full", os.O_WRONLY)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nctheta", "validate", "--config", "missing.json"],
+                stdout=subprocess.PIPE, stderr=stderr, cwd=tmp_path, env=cli_env)
+        finally:
+            os.close(stderr)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
