@@ -427,14 +427,12 @@ def series_tail_bound(series: QuantumThetaSeries, radius: int | None = None) -> 
         lam = float(np.linalg.eigvalsh(form).min())
         k_const = 1.0
     total = 0.0
-    shell = r + 1
-    while True:
+    for shell in range(r + 1, r + 202):
         count = (2 * shell + 1) ** 4 - (2 * shell - 1) ** 4
         term = k_const * count * math.exp(-lam * shell * shell)
         total += term
-        if term < 1e-30 or shell > r + 200:
+        if term < 1e-30:
             break
-        shell += 1
     return total
 
 

@@ -314,9 +314,10 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
     with np.errstate(divide="ignore"):
         decay_min = float(np.min([decay_rate(rows, slabs) for rows, slabs in blocks]))
 
-    doc_radius = radius
-    while series_tail_bound(series, doc_radius) >= 1e-12:
-        doc_radius += 1
+    bounds = [series_tail_bound(series)]  # at radius, radius + 1, ..., to the first < 1e-12
+    while bounds[-1] >= 1e-12:
+        bounds.append(series_tail_bound(series, radius + len(bounds)))
+    doc_radius = radius + len(bounds) - 1
 
     reports = [
         VerificationReport.build("coefficient-at-zero", ["defect"], [zero_defect],
@@ -328,8 +329,7 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
             [0.0 if decay_min > 0 else 1.0], 0.5, rate=decay_min),
         VerificationReport.build(
             "series-tail-bound", [f"bound at radius {doc_radius}"],
-            [series_tail_bound(series, doc_radius)], 1e-12, documented_radius=doc_radius,
-            bound_at_config_radius=series_tail_bound(series)),
+            [bounds[-1]], 1e-12, documented_radius=doc_radius, bound_at_config_radius=bounds[0]),
     ]
     ctx.table = series
     return reports
@@ -525,15 +525,17 @@ def write_report(report: RunReport, path, fmt: str = "json") -> Path:
     """Serialize the report; bytes depend only on config and seed.
 
     A series on the report goes first to ``<stem>.coefficients.<fmt>`` next
-    to PATH, and the sha256 of its bytes as written into ``artifacts``.
-    """
+    to PATH and named in ``artifacts``; a JSON report, which prints them, adds
+    the sha256 of its bytes as written."""
     path = Path(path)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
     if report.series is not None:
-        digest, table = hashlib.sha256(), path.with_name(f"{path.stem}.coefficients.{fmt}")
+        digest = hashlib.sha256() if fmt == "json" else None
+        table = path.with_name(f"{path.stem}.coefficients.{fmt}")
         export_coefficients(report.series, fmt, table, digest=digest)
-        report.artifacts["coefficients"] = {"file": table.name, "sha256": digest.hexdigest()}
+        report.artifacts["coefficients"] = {"file": table.name} | (
+            {} if digest is None else {"sha256": digest.hexdigest()})
     if fmt == "json":
         path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True,
                                    allow_nan=False) + "\n", newline="\n")

@@ -1051,21 +1051,60 @@ class TestRunSuite:
         assert proc.returncode == 0, proc.stderr + proc.stdout
         assert (tmp_path / "report.coefficients.csv").exists()
 
-    def test_write_report_hashes_the_csv_table(self, tmp_path):
+    def test_write_report_makes_no_csv_digest(self, monkeypatch, tmp_path):
+        # a CSV report prints no artifacts, so its table is written unhashed
+        import nctheta.report as report_mod
+
         report = run_suite(parse_config(minimal_lattice(radius=6)), "quantum-theta")
+        made, fed, write, original = [], [], export._write, hashlib.sha256
+
+        def sha256(*args):
+            made.append(args)
+            return original(*args)
+
+        def spy(fh, text, digest):
+            fed.append(digest)
+            write(fh, text, digest)
+
+        monkeypatch.setattr(report_mod.hashlib, "sha256", sha256)
+        monkeypatch.setattr(export, "_write", spy)
         write_report(report, tmp_path / "r.csv", fmt="csv")
-        table = tmp_path / "r.coefficients.csv"
-        data = table.read_bytes()
-        # a table of several blocks, hashed slab by slab as it is written
+        monkeypatch.undo()
+        assert made == []
+        # the header and one write per slab of a table of several blocks, none hashed
+        assert len(fed) == 1 + 13 ** 2 and set(fed) == {None}
+        data = (tmp_path / "r.coefficients.csv").read_bytes()
         assert len(data) > 2 << 20
-        assert data.startswith(export.CSV_HEADER.encode() + b"\n")
-        assert report.artifacts == {
-            "coefficients": {"file": table.name, "sha256": hashlib.sha256(data).hexdigest()}}
+        assert data == export_coefficients(report.series, "csv", tmp_path / "ref.csv").read_bytes()
+        assert report.artifacts == {"coefficients": {"file": "r.coefficients.csv"}}
+
+    def test_write_report_hashes_the_whole_json_table(self, monkeypatch, tmp_path):
+        # the JSON report's sha256 covers every byte of its table, fed as written
+        report = run_suite(parse_config(minimal_lattice(radius=6)), "quantum-theta")
+        fed, write = [], export._write
+
+        def spy(fh, text, digest):
+            fed.append((text, digest))
+            write(fh, text, digest)
+
+        monkeypatch.setattr(export, "_write", spy)
+        path = write_report(report, tmp_path / "r.json")
+        monkeypatch.undo()
+        data = (tmp_path / "r.coefficients.json").read_bytes()
+        assert [digest is not None for _, digest in fed] == [True]
+        assert "".join(text for text, _ in fed).encode("ascii") == data
+        reference = export_coefficients(report.series, "json", tmp_path / "ref.json")
+        assert data == reference.read_bytes()
+        sha = hashlib.sha256(data).hexdigest()
+        assert fed[0][1].hexdigest() == sha
+        assert report.artifacts == {"coefficients": {"file": "r.coefficients.json", "sha256": sha}}
+        assert json.loads(path.read_text())["artifacts"] == report.artifacts
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_write_report_reads_no_table_back(self, fmt, monkeypatch, tmp_path):
-        # the table is opened once, to write, and hashed as it is written;
-        # the CSV table spans seven blocks of slabs
+        # the table is opened once, to write; a JSON table is hashed as it
+        # is written, a CSV one not at all. The CSV table spans seven blocks
+        # of slabs
         monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", 100)
         assert len(embedding_mod.slab_blocks(2)) == 7
         report = run_suite(parse_config(minimal_lattice(radius=2)), "quantum-theta")
@@ -1082,9 +1121,12 @@ class TestRunSuite:
         write_report(report, tmp_path / f"r.{fmt}", fmt=fmt)
         monkeypatch.undo()
         assert modes == ["wb"]
-        assert report.artifacts == {
-            "coefficients": {"file": table.name,
-                             "sha256": hashlib.sha256(table.read_bytes()).hexdigest()}}
+        if fmt == "csv":
+            assert report.artifacts == {"coefficients": {"file": table.name}}
+        else:
+            assert report.artifacts == {
+                "coefficients": {"file": table.name,
+                                 "sha256": hashlib.sha256(table.read_bytes()).hexdigest()}}
 
 
 class TestSuiteCoverage:
@@ -1223,6 +1265,36 @@ class TestSuiteCoverage:
         for suite in ("quantum-theta", "additivity"):
             run_suite(lattice_config, suite)
         assert built == [4, 4, 4]
+
+    @pytest.mark.parametrize("kind, radius, calls", [("lattice", 12, [12]),
+                                                     ("vector", 8, [8, 9, 10, 11, 12])])
+    def test_tail_bound_once_per_radius(self, kind, radius, calls, request, monkeypatch):
+        # quantum-theta bounds the tail at each radius from the config's to the
+        # documented one, once each, and reports the first and last of them
+        import nctheta.report as report_mod
+        from nctheta.qtheta import series_tail_bound
+
+        cfg = request.getfixturevalue(f"{kind}_config")
+        seen = []
+
+        def counted(series, r=None):
+            seen.append(series.radius if r is None else r)
+            return series_tail_bound(series, r)
+
+        monkeypatch.setattr(report_mod, "series_tail_bound", counted)
+        report = run_suite(parse_config({**cfg.raw, "radius": radius}), "quantum-theta")
+        monkeypatch.undo()
+        assert seen == calls
+        # the check as built by searching the radius, then bounding again at
+        # the documented and at the config radius
+        series, doc = report.series, radius
+        while series_tail_bound(series, doc) >= 1e-12:
+            doc += 1
+        expected = VerificationReport.build(
+            "series-tail-bound", [f"bound at radius {doc}"], [series_tail_bound(series, doc)],
+            1e-12, documented_radius=doc, bound_at_config_radius=series_tail_bound(series))
+        check = next(c for c in report.checks if c.name == "series-tail-bound")
+        assert _check_dict(check) == _check_dict(expected)
 
     def test_vector_additivity_suite(self, vector_config):
         report = run_suite(vector_config, "additivity")
