@@ -39,7 +39,6 @@ from .embedding import (
     index_planes,
     lattice_element,
     point_parts,
-    slab_blocks,
 )
 from .errors import (
     InternalIdentityViolated,
@@ -56,7 +55,6 @@ from .special import (
     gaussian_quadrature_oracle_2d,
     hermitian_form,
     hermitian_form_bound,
-    hermitian_form_real,
     jacobi_theta,
     mode_factor,
 )
@@ -182,12 +180,13 @@ class QuantumThetaSeries:
     ``values`` holds the algebra coefficient of every integer index with
     sup norm <= radius r, a ((2r+1)^4,) array in grid order: C(k) at the
     flat position p = sum_i (k_i + r) (2r+1)^(3-i), the last axis fastest,
-    so C(0) is at the centre and C(-k) at the mirrored position. The
-    constructor refuses another shape. The series stores nothing else:
-    ``indices``, the (N, 4) index rows in the same order, is decoded on
-    each read. ``coefficients`` is a read-only mapping view.
-    ``normalization`` is the constant relating the self-pairing of the
-    theta vector to the series. Series compare by identity.
+    so C(0) is at the centre, C(-k) at the mirrored position, and point a
+    of the (k1, k2) plane plus point b of the (k3, k4) plane at
+    a (2r+1)^2 + b (:func:`index_planes`). The constructor refuses another
+    shape. The series stores nothing else: ``indices``, the (N, 4) index
+    rows in the same order, is decoded on each read. ``coefficients`` is a
+    read-only mapping view. ``normalization`` is the constant relating the
+    self-pairing of the theta vector to the series. Series compare by identity.
     """
 
     embedding: EmbeddingMap
@@ -295,11 +294,6 @@ def _mode_products(parts, theta2: float) -> np.ndarray:
     return np.ones(len(m_part)) * factors[slots[0]] * factors[slots[1]]
 
 
-def _gaussian_exponent(ctx: HermitianFormContext, pair) -> np.ndarray:
-    """-(pi/2) H(k_, k_) of each continuous pair k_ (:func:`_continuous`), from Re H alone."""
-    return -0.5 * math.pi * hermitian_form_real(ctx, pair, pair)
-
-
 def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
     """Gaussian exponent and mode product of the series coefficient C(k).
 
@@ -308,8 +302,8 @@ def _coefficient_parts(emb: EmbeddingMap, structure: ComplexStructure, ks):
     (all ones for the vector-space kind), so that C(k) = site e^{expo}.
     """
     parts = point_parts(emb, ks)
-    expo = _gaussian_exponent(HermitianFormContext(structure.T),
-                              _continuous(len(structure.T), parts))
+    pair = _continuous(len(structure.T), parts)
+    expo = -0.5 * math.pi * hermitian_form(HermitianFormContext(structure.T), pair, pair).real
     if emb.kind is EmbeddingKind.VECTOR_SPACE:
         return expo, np.ones(len(expo))
     return expo, _mode_products(parts, 1.0 / structure.lattice_decay)
@@ -365,8 +359,9 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
     """Compute all series coefficients with index sup norm <= radius.
 
     The coefficients fill one array in grid order (:class:`QuantumThetaSeries`)
-    from the two index planes: on the lattice kind as an outer product, on
-    the vector kind over the slab blocks of :func:`slab_blocks`. On the way out,
+    from the two index planes: the lattice kind's as an outer product, the
+    vector kind's as e^{-(pi/2) x} of an outer sum x (Re H per plane point plus
+    the cross term of the two planes). On the way out,
     the defining relation is re-assembled: for every index with sup norm <=
     min(radius, 2), normalization times the coefficient must reproduce the
     closed-form inner product.
@@ -377,25 +372,34 @@ def quantum_theta_series(emb: EmbeddingMap, structure: ComplexStructure,
         raise KindMismatch("embedding and structure kinds differ")
     ctx = HermitianFormContext(structure.T)
     plane = (2 * radius + 1) ** 2
+    (near, far), _ = index_planes(emb, radius)
     # real on both kinds; the complex values, imaginary part +0.0, are the table format
-    values = np.empty(plane * plane, dtype=complex)
     if emb.kind is EmbeddingKind.LATTICE:
         # R x Z^2: the exponent reads (w1, w2), the image of (k1, k2), and the
         # mode product (m, t), the image of (k3, k4); each runs once per point
         # of its plane, and the table is their outer product
-        (near, far), _ = index_planes(emb, radius)
-        expo = _gaussian_exponent(ctx, _continuous(len(ctx.T), point_parts(emb, near)))
+        pair = _continuous(len(ctx.T), point_parts(emb, near))
+        expo = -0.5 * math.pi * hermitian_form(ctx, pair, pair).real
         site = _mode_products(point_parts(emb, far), 1.0 / structure.lattice_decay)
+        values = np.empty(plane * plane, dtype=complex)
         np.multiply(np.exp(expo)[:, None], site[None, :], out=values.reshape(plane, plane))
     else:
-        # an off-diagonal T couples the planes in H: H runs per slab block, on plane columns
-        points, reads = index_planes(emb, radius)
-        near, far = (np.concatenate(point_parts(emb, p), axis=-1) for p in points)
-        for rows, slabs in slab_blocks(radius):
-            cols = tuple(far[None, :, c] if second else near[slabs, None, c]
-                         for c, second in enumerate(reads))
-            pair = cols[:len(cols) // 2], cols[len(cols) // 2:]
-            values[rows] = np.exp(_gaussian_exponent(ctx, pair)).ravel()
+        # k = a + b, a on the (k1, k2) plane and b on (k3, k4), and k_ is linear in
+        # k: Re H(k_, k_) = Re H(a_, a_) + a^T (2 Re B) b + Re H(b_, b_), B the (k1, k2)
+        # x (k3, k4) block of the basis form. H runs once per plane point, and the cross
+        # term is summed elementwise, where a matmul would round with the table's size
+        near_h, far_h = (hermitian_form(ctx, pair, pair).real
+                         for pair in (point_parts(emb, near), point_parts(emb, far)))
+        cross = 2.0 * _basis_form(emb, structure)[0][:2, 2:].real
+        a, b = near[:, :2], far[:, 2:]
+        ac = a[:, :1] * cross[0] + a[:, 1:] * cross[1]
+        # in place: a fresh (2r+1)^4 array per step would grow the resident set
+        expo = ac[:, :1] * b[:, 0]
+        expo += ac[:, 1:] * b[:, 1]
+        expo += near_h[:, None]
+        expo += far_h
+        expo *= -0.5 * math.pi
+        values = np.exp(expo, out=expo).astype(complex).ravel()
     series = QuantumThetaSeries(emb, structure, radius, ctx.normalization(), values)
     bad = _reassembly_failure(series)
     if bad is not None:
@@ -497,10 +501,11 @@ def phase_identity_max_residual(emb: EmbeddingMap, structure: ComplexStructure,
     Algorithms*, ch. 2-3), ||z||_1 = |Re z| + |Im z|, and |k|, |k'| <= r
     entrywise, so that sum_ij |k_i| |k'_j| c_ij <= r^2 sum_ij c_ij:
 
-    * :func:`hermitian_form` at real pairs x, y rounds each entry of
-      T x1 + x2 by gamma_3 in ||.||_1 (d <= 2 products, d additions), each
-      term of its d^2-term sum by gamma_3 (a real and a complex product) and
-      the sum by gamma_3: by 12 u G(x)^T |W| G(y) in all, to first order
+    * :func:`hermitian_form`, one einsum, at real pairs x, y rounds each entry
+      of T x1 + x2 by gamma_3 in ||.||_1 (d <= 2 products (x_j + 0j) T_ij,
+      each part rounded once, and d additions), each term (g_i (a_ij + 0j))
+      h_j^* of its d^2-term sum by gamma_3 (a real and a complex product)
+      and the sum by gamma_3: by 12 u G(x)^T |W| G(y) in all, to first order
       (:func:`hermitian_form_bound`). The basis pairs p_i are the columns
       of ``entries``, exactly, so M_ij is off by 12 u Lambda_ij from the
       exact Im H(p_i, p_j).

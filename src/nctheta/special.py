@@ -1,4 +1,4 @@
-"""Special functions: Jacobi theta, Hermitian forms over rows, Gaussian integrals.
+"""Special functions: Jacobi theta, the Hermitian form over rows, Gaussian integrals.
 
 The quadrature routines at the bottom are deliberately independent oracles.
 They share no closed-form helpers with ``gaussian_factor`` or ``mode_factor``
@@ -141,67 +141,30 @@ class HermitianFormContext:
         object.__setattr__(self, "T", t)
         object.__setattr__(self, "im_inverse", np.linalg.inv(t.imag))
 
-    def embed(self, pair):
-        """Real and imaginary part of each coordinate of T x1 + x2, for (x1, x2) rows
-        (..., d) of M x M^ or tuples of d columns that broadcast: formed as numpy forms
-        sum_j (x1_j + 0j) T_ij + x2 + 0j, zero products kept, equal to its parts bit for bit."""
-        x1, x2 = (x if isinstance(x, tuple) else
-                  [np.asarray(x, dtype=float)[..., j] for j in range(len(self.T))] for x in pair)
-        coords = []
-        for row, shift in zip(self.T.tolist(), x2):
-            (re, im), *rest = [(x * t.real - 0.0 * t.imag, x * t.imag + 0.0 * t.real)
-                               for x, t in zip(x1, row)]
-            for r, m in rest:
-                re, im = re + r, im + m
-            coords.append((re + shift, im + 0.0))
-        return coords
+    def embed(self, pair) -> np.ndarray:
+        """T x1 + x2 of (x1, x2) rows (..., d) of M x M^, as one complex array (..., d):
+        in numpy's complex arithmetic, (x1_j + 0j) T_ij summed over j ascending, then x2.
+        Each row is formed on its own, so its bits do not depend on the rows beside it."""
+        x1 = np.asarray(pair[0], dtype=float)
+        columns = (x1[..., j:j + 1] * self.T[:, j] for j in range(1, len(self.T)))
+        return sum(columns, x1[..., :1] * self.T[:, 0]) + np.asarray(pair[1], dtype=float)
 
     def normalization(self) -> float:
         """Gaussian self-pairing constant 1/sqrt(2^d det Im T)."""
         return 1.0 / math.sqrt(2.0 ** len(self.T) * np.linalg.det(self.T.imag))
 
 
-def _complex(re, im) -> np.ndarray:
-    """The complex array with parts re and im, each kept bit for bit."""
-    return np.stack(np.broadcast_arrays(re, im), axis=-1).view(complex)[..., 0]
+def hermitian_form(ctx: HermitianFormContext, g, h) -> np.ndarray:
+    """Hermitian pairing H(g, h) = g_ ^t (Im T)^{-1} h_^* of real pairs, over rows.
 
-
-def _hermitian_parts(ctx: HermitianFormContext, g, h, imag: bool):
-    """Re H(g, h) and Im H (0.0 unless ``imag``) in real arithmetic, term by
-    term as einsum forms the sum over i, then j, of (g_i (a_ij + 0j)) h_j^*,
-    a = (Im T)^{-1}: each product written out as in :func:`_cmul`, each term
-    added to a running sum from +0.0. So for finite pairs the parts equal
-    einsum's bit for bit, signed zeros too, and NaN falls where einsum's does."""
+    ``g`` and ``h`` are (first, second) pairs of rows (..., d) that broadcast,
+    with g_ = T g1 + g2 and h_^* = conj(T h1 + h2) (:meth:`HermitianFormContext.embed`).
+    One einsum, so a pair's value has the same bits alone, among rows, in a
+    table or broadcast. A self-pairing, ``h is g``, embeds once.
+    """
     gbar = ctx.embed(g)
     hbar = gbar if h is g else ctx.embed(h)
-    # in place, in buffers of the broadcast shape: a block of rows allocates few arrays
-    shape = np.broadcast(*(x for part in gbar + hbar for x in part)).shape
-    re, qr, qi = np.zeros(shape), np.empty(shape), np.empty(shape)
-    im = np.zeros(shape if imag else ())
-    for (gr, gi), row in zip(gbar, ctx.im_inverse.tolist()):
-        zi, zr = gi * 0.0, gr * 0.0  # the zero products of g_i (a_ij + 0j)
-        for (hr, hi), a in zip(hbar, row):
-            np.subtract(np.multiply(gr, a, out=qr), zi, out=qr)
-            np.add(zr, np.multiply(gi, a, out=qi), out=qi)
-            if imag:
-                im += qi * hr - qr * hi
-            re += np.add(np.multiply(qr, hr, out=qr), np.multiply(qi, hi, out=qi), out=qr)
-    return re[()], im[()]
-
-
-def hermitian_form(ctx: HermitianFormContext, g, h) -> np.ndarray:
-    """Hermitian pairing H(g, h) = g_ ^t (Im T)^{-1} h_^* of real pairs.
-
-    ``g`` and ``h`` are (first, second) pairs, of rows (..., d) or of column
-    tuples (:meth:`HermitianFormContext.embed`), that broadcast; g_ = T g1 +
-    g2 and h_^* = conj(T h1 + h2). A self-pairing, ``h is g``, embeds once.
-    """
-    return _complex(*_hermitian_parts(ctx, g, h, True))[()]
-
-
-def hermitian_form_real(ctx: HermitianFormContext, g, h) -> np.ndarray:
-    """Re H(g, h) alone, on the path of :func:`hermitian_form`."""
-    return _hermitian_parts(ctx, g, h, False)[0]
+    return np.einsum("...i,ij,...j->...", gbar, ctx.im_inverse, hbar.conjugate())
 
 
 def hermitian_form_bound(ctx: HermitianFormContext, g, h) -> np.ndarray:
@@ -226,7 +189,7 @@ def _ctilde_minus_q_lambda(ctx: HermitianFormContext, w):
     those definitions, independently of the Hermitian form.
     """
     w1, _ = w
-    wstar = np.stack([_complex(re, -im) for re, im in ctx.embed(w)], axis=-1)
+    wstar = ctx.embed(w).conjugate()
     lam = 0.5j * np.einsum("ij,...j->...i", ctx.im_inverse, wstar)
     q_lam = 2.0 * np.einsum("...i,ij,...j->...", lam, ctx.T.imag, lam)
     ctilde = 1j * np.einsum("...i,...i->...", np.asarray(w1, dtype=float), wstar)
@@ -275,7 +238,9 @@ def mode_factor(t, m, theta2: float):
     t, m = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(m, dtype=float))
     # the exponent's real part is at most 0, where np.exp is cmath.exp bit for bit
     pref = np.exp(-math.pi / theta2 * m * m - _cmul(_cmul(1j * math.pi, m), t))
-    theta = jacobi_theta(2j / theta2, _complex(-t, m / theta2))
+    z = np.array(-t, dtype=complex)  # -t + i m/theta2, each part kept bit for bit
+    z.imag = m / theta2
+    theta = jacobi_theta(2j / theta2, z)
     value = pref.real * theta.real - pref.imag * theta.imag
     return float(value) if value.ndim == 0 else value
 

@@ -8,6 +8,7 @@ import re
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from conftest import GOLDEN_DIR, load_golden, pairing_exponent_table, save_golde
 from test_config_cli import _non_canonical_config
 from nctheta.config import parse_config
 from nctheta.embedding import (
+    _UNIT_ROUNDOFF,
     PAIR_SWEEP_BLOCK,
     EmbeddingKind,
     _paired_exponent,
@@ -42,7 +44,14 @@ from nctheta.qtheta import (
     verify_functional_equation,
 )
 from nctheta.report import _random_lattice_embedding, run_suite
-from nctheta.special import HermitianFormContext, _cmul, hermitian_form, jacobi_theta, mode_factor
+from nctheta.special import (
+    HermitianFormContext,
+    _cmul,
+    hermitian_form,
+    hermitian_form_bound,
+    jacobi_theta,
+    mode_factor,
+)
 from nctheta.structures import structure_from_tau, theta_vector
 
 
@@ -453,9 +462,10 @@ class TestPlaneRoute:
 
     @pytest.mark.parametrize("name", ["fixture", "off-diagonal-tau", "non-canonical-tau"])
     def test_vector_series_equals_the_row_formula(self, name, vector_config, monkeypatch):
-        # the vector series reads each block's ambient columns from the two
-        # planes, builds no per-row pair, and its values equal e^{-(pi/2) Re H}
-        # of each decoded row's pair, H the complex form over rows, bit for bit
+        # the vector series runs H once per plane point and builds no per-row
+        # pair; under a diagonal T its values equal e^{-(pi/2) Re H} of each
+        # decoded row's pair bit for bit, under an off-diagonal T the two lie
+        # within twice the bound each keeps to the exact value
         non_canonical = _non_canonical_config("vector").raw["structure"]["tau"]
         changes = {"fixture": {}, "off-diagonal-tau": OFF_DIAGONAL_TAU,
                    "non-canonical-tau": {"tau": non_canonical}}
@@ -471,8 +481,15 @@ class TestPlaneRoute:
                             lambda e, k: sizes.append(len(k)) or original(e, k))
         monkeypatch.setattr(qtheta_mod, "_reassembly_failure", lambda series: None)
         series = quantum_theta_series(emb, structure, radius=4)
-        assert sizes == [81, 81]  # one call per plane, (2r+1)^2 points each
-        assert series.values.tobytes() == np.exp(ref_expo).astype(complex).tobytes()
+        # one call per plane, (2r+1)^2 points each, and one on the four basis rows
+        assert sizes == [81, 81, 4]
+        row = np.exp(ref_expo)
+        if name == "fixture":
+            assert series.values.tobytes() == row.astype(complex).tobytes()
+        else:
+            assert not np.any(series.values.imag)
+            bound = vector_relative_bound(emb, structure, ref_expo)
+            assert np.all(np.abs(series.values.real - row) <= 2.02 * bound * row)
 
     @pytest.mark.parametrize("radius", [3, 6])
     def test_mode_factor_runs_per_plane_point(self, radius, lattice_emb, lattice_structure,
@@ -608,6 +625,110 @@ def _vector_setup(vector_config, theta1=None, theta2=None, tau=None):
     cfg = parse_config(data)
     emb = cfg.build_embedding()
     return emb, cfg.build_structure(emb)
+
+
+def _exact_inverse(structure):
+    """(Im T)^{-1} at the current mpmath precision, from the float entries of T."""
+    return mpmath.matrix(structure.T.imag.tolist()) ** -1
+
+
+def vector_relative_bound(emb, structure, expo):
+    """Bound on |C^/C - 1| for each vector coefficient C = e^E of exponent E in ``expo``.
+
+    E = -(pi/2) Re H(k_, k_) = -(pi/2) k^T Q k, with Q_ij = Re H(p_i, p_j) on
+    the basis pairs p_i (the columns of ``entries``, exact floats), H formed
+    from the float entries of T and the exact W = (Im T)^{-1}. The series
+    forms Re H(a_, a_) + X + Re H(b_, b_) for the row k = a + b, a on the
+    (k1, k2) plane and b on (k3, k4), and X = a^T (2 Re B) b with B the
+    (k1, k2) x (k3, k4) block of the basis form. Let u be the unit roundoff,
+    Lambda_ij = G(p_i)^T |W| G(p_j) (:func:`hermitian_form_bound`), S(k) =
+    |k|^T Lambda |k| = S_aa + 2 S_ab + S_bb, and eps_W the largest relative
+    error of an entry of the computed inverse. To first order in u:
+
+    * Re H(a_, a_): point_parts rounds each coordinate once (2 u, one per
+      slot of H), T x1 + x2 rounds by gamma_3 and the einsum by 2 gamma_3
+      (the account of :func:`phase_identity_max_residual`), the inverse by
+      eps_W: (14 u + eps_W) G(a)^T |W| G(a) <= (14 u + eps_W) S_aa, since
+      G(a) <= sum_i |a_i| G(p_i). The same for b.
+    * X: each B_ij is off by (12 u + eps_W) Lambda_ij (exact coordinates),
+      and the elementwise sum a^T (2 Re B) b rounds four times, gamma_4
+      |a|^T |2 B| |b| with |B_ij| <= Lambda_ij: (16 u + eps_W) 2 S_ab.
+    * The two additions of the outer sum add u S(k) each, and the product
+      with fl(-pi/2) 2 u |E|.
+
+    So the computed exponent is off by at most (pi/2) (18 u + eps_W) S(k) +
+    2 u |E|; the row formula, one einsum over the whole row, by (14 u +
+    eps_W) in place of 18 u. S(k) <= lambda_max(Lambda) |k|^2 and k^T Q k >=
+    lambda_min(Q) |k|^2, so with kappa = lambda_max(Lambda) / lambda_min(Q),
+    S(k) <= kappa (2/pi) |E|, and the exponent is off by at most
+
+        delta = ((18 u + eps_W) kappa + 2 u) |E|.
+
+    np.exp rounds within 2 u, so |C^/C - 1| <= (e^delta - 1)(1 + 2 u) + 2 u
+    <= 1.01 (delta + 2 u) while delta < 0.01; the factor 1.01 also covers
+    the terms of order u^2 and the rounding of kappa, Lambda and Q here.
+    """
+    form, ctx, (x1, x2) = qtheta_mod._basis_form(emb, structure)
+    lam = hermitian_form_bound(ctx, (x1[:, None], x2[:, None]), (x1[None], x2[None]))
+    kappa = np.linalg.eigvalsh(lam).max() / np.linalg.eigvalsh(form.real).min()
+    with mpmath.workdps(50):
+        exact = _exact_inverse(structure)
+        eps_w = max(abs(a - exact[i, j]) / abs(exact[i, j]) if exact[i, j] else
+                    (0.0 if a == 0 else math.inf) for (i, j), a in np.ndenumerate(ctx.im_inverse))
+    delta = ((18 * _UNIT_ROUNDOFF + float(eps_w)) * kappa + 2 * _UNIT_ROUNDOFF) * np.abs(expo)
+    assert np.all(delta < 0.01)
+    return 1.01 * (delta + 2 * _UNIT_ROUNDOFF)
+
+
+def _reference_exponents(emb, structure, ks):
+    """-(pi/2) Re H(k_, k_) of each index row at 50 digits: from the float
+    entries of T and of the embedding, read as exact binary numbers, and
+    the exact (Im T)^{-1}."""
+    with mpmath.workdps(50):
+        t = [[mpmath.mpc(z) for z in row] for row in structure.T.tolist()]
+        w = _exact_inverse(structure)
+        entries = [[mpmath.mpf(e) for e in row] for row in emb.entries.tolist()]
+        out = []
+        for k in ks.tolist():
+            x = [mpmath.fsum(e * kj for e, kj in zip(row, k)) for row in entries]
+            g = [t[i][0] * x[0] + t[i][1] * x[1] + x[2 + i] for i in range(2)]
+            re_h = mpmath.fsum(w[i, j] * (g[i].real * g[j].real + g[i].imag * g[j].imag)
+                               for i in range(2) for j in range(2))
+            out.append(-mpmath.pi / 2 * re_h)
+    return out
+
+
+class TestVectorReference:
+    @pytest.mark.parametrize("name", ["fixture", "off-diagonal-tau"])
+    def test_sampled_rows_within_the_bound(self, name, vector_config):
+        # 1,000 seeded rows of the r=8 table and up to 500 of the rows whose
+        # bits differ from the row formula, against a 50-digit reference
+        emb, structure = _vector_setup(
+            vector_config, **{"fixture": {}, "off-diagonal-tau": OFF_DIAGONAL_TAU}[name])
+        series = quantum_theta_series(emb, structure, radius=8)
+        ks = series.indices
+        pair = point_parts(emb, ks)
+        row = np.exp(-0.5 * math.pi * hermitian_form(HermitianFormContext(structure.T),
+                                                     pair, pair).real)
+        moved = np.flatnonzero(series.values.real != row)
+        rng = np.random.default_rng(8)
+        rows = np.union1d(rng.choice(len(ks), 1000, replace=False),
+                          rng.choice(moved, min(moved.size, 500), replace=False))
+        expo = _reference_exponents(emb, structure, ks[rows])
+        bound = vector_relative_bound(emb, structure, np.array([abs(float(e)) for e in expo]))
+        values = series.values[rows]
+        assert not np.any(values.imag)
+        # the exponent of the rows of sup norm >= 3 scaled by 1 + 1e-12, which
+        # the bound must catch
+        mutant = values.real * np.exp(1e-12 * np.array([float(e) for e in expo])
+                                      * (np.abs(ks[rows]).max(axis=1) >= 3))
+        with mpmath.workdps(50):
+            exact = [mpmath.exp(e) for e in expo]
+            errors, mutant_errors = ([float(abs(mpmath.mpf(v) / c - 1)) for v, c in zip(x, exact)]
+                                     for x in (values.real.tolist(), mutant.tolist()))
+        assert min(exact) > np.finfo(float).tiny  # every sampled value is a normal double
+        assert np.all(np.array(errors) <= bound)
+        assert np.any(np.array(mutant_errors) > bound)
 
 
 @pytest.mark.parametrize("which", ["d1", "diagonal-d2", "off-diagonal-d2"])

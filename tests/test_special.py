@@ -23,7 +23,6 @@ from nctheta.special import (
     gaussian_quadrature_oracle,
     gaussian_quadrature_oracle_2d,
     hermitian_form,
-    hermitian_form_real,
     jacobi_theta,
     mode_factor,
     theta_truncation,
@@ -185,7 +184,7 @@ class TestHermitianForm:
             table = hermitian_form(ctx, (g1[:, None], g2[:, None]), (h1[None], h2[None]))
             assert table.shape == (12, 12)
             # |g_| and |h_|, the scale of the rounding error of H(g, h)
-            size_g, size_h = (np.sqrt(sum(re * re + im * im for re, im in ctx.embed(x)))
+            size_g, size_h = (np.sqrt(np.sum(np.abs(ctx.embed(x)) ** 2, axis=-1))
                               for x in ((g1, g2), (h1, h2)))
             for a in range(12):
                 for b in range(12):
@@ -252,19 +251,6 @@ class TestHermitianForm:
             assert scalar.normalization() == matrix.normalization()
 
 
-def _complex_embed(ctx, pair):
-    """T x1 + x2 of rows (..., d) in numpy's complex arithmetic, column by column."""
-    x1 = np.asarray(pair[0], dtype=float)
-    columns = (x1[..., j:j + 1] * ctx.T[:, j] for j in range(1, len(ctx.T)))
-    return sum(columns, x1[..., :1] * ctx.T[:, 0]) + np.asarray(pair[1], dtype=float)
-
-
-def _einsum_form(ctx, g, h):
-    """H(g, h) of rows as one complex einsum, the reference for the real arithmetic."""
-    return np.einsum("...i,ij,...j->...", _complex_embed(ctx, g), ctx.im_inverse,
-                     _complex_embed(ctx, h).conjugate())
-
-
 def _random_structure(rng, d, shape):
     """A d x d complex T: diagonal, symmetric off-diagonal, or non-symmetric
     (Re T any, Im T with a positive-definite symmetric part plus an
@@ -295,8 +281,9 @@ def _signed_points(rng, shape):
 
 
 class TestHermitianFormBits:
-    # H in real arithmetic equals the complex einsum over rows bit for bit,
-    # its real half too, signed zeros included
+    # H over rows is one einsum, and T x1 + x2 one complex array: a pair's
+    # value has the same bits alone, among rows, in a table and broadcast,
+    # signed zeros included
     LAYOUTS = {"rows": ((40,), (40,)), "table": ((6, 1), (1, 9)),
                "broadcast-left": ((30,), ()), "broadcast-right": ((), (30,)),
                "single": ((), ()), "self": ((40,), None)}
@@ -307,28 +294,39 @@ class TestHermitianFormBits:
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
 
+    @staticmethod
+    def _pairs(g, h):
+        """Each pair of the broadcast layout, alone: its index and its g and h of shape (d,)."""
+        shape = np.broadcast_shapes(g[0].shape[:-1], h[0].shape[:-1])
+        g, h = ([np.broadcast_to(x, shape + x.shape[-1:]) for x in p] for p in (g, h))
+        for at in np.ndindex(shape):
+            yield at, tuple(x[at] for x in g), tuple(x[at] for x in h)
+
     @pytest.mark.parametrize("shape", ["diagonal", "symmetric", "non-symmetric"])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("layout", list(LAYOUTS))
     def test_equals_einsum(self, layout, d, shape):
+        # each entry equals the einsum of its pair alone, a self-pairing too
         rng = np.random.default_rng([d, len(shape), len(layout)])
         lead_g, lead_h = self.LAYOUTS[layout]
         for _ in range(12):
             ctx = _random_structure(rng, d, shape)
             g = tuple(_signed_points(rng, (2, *lead_g, d)))
             h = g if lead_h is None else tuple(_signed_points(rng, (2, *lead_h, d)))
-            ref = _einsum_form(ctx, g, h)
-            self._same(hermitian_form(ctx, g, h), ref)
-            self._same(hermitian_form_real(ctx, g, h), np.real(ref))
-            for (re, im), z in zip(ctx.embed(g), np.moveaxis(_complex_embed(ctx, g), -1, 0)):
-                self._same(np.broadcast_to(re, z.shape), z.real)
-                self._same(np.broadcast_to(im, z.shape), z.imag)
+            got, embedded = hermitian_form(ctx, g, h), ctx.embed(g)
+            ref, rows = np.empty(got.shape, dtype=complex), np.empty(embedded.shape, dtype=complex)
+            for at, g_at, h_at in self._pairs(g, h):
+                ref[at] = hermitian_form(ctx, g_at, g_at if h is g else h_at)
+            for at, g_at, _ in self._pairs(g, g):
+                rows[at] = ctx.embed(g_at)
+            self._same(got, ref)
+            self._same(embedded, rows)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_infinite_coordinates_give_nan_where_einsum_does(self, d):
-        # the zero products of g_i (a_ij + 0j) are kept: at an infinite
-        # coordinate they are NaN, and each part of H is NaN, infinite or
-        # finite where einsum's is (a NaN's sign and payload aside)
+        # at an infinite coordinate the zero products of (x + 0j) T_ij are NaN;
+        # each part of H over rows is NaN, infinite or finite where that of
+        # the pair alone is (a NaN's sign and payload aside)
         rng = np.random.default_rng(47 + d)
         for _ in range(40):
             ctx = _random_structure(rng, d, "non-symmetric")
@@ -336,26 +334,11 @@ class TestHermitianFormBits:
             for x in (*g, *h):
                 x[rng.random(x.shape) < 0.1] = rng.choice([np.inf, -np.inf])
             with np.errstate(invalid="ignore"):
-                ref = _einsum_form(ctx, g, h)
-                got, real = hermitian_form(ctx, g, h), hermitian_form_real(ctx, g, h)
-            for part, expected in ((got.real, ref.real), (got.imag, ref.imag), (real, ref.real)):
+                got = hermitian_form(ctx, g, h)
+                ref = np.array([hermitian_form(ctx, g_at, h_at) for _, g_at, h_at
+                                in self._pairs(g, h)])
+            for part, expected in ((got.real, ref.real), (got.imag, ref.imag)):
                 np.testing.assert_array_equal(part, expected)
-
-    @pytest.mark.parametrize("shape", ["diagonal", "symmetric", "non-symmetric"])
-    def test_column_tuples_equal_the_rows(self, shape):
-        # a pair given as d columns that broadcast, (n, 1) against (1, m),
-        # equals the pair of its broadcast rows (n, m, d)
-        rng = np.random.default_rng(len(shape))
-        for _ in range(12):
-            ctx = _random_structure(rng, 2, shape)
-            near, far = _signed_points(rng, (2, 7, 1)), _signed_points(rng, (2, 1, 11))
-            cols = ((near[0], far[0]), (near[1], far[1]))
-            rows = tuple(np.stack(np.broadcast_arrays(*c), axis=-1) for c in cols)
-            ref = _einsum_form(ctx, rows, rows)
-            self._same(hermitian_form(ctx, cols, cols), ref)
-            self._same(hermitian_form_real(ctx, cols, cols), ref.real)
-            other = tuple(_signed_points(rng, (2, 11, 2)))
-            self._same(hermitian_form(ctx, cols, other), _einsum_form(ctx, rows, other))
 
 
 class TestGaussianFactor:
