@@ -241,7 +241,7 @@ def point_parts(emb: EmbeddingMap, ks) -> tuple[np.ndarray, np.ndarray]:
 
 def index_planes(emb: EmbeddingMap, radius: int):
     """The two index planes, (k1, k2) and (k3, k4), of the (2r+1)^4 grid of
-    radius r (:func:`_grid_rows`), as (points, reads).
+    radius r (:func:`enumerate_indices`), as (points, reads).
 
     ``points[p]`` holds the (2r+1)^2 points of plane p's box in
     lexicographic order, as index rows that are zero on the other plane, so
@@ -273,11 +273,14 @@ def element_add(emb: EmbeddingMap, x: LatticeElement, y: LatticeElement) -> Latt
     return lattice_element(emb, x.k + y.k)
 
 
-def _grid_rows(radius: int, rows: slice = slice(None)) -> np.ndarray:
+def enumerate_indices(radius: int, rows: slice = slice(None)) -> np.ndarray:
     """Index rows (N, 4), int64, at the flat positions ROWS (all by default)
     of the (2r+1)^4 grid of radius r: position p holds the k with
     p = sum_i (k_i + r) (2r+1)^(3-i), the last axis fastest. One divmod per
-    axis from the last, in the narrowest unsigned type that holds p."""
+    axis from the last, in the narrowest unsigned type that holds p.
+    ValueError for a negative radius."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     side = 2 * radius + 1
     at = np.arange(*rows.indices(side ** 4), dtype=np.min_scalar_type(side ** 4))
     ks = np.empty((len(at), 4), dtype=np.int64)
@@ -285,17 +288,6 @@ def _grid_rows(radius: int, rows: slice = slice(None)) -> np.ndarray:
         np.divmod(at, side, out=(at, ks[:, axis]))
     ks -= radius
     return ks
-
-
-def enumerate_indices(radius: int) -> np.ndarray:
-    """Integer 4-vectors with sup norm <= radius, sorted by sup norm first,
-    then lexicographically: the order in which the checks over a small box
-    list their elements. The grid rows, already lexicographic, stably
-    sorted on their sup norm."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    ks = _grid_rows(radius)
-    return ks[np.argsort(np.abs(ks).max(axis=1), kind="stable")]
 
 
 # Rows per block of :func:`slab_blocks`, at least one slab.

@@ -1,9 +1,9 @@
 """Bit-exact export and reload of quantum theta series coefficients.
 
 Two formats, rows in the grid order of :class:`QuantumThetaSeries` (the
-last index fastest). The CSV table has a fixed header and
-17-significant-digit decimals, with each index and its ambient coordinates
-beside its coefficient. The JSON table holds what fixes the series: the
+last index fastest, :func:`enumerate_indices`). The CSV table has a fixed
+header and 17-significant-digit decimals, with each index and its ambient
+coordinates beside its coefficient. The JSON table holds what fixes the series: the
 embedding and structure parameters, the radius and the normalization, each
 distinct coefficient once as an ``[re, im]`` pair in ``values``, and per
 index one code into ``values`` in ``coefficients``, in grid order, so a
@@ -22,7 +22,6 @@ import numpy as np
 
 from .embedding import (
     EmbeddingKind,
-    _grid_rows,
     build_embedding,
     enumerate_indices,
     index_planes,
@@ -40,10 +39,6 @@ from .special import HermitianFormContext
 from .structures import structure_from_tau
 
 CSV_HEADER = "k1,k2,k3,k4,w1,w2,m1,m2,t1,t2,re,im"
-
-# How a refused table of an earlier layout is written anew.
-_WRITE_ANEW = ("The header's embedding, structure and radius make the config from which"
-               " `nctheta quantum-theta` writes the table anew")
 
 # One CSV row, filled from the columns k1..k4, w1, w2, m1, m2, t1, t2, re, im.
 _CSV_ROW = "%d,%d,%d,%d," + ",".join(["%.17g"] * 8) + "\n"
@@ -242,9 +237,7 @@ def load_series(path) -> QuantumThetaSeries:
     structure. Otherwise ValueError, naming the path, also for a file that
     is not UTF-8 text or JSON. The row count is checked first, so the work
     is bounded by the table's size whatever radius it names, and a message
-    that names an index decodes that row alone. Earlier layouts are
-    refused: rows that are [re, im] lists or objects, and codes in the
-    order of :func:`enumerate_indices`, which fail the reassembly check.
+    that names an index decodes that row alone.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -255,8 +248,8 @@ def load_series(path) -> QuantumThetaSeries:
         e, st = data["embedding"], data["structure"]
         kind, theta1, tau = e["kind"], e["theta1"], st["tau"]
         radius, normalization, rows = data["radius"], data["normalization"], data["coefficients"]
-        table_kind = data["kind"]
-        if type(rows) is not list:
+        table_kind, pairs = data["kind"], data["values"]
+        if type(rows) is not list or type(pairs) is not list:
             raise TypeError
     except KeyError as err:
         raise ValueError(f"{path}: the table has no {err} entry") from None
@@ -270,27 +263,12 @@ def load_series(path) -> QuantumThetaSeries:
                          f" indices of radius {radius}")
 
     def label_at(row: int) -> str:
-        # tables without "values" listed their rows in the order of enumerate_indices
-        if "values" not in data:
-            return _label(enumerate_indices(radius)[row])
-        return _label(_grid_rows(radius, slice(row, row + 1))[0])
+        return _label(enumerate_indices(radius, slice(row, row + 1))[0])
 
-    pairs = data.get("values")
-    n = len(pairs) if type(pairs) is list else 0
+    n = len(pairs)
     codes = np.array(rows) if set(map(type, rows)) == {int} else None
     if codes is None or codes.min() < 0 or codes.max() >= n:
         first = next(i for i, c in enumerate(rows) if type(c) is not int or not 0 <= c < n)
-        # tables of the earlier layouts have no "values"; their rows name the layout
-        if type(rows[first]) in (list, dict):
-            layout = "an object" if type(rows[first]) is dict else "an [re, im] list"
-            raise ValueError(
-                f"{path}: the row for index {label_at(first)} is {layout}, the"
-                " layout of earlier tables; a row is now a code into \"values\", in grid"
-                f" order. {_WRITE_ANEW}")
-        if "values" not in data:
-            raise ValueError(f"{path}: the table has no 'values' entry")
-        if type(pairs) is not list:
-            raise ValueError(f"{path}: not laid out as a coefficient table")
         raise ValueError(f"{path}: the code for index {label_at(first)} is not an"
                          f" integer in range({n})")
     nan = (math.nan, math.nan)
@@ -324,6 +302,5 @@ def load_series(path) -> QuantumThetaSeries:
     bad = _reassembly_failure(series)
     if bad is not None:
         raise ValueError(f"{path}: stored coefficient at {bad} does not reassemble the"
-                         " inner product; a table lists its codes in grid order, not in the"
-                         f" order of enumerate_indices(radius) of earlier tables. {_WRITE_ANEW}")
+                         " inner product")
     return series

@@ -33,7 +33,6 @@ from .embedding import (
     LatticeElement,
     _index_rows,
     _exponent_split,
-    _grid_rows,
     _paired_exponent,
     enumerate_indices,
     index_planes,
@@ -184,9 +183,10 @@ class QuantumThetaSeries:
     of the (k1, k2) plane plus point b of the (k3, k4) plane at
     a (2r+1)^2 + b (:func:`index_planes`). The constructor refuses another
     shape. The series stores nothing else: ``indices``, the (N, 4) index
-    rows in the same order, is decoded on each read. ``coefficients`` is a
-    read-only mapping view. ``normalization`` is the constant relating the
-    self-pairing of the theta vector to the series. Series compare by identity.
+    rows in the same order (:func:`enumerate_indices`), is decoded on each
+    read. ``coefficients`` is a read-only mapping view. ``normalization`` is
+    the constant relating the self-pairing of the theta vector to the
+    series. Series compare by identity.
     """
 
     embedding: EmbeddingMap
@@ -212,7 +212,7 @@ class QuantumThetaSeries:
     @property
     def indices(self) -> np.ndarray:
         """Index row of each value, (N, 4) int64."""
-        return _grid_rows(self.radius)
+        return enumerate_indices(self.radius)
 
     def coefficient(self, k) -> complex:
         """C(k); KeyError when k has not four integral entries or lies outside the radius."""
@@ -342,8 +342,8 @@ def _reassembly_failure(series: QuantumThetaSeries) -> str | None:
 
     For every index with sup norm <= min(radius, 2), normalization times
     the stored coefficient must reproduce the closed-form inner product;
-    None when it does everywhere. The indices are read in the order of
-    :func:`enumerate_indices`, which fixes the label of the first failure.
+    None when it does everywhere. The indices are read in grid order
+    (:func:`enumerate_indices`), which fixes the label of the first failure.
     """
     ks = enumerate_indices(min(series.radius, 2))
     closed = inner_product_closed(theta_vector(series.structure),
@@ -558,9 +558,8 @@ def verify_functional_equation(series: QuantumThetaSeries, kg) -> VerificationRe
     tolerance = 1e-9 if series.kind is EmbeddingKind.VECTOR_SPACE else 1e-12
     interior = radius - g_norm
 
-    # the h with |g + h| <= interior, in the order of enumerate_indices(radius)
-    kh = _grid_rows(interior) - kg
-    kh = kh[np.argsort(np.abs(kh).max(axis=1), kind="stable")]
+    # the h with |g + h| <= interior, g + h in grid order
+    kh = enumerate_indices(interior) - kg
     lg, lh, _, lt = _log_translation(series, kg[None], kh)
     alpha = np.exp(1j * math.pi * _paired_exponent(series.embedding, kg, kh))
     lhs = np.exp(lg + lh + lt) * alpha

@@ -260,7 +260,7 @@ def _suite_inner_product(ctx: RunContext) -> list[VerificationReport]:
     ks = enumerate_indices(1)
     closed = inner_product_closed(f, lattice_element(emb, np.concatenate([ks, -ks])))
     at_k, at_minus_k = np.split(closed, 2)
-    zero = complex(at_k[0])  # ks[0] is the zero index
+    zero = complex(at_k[len(ks) // 2])  # in grid order k = 0 is at the centre
     reports = [
         VerificationReport.build("inner-product-conjugate-symmetry", map(_label, ks),
                                  np.abs(at_minus_k - np.conj(at_k)), tol["identity_abs"]),

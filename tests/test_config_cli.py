@@ -253,6 +253,12 @@ def _reload_outcome(path):
         return str(err)
 
 
+def _shell_order(radius):
+    """Grid positions of radius r in shell order, the order in which tables
+    were written before the grid order: sup norm first, then lexicographic."""
+    return np.argsort(np.abs(enumerate_indices(radius)).max(axis=1), kind="stable")
+
+
 @pytest.fixture(scope="class")
 def golden_tables(lattice_config, vector_config, tmp_path_factory):
     """The tables of tests/golden/table_digests.json, by name, as (radius, bytes)."""
@@ -277,15 +283,14 @@ class TestExport:
                 for name, (_, table) in golden_tables.items()} == golden
 
     def test_tables_are_the_shell_order_tables_permuted(self, golden_tables):
-        # a table's rows are in grid order; put into the order of
-        # enumerate_indices, in which tables were written before, each is the
-        # earlier table byte for byte: the CSV lines move, and so do the JSON
-        # codes, while its values do not
+        # a table's rows are in grid order; put into shell order (sup norm,
+        # then lexicographic), in which tables were written before, each is
+        # the earlier table byte for byte: the CSV lines move, and so do the
+        # JSON codes, while its values do not
         shell = load_golden("table_digests.json")["shell_order_sha256"]
         digests = {}
         for name, (radius, table) in golden_tables.items():
-            ks = enumerate_indices(radius)
-            order = np.ravel_multi_index(tuple((ks + radius).T), (2 * radius + 1,) * 4)
+            order = _shell_order(radius)
             if name.endswith("csv"):
                 header, *lines = table.split(b"\n")[:-1]
                 table = b"\n".join([header] + [lines[p] for p in order.tolist()]) + b"\n"
@@ -406,7 +411,6 @@ class TestExport:
         shared = _label(series.indices[rows.index(rows[-1])])
         assert shared != "3,3,3,3"
         not_finite = f"coefficient at {k} is not a pair of finite floats"
-        earlier = f"the row for index {k} is an object, the layout of earlier tables"
         bad_code = f"the code for index {k} is not an integer in range({len(values)})"
         message = {"missing": "holds 2400 rows, not the 2401 indices of radius 3",
                    "added": "holds 2402 rows, not the 2401 indices of radius 3",
@@ -414,8 +418,7 @@ class TestExport:
                    "true-re": not_finite, "int-im": not_finite, "null-re": not_finite,
                    "nan-re": not_finite,
                    "shared-nan-im": f"coefficient at {shared} is not a pair of finite floats",
-                   "object-row": earlier, "ambient-row": earlier,
-                   "pair-row": earlier.replace("an object", "an [re, im] list"),
+                   "object-row": bad_code, "ambient-row": bad_code, "pair-row": bad_code,
                    "true-code": bad_code, "float-code": bad_code, "string-code": bad_code,
                    "negative-code": bad_code, "past-values-code": bad_code,
                    "rows-not-a-list": "not laid out as a coefficient table",
@@ -519,7 +522,7 @@ class TestExport:
         ("row-of-two-pairs", "not a JSON table"),
         ("int-re", "is not a pair of finite floats"),
         ("nan-re", "is not a pair of finite floats"),
-        ("object-row", "is an object, the layout of earlier tables"),
+        ("object-row", "code for index -2,-2,-2,-2 is not an integer"),
         ("duplicate-key-first", None),
         ("duplicate-key-last", "holds 1 rows, not the 625 indices"),
         ("nested-entry", "holds 0 rows, not the 625 indices")])
@@ -676,8 +679,8 @@ class TestExport:
                                                               kind, layout, capsys):
         # a table without "values" whose rows are {"im", "k", "re"} objects,
         # with the index's ambient coordinates or without, or [re, im] lists,
-        # is refused; its header makes the config from which the CLI writes
-        # the table anew
+        # is refused as any table without "values"; its header makes the
+        # config from which the CLI writes the table anew
         if kind == "off-diagonal-vector":
             cfg = parse_config({"embedding": {"kind": "vector_space", "theta1": 0.5,
                                               "theta2": 0.4},
@@ -702,11 +705,9 @@ class TestExport:
             for (re, im), k, point in zip(pairs, series.indices.tolist(), ambient.tolist())]
         old = tmp_path / "old.json"
         old.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        row = r"an \[re, im\] list" if layout == "pairs" else "an object"
-        with pytest.raises(ValueError, match=f"old.json: the row for index 0,0,0,0 is {row},"
-                                             " the layout of earlier tables; .*"
-                                             "`nctheta quantum-theta` writes the table anew"):
+        with pytest.raises(ValueError) as refused:
             load_series(old)
+        assert str(refused.value) == f"{old}: the table has no 'values' entry"
         config = tmp_path / "config.json"
         config.write_text(json.dumps(header))
         assert main(["quantum-theta", "--config", str(config), "--output",
@@ -718,25 +719,19 @@ class TestExport:
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_reload_refuses_a_shell_order_table(self, request, tmp_path, kind):
         # tables written before the grid order held the same header and
-        # values, with the codes in the order of enumerate_indices; the
-        # reassembly check refuses one, first at k = 0, and says how to write
-        # the table anew
+        # values, with the codes in shell order; the reassembly check, which
+        # reads the sup-norm-2 box in grid order, refuses one at its first
+        # index, whose code is that of another index
         series = quantum_theta_series(request.getfixturevalue(f"{kind}_emb"),
                                       request.getfixturevalue(f"{kind}_structure"), radius=3)
         data = json.loads(export_coefficients(series, "json", tmp_path / "new.json").read_text())
-        ks = enumerate_indices(3)
-        order = np.ravel_multi_index(tuple((ks + 3).T), (7,) * 4)
-        data["coefficients"] = [data["coefficients"][p] for p in order.tolist()]
+        data["coefficients"] = [data["coefficients"][p] for p in _shell_order(3).tolist()]
         old = tmp_path / "old.json"
         old.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
         with pytest.raises(ValueError) as refused:
             load_series(old)
         assert str(refused.value) == (
-            f"{old}: stored coefficient at 0,0,0,0 does not reassemble the inner product;"
-            " a table lists its codes in grid order, not in the order of"
-            " enumerate_indices(radius) of earlier tables. The header's embedding,"
-            " structure and radius make the config from which `nctheta quantum-theta`"
-            " writes the table anew")
+            f"{old}: stored coefficient at -2,-2,-2,-2 does not reassemble the inner product")
 
     @pytest.mark.parametrize("kind", ["lattice", "vector", "non-canonical-lattice",
                                       "off-diagonal-vector"])
@@ -1178,6 +1173,22 @@ class TestSuiteCoverage:
         assert decay.metadata["rate"] == pytest.approx(0.113, abs=1e-3)
 
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_inner_product_norm_reads_the_zero_index(self, kind, request):
+        # norm_sq is the real part of <f, pi_0 f>, the closed form at k = 0,
+        # bit for bit; the suite lists its indices in grid order, where k = 0
+        # is the centre row, not the first
+        from nctheta.embedding import lattice_element
+        from nctheta.qtheta import inner_product_closed, theta_vector
+
+        cfg = request.getfixturevalue(f"{kind}_config")
+        report = run_suite(cfg, "inner-product")
+        (norm,) = [c for c in report.checks if c.name == "inner-product-norm"]
+        emb = cfg.build_embedding()
+        zero = inner_product_closed(theta_vector(cfg.build_structure(emb)),
+                                    lattice_element(emb, np.zeros(4, dtype=np.int64)))
+        assert np.float64(norm.metadata["norm_sq"]).tobytes() == np.float64(zero.real).tobytes()
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_a_nan_coefficient_fails_symmetry_and_decay(self, kind, request, monkeypatch):
         # the checks reduce block by block; with 7-row blocks the NaN at row
         # 100 and at its negation, row 524, lies in a later block than the
@@ -1221,29 +1232,25 @@ class TestSuiteCoverage:
     def test_quantum_theta_decodes_one_block_of_rows_at_a_time(self, kind, request,
                                                                 monkeypatch, tmp_path):
         # a radius-8 run and its CSV write read the two index planes of the
-        # grid, slab by slab: they decode no index row from a grid position
-        # and never enumerate the run's grid as (N, 4) rows
-        decode, enumerate_ = embedding_mod._grid_rows, embedding_mod.enumerate_indices
-        decoded, enumerated = [], []
+        # grid, slab by slab: they never decode the run's grid as (N, 4)
+        # rows. They still call enumerate_indices, at the reassembly
+        # check's radius: the benchmark's traced runs require a call
+        enumerate_ = embedding_mod.enumerate_indices
+        enumerated = []
 
-        def counted_decode(radius, rows=slice(None)):
-            decoded.append(radius)
-            return decode(radius, rows)
-
-        def counted_enumerate(radius):
+        def counted(radius, rows=slice(None)):
             enumerated.append(radius)
-            return enumerate_(radius)
+            return enumerate_(radius, rows)
 
-        spies = {decode: counted_decode, enumerate_: counted_enumerate}
         for module in [m for name, m in sys.modules.items() if name.startswith("nctheta")]:
             for attr, value in list(vars(module).items()):
-                if value is decode or value is enumerate_:
-                    monkeypatch.setattr(module, attr, spies[value])
+                if value is enumerate_:
+                    monkeypatch.setattr(module, attr, counted)
         cfg = request.getfixturevalue(f"{kind}_config")
         report = run_suite(parse_config({**cfg.raw, "radius": 8}), "quantum-theta")
         write_report(report, tmp_path / "r.csv", fmt="csv")
         assert report.passed, report.summary()
-        assert 8 not in decoded
+        assert enumerated
         assert 8 not in enumerated
         assert "indices" not in vars(report.series)
 

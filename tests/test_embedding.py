@@ -231,7 +231,7 @@ def test_point_parts_do_not_depend_on_the_call(seed):
     # each coordinate is summed term by term from +0.0, so the parts of the
     # radius-4 grid equal one-row calls and the parts of each row's plane
     # points, at its plane codes divmod(p, 81), bit for bit
-    ks = embedding._grid_rows(4)
+    ks = embedding.enumerate_indices(4)
     codes = np.divmod(np.arange(len(ks)), 81)
     for emb in _dense_embeddings(seed):
         table = np.concatenate(point_parts(emb, ks), axis=-1)
@@ -265,10 +265,10 @@ def test_index_planes_split_the_rows():
     assert not near[:, 2:].any() and not far[:, :2].any()
     # grid position p holds the sum of the points at its plane codes divmod(p, 49)
     a, b = np.divmod(np.arange(7 ** 4), 49)
-    assert np.array_equal(near[a] + far[b], embedding._grid_rows(3))
+    assert np.array_equal(near[a] + far[b], embedding.enumerate_indices(3))
     # a block of positions decodes to the same rows
     block = slice(100, 1100)
-    assert np.array_equal(embedding._grid_rows(3, block), near[a[block]] + far[b[block]])
+    assert np.array_equal(embedding.enumerate_indices(3, block), near[a[block]] + far[b[block]])
     vec = embedding.index_planes(build_embedding(EmbeddingKind.VECTOR_SPACE, 0.5, 0.4), 3)
     # (theta1 k1, theta2 k3, k2, k4)
     assert vec[1] == (0, 1, 0, 1)
@@ -327,7 +327,7 @@ def test_plane_codes_match_the_sorted_reference(lattice_emb, radius, rows, corne
 def test_index_planes_of_the_canonical_grid_sort_nothing(monkeypatch, lattice_emb, radius):
     calls = _count_unique_calls(monkeypatch)
     (near, far), _ = embedding.index_planes(lattice_emb, radius)
-    ks = embedding._grid_rows(radius)
+    ks = embedding.enumerate_indices(radius)
     assert calls == []
     assert len(near) == len(far) == (2 * radius + 1) ** 2
     # the points of each plane's box, in lexicographic order
@@ -353,13 +353,12 @@ def test_enumerate_counts_and_order(lattice_emb):
     assert len(enumerate_indices(1)) == 81
     els = [lattice_element(lattice_emb, k) for k in enumerate_indices(2)]
     assert len(els) == 625
-    assert tuple(els[0].k) == (0, 0, 0, 0)
-    norms = [max(abs(c) for c in e.k) for e in els]
-    assert norms == sorted(norms)
-    # reference definition of the canonical order: sup norm, then lexicographic
+    # grid order: the zero index at the centre, -k at the mirrored position
+    assert tuple(els[312].k) == (0, 0, 0, 0)
+    assert all(np.array_equal(a.k, -b.k) for a, b in zip(els, els[::-1]))
+    # reference definition of the grid order: lexicographic, the last index fastest
     rng = range(-3, 4)
-    reference = sorted(itertools.product(rng, rng, rng, rng),
-                       key=lambda k: (max(abs(c) for c in k), k))
+    reference = list(itertools.product(rng, rng, rng, rng))
     ks = enumerate_indices(3)
     assert ks.dtype == np.int64
     assert [tuple(k) for k in ks.tolist()] == reference
@@ -368,30 +367,26 @@ def test_enumerate_counts_and_order(lattice_emb):
 @pytest.mark.parametrize("radius", range(14))
 def test_enumerate_indices_matches_the_sorted_grid(radius):
     # the grid order of a series is the "ij" grid rows, the last axis
-    # fastest; enumerate_indices is those rows stably sorted on their sup norm
+    # fastest, sorted lexicographically; a slice of positions decodes to
+    # those rows of the grid
     rng = np.arange(-radius, radius + 1, dtype=np.int64)
     grid = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 4)
-    rows = embedding._grid_rows(radius)
-    assert rows.dtype == grid.dtype == np.int64
-    np.testing.assert_array_equal(rows, grid)
     ks = enumerate_indices(radius)
-    assert ks.dtype == np.int64
-    np.testing.assert_array_equal(ks, grid[np.argsort(np.abs(grid).max(axis=1), kind="stable")])
+    assert ks.dtype == grid.dtype == np.int64
+    np.testing.assert_array_equal(ks, grid)
+    np.testing.assert_array_equal(enumerate_indices(radius, slice(1, None, 3)), grid[1::3])
 
 
-def test_enumerate_indices_is_the_prefix_of_every_larger_radius():
+def test_enumerate_indices_is_the_centre_box_of_every_larger_radius():
     # the grid of a smaller radius is the centre box of every larger grid,
-    # which the reassembly check reads at sup norm <= 2; and enumerate_indices,
-    # the order in which it lists that box, is the prefix of every larger one
+    # which the reassembly check reads at sup norm <= 2
     for large in range(9):
         side = 2 * large + 1
-        grid = embedding._grid_rows(large).reshape((side,) * 4 + (4,))
-        ordered = enumerate_indices(large)
+        grid = enumerate_indices(large).reshape((side,) * 4 + (4,))
         for q in range(large + 1):
             box = slice(large - q, large + q + 1)
             np.testing.assert_array_equal(grid[box, box, box, box].reshape(-1, 4),
-                                          embedding._grid_rows(q))
-            np.testing.assert_array_equal(ordered[:(2 * q + 1) ** 4], enumerate_indices(q))
+                                          enumerate_indices(q))
 
 
 def test_enumerate_indices_rejects_negative():

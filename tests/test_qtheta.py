@@ -351,7 +351,7 @@ class TestSeries:
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_reassembly_refuses_permuted_head_rows(self, kind, request):
         # a series holds its values in grid order; the check reads the 625
-        # positions of the sup-norm-2 box in the order of enumerate_indices
+        # positions of the sup-norm-2 box in grid order too (enumerate_indices)
         # and refuses a permutation of them at the first index whose value
         # leaves the closed form, that is, its own value: indices of one
         # orbit share a value, so that index may lie past the first moved one
@@ -370,7 +370,7 @@ class TestSeries:
         assert left.any()
         assert qtheta_mod._reassembly_failure(series) is None
         assert qtheta_mod._reassembly_failure(permuted) == qtheta_mod._label(
-            ks[np.argmax(left)])
+            ks[np.argmax(left)]) == "-2,-2,-2,-2"
 
     @pytest.mark.parametrize("shape", [(9 ** 4 - 1,), (9 ** 4 + 1,), (9 ** 4, 1), (),
                                        (9, 9, 9, 9)])
@@ -452,7 +452,7 @@ class TestPlaneRoute:
     @pytest.mark.parametrize("name", ["fixture", "m2111", "random-1", "random-2", "random-6"])
     def test_plane_route_equals_the_row_formula(self, name, lattice_emb, lattice_structure):
         emb, structure = _plane_case(name, lattice_emb, lattice_structure)
-        ks = embedding_mod._grid_rows(4)  # the series' grid order
+        ks = embedding_mod.enumerate_indices(4)  # the series' grid order
         expo, site = qtheta_mod._coefficient_parts(emb, structure, ks)
         ref_expo, ref_site = _row_coefficient_parts(emb, structure, ks)
         assert expo.tobytes() == ref_expo.tobytes()
@@ -470,7 +470,7 @@ class TestPlaneRoute:
         changes = {"fixture": {}, "off-diagonal-tau": OFF_DIAGONAL_TAU,
                    "non-canonical-tau": {"tau": non_canonical}}
         emb, structure = _vector_setup(vector_config, **changes[name])
-        ks = embedding_mod._grid_rows(4)  # the series' grid order
+        ks = embedding_mod.enumerate_indices(4)  # the series' grid order
         pair = point_parts(emb, ks)
         ref_expo = -0.5 * math.pi * hermitian_form(HermitianFormContext(structure.T),
                                                    pair, pair).real
