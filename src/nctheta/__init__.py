@@ -18,7 +18,6 @@ from .embedding import (
     LatticeElement,
     build_embedding,
     commutation_matrix,
-    element_add,
     enumerate_indices,
     lattice_element,
     point_parts,

@@ -191,11 +191,6 @@ class RunConfig:
                                   self.structure.get("lattice_decay"))
 
 
-def _structure_shape_ok(kind: str, tau) -> bool:
-    scalar = isinstance(tau[0], (int, float))
-    return scalar == (kind == "lattice")
-
-
 def parse_config(data: dict, allow_invalid: bool = False) -> RunConfig:
     """Validate a raw config dict and fill defaults.
 
@@ -219,7 +214,7 @@ def parse_config(data: dict, allow_invalid: bool = False) -> RunConfig:
     if kind == "vector_space" and "lattice_decay" in data["structure"]:
         raise ConfigInvalid("lattice_decay applies to the lattice kind only",
                             "$.structure.lattice_decay")
-    if not _structure_shape_ok(kind, data["structure"]["tau"]):
+    if isinstance(data["structure"]["tau"][0], (int, float)) != (kind == "lattice"):
         raise ConfigInvalid(
             "tau must be a [re, im] pair for lattice kind, a 2x2 matrix of pairs"
             " for vector_space", "$.structure.tau")

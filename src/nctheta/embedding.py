@@ -268,11 +268,6 @@ def lattice_element(emb: EmbeddingMap, k) -> LatticeElement:
     return LatticeElement(emb.kind, k, *point_parts(emb, k))
 
 
-def element_add(emb: EmbeddingMap, x: LatticeElement, y: LatticeElement) -> LatticeElement:
-    """Lattice sum x + y, recomputed through the map so coordinates stay exact."""
-    return lattice_element(emb, x.k + y.k)
-
-
 def enumerate_indices(radius: int, rows: slice = slice(None)) -> np.ndarray:
     """Index rows (N, 4), int64, at the flat positions ROWS (all by default)
     of the (2r+1)^4 grid of radius r: position p holds the k with

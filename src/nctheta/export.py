@@ -118,16 +118,9 @@ def _row_parts(cells) -> list:
     return parts
 
 
-def _write(fh, text: str, digest) -> None:
-    """Write ``text`` to ``fh`` as ASCII bytes, and the same bytes to ``digest`` if given."""
-    data = text.encode("ascii")
-    if digest is not None:
-        digest.update(data)
-    fh.write(data)
-
-
-def _write_table(fh, series: QuantumThetaSeries, digest) -> None:
-    """Write the CSV rows of the table to the binary file ``fh`` (:func:`_write`).
+def _write_table(fh, series: QuantumThetaSeries) -> None:
+    """Write the CSV rows of the table to the binary file ``fh``, as ASCII
+    bytes, one slab at a time.
 
     Rows are placed a block of :func:`slab_blocks` at a time in a piece list
     kept for the table, a (slabs, (2r+1)^2, parts) object array of the parts
@@ -157,7 +150,7 @@ def _write_table(fh, series: QuantumThetaSeries, digest) -> None:
                 codes = np.searchsorted(distinct[source - 2], bits[source - 2][rows])
                 text[:, :, j] = payload[codes].reshape(len(text), plane)
         for slab in text:
-            _write(fh, "".join(slab.ravel().tolist()), digest)
+            fh.write("".join(slab.ravel().tolist()).encode("ascii"))
 
 
 def _values_and_codes(series: QuantumThetaSeries):
@@ -182,16 +175,19 @@ def _values_and_codes(series: QuantumThetaSeries):
 
 
 def export_coefficients(series: QuantumThetaSeries, fmt: str, path, *, digest=None) -> Path:
-    """Write the coefficient table, and its bytes to ``digest`` if given; returns the path."""
+    """Write the coefficient table, and a JSON table's bytes to ``digest`` if
+    given; returns the path. A CSV table is not hashed: a digest with
+    ``fmt="csv"`` is refused before any file is made."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format: {fmt}")
+    if fmt == "csv" and digest is not None:
+        raise ValueError("only a JSON table is hashed as it is written")
     path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         with path.open("wb") as fh:
-            _write(fh, CSV_HEADER + "\n", digest)
-            _write_table(fh, series, digest)
+            fh.write((CSV_HEADER + "\n").encode("ascii"))
+            _write_table(fh, series)
         return path
     emb = series.embedding
     emb_params = {"kind": emb.kind.value, "theta1": emb.theta1}
@@ -202,7 +198,7 @@ def export_coefficients(series: QuantumThetaSeries, fmt: str, path, *, digest=No
         emb_params["theta2"] = emb.theta2
 
     st = series.structure
-    t = st.tau()
+    t = st.tau_matrix
     # tau as [re, im] pairs: a 2x2 matrix of them on the plane, the one pair on R x Z^2
     pairs = np.stack([t.real, t.imag], axis=-1).tolist()
     st_params = ({"tau": pairs} if st.lattice_decay is None
@@ -220,8 +216,10 @@ def export_coefficients(series: QuantumThetaSeries, fmt: str, path, *, digest=No
     text = json.dumps(payload, indent=2, sort_keys=True)
     text = text.replace('"coefficients": []', f'"coefficients": [{codes}]', 1)
     text = text.replace('"values": []', f'"values": [\n{values}\n  ]', 1)
-    with path.open("wb") as fh:
-        _write(fh, text + "\n", digest)
+    data = (text + "\n").encode("ascii")
+    if digest is not None:
+        digest.update(data)
+    path.write_bytes(data)
     return path
 
 

@@ -28,7 +28,6 @@ from .embedding import (
     EmbeddingMap,
     LatticeElement,
     _paired_exponent,
-    element_add,
     lattice_element,
 )
 from .errors import (
@@ -454,26 +453,28 @@ def representation_defect(emb: EmbeddingMap, g: LatticeElement, h: LatticeElemen
 
     A pair is resolved when max |alpha pi_{g+h} f| on the grid reaches
     PHASE_MASK_THRESHOLD max |f| and every sample of both sides is finite.
-    An unresolved pair reads NaN: its samples vanish on the grid, or a
-    descriptor over- or underflowed on the way (pi_h f with an amplitude of
-    0 that pi_g multiplies by an overflowing exponential). Pairs run in
-    blocks of REPRESENTATION_BLOCK, so memory does not grow with their
-    number. One pair gives a float.
+    An unresolved pair reads NaN, with no numpy warning: its samples vanish
+    on the grid, or a descriptor over- or underflowed on the way (pi_h f
+    with an amplitude of 0 that pi_g multiplies by an overflowing
+    exponential). Pairs run in blocks of REPRESENTATION_BLOCK, so memory
+    does not grow with their number. One pair gives a float.
     """
     denom = float(np.max(np.abs(f.values)))
     if denom == 0.0:
         raise DegenerateTestVector("zero test vector")
     alpha = np.exp(1j * math.pi * _paired_exponent(emb, g.k, h.k))
     shape = alpha.shape
-    sides = [_pair_rows(el, shape) for el in (g, h, element_add(emb, g, h))]
+    total = lattice_element(emb, g.k + h.k)
+    sides = [_pair_rows(el, shape) for el in (g, h, total)]
     grids = f.grids()
     alpha = alpha.reshape((-1,) + (1,) * len(grids))
     out = np.empty(len(alpha))
     for lo in range(0, len(alpha), REPRESENTATION_BLOCK):
         gb, hb, sb = (LatticeElement(emb.kind, *(a[lo:lo + REPRESENTATION_BLOCK] for a in side))
                       for side in sides)
-        lhs = _transform_closed(gb, _transform_closed(hb, f.source)).evaluate(*grids)
-        rhs = _transform_closed(sb, f.source).evaluate(*grids)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = _transform_closed(gb, _transform_closed(hb, f.source)).evaluate(*grids)
+            rhs = _transform_closed(sb, f.source).evaluate(*grids)
         np.multiply(alpha[lo:lo + REPRESENTATION_BLOCK], rhs, out=rhs)
         peak = np.max(np.abs(rhs).reshape(len(rhs), -1), axis=1)
         lhs -= rhs

@@ -163,12 +163,12 @@ def inner_product_oracle(f: ClosedFormVector, h: LatticeElement, tol: float = 1e
     quad = f.quadratic - np.conj(g.quadratic)
     lin = 2.0 * (f.linear - np.conj(g.linear))
     if f.kind is EmbeddingKind.LATTICE:
-        s_part = gaussian_quadrature_oracle(quad[0, 0], lin[..., 0], 0.0, tol)
+        s_part = gaussian_quadrature_oracle(quad[0, 0], lin[..., 0], tol)
         n_part = _discrete_cross_sum(f.decay, f.n_shift, g.n_shift,
                                      np.subtract(f.n_phase, g.n_phase), tol)
         values = _cmul(_cmul(amp, s_part), n_part)
     else:
-        values = _cmul(amp, gaussian_quadrature_oracle_2d(quad, lin, 0.0, tol))
+        values = _cmul(amp, gaussian_quadrature_oracle_2d(quad, lin, tol))
     return complex(values) if values.ndim == 0 else values
 
 
@@ -248,23 +248,19 @@ class _CoefficientView(Mapping):
         return product(range(-r, r + 1), repeat=4)
 
 
-def _rows(series: QuantumThetaSeries, ks) -> np.ndarray:
-    """Grid position in the series' values of each index of an (N, 4) index array.
+def _stored_values(series: QuantumThetaSeries, ks) -> np.ndarray:
+    """Stored coefficients at the rows of an (N, 4) index array, read at their
+    grid positions.
 
     The range check comes first: an index outside the radius raises
     KeyError rather than wrapping round to another row of the table. The
     magnitudes are read as uint64, where |-2^63| does not wrap.
     """
-    ks = _index_rows(ks)
-    outside = np.abs(ks).view(np.uint64).max(axis=1, initial=0) > series.radius
+    ks, r = _index_rows(ks), series.radius
+    outside = np.abs(ks).view(np.uint64).max(axis=1, initial=0) > r
     if np.any(outside):
         raise KeyError(tuple(ks[np.argmax(outside)].tolist()))
-    return np.ravel_multi_index(tuple((ks + series.radius).T), (2 * series.radius + 1,) * 4)
-
-
-def _stored_values(series: QuantumThetaSeries, ks) -> np.ndarray:
-    """Stored coefficients at the rows of an (N, 4) index array."""
-    return series.values[_rows(series, ks)]
+    return series.values[np.ravel_multi_index(tuple((ks + r).T), (2 * r + 1,) * 4)]
 
 
 def _continuous(d: int, parts):

@@ -63,6 +63,8 @@ from .special import (
     theta_truncation,
 )
 from .structures import (
+    FORCED_DET,
+    RELATIONS,
     antiholomorphic_rows,
     connection_combo_residual,
     holomorphic_feasibility,
@@ -238,20 +240,16 @@ def _suite_nogo(ctx: RunContext) -> list[VerificationReport]:
     rng = ctx.rng("nogo")
     embeddings = [ctx.emb] + [_random_lattice_embedding(rng) for _ in range(4)]
     entries = {}
-    first = None
     for ti in range(20):
         signs = rng.choice([-1.0, 1.0], size=(2, 2, 2))
         tau = (rng.uniform(0.3, 2.0, size=(2, 2)) * signs[..., 0]
                + 1j * rng.uniform(0.3, 2.0, size=(2, 2)) * signs[..., 1])
         for mi, emb in enumerate(embeddings):
             cert = holomorphic_feasibility(emb, tau)
-            ok = cert.infeasible
-            entries[f"tau {ti} m {mi}"] = 0.0 if ok else 1.0
-            if first is None:
-                first = cert
+            entries[f"tau {ti} m {mi}"] = 0.0 if cert.infeasible else 1.0
     return [VerificationReport.build(
         "holomorphy-nogo-certificates", entries, list(entries.values()), 0.5,
-        relations=list(first.relations), forced_det=first.forced_det)]
+        relations=list(RELATIONS), forced_det=FORCED_DET)]
 
 
 def _suite_inner_product(ctx: RunContext) -> list[VerificationReport]:
@@ -528,8 +526,7 @@ def write_report(report: RunReport, path, fmt: str = "json") -> Path:
     to PATH and named in ``artifacts``; a JSON report, which prints them, adds
     the sha256 of its bytes as written."""
     path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     if report.series is not None:
         digest = hashlib.sha256() if fmt == "json" else None
         table = path.with_name(f"{path.stem}.coefficients.{fmt}")

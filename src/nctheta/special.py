@@ -245,8 +245,8 @@ def mode_factor(t, m, theta2: float):
     return float(value) if value.ndim == 0 else value
 
 
-def gaussian_quadrature_oracle(quadratic, linear=0.0, constant=0.0, tol: float = 1e-10):
-    """Trapezoid integrals of exp(pi i (q s^2 + l s)) exp(-pi c) over the line, one per row.
+def gaussian_quadrature_oracle(quadratic, linear=0.0, tol: float = 1e-10):
+    """Trapezoid integrals of exp(pi i (q s^2 + l s)) over the line, one per row.
 
     The arguments broadcast, and each element of the broadcast shape is a
     row; scalar arguments return a complex. Each row gets a symmetric
@@ -260,8 +260,9 @@ def gaussian_quadrature_oracle(quadratic, linear=0.0, constant=0.0, tol: float =
     computed together, with the same floating-point operations as a single
     row on its own.
     """
-    q, l, c = np.broadcast_arrays(*(np.asarray(a, dtype=complex)
-                                    for a in (quadratic, linear, constant)))
+    q, l = np.broadcast_arrays(np.asarray(quadratic, dtype=complex),
+                               np.asarray(linear, dtype=complex))
+    shape = q.shape
     q, l = q.reshape(-1, 1), l.reshape(-1, 1)
     if not tol >= 2.0 ** -52:
         raise DivergentIntegral(
@@ -301,21 +302,21 @@ def gaussian_quadrature_oracle(quadratic, linear=0.0, constant=0.0, tol: float =
         done = abs(cur - prev) <= tol * np.maximum(scale, 1e-300)
         out[rows[done]] = cur[done]
         if done.all():
-            value = _cmul(np.exp(-math.pi * c), out.reshape(c.shape))
+            value = out.reshape(shape)
             return complex(value) if value.ndim == 0 else value
         keep = ~done
         rows, prev, q, l, half = rows[keep], cur[keep], q[keep], l[keep], half[keep]
     raise DivergentIntegral("quadrature did not reach the requested tolerance")
 
 
-def gaussian_quadrature_oracle_2d(quadratic, linear, constant=0.0, tol: float = 1e-10):
-    """Integral of exp(pi i (s^t q s + l . s)) exp(-pi c) over R^2, as two line integrals.
+def gaussian_quadrature_oracle_2d(quadratic, linear, tol: float = 1e-10):
+    """Integral of exp(pi i (s^t q s + l . s)) over R^2, as two line integrals.
 
     ``quadratic`` is a 2x2 complex matrix whose symmetric part has a
     positive-definite imaginary part. Leading axes of ``quadratic``
-    (..., 2, 2), ``linear`` (..., 2) and ``constant`` are rows, and a
-    single row returns a complex. With that symmetric part q, the
-    Cholesky factor Im q = L L^t and the eigenbasis
+    (..., 2, 2) and ``linear`` (..., 2) are rows, and a single row returns
+    a complex. With that symmetric part q, the Cholesky factor
+    Im q = L L^t and the eigenbasis
     L^{-1} Re q L^{-t} = R diag(mu) R^t, the real map s = T u with
     T = L^{-t} R gives T^t q T = diag(mu) + i I. By Fubini the integral is
     |det T| times the product over k of the line integrals of
@@ -344,8 +345,7 @@ def gaussian_quadrature_oracle_2d(quadratic, linear, constant=0.0, tol: float = 
     chol_inv = np.linalg.inv(chol)
     mu, rot = np.linalg.eigh(chol_inv @ q.real @ np.swapaxes(chol_inv, -1, -2))
     t = np.swapaxes(chol_inv, -1, -2) @ rot
-    lines = gaussian_quadrature_oracle(mu + 1j, (l[..., None, :] @ t)[..., 0, :], 0.0, tol / 2.0)
+    lines = gaussian_quadrature_oracle(mu + 1j, (l[..., None, :] @ t)[..., 0, :], tol / 2.0)
     jacobian = 1.0 / (chol[..., 0, 0] * chol[..., 1, 1])
-    value = _cmul(np.exp(-math.pi * np.asarray(constant, dtype=complex)),
-                  _cmul(_cmul(jacobian, lines[..., 0]), lines[..., 1]))
+    value = _cmul(_cmul(jacobian, lines[..., 0]), lines[..., 1])
     return complex(value) if value.ndim == 0 else value

@@ -41,7 +41,9 @@ HOLOMORPHY_MASK_REL = 1e-5
 class ComplexStructure:
     """Complex structure T, d x d, over the vector-space part R^d of the module.
 
-    ``tau_matrix`` is the d x d parameter matrix T was built from, as given.
+    ``tau_matrix`` is the d x d parameter matrix T was built from (column j
+    of T times theta_j), as given: recomputing it from T could move its
+    last digits.
     ``lattice_decay`` is the rate of the Schwartz weight over Z^2 and is set
     exactly on the lattice kind, R x Z^2, where d = 1.
     """
@@ -53,11 +55,6 @@ class ComplexStructure:
     @property
     def kind(self) -> EmbeddingKind:
         return EmbeddingKind.VECTOR_SPACE if self.lattice_decay is None else EmbeddingKind.LATTICE
-
-    def tau(self) -> np.ndarray:
-        """Parameter matrix, column j of T times theta_j, as the structure was
-        built from it: recomputing it from T could move its last digits."""
-        return self.tau_matrix
 
 
 def make_complex_structure(kind: EmbeddingKind, tau, theta1: float, theta2: float,
@@ -124,7 +121,7 @@ def theta_vector(structure: ComplexStructure) -> ClosedFormVector:
 def antiholomorphic_rows(structure: ComplexStructure) -> np.ndarray:
     """Coefficient rows (d, 4) of the antiholomorphic connections in the nabla
     basis: row j holds tau[j] on the position slots, 1 on its own momentum slot."""
-    t = structure.tau()
+    t = structure.tau_matrix
     rows = np.stack([t, np.eye(len(t))], axis=-1).reshape(len(t), -1)
     return np.pad(rows, ((0, 0), (0, 4 - rows.shape[1])))
 

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 import nctheta
 from conftest import load_golden
 from nctheta import embedding as embedding_mod
-from nctheta import export
 from nctheta.cli import EXIT_INTERNAL_ERROR, main
 from nctheta.config import _SCHEMA_KEYWORDS, CONFIG_SCHEMA, _violation, load_config, parse_config
 from nctheta.embedding import enumerate_indices, point_parts
@@ -272,6 +271,35 @@ def golden_tables(lattice_config, vector_config, tmp_path_factory):
         path = export_coefficients(series, fmt, out / f"{kind}.{fmt}")
         tables[name] = series.radius, path.read_bytes()
     return tables
+
+
+class _WriteSpy:
+    """A binary file that records the bytes of each write before passing them on."""
+
+    def __init__(self, fh, writes: list):
+        self.fh, self.writes = fh, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return self.fh.write(data)
+
+
+def _spy_on_writes(monkeypatch, path: Path) -> list:
+    """The bytes of each write to PATH, as the file is opened through io.open."""
+    writes, original = [], io.open
+
+    def spy(file, mode="r", *args, **kwargs):
+        fh = original(file, mode, *args, **kwargs)
+        return _WriteSpy(fh, writes) if Path(file) == path else fh
+
+    monkeypatch.setattr(io, "open", spy)
+    return writes
 
 
 class TestExport:
@@ -819,24 +847,23 @@ class TestExport:
         block[:, 11] = series.values.imag
         expected = "".join(_CSV_ROW % tuple(r.tolist()) for r in block)
         # each write is the text of one slab of 25 rows, whatever the blocks
-        written, write = [], export._write
-
-        def counted(fh, text, digest):
-            written.append(text.count("\n"))
-            write(fh, text, digest)
-
-        monkeypatch.setattr(export, "_write", counted)
         # blocks of one slab of 25 rows, and of four slabs with one slab last
         for rows, sizes in ((37, [25] * 25), (100, [100] * 6 + [25])):
             monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", rows)
             assert [r.stop - r.start for r, _ in embedding_mod.slab_blocks(2)] == sizes
-            out, digest = io.BytesIO(), hashlib.sha256()
-            _write_table(out, series, digest)
+            out, written = io.BytesIO(), []
+            _write_table(_WriteSpy(out, written), series)
             assert out.getvalue().decode("ascii") == expected
-            assert digest.hexdigest() == hashlib.sha256(out.getvalue()).hexdigest()
-            assert written == [25] * 25
-            written.clear()
+            assert [text.count(b"\n") for text in written] == [25] * 25
         assert len(np.unique(block[:, 11])) == n
+
+    def test_csv_export_refuses_a_digest(self, tmp_path):
+        # only a JSON table is hashed; a CSV export asked for a digest makes no file
+        series = _non_canonical_series("lattice")
+        path = tmp_path / "out" / "t.csv"
+        with pytest.raises(ValueError, match="only a JSON table is hashed"):
+            export_coefficients(series, "csv", path, digest=hashlib.sha256())
+        assert not path.parent.exists()
 
     def test_index_planes_once_per_series(self, lattice_config, vector_emb, vector_structure,
                                           monkeypatch, tmp_path):
@@ -1051,47 +1078,46 @@ class TestRunSuite:
         import nctheta.report as report_mod
 
         report = run_suite(parse_config(minimal_lattice(radius=6)), "quantum-theta")
-        made, fed, write, original = [], [], export._write, hashlib.sha256
+        made, original = [], hashlib.sha256
 
         def sha256(*args):
             made.append(args)
             return original(*args)
 
-        def spy(fh, text, digest):
-            fed.append(digest)
-            write(fh, text, digest)
-
         monkeypatch.setattr(report_mod.hashlib, "sha256", sha256)
-        monkeypatch.setattr(export, "_write", spy)
+        written = _spy_on_writes(monkeypatch, tmp_path / "r.coefficients.csv")
         write_report(report, tmp_path / "r.csv", fmt="csv")
         monkeypatch.undo()
+        # no digest is made; the header and one write per slab of a table of several blocks
         assert made == []
-        # the header and one write per slab of a table of several blocks, none hashed
-        assert len(fed) == 1 + 13 ** 2 and set(fed) == {None}
+        assert len(written) == 1 + 13 ** 2
         data = (tmp_path / "r.coefficients.csv").read_bytes()
+        assert b"".join(written) == data
         assert len(data) > 2 << 20
         assert data == export_coefficients(report.series, "csv", tmp_path / "ref.csv").read_bytes()
         assert report.artifacts == {"coefficients": {"file": "r.coefficients.csv"}}
 
     def test_write_report_hashes_the_whole_json_table(self, monkeypatch, tmp_path):
         # the JSON report's sha256 covers every byte of its table, fed as written
+        import nctheta.report as report_mod
+
         report = run_suite(parse_config(minimal_lattice(radius=6)), "quantum-theta")
-        fed, write = [], export._write
+        made, original = [], hashlib.sha256
 
-        def spy(fh, text, digest):
-            fed.append((text, digest))
-            write(fh, text, digest)
+        def sha256(*args):
+            made.append(original(*args))
+            return made[-1]
 
-        monkeypatch.setattr(export, "_write", spy)
+        monkeypatch.setattr(report_mod.hashlib, "sha256", sha256)
+        written = _spy_on_writes(monkeypatch, tmp_path / "r.coefficients.json")
         path = write_report(report, tmp_path / "r.json")
         monkeypatch.undo()
         data = (tmp_path / "r.coefficients.json").read_bytes()
-        assert [digest is not None for _, digest in fed] == [True]
-        assert "".join(text for text, _ in fed).encode("ascii") == data
+        assert written == [data]
         reference = export_coefficients(report.series, "json", tmp_path / "ref.json")
         assert data == reference.read_bytes()
         sha = hashlib.sha256(data).hexdigest()
-        assert fed[0][1].hexdigest() == sha
+        assert [digest.hexdigest() for digest in made] == [sha]
         assert report.artifacts == {"coefficients": {"file": "r.coefficients.json", "sha256": sha}}
         assert json.loads(path.read_text())["artifacts"] == report.artifacts
 

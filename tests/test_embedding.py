@@ -1,8 +1,10 @@
 import cmath
 import copy
 import itertools
+import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,6 @@ from nctheta.embedding import (
     build_embedding,
     cocycle_identity_max_residual,
     commutation_matrix,
-    element_add,
     element_linearity_max_residual,
     enumerate_indices,
     lattice_element,
@@ -522,15 +523,19 @@ LARGE_DEFORMATIONS = {
 }
 
 
+def _large_deformation(which, lattice_config, vector_config):
+    cfg = copy.deepcopy((lattice_config if which.startswith("lattice") else vector_config).raw)
+    cfg["embedding"].update(LARGE_DEFORMATIONS[which])
+    return parse_config(cfg)
+
+
 @pytest.mark.parametrize("which", list(LARGE_DEFORMATIONS))
 def test_validate_passes_large_deformations(which, lattice_config, vector_config):
     # guards cocycle-identity, whose bound no longer grows with theta. On the
     # vector config pi_{g+h} f leaves the oracle's sample grid for every
     # drawn pair, so cocycle-operator-oracle resolves none and fails as a
     # named check instead of comparing vanishing samples
-    cfg = copy.deepcopy((lattice_config if which.startswith("lattice") else vector_config).raw)
-    cfg["embedding"].update(LARGE_DEFORMATIONS[which])
-    report = run_suite(parse_config(cfg), "validate")
+    report = run_suite(_large_deformation(which, lattice_config, vector_config), "validate")
     checks = {c.name: c for c in report.checks}
     failed = [c.name for c in report.checks if not c.passed]
     oracle = checks["cocycle-operator-oracle"]
@@ -541,6 +546,19 @@ def test_validate_passes_large_deformations(which, lattice_config, vector_config
         assert failed == []
         assert oracle.metadata["pairs_resolved"] >= 1
     assert checks["cocycle-identity"].tolerance == IDENTITY_ABS
+
+
+@pytest.mark.parametrize("which", list(LARGE_DEFORMATIONS))
+def test_validate_large_deformations_without_numpy_warnings(which, lattice_config,
+                                                            vector_config):
+    # the operator oracle reads a descriptor that over- or underflows as an
+    # unresolved pair, so turning warnings into errors leaves the report as it is
+    cfg = _large_deformation(which, lattice_config, vector_config)
+    report = run_suite(cfg, "validate")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strict = run_suite(cfg, "validate")
+    assert json.dumps(strict.to_dict()) == json.dumps(report.to_dict())
 
 
 @pytest.mark.parametrize("kind", ["lattice", "vector"])
@@ -796,7 +814,7 @@ def test_bicharacter_reads_the_paired_exponent(lattice_emb):
 def test_element_add(lattice_emb):
     x = lattice_element(lattice_emb, [1, 2, -1, 0])
     y = lattice_element(lattice_emb, [0, -1, 3, 2])
-    s = element_add(lattice_emb, x, y)
+    s = lattice_element(lattice_emb, x.k + y.k)
     assert tuple(s.k) == (1, 1, 2, 2)
     assert np.allclose(s.m_part, x.m_part + y.m_part, atol=1e-12)
     assert np.allclose(s.dual_part, x.dual_part + y.dual_part, atol=1e-12)

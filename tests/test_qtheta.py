@@ -32,7 +32,6 @@ from nctheta.heisenberg import apply_pi
 from nctheta.qtheta import (
     QuantumThetaSeries,
     _log_translation,
-    _rows,
     _stored_values,
     additivity_gap,
     inner_product_closed,
@@ -293,16 +292,17 @@ class TestSeries:
     def test_negated_rows_match_the_row_lookup(self, lattice_emb, lattice_structure, radius):
         # values are in grid order: the index rows of the grid, last axis
         # fastest, are at positions 0, 1, ..., and -k at the mirrored
-        # position, which the symmetry check reads as values[::-1]
+        # position, which the symmetry check reads as values[::-1]; each
+        # stored value is its own position, so a lookup reads the positions
         n = (2 * radius + 1) ** 4
         series = QuantumThetaSeries(lattice_emb, lattice_structure, radius, 1.0,
-                                    np.zeros(n, dtype=complex))
+                                    np.arange(n, dtype=complex))
         ks = series.indices
         assert ks.dtype == np.int64
         assert ks.tolist() == [list(k) for k in itertools.product(range(-radius, radius + 1),
                                                                   repeat=4)]
-        np.testing.assert_array_equal(_rows(series, ks), np.arange(n))
-        np.testing.assert_array_equal(_rows(series, -ks), np.arange(n)[::-1])
+        np.testing.assert_array_equal(_stored_values(series, ks), np.arange(n))
+        np.testing.assert_array_equal(_stored_values(series, -ks), np.arange(n)[::-1])
 
     @pytest.mark.parametrize("k", [(0.5, 0, 0, 0), (0.9, 0, 0, 0), (0, 0, 0, -3.5),
                                    (math.nan, 0, 0, 0), (math.inf, 0, 0, 0),
@@ -357,7 +357,8 @@ class TestSeries:
         # orbit share a value, so that index may lie past the first moved one
         series = request.getfixturevalue(f"{kind}_series")
         ks = enumerate_indices(2)
-        at = _rows(series, ks)
+        side = 2 * series.radius + 1
+        at = np.ravel_multi_index(tuple((ks + series.radius).T), (side,) * 4)
         assert sorted(at.tolist()) == [p for p, k in enumerate(series.indices.tolist())
                                        if max(map(abs, k)) <= 2]
         perm = np.random.default_rng(7).permutation(625)

@@ -49,7 +49,7 @@ class TestMakeStructure:
     def test_tau_is_the_one_given(self, kind, tau, theta1, theta2):
         # T times the thetas would move these in the last place
         st_ = make_complex_structure(kind, tau, theta1, theta2)
-        assert st_.tau().tolist() == np.array(tau, dtype=complex).reshape(st_.T.shape).tolist()
+        assert st_.tau_matrix.tolist() == np.array(tau, dtype=complex).reshape(st_.T.shape).tolist()
 
     def test_rejects_asymmetric_omega(self):
         with pytest.raises(ConsistencyViolated):
