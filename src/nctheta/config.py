@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +22,7 @@ DEFAULT_TOLERANCES = {
 }
 
 _NUM = {"type": "number"}
+_INT64 = {"type": "integer", "minimum": -2**63, "maximum": 2**63 - 1}
 _PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
 _MAT2 = {"type": "array", "minItems": 2, "maxItems": 2,
          "items": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}}
@@ -41,7 +43,7 @@ CONFIG_SCHEMA = {
                 "theta1": {"type": "number", "exclusiveMinimum": 0},
                 "theta2": {"type": "number", "exclusiveMinimum": 0},
                 "m": {"type": "array", "minItems": 2, "maxItems": 2,
-                      "items": {"type": "array", "items": {"type": "integer"},
+                      "items": {"type": "array", "items": _INT64,
                                 "minItems": 2, "maxItems": 2}},
                 "delta_hat": _MAT2,
                 "finite_part": {
@@ -85,13 +87,15 @@ CONFIG_SCHEMA = {
 
 # The JSON types of the schema. A "number" is finite: Python's JSON parser
 # and ``float`` accept NaN and infinities, which no tolerance or deformation
-# can take. An "integer" is a JSON integer, so 2.0 is not one.
+# can take, and integers of any size, which no double holds beyond
+# sys.float_info.max. An "integer" is a JSON integer, so 2.0 is not one.
 _JSON_TYPES = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
-    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
-    "number": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          and abs(x) <= sys.float_info.max),
+    "number": lambda x: (_JSON_TYPES["integer"](x)
                          or isinstance(x, float) and math.isfinite(x)),
 }
 # keyword: (the type it constrains, the test a violation passes, the message)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +39,9 @@ from .structures import structure_from_tau
 
 CSV_HEADER = "k1,k2,k3,k4,w1,w2,m1,m2,t1,t2,re,im"
 
-# One CSV row, filled from the columns k1..k4, w1, w2, m1, m2, t1, t2, re, im.
-_CSV_ROW = "%d,%d,%d,%d," + ",".join(["%.17g"] * 8) + "\n"
-# One conversion of the row template: %d or a %g with its precision.
-_CONVERSION = re.compile(r"%[.0-9]*[dg]")
+# The format of each CSV column, k1..k4, w1, w2, m1, m2, t1, t2, re, im;
+# a comma ends each column but the last, which ends the row.
+_CSV_FORMATS = ["%d"] * 4 + ["%.17g"] * 8
 
 
 def _ascending(bits) -> np.ndarray:
@@ -60,18 +58,18 @@ def _distinct(bits, blocks) -> np.ndarray:
     return _ascending(np.concatenate([_ascending(bits[rows]) for rows, _ in blocks]))
 
 
-def _table_cells(series: QuantumThetaSeries, points, reads, distinct):
-    """Source and values of each CSV column (k1..k4, w1, w2, m1, m2, t1,
-    t2, re, im).
+def _row_parts(series: QuantumThetaSeries, points, reads, distinct) -> list:
+    """The CSV row as parts, each (None, literal text) or (source, one text
+    per code of the source; see :func:`_write_table`).
 
-    A source numbers the codes that gather the values per row (see
-    :func:`_write_table`), or is None for a constant. Sources 0 and 1 are
-    the index planes, whose ``points`` the values run over, with ``reads``
-    (:func:`index_planes`); sources 2 and 3 the ``distinct`` bit patterns of
-    re and im (:func:`_distinct`), so each value is formatted once per
-    table. Lattice kind: (w1, w2, m1, m2, t1, t2) with unreduced torus
-    lifts. Vector-space kind: the M part fills (w1, w2), the dual part (t1,
-    t2), and the integer slots are zero.
+    Sources 0 and 1 are the index planes, whose ``points`` the columns read
+    as ``reads`` says (:func:`index_planes`), and sources 2 and 3 the
+    ``distinct`` bit patterns of re and im (:func:`_distinct`). Lattice kind:
+    (w1, w2, m1, m2, t1, t2) with unreduced torus lifts. Vector-space kind:
+    the M part fills (w1, w2), the dual part (t1, t2), and m1, m2 are zero.
+    Each value is formatted once, with its column's separator; a column of
+    one text is a literal, and a column joins the part before it when
+    either is a literal or both read one source.
     """
     index = [(p, points[p][:, j]) for p in range(2) for j in (2 * p, 2 * p + 1)]
     # each plane's points through the map, one column per row of entries
@@ -82,39 +80,17 @@ def _table_cells(series: QuantumThetaSeries, points, reads, distinct):
     slots = [0, 3, 1, 2, 4, 5] if lattice else [0, 1, None, None, 2, 3]
     cells = index + [(None, np.zeros(1)) if i is None else (reads[i], ambient[reads[i]][:, i])
                      for i in slots]
-    return cells + [(2 + j, bits.view(np.float64)) for j, bits in enumerate(distinct)]
-
-
-def _joined(last, new):
-    """Two adjacent row-template parts as one, or None when they stay apart.
-
-    A part is (None, literal text) or (source, one text per code of the
-    source; see :func:`_table_cells`). Literals join each other and sourced
-    parts; two parts of one source join code by code.
-    """
-    (a, x), (b, y) = last, new
-    if None not in (a, b) and a != b:
-        return None
-    return (b if a is None else a), x + y
-
-
-def _row_parts(cells) -> list:
-    """The CSV row template as parts (see :func:`_joined`): each cell
-    formatted once per value, a cell of one text (a constant, or a column
-    such as im that holds one value) as literal text, and each run of
-    adjacent slots that read one source joined into one part."""
-    pieces = _CONVERSION.split(_CSV_ROW)
-    parts = [(None, pieces[0])]
-    for spec, (source, values), piece in zip(_CONVERSION.findall(_CSV_ROW), cells, pieces[1:]):
+    cells += [(2 + j, bits.view(np.float64)) for j, bits in enumerate(distinct)]
+    parts = []
+    for j, (fmt, (source, values)) in enumerate(zip(_CSV_FORMATS, cells)):
+        spec = fmt + ("," if j < len(cells) - 1 else "\n")
         texts = [spec % v for v in values.tolist()]
-        cell = ((None, texts[0]) if len(set(texts)) == 1
-                else (source, np.array(texts, dtype=object)))
-        for new in (cell, (None, piece)):
-            both = _joined(parts[-1], new)
-            if both is None:
-                parts.append(new)
-            else:
-                parts[-1] = both
+        source, texts = ((None, texts[0]) if len(set(texts)) == 1
+                         else (source, np.array(texts, dtype=object)))
+        if parts and (source is None or parts[-1][0] in (None, source)):
+            last, text = parts.pop()
+            source, texts = (last if source is None else source), text + texts
+        parts.append((source, texts))
     return parts
 
 
@@ -135,7 +111,7 @@ def _write_table(fh, series: QuantumThetaSeries) -> None:
     blocks = slab_blocks(series.radius)
     distinct = [_distinct(column, blocks) for column in bits]
     points, reads = index_planes(series.embedding, series.radius)
-    parts = _row_parts(_table_cells(series, points, reads, distinct))
+    parts = _row_parts(series, points, reads, distinct)
     plane = len(points[0])
     pieces = np.empty((blocks[0][1].stop, plane, len(parts)), dtype=object)
     for j, (source, payload) in enumerate(parts):
@@ -283,7 +259,7 @@ def load_series(path) -> QuantumThetaSeries:
         emb = build_embedding(EmbeddingKind(kind), theta1, e.get("theta2"),
                               m=e.get("m"), delta_hat=e.get("delta_hat"))
         structure = structure_from_tau(emb, tau, st.get("lattice_decay"))
-    except (ValueError, TypeError, NCThetaError) as err:
+    except (ValueError, TypeError, OverflowError, NCThetaError) as err:
         raise ValueError(f"{path}: the embedding or structure is not valid"
                          f" ({type(err).__name__}: {err})") from None
     if table_kind != emb.kind.value:

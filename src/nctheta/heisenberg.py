@@ -1,12 +1,12 @@
 """Module vectors and the Heisenberg operators acting on them.
 
 Every module vector is a :class:`ClosedFormVector`: a Gaussian descriptor
-(quadratic, linear and constant exponent data plus discrete decay), closed
-under every operator in this module, and evaluable exactly at arbitrary
-points. A :class:`SampledVector` is a closed form together with a sample
-grid; its values are that closed form evaluated on the grid. Operators act
-on the closed form and leave the grid alone, so the samples of a result
-are exact.
+(quadratic and linear exponent data, an amplitude, and on R x Z^2 a
+discrete decay), closed under every operator in this module, and evaluable
+exactly at arbitrary points. A :class:`SampledVector` is a closed form
+together with a sample grid; its values are that closed form evaluated on
+the grid. Operators act on the closed form and leave the grid alone, so
+the samples of a result are exact.
 
 Operator word order: products are written as acting on the right, so in
 the word U_j U_i the factor U_j acts first. The measured commutation phase

@@ -26,11 +26,12 @@ from hypothesis import strategies as st
 import nctheta
 from conftest import load_golden
 from nctheta import embedding as embedding_mod
+from nctheta import export as export_mod
 from nctheta.cli import EXIT_INTERNAL_ERROR, main
 from nctheta.config import _SCHEMA_KEYWORDS, CONFIG_SCHEMA, _violation, load_config, parse_config
 from nctheta.embedding import enumerate_indices, point_parts
 from nctheta.errors import ConfigInvalid, ConfigSyntax, TruncationTooSmall
-from nctheta.export import _CSV_ROW, _write_table, export_coefficients, load_series
+from nctheta.export import _write_table, export_coefficients, load_series
 from nctheta.qtheta import (MAX_SERIALIZED_ELEMENTS, QuantumThetaSeries, VerificationReport,
                             _label, _reassembly_failure, quantum_theta_series)
 from nctheta.report import (SUITE_NAMES, RunContext, _check_dict, _rng_streams, run_suite,
@@ -149,8 +150,8 @@ def _schema_nodes(schema):
 _MUTANT_NAMES = sorted({name for key, value in _schema_nodes(CONFIG_SCHEMA)
                         if key == "properties" for name in value} | {"extra"})
 _MUTANT_VALUES = (
-    0, 1, -1, 2, 2.0, 0.5, -0.25, 2**64, 2**64 - 1, 1e-300, math.nan, math.inf, True, None,
-    "x", "csv", "lattice", [], [1], [0.5, 1], [[1, 0], [0, 1]], [[0.5, 1], [2, 3.0]],
+    0, 1, -1, 2, 2.0, 0.5, -0.25, 2**64, 2**64 - 1, 10**400, 1e-300, math.nan, math.inf,
+    True, None, "x", "csv", "lattice", [], [1], [0.5, 1], [[1, 0], [0, 1]], [[0.5, 1], [2, 3.0]],
     [[[0.0, 0.5], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.4]]], {}, {"path": "r.json"})
 
 
@@ -186,13 +187,17 @@ class TestSchema:
     def test_interpreter_agrees_with_jsonschema(self, lattice_config_path,
                                                 vector_config_path):
         # the independent route: jsonschema's Draft 2020-12 validator with the
-        # config's two types, "number" finite and "integer" an int, not a bool
+        # config's two types, "integer" an int, not a bool, that a double
+        # holds, and "number" such an int or a finite float
         jsonschema = pytest.importorskip("jsonschema")
         base = jsonschema.Draft202012Validator
+
+        def integer(x):
+            return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
         types = base.TYPE_CHECKER.redefine_many({
-            "number": lambda _, x: not isinstance(x, bool) and (
-                isinstance(x, int) or isinstance(x, float) and math.isfinite(x)),
-            "integer": lambda _, x: isinstance(x, int) and not isinstance(x, bool)})
+            "number": lambda _, x: integer(x) or isinstance(x, float) and math.isfinite(x),
+            "integer": lambda _, x: integer(x)})
         cls = jsonschema.validators.extend(base, type_checker=types)
         cls.check_schema(CONFIG_SCHEMA)
         validator = cls(CONFIG_SCHEMA)
@@ -412,7 +417,8 @@ class TestExport:
                                        "nan-im-outside-norm-2",
                                        "bogus-kind", "string-tau", "string-theta1",
                                        "null-normalization", "negative-decay",
-                                       "infinite-decay", "nan-theta1", "singular-m",
+                                       "infinite-decay", "nan-theta1", "huge-theta1",
+                                       "singular-m",
                                        "rescaled-normalization", "kind-mismatch",
                                        "pair-row", "true-code", "float-code", "string-code",
                                        "negative-code", "past-values-code", "nan-re",
@@ -462,6 +468,7 @@ class TestExport:
                    "negative-decay": "embedding or structure is not valid",
                    "infinite-decay": "embedding or structure is not valid",
                    "nan-theta1": "embedding or structure is not valid",
+                   "huge-theta1": "embedding or structure is not valid",
                    "singular-m": "embedding or structure is not valid",
                    "rescaled-normalization": "normalization 1.0 is not the structure's 0.5",
                    "kind-mismatch": "kind 'vector_space' is not its embedding's 'lattice'",
@@ -526,6 +533,9 @@ class TestExport:
             data["structure"]["lattice_decay"] = math.inf
         elif fault == "nan-theta1":
             data["embedding"]["theta1"] = math.nan
+        elif fault == "huge-theta1":
+            # a JSON integer that no double holds
+            data["embedding"]["theta1"] = 10**400
         elif fault == "singular-m":
             data["embedding"]["m"] = [[1, 2], [2, 4]]
         elif fault == "rescaled-normalization":
@@ -845,7 +855,8 @@ class TestExport:
             block[:, [8, 9]] = dual_part
         block[:, 10] = series.values.real
         block[:, 11] = series.values.imag
-        expected = "".join(_CSV_ROW % tuple(r.tolist()) for r in block)
+        row = "%d,%d,%d,%d," + ",".join(["%.17g"] * 8) + "\n"
+        expected = "".join(row % tuple(r.tolist()) for r in block)
         # each write is the text of one slab of 25 rows, whatever the blocks
         # blocks of one slab of 25 rows, and of four slabs with one slab last
         for rows, sizes in ((37, [25] * 25), (100, [100] * 6 + [25])):
@@ -856,6 +867,23 @@ class TestExport:
             assert out.getvalue().decode("ascii") == expected
             assert [text.count(b"\n") for text in written] == [25] * 25
         assert len(np.unique(block[:, 11])) == n
+
+    @pytest.mark.parametrize("kind, sources", [("lattice", [0, 1, 0, 1, 2]),
+                                               ("vector", [0, 1, 0, 1, 0, 1, 2])])
+    def test_row_parts_join_by_source(self, request, monkeypatch, kind, sources):
+        # the pieces of a row: columns that read one source, and literals,
+        # join the part before them; on the canonical series im is one
+        # literal, and a distinct im per row is a part of its own
+        original, parts = export_mod._row_parts, []
+        monkeypatch.setattr(export_mod, "_row_parts",
+                            lambda *args: parts.append(original(*args)) or parts[-1])
+        series = quantum_theta_series(request.getfixturevalue(f"{kind}_emb"),
+                                      request.getfixturevalue(f"{kind}_structure"),
+                                      radius=2)
+        _write_table(io.BytesIO(), series)
+        series.values.imag[:] = np.arange(len(series.values))
+        _write_table(io.BytesIO(), series)
+        assert [[source for source, _ in row] for row in parts] == [sources, sources + [3]]
 
     def test_csv_export_refuses_a_digest(self, tmp_path):
         # only a JSON table is hashed; a CSV export asked for a digest makes no file
@@ -1395,6 +1423,26 @@ class TestCli:
         node[keys[-1]] = value
         err = _assert_config_error(raw, json_path, tmp_path, capsys)
         assert "is not of type 'integer'" in err
+
+    @pytest.mark.parametrize("keys, value, json_path", [
+        (["embedding", "theta1"], 10**400, "$.embedding.theta1"),
+        (["structure", "tau"], [0.3, 10**400], "$.structure.tau"),
+        (["embedding", "delta_hat", 0, 1], 10**400, "$.embedding.delta_hat[0][1]"),
+        (["structure", "lattice_decay"], 10**400, "$.structure.lattice_decay"),
+        (["embedding", "m", 0, 0], 10**30, "$.embedding.m[0][0]"),
+        (["embedding", "m", 0, 0], 10**400, "$.embedding.m[0][0]"),
+        (["tolerances", "oracle_rel"], 10**400, "$.tolerances.oracle_rel"),
+    ], ids=["theta1", "tau", "delta_hat", "lattice_decay", "m-1e30", "m-1e400", "oracle_rel"])
+    def test_number_past_a_double_or_int64(self, keys, value, json_path,
+                                           lattice_config_path, tmp_path, capsys):
+        # a number must fit a double and an m entry int64, or the config is
+        # refused before any suite converts it
+        raw = json.loads(lattice_config_path.read_text())
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        _assert_config_error(raw, json_path, tmp_path, capsys)
 
     def test_finite_part_twist_not_coprime_exit_two(self, vector_config_path, tmp_path,
                                                      capsys):
