@@ -48,14 +48,22 @@ def _ascending(bits) -> np.ndarray:
     """The distinct values of an integer array in ascending order, by a sort
     (np.unique finds them by hashing, several times slower here)."""
     bits = np.sort(bits)
-    return bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
+    return np.concatenate((bits[:1], bits[1:][bits[1:] != bits[:-1]]))
 
 
-def _distinct(bits, blocks) -> np.ndarray:
-    """The distinct uint64 bit patterns of a float column, in ascending order
-    (-0.0 and 0.0 stay apart): those of each block (:func:`slab_blocks`),
-    then those of their union."""
-    return _ascending(np.concatenate([_ascending(bits[rows]) for rows, _ in blocks]))
+def _slab_classes(series: QuantumThetaSeries) -> np.ndarray:
+    """Each slab's class: the first slab with the same bits in re and im
+    (-0.0 and 0.0 apart), where slab a holds the (2r+1)^2 rows of point a of
+    the first index plane (:func:`index_planes`). A slab's bytes are compared
+    only with those of the earlier first slabs of the same hash."""
+    bits = series.values.view(np.uint64).reshape((2 * series.radius + 1) ** 2, -1)
+    seen, classes = {}, []
+    for a, text in enumerate(row.tobytes() for row in bits):
+        same = seen.setdefault(hash(text), [])
+        classes.append(next((b for b in same if bits[b].tobytes() == text), a))
+        if classes[-1] == a:
+            same.append(a)
+    return np.array(classes)
 
 
 def _row_parts(series: QuantumThetaSeries, points, reads, distinct) -> list:
@@ -64,7 +72,7 @@ def _row_parts(series: QuantumThetaSeries, points, reads, distinct) -> list:
 
     Sources 0 and 1 are the index planes, whose ``points`` the columns read
     as ``reads`` says (:func:`index_planes`), and sources 2 and 3 the
-    ``distinct`` bit patterns of re and im (:func:`_distinct`). Lattice kind:
+    ``distinct`` bit patterns of re and im (:func:`_write_table`). Lattice kind:
     (w1, w2, m1, m2, t1, t2) with unreduced torus lifts. Vector-space kind:
     the M part fills (w1, w2), the dual part (t1, t2), and m1, m2 are zero.
     Each value is formatted once, with its column's separator; a column of
@@ -102,29 +110,38 @@ def _write_table(fh, series: QuantumThetaSeries) -> None:
     kept for the table, a (slabs, (2r+1)^2, parts) object array of the parts
     of :func:`_row_parts`: the literals and the texts of the second index
     plane (source 1) once, those of the first (source 0) once per slab, and
-    those of re and im per block, at each row's bit pattern among the
-    distinct ones (np.searchsorted, sources 2 and 3). Beyond the table it
-    holds the distinct patterns, one block of pieces and one slab's text,
-    a str.join small enough for the allocator to reuse its memory.
+    those of re and im (sources 2 and 3) once per class of :func:`_slab_classes`,
+    by np.searchsorted among the patterns of the first slabs. Beyond the table
+    it holds those patterns, the texts of the classes that recur, one block of
+    pieces and one slab's text, a str.join the allocator can reuse.
     """
-    bits = [column.view(np.uint64) for column in (series.values.real, series.values.imag)]
+    classes = _slab_classes(series)
+    plane = len(classes)
+    first, recurs = classes == np.arange(plane), np.bincount(classes, minlength=plane) > 1
+    # the kept row of a slab's class, from 1 if the class recurs; row 0 is never read
+    slot = np.where(recurs, np.cumsum(recurs), 0)[classes]
+    bits = [column.view(np.uint64).reshape(plane, plane)
+            for column in (series.values.real, series.values.imag)]
     blocks = slab_blocks(series.radius)
-    distinct = [_distinct(column, blocks) for column in bits]
+    distinct = [_ascending(np.concatenate([_ascending(column[slabs][first[slabs]].ravel())
+                                           for _, slabs in blocks])) for column in bits]
     points, reads = index_planes(series.embedding, series.radius)
     parts = _row_parts(series, points, reads, distinct)
-    plane = len(points[0])
     pieces = np.empty((blocks[0][1].stop, plane, len(parts)), dtype=object)
+    kept = {j: np.empty((slot.max() + 1, plane), dtype=object)
+            for j, (source, _) in enumerate(parts) if source in (2, 3)}
     for j, (source, payload) in enumerate(parts):
         if source in (None, 1):
             pieces[:, :, j] = payload
-    for rows, slabs in blocks:
-        text = pieces[:slabs.stop - slabs.start]
+    for _, slabs in blocks:
+        text, mine, own = pieces[:slabs.stop - slabs.start], first[slabs], slot[slabs]
         for j, (source, payload) in enumerate(parts):
             if source == 0:
                 text[:, :, j] = payload[slabs, None]
             elif source in (2, 3):
-                codes = np.searchsorted(distinct[source - 2], bits[source - 2][rows])
-                text[:, :, j] = payload[codes].reshape(len(text), plane)
+                codes = np.searchsorted(distinct[source - 2], bits[source - 2][slabs][mine])
+                text[mine, :, j] = kept[j][own[mine]] = payload[codes]
+                text[~mine, :, j] = kept[j][own[~mine]]
         for slab in text:
             fh.write("".join(slab.ravel().tolist()).encode("ascii"))
 
@@ -137,9 +154,11 @@ def _values_and_codes(series: QuantumThetaSeries):
     json.dumps prints a float as its repr, and both depend only on the
     values, so a reloaded table re-exports byte for byte.
     """
-    # the bit patterns of each column, as in :func:`_distinct`, and every row's code
+    # the bit patterns of each column, and each row's code, over the first slabs
+    classes = _slab_classes(series)
+    firsts = np.flatnonzero(classes == np.arange(len(classes)))
     (re_bits, re_codes), (im_bits, im_codes) = (
-        np.unique(column.view(np.uint64), return_inverse=True)
+        np.unique(column.reshape(len(classes), -1)[firsts].view(np.uint64), return_inverse=True)
         for column in (series.values.real, series.values.imag))
     pairs, codes = np.unique(re_codes * len(im_bits) + im_codes, return_inverse=True)
     re_text = np.array([repr(v) for v in re_bits.view(np.float64).tolist()], dtype=object)
@@ -147,7 +166,8 @@ def _values_and_codes(series: QuantumThetaSeries):
     re_code, im_code = np.divmod(pairs, len(im_bits))
     rows = "    [" + re_text[re_code] + ", " + im_text[im_code] + "]"
     code_text = np.array([str(i) for i in range(len(pairs))], dtype=object)
-    return ",\n".join(rows.tolist()), ", ".join(code_text[codes].tolist())
+    codes = codes.reshape(len(firsts), -1)[np.searchsorted(firsts, classes)]  # by class
+    return ",\n".join(rows.tolist()), ", ".join(code_text[codes].ravel().tolist())
 
 
 def export_coefficients(series: QuantumThetaSeries, fmt: str, path, *, digest=None) -> Path:

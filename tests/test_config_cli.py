@@ -249,6 +249,24 @@ def _non_canonical_series(kind):
     return series
 
 
+def _per_row_text(series):
+    """The CSV rows of a series as a per-row writer lays them out: each row's
+    index, ambient coordinates and value through one %d/%.17g template."""
+    m_part, dual_part = point_parts(series.embedding, series.indices)
+    block = np.zeros((len(series.values), 12))
+    block[:, :4] = series.indices
+    if series.kind.value == "lattice":
+        block[:, [4, 6, 7]] = m_part
+        block[:, [5, 8, 9]] = dual_part
+    else:
+        block[:, [4, 5]] = m_part
+        block[:, [8, 9]] = dual_part
+    block[:, 10] = series.values.real
+    block[:, 11] = series.values.imag
+    row = "%d,%d,%d,%d," + ",".join(["%.17g"] * 8) + "\n"
+    return "".join(row % tuple(r.tolist()) for r in block)
+
+
 def _reload_outcome(path):
     """The reloaded values' bytes, or the message of the ValueError raised."""
     try:
@@ -868,6 +886,39 @@ class TestExport:
             assert [text.count(b"\n") for text in written] == [25] * 25
         assert len(np.unique(block[:, 11])) == n
 
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_shared_slab_texts_match_per_row_format(self, kind, request, monkeypatch,
+                                                     tmp_path):
+        # the slabs of a canonical table repeat under the signs of (k1, k2);
+        # here slabs 1 and 5 differ in one re, +0.0 against -0.0, and slabs 2
+        # and 4 in one im. Radius 3: these slabs have k1 = -3, outside the
+        # reassembly check, which covers every row of a radius-2 table
+        series = quantum_theta_series(request.getfixturevalue(f"{kind}_emb"),
+                                      request.getfixturevalue(f"{kind}_structure"),
+                                      radius=3)
+        slabs = series.values.reshape(49, 49)
+        assert export_mod._slab_classes(series)[[1, 2, 4, 5]].tolist() == [1, 2, 2, 1]
+        slabs.real[[1, 5], 10] = 0.0, -0.0
+        slabs.imag[4, 20] = 0.25
+        bits = series.values.view(np.uint64).reshape(49, -1)
+        classes = export_mod._slab_classes(series).tolist()
+        assert classes == [next(b for b in range(49) if (bits[b] == bits[a]).all())
+                           for a in range(49)]
+        assert classes[:6] == [0, 1, 2, 3, 4, 5] and len(set(classes)) < 30
+        expected = _per_row_text(series)
+        pairs = len(np.unique(series.values.view(np.uint64).reshape(-1, 2), axis=0))
+        for rows in (37, 100, embedding_mod.BLOCK_ROWS):
+            monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", rows)
+            out = io.BytesIO()
+            _write_table(out, series)
+            assert out.getvalue().decode("ascii") == expected
+            path = export_coefficients(series, "json", tmp_path / f"{rows}.json")
+            assert len(json.loads(path.read_text())["values"]) == pairs
+            reloaded = load_series(path)
+            assert reloaded.values.view(np.uint64).tolist() == bits.ravel().tolist()
+            again = export_coefficients(reloaded, "json", tmp_path / f"{rows}.again.json")
+            assert again.read_bytes() == path.read_bytes()
+
     @pytest.mark.parametrize("kind, sources", [("lattice", [0, 1, 0, 1, 2]),
                                                ("vector", [0, 1, 0, 1, 0, 1, 2])])
     def test_row_parts_join_by_source(self, request, monkeypatch, kind, sources):
@@ -1281,6 +1332,41 @@ class TestSuiteCoverage:
             tracemalloc.stop()
         table = report.series.values.nbytes
         assert peak - table < 4 * 2**20, (peak, table)
+
+    def test_distinct_slabs_hold_the_table_and_one_block(self, tmp_path):
+        # no two slabs of the off-diagonal vector table are equal, so the CSV
+        # writer keeps the texts of no class: a radius-8 run and its CSV write
+        # peaked 6.46 MiB above the table before slabs were grouped, most of
+        # it formatting the table's 38,914 distinct re values
+        cfg = _non_canonical_config("vector")
+        write_report(run_suite(parse_config({**cfg.raw, "radius": 1}), "quantum-theta"),
+                     tmp_path / "warm.csv", fmt="csv")  # imports and caches
+        tracemalloc.start()
+        try:
+            report = run_suite(parse_config({**cfg.raw, "radius": 8}), "quantum-theta")
+            write_report(report, tmp_path / "r.csv", fmt="csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = report.series.values.nbytes
+        assert peak - table < (6.46 + 0.5) * 2**20, (peak, table)
+        assert len(set(export_mod._slab_classes(report.series).tolist())) == 17 ** 2
+        # a copy of the table's bits, or texts kept for every class, hide
+        # under that peak; on slabs that differ in one value each, of two
+        # values in all, the write alone peaked 0.81 MiB before slabs were
+        # grouped, 1.30 MiB with a dict keyed by each slab's bytes and 2.09
+        # MiB with texts kept for every class
+        slabs = report.series.values.reshape(17 ** 2, 17 ** 2)
+        slabs[:] = 1.5
+        slabs[np.arange(17 ** 2), np.arange(17 ** 2)] = 0.5 - 2j
+        with open(os.devnull, "wb") as fh:
+            tracemalloc.start()
+            try:
+                _write_table(fh, report.series)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < (0.81 + 0.25) * 2**20, peak
 
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_quantum_theta_decodes_one_block_of_rows_at_a_time(self, kind, request,
