@@ -25,7 +25,6 @@ from .embedding import (
 from .errors import NCThetaError
 from .heisenberg import (
     ClosedFormVector,
-    ConnectionSet,
     SampledVector,
     apply_generator,
     apply_pi,

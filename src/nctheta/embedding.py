@@ -73,7 +73,6 @@ class EmbeddingMap:
     m: np.ndarray | None = None
     delta_hat: np.ndarray | None = None
     finite_part: FinitePart | None = None
-    valid: bool = True
 
     @property
     def theta34(self) -> float:
@@ -88,6 +87,11 @@ class EmbeddingMap:
         """Per-column residual of the M / M^ orthogonality condition."""
         cut = len(self.entries) // 2
         return np.abs(np.sum(self.entries[:cut] * self.entries[cut:], axis=0))
+
+    @property
+    def valid(self) -> bool:
+        """Whether every column meets the condition; a NaN residual counts as met."""
+        return not np.any(self.column_condition_residuals() > COLUMN_CONDITION_TOL)
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ def build_embedding(kind: EmbeddingKind, theta1: float, theta2: float | None = N
     """Construct and validate an embedding map.
 
     Violations are reported, never silently fixed. With ``allow_invalid``
-    the column condition is only recorded (``valid=False``), which lets the
+    the column condition is only recorded (``valid`` is False), which lets the
     operator layer explore configurations where the symmetrized phases no
     longer vanish on generator columns.
     """
@@ -170,18 +174,14 @@ def build_embedding(kind: EmbeddingKind, theta1: float, theta2: float | None = N
         emb = EmbeddingMap(kind, _lattice_entries(theta1, m, d),
                            float(theta1), None, m=m, delta_hat=d)
 
-    residuals = emb.column_condition_residuals()
-    bad = np.nonzero(residuals > COLUMN_CONDITION_TOL)[0]
-    if bad.size and not allow_invalid:
-        j = int(bad[0])
+    if not (emb.valid or allow_invalid):
+        residuals = emb.column_condition_residuals()
+        j = int(np.argmax(residuals > COLUMN_CONDITION_TOL))
         raise EmbeddingConditionViolated(column=j + 1, residual=float(residuals[j]))
     # a non-finite entry of delta_hat makes theta34 non-finite
     if kind is EmbeddingKind.LATTICE and not (math.isfinite(emb.theta34) and emb.theta34 > 0):
         raise NonPositiveDeformation(
             f"derived deformation entry theta34 = {emb.theta34:.6g} must be finite and positive")
-    if bad.size:
-        emb = EmbeddingMap(emb.kind, emb.entries, emb.theta1, emb.theta2,
-                           emb.m, emb.delta_hat, emb.finite_part, valid=False)
     return emb
 
 

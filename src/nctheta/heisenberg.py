@@ -58,13 +58,13 @@ class ClosedFormVector:
     ``quadratic`` and a (d,) ``linear`` (scalars are taken as 1 x 1 and (d,)):
         f(S) = amplitude * exp(pi i (S^t quadratic S + 2 linear . S))
     On R x Z^2, and only there, ``decay`` is set and f carries the Z^2 factor
-        exp(-pi decay |n + n_shift|^2) * exp(2 pi i n_phase . n).
+        exp(-pi decay |n + n_shift|^2) * exp(2 pi i n_phase . n),
+    so the kind follows ``decay``.
 
     A form pushed through rows of lattice points (:func:`apply_pi`) holds one
     ``linear``, ``amplitude``, ``n_shift`` and ``n_phase`` per point.
     """
 
-    kind: EmbeddingKind
     quadratic: np.ndarray
     linear: np.ndarray = 0.0
     amplitude: complex = 1.0
@@ -73,17 +73,19 @@ class ClosedFormVector:
     n_phase: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        d = 1 if self.kind is EmbeddingKind.LATTICE else 2
+        d = 2 if self.decay is None else 1
         quadratic = np.reshape(np.asarray(self.quadratic, dtype=complex), (d, d))
         linear = np.asarray(self.linear, dtype=complex)
         object.__setattr__(self, "quadratic", quadratic)
         object.__setattr__(self, "linear", np.full(d, linear) if linear.ndim == 0 else linear)
         if _min_im_eig(quadratic) <= 0:
             raise NotPositive("Im(quadratic) must be positive (definite)")
-        if d == 1 and (self.decay is None or self.decay <= 0):
+        if d == 1 and self.decay <= 0:
             raise NotPositive("lattice vectors need a positive discrete decay")
-        if d == 2 and self.decay is not None:
-            raise KindMismatch("vector-space vectors have no discrete decay")
+
+    @property
+    def kind(self) -> EmbeddingKind:
+        return EmbeddingKind.VECTOR_SPACE if self.decay is None else EmbeddingKind.LATTICE
 
     def evaluate(self, *coords) -> np.ndarray:
         """Pointwise values at (S, n); arguments broadcast like numpy arrays.
@@ -141,7 +143,6 @@ class SampledVector:
     samples and source cannot disagree.
     """
 
-    kind: EmbeddingKind
     axes: tuple[np.ndarray, ...]
     source: ClosedFormVector
     finite_vector: np.ndarray | None = None
@@ -158,8 +159,8 @@ class SampledVector:
 def theta_test_vector(emb: EmbeddingMap) -> ClosedFormVector:
     """A generic normalized Gaussian suitable for operator measurements."""
     if emb.kind is EmbeddingKind.LATTICE:
-        return ClosedFormVector(emb.kind, quadratic=2j, decay=1.0 / emb.theta34)
-    return ClosedFormVector(emb.kind, quadratic=2j * np.eye(2))
+        return ClosedFormVector(quadratic=2j, decay=1.0 / emb.theta34)
+    return ClosedFormVector(quadratic=2j * np.eye(2))
 
 
 def sample_vector(f: ClosedFormVector, step: float,
@@ -176,7 +177,7 @@ def sample_vector(f: ClosedFormVector, step: float,
     if f.decay is not None:
         window = math.ceil(math.sqrt(-math.log(SAMPLE_TAIL) / (math.pi * f.decay))) + 1
         axes += (np.arange(-window, window + 1),) * 2
-    return SampledVector(f.kind, axes, f, finite_vector=finite_vector)
+    return SampledVector(axes, f, finite_vector=finite_vector)
 
 
 def default_finite_vector(fp) -> np.ndarray:
@@ -309,36 +310,14 @@ def measure_commutation_phases(emb: EmbeddingMap, pairs, f: SampledVector) -> li
     return [phases[pair] for pair in pairs]
 
 
-@dataclass(frozen=True)
-class ConnectionSet:
-    """Constant-curvature connection coefficients for one embedding.
-
-    ``matrix`` is the 4x4 coefficient table: row i defines
-    nabla_i = -2 pi i (multiplier coefficients . coordinates)
-              + (derivative coefficients . d/ds).
-    Vector-space kind: coordinates (s1, s2), derivatives (d/ds1, d/ds2).
-    Lattice kind: coordinates (s, n1, n2), a single derivative d/ds.
-    """
-
-    kind: EmbeddingKind
-    matrix: np.ndarray
-
-    @property
-    def multiplier(self) -> np.ndarray:
-        cut = 2 if self.kind is EmbeddingKind.VECTOR_SPACE else 3
-        return self.matrix[:, :cut]
-
-    @property
-    def derivative(self) -> np.ndarray:
-        cut = 2 if self.kind is EmbeddingKind.VECTOR_SPACE else 3
-        return self.matrix[:, cut:]
-
-
-def build_connections(emb: EmbeddingMap) -> ConnectionSet:
-    """Connection coefficients: rows solving (coefficients . first four rows
-    of the map) = identity, the inverse of those rows. On the lattice kind
-    that embeds 1/theta1 and the inverse of the integer block."""
-    return ConnectionSet(emb.kind, np.linalg.inv(emb.entries[:4]))
+def build_connections(emb: EmbeddingMap) -> np.ndarray:
+    """Connection coefficients, the 4x4 inverse of the first four rows of the
+    map: row i defines nabla_i = -2 pi i (multipliers . coordinates)
+    + (derivatives . d/ds), one multiplier column per coordinate, (s1, s2) on
+    the plane and (s, n1, n2) on R x Z^2, then one derivative column per
+    continuous one. On the lattice kind that embeds 1/theta1 and the inverse
+    of the integer block."""
+    return np.linalg.inv(emb.entries[:4])
 
 
 def _require_closed(f) -> ClosedFormVector:
@@ -359,10 +338,12 @@ def _fd4(evaluate, coords, axis: int, step: float) -> np.ndarray:
     return (-shifted(2.0) + 8.0 * shifted(1.0) - 8.0 * shifted(-1.0) + shifted(-2.0)) / (12.0 * step)
 
 
-def apply_connections(conn: ConnectionSet, coefficients, evaluate, coords,
+def apply_connections(conn: np.ndarray, coefficients, evaluate, coords,
                       step: float) -> np.ndarray:
     """sum_i c_i nabla_i of a function at the probe coordinates ``coords``, one
-    grid per row of ``coefficients`` (..., 4), rows leading.
+    grid per row of ``coefficients`` (..., 4), rows leading. ``conn`` is the
+    :func:`build_connections` matrix: its first ``len(coords)`` columns are
+    the multipliers, the rest the derivatives.
 
     ``evaluate`` gives the function's values at broadcast coordinates;
     derivatives are order-4 central differences with the given step. The
@@ -376,13 +357,14 @@ def apply_connections(conn: ConnectionSet, coefficients, evaluate, coords,
     flat = rows.reshape(-1, 4)
     shape = np.broadcast(*coords).shape
     vals = evaluate(*coords)
+    multiplier, derivative = conn[:, :len(coords)], conn[:, len(coords):]
     lins = [sum(m * coord for m, coord in zip(mult, coords) if m != 0.0)
-            for mult in conn.multiplier]
-    read = np.any(conn.derivative[np.any(flat != 0, axis=0)] != 0.0, axis=0)
+            for mult in multiplier]
+    read = np.any(derivative[np.any(flat != 0, axis=0)] != 0.0, axis=0)
     derivs = {d: _fd4(evaluate, coords, d, step) for d in np.flatnonzero(read).tolist()}
     out = np.zeros((len(flat),) + shape, dtype=complex)
     for combo, row in zip(out, flat):
-        for c, lin, deriv in zip(row, lins, conn.derivative):
+        for c, lin, deriv in zip(row, lins, derivative):
             if c == 0:
                 continue
             combo += c * (-2j * math.pi) * lin * vals

@@ -56,8 +56,8 @@ def theta_truncation(tau: complex, z: complex, tol: float) -> int:
         rho_exp = -math.pi * a * (2 * n + 3) + c
         u_exp = -math.pi * a * (n + 1) ** 2 + c * (n + 1)
         if rho_exp < 0:
-            rho = math.exp(rho_exp)
-            bound = 2.0 * math.exp(min(u_exp, 700.0)) / (1.0 - rho)
+            # 1 - rho, exact even where rho rounds to 1
+            bound = 2.0 * math.exp(min(u_exp, 700.0)) / -math.expm1(rho_exp)
             if bound < tol:
                 return n
         n += 1

@@ -114,8 +114,7 @@ def theta_vector(structure: ComplexStructure) -> ClosedFormVector:
     exp(pi i S^t T S) over R^d; on the lattice kind times the default
     Schwartz weight exp(-pi c (n1^2 + n2^2)) with c the structure's decay.
     """
-    return ClosedFormVector(structure.kind, quadratic=structure.T,
-                            decay=structure.lattice_decay)
+    return ClosedFormVector(quadratic=structure.T, decay=structure.lattice_decay)
 
 
 def antiholomorphic_rows(structure: ComplexStructure) -> np.ndarray:

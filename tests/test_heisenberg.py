@@ -69,13 +69,14 @@ def lattice_theta(lattice_emb):
 class TestClosedForm:
     def test_requires_decaying_quadratic(self):
         with pytest.raises(NotPositive):
-            ClosedFormVector(EmbeddingKind.LATTICE, quadratic=1.0, decay=2.5)
+            ClosedFormVector(quadratic=1.0, decay=2.5)
         with pytest.raises(NotPositive):
-            ClosedFormVector(EmbeddingKind.LATTICE, quadratic=2j, decay=-1.0)
+            ClosedFormVector(quadratic=2j, decay=-1.0)
 
     def test_vector_forms_take_no_decay(self):
-        with pytest.raises(KindMismatch):
-            ClosedFormVector(EmbeddingKind.VECTOR_SPACE, quadratic=2j * np.eye(2), decay=1.0)
+        # a decay makes the form a lattice one, whose quadratic is 1 x 1
+        with pytest.raises(ValueError):
+            ClosedFormVector(quadratic=2j * np.eye(2), decay=1.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_scalar_and_one_by_one_forms_agree_bit_for_bit(self, seed, lattice_emb):
@@ -84,8 +85,8 @@ class TestClosedForm:
         rng = np.random.default_rng(seed)
         t = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0))
         linear = complex(*rng.uniform(-0.5, 0.5, size=2))
-        scalar = ClosedFormVector(EmbeddingKind.LATTICE, quadratic=t, linear=linear, decay=1.3)
-        matrix = ClosedFormVector(EmbeddingKind.LATTICE, quadratic=[[t]], linear=[linear],
+        scalar = ClosedFormVector(quadratic=t, linear=linear, decay=1.3)
+        matrix = ClosedFormVector(quadratic=[[t]], linear=[linear],
                                   decay=1.3)
         grids = np.ix_(np.linspace(-3.0, 3.0, 25), np.arange(-3, 4), np.arange(-2, 3))
         h = lattice_element(lattice_emb, rng.integers(-2, 3, size=(7, 4)))
@@ -114,7 +115,7 @@ class TestClosedForm:
         else:
             emb = vector_emb
             quadratic = [[2j, 0.3 + 0.1j], [-0.1 + 0.2j, 1.5j]] if "cross" in case else 2j * np.eye(2)
-            f = ClosedFormVector(EmbeddingKind.VECTOR_SPACE, quadratic=np.array(quadratic),
+            f = ClosedFormVector(quadratic=np.array(quadratic),
                                  linear=np.array([0.2 + 0.05j, -0.3j]), amplitude=1.3 + 0.4j)
             axes = (np.linspace(-4.0, 4.0, 33), np.linspace(-3.0, 3.0, 25))
         coords = np.ix_(*axes) if mesh == "open" else np.meshgrid(*axes, indexing="ij")
@@ -511,13 +512,13 @@ class TestConnections:
         conn = build_connections(lattice_emb)
         expected = np.array([[2.0, 0, 0, 0], [0, 0, 0, 1],
                              [0, 1, 0, 0], [0, 0, 1, 0]])
-        assert np.allclose(conn.matrix, expected)
+        assert np.allclose(conn, expected)
 
     def test_inverse_integer_block(self):
         emb = build_embedding(EmbeddingKind.LATTICE, 0.5, m=[[2, 1], [1, 1]],
                               delta_hat=[[0.2, 0.3], [-0.4, -0.3]])
         conn = build_connections(emb)
-        b = conn.matrix[2:, 1:3]
+        b = conn[2:, 1:3]
         assert np.allclose(b, [[1, -1], [-1, 2]])
         assert np.allclose(np.array([[2, 1], [1, 1]]) @ b, np.eye(2))
 
@@ -525,13 +526,13 @@ class TestConnections:
         conn = build_connections(vector_emb)
         expected = np.array([[2.0, 0, 0, 0], [0, 0, 1, 0],
                              [0, 2.5, 0, 0], [0, 0, 0, 1]])
-        assert np.allclose(conn.matrix, expected)
+        assert np.allclose(conn, expected)
         # rows solve (coefficients . map) = identity
-        assert np.allclose(conn.matrix @ vector_emb.entries, np.eye(4), atol=1e-12)
+        assert np.allclose(conn @ vector_emb.entries, np.eye(4), atol=1e-12)
 
     def test_duality_rows_lattice(self, lattice_emb):
         conn = build_connections(lattice_emb)
-        assert np.allclose(conn.matrix @ lattice_emb.entries[:4], np.eye(4),
+        assert np.allclose(conn @ lattice_emb.entries[:4], np.eye(4),
                            atol=1e-12)
 
 
@@ -602,7 +603,7 @@ def _single_row_connections(conn, coefficients, evaluate, coords, step):
     vals = evaluate(*coords)
     combo = np.zeros(np.broadcast(*coords).shape, dtype=complex)
     for c, mult, deriv in zip(np.asarray(coefficients, dtype=complex),
-                              conn.multiplier, conn.derivative):
+                              conn[:, :len(coords)], conn[:, len(coords):]):
         if c == 0:
             continue
         lin = sum(m * coord for m, coord in zip(mult, coords) if m != 0.0)
@@ -625,7 +626,7 @@ class TestConnectionKernel:
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_inverse_equals_the_hand_built_matrix(self, kind, request):
         emb = request.getfixturevalue(f"{kind}_config").build_embedding()
-        assert np.array_equal(build_connections(emb).matrix, _hand_built_connections(emb))
+        assert np.array_equal(build_connections(emb), _hand_built_connections(emb))
 
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_each_piece_is_formed_once_per_call(self, kind, request, monkeypatch):
@@ -636,10 +637,10 @@ class TestConnectionKernel:
         monkeypatch.setattr(heisenberg, "_fd4",
                             lambda ev, coords, d, step: axes.append(d) or original(ev, coords, d,
                                                                                   step))
-        rows = np.random.default_rng(3).normal(size=(6, 4))
+        rows, coords = np.random.default_rng(3).normal(size=(6, 4)), _probe_coords(emb)
         apply_connections(conn, rows, lambda *c: evaluations.append(1) or f.evaluate(*c),
-                          _probe_coords(emb), 1e-3)
-        derivative_axes = conn.derivative.shape[1]
+                          coords, 1e-3)
+        derivative_axes = conn[:, len(coords):].shape[1]
         assert sorted(axes) == list(range(derivative_axes))
         assert len(evaluations) == 1 + 4 * derivative_axes
 

@@ -292,6 +292,8 @@ def test_benchmark_suite_table_matches_the_suite_names(perfbench_dir):
 
 def test_benchmark_builds_series_from_a_loaded_config(perfbench_dir, lattice_config_path):
     from nctheta.config import load_config
+    from nctheta.heisenberg import theta_test_vector
     cfg = load_config(lattice_config_path)
     emb = cfg.build_embedding()
     assert cfg.build_structure(emb).kind is emb.kind
+    assert theta_test_vector(emb).kind is emb.kind

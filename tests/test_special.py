@@ -133,6 +133,12 @@ class TestJacobiTheta:
         with pytest.raises(DivergentSeries, match=r"n = 5 overflows at tau = 4j, z = \(3-36j\)"):
             jacobi_theta(4j, 3 - 36j)
 
+    def test_truncation_ratio_next_to_one(self):
+        # rho_exp is about -1e-19, so 1 - e^{rho_exp} rounds to 0: the bound
+        # divides by -expm1(rho_exp), and the search gives up past its limit
+        with pytest.raises(DivergentSeries, match="did not terminate"):
+            theta_truncation(1e-20j, 1e-12j, 1e-12)
+
     def test_truncation_bound_is_honest(self):
         # enlarging the cutoff beyond the chosen N never moves the value by tol
         for tau, z, tol in [(1j, 0.3 + 0.2j, 1e-12), (5j, -0.3 + 2.5j, 1e-12),

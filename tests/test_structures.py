@@ -31,12 +31,12 @@ class TestMakeStructure:
     def test_plane_entrywise_division(self):
         st_ = make_complex_structure(EmbeddingKind.VECTOR_SPACE,
                                      [[0.5j, 0], [0, 0.4j]], 0.5, 0.4)
-        assert st_.kind is EmbeddingKind.VECTOR_SPACE
+        assert st_.kind is theta_vector(st_).kind is EmbeddingKind.VECTOR_SPACE
         assert np.allclose(st_.T, 1j * np.eye(2))
 
     def test_mixed_scalar_division(self):
         st_ = make_complex_structure(EmbeddingKind.LATTICE, 1j, 0.5, 0.4)
-        assert st_.kind is EmbeddingKind.LATTICE
+        assert st_.kind is theta_vector(st_).kind is EmbeddingKind.LATTICE
         assert np.array_equal(st_.T, [[2j]])
         assert st_.lattice_decay == pytest.approx(2.5)
 
