@@ -207,12 +207,14 @@ def commutation_matrix(emb: EmbeddingMap) -> DeformationMatrix:
 
 def _index_rows(k) -> np.ndarray:
     """Index rows of shape (..., 4) as int64; ValueError for another shape or
-    an entry that is not an int64 integer (integral floats such as 1.0 pass)."""
+    an entry that is not an int64 integer (integral floats such as 1.0 pass,
+    complex numbers do not)."""
     k = np.asarray(k)
     if k.ndim == 0 or k.shape[-1] != 4:
         raise ValueError("k must be integer index rows of shape (..., 4)")
     # NaN and infinities fail the magnitude test
-    if k.dtype.kind not in "biu" and not np.all((np.abs(k) < 2.0 ** 63) & (k == np.round(k))):
+    if k.dtype.kind == "c" or (k.dtype.kind not in "biu"
+                               and not np.all((np.abs(k) < 2.0 ** 63) & (k == np.round(k)))):
         raise ValueError("k must have integer entries within the int64 range")
     return k.astype(np.int64, copy=False)
 
@@ -289,15 +291,14 @@ def enumerate_indices(radius: int, rows: slice = slice(None)) -> np.ndarray:
 BLOCK_ROWS = 8192
 
 
-def slab_blocks(radius: int) -> list[tuple[slice, slice]]:
-    """The grid positions of radius r in blocks of max(1, BLOCK_ROWS // (2r+1)^2)
-    slabs, the last one fewer, as (rows, slabs): the block's positions, and its
-    points a of the first index plane (:func:`index_planes`), each the slab of
-    positions a (2r+1)^2 + b. A whole-table pass holds one block beyond the table."""
+def slab_blocks(radius: int) -> list[slice]:
+    """The points a of the first index plane of radius r (:func:`index_planes`),
+    each the slab of grid positions a (2r+1)^2 + b, in blocks of
+    max(1, BLOCK_ROWS // (2r+1)^2) slabs, the last one fewer. A whole-table
+    pass holds one block beyond the table."""
     plane = (2 * radius + 1) ** 2
     step = max(1, BLOCK_ROWS // plane)
-    return [(slice(lo * plane, min(lo + step, plane) * plane), slice(lo, min(lo + step, plane)))
-            for lo in range(0, plane, step)]
+    return [slice(lo, min(lo + step, plane)) for lo in range(0, plane, step)]
 
 
 def _cocycle_exponent(m_l, d_l, m_r, d_r):

@@ -37,7 +37,9 @@ class KindMismatch(NCThetaError):
 
 
 class DegenerateTestVector(NCThetaError):
-    """Every grid value fell below the magnitude threshold of a measurement."""
+    """A test vector no measurement can use: every grid value fell below the
+    magnitude threshold of a measurement, or its sample grid would exceed
+    the point budget of :func:`nctheta.heisenberg.sample_vector`."""
 
 
 class DivergentSeries(NCThetaError):

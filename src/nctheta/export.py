@@ -25,7 +25,6 @@ from .embedding import (
     enumerate_indices,
     index_planes,
     point_parts,
-    slab_blocks,
 )
 from .errors import NCThetaError
 from .qtheta import (
@@ -106,44 +105,42 @@ def _write_table(fh, series: QuantumThetaSeries) -> None:
     """Write the CSV rows of the table to the binary file ``fh``, as ASCII
     bytes, one slab at a time.
 
-    Rows are placed a block of :func:`slab_blocks` at a time in a piece list
-    kept for the table, a (slabs, (2r+1)^2, parts) object array of the parts
-    of :func:`_row_parts`: the literals and the texts of the second index
-    plane (source 1) once, those of the first (source 0) once per slab, and
-    those of re and im (sources 2 and 3) once per class of :func:`_slab_classes`,
-    by np.searchsorted among the patterns of the first slabs. Beyond the table
-    it holds those patterns, the texts of the classes that recur, one block of
-    pieces and one slab's text, a str.join the allocator can reuse.
+    A slab's rows are placed in a (2r+1)^2 x parts object array of the parts
+    of :func:`_row_parts`, kept from slab to slab: the literals and the texts
+    of the second index plane (source 1) once, those of the first (source 0)
+    once per slab, and those of re and im (sources 2 and 3) once per class of
+    :func:`_slab_classes`, at its first slab, by np.searchsorted among the
+    patterns of the first slabs. Beyond the table it holds those patterns,
+    the texts of the classes that recur and one slab's text, a str.join the
+    allocator can reuse.
     """
     classes = _slab_classes(series)
     plane = len(classes)
-    first, recurs = classes == np.arange(plane), np.bincount(classes, minlength=plane) > 1
-    # the kept row of a slab's class, from 1 if the class recurs; row 0 is never read
-    slot = np.where(recurs, np.cumsum(recurs), 0)[classes]
+    recurs = np.bincount(classes, minlength=plane) > 1
     bits = [column.view(np.uint64).reshape(plane, plane)
             for column in (series.values.real, series.values.imag)]
-    blocks = slab_blocks(series.radius)
-    distinct = [_ascending(np.concatenate([_ascending(column[slabs][first[slabs]].ravel())
-                                           for _, slabs in blocks])) for column in bits]
+    firsts = np.flatnonzero(classes == np.arange(plane))
+    distinct = [_ascending(np.concatenate([_ascending(column[a]) for a in firsts]))
+                for column in bits]
     points, reads = index_planes(series.embedding, series.radius)
     parts = _row_parts(series, points, reads, distinct)
-    pieces = np.empty((blocks[0][1].stop, plane, len(parts)), dtype=object)
-    kept = {j: np.empty((slot.max() + 1, plane), dtype=object)
-            for j, (source, _) in enumerate(parts) if source in (2, 3)}
+    pieces = np.empty((plane, len(parts)), dtype=object)
     for j, (source, payload) in enumerate(parts):
         if source in (None, 1):
-            pieces[:, :, j] = payload
-    for _, slabs in blocks:
-        text, mine, own = pieces[:slabs.stop - slabs.start], first[slabs], slot[slabs]
+            pieces[:, j] = payload
+    kept = {}  # (class, part): the texts of a class that recurs
+    for a, c in enumerate(classes.tolist()):
         for j, (source, payload) in enumerate(parts):
             if source == 0:
-                text[:, :, j] = payload[slabs, None]
+                pieces[:, j] = payload[a]
+            elif source in (2, 3) and (c, j) in kept:
+                pieces[:, j] = kept[c, j]
             elif source in (2, 3):
-                codes = np.searchsorted(distinct[source - 2], bits[source - 2][slabs][mine])
-                text[mine, :, j] = kept[j][own[mine]] = payload[codes]
-                text[~mine, :, j] = kept[j][own[~mine]]
-        for slab in text:
-            fh.write("".join(slab.ravel().tolist()).encode("ascii"))
+                codes = np.searchsorted(distinct[source - 2], bits[source - 2][a])
+                pieces[:, j] = texts = payload[codes]
+                if recurs[c]:
+                    kept[c, j] = texts
+        fh.write("".join(pieces.ravel().tolist()).encode("ascii"))
 
 
 def _values_and_codes(series: QuantumThetaSeries):
@@ -166,8 +163,9 @@ def _values_and_codes(series: QuantumThetaSeries):
     re_code, im_code = np.divmod(pairs, len(im_bits))
     rows = "    [" + re_text[re_code] + ", " + im_text[im_code] + "]"
     code_text = np.array([str(i) for i in range(len(pairs))], dtype=object)
-    codes = codes.reshape(len(firsts), -1)[np.searchsorted(firsts, classes)]  # by class
-    return ",\n".join(rows.tolist()), ", ".join(code_text[codes].ravel().tolist())
+    slab_text = [", ".join(code_text[slab].tolist()) for slab in codes.reshape(len(firsts), -1)]
+    by_class = np.searchsorted(firsts, classes).tolist()  # each slab's first slab
+    return ",\n".join(rows.tolist()), ", ".join([slab_text[i] for i in by_class])
 
 
 def export_coefficients(series: QuantumThetaSeries, fmt: str, path, *, digest=None) -> Path:

@@ -44,6 +44,8 @@ PHASE_MASK_THRESHOLD = 1e-8
 REPRESENTATION_BLOCK = 4
 # Sample grids extend until the Gaussian tails fall below this magnitude.
 SAMPLE_TAIL = 1e-45
+# The most points a sample grid may have; a larger one is refused unbuilt.
+MAX_SAMPLE_POINTS = 2**24
 
 
 def _min_im_eig(quadratic) -> float:
@@ -170,12 +172,20 @@ def sample_vector(f: ClosedFormVector, step: float,
     The grid reaches out until the Gaussian tails of ``f`` fall below
     SAMPLE_TAIL, in the continuous axes and, for the lattice kind, in the
     integer window. ``finite_vector`` is the factor on the finite group
-    Z_m1 x Z_m2, if the embedding has one.
+    Z_m1 x Z_m2, if the embedding has one. DegenerateTestVector for a grid
+    of more than MAX_SAMPLE_POINTS points, counted before any axis is built.
     """
     n_pts = int(round(f.sup_extent() / step))
-    axes = (step * np.arange(-n_pts, n_pts + 1),) * len(f.quadratic)
+    sides = [2 * n_pts + 1] * len(f.quadratic)
     if f.decay is not None:
         window = math.ceil(math.sqrt(-math.log(SAMPLE_TAIL) / (math.pi * f.decay))) + 1
+        sides += [2 * window + 1] * 2
+    count = math.prod(sides)
+    if count > MAX_SAMPLE_POINTS:
+        raise DegenerateTestVector(f"the sample grid has {count} points,"
+                                   f" more than {MAX_SAMPLE_POINTS}")
+    axes = (step * np.arange(-n_pts, n_pts + 1),) * len(f.quadratic)
+    if f.decay is not None:
         axes += (np.arange(-window, window + 1),) * 2
     return SampledVector(axes, f, finite_vector=finite_vector)
 

@@ -287,30 +287,28 @@ def _suite_quantum_theta(ctx: RunContext) -> list[VerificationReport]:
     if emb.kind is EmbeddingKind.LATTICE:
         tau0 = 2j / (1.0 / structure.lattice_decay)  # 2i / theta2_eff
         expected0, cutoff = jacobi_theta(tau0, 0.0) ** 2, theta_truncation(tau0, 0.0, 1e-12)
-    values, radius = series.values, series.radius
-    blocks = slab_blocks(radius)
-    # block by block; np.max and np.min over the blocks' results keep a NaN,
-    # where Python's max and min may drop it. In grid order C(-k) is at the
-    # mirrored position, and C(0) at the centre.
-    sym = float(np.max([np.max(np.abs(values[::-1][rows] - np.conj(values[rows])))
-                        for rows, _ in blocks]))
-    centre = len(values) // 2
-    zero_defect = abs(complex(values[centre]) - expected0)
-    # |C(k)| <= C(0) since pi_k is unitary, so the rate is measured relative
-    # to C(0), over every k but 0, whose rate 0/0 is NaN. A coefficient that
-    # underflowed to 0 decays without bound: its rate is +inf. |k|^2 is
-    # |a|^2 + |b|^2 over the points a, b of the two index planes.
+    radius, blocks = series.radius, slab_blocks(series.radius)
+    # slab a of the grid holds the rows of point a of the first index plane;
+    # C(-k) is at the mirrored position, and C(0) at the centre. np.max and
+    # np.min over the blocks' results keep a NaN, where Python's may drop it
     plane_sq = np.add.outer(*[np.arange(-radius, radius + 1) ** 2] * 2).ravel()
+    grid, c = series.values.reshape(len(plane_sq), -1), len(plane_sq) // 2
+    sym = float(np.max([np.max(np.abs(grid[::-1, ::-1][slabs] - np.conj(grid[slabs])))
+                        for slabs in blocks]))
+    zero_defect = abs(complex(grid[c, c]) - expected0)
+    # |C(k)| <= C(0) since pi_k is unitary, so the rate is measured relative
+    # to C(0), over every k but 0, whose rate 0/0 is taken as +inf. A
+    # coefficient that underflowed to 0 decays without bound: its rate is
+    # +inf. |k|^2 is |a|^2 + |b|^2 over the points a, b of the two index planes.
 
-    def decay_rate(rows, slabs):
-        sq = np.add.outer(plane_sq[slabs], plane_sq).ravel()
-        ratio = np.abs(values[rows]) / abs(values[centre])
-        if rows.start <= centre < rows.stop:
-            sq, ratio = (np.delete(x, centre - rows.start) for x in (sq, ratio))
-        return np.min(-np.log(ratio) / sq)
+    def decay_rate(slabs):
+        ratio = np.abs(grid[slabs]) / abs(grid[c, c])
+        if slabs.start <= c < slabs.stop:
+            ratio[c - slabs.start, c] = 0.0  # a rate of +inf
+        return np.min(-np.log(ratio) / np.add.outer(plane_sq[slabs], plane_sq))
 
     with np.errstate(divide="ignore"):
-        decay_min = float(np.min([decay_rate(rows, slabs) for rows, slabs in blocks]))
+        decay_min = float(np.min([decay_rate(slabs) for slabs in blocks]))
 
     bounds = [series_tail_bound(series)]  # at radius, radius + 1, ..., to the first < 1e-12
     while bounds[-1] >= 1e-12:

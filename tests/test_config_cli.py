@@ -879,7 +879,7 @@ class TestExport:
         # blocks of one slab of 25 rows, and of four slabs with one slab last
         for rows, sizes in ((37, [25] * 25), (100, [100] * 6 + [25])):
             monkeypatch.setattr(embedding_mod, "BLOCK_ROWS", rows)
-            assert [r.stop - r.start for r, _ in embedding_mod.slab_blocks(2)] == sizes
+            assert [(s.stop - s.start) * 25 for s in embedding_mod.slab_blocks(2)] == sizes
             out, written = io.BytesIO(), []
             _write_table(_WriteSpy(out, written), series)
             assert out.getvalue().decode("ascii") == expected
@@ -1367,6 +1367,27 @@ class TestSuiteCoverage:
             finally:
                 tracemalloc.stop()
         assert peak < (0.81 + 0.25) * 2**20, peak
+        # walked one slab at a time, with no block of pieces or kept texts
+        # beyond the classes that recur, the write peaked 0.82 MiB over blocks
+        assert peak < 0.5 * 2**20, peak
+
+    @pytest.mark.parametrize("kind", ["lattice", "vector"])
+    def test_json_export_holds_one_codes_text_per_class(self, kind, request, tmp_path):
+        # the codes text is joined once per class of slabs and the slabs' texts
+        # from those: a radius-8 JSON export peaked 2.93 (lattice) and 2.69
+        # (vector) MiB when it formatted a code for every row
+        emb = request.getfixturevalue(f"{kind}_emb")
+        structure = request.getfixturevalue(f"{kind}_structure")
+        export_coefficients(quantum_theta_series(emb, structure, radius=1), "json",
+                            tmp_path / "warm.json")  # imports and caches
+        series = quantum_theta_series(emb, structure, radius=8)
+        tracemalloc.start()
+        try:
+            export_coefficients(series, "json", tmp_path / "t.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20, peak
 
     @pytest.mark.parametrize("kind", ["lattice", "vector"])
     def test_quantum_theta_decodes_one_block_of_rows_at_a_time(self, kind, request,

@@ -455,6 +455,18 @@ class TestBatchedCommutationPhases:
         assert check.name == "commutation (errored)"
         assert check.metadata["error"] == f"DegenerateTestVector: {message}"
 
+    @pytest.mark.parametrize("suite", ["validate", "commutation"])
+    def test_oversized_sample_grid_is_refused_unbuilt(self, lattice_config, suite):
+        # m[0][0] = 2**63 - 1 leaves the test vector's Z^2 factor so slow a
+        # decay that its integer window alone would hold 2.9e10 points
+        raw = lattice_config.raw
+        cfg = parse_config({**raw, "radius": 1,
+                            "embedding": {**raw["embedding"], "m": [[2**63 - 1, 0], [0, 1]]}})
+        [check] = run_suite(cfg, suite).checks
+        assert check.name == f"{suite} (errored)"
+        assert check.metadata["error"].startswith("DegenerateTestVector: the sample grid has ")
+        assert check.metadata["error"].endswith(f" points, more than {heisenberg.MAX_SAMPLE_POINTS}")
+
     def test_peak_memory_of_all_pairs_within_one_reference_pair(self):
         # every pair's words are released before the next pair's are formed,
         # so 16 pairs peak no higher than one pair of the per-pair reference
